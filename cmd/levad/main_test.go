@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"os"
@@ -276,6 +277,42 @@ func TestRunRefusesCorruptBundle(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bundle.bin") {
 		t.Errorf("startup error does not name the corrupt file: %v", err)
+	}
+}
+
+// TestRunRefusesVersion1Index: an index directory saved in the
+// version-1 format (committed in internal/ann/testdata) is refused at
+// startup with an error that says how to rebuild it.
+func TestRunRefusesVersion1Index(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
+	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := res.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	src := filepath.Join("..", "..", "internal", "ann", "testdata", "index-v1")
+	indexDir := filepath.Join(t.TempDir(), "index")
+	if err := os.MkdirAll(indexDir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{ann.IndexFileName, "MANIFEST.json"} {
+		data, err := os.ReadFile(filepath.Join(src, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(indexDir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err = run(context.Background(), []string{"-bundle", dir, "-index", indexDir, "-addr", "127.0.0.1:0", "-quiet"})
+	if err == nil {
+		t.Fatal("daemon started on a version-1 index")
+	}
+	if !errors.Is(err, ann.ErrVersion) || !strings.Contains(err.Error(), "leva embed -index") {
+		t.Errorf("startup error = %v, want ErrVersion naming `leva embed -index`", err)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 
 	"repro/internal/embed"
@@ -114,37 +115,71 @@ type Result struct {
 // Index is an immutable HNSW graph over a fixed vector collection.
 // All methods are safe for concurrent use once Build returns.
 type Index struct {
-	opts  Options
-	dim   int
-	names []string
-	// Exactly one of byName and syms resolves names to ids: BuildVectors
-	// and Decode populate the map, Build over an Embedding shares the
-	// embedding's interned symbol table instead (no per-name map
-	// entries).
-	byName map[string]int32
-	syms   *embed.SymbolTable
+	opts Options
+	dim  int
+	// syms maps names to node ids and back. Build shares the
+	// embedding's interned table, BuildVectors interns its own, and
+	// Decode views the one stored in index.bin.
+	syms *embed.SymbolTable
 	// vecs holds all vectors row-major (n x dim), unit-normalized for
 	// MetricCosine. For a dot-metric Build it aliases the embedding's
 	// arena directly — zero copies; the index and the embedding are both
 	// immutable after construction.
 	vecs     []float64
-	levels   []int32
-	links    [][][]int32 // links[node][layer] = neighbor ids
+	adj      csr
 	entry    int32
 	maxLevel int32
 	// quant, when set by Quantize, routes graph traversal through the
 	// int8 arena with a float64 re-rank of the final beam (quant.go).
 	quant *embed.QuantizedMatrix
+	// visits pools the visited sets of layer searches (see visitSet).
+	visits sync.Pool
+}
+
+// csr is the frozen adjacency in compressed-sparse-row form, the exact
+// layout index.bin stores. Node i owns the (node, layer) pairs
+// first[i] .. first[i+1]-1, one per layer 0..level(i), and pair p's
+// neighbor ids are lids[loff[p]:loff[p+1]].
+type csr struct {
+	first []uint32 // len n+1
+	loff  []uint32 // len P+1, P = first[n]
+	lids  []int32  // len L, L = loff[P]
+}
+
+// level returns the top layer of node id.
+func (g *csr) level(id int32) int32 { return int32(g.first[id+1]-g.first[id]) - 1 }
+
+func (g *csr) linksAt(id, lvl int32) []int32 {
+	p := int(g.first[id]) + int(lvl)
+	if p >= int(g.first[id+1]) {
+		return nil
+	}
+	return g.lids[g.loff[p]:g.loff[p+1]]
+}
+
+// adjacency is what a layer search walks: the growable lists of an
+// index under construction, or the frozen CSR arrays of a finished one.
+type adjacency interface {
+	linksAt(id, lvl int32) []int32
 }
 
 // idOf resolves an entity name to its node id.
 func (ix *Index) idOf(name string) (int32, bool) {
-	if ix.syms != nil {
-		id, ok := ix.syms.Lookup(name)
-		return int32(id), ok
+	id, ok := ix.syms.Lookup(name)
+	return int32(id), ok
+}
+
+// duplicateName returns a name st holds more than once, if any. The
+// sorted permutation puts equal names next to each other, so the scan
+// is linear.
+func duplicateName(st *embed.SymbolTable) (string, bool) {
+	sorted := st.SortedIDs()
+	for i := 1; i < len(sorted); i++ {
+		if name := st.At(int(sorted[i])); name == st.At(int(sorted[i-1])) {
+			return name, true
+		}
 	}
-	id, ok := ix.byName[name]
-	return id, ok
+	return "", false
 }
 
 // Build indexes every vector of e under opts. Unlike BuildVectors it
@@ -170,24 +205,12 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 		return nil, errors.New("ann: zero-dimensional vectors")
 	}
 	st := e.Symbols()
-	// Duplicate names would make id resolution ambiguous; the sorted
-	// permutation makes the scan linear.
-	sorted := st.SortedIDs()
-	for i := 1; i < len(sorted); i++ {
-		if st.At(int(sorted[i])) == st.At(int(sorted[i-1])) {
-			return nil, fmt.Errorf("ann: duplicate name %q", st.At(int(sorted[i])))
-		}
+	// Duplicate names would make id resolution ambiguous.
+	if name, dup := duplicateName(st); dup {
+		return nil, fmt.Errorf("ann: duplicate name %q", name)
 	}
 	start := time.Now()
-	ix := &Index{
-		opts:   opts,
-		dim:    dim,
-		names:  e.Names(),
-		syms:   st,
-		levels: make([]int32, n),
-		links:  make([][][]int32, n),
-		entry:  -1,
-	}
+	ix := &Index{opts: opts, dim: dim, syms: st}
 	arena := e.Matrix().Data
 	if opts.Metric == MetricCosine {
 		ix.vecs = make([]float64, len(arena))
@@ -198,7 +221,9 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 	} else {
 		ix.vecs = arena
 	}
-	ix.wire(rand.New(rand.NewSource(opts.Seed)))
+	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
+		return nil, err
+	}
 	buildsTotal.Inc()
 	buildSeconds.ObserveDuration(time.Since(start))
 	return ix, nil
@@ -227,22 +252,14 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 		return nil, errors.New("ann: zero-dimensional vectors")
 	}
 	start := time.Now()
-	ix := &Index{
-		opts:   opts,
-		dim:    dim,
-		names:  append([]string(nil), names...),
-		byName: make(map[string]int32, n),
-		vecs:   make([]float64, n*dim),
-		levels: make([]int32, n),
-		links:  make([][][]int32, n),
-		entry:  -1,
+	st, err := embed.NewSymbolTable(names)
+	if err != nil {
+		return nil, fmt.Errorf("ann: %w", err)
 	}
-	for i, name := range ix.names {
-		if _, dup := ix.byName[name]; dup {
-			return nil, fmt.Errorf("ann: duplicate name %q", name)
-		}
-		ix.byName[name] = int32(i)
+	if name, dup := duplicateName(st); dup {
+		return nil, fmt.Errorf("ann: duplicate name %q", name)
 	}
+	ix := &Index{opts: opts, dim: dim, syms: st, vecs: make([]float64, n*dim)}
 	for i, v := range vecs {
 		if len(v) != dim {
 			return nil, fmt.Errorf("ann: vector %d has dim %d, want %d", i, len(v), dim)
@@ -253,24 +270,77 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 			normalize(row)
 		}
 	}
-
-	ix.wire(rand.New(rand.NewSource(opts.Seed)))
+	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
+		return nil, err
+	}
 	buildsTotal.Inc()
 	buildSeconds.ObserveDuration(time.Since(start))
 	return ix, nil
 }
 
+// builder holds the adjacency of an index under construction:
+// per-node, per-layer neighbor lists that grow and shrink as nodes are
+// inserted. They live only for the duration of wire, which freezes
+// them into the index's CSR arrays.
+type builder struct {
+	ix     *Index
+	levels []int32
+	links  [][][]int32 // links[node][layer] = neighbor ids
+}
+
+func (b *builder) linksAt(id, lvl int32) []int32 {
+	ls := b.links[id]
+	if int(lvl) >= len(ls) {
+		return nil
+	}
+	return ls[lvl]
+}
+
 // wire draws every node's level up front from one seeded stream (the
-// only randomness in the whole build), then inserts sequentially.
-func (ix *Index) wire(rng *rand.Rand) {
+// only randomness in the whole build), inserts sequentially, and
+// freezes the result into ix.adj.
+func (ix *Index) wire(rng *rand.Rand) error {
+	n := ix.Len()
+	b := &builder{ix: ix, levels: make([]int32, n), links: make([][][]int32, n)}
 	mL := 1 / math.Log(float64(ix.opts.M))
-	for i := range ix.levels {
-		ix.levels[i] = drawLevel(rng, mL)
-		ix.links[i] = make([][]int32, ix.levels[i]+1)
+	for i := range b.levels {
+		b.levels[i] = drawLevel(rng, mL)
+		b.links[i] = make([][]int32, b.levels[i]+1)
 	}
-	for i := range ix.levels {
-		ix.insert(int32(i))
+	ix.entry = -1
+	for i := range b.levels {
+		b.insert(int32(i))
 	}
+	return b.freeze()
+}
+
+// freeze flattens the neighbor lists into ix.adj: one allocation per
+// CSR array, whatever the node count.
+func (b *builder) freeze() error {
+	pairs, links := 0, 0
+	for _, ls := range b.links {
+		pairs += len(ls)
+		for _, nbs := range ls {
+			links += len(nbs)
+		}
+	}
+	if pairs > math.MaxUint32 || links > math.MaxUint32 {
+		return fmt.Errorf("ann: %d layer lists / %d links exceed the u32 offsets of the index format", pairs, links)
+	}
+	g := csr{
+		first: make([]uint32, 1, len(b.links)+1),
+		loff:  make([]uint32, 1, pairs+1),
+		lids:  make([]int32, 0, links),
+	}
+	for _, ls := range b.links {
+		for _, nbs := range ls {
+			g.lids = append(g.lids, nbs...)
+			g.loff = append(g.loff, uint32(len(g.lids)))
+		}
+		g.first = append(g.first, uint32(len(g.loff)-1))
+	}
+	b.ix.adj = g
+	return nil
 }
 
 func drawLevel(rng *rand.Rand, mL float64) int32 {
@@ -286,7 +356,7 @@ func drawLevel(rng *rand.Rand, mL float64) int32 {
 }
 
 // Len returns the number of indexed vectors.
-func (ix *Index) Len() int { return len(ix.names) }
+func (ix *Index) Len() int { return ix.syms.Len() }
 
 // Dim returns the vector dimensionality.
 func (ix *Index) Dim() int { return ix.dim }
@@ -294,8 +364,9 @@ func (ix *Index) Dim() int { return ix.dim }
 // Opts returns the (defaulted) build options.
 func (ix *Index) Opts() Options { return ix.opts }
 
-// Names returns the indexed names in id order (shared; do not mutate).
-func (ix *Index) Names() []string { return ix.names }
+// Names returns the indexed names in id order, as a fresh slice whose
+// strings alias the symbol table's bytes.
+func (ix *Index) Names() []string { return ix.syms.AppendNames(nil) }
 
 // Has reports whether name is indexed.
 func (ix *Index) Has(name string) bool {
@@ -370,7 +441,7 @@ func (ix *Index) SearchName(name string, k, ef int) ([]Result, error) {
 		if c.id == id {
 			continue
 		}
-		out = append(out, Result{ID: int(c.id), Name: ix.names[c.id], Score: -c.dist})
+		out = append(out, Result{ID: int(c.id), Name: ix.syms.At(int(c.id)), Score: -c.dist})
 		if len(out) == k {
 			break
 		}
@@ -381,7 +452,7 @@ func (ix *Index) SearchName(name string, k, ef int) ([]Result, error) {
 func (ix *Index) results(hits []cand) []Result {
 	out := make([]Result, len(hits))
 	for i, c := range hits {
-		out[i] = Result{ID: int(c.id), Name: ix.names[c.id], Score: -c.dist}
+		out[i] = Result{ID: int(c.id), Name: ix.syms.At(int(c.id)), Score: -c.dist}
 	}
 	return out
 }
@@ -401,9 +472,9 @@ func (ix *Index) search(q []float64, k, ef int) []cand {
 	}
 	ep := ix.entry
 	for lc := ix.maxLevel; lc > 0; lc-- {
-		ep = ix.greedy(q, ep, lc)
+		ep = ix.greedy(&ix.adj, q, ep, lc)
 	}
-	w := ix.searchLayer(q, ep, ef, 0)
+	w := ix.searchLayer(&ix.adj, q, ep, ef, 0)
 	if len(w) > k {
 		w = w[:k]
 	}
@@ -412,13 +483,13 @@ func (ix *Index) search(q []float64, k, ef int) []cand {
 	return w
 }
 
-// greedy descends one layer: repeatedly move to the best neighbor
+// greedy descends one layer of g: repeatedly move to the best neighbor
 // until no neighbor improves on the current node.
-func (ix *Index) greedy(q []float64, ep int32, lvl int32) int32 {
+func (ix *Index) greedy(g adjacency, q []float64, ep int32, lvl int32) int32 {
 	best := cand{ix.dist(q, ep), ep}
 	for {
 		improved := false
-		for _, nb := range ix.linksAt(best.id, lvl) {
+		for _, nb := range g.linksAt(best.id, lvl) {
 			c := cand{ix.dist(q, nb), nb}
 			if candLess(c, best) {
 				best = c
@@ -431,20 +502,49 @@ func (ix *Index) greedy(q []float64, ep int32, lvl int32) int32 {
 	}
 }
 
-func (ix *Index) linksAt(id, lvl int32) []int32 {
-	ls := ix.links[id]
-	if int(lvl) >= len(ls) {
-		return nil
-	}
-	return ls[lvl]
+// visitSet is an epoch-stamped visited set over node ids: id counts as
+// visited when stamp[id] == epoch, so starting the next search is one
+// increment instead of a fresh map or an O(n) wipe. Sets are pooled per
+// index (Index.visits); each is used by one search at a time.
+type visitSet struct {
+	stamp []uint32
+	epoch uint32
 }
 
-// searchLayer is the HNSW beam search on one layer: expand the closest
-// unexpanded candidate until it cannot improve the current ef-sized
-// result set. Returns candidates sorted best-first.
-func (ix *Index) searchLayer(q []float64, ep int32, ef int, lvl int32) []cand {
+// acquireVisits takes a cleared visited set from the pool. Hand it
+// back with ix.visits.Put when the search is done.
+func (ix *Index) acquireVisits() *visitSet {
+	v, _ := ix.visits.Get().(*visitSet)
+	if v == nil {
+		v = &visitSet{stamp: make([]uint32, ix.Len())}
+	}
+	v.epoch++
+	if v.epoch == 0 {
+		// Wrapped: stamps left from 2^32 searches ago would read as
+		// visited.
+		clear(v.stamp)
+		v.epoch = 1
+	}
+	return v
+}
+
+// visit marks id and reports whether it was unvisited.
+func (v *visitSet) visit(id int32) bool {
+	if v.stamp[id] == v.epoch {
+		return false
+	}
+	v.stamp[id] = v.epoch
+	return true
+}
+
+// searchLayer is the HNSW beam search on one layer of g: expand the
+// closest unexpanded candidate until it cannot improve the current
+// ef-sized result set. Returns candidates sorted best-first.
+func (ix *Index) searchLayer(g adjacency, q []float64, ep int32, ef int, lvl int32) []cand {
 	d0 := cand{ix.dist(q, ep), ep}
-	visited := map[int32]bool{ep: true}
+	visited := ix.acquireVisits()
+	defer ix.visits.Put(visited)
+	visited.visit(ep)
 	candidates := candHeap{min: true}
 	candidates.push(d0)
 	results := candHeap{min: false}
@@ -454,11 +554,10 @@ func (ix *Index) searchLayer(q []float64, ep int32, ef int, lvl int32) []cand {
 		if results.len() >= ef && candLess(results.peek(), c) {
 			break
 		}
-		for _, nb := range ix.linksAt(c.id, lvl) {
-			if visited[nb] {
+		for _, nb := range g.linksAt(c.id, lvl) {
+			if !visited.visit(nb) {
 				continue
 			}
-			visited[nb] = true
 			d := cand{ix.dist(q, nb), nb}
 			if results.len() < ef || candLess(d, results.peek()) {
 				candidates.push(d)
@@ -483,37 +582,35 @@ func (ix *Index) maxConn(lvl int32) int {
 }
 
 // insert wires node i into the graph (nodes 0..i-1 already inserted).
-func (ix *Index) insert(i int32) {
+func (b *builder) insert(i int32) {
+	ix := b.ix
 	if ix.entry < 0 {
 		ix.entry = i
-		ix.maxLevel = ix.levels[i]
+		ix.maxLevel = b.levels[i]
 		return
 	}
 	q := ix.vec(i)
 	ep := ix.entry
-	for lc := ix.maxLevel; lc > ix.levels[i]; lc-- {
-		ep = ix.greedy(q, ep, lc)
+	for lc := ix.maxLevel; lc > b.levels[i]; lc-- {
+		ep = ix.greedy(b, q, ep, lc)
 	}
-	top := ix.levels[i]
-	if top > ix.maxLevel {
-		top = ix.maxLevel
-	}
+	top := min(b.levels[i], ix.maxLevel)
 	for lc := top; lc >= 0; lc-- {
-		w := ix.searchLayer(q, ep, ix.opts.EfConstruction, lc)
+		w := ix.searchLayer(b, q, ep, ix.opts.EfConstruction, lc)
 		nbs := ix.selectNeighbors(q, w, ix.opts.M)
-		ix.links[i][lc] = nbs
+		b.links[i][lc] = nbs
 		limit := ix.maxConn(lc)
 		for _, nb := range nbs {
-			ix.links[nb][lc] = append(ix.links[nb][lc], i)
-			if len(ix.links[nb][lc]) > limit {
-				ix.shrink(nb, lc, limit)
+			b.links[nb][lc] = append(b.links[nb][lc], i)
+			if len(b.links[nb][lc]) > limit {
+				b.shrink(nb, lc, limit)
 			}
 		}
 		ep = w[0].id
 	}
-	if ix.levels[i] > ix.maxLevel {
+	if b.levels[i] > ix.maxLevel {
 		ix.entry = i
-		ix.maxLevel = ix.levels[i]
+		ix.maxLevel = b.levels[i]
 	}
 }
 
@@ -570,14 +667,15 @@ func (ix *Index) selectNeighbors(q []float64, cands []cand, m int) []int32 {
 
 // shrink re-selects node id's neighbor list on lvl down to m entries
 // using the same heuristic insertion uses.
-func (ix *Index) shrink(id, lvl int32, m int) {
+func (b *builder) shrink(id, lvl int32, m int) {
+	ix := b.ix
 	v := ix.vec(id)
-	cands := make([]cand, 0, len(ix.links[id][lvl]))
-	for _, nb := range ix.links[id][lvl] {
+	cands := make([]cand, 0, len(b.links[id][lvl]))
+	for _, nb := range b.links[id][lvl] {
 		cands = append(cands, cand{ix.dist(v, nb), nb})
 	}
 	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	ix.links[id][lvl] = ix.selectNeighbors(v, cands, m)
+	b.links[id][lvl] = ix.selectNeighbors(v, cands, m)
 }
 
 func normalize(v []float64) {

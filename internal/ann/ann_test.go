@@ -192,8 +192,16 @@ func TestBuildArenaMatchesBuildVectors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(fast.Encode(), slow.Encode()) {
+		enc := fast.Encode()
+		if !bytes.Equal(enc, slow.Encode()) {
 			t.Fatalf("%s: arena build and copying build produced different indexes", metric)
+		}
+		dec, err := ann.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dec.Encode(), enc) {
+			t.Fatalf("%s: Encode(Decode(Encode(Build))) is not byte-exact", metric)
 		}
 		// The arena path must leave the embedding's vectors untouched
 		// (cosine normalization must copy, dot must not write at all).
@@ -210,16 +218,24 @@ func TestBuildArenaMatchesBuildVectors(t *testing.T) {
 
 // TestConcurrentSearchIsDeterministic hammers one index from many
 // goroutines (run under -race by scripts/check.sh) and requires every
-// answer to equal the single-threaded reference.
+// answer to equal the single-threaded reference. The searches share the
+// index's pooled visited sets; the decoded, quantized copy covers the
+// int8 traversal over a view of the encoded bytes as well.
 func TestConcurrentSearchIsDeterministic(t *testing.T) {
 	names, vecs := randomVectors(600, 10, 5)
-	ix, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 3})
+	built, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 3})
 	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := ann.Decode(built.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decoded.Quantize(nil); err != nil {
 		t.Fatal(err)
 	}
 	const queries = 64
 	qs := make([][]float64, queries)
-	want := make([][]ann.Result, queries)
 	rng := rand.New(rand.NewSource(11))
 	for i := range qs {
 		q := make([]float64, 10)
@@ -227,36 +243,42 @@ func TestConcurrentSearchIsDeterministic(t *testing.T) {
 			q[j] = rng.NormFloat64()
 		}
 		qs[i] = q
-		want[i], err = ix.SearchVector(q, 5, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, q := range qs {
-				got, err := ix.SearchVector(q, 5, 32)
-				if err != nil {
-					errc <- err
-					return
-				}
-				for j := range got {
-					if got[j] != want[i][j] {
-						errc <- fmt.Errorf("query %d result %d: got %+v, want %+v", i, j, got[j], want[i][j])
+	for _, ix := range []*ann.Index{built, decoded} {
+		want := make([][]ann.Result, queries)
+		for i, q := range qs {
+			want[i], err = ix.SearchVector(q, 5, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		var wg sync.WaitGroup
+		errc := make(chan error, 8)
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, q := range qs {
+					got, err := ix.SearchVector(q, 5, 32)
+					if err != nil {
+						errc <- err
 						return
 					}
+					for j := range got {
+						if got[j] != want[i][j] {
+							errc <- fmt.Errorf("quantized=%v query %d result %d: got %+v, want %+v",
+								ix.Quantized(), i, j, got[j], want[i][j])
+							return
+						}
+					}
 				}
-			}
-		}()
-	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+			}()
+		}
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -16,5 +16,5 @@ func (o Options) Fingerprint() string {
 // proof — equal fingerprints mean byte-equal index files — which is
 // what lets the stage cache serve a previously built index.
 func IndexFingerprint(embeddingFP string, o Options) string {
-	return fingerprint.Combine("leva/ann-index/v1", embeddingFP, o.Fingerprint())
+	return fingerprint.Combine("leva/ann-index/v2", embeddingFP, o.Fingerprint())
 }

@@ -20,6 +20,9 @@ func FuzzDecode(f *testing.F) {
 	mutated[len(mutated)/3] ^= 0x40
 	f.Add(mutated)
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
+	for _, c := range lyingIndexes(f) {
+		f.Add(c.data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Decode(data)

@@ -35,7 +35,7 @@ func (ix *Index) Quantize(q *embed.QuantizedMatrix) error {
 	if ix.dim > maxQuantDim {
 		return fmt.Errorf("ann: cannot quantize dim %d (int32 dot-product accumulation is exact only up to dim %d)", ix.dim, maxQuantDim)
 	}
-	n := len(ix.names)
+	n := ix.Len()
 	if q != nil && ix.opts.Metric == MetricDot && q.Rows == n && q.Cols == ix.dim {
 		ix.quant = q
 		return nil
@@ -71,8 +71,8 @@ func (ix *Index) QuantBytes() int64 {
 // dot-metric Build aliases — rather than holding private copies. A
 // serving layer about to unmap the buffer behind e must keep that
 // buffer alive while an index for which this returns true is still
-// queryable. Indexes restored by Load/Decode own all their storage
-// and always return false.
+// queryable. Indexes restored by Load/Decode view only their own
+// index.bin buffer and always return false.
 func (ix *Index) SharesStorage(e *embed.Embedding) bool {
 	if e == nil {
 		return false
@@ -137,7 +137,7 @@ func (ix *Index) greedyQ(q8 []int8, qScale float64, ep int32, lvl int32) int32 {
 	best := cand{ix.distQ(q8, qScale, ep), ep}
 	for {
 		improved := false
-		for _, nb := range ix.linksAt(best.id, lvl) {
+		for _, nb := range ix.adj.linksAt(best.id, lvl) {
 			c := cand{ix.distQ(q8, qScale, nb), nb}
 			if candLess(c, best) {
 				best = c
@@ -153,7 +153,9 @@ func (ix *Index) greedyQ(q8 []int8, qScale float64, ep int32, lvl int32) int32 {
 // searchLayerQ is searchLayer on int8 distances.
 func (ix *Index) searchLayerQ(q8 []int8, qScale float64, ep int32, ef int, lvl int32) []cand {
 	d0 := cand{ix.distQ(q8, qScale, ep), ep}
-	visited := map[int32]bool{ep: true}
+	visited := ix.acquireVisits()
+	defer ix.visits.Put(visited)
+	visited.visit(ep)
 	candidates := candHeap{min: true}
 	candidates.push(d0)
 	results := candHeap{min: false}
@@ -163,11 +165,10 @@ func (ix *Index) searchLayerQ(q8 []int8, qScale float64, ep int32, ef int, lvl i
 		if results.len() >= ef && candLess(results.peek(), c) {
 			break
 		}
-		for _, nb := range ix.linksAt(c.id, lvl) {
-			if visited[nb] {
+		for _, nb := range ix.adj.linksAt(c.id, lvl) {
+			if !visited.visit(nb) {
 				continue
 			}
-			visited[nb] = true
 			d := cand{ix.distQ(q8, qScale, nb), nb}
 			if results.len() < ef || candLess(d, results.peek()) {
 				candidates.push(d)

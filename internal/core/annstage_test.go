@@ -79,6 +79,43 @@ func TestANNStageCorruptEntryIsAMiss(t *testing.T) {
 	}
 }
 
+// TestANNStageVersion1EntryIsAMiss: a cache entry holding a version-1
+// index.bin (from before the viewable format) is rebuilt over, never
+// read. The fingerprint domain moved with the format, so a real v1
+// entry sits under another key; this plants one under the current key
+// to pin the decoder's side of the contract too.
+func TestANNStageVersion1EntryIsAMiss(t *testing.T) {
+	res, _ := faultFixture(t)
+	v1, err := os.ReadFile(filepath.Join("..", "ann", "testdata", "index-v1", ann.IndexFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	cache := NewCache(dir)
+	stage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 5}, Cache: cache}
+	if err := cache.Store(stageANN, stage.Fingerprint(), map[string][]byte{ann.IndexFileName: v1}); err != nil {
+		t.Fatal(err)
+	}
+	got, cached, err := stage.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cached {
+		t.Fatal("version-1 entry served as a hit")
+	}
+	want, err := ann.Build(res.Embedding, ann.Options{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Encode(), want.Encode()) {
+		t.Fatal("rebuild over a version-1 entry produced a different index")
+	}
+	files, ok := cache.Load(stageANN, stage.Fingerprint())
+	if !ok || !bytes.Equal(files[ann.IndexFileName], want.Encode()) {
+		t.Fatal("the version-1 entry was not replaced by the rebuilt index")
+	}
+}
+
 // TestANNStageWithoutCache builds directly.
 func TestANNStageWithoutCache(t *testing.T) {
 	res, _ := faultFixture(t)

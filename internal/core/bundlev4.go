@@ -8,6 +8,7 @@ import (
 	"math"
 	"unsafe"
 
+	"repro/internal/durable"
 	"repro/internal/embed"
 	"repro/internal/matrix"
 	"repro/internal/textify"
@@ -110,14 +111,6 @@ type v4Provenance struct {
 	StageCache         *CacheStats `json:"stageCache,omitempty"`
 	UnweightedFallback bool        `json:"unweightedFallback,omitempty"`
 }
-
-// hostLittleEndian reports whether this machine stores integers the
-// way the format does; when true, the decoder's u32/f64 views are
-// direct casts over the file bytes instead of element-wise copies.
-var hostLittleEndian = func() bool {
-	var x uint16 = 1
-	return *(*byte)(unsafe.Pointer(&x)) == 1
-}()
 
 // appendSection pads buf to 8 bytes, appends payload, and records the
 // section in the table.
@@ -305,54 +298,6 @@ func requireSection(secs map[int][]byte, id int, name string) ([]byte, error) {
 	return s, nil
 }
 
-// viewU32 reinterprets b (length 4n, 4-aligned by the section
-// alignment rules) as n uint32s — zero copy on little-endian hosts, an
-// element-wise decode otherwise.
-func viewU32(b []byte, n int) []uint32 {
-	if n == 0 {
-		return []uint32{}
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-// viewI32 is viewU32 for int32 payloads (the sorted-id permutation).
-func viewI32(b []byte, n int) []int32 {
-	if n == 0 {
-		return []int32{}
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// viewF64 reinterprets b (length 8n) as n float64s — zero copy on
-// aligned little-endian hosts, an element-wise decode otherwise.
-func viewF64(b []byte, n int) []float64 {
-	if n == 0 {
-		return []float64{}
-	}
-	if hostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
 // decodeBundleV4 builds a Result over a bundle.bin buffer. The buffer
 // is retained by the Result (symbol blob and vector arena are views
 // into it) and must not be mutated afterward — which is also why every
@@ -407,8 +352,8 @@ func decodeBundleV4(data []byte) (*Result, error) {
 		return nil, fmt.Errorf("%w: symbols section is %d bytes, want %d for %d symbols / %d blob bytes",
 			ErrCorrupt, len(symsData), want, n, blobLen)
 	}
-	offs := viewU32(symsData[8:], n+1)
-	perm := viewI32(symsData[8+4*(n+1):], n)
+	offs := durable.ViewU32(symsData[8:], n+1)
+	perm := durable.ViewI32(symsData[8+4*(n+1):], n)
 	blob := symsData[8+4*(n+1)+4*n:]
 	st, err := embed.FromParts(blob, offs, perm)
 	if err != nil {
@@ -434,7 +379,7 @@ func decodeBundleV4(data []byte) (*Result, error) {
 		return nil, fmt.Errorf("%w: arena section has %d data bytes, want %d",
 			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(dim)*8)
 	}
-	arena := viewF64(arenaData[8:], rows*dim)
+	arena := durable.ViewF64(arenaData[8:], rows*dim)
 	e, err := embed.NewEmbeddingTable(st, &matrix.Dense{Rows: rows, Cols: dim, Data: arena})
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
@@ -516,7 +461,7 @@ func decodeQuantSection(data []byte) (*embed.QuantizedMatrix, error) {
 		return nil, fmt.Errorf("%w: quant section is %d bytes, want %d for %dx%d",
 			ErrCorrupt, len(data), want, rows, cols)
 	}
-	scales := viewF64(data[8:], rows)
+	scales := durable.ViewF64(data[8:], rows)
 	raw := data[8+8*rows:]
 	var cells []int8
 	if len(raw) == 0 {

@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 go test -race ./...
+# The benchmark harness is its own module (bench/go.mod) and calls the
+# ann and core APIs; its short tests catch a change that breaks it.
+(cd bench && go test -short ./...)
 
 # --- levad smoke test -------------------------------------------------
 # Exercises the real binaries, not the in-process test harness: a
