@@ -34,10 +34,11 @@
 // (or POST /admin/reload) re-reads the bundle directory and swaps it in
 // without dropping in-flight requests; a bundle that fails validation
 // is rejected and the current one keeps serving. -mmap memory-maps the
-// bundle payload so loads and reloads cost page-table setup plus an
-// integrity hash instead of copying every vector. -quantize answers
-// neighbor searches from an int8-quantized arena (8x less memory
-// traffic) with an exact float64 re-rank of the final beam;
+// bundle payload and the ANN index so loads and reloads cost page-table
+// setup plus an integrity hash instead of copying every vector; each
+// generation unmaps both files when its last request finishes.
+// -quantize answers neighbor searches from an int8-quantized arena (8x
+// less memory traffic) with an exact float64 re-rank of the final beam;
 // /v1/featurize is unaffected. -chaos arms seeded
 // request-level fault injection for resilience drills. See
 // docs/SERVING.md and docs/OPERATIONS.md.
@@ -93,7 +94,7 @@ func run(ctx context.Context, args []string) error {
 	batchWindow := fs.Duration("batch-window", 0, "micro-batch gather window for concurrent lookups (0 disables)")
 	batchMax := fs.Int("batch-max", 64, "max rows per micro-batch")
 	workers := fs.Int("workers", 0, "featurization worker goroutines per batch (0 = all cores)")
-	mmapBundle := fs.Bool("mmap", false, "memory-map the bundle payload instead of reading it (binary bundles on supporting platforms; reloads then cost page-table setup plus an integrity hash, not a vector copy)")
+	mmapFiles := fs.Bool("mmap", false, "memory-map bundle.bin and index.bin instead of reading them (binary bundles on supporting platforms; reloads then cost page-table setup plus an integrity hash, not a vector copy)")
 	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; uses the bundle's quant section when present, else quantizes at startup)")
 	readyFile := fs.String("ready-file", "", "write the bound address to this file once serving (for scripts; with -debug-addr, the debug address goes to <ready-file>.debug)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /debug/vars on this separate address (disabled when empty; keep it private)")
@@ -111,7 +112,7 @@ func run(ctx context.Context, args []string) error {
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	warn := func(msg string) { logger.Warn("bundle", slog.String("warning", msg)) }
-	loadOpts := leva.LoadOptions{Warn: warn, MMap: *mmapBundle}
+	loadOpts := leva.LoadOptions{Warn: warn, MMap: *mmapFiles}
 	res, err := leva.LoadBundleOpts(*bundle, loadOpts)
 	if err != nil {
 		return err
@@ -161,11 +162,13 @@ func run(ctx context.Context, args []string) error {
 		return leva.LoadBundleOpts(*bundle, loadOpts)
 	}
 	if *indexDir != "" {
-		ix, err := ann.Load(*indexDir)
+		indexOpts := ann.LoadOptions{Warn: warn, MMap: *mmapFiles}
+		ix, err := ann.LoadOpts(*indexDir, indexOpts)
 		if err != nil {
 			return fmt.Errorf("load ANN index: %w", err)
 		}
 		if ix.Dim() != res.Embedding.Dim {
+			_ = ix.Unmap()
 			return fmt.Errorf("ANN index dim %d does not match bundle embedding dim %d (rebuild with leva embed -index)",
 				ix.Dim(), res.Embedding.Dim)
 		}
@@ -175,6 +178,7 @@ func run(ctx context.Context, args []string) error {
 			// its own vectors. /v1/featurize stays on the float arena
 			// either way.
 			if err := ix.Quantize(res.Quant); err != nil {
+				_ = ix.Unmap()
 				return fmt.Errorf("quantize ANN index: %w", err)
 			}
 		}
@@ -182,7 +186,7 @@ func run(ctx context.Context, args []string) error {
 		// The index reloads from the same directory alongside the
 		// bundle, so one SIGHUP swaps both atomically (or neither).
 		cfg.IndexLoader = func() (*ann.Index, error) {
-			cand, err := ann.Load(*indexDir)
+			cand, err := ann.LoadOpts(*indexDir, indexOpts)
 			if err != nil {
 				return nil, err
 			}
@@ -191,6 +195,7 @@ func run(ctx context.Context, args []string) error {
 				// not match a republished index, and re-deriving the
 				// arena from the candidate's own vectors always does.
 				if err := cand.Quantize(nil); err != nil {
+					_ = cand.Unmap()
 					return nil, err
 				}
 			}

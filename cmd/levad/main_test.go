@@ -452,31 +452,8 @@ func TestDaemonQuantizedServing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
+	addr, cancel, done := startDaemon(t, "-bundle", dir, "-index", indexDir, "-quantize")
 	defer cancel()
-	readyFile := filepath.Join(t.TempDir(), "addr")
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, []string{
-			"-bundle", dir, "-index", indexDir, "-quantize",
-			"-addr", "127.0.0.1:0", "-ready-file", readyFile, "-quiet",
-		})
-	}()
-	var addr string
-	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
-		if data, err := os.ReadFile(readyFile); err == nil && len(data) > 0 {
-			addr = string(data)
-			break
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("daemon exited early: %v", err)
-		default:
-		}
-	}
-	if addr == "" {
-		t.Fatal("daemon never wrote the ready file")
-	}
 
 	resp, err := http.Get("http://" + addr + "/healthz")
 	if err != nil {
@@ -522,4 +499,149 @@ func TestDaemonQuantizedServing(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not exit within 10s of context cancel")
 	}
+}
+
+// startDaemon runs the daemon in process with args plus an ephemeral
+// address and a ready file, and returns its address, a cancel that
+// starts the drain, and the channel run's result arrives on.
+func startDaemon(t *testing.T, args ...string) (addr string, cancel context.CancelFunc, done <-chan error) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	readyFile := filepath.Join(t.TempDir(), "addr")
+	errc := make(chan error, 1)
+	go func() {
+		errc <- run(ctx, append(args, "-addr", "127.0.0.1:0", "-ready-file", readyFile, "-quiet"))
+	}()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(20 * time.Millisecond) {
+		if data, err := os.ReadFile(readyFile); err == nil && len(data) > 0 {
+			return string(data), cancel, errc
+		}
+		select {
+		case err := <-errc:
+			cancel()
+			t.Fatalf("daemon exited early: %v", err)
+		default:
+		}
+	}
+	cancel()
+	t.Fatal("daemon never wrote the ready file")
+	return "", nil, nil
+}
+
+// indexMappings counts this process's mappings of files under dir.
+func indexMappings(t *testing.T, dir string) int {
+	t.Helper()
+	data, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps on this platform: %v", err)
+	}
+	return strings.Count(string(data), dir)
+}
+
+// TestDaemonMMapIndexAnswersLikeLoad: a daemon started with -mmap
+// -index (with and without -quantize) answers /v1/neighbors, by token
+// and by raw vector, exactly like the same index read with ann.Load;
+// it holds one mapping of index.bin while serving and none after the
+// drain.
+func TestDaemonMMapIndexAnswersLikeLoad(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 9})
+	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 6, Seed: 9, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res.Quant = embed.Quantize(res.Embedding.Matrix())
+	dir := t.TempDir()
+	if err := res.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	built, err := ann.Build(res.Embedding, ann.Options{Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	indexDir := filepath.Join(t.TempDir(), "index")
+	if err := built.Save(indexDir); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, quantize := range []bool{false, true} {
+		want, err := ann.Load(indexDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		args := []string{"-bundle", dir, "-index", indexDir, "-mmap"}
+		if quantize {
+			if err := want.Quantize(res.Quant); err != nil {
+				t.Fatal(err)
+			}
+			args = append(args, "-quantize")
+		}
+		addr, cancel, done := startDaemon(t, args...)
+		if got := indexMappings(t, indexDir); got != 1 {
+			t.Errorf("quantize=%v: %d mappings of index.bin while serving, want 1", quantize, got)
+		}
+		for i, token := range want.Names() {
+			if i%5 != 0 {
+				continue
+			}
+			vec, _ := res.Embedding.Vector(token)
+			byName, err := want.SearchName(token, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byVector, err := want.SearchVector(vec, 4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, c := range []struct {
+				body string
+				want []ann.Result
+			}{
+				{mustJSON(t, map[string]any{"token": token, "k": 4}), byName},
+				{mustJSON(t, map[string]any{"vector": vec, "k": 4}), byVector},
+			} {
+				resp, err := http.Post("http://"+addr+"/v1/neighbors", "application/json", strings.NewReader(c.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				var out struct {
+					Neighbors []struct {
+						Token string  `json:"token"`
+						Score float64 `json:"score"`
+					} `json:"neighbors"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK || len(out.Neighbors) != len(c.want) {
+					t.Fatalf("quantize=%v %s: status %d, %d results, err %v", quantize, c.body, resp.StatusCode, len(out.Neighbors), err)
+				}
+				for j, n := range out.Neighbors {
+					if n.Token != c.want[j].Name || n.Score != c.want[j].Score {
+						t.Errorf("quantize=%v %s: neighbor %d = %s/%v, ann.Load answers %s/%v",
+							quantize, c.body, j, n.Token, n.Score, c.want[j].Name, c.want[j].Score)
+					}
+				}
+			}
+		}
+		cancel()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("daemon exit after cancel: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not exit within 10s of context cancel")
+		}
+		if got := indexMappings(t, indexDir); got != 0 {
+			t.Errorf("quantize=%v: %d mappings of index.bin after the drain, want 0", quantize, got)
+		}
+	}
+}
+
+func mustJSON(t *testing.T, v any) string {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
 }

@@ -134,6 +134,12 @@ type Index struct {
 	quant *embed.QuantizedMatrix
 	// visits pools the visited sets of layer searches (see visitSet).
 	visits sync.Pool
+
+	// mapped is the whole-file mmap behind this index's views when it
+	// was loaded with LoadOptions.MMap; nil otherwise. Owned by Unmap.
+	mapped []byte
+	// unmapOnce makes Unmap idempotent.
+	unmapOnce sync.Once
 }
 
 // csr is the frozen adjacency in compressed-sparse-row form, the exact

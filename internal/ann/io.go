@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"os"
 	"path/filepath"
 
 	"repro/internal/durable"
@@ -329,6 +328,19 @@ func (ix *Index) save(fsys durable.FS, dir string) error {
 	return nil
 }
 
+// LoadOptions tunes LoadOpts. It mirrors core.LoadOptions.
+type LoadOptions struct {
+	// MMap memory-maps index.bin instead of reading it, when the
+	// platform supports it (see durable.MapSupported). Names and vectors
+	// then point into the mapping and pages fault in on first access;
+	// the holder must call Index.Unmap once nothing can touch them.
+	MMap bool
+	// Warn receives human-readable warnings for conditions that do not
+	// prevent loading: an mmap fallback to a plain read. nil discards
+	// them.
+	Warn func(msg string)
+}
+
 // Load restores an index saved by Save. A publish interrupted between
 // its two renames is repaired on the way in. index.bin is read once:
 // those bytes are verified against MANIFEST.json and then decoded in
@@ -336,6 +348,15 @@ func (ix *Index) save(fsys durable.FS, dir string) error {
 // bundles, index artifacts have never existed without a manifest, so a
 // missing manifest is an error, not a legacy warning.
 func Load(dir string) (*Index, error) {
+	return LoadOpts(dir, LoadOptions{})
+}
+
+// LoadOpts is Load with explicit options. A mapped load runs every
+// check a read one does — the manifest SHA-256 over the mapped bytes
+// and every structural check in Decode — and unmaps before returning
+// any failure. When mapping is unsupported or fails, it warns and
+// falls back to a plain read.
+func LoadOpts(dir string, opts LoadOptions) (*Index, error) {
 	dir = filepath.Clean(dir)
 	if _, err := durable.RecoverDir(durable.OS(), dir); err != nil {
 		return nil, fmt.Errorf("ann: load index: %w", err)
@@ -353,16 +374,51 @@ func Load(dir string) (*Index, error) {
 			filepath.Join(dir, durable.ManifestName), IndexFileName)
 	}
 	path := filepath.Join(dir, IndexFileName)
-	data, err := os.ReadFile(path)
+	data, mapped, err := durable.ReadOrMapFile(path, opts.MMap, opts.Warn)
 	if err != nil {
 		return nil, fmt.Errorf("ann: load index: %w", err)
 	}
-	if err := manifest.VerifyData(IndexFileName, data); err != nil {
+	fail := func(err error) (*Index, error) {
+		if mapped {
+			_ = durable.Unmap(data)
+		}
 		return nil, fmt.Errorf("ann: load index %s: %w", path, err)
+	}
+	if err := manifest.VerifyData(IndexFileName, data); err != nil {
+		return fail(err)
 	}
 	ix, err := Decode(data)
 	if err != nil {
-		return nil, fmt.Errorf("ann: load index %s: %w", path, err)
+		return fail(err)
+	}
+	if mapped {
+		ix.mapped = data
 	}
 	return ix, nil
+}
+
+// Mapped reports whether this index's names and vectors point into a
+// live file mapping (see LoadOptions.MMap) — in which case the holder
+// must call Unmap once nothing can touch them again.
+func (ix *Index) Mapped() bool { return ix.mapped != nil }
+
+// Unmap releases the file mapping behind an index loaded with
+// LoadOptions.MMap. Names and vectors returned by a mapped index —
+// Names() strings, Result.Name, the float arena — are valid until
+// Unmap and invalid afterward, so this must be the very last call;
+// serving ties it to the generation refcount draining. A quantized
+// arena that Quantize(nil) built is heap memory and unaffected. Unmap
+// is idempotent and a no-op for an index that was read or built, and
+// for a nil one.
+func (ix *Index) Unmap() error {
+	if ix == nil {
+		return nil
+	}
+	var err error
+	ix.unmapOnce.Do(func() {
+		if ix.mapped != nil {
+			err = durable.Unmap(ix.mapped)
+		}
+	})
+	return err
 }

@@ -66,14 +66,18 @@ func (ix *Index) QuantBytes() int64 {
 	return ix.quant.Bytes()
 }
 
-// SharesStorage reports whether the index borrows memory owned by e —
-// the interned symbol table Build shares, or the vector arena a
-// dot-metric Build aliases — rather than holding private copies. A
-// serving layer about to unmap the buffer behind e must keep that
-// buffer alive while an index for which this returns true is still
-// queryable. Indexes restored by Load/Decode view only their own
-// index.bin buffer and always return false.
-func (ix *Index) SharesStorage(e *embed.Embedding) bool {
+// SharesStorage reports whether the index borrows memory owned by e
+// or q — the interned symbol table Build shares, the vector arena a
+// dot-metric Build aliases, or the quantized arena Quantize adopts —
+// rather than holding private copies. A serving layer about to unmap
+// the buffer behind e and q must keep that buffer alive while an index
+// for which this returns true is still queryable. An index restored by
+// Load views only its own index.bin, so it shares storage only
+// through an adopted q. Either argument may be nil.
+func (ix *Index) SharesStorage(e *embed.Embedding, q *embed.QuantizedMatrix) bool {
+	if q != nil && ix.quant == q {
+		return true
+	}
 	if e == nil {
 		return false
 	}

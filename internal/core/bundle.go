@@ -279,26 +279,9 @@ func LoadBundleOpts(dir string, opts LoadOptions) (*Result, error) {
 // independent of entity count.
 func loadBundleBin(dir string, manifest *durable.Manifest, opts LoadOptions, warn func(string)) (*Result, error) {
 	path := filepath.Join(dir, bundleBinFile)
-	var data []byte
-	var err error
-	mapped := false
-	if opts.MMap {
-		if durable.MapSupported {
-			data, err = durable.MapFile(path)
-			if err != nil {
-				warn(fmt.Sprintf("core: load bundle: mmap %s failed (%v); falling back to a plain read", path, err))
-			} else {
-				mapped = true
-			}
-		} else {
-			warn(fmt.Sprintf("core: load bundle: mmap requested but unsupported on this platform; reading %s instead", path))
-		}
-	}
-	if data == nil {
-		data, err = os.ReadFile(path)
-		if err != nil {
-			return nil, fmt.Errorf("core: load bundle: %w", err)
-		}
+	data, mapped, err := durable.ReadOrMapFile(path, opts.MMap, warn)
+	if err != nil {
+		return nil, fmt.Errorf("core: load bundle: %w", err)
 	}
 	if manifest != nil {
 		if err := manifest.VerifyData(bundleBinFile, data); err != nil {

@@ -25,6 +25,28 @@ import (
 // platform; callers fall back to a plain read (see MapSupported).
 var ErrMapUnsupported = errors.New("durable: file mapping not supported on this platform")
 
+// ReadOrMapFile returns path's bytes, memory-mapped when mmap is set
+// and MapFile succeeds, read otherwise. A map that is unsupported or
+// fails falls back to a plain read after telling warn (which may be
+// nil) why. mapped reports whether the caller owns a mapping it must
+// pass to Unmap.
+func ReadOrMapFile(path string, mmap bool, warn func(string)) (data []byte, mapped bool, err error) {
+	if mmap {
+		if warn == nil {
+			warn = func(string) {}
+		}
+		if !MapSupported {
+			warn(fmt.Sprintf("durable: mmap requested but unsupported on this platform; reading %s instead", path))
+		} else if data, err = MapFile(path); err != nil {
+			warn(fmt.Sprintf("durable: mmap %s failed (%v); falling back to a plain read", path, err))
+		} else {
+			return data, true, nil
+		}
+	}
+	data, err = os.ReadFile(path)
+	return data, false, err
+}
+
 // File is the writable handle durable code uses: plain writes plus the
 // two calls that decide durability, Sync and Close. Both return errors
 // that MUST be checked — a full disk often only surfaces at fsync or

@@ -239,3 +239,32 @@ func TestFaultFSCountsDriveSweeps(t *testing.T) {
 		t.Error("pass-through FaultFS fired")
 	}
 }
+
+// TestReadOrMapFile: a mapped read returns the file's bytes as a
+// mapping the caller owns, a plain read returns them unmapped, and a
+// map that fails warns and falls back to a read (here of a directory,
+// which cannot be mapped or read, so the read's error comes back).
+func TestReadOrMapFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "payload")
+	if err := os.WriteFile(path, []byte("payload bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mmap := range []bool{false, true} {
+		data, mapped, err := ReadOrMapFile(path, mmap, func(msg string) { t.Errorf("mmap=%v: unexpected warning %q", mmap, msg) })
+		if err != nil || string(data) != "payload bytes" || mapped != (mmap && MapSupported) {
+			t.Errorf("mmap=%v: got %q, mapped=%v, err=%v", mmap, data, mapped, err)
+		}
+		if mapped {
+			if err := Unmap(data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var warned []string
+	_, mapped, err := ReadOrMapFile(dir, true, func(msg string) { warned = append(warned, msg) })
+	if err == nil || mapped || len(warned) != 1 ||
+		!(strings.Contains(warned[0], "plain read") || strings.Contains(warned[0], "unsupported")) {
+		t.Errorf("mapping a directory: mapped=%v, err=%v, warnings %q; want one fallback warning and the read's error", mapped, err, warned)
+	}
+}

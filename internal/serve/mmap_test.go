@@ -55,6 +55,30 @@ func mmapLoader(dir string) func() (*core.Result, error) {
 	}
 }
 
+// mmapIndexDir saves an ANN index over the serve fixture's embedding
+// to a directory of its own.
+func mmapIndexDir(t *testing.T, metric ann.Metric) string {
+	t.Helper()
+	built, _, _ := fixture(t)
+	ix, err := ann.Build(built.Embedding, ann.Options{Seed: 7, Metric: metric})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir() + "/index"
+	if err := ix.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// mmapIndexLoader maps the index at dir on every call, the way levad
+// -mmap -index does.
+func mmapIndexLoader(dir string) func() (*ann.Index, error) {
+	return func() (*ann.Index, error) {
+		return ann.LoadOpts(dir, ann.LoadOptions{MMap: true})
+	}
+}
+
 // TestReloadUnmapsRetiredGenerations is the mmap-leak regression: before
 // the fix, every hot reload of an -mmap server leaked the retired
 // generation's mapping for the life of the process (durable.MapFile had
@@ -125,99 +149,301 @@ func TestReloadRejectedCandidateUnmapped(t *testing.T) {
 	}
 }
 
-// TestCarriedIndexKeepsRetiredMappingAlive: a server whose in-process
-// index reads vectors straight out of the mmap'd bundle (ann.Build
-// aliases the arena and symbol table) carries that index across reloads
-// when no IndexLoader is configured. The generation-1 mapping must stay
-// alive exactly as long as the index does — while every intermediate
+// TestReloadUnmapsRetiredIndexes: with a mapping IndexLoader every
+// generation owns its own index mapping and releases it on retirement,
+// so 50 reloads leave exactly one mapping each of bundle.bin and
+// index.bin, and shutdown leaves none.
+func TestReloadUnmapsRetiredIndexes(t *testing.T) {
+	if !durable.MapSupported {
+		t.Skip("mmap unsupported on this platform")
+	}
+	dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+	load, loadIndex := mmapLoader(dir), mmapIndexLoader(indexDir)
+	first, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := loadIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ix.Mapped() {
+		t.Fatal("mmap load did not map the index")
+	}
+	srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex})
+	for i := 0; i < 50; i++ {
+		if err := srv.Reload(); err != nil {
+			t.Fatalf("reload %d: %v", i, err)
+		}
+	}
+	if b, x := countMappings(t, dir), countMappings(t, indexDir); b != 1 || x != 1 {
+		t.Errorf("after 50 reloads: %d bundle and %d index mappings, want 1 and 1", b, x)
+	}
+	if err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if b, x := countMappings(t, dir), countMappings(t, indexDir); b != 0 || x != 0 {
+		t.Errorf("after shutdown: %d bundle and %d index mappings, want 0 and 0", b, x)
+	}
+}
+
+// TestReloadRejectedIndexUnmapped: a reload rejected for a foreign
+// index (built over other entities) or for a corrupt index.bin leaves
+// the mapping counts where they were — the candidate bundle and the
+// candidate index are both released.
+func TestReloadRejectedIndexUnmapped(t *testing.T) {
+	if !durable.MapSupported {
+		t.Skip("mmap unsupported on this platform")
+	}
+	dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+	load, loadIndex := mmapLoader(dir), mmapIndexLoader(indexDir)
+	first, err := load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := loadIndex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex, BreakerFailures: 100})
+	defer srv.Shutdown(context.Background())
+
+	// The foreign index has the fixture's dimension but none of its
+	// names, so it maps and decodes cleanly and validateIndex refuses it.
+	names := make([]string, 30)
+	vecs := make([][]float64, 30)
+	for i := range names {
+		names[i] = fmt.Sprintf("foreign_%02d", i)
+		vecs[i] = make([]float64, first.Embedding.Dim)
+		vecs[i][i%first.Embedding.Dim] = 1
+	}
+	foreign, err := ann.BuildVectors(names, vecs, ann.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreignDir := t.TempDir() + "/foreign"
+	if err := foreign.Save(foreignDir); err != nil {
+		t.Fatal(err)
+	}
+	srv.cfg.IndexLoader = mmapIndexLoader(foreignDir)
+	if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "not in the candidate embedding") {
+		t.Fatalf("reload with a foreign index: err = %v, want a rejection naming the missing entry", err)
+	}
+	if got := countMappings(t, foreignDir); got != 0 {
+		t.Errorf("%d mappings of the rejected foreign index, want 0", got)
+	}
+
+	// A flipped byte fails the candidate's SHA-256 check.
+	path := indexDir + "/" + ann.IndexFileName
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xFF
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv.cfg.IndexLoader = loadIndex
+	if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "SHA-256") {
+		t.Fatalf("reload with a corrupt index.bin: err = %v, want a SHA-256 rejection", err)
+	}
+	if b, x := countMappings(t, dir), countMappings(t, indexDir); b != 1 || x != 1 {
+		t.Errorf("after two rejected reloads: %d bundle and %d index mappings, want 1 and 1 (generation 1's)", b, x)
+	}
+	if gen := srv.curStore().gen; gen != 1 {
+		t.Errorf("generation = %d after rejected reloads, want 1", gen)
+	}
+}
+
+// TestCarriedIndexKeepsRetiredMappingAlive: without an IndexLoader the
+// index carries forward across reloads, and so must every mapping it
+// reads. An in-process index reads vectors straight out of the mapped
+// bundle (ann.Build aliases the arena and symbol table), so the
+// generation-1 bundle mapping stays alive exactly as long as the index
+// does; a mapped index keeps its own mapping, plus the generation-1
+// bundle when it adopted that bundle's quant section. Every other
 // generation is still unmapped on retirement.
 func TestCarriedIndexKeepsRetiredMappingAlive(t *testing.T) {
 	if !durable.MapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
-	dir := mmapBundleDir(t)
-	load := mmapLoader(dir)
-	first, err := load()
+	// quantDir is a bundle with a version-5 quant section, so a mapped
+	// dot-metric index can adopt its int8 arena zero-copy.
+	built, _, _ := fixture(t)
+	quantDir := t.TempDir() + "/bundle"
+	withQuant, err := core.LoadBundle(mmapBundleDir(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, err := ann.Build(first.Embedding, ann.Options{Seed: 7, Metric: ann.MetricDot})
-	if err != nil {
+	withQuant.Quant = embed.Quantize(built.Embedding.Matrix())
+	if err := withQuant.SaveBundle(quantDir); err != nil {
 		t.Fatal(err)
 	}
-	if !ix.SharesStorage(first.Embedding) {
-		t.Fatal("dot-metric in-process index does not alias the embedding; the test is vacuous")
-	}
-	srv := New(first, Config{Index: ix, Loader: load})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name string
+		// bundleDir is served mapped; index builds the carried index
+		// over the first generation and returns the directory it maps
+		// ("" when it maps none).
+		bundleDir string
+		index     func(t *testing.T, first *core.Result) (*ann.Index, string)
+		// bundleMaps is the bundle mapping count while serving.
+		bundleMaps int
+	}{
+		{"in-process build", mmapBundleDir(t), func(t *testing.T, first *core.Result) (*ann.Index, string) {
+			ix, err := ann.Build(first.Embedding, ann.Options{Seed: 7, Metric: ann.MetricDot})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ix.SharesStorage(first.Embedding, nil) {
+				t.Fatal("dot-metric in-process index does not alias the embedding; the test is vacuous")
+			}
+			return ix, ""
+		}, 2},
+		{"mapped index", mmapBundleDir(t), func(t *testing.T, first *core.Result) (*ann.Index, string) {
+			dir := mmapIndexDir(t, ann.MetricCosine)
+			ix, err := mmapIndexLoader(dir)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return ix, dir
+		}, 1},
+		{"mapped index adopting the quant section", quantDir, func(t *testing.T, first *core.Result) (*ann.Index, string) {
+			dir := mmapIndexDir(t, ann.MetricDot)
+			ix, err := mmapIndexLoader(dir)()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Quantize(first.Quant); err != nil {
+				t.Fatal(err)
+			}
+			if !ix.SharesStorage(nil, first.Quant) {
+				t.Fatal("mapped index did not adopt the bundle's quant section; the test is vacuous")
+			}
+			return ix, dir
+		}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			load := mmapLoader(tc.bundleDir)
+			first, err := load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, indexDir := tc.index(t, first)
+			indexMaps := func() int {
+				if indexDir == "" {
+					return 0
+				}
+				return countMappings(t, indexDir)
+			}
+			wantIndexMaps := 0
+			if indexDir != "" {
+				wantIndexMaps = 1
+			}
+			srv := New(first, Config{Index: ix, Loader: load})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	token := ix.Names()[0]
-	want, err := ix.SearchName(token, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 10; i++ {
-		if err := srv.Reload(); err != nil {
-			t.Fatalf("reload %d: %v", i, err)
-		}
-		// The gen-1 mapping (feeding the carried index) plus the current
-		// generation's own mapping; every other generation is unmapped.
-		if got := countMappings(t, dir); got != 2 {
-			t.Fatalf("mappings after reload %d = %d, want 2 (gen-1 retained + current)", i, got)
-		}
-	}
-	// The carried index must still answer correctly off the retained
-	// mapping — names resolve through the gen-1 symbol table.
-	resp, err := http.Get(fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, token))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out neighborsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || len(out.Neighbors) != len(want) {
-		t.Fatalf("neighbors after 10 reloads: status %d, %d results", resp.StatusCode, len(out.Neighbors))
-	}
-	for i, n := range out.Neighbors {
-		if n.Token != want[i].Name || n.Score != want[i].Score {
-			t.Errorf("neighbor %d = %s/%g, want %s/%g", i, n.Token, n.Score, want[i].Name, want[i].Score)
-		}
-	}
-	if err := srv.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if got := countMappings(t, dir); got != 0 {
-		t.Errorf("mappings after shutdown = %d, want 0 (retained gen-1 mapping leaked)", got)
+			token := ix.Names()[0]
+			want, err := ix.SearchName(token, 3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 10; i++ {
+				if err := srv.Reload(); err != nil {
+					t.Fatalf("reload %d: %v", i, err)
+				}
+				if b, x := countMappings(t, tc.bundleDir), indexMaps(); b != tc.bundleMaps || x != wantIndexMaps {
+					t.Fatalf("after reload %d: %d bundle and %d index mappings, want %d and %d",
+						i, b, x, tc.bundleMaps, wantIndexMaps)
+				}
+			}
+			// The carried index must still answer correctly off the
+			// mappings it kept.
+			resp, err := http.Get(fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, token))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out neighborsResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || len(out.Neighbors) != len(want) {
+				t.Fatalf("neighbors after 10 reloads: status %d, %d results", resp.StatusCode, len(out.Neighbors))
+			}
+			for i, n := range out.Neighbors {
+				if n.Token != want[i].Name || n.Score != want[i].Score {
+					t.Errorf("neighbor %d = %s/%g, want %s/%g", i, n.Token, n.Score, want[i].Name, want[i].Score)
+				}
+			}
+			if err := srv.Shutdown(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			if b, x := countMappings(t, tc.bundleDir), indexMaps(); b != 0 || x != 0 {
+				t.Errorf("after shutdown: %d bundle and %d index mappings, want 0 and 0", b, x)
+			}
+		})
 	}
 }
 
 // TestReloadUnderMMapWhileQuerying hammers the swap path with live
 // traffic: neighbor and featurize requests run nonstop while the bundle
-// hot-reloads under mmap 20 times. Run under -race this doubles as the
-// use-after-unmap detector for the ownership-transfer logic.
+// hot-reloads under mmap 20 times — once carrying an in-process index
+// that aliases the first bundle, once with an IndexLoader that maps and
+// quantizes a fresh index per generation, as levad -mmap -quantize
+// does. Run under -race this doubles as the use-after-unmap detector
+// for the ownership logic.
 func TestReloadUnderMMapWhileQuerying(t *testing.T) {
 	if !durable.MapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
-	dir := mmapBundleDir(t)
-	load := mmapLoader(dir)
-	first, err := load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := ann.Build(first.Embedding, ann.Options{Seed: 7, Metric: ann.MetricDot})
-	if err != nil {
-		t.Fatal(err)
-	}
+	t.Run("carried in-process index", func(t *testing.T) {
+		dir := mmapBundleDir(t)
+		first, err := mmapLoader(dir)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := ann.Build(first.Embedding, ann.Options{Seed: 7, Metric: ann.MetricDot})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reloadWhileQuerying(t, first, Config{Index: ix, Loader: mmapLoader(dir)})
+	})
+	t.Run("mapping IndexLoader", func(t *testing.T) {
+		dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+		loadIndex := func() (*ann.Index, error) {
+			ix, err := mmapIndexLoader(indexDir)()
+			if err != nil {
+				return nil, err
+			}
+			if err := ix.Quantize(nil); err != nil {
+				_ = ix.Unmap()
+				return nil, err
+			}
+			return ix, nil
+		}
+		first, err := mmapLoader(dir)()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ix, err := loadIndex()
+		if err != nil {
+			t.Fatal(err)
+		}
+		reloadWhileQuerying(t, first, Config{Index: ix, Loader: mmapLoader(dir), IndexLoader: loadIndex})
+	})
+}
+
+func reloadWhileQuerying(t *testing.T, first *core.Result, cfg Config) {
 	_, _, spec := fixture(t)
-	srv := New(first, Config{Index: ix, Loader: load})
+	srv := New(first, cfg)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
+	defer srv.Shutdown(context.Background())
 
-	token := ix.Names()[0]
+	// Clone the token: names of a mapped index view its mapping, which
+	// the first reload releases.
+	token := strings.Clone(cfg.Index.Names()[0])
 	row := jsonRow(spec.DB.Table(spec.BaseTable), 0)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -83,9 +83,16 @@ func (s *Server) reloadLocked() (int64, error) {
 		return 0, fmt.Errorf("serve: reload: load candidate bundle: %w", err)
 	}
 	cur := s.st.Load()
-	if err := validateCandidate(cur.res, res); err != nil {
-		_ = res.Unmap() // the rejected candidate's mapping must not leak
+	// A rejected candidate's mappings must not leak: every rejection
+	// unmaps the candidates loaded so far.
+	reject := func(err error, cands ...mapping) (int64, error) {
+		for _, m := range cands {
+			_ = m.Unmap()
+		}
 		return 0, fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
+	}
+	if err := validateCandidate(cur.res, res); err != nil {
+		return reject(err, res)
 	}
 	// The index reloads with the bundle when an IndexLoader is
 	// configured; otherwise the current index (possibly nil) carries
@@ -96,32 +103,27 @@ func (s *Server) reloadLocked() (int64, error) {
 	if s.cfg.IndexLoader != nil {
 		cand, err := s.cfg.IndexLoader()
 		if err != nil {
-			_ = res.Unmap()
-			return 0, fmt.Errorf("serve: reload rejected, still serving generation %d: load candidate index: %w", cur.gen, err)
+			return reject(fmt.Errorf("load candidate index: %w", err), res)
 		}
 		if err := validateIndex(res, cand); err != nil {
-			_ = res.Unmap()
-			return 0, fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
+			return reject(err, res, cand)
 		}
 		ix = cand
 	}
 	next := newStore(res, ix, s.cfg, s.metrics, s.guards)
 	next.gen = cur.gen + 1
-	// An index carried forward from an in-process build can read its
-	// vectors straight out of a retired bundle's mmap'd arena.
-	// Unmapping that arena when its store drains would leave the
-	// carried index on unmapped pages, so ownership of the mapping
-	// moves to the new store, which releases it when it retires in
-	// turn. Mappings the old store was already retaining for the same
-	// index move along with it (second and later reloads); the old
-	// store's own bundle joins them only if the index actually aliases
-	// it.
+	// A carried index must outlive the store that loaded it: its own
+	// mapping, and the retired bundles it reads vectors out of, move to
+	// the new store, which releases them when it retires in turn. That
+	// is everything cur owns but its own bundle (owned[0]) — plus that
+	// bundle too when the index aliases it (an in-process build over a
+	// mapped arena, or a quant section adopted zero-copy).
 	if s.cfg.IndexLoader == nil && ix != nil {
-		next.retain = cur.retain
-		cur.retain = nil
-		if cur.res.Mapped() && ix.SharesStorage(cur.res.Embedding) {
-			next.retain = append(next.retain, cur.res)
-			cur.ownsMap = false
+		next.owned = append(next.owned[:1], cur.owned[1:]...)
+		cur.owned = cur.owned[:1]
+		if cur.res.Mapped() && ix.SharesStorage(cur.res.Embedding, cur.res.Quant) {
+			next.owned = append(next.owned, cur.res)
+			cur.owned = nil
 		}
 	}
 	s.st.Store(next)

@@ -111,14 +111,18 @@ type Config struct {
 	// Index, when non-nil, enables GET/POST /v1/neighbors: top-k
 	// approximate-nearest-neighbor queries against this HNSW index.
 	// The index must cover the served embedding (same entity names and
-	// dimension). Nil means /v1/neighbors answers 503.
+	// dimension). Nil means /v1/neighbors answers 503. The server takes
+	// ownership of a mapped index (ann.LoadOptions.MMap): the
+	// generation serving it unmaps it when it retires.
 	Index *ann.Index
 	// IndexLoader reloads the ANN index alongside the bundle during hot
 	// reload. When nil, reloads carry the current index forward
 	// unchanged; when set, the candidate index is loaded and validated
 	// against the candidate bundle (dimension match, canary search)
 	// before either is swapped in — a bad index rejects the whole
-	// reload, exactly like a bad bundle.
+	// reload, exactly like a bad bundle. Each generation owns the
+	// index its loader returned and unmaps it when it retires; a
+	// rejected candidate is unmapped at once.
 	IndexLoader func() (*ann.Index, error)
 }
 

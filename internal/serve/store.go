@@ -47,15 +47,13 @@ type store struct {
 	// reload. Nil in direct store tests.
 	guards *guards
 
-	// ownsMap records whether this store releases res's mmap region
-	// when it retires. Normally true; a reload that carries forward an
-	// in-process index aliasing this bundle's arena transfers ownership
-	// to the successor store instead (see reloadLocked).
-	ownsMap bool
-	// retain holds retired bundles whose mappings must outlive their
-	// own store because this store's carried index still reads vectors
-	// out of them. Released together with this store.
-	retain []*core.Result
+	// owned lists the file mappings this store releases when it
+	// retires. newStore seeds it with the store's own bundle, always
+	// first, and its index; Unmap is a no-op for whichever of them was
+	// read or built rather than mapped, and for a nil index. A reload that carries the index
+	// forward moves the index's mappings to the successor store instead
+	// (see reloadLocked).
+	owned []mapping
 
 	// gen is the bundle generation this store serves: 1 for the store
 	// loaded at startup, +1 per successful reload.
@@ -67,8 +65,12 @@ type store struct {
 	closeOnce sync.Once
 }
 
+// mapping is a file mapping a store can own: a bundle (*core.Result)
+// or an index (*ann.Index) loaded with mmap. Unmap is idempotent.
+type mapping interface{ Unmap() error }
+
 func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics, g *guards) *store {
-	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers, guards: g, ownsMap: true}
+	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers, guards: g, owned: []mapping{res, ix}}
 	s.refs.Store(1) // the serving reference
 	if cfg.CacheSize > 0 {
 		s.cache = newLRU(cfg.CacheSize)
@@ -96,9 +98,9 @@ func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics, g *guards
 }
 
 // release drops one reference; the last drop stops the batcher's gather
-// loop and returns the bundle's mmap region (plus any regions retained
-// on behalf of a carried index) to the kernel — a retired generation
-// must not keep its pages resident for the life of the process.
+// loop and returns every mapping the store owns to the kernel — a
+// retired generation must not keep its pages resident for the life of
+// the process.
 // Idempotence of the close is guarded so the acquire/swap race (see
 // Server.acquireStore) cannot close twice.
 func (s *store) release() {
@@ -107,11 +109,8 @@ func (s *store) release() {
 			if s.batcher != nil {
 				s.batcher.close()
 			}
-			if s.ownsMap {
-				_ = s.res.Unmap()
-			}
-			for _, r := range s.retain {
-				_ = r.Unmap()
+			for _, m := range s.owned {
+				_ = m.Unmap()
 			}
 		})
 	}

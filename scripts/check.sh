@@ -481,8 +481,8 @@ echo "bundle migration smoke test passed"
 # (and the same float index artifact — quantization is a serving-time
 # transform), levad -quantize serves neighbors from the int8 arena while
 # /v1/featurize stays byte-identical to the float daemon, and 10 SIGHUP
-# hot reloads under -mmap leave the daemon's bundle mapping count flat
-# (the retired-generation munmap regression guard).
+# hot reloads under -mmap leave the daemon's bundle and index mapping
+# counts flat (the retired-generation munmap regression guard).
 "$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 9 -workers 1 \
     -cache "$CACHE" -out "$SMOKE/quant_emb.tsv" -bundle "$SMOKE/bundle_quant" \
     -index "$SMOKE/index_quant" -quantize > "$SMOKE/quant_embed.log"
@@ -526,11 +526,17 @@ curl -fsS -X POST "http://$ADDR/v1/featurize" \
     -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/quant_features.json"
 cmp "$SMOKE/v4_features.json" "$SMOKE/quant_features.json"
 
-# Reload-leak guard: every SIGHUP remaps the bundle; the retired
-# generation must be munmap'd once its requests drain, so the mapping
-# count in /proc/<pid>/maps stays exactly where it started.
+# Reload-leak guard: every SIGHUP remaps the bundle and the index; the
+# retired generation must munmap both once its requests drain, so each
+# file's mapping count in /proc/<pid>/maps stays exactly where it
+# started.
 if [ -r "/proc/$LEVAD_PID/maps" ]; then
-    MAPS_BEFORE=$(grep -c 'bundle_quant' "/proc/$LEVAD_PID/maps" || true)
+    BUNDLE_MAPS_BEFORE=$(grep -c 'bundle_quant' "/proc/$LEVAD_PID/maps" || true)
+    INDEX_MAPS_BEFORE=$(grep -c 'index_quant' "/proc/$LEVAD_PID/maps" || true)
+    if [ "$INDEX_MAPS_BEFORE" -lt 1 ]; then
+        echo "levad -mmap did not map $SMOKE/index_quant/index.bin" >&2
+        exit 1
+    fi
     i=0
     while [ "$i" -lt 10 ]; do
         i=$((i + 1))
@@ -546,10 +552,11 @@ if [ -r "/proc/$LEVAD_PID/maps" ]; then
             sleep 0.1
         done
     done
-    MAPS_AFTER=$(grep -c 'bundle_quant' "/proc/$LEVAD_PID/maps" || true)
-    if [ "$MAPS_BEFORE" != "$MAPS_AFTER" ]; then
-        echo "mmap leak: $MAPS_BEFORE bundle mappings before reloads, $MAPS_AFTER after" >&2
-        grep 'bundle_quant' "/proc/$LEVAD_PID/maps" >&2 || true
+    BUNDLE_MAPS_AFTER=$(grep -c 'bundle_quant' "/proc/$LEVAD_PID/maps" || true)
+    INDEX_MAPS_AFTER=$(grep -c 'index_quant' "/proc/$LEVAD_PID/maps" || true)
+    if [ "$BUNDLE_MAPS_BEFORE" != "$BUNDLE_MAPS_AFTER" ] || [ "$INDEX_MAPS_BEFORE" != "$INDEX_MAPS_AFTER" ]; then
+        echo "mmap leak: bundle mappings $BUNDLE_MAPS_BEFORE -> $BUNDLE_MAPS_AFTER, index mappings $INDEX_MAPS_BEFORE -> $INDEX_MAPS_AFTER across 10 reloads" >&2
+        grep -E 'bundle_quant|index_quant' "/proc/$LEVAD_PID/maps" >&2 || true
         exit 1
     fi
     # Quantized serving still healthy after the reload storm.
