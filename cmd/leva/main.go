@@ -64,7 +64,7 @@ func usage() {
   leva apply -bundle <dir> -data <csv dir> -table <name> [-out features.tsv] [-exclude col1,col2]
   leva neighbors -index <dir> -token <entity> [-k N] [-ef N]
   leva bundle info <dir>
-  leva bundle convert -in <dir> -out <dir> [-format binary|legacy]
+  leva bundle convert -in <dir> -out <dir>
   leva inspect -data <csv dir>`)
 }
 
@@ -253,7 +253,7 @@ func runNeighbors(args []string) error {
 
 // runBundle dispatches the bundle maintenance subcommands: info
 // (inspect a saved bundle without serving it) and convert (rewrite a
-// bundle between the legacy JSON layout and the binary layout).
+// bundle, legacy JSON or binary, in the current binary format).
 func runBundle(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("bundle: want a subcommand: info or convert")
@@ -322,14 +322,13 @@ func runBundleInfo(args []string) error {
 	return nil
 }
 
-// runBundleConvert rewrites a bundle into the requested layout — the
-// migration tool between legacy JSON bundles and the binary format.
-// Featurization is unchanged by conversion in either direction.
+// runBundleConvert rewrites a bundle in the current binary format — the
+// migration tool that upgrades legacy JSON bundles. Featurization is
+// unchanged by conversion.
 func runBundleConvert(args []string) error {
 	fs := flag.NewFlagSet("bundle convert", flag.ExitOnError)
 	in := fs.String("in", "", "source bundle directory")
 	out := fs.String("out", "", "destination bundle directory (crash-safely replaced if it exists)")
-	format := fs.String("format", "binary", "target layout: binary (current formatVersion) or legacy (version 3 JSON)")
 	fs.Parse(args)
 	if *in == "" || *out == "" {
 		return fmt.Errorf("bundle convert: -in and -out are required")
@@ -338,15 +337,7 @@ func runBundleConvert(args []string) error {
 	if err != nil {
 		return err
 	}
-	switch *format {
-	case "binary":
-		err = res.SaveBundle(*out)
-	case "legacy":
-		err = res.SaveBundleLegacy(*out)
-	default:
-		return fmt.Errorf("bundle convert: unknown -format %q (want binary or legacy)", *format)
-	}
-	if err != nil {
+	if err := res.SaveBundle(*out); err != nil {
 		return err
 	}
 	info, err := leva.ReadBundleInfo(*out)

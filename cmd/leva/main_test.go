@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	leva "repro"
+	"repro/internal/dataset"
+	"repro/internal/synth"
 )
 
 // writeTestCSVs lays out a small joinable database on disk.
@@ -103,9 +105,10 @@ func TestRunEmbedThenApplyBundle(t *testing.T) {
 }
 
 // TestRunBundleInfoAndConvert drives the bundle maintenance commands
-// end to end: embed -> info on the binary bundle -> convert to the
-// legacy layout -> info again -> convert back -> apply must produce
-// identical features from the twice-converted bundle.
+// end to end: info on a freshly embedded binary bundle and on the
+// committed legacy (version 3) fixture, then convert upgrades the
+// fixture to the current binary format, and apply must produce
+// identical features from the fixture and from its upgrade.
 func TestRunBundleInfoAndConvert(t *testing.T) {
 	dir := writeTestCSVs(t)
 	bundle := filepath.Join(t.TempDir(), "bundle")
@@ -126,10 +129,8 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 		}
 	}
 
-	legacy := filepath.Join(t.TempDir(), "legacy")
-	if err := runBundle([]string{"convert", "-in", bundle, "-out", legacy, "-format", "legacy"}); err != nil {
-		t.Fatal(err)
-	}
+	// The fixture holds synth.Student{Students: 30, Seed: 7} at dim 6.
+	legacy := filepath.Join("..", "..", "internal", "core", "testdata", "legacy-v3-dim6")
 	text = captureStdout(t, func() {
 		if err := runBundle([]string{"info", legacy}); err != nil {
 			t.Fatal(err)
@@ -140,15 +141,30 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 	}
 
 	upgraded := filepath.Join(t.TempDir(), "upgraded")
-	if err := runBundle([]string{"convert", "-in", legacy, "-out", upgraded, "-format", "binary"}); err != nil {
+	if err := runBundle([]string{"convert", "-in", legacy, "-out", upgraded}); err != nil {
 		t.Fatal(err)
 	}
+	text = captureStdout(t, func() {
+		if err := runBundle([]string{"info", upgraded}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if !strings.Contains(text, fmt.Sprintf("version %d", leva.BundleFormatVersion)) || !strings.Contains(text, "binary (bundle.bin)") {
+		t.Errorf("upgraded bundle info wrong:\n%s", text)
+	}
 
-	// The twice-converted bundle must featurize byte-identically.
-	want := applyFeatures(t, bundle, dir)
-	got := applyFeatures(t, upgraded, dir)
+	// The upgraded bundle must featurize byte-identically.
+	students := t.TempDir()
+	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 7})
+	var csv strings.Builder
+	if err := dataset.WriteCSV(spec.DB.Table("expenses"), &csv); err != nil {
+		t.Fatal(err)
+	}
+	mustWrite(t, filepath.Join(students, "expenses.csv"), csv.String())
+	want := applyFeatures(t, legacy, students, "expenses", "total_expenses")
+	got := applyFeatures(t, upgraded, students, "expenses", "total_expenses")
 	if want != got {
-		t.Error("features changed across binary -> legacy -> binary conversion")
+		t.Error("features changed across the legacy -> binary conversion")
 	}
 
 	if err := runBundle([]string{"nonsense"}); err == nil {
@@ -157,16 +173,16 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 	if err := runBundle(nil); err == nil {
 		t.Error("bare bundle command accepted")
 	}
-	if err := runBundle([]string{"convert", "-in", bundle, "-out", legacy, "-format", "xml"}); err == nil {
-		t.Error("unknown convert format accepted")
+	if err := runBundle([]string{"convert", "-in", legacy}); err == nil {
+		t.Error("convert without -out accepted")
 	}
 }
 
-func applyFeatures(t *testing.T, bundle, data string) string {
+func applyFeatures(t *testing.T, bundle, data, table, exclude string) string {
 	t.Helper()
 	out := filepath.Join(t.TempDir(), "features.tsv")
 	if err := runApply([]string{"-bundle", bundle, "-data", data,
-		"-table", "orders", "-exclude", "label", "-out", out}); err != nil {
+		"-table", table, "-exclude", exclude, "-out", out}); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(out)

@@ -13,7 +13,7 @@
 //	GET  /v1/neighbors          top-k ANN neighbors by token (with -index)
 //	POST /v1/neighbors          top-k ANN neighbors by token or raw vector
 //	GET  /healthz              liveness + degradation (per-breaker state)
-//	GET  /metrics              Prometheus text (?format=json for JSON)
+//	GET  /metrics              Prometheus text
 //	POST /admin/reload         hot-reload the bundle (and index) directory
 //	GET  /admin/chaos          chaos-harness state (POST reconfigures;
 //	                           503 unless started with -chaos)
@@ -39,9 +39,10 @@
 // generation unmaps both files when its last request finishes.
 // -quantize answers neighbor searches from an int8-quantized arena (8x
 // less memory traffic) with an exact float64 re-rank of the final beam;
-// /v1/featurize is unaffected. -chaos arms seeded
-// request-level fault injection for resilience drills. See
-// docs/SERVING.md and docs/OPERATIONS.md.
+// /v1/featurize is unaffected. -chaos arms seeded fault injection on
+// the http and ann targets for resilience drills; a rule for any other
+// target is refused at startup. See docs/SERVING.md and
+// docs/OPERATIONS.md.
 package main
 
 import (
@@ -86,14 +87,12 @@ func run(ctx context.Context, args []string) error {
 	depTimeout := fs.Duration("dep-timeout", 2*time.Second, "per-call budget for circuit-broken dependencies like the ANN index (0 disables)")
 	breakerFailures := fs.Int("breaker-failures", 5, "consecutive dependency failures that trip its circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 5*time.Second, "how long a tripped breaker rejects calls before probing recovery")
-	chaosSpec := fs.String("chaos", "", "arm the chaos harness with a fault spec, e.g. 'seed=1;ann:err=0.3,lat=400ms' (targets: http, ann, rowcache; empty = no fault injection, ever)")
+	chaosSpec := fs.String("chaos", "", "arm the chaos harness with a fault spec, e.g. 'seed=1;ann:err=0.3,lat=400ms' (targets: http, ann; empty = no fault injection, ever)")
 	noFallback := fs.Bool("no-fallback", false, "answer 503 instead of degraded brute-force neighbor scans when the ANN dependency is broken")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler budget (503 on expiry)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheSize := fs.Int("cache", 4096, "LRU entries for fully-featurized rows (0 disables)")
-	batchWindow := fs.Duration("batch-window", 0, "micro-batch gather window for concurrent lookups (0 disables)")
-	batchMax := fs.Int("batch-max", 64, "max rows per micro-batch")
-	workers := fs.Int("workers", 0, "featurization worker goroutines per batch (0 = all cores)")
+	workers := fs.Int("workers", 0, "featurization worker goroutines per request (0 = all cores)")
 	mmapFiles := fs.Bool("mmap", false, "memory-map bundle.bin and index.bin instead of reading them (binary bundles on supporting platforms; reloads then cost page-table setup plus an integrity hash, not a vector copy)")
 	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; uses the bundle's quant section when present, else quantizes at startup)")
 	readyFile := fs.String("ready-file", "", "write the bound address to this file once serving (for scripts; with -debug-addr, the debug address goes to <ready-file>.debug)")
@@ -108,6 +107,17 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *quantize && *indexDir == "" {
 		return fmt.Errorf("-quantize needs -index: only the ANN search path is quantized")
+	}
+	var chaos *resilience.Chaos
+	if *chaosSpec != "" {
+		var err error
+		chaos, err = resilience.ParseSpec(*chaosSpec)
+		if err == nil {
+			err = serve.CheckChaosTargets(chaos)
+		}
+		if err != nil {
+			return fmt.Errorf("-chaos: %w", err)
+		}
 	}
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -129,8 +139,6 @@ func run(ctx context.Context, args []string) error {
 		DisableFallback:   *noFallback,
 		RequestTimeout:    *reqTimeout,
 		CacheSize:         *cacheSize,
-		BatchWindow:       *batchWindow,
-		BatchMax:          *batchMax,
 		Workers:           *workers,
 	}
 	if *cacheSize <= 0 {
@@ -145,13 +153,7 @@ func run(ctx context.Context, args []string) error {
 	if *depTimeout <= 0 {
 		cfg.DependencyTimeout = -1
 	}
-	if *chaosSpec != "" {
-		chaos, err := resilience.ParseSpec(*chaosSpec)
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
-		cfg.Chaos = chaos
-	}
+	cfg.Chaos = chaos
 	if !*quiet {
 		cfg.Logger = logger
 	}

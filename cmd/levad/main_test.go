@@ -17,6 +17,7 @@ import (
 	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/embed"
+	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -313,6 +314,30 @@ func TestRunRefusesVersion1Index(t *testing.T) {
 	}
 	if !errors.Is(err, ann.ErrVersion) || !strings.Contains(err.Error(), "leva embed -index") {
 		t.Errorf("startup error = %v, want ErrVersion naming `leva embed -index`", err)
+	}
+}
+
+// TestRunRefusesUnknownChaosTarget: a -chaos rule for a target the
+// server never consults would arm nothing, so startup refuses it with
+// the named error instead.
+func TestRunRefusesUnknownChaosTarget(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
+	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := res.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Were the rule accepted, the daemon would serve until ctx expires
+	// and run would return nil.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	err = run(ctx, []string{"-bundle", dir, "-addr", "127.0.0.1:0", "-quiet",
+		"-chaos", "seed=1;rowcache:err=1"})
+	if !errors.Is(err, serve.ErrUnknownChaosTarget) || !strings.Contains(err.Error(), `"rowcache"`) {
+		t.Errorf("startup error = %v, want ErrUnknownChaosTarget naming rowcache", err)
 	}
 }
 

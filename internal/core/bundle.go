@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -32,8 +31,9 @@ import (
 // write, bit rot, truncation) surfaces as an error naming the damaged
 // file.
 
-// Legacy (format ≤ 3) payload file names. Version-4 bundles hold one
-// payload file, bundle.bin (see bundlev4.go).
+// Legacy (format ≤ 3) payload file names. Legacy bundles are read but
+// never written; testdata/ holds version-3 fixtures for the read path.
+// Version-4 bundles hold one payload file, bundle.bin (see bundlev4.go).
 const (
 	bundleConfigFile    = "config.json"
 	bundleTextifyFile   = "textify.json"
@@ -101,71 +101,16 @@ func (r *Result) SaveBundle(dir string) error {
 }
 
 // saveBundle is SaveBundle over an injectable filesystem — the seam the
-// fault-injection suite uses to prove crash safety.
+// fault-injection suite uses to prove crash safety. It runs the publish
+// protocol: recover any interrupted previous publish, stage bundle.bin
+// in a sibling directory, seal the stage with the manifest (written
+// last), and swap the stage in with one rename.
 func (r *Result) saveBundle(fsys durable.FS, dir string) error {
 	// Encode up front: a serialization failure must not touch the disk.
 	data, err := encodeBundleV4(r)
 	if err != nil {
 		return err
 	}
-	return publishBundle(fsys, dir, []bundleFile{{bundleBinFile, data}})
-}
-
-// SaveBundleLegacy writes dir in the previous JSON/TSV layout (format
-// version 3): config.json, textify.json, embedding.tsv. It exists for
-// producing fixtures that exercise the legacy load path and for
-// downgrading a bundle for consumers that predate the binary format;
-// new deployments should use SaveBundle.
-func (r *Result) SaveBundleLegacy(dir string) error {
-	return r.saveBundleLegacy(durable.OS(), dir)
-}
-
-const legacyBundleFormatVersion = 3
-
-func (r *Result) saveBundleLegacy(fsys durable.FS, dir string) error {
-	stageCache := r.Timings.Cache
-	cfg := bundleConfig{
-		FormatVersion:      legacyBundleFormatVersion,
-		Dim:                r.Embedding.Dim,
-		Featurization:      r.Config.Featurization,
-		UnseenFallbackDims: r.Config.UnseenFallbackDims,
-		MethodUsed:         r.MethodUsed,
-		StageCache:         &stageCache,
-		UnweightedFallback: r.UnweightedFallback,
-	}
-	cfgData, err := json.MarshalIndent(cfg, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: marshal bundle config: %w", err)
-	}
-	modelData, err := json.Marshal(r.Textifier)
-	if err != nil {
-		return fmt.Errorf("core: marshal textify model: %w", err)
-	}
-	var embBuf bytes.Buffer
-	if err := r.Embedding.WriteTSV(&embBuf); err != nil {
-		return fmt.Errorf("core: serialize embedding: %w", err)
-	}
-	return publishBundleVersion(fsys, dir, legacyBundleFormatVersion, []bundleFile{
-		{bundleConfigFile, cfgData},
-		{bundleTextifyFile, modelData},
-		{bundleEmbeddingFile, embBuf.Bytes()},
-	})
-}
-
-type bundleFile struct {
-	name string
-	data []byte
-}
-
-func publishBundle(fsys durable.FS, dir string, files []bundleFile) error {
-	return publishBundleVersion(fsys, dir, BundleFormatVersion, files)
-}
-
-// publishBundleVersion runs the crash-safe publish protocol: recover
-// any interrupted previous publish, stage every payload file in a
-// sibling directory, seal the stage with the manifest (written last),
-// and swap the stage in with one rename.
-func publishBundleVersion(fsys durable.FS, dir string, version int, files []bundleFile) error {
 	dir = filepath.Clean(dir)
 
 	// If a previous publish crashed between its two renames, restore
@@ -182,15 +127,13 @@ func publishBundleVersion(fsys durable.FS, dir string, version int, files []bund
 	if err := fsys.MkdirAll(staging, 0o755); err != nil {
 		return fmt.Errorf("core: save bundle: %w", err)
 	}
-	manifest := &durable.Manifest{FormatVersion: version}
-	for _, f := range files {
-		if err := durable.WriteFile(fsys, filepath.Join(staging, f.name), f.data); err != nil {
-			return fmt.Errorf("core: save bundle: %w", err)
-		}
-		manifest.Add(f.name, f.data)
+	if err := durable.WriteFile(fsys, filepath.Join(staging, bundleBinFile), data); err != nil {
+		return fmt.Errorf("core: save bundle: %w", err)
 	}
-	// The manifest seals the stage: it exists only once every payload
-	// file is durably in place.
+	manifest := &durable.Manifest{FormatVersion: BundleFormatVersion}
+	manifest.Add(bundleBinFile, data)
+	// The manifest seals the stage: it exists only once the payload is
+	// durably in place.
 	if err := durable.WriteManifest(fsys, staging, manifest); err != nil {
 		return fmt.Errorf("core: save bundle: %w", err)
 	}

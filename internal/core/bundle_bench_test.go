@@ -7,15 +7,13 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/embed"
-	"repro/internal/synth"
 )
 
-// benchBundle builds one mid-sized deployment and saves it in both
-// layouts, once per benchmark binary.
+// benchBundle saves the 150-student legacy fixture's deployment in the
+// binary layout, plain and quantized, once per benchmark binary.
 var (
 	benchBundleOnce  sync.Once
 	benchBundleV4    string
-	benchBundleV3    string
 	benchBundleQuant string
 	benchBundleErr   error
 )
@@ -23,8 +21,7 @@ var (
 func benchBundleDirs(b *testing.B) (v4, v3, quant string) {
 	b.Helper()
 	benchBundleOnce.Do(func() {
-		spec := synth.Student(synth.StudentOptions{Students: 300, Seed: 2})
-		res, err := BuildEmbedding(spec.DB, Config{Dim: 32, Seed: 2, Method: embed.MethodMF})
+		res, err := LoadBundle(legacyFixtureDim16)
 		if err != nil {
 			benchBundleErr = err
 			return
@@ -33,12 +30,6 @@ func benchBundleDirs(b *testing.B) (v4, v3, quant string) {
 			return
 		}
 		if benchBundleErr = res.SaveBundle(benchBundleV4); benchBundleErr != nil {
-			return
-		}
-		if benchBundleV3, benchBundleErr = os.MkdirTemp("", "leva-bench-v3-*"); benchBundleErr != nil {
-			return
-		}
-		if benchBundleErr = res.SaveBundleLegacy(benchBundleV3); benchBundleErr != nil {
 			return
 		}
 		res.Quant = embed.Quantize(res.Embedding.Matrix())
@@ -50,7 +41,7 @@ func benchBundleDirs(b *testing.B) (v4, v3, quant string) {
 	if benchBundleErr != nil {
 		b.Fatal(benchBundleErr)
 	}
-	return benchBundleV4, benchBundleV3, benchBundleQuant
+	return benchBundleV4, legacyFixtureDim16, benchBundleQuant
 }
 
 // BenchmarkBundleLoad compares the two load paths over the same
@@ -121,16 +112,12 @@ func BenchmarkBundleLoad(b *testing.B) {
 // fewer objects than loading the same deployment from the legacy JSON
 // format.
 func TestBundleLoadAllocRatio(t *testing.T) {
-	spec := synth.Student(synth.StudentOptions{Students: 150, Seed: 2})
-	res, err := BuildEmbedding(spec.DB, Config{Dim: 16, Seed: 2, Method: embed.MethodMF})
+	v3Dir, v4Dir := legacyFixtureDim16, t.TempDir()
+	res, err := LoadBundle(v3Dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4Dir, v3Dir := t.TempDir(), t.TempDir()
 	if err := res.SaveBundle(v4Dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.SaveBundleLegacy(v3Dir); err != nil {
 		t.Fatal(err)
 	}
 	legacy := testing.AllocsPerRun(5, func() {

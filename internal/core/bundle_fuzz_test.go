@@ -7,51 +7,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 
 	"repro/internal/durable"
-	"repro/internal/embed"
-	"repro/internal/synth"
 )
 
-// fuzzBundle lazily builds one small bundle — saved in the legacy JSON
-// layout, whose per-file decoders the three legacy fuzzers below target
-// — whose payload files seed and host the decoder fuzzing.
-var (
-	fuzzBundleOnce sync.Once
-	fuzzBundleDir  string
-	fuzzBundleRes  *Result
-	fuzzBundleErr  error
-)
-
-func fuzzBundleResult(t testing.TB) *Result {
-	t.Helper()
-	fuzzBundleOnce.Do(func() {
-		spec := synth.Student(synth.StudentOptions{Students: 15, Seed: 5})
-		res, err := BuildEmbedding(spec.DB, Config{Dim: 3, Seed: 5, Method: embed.MethodMF})
-		if err != nil {
-			fuzzBundleErr = err
-			return
-		}
-		fuzzBundleRes = res
-		fuzzBundleDir, fuzzBundleErr = os.MkdirTemp("", "leva-fuzz-bundle-*")
-		if fuzzBundleErr != nil {
-			return
-		}
-		fuzzBundleErr = res.SaveBundleLegacy(fuzzBundleDir)
-	})
-	if fuzzBundleErr != nil {
-		t.Fatal(fuzzBundleErr)
-	}
-	return fuzzBundleRes
-}
-
-func fuzzBundle(t testing.TB) string {
-	t.Helper()
-	fuzzBundleResult(t)
-	return fuzzBundleDir
-}
+// fuzzBundle is the committed legacy (JSON layout) fixture whose
+// payload files seed and host the decoder fuzzing; the three legacy
+// fuzzers below target its per-file decoders.
+const fuzzBundle = legacyFixtureDim3
 
 // cloneBundleWithout copies the fuzz bundle's payload files into a
 // fresh dir, dropping MANIFEST.json so corrupted bytes reach the
@@ -60,7 +24,7 @@ func fuzzBundle(t testing.TB) string {
 // legacy bundles have no manifest protecting them.
 func cloneBundleWithout(t *testing.T, replace string, data []byte) string {
 	t.Helper()
-	src := fuzzBundle(t)
+	src := fuzzBundle
 	dst := t.TempDir()
 	for _, name := range []string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile} {
 		content := data
@@ -96,7 +60,7 @@ func fuzzBundleFile(t *testing.T, name string, data []byte) {
 }
 
 func FuzzLoadBundleConfig(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzBundle(f), bundleConfigFile))
+	seed, err := os.ReadFile(filepath.Join(fuzzBundle, bundleConfigFile))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -114,7 +78,7 @@ func FuzzLoadBundleConfig(f *testing.F) {
 }
 
 func FuzzLoadBundleTextify(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzBundle(f), bundleTextifyFile))
+	seed, err := os.ReadFile(filepath.Join(fuzzBundle, bundleTextifyFile))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -133,7 +97,7 @@ func FuzzLoadBundleTextify(f *testing.F) {
 // embedding.tsv (not JSON — the TSV reader has its own parser) must
 // never panic LoadBundle, and parse failures must name the file.
 func FuzzLoadBundleEmbedding(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzBundle(f), bundleEmbeddingFile))
+	seed, err := os.ReadFile(filepath.Join(fuzzBundle, bundleEmbeddingFile))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -180,7 +144,10 @@ func TestManifestScreensBeforeDecoding(t *testing.T) {
 // decode∘encode, so a hostile-but-valid file cannot round-trip into a
 // different bundle.
 func FuzzBundleV4(f *testing.F) {
-	res := fuzzBundleResult(f)
+	res, err := LoadBundle(fuzzBundle)
+	if err != nil {
+		f.Fatal(err)
+	}
 	valid, err := encodeBundleV4(res)
 	if err != nil {
 		f.Fatal(err)

@@ -66,21 +66,15 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleGoldenLegacyVsBinary is the migration golden test: the same
-// Result saved in the legacy JSON format and in the binary format must
-// featurize byte-identically after loading — every served feature
-// vector is unchanged by the format migration.
+// TestBundleGoldenLegacyVsBinary is the migration golden test: the
+// committed legacy fixture and a fresh deterministic build of the same
+// deployment, saved in the binary format, must featurize
+// byte-identically after loading — every served feature vector is
+// unchanged by the format migration.
 func TestBundleGoldenLegacyVsBinary(t *testing.T) {
-	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 7})
-	res, err := BuildEmbedding(spec.DB, Config{Dim: 6, Seed: 7, Method: embed.MethodMF})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v4Dir, v3Dir := t.TempDir(), t.TempDir()
+	spec, res := goldenFixture(t, "")
+	v4Dir := t.TempDir()
 	if err := res.SaveBundle(v4Dir); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.SaveBundleLegacy(v3Dir); err != nil {
 		t.Fatal(err)
 	}
 	var warned []string
@@ -88,14 +82,14 @@ func TestBundleGoldenLegacyVsBinary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV3, err := LoadBundleWarn(v3Dir, func(msg string) { warned = append(warned, msg) })
+	fromV3, err := LoadBundleWarn(legacyFixtureDim6, func(msg string) { warned = append(warned, msg) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(warned) == 0 || !strings.Contains(warned[0], "legacy") {
 		t.Errorf("legacy bundle loaded without a legacy warning: %v", warned)
 	}
-	if fromV3.BundleFormat != legacyBundleFormatVersion || fromV4.BundleFormat != BundleFormatVersion {
+	if fromV3.BundleFormat != 3 || fromV4.BundleFormat != BundleFormatVersion {
 		t.Errorf("BundleFormat: legacy %d, binary %d", fromV3.BundleFormat, fromV4.BundleFormat)
 	}
 
@@ -144,12 +138,34 @@ func savedBundle(t *testing.T) string {
 	return dir
 }
 
-// savedLegacyBundle is savedBundle in the legacy JSON layout.
+// Committed legacy bundles (format version 3, JSON layout), the legacy
+// read path's fixtures: nothing writes that layout any more. Each holds
+// the deployment named beside it, so a test can rebuild the same
+// deployment deterministically and compare.
+const (
+	legacyFixtureDim3  = "testdata/legacy-v3-dim3"  // the fuzz deployment
+	legacyFixtureDim4  = "testdata/legacy-v3-dim4"  // bundleFixture
+	legacyFixtureDim6  = "testdata/legacy-v3-dim6"  // goldenFixture, warm build
+	legacyFixtureDim16 = "testdata/legacy-v3-dim16" // 150 students: load benchmarks
+)
+
+// savedLegacyBundle copies the bundleFixture deployment's legacy
+// fixture into a fresh dir that the test may damage.
 func savedLegacyBundle(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
-	if err := bundleFixture(t).SaveBundleLegacy(dir); err != nil {
+	entries, err := os.ReadDir(legacyFixtureDim4)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(legacyFixtureDim4, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	return dir
 }
@@ -162,6 +178,25 @@ func bundleFixture(t *testing.T) *Result {
 		t.Fatal(err)
 	}
 	return res
+}
+
+// goldenFixture builds the legacyFixtureDim6 deployment. With a
+// cacheDir it builds twice and returns the warm (stage-cached) build,
+// whose provenance the fixture records.
+func goldenFixture(t *testing.T, cacheDir string) (*synth.Spec, *Result) {
+	t.Helper()
+	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 7})
+	cfg := Config{Dim: 6, Seed: 7, Method: embed.MethodMF, CacheDir: cacheDir}
+	if cacheDir != "" {
+		if _, err := BuildEmbedding(spec.DB, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := BuildEmbedding(spec.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec, res
 }
 
 // TestBundleV4Layout pins the on-disk shape of a current-format bundle:
@@ -368,26 +403,17 @@ func TestLoadBundleErrorsNamePath(t *testing.T) {
 
 // TestBundleCarriesBuildProvenance checks bundles preserve the
 // stage-cache outcomes and the unweighted-fallback decision of the
-// build that produced them, across both formats.
+// build that produced them, across both formats: a warm build saved in
+// the binary format, and the legacy fixture saved from the same warm
+// build.
 func TestBundleCarriesBuildProvenance(t *testing.T) {
-	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 3})
-	cfg := Config{Dim: 4, Seed: 3, Method: embed.MethodMF, CacheDir: t.TempDir()}
-	if _, err := BuildEmbedding(spec.DB, cfg); err != nil {
+	_, warm := goldenFixture(t, t.TempDir())
+	binDir := t.TempDir()
+	if err := warm.SaveBundle(binDir); err != nil {
 		t.Fatal(err)
 	}
-	warm, err := BuildEmbedding(spec.DB, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, save := range map[string]func(*Result, string) error{
-		"binary": (*Result).SaveBundle,
-		"legacy": (*Result).SaveBundleLegacy,
-	} {
+	for name, dir := range map[string]string{"binary": binDir, "legacy": legacyFixtureDim6} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := save(warm, dir); err != nil {
-				t.Fatal(err)
-			}
 			back, err := LoadBundle(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -409,15 +435,11 @@ func TestBundleCarriesBuildProvenance(t *testing.T) {
 // TestReadBundleInfo covers the inspection path over both formats.
 func TestReadBundleInfo(t *testing.T) {
 	res := bundleFixture(t)
-	for name, save := range map[string]func(*Result, string) error{
-		"binary": (*Result).SaveBundle,
-		"legacy": (*Result).SaveBundleLegacy,
+	for name, dir := range map[string]string{
+		"binary": savedBundle(t),
+		"legacy": legacyFixtureDim4,
 	} {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			if err := save(res, dir); err != nil {
-				t.Fatal(err)
-			}
 			info, err := ReadBundleInfo(dir)
 			if err != nil {
 				t.Fatal(err)

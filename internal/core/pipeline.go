@@ -206,7 +206,7 @@ type Result struct {
 	// unmapOnce makes Unmap idempotent.
 	unmapOnce sync.Once
 
-	// mu guards Timings.Featurize accrual from concurrent
+	// mu protects Timings.Featurize accrual from concurrent
 	// FeaturizeWithMode calls.
 	mu sync.Mutex
 }

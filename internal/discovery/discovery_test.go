@@ -141,7 +141,7 @@ func TestJaccardSymmetryProperty(t *testing.T) {
 	}
 }
 
-// TestDiscoverJoinsDeterministic guards against map-iteration order
+// TestDiscoverJoinsDeterministic protects against map-iteration order
 // leaking into the candidate list: several base columns sharing a value
 // domain tie on containment, and the MaxJoins cut must still pick the
 // same candidates every run.

@@ -46,7 +46,7 @@ func FullTable(db *dataset.Database, baseName string, opts Options) (*dataset.Ta
 }
 
 // augment recursively expands t with N:1 lookups and 1:N aggregates.
-// visited guards against cycles; each recursion level copies it so
+// visited protects against cycles; each recursion level copies it so
 // sibling branches can both reach a shared dimension table.
 func augment(db *dataset.Database, t *dataset.Table, visited map[string]bool, depth int) *dataset.Table {
 	out := t.Clone()

@@ -98,7 +98,8 @@ func NewChaos(seed int64) *Chaos {
 //
 //	seed=<n>;<target>:<key>=<value>[,<key>=<value>...];...
 //
-// Targets are free-form names ("http", "ann", "rowcache"). Keys:
+// Targets are free-form names here; the consumer decides which it
+// consults (levad: "http" and "ann", see serve.CheckChaosTargets). Keys:
 // err=<rate>, lat=<duration>, latrate=<rate>, stall=<rate>,
 // stallfor=<duration>. Example:
 //

@@ -34,7 +34,7 @@ func BenchmarkServeFeaturize(b *testing.B) {
 	}
 
 	b.Run("warm-cache", func(b *testing.B) {
-		st := newStore(loaded, nil, Config{CacheSize: 1024}.withDefaults(), newMetrics(), nil)
+		st := newStore(loaded, nil, Config{CacheSize: 1024}.withDefaults(), newMetrics())
 		j := job(0, "")
 		if _, err := st.featurizeRows(context.Background(), []*rowJob{j}); err != nil {
 			b.Fatal(err)
@@ -49,7 +49,7 @@ func BenchmarkServeFeaturize(b *testing.B) {
 	})
 
 	b.Run("cold-cache", func(b *testing.B) {
-		st := newStore(loaded, nil, Config{CacheSize: 1024}.withDefaults(), newMetrics(), nil)
+		st := newStore(loaded, nil, Config{CacheSize: 1024}.withDefaults(), newMetrics())
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

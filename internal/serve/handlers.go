@@ -64,8 +64,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 // writeErrorReason is writeError with a machine-readable taxonomy tag:
 // clients branch on "reason" (capacity, queue_timeout, client_gone,
 // breaker_open, chaos_injected, dependency_timeout, bad_deadline,
-// deadline_exceeded, chaos_disabled, no_index, bad_param) instead of
-// parsing the human-facing message.
+// deadline_exceeded, chaos_disabled, unknown_chaos_target, no_index,
+// bad_param) instead of parsing the human-facing message.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, map[string]string{
 		"error":  fmt.Sprintf(format, args...),
@@ -201,7 +201,8 @@ func (s *Server) handleEmbedding(st *store, w http.ResponseWriter, r *http.Reque
 // handleHealthz reports liveness plus degradation: status flips to
 // "degraded" while any circuit breaker is off closed, and the
 // per-breaker states are listed so a load balancer (or operator) can
-// drain a browning-out replica before it starts shedding hard.
+// drain a browning-out replica before it starts shedding hard. After a
+// rejected reload, "lastReloadError" says why until a reload succeeds.
 func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request) {
 	annVectors := 0
 	quantized := false
@@ -220,7 +221,7 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 			status = "degraded"
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	body := map[string]any{
 		"status":       status,
 		"vectors":      st.res.Embedding.Len(),
 		"dim":          st.res.Embedding.Dim,
@@ -231,17 +232,16 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 		"bundleFormat": st.res.BundleFormat,
 		"breakers":     breakers,
 		"chaosEnabled": s.chaos.Enabled(),
-	})
+	}
+	if e, _ := s.metrics.lastReloadError.Load().(string); e != "" {
+		body["lastReloadError"] = e
+	}
+	writeJSON(w, http.StatusOK, body)
 }
 
-// handleMetrics is GET /metrics: Prometheus text exposition by default,
-// or the legacy JSON snapshot with ?format=json (same field names as
-// before the registry migration — both render from one instrument set).
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, s.fullSnapshot())
-		return
-	}
+// handleMetrics is GET /metrics: the registry in Prometheus text
+// exposition format.
+func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", obs.TextContentType)
 	w.WriteHeader(http.StatusOK)
 	_ = s.metrics.reg.WritePrometheus(w)

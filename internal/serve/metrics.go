@@ -14,11 +14,7 @@ import (
 
 // Serving metric family names. The catalog — every family, its labels
 // and meaning — is docs/OBSERVABILITY.md, and a test diffs that table
-// against a live Server's registry so the two cannot drift. Legacy
-// consumers of the JSON snapshot keep their field names too: the same
-// instruments render both GET /metrics (Prometheus text) and
-// GET /metrics?format=json (the pre-obs JSON body, byte-compatible
-// field for field).
+// against a live Server's registry so the two cannot drift.
 const (
 	metricUptime          = "leva_uptime_seconds"
 	metricInFlight        = "leva_http_in_flight_requests"
@@ -33,8 +29,6 @@ const (
 	metricCacheSize       = "leva_rowcache_size"
 	metricCacheCapacity   = "leva_rowcache_capacity"
 	metricRowsFeaturized  = "leva_rows_featurized_total"
-	metricBatches         = "leva_batches_total"
-	metricBatchedRows     = "leva_batched_rows_total"
 	metricANNCacheHits    = "leva_ann_cache_hits_total"
 	metricANNCacheMisses  = "leva_ann_cache_misses_total"
 	metricANNIndexSize    = "leva_ann_index_size"
@@ -70,9 +64,9 @@ var endpointNames = []string{"featurize", "embedding", "neighbors", "healthz", "
 
 // metrics is the daemon-wide instrument set behind GET /metrics, one
 // per Server (tests assert exact per-instance counts). Every value
-// lives in an obs.Registry — the single source both exposition formats
-// and the reload log lines read from — with lock-free updates on the
-// request hot path.
+// lives in an obs.Registry — the single source GET /metrics and the
+// -debug-addr /debug/vars dump read from — with lock-free updates on
+// the request hot path.
 type metrics struct {
 	reg   *obs.Registry
 	start time.Time
@@ -88,8 +82,6 @@ type metrics struct {
 	cacheMisses     *obs.Counter
 	cacheCapGauge   *obs.Gauge
 	rowsFeaturized  *obs.Counter
-	batches         *obs.Counter
-	batchedRows     *obs.Counter
 	annCacheHits    *obs.Counter
 	annCacheMisses  *obs.Counter
 	annIndexSize    *obs.Gauge
@@ -112,13 +104,11 @@ type metrics struct {
 	reloadFailures    *obs.Counter
 	lastReloadSeconds *obs.Gauge
 	lastReloadUnix    *obs.Gauge
-	lastReloadError   atomic.Value // string; JSON-only, not a number
+	lastReloadError   atomic.Value // string; reported on /healthz, not a number
 
-	// cacheCapacity and cacheLenFn describe the *current* store's row
-	// cache. cacheLenFn is swapped on hot reload while scrapes may be
-	// rendering, hence the atomic.Value (holds func() int).
-	cacheCapacity atomic.Int64
-	cacheLenFn    atomic.Value // func() int
+	// cacheLenFn sizes the *current* store's row cache. It is swapped on
+	// hot reload while scrapes may be rendering, hence the atomic.Value.
+	cacheLenFn atomic.Value // func() int
 
 	// limitFn and queueDepthFn read the admission limiter, which is
 	// created after the metrics (atomic.Value holds func() float64 so a
@@ -155,10 +145,6 @@ func newMetrics() *metrics {
 			"Row-cache capacity in entries (0 = cache disabled)."),
 		rowsFeaturized: r.Counter(metricRowsFeaturized,
 			"Rows featurized by the serving path."),
-		batches: r.Counter(metricBatches,
-			"Micro-batches executed."),
-		batchedRows: r.Counter(metricBatchedRows,
-			"Rows featurized through micro-batches."),
 		annCacheHits: r.Counter(metricANNCacheHits,
 			"Neighbor-query cache hits."),
 		annCacheMisses: r.Counter(metricANNCacheMisses,
@@ -192,7 +178,7 @@ func newMetrics() *metrics {
 		chaosInjections: r.CounterVec(metricChaosInjections,
 			"Faults injected by the chaos harness, by target and kind (error, latency, stall).", "target", "kind"),
 		degraded: r.CounterVec(metricDegraded,
-			"Requests answered in a degraded mode (brute-force neighbor scan, row-cache bypass), by endpoint.", "endpoint"),
+			"Requests answered in a degraded mode (brute-force neighbor scan), by endpoint.", "endpoint"),
 		depCalls: r.CounterVec(metricDepCalls,
 			"Guarded dependency calls, by dependency and outcome (ok, error, timeout, canceled, open).", "dep", "outcome"),
 		shedByReason: r.CounterVec(metricShedByReason,
@@ -240,7 +226,6 @@ func newMetrics() *metrics {
 // setRowCache points the cache gauges at the current store's cache.
 // Called at store construction (startup and every reload).
 func (m *metrics) setRowCache(capacity int, lenFn func() int) {
-	m.cacheCapacity.Store(int64(capacity))
 	m.cacheCapGauge.Set(float64(capacity))
 	if lenFn != nil {
 		m.cacheLenFn.Store(lenFn)
@@ -254,10 +239,9 @@ func (m *metrics) setLimiter(l *resilience.Limiter) {
 	m.queueDepthFn.Store(func() float64 { return float64(l.QueueDepth()) })
 }
 
-// recordReload accounts one reload attempt. gen is the new generation
-// on success (ignored on failure — the serving generation is
-// unchanged).
-func (m *metrics) recordReload(d time.Duration, gen int64, err error) {
+// recordReload accounts one reload attempt. The generation gauge itself
+// is set by the swapper while holding the reload lock.
+func (m *metrics) recordReload(d time.Duration, err error) {
 	m.reloads.Inc()
 	m.lastReloadSeconds.Set(d.Seconds())
 	m.lastReloadUnix.Set(float64(time.Now().Unix()))
@@ -267,7 +251,6 @@ func (m *metrics) recordReload(d time.Duration, gen int64, err error) {
 		return
 	}
 	m.lastReloadError.Store("")
-	_ = gen // generation itself is stored by the swapper while holding the reload lock
 }
 
 // observe accounts one completed request.
@@ -290,159 +273,4 @@ func (m *metrics) observe(endpoint string, status int, d time.Duration) {
 			break
 		}
 	}
-}
-
-// endpointSnapshot is the wire form of one endpoint's counters.
-type endpointSnapshot struct {
-	Count        int64   `json:"count"`
-	Errors       int64   `json:"errors"`
-	LatencyMs    float64 `json:"latencyMeanMs"`
-	LatencyP50Ms float64 `json:"latencyP50Ms"`
-	LatencyP90Ms float64 `json:"latencyP90Ms"`
-	LatencyP99Ms float64 `json:"latencyP99Ms"`
-}
-
-// cacheSnapshot is the wire form of the row-cache counters.
-type cacheSnapshot struct {
-	Enabled  bool    `json:"enabled"`
-	Size     int     `json:"size"`
-	Capacity int     `json:"capacity"`
-	Hits     int64   `json:"hits"`
-	Misses   int64   `json:"misses"`
-	HitRate  float64 `json:"hitRate"`
-}
-
-// reloadSnapshot is the wire form of the hot-reload counters.
-type reloadSnapshot struct {
-	Generation     int64   `json:"generation"`
-	Total          int64   `json:"total"`
-	Failures       int64   `json:"failures"`
-	LastDurationMs float64 `json:"lastDurationMs"`
-	LastUnix       int64   `json:"lastUnix"`
-	LastError      string  `json:"lastError,omitempty"`
-}
-
-// resilienceSnapshot is the wire form of the admission/breaker/chaos
-// state — new in the resilience PR, additive to the legacy schema.
-type resilienceSnapshot struct {
-	Limit          float64           `json:"limit"`
-	QueueDepth     int               `json:"queueDepth"`
-	ShedByReason   map[string]int64  `json:"shedByReason,omitempty"`
-	AbandonedTotal int64             `json:"abandonedTotal"`
-	DegradedTotal  int64             `json:"degradedTotal"`
-	Breakers       map[string]string `json:"breakers"`
-	ChaosEnabled   bool              `json:"chaosEnabled"`
-}
-
-// metricsSnapshot is the GET /metrics?format=json response body — the
-// pre-obs JSON schema, field for field, derived from the same registry
-// instruments the Prometheus exposition renders (plus the additive
-// "resilience" section).
-type metricsSnapshot struct {
-	UptimeSeconds       float64                     `json:"uptimeSeconds"`
-	InFlight            int64                       `json:"inFlight"`
-	ShedTotal           int64                       `json:"shedTotal"`
-	PanicsTotal         int64                       `json:"panicsTotal"`
-	Requests            map[string]endpointSnapshot `json:"requests"`
-	ResponsesByStatus   map[string]int64            `json:"responsesByStatus"`
-	Cache               cacheSnapshot               `json:"cache"`
-	Reload              reloadSnapshot              `json:"reload"`
-	Resilience          resilienceSnapshot          `json:"resilience"`
-	RowsFeaturizedTotal int64                       `json:"rowsFeaturizedTotal"`
-	BatchesTotal        int64                       `json:"batchesTotal"`
-	BatchedRowsTotal    int64                       `json:"batchedRowsTotal"`
-}
-
-func (m *metrics) snapshot() metricsSnapshot {
-	snap := metricsSnapshot{
-		UptimeSeconds:       time.Since(m.start).Seconds(),
-		InFlight:            int64(m.inFlight.Value()),
-		ShedTotal:           int64(m.shed.Value()),
-		PanicsTotal:         int64(m.panics.Value()),
-		Requests:            make(map[string]endpointSnapshot, len(endpointNames)),
-		ResponsesByStatus:   make(map[string]int64),
-		RowsFeaturizedTotal: int64(m.rowsFeaturized.Value()),
-		BatchesTotal:        int64(m.batches.Value()),
-		BatchedRowsTotal:    int64(m.batchedRows.Value()),
-		Reload: reloadSnapshot{
-			Generation:     int64(m.generation.Value()),
-			Total:          int64(m.reloads.Value()),
-			Failures:       int64(m.reloadFailures.Value()),
-			LastDurationMs: m.lastReloadSeconds.Value() * 1e3,
-			LastUnix:       int64(m.lastReloadUnix.Value()),
-		},
-	}
-	if e, ok := m.lastReloadError.Load().(string); ok {
-		snap.Reload.LastError = e
-	}
-	for _, name := range endpointNames {
-		h := m.latency.With(name)
-		es := endpointSnapshot{
-			Count:  int64(m.requests.With(name).Value()),
-			Errors: int64(m.requestErrors.With(name).Value()),
-		}
-		if es.Count > 0 {
-			es.LatencyMs = h.Sum() / float64(h.Count()) * 1e3
-			es.LatencyP50Ms = h.Quantile(0.50) * 1e3
-			es.LatencyP90Ms = h.Quantile(0.90) * 1e3
-			es.LatencyP99Ms = h.Quantile(0.99) * 1e3
-		}
-		snap.Requests[name] = es
-	}
-	for _, code := range trackedStatuses {
-		key := strconv.Itoa(code)
-		if n := int64(m.statuses.With(key).Value()); n > 0 {
-			snap.ResponsesByStatus[key] = n
-		}
-	}
-	if n := int64(m.statuses.With("other").Value()); n > 0 {
-		snap.ResponsesByStatus["other"] = n
-	}
-	hits, misses := int64(m.cacheHits.Value()), int64(m.cacheMisses.Value())
-	capacity := int(m.cacheCapacity.Load())
-	snap.Cache = cacheSnapshot{
-		Enabled:  capacity > 0,
-		Capacity: capacity,
-		Hits:     hits,
-		Misses:   misses,
-	}
-	if fn, ok := m.cacheLenFn.Load().(func() int); ok && fn != nil {
-		snap.Cache.Size = fn()
-	}
-	if hits+misses > 0 {
-		snap.Cache.HitRate = float64(hits) / float64(hits+misses)
-	}
-	return snap
-}
-
-// fullSnapshot is the metrics snapshot plus the live resilience state,
-// read from the server (breaker states advance with the clock, so they
-// are read from the breakers themselves, not the lagging gauges).
-func (s *Server) fullSnapshot() metricsSnapshot {
-	m := s.metrics
-	snap := m.snapshot()
-	snap.Resilience = resilienceSnapshot{
-		Limit:        s.limiter.Limit(),
-		QueueDepth:   s.limiter.QueueDepth(),
-		Breakers:     make(map[string]string, len(depNames)),
-		ChaosEnabled: s.chaos.Enabled(),
-	}
-	for _, dep := range depNames {
-		snap.Resilience.Breakers[dep] = s.breakers[dep].State().String()
-	}
-	for _, reason := range shedReasons {
-		if n := int64(m.shedByReason.With(reason).Value()); n > 0 {
-			if snap.Resilience.ShedByReason == nil {
-				snap.Resilience.ShedByReason = make(map[string]int64)
-			}
-			snap.Resilience.ShedByReason[reason] = n
-		}
-	}
-	for _, reason := range []string{"deadline", "disconnect"} {
-		snap.Resilience.AbandonedTotal += int64(m.abandoned.With(reason).Value())
-	}
-	for _, endpoint := range []string{"featurize", "neighbors"} {
-		snap.Resilience.DegradedTotal += int64(m.degraded.With(endpoint).Value())
-	}
-	return snap
 }

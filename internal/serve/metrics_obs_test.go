@@ -53,10 +53,6 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_ann_queries_total counter
 # HELP leva_ann_query_seconds Latency of individual ANN searches.
 # TYPE leva_ann_query_seconds histogram
-# HELP leva_batched_rows_total Rows featurized through micro-batches.
-# TYPE leva_batched_rows_total counter
-# HELP leva_batches_total Micro-batches executed.
-# TYPE leva_batches_total counter
 # HELP leva_bundle_generation Serving bundle generation (1 at startup, +1 per successful reload).
 # TYPE leva_bundle_generation gauge
 # HELP leva_durable_errors_total Durable operations (WriteFile/SwapDir/RecoverDir) that returned an error.
@@ -123,7 +119,7 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_resilience_chaos_enabled gauge
 # HELP leva_resilience_chaos_injections_total Faults injected by the chaos harness, by target and kind (error, latency, stall).
 # TYPE leva_resilience_chaos_injections_total counter
-# HELP leva_resilience_degraded_total Requests answered in a degraded mode (brute-force neighbor scan, row-cache bypass), by endpoint.
+# HELP leva_resilience_degraded_total Requests answered in a degraded mode (brute-force neighbor scan), by endpoint.
 # TYPE leva_resilience_degraded_total counter
 # HELP leva_resilience_dep_calls_total Guarded dependency calls, by dependency and outcome (ok, error, timeout, canceled, open).
 # TYPE leva_resilience_dep_calls_total counter
@@ -211,9 +207,10 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 }
 
 // TestMetricsConcurrentScrapeAndReload drives featurization, Prometheus
-// scrapes, JSON snapshots, and hot reloads all at once. Run under
-// -race, this is the proof that the registry's hot paths and the
-// reload-time cacheLen swap are properly synchronized.
+// scrapes, health checks, and hot reloads all at once. Run under -race,
+// this is the proof that the registry's hot paths, the reload-time
+// cacheLen swap and the reload error /healthz reports are properly
+// synchronized.
 func TestMetricsConcurrentScrapeAndReload(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	srv := New(loaded, Config{
@@ -246,7 +243,7 @@ func TestMetricsConcurrentScrapeAndReload(t *testing.T) {
 			for i := 0; i < 10; i++ {
 				url := ts.URL + "/metrics"
 				if i%2 == 1 {
-					url += "?format=json"
+					url = ts.URL + "/healthz"
 				}
 				resp, err := http.Get(url)
 				if err == nil {
@@ -265,12 +262,12 @@ func TestMetricsConcurrentScrapeAndReload(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	snap := srv.metrics.snapshot()
-	if snap.Reload.Total != 20 || snap.Reload.Generation != 21 {
-		t.Errorf("reloads = %d, generation = %d, want 20 and 21", snap.Reload.Total, snap.Reload.Generation)
+	m := srv.metrics
+	if m.reloads.Value() != 20 || m.generation.Value() != 21 {
+		t.Errorf("reloads = %v, generation = %v, want 20 and 21", m.reloads.Value(), m.generation.Value())
 	}
-	if snap.Requests["featurize"].Count != 40 {
-		t.Errorf("featurize count = %d, want 40", snap.Requests["featurize"].Count)
+	if got := m.requests.With("featurize").Value(); got != 40 {
+		t.Errorf("featurize count = %v, want 40", got)
 	}
 }
 

@@ -124,6 +124,9 @@ func (s *Server) limit(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		release, err := s.limiter.Acquire(r.Context())
 		if err != nil {
+			// The leva_shed_total reasons: capacity (limit reached, queue
+			// full or disabled), queue_timeout (queued too long),
+			// client_gone (caller vanished while queued).
 			reason := "capacity"
 			switch {
 			case errors.Is(err, resilience.ErrQueueTimeout):

@@ -37,9 +37,8 @@ var errServerClosed = errors.New("serve: reload refused: server is shut down")
 // (wrapping resilience.ErrOpen) until the cooling period admits a
 // probe — an operator republishing a bad bundle in a retry loop gets
 // one clear signal instead of a validation storm. A reload that does
-// succeed resets the ANN and row-cache breakers: those dependencies
-// were just replaced and validated, so their failure history is stale
-// by construction.
+// succeed resets the ANN breaker: that dependency was just replaced and
+// validated, so its failure history is stale by construction.
 func (s *Server) Reload() error {
 	done, berr := s.breakers[depReload].Allow()
 	if berr != nil {
@@ -50,8 +49,8 @@ func (s *Server) Reload() error {
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	start := time.Now()
-	gen, err := s.reloadLocked()
-	s.metrics.recordReload(time.Since(start), gen, err)
+	err := s.reloadLocked()
+	s.metrics.recordReload(time.Since(start), err)
 	// Config states (reload disabled, server shut down) say nothing
 	// about bundle health; only real candidate failures count.
 	benign := errors.Is(err, ErrReloadDisabled) || errors.Is(err, errServerClosed)
@@ -65,31 +64,29 @@ func (s *Server) Reload() error {
 		return err
 	}
 	s.metrics.depCalls.With(depReload, "ok").Inc()
-	for _, dep := range []string{depANN, depRowCache} {
-		s.breakers[dep].Reset()
-	}
+	s.breakers[depANN].Reset()
 	return nil
 }
 
-func (s *Server) reloadLocked() (int64, error) {
+func (s *Server) reloadLocked() error {
 	if s.closed {
-		return 0, errServerClosed
+		return errServerClosed
 	}
 	if s.cfg.Loader == nil {
-		return 0, ErrReloadDisabled
+		return ErrReloadDisabled
 	}
 	res, err := s.cfg.Loader()
 	if err != nil {
-		return 0, fmt.Errorf("serve: reload: load candidate bundle: %w", err)
+		return fmt.Errorf("serve: reload: load candidate bundle: %w", err)
 	}
 	cur := s.st.Load()
 	// A rejected candidate's mappings must not leak: every rejection
 	// unmaps the candidates loaded so far.
-	reject := func(err error, cands ...mapping) (int64, error) {
+	reject := func(err error, cands ...mapping) error {
 		for _, m := range cands {
 			_ = m.Unmap()
 		}
-		return 0, fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
+		return fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
 	}
 	if err := validateCandidate(cur.res, res); err != nil {
 		return reject(err, res)
@@ -110,7 +107,7 @@ func (s *Server) reloadLocked() (int64, error) {
 		}
 		ix = cand
 	}
-	next := newStore(res, ix, s.cfg, s.metrics, s.guards)
+	next := newStore(res, ix, s.cfg, s.metrics)
 	next.gen = cur.gen + 1
 	// A carried index must outlive the store that loaded it: its own
 	// mapping, and the retired bundles it reads vectors out of, move to
@@ -128,10 +125,10 @@ func (s *Server) reloadLocked() (int64, error) {
 	}
 	s.st.Store(next)
 	s.metrics.generation.Set(float64(next.gen))
-	// Drop the serving reference of the replaced store; its batcher
-	// stops once the last in-flight request using it finishes.
+	// Drop the serving reference of the replaced store; it retires once
+	// the last in-flight request using it finishes.
 	cur.release()
-	return next.gen, nil
+	return nil
 }
 
 // validateCandidate checks a candidate bundle against the serving one.

@@ -12,7 +12,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -117,9 +116,10 @@ func TestReloadSwapsBundleAtomically(t *testing.T) {
 	if gen := srv.curStore().gen; gen != 2 {
 		t.Errorf("generation = %d, want 2", gen)
 	}
-	snap := srv.metrics.snapshot()
-	if snap.Reload.Total != 1 || snap.Reload.Failures != 0 || snap.Reload.Generation != 2 {
-		t.Errorf("reload snapshot = %+v", snap.Reload)
+	m := srv.metrics
+	if m.reloads.Value() != 1 || m.reloadFailures.Value() != 0 || m.generation.Value() != 2 {
+		t.Errorf("reload counters = %v attempts / %v failures / generation %v, want 1 / 0 / 2",
+			m.reloads.Value(), m.reloadFailures.Value(), m.generation.Value())
 	}
 }
 
@@ -186,20 +186,18 @@ func TestReloadDuringInFlightRequest(t *testing.T) {
 	}
 }
 
-// TestReloadUnderBatchedLoad hammers featurize from many goroutines
-// while the bundle is swapped back and forth with micro-batching on:
-// every response must be a 200 carrying exactly the old vector or
-// exactly the new vector, and no request may hang on a retired
-// batcher.
-func TestReloadUnderBatchedLoad(t *testing.T) {
+// TestReloadUnderConcurrentLoad hammers featurize from many goroutines
+// while the bundle is swapped back and forth, with the row cache off so
+// every row is computed inline against the pinned store: every response
+// must be a 200 carrying exactly the old vector or exactly the new
+// vector, never a mix and never a retired store's answer after release.
+func TestReloadUnderConcurrentLoad(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	alt := altFixture(t)
 	next := make(chan *core.Result, 8)
 	srv := New(loaded, Config{
-		CacheSize:   -1,
-		BatchWindow: time.Millisecond,
-		BatchMax:    8,
-		Loader:      func() (*core.Result, error) { return <-next, nil },
+		CacheSize: -1,
+		Loader:    func() (*core.Result, error) { return <-next, nil },
 	})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
@@ -274,12 +272,55 @@ func TestReloadDimMismatchRollsBack(t *testing.T) {
 	if !vecEqual(featurizeOnce(t, ts.URL), before) {
 		t.Error("serving features changed after a rejected reload")
 	}
-	snap := srv.metrics.snapshot()
-	if snap.Reload.Total != 1 || snap.Reload.Failures != 1 {
-		t.Errorf("reload counters = %+v, want 1 attempt / 1 failure", snap.Reload)
+	m := srv.metrics
+	if m.reloads.Value() != 1 || m.reloadFailures.Value() != 1 {
+		t.Errorf("reload counters = %v attempts / %v failures, want 1 / 1", m.reloads.Value(), m.reloadFailures.Value())
 	}
-	if snap.Reload.LastError == "" {
-		t.Error("lastError empty after a failed reload")
+	if e, _ := m.lastReloadError.Load().(string); e == "" {
+		t.Error("last reload error empty after a failed reload")
+	}
+}
+
+// TestHealthzReportsLastReloadError: a rejected reload's reason shows on
+// /healthz as "lastReloadError", and the next successful reload clears
+// it; a server that never failed a reload carries no such field.
+func TestHealthzReportsLastReloadError(t *testing.T) {
+	_, loaded, _ := fixture(t)
+	bad := &core.Result{
+		Embedding: embed.NewEmbedding([]string{"a", "b"}, matrix.FromRows([][]float64{{1, 2}, {3, 4}})),
+		Textifier: loaded.Textifier,
+		Config:    loaded.Config,
+	}
+	next := make(chan *core.Result, 1)
+	srv := New(loaded, Config{Loader: func() (*core.Result, error) { return <-next, nil }})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	health := func() map[string]any {
+		var h map[string]any
+		if code := getJSON(t, ts.URL+"/healthz", &h); code != http.StatusOK {
+			t.Fatalf("healthz status %d", code)
+		}
+		return h
+	}
+	if h := health(); h["lastReloadError"] != nil {
+		t.Fatalf("fresh server reports lastReloadError %v", h["lastReloadError"])
+	}
+	next <- bad
+	err := srv.Reload()
+	if err == nil {
+		t.Fatal("dim-mismatched bundle accepted")
+	}
+	if got := health()["lastReloadError"]; got != err.Error() {
+		t.Errorf("healthz lastReloadError = %v, want %q", got, err.Error())
+	}
+	next <- altFixture(t)
+	if err := srv.Reload(); err != nil {
+		t.Fatalf("reload: %v", err)
+	}
+	if h := health(); h["lastReloadError"] != nil || h["generation"] != float64(2) {
+		t.Errorf("after a successful reload: lastReloadError %v, generation %v; want none, 2",
+			h["lastReloadError"], h["generation"])
 	}
 }
 
@@ -453,12 +494,11 @@ func TestPanicBecomesCounted500(t *testing.T) {
 	if vec := featurizeOnce(t, ts.URL); vec == nil {
 		t.Fatal("daemon dead after a recovered panic")
 	}
-	snap := srv.metrics.snapshot()
-	if snap.PanicsTotal != 1 {
-		t.Errorf("panicsTotal = %d, want 1", snap.PanicsTotal)
+	if got := srv.metrics.panics.Value(); got != 1 {
+		t.Errorf("panics total = %v, want 1", got)
 	}
-	if snap.ResponsesByStatus["500"] != 1 {
-		t.Errorf("responsesByStatus[500] = %d, want 1", snap.ResponsesByStatus["500"])
+	if got := srv.metrics.statuses.With("500").Value(); got != 1 {
+		t.Errorf("500 responses = %v, want 1", got)
 	}
 }
 

@@ -4,37 +4,56 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/resilience"
 )
 
 // Dependency names: one circuit breaker each, fixed for the life of the
-// server. The ANN index and row cache degrade (brute-force scan, cache
-// bypass); reload fails fast.
+// server. The ANN index degrades to a brute-force scan; reload fails
+// fast.
 const (
-	depANN      = "ann"
-	depReload   = "reload"
-	depRowCache = "rowcache"
+	depANN    = "ann"
+	depReload = "reload"
 )
 
 // depNames is the fixed breaker set, in display order.
-var depNames = []string{depANN, depReload, depRowCache}
+var depNames = []string{depANN, depReload}
 
-// shedReasons are the fixed leva_shed_total label values: capacity
-// (limit reached, queue full or disabled), queue_timeout (queued too
-// long), client_gone (caller vanished while queued).
-var shedReasons = []string{"capacity", "queue_timeout", "client_gone"}
+// chaosHTTP is the request-level chaos target (see withChaosHTTP).
+const chaosHTTP = "http"
 
-// guards bundles the fault-tolerance machinery a store needs on its
-// read path. One guards value is shared by every store generation —
-// breaker history must survive hot reloads (a reload explicitly resets
-// the breakers it repairs; a swap must not do so implicitly).
-type guards struct {
-	chaos    *resilience.Chaos
-	breakers map[string]*resilience.Breaker
+// chaosTargets are the chaos targets the server consults: "http" in
+// the request middleware, "ann" around every index search. A rule for
+// any other target would arm nothing, so one is refused instead.
+var chaosTargets = []string{chaosHTTP, depANN}
+
+// ErrUnknownChaosTarget reports a chaos rule for a target the server
+// never consults.
+var ErrUnknownChaosTarget = errors.New("serve: unknown chaos target")
+
+// CheckChaosTargets rejects a chaos source holding a rule for a target
+// outside the consulted set, naming the target. levad calls it on its
+// -chaos spec; POST /admin/chaos applies the same check per rule.
+func CheckChaosTargets(c *resilience.Chaos) error {
+	for _, target := range c.Targets() {
+		if err := checkChaosTarget(target); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func checkChaosTarget(target string) error {
+	if slices.Contains(chaosTargets, target) {
+		return nil
+	}
+	return fmt.Errorf("%w %q (consulted targets: %s)", ErrUnknownChaosTarget, target, strings.Join(chaosTargets, ", "))
 }
 
 // newBreakers builds the per-dependency breaker set, wired into the
@@ -118,9 +137,9 @@ func (s *Server) depCall(ctx context.Context, dep string, fn func(context.Contex
 }
 
 // withDeadline folds the client's X-Leva-Deadline-Ms budget into the
-// request context — downstream work (batching, featurization, injected
-// chaos latency, the dependency budget) all descend from it, so the
-// whole pipeline stops the moment the caller stops waiting. Abandoned
+// request context — downstream work (featurization, neighbor search,
+// injected chaos latency, the dependency budget) all descends from it,
+// so the whole pipeline stops the moment the caller stops waiting. Abandoned
 // requests are counted by why they were abandoned.
 func (s *Server) withDeadline(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -154,7 +173,7 @@ func (s *Server) withChaosHTTP(h http.Handler) http.Handler {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		d := s.chaos.Decide("http")
+		d := s.chaos.Decide(chaosHTTP)
 		if d.Delay > 0 {
 			if resilience.Sleep(r.Context(), d.Delay) != nil {
 				writeErrorReason(w, http.StatusServiceUnavailable, "deadline_exceeded",
@@ -243,6 +262,12 @@ func (s *Server) handleChaos(w http.ResponseWriter, r *http.Request) {
 		if err := dec.Decode(&req); err != nil {
 			writeError(w, http.StatusBadRequest, "malformed request: %v", err)
 			return
+		}
+		for target := range req.Rules {
+			if err := checkChaosTarget(target); err != nil {
+				writeErrorReason(w, http.StatusBadRequest, "unknown_chaos_target", "%v", err)
+				return
+			}
 		}
 		if req.Seed != nil {
 			s.chaos.Reseed(*req.Seed)

@@ -109,16 +109,14 @@ func TestNeighborsDegradeUnderChaos(t *testing.T) {
 		}
 	}
 
-	var snap metricsSnapshot
-	getJSON(t, ts.URL+"/metrics?format=json", &snap)
-	if snap.Resilience.Breakers["ann"] != "open" {
-		t.Errorf("ann breaker %q after %d consecutive failures, want open", snap.Resilience.Breakers["ann"], n)
+	if st := srv.breakers["ann"].State(); st != resilience.StateOpen {
+		t.Errorf("ann breaker %v after %d consecutive failures, want open", st, n)
 	}
-	if snap.Resilience.DegradedTotal != n {
-		t.Errorf("degradedTotal = %d, want %d", snap.Resilience.DegradedTotal, n)
+	if got := srv.metrics.degraded.With("neighbors").Value(); got != n {
+		t.Errorf("degraded neighbors = %v, want %d", got, n)
 	}
-	if !snap.Resilience.ChaosEnabled {
-		t.Error("snapshot says chaos is disabled")
+	if !srv.chaos.Enabled() {
+		t.Error("chaos reported disabled")
 	}
 
 	// The transition is deterministic under the fixed seed: exactly one
@@ -248,51 +246,6 @@ func TestChaosLatencyBoundedByDependencyTimeout(t *testing.T) {
 	}
 }
 
-// TestRowCacheChaosBypass: injected row-cache faults brown out into
-// cache bypass — featurize answers stay correct and cache-cold, never
-// errors.
-func TestRowCacheChaosBypass(t *testing.T) {
-	_, loaded, spec := fixture(t)
-	srv := New(loaded, Config{
-		Chaos: mustChaos(t, "seed=4;rowcache:err=1"),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	body := mustJSON(map[string]any{
-		"table": spec.BaseTable,
-		"rows":  []any{jsonRow(spec.DB.Table(spec.BaseTable), 0)},
-	})
-	var first [][]float64
-	for i := 0; i < 2; i++ {
-		resp, raw := postFeaturize(t, ts.URL, json.RawMessage(body))
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d: status %d (%s)", i, resp.StatusCode, raw)
-		}
-		var out featurizeResponse
-		if err := json.Unmarshal(raw, &out); err != nil {
-			t.Fatal(err)
-		}
-		if out.CacheHits != 0 {
-			t.Fatalf("request %d: %d cache hits while the row cache is chaos-bypassed", i, out.CacheHits)
-		}
-		if i == 0 {
-			first = out.Features
-		} else {
-			for j := range first[0] {
-				if out.Features[0][j] != first[0][j] {
-					t.Fatalf("feature %d differs across bypassed recomputes: %v vs %v", j, out.Features[0][j], first[0][j])
-				}
-			}
-		}
-	}
-	var snap metricsSnapshot
-	getJSON(t, ts.URL+"/metrics?format=json", &snap)
-	if snap.Resilience.DegradedTotal < 2 {
-		t.Errorf("degradedTotal = %d, want >= 2 (one cache bypass per request)", snap.Resilience.DegradedTotal)
-	}
-}
-
 // TestReloadResetsOpenBreaker: a successful hot reload replaces and
 // revalidates the ANN index, so it must reset the open ann breaker and
 // restore full (non-degraded) service.
@@ -315,10 +268,8 @@ func TestReloadResetsOpenBreaker(t *testing.T) {
 			t.Fatalf("request %d: status %d degraded=%v, want a degraded 200", i, code, out.Degraded)
 		}
 	}
-	var snap metricsSnapshot
-	getJSON(t, ts.URL+"/metrics?format=json", &snap)
-	if snap.Resilience.Breakers["ann"] != "open" {
-		t.Fatalf("ann breaker %q after tripping, want open", snap.Resilience.Breakers["ann"])
+	if st := srv.breakers["ann"].State(); st != resilience.StateOpen {
+		t.Fatalf("ann breaker %v after tripping, want open", st)
 	}
 
 	// Stop injecting faults, then repair via hot reload.
@@ -341,9 +292,8 @@ func TestReloadResetsOpenBreaker(t *testing.T) {
 		t.Fatalf("reload: status %d (%s)", resp.StatusCode, body)
 	}
 
-	getJSON(t, ts.URL+"/metrics?format=json", &snap)
-	if snap.Resilience.Breakers["ann"] != "closed" {
-		t.Errorf("ann breaker %q after successful reload, want closed", snap.Resilience.Breakers["ann"])
+	if st := srv.breakers["ann"].State(); st != resilience.StateClosed {
+		t.Errorf("ann breaker %v after successful reload, want closed", st)
 	}
 	var hz struct {
 		Status string `json:"status"`
@@ -416,9 +366,8 @@ func TestDeadlineHeader(t *testing.T) {
 	// returns; poll briefly to avoid racing it.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		var snap metricsSnapshot
-		getJSON(t, ts.URL+"/metrics?format=json", &snap)
-		if snap.Resilience.AbandonedTotal >= 1 {
+		m := srv.metrics
+		if m.abandoned.With("deadline").Value()+m.abandoned.With("disconnect").Value() >= 1 {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -508,17 +457,15 @@ func TestQueueShedsWithRetryAfter(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("admitted request: status %d, want 200", code)
 	}
-	var snap metricsSnapshot
-	getJSON(t, ts.URL+"/metrics?format=json", &snap)
-	if snap.ShedTotal != 2 {
-		t.Errorf("shedTotal = %d, want 2", snap.ShedTotal)
+	if got := srv.metrics.shed.Value(); got != 2 {
+		t.Errorf("shed total = %v, want 2", got)
 	}
-	total := int64(0)
-	for _, n := range snap.Resilience.ShedByReason {
-		total += n
+	total := 0.0
+	for _, reason := range []string{"capacity", "queue_timeout", "client_gone"} {
+		total += srv.metrics.shedByReason.With(reason).Value()
 	}
 	if total != 2 {
-		t.Errorf("shedByReason sums to %d (%v), want 2", total, snap.Resilience.ShedByReason)
+		t.Errorf("shed by reason sums to %v, want 2", total)
 	}
 }
 
@@ -581,6 +528,42 @@ func TestAdminChaosEndpoint(t *testing.T) {
 	}
 	if r := reasonOf(t, body); r != "chaos_disabled" {
 		t.Errorf("chaos-less server: reason %q, want chaos_disabled", r)
+	}
+}
+
+// TestAdminChaosRejectsUnknownTarget: a POST naming a target the
+// server never consults answers 400 unknown_chaos_target and changes
+// nothing — not the seed, not the enabled flag, not the other rules in
+// the same body.
+func TestAdminChaosRejectsUnknownTarget(t *testing.T) {
+	_, loaded, _ := fixture(t)
+	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;ann:err=0.5")})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/admin/chaos", "application/json", strings.NewReader(
+		`{"enabled": false, "seed": 9, "rules": {"http": {"errRate": 0.2}, "rowcache": {"errRate": 1}}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("unknown target: status %d, want 400 (%s)", resp.StatusCode, body)
+	}
+	if r := reasonOf(t, body); r != "unknown_chaos_target" {
+		t.Errorf("unknown target: reason %q, want unknown_chaos_target", r)
+	}
+	if !strings.Contains(string(body), "rowcache") {
+		t.Errorf("unknown target: error does not name the target: %s", body)
+	}
+
+	var state chaosState
+	if code := getJSON(t, ts.URL+"/admin/chaos", &state); code != http.StatusOK {
+		t.Fatalf("GET /admin/chaos: status %d", code)
+	}
+	if !state.Enabled || state.Seed != 5 || len(state.Rules) != 1 || state.Rules["ann"].ErrRate != 0.5 {
+		t.Errorf("chaos state changed by a rejected POST: %+v", state)
 	}
 }
 

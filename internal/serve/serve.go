@@ -3,9 +3,8 @@
 // Section 2's "build the embedding once, featurize any downstream
 // task"). It wraps a loaded core.Result in a read-optimized,
 // concurrency-safe store — token→vector lookups straight off the
-// embedding index, an LRU cache of fully-featurized rows, and an
-// optional micro-batcher that coalesces concurrent single-row requests
-// — and exposes it over HTTP:
+// embedding index and an LRU cache of fully-featurized rows — and
+// exposes it over HTTP:
 //
 //	POST /v1/featurize        rows in, dense feature vectors out
 //	GET  /v1/embedding/{token} one embedding vector
@@ -13,17 +12,16 @@
 //	POST /v1/neighbors        token (GET) or raw vector (POST), when an
 //	                          ANN index is configured
 //	GET  /healthz             liveness + degradation (per-breaker state)
-//	GET  /metrics             Prometheus text (?format=json for the
-//	                          legacy JSON snapshot)
+//	GET  /metrics             Prometheus text
 //	GET  /admin/chaos         chaos-harness state (POST to reconfigure;
 //	                          503 unless started with a chaos source)
 //
 // The HTTP layer carries the production plumbing: deadline propagation
 // (clients bound their wait with X-Leva-Deadline-Ms and the context
-// flows through featurize/batch/neighbors), an adaptive AIMD
+// flows through featurize/neighbors), an adaptive AIMD
 // concurrency limiter with a short bounded queue that sheds excess
 // load with Retry-After-carrying 429s, per-dependency circuit breakers
-// with degraded fallbacks (brute-force neighbor scans, cache bypass),
+// with a degraded fallback (brute-force neighbor scans),
 // per-request timeouts, structured request logging, and graceful
 // shutdown that drains in-flight requests. internal/resilience holds
 // the mechanisms; cmd/levad is the daemon around this package.
@@ -73,9 +71,10 @@ type Config struct {
 	// admitting recovery probes. Default 5s.
 	BreakerOpenFor time.Duration
 	// Chaos, when non-nil, arms the request-level chaos harness: faults
-	// from this seeded source are injected per its rules ("http", "ann",
-	// "rowcache" targets) and /admin/chaos can reconfigure it at
-	// runtime. Nil — the default — means no fault injection, ever.
+	// from this seeded source are injected per its rules for the "http"
+	// and "ann" targets (see CheckChaosTargets), and /admin/chaos can
+	// reconfigure it at runtime. Nil — the default — means no fault
+	// injection, ever.
 	Chaos *resilience.Chaos
 	// DisableFallback turns off degraded serving: a breaker-open or
 	// failing ANN dependency answers 503 with an error taxonomy instead
@@ -87,18 +86,12 @@ type Config struct {
 	// CacheSize is the LRU capacity (fully-featurized rows). Default
 	// 4096 entries; negative disables the cache.
 	CacheSize int
-	// BatchWindow, when positive, enables micro-batching: cache-miss
-	// rows wait up to this long to be grouped with rows from
-	// concurrent requests before featurizing. Off by default.
-	BatchWindow time.Duration
-	// BatchMax caps rows per micro-batch. Default 64.
-	BatchMax int
 	// MaxRowsPerRequest bounds one featurize call. Default 1024.
 	MaxRowsPerRequest int
 	// MaxBodyBytes bounds the request body. Default 8 MiB.
 	MaxBodyBytes int64
-	// Workers caps the goroutines featurizing one batch. 0 means
-	// GOMAXPROCS.
+	// Workers caps the goroutines featurizing one request's rows. 0
+	// means GOMAXPROCS.
 	Workers int
 	// Logger receives one structured record per request. Nil disables
 	// request logging.
@@ -157,9 +150,6 @@ func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
 	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
 	if c.MaxRowsPerRequest <= 0 {
 		c.MaxRowsPerRequest = 1024
 	}
@@ -182,13 +172,11 @@ type Server struct {
 	ln      net.Listener
 
 	// limiter is the adaptive admission controller behind every
-	// data-plane endpoint; breakers guard the dependencies (see
-	// depNames); chaos is the optional fault source; guards hands the
-	// breaker/chaos pair to each store generation.
+	// data-plane endpoint; breakers protect the dependencies (see
+	// depNames); chaos is the optional fault source.
 	limiter  *resilience.Limiter
 	breakers map[string]*resilience.Breaker
 	chaos    *resilience.Chaos
-	guards   *guards
 
 	// reloadMu serializes reloads (and the shutdown/reload handoff):
 	// overlapping SIGHUPs queue behind each other instead of
@@ -229,7 +217,6 @@ func New(res *core.Result, cfg Config) *Server {
 	})
 	m.setLimiter(s.limiter)
 	s.breakers = s.newBreakers()
-	s.guards = &guards{chaos: s.chaos, breakers: s.breakers}
 	if s.chaos != nil {
 		s.chaos.OnInject = func(target, kind string) {
 			m.chaosInjections.With(target, kind).Inc()
@@ -238,7 +225,7 @@ func New(res *core.Result, cfg Config) *Server {
 			m.chaosEnabled.Set(1)
 		}
 	}
-	first := newStore(res, cfg.Index, cfg, m, s.guards)
+	first := newStore(res, cfg.Index, cfg, m)
 	first.gen = 1
 	s.st.Store(first)
 	m.generation.Set(1)
@@ -277,8 +264,8 @@ func (s *Server) curStore() *store { return s.st.Load() }
 func (s *Server) Registry() *obs.Registry { return s.metrics.reg }
 
 // acquireStore pins the serving store for one request: the returned
-// store stays fully usable (batcher included) until release, even if a
-// reload swaps it out mid-request. The re-check loop closes the race
+// store stays fully usable (its mappings included) until release, even
+// if a reload swaps it out mid-request. The re-check loop closes the race
 // where a swap lands between Load and the ref increment — if the store
 // we grabbed is no longer current it may already be retired, so drop
 // it and take the new one.
@@ -327,8 +314,8 @@ func (s *Server) Serve() error {
 
 // Shutdown stops accepting new connections and drains in-flight
 // requests until they finish or ctx expires, then retires the serving
-// store (its micro-batcher stops once the last drained request lets go
-// of it). Further reloads are refused.
+// store (its mappings are released once the last drained request lets
+// go of it). Further reloads are refused.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.httpSrv.Shutdown(ctx)
 	s.reloadMu.Lock()

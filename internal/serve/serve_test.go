@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -310,9 +309,8 @@ func TestSaturationSheds429(t *testing.T) {
 		t.Fatalf("admitted request: status %d, want 200", code)
 	}
 
-	snap := srv.metrics.snapshot()
-	if snap.ShedTotal != 1 {
-		t.Errorf("shedTotal = %d, want 1", snap.ShedTotal)
+	if got := srv.metrics.shed.Value(); got != 1 {
+		t.Errorf("shed total = %v, want 1", got)
 	}
 }
 
@@ -412,93 +410,24 @@ func TestMetricsAndCacheCounters(t *testing.T) {
 		}
 	}
 
-	resp, err := http.Get(ts.URL + "/metrics?format=json")
-	if err != nil {
-		t.Fatal(err)
+	m := srv.metrics
+	if got := m.requests.With("featurize").Value(); got != 2 {
+		t.Errorf("featurize count = %v, want 2", got)
 	}
-	var snap metricsSnapshot
-	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
-		t.Fatal(err)
+	if got := m.requests.With("healthz").Value(); got != 1 {
+		t.Errorf("healthz count = %v, want 1", got)
 	}
-	resp.Body.Close()
-	if got := snap.Requests["featurize"].Count; got != 2 {
-		t.Errorf("featurize count = %d, want 2", got)
+	if got := m.statuses.With("200").Value(); got < 3 {
+		t.Errorf("200 responses = %v, want >= 3", got)
 	}
-	if snap.Requests["healthz"].Count != 1 {
-		t.Errorf("healthz count = %d, want 1", snap.Requests["healthz"].Count)
+	if hits, misses := m.cacheHits.Value(), m.cacheMisses.Value(); hits != 1 || misses != 1 {
+		t.Errorf("row cache = %v hits / %v misses, want 1 / 1", hits, misses)
 	}
-	if snap.ResponsesByStatus["200"] < 3 {
-		t.Errorf("responsesByStatus[200] = %d, want >= 3", snap.ResponsesByStatus["200"])
+	if got := m.rowsFeaturized.Value(); got != 2 {
+		t.Errorf("rows featurized = %v, want 2", got)
 	}
-	if snap.Cache.Hits != 1 || snap.Cache.Misses != 1 || snap.Cache.HitRate != 0.5 {
-		t.Errorf("cache snapshot = %+v, want 1 hit / 1 miss", snap.Cache)
-	}
-	if snap.RowsFeaturizedTotal != 2 {
-		t.Errorf("rowsFeaturizedTotal = %d, want 2", snap.RowsFeaturizedTotal)
-	}
-	if snap.Requests["featurize"].LatencyP50Ms <= 0 {
-		t.Errorf("featurize p50 = %v, want > 0", snap.Requests["featurize"].LatencyP50Ms)
-	}
-}
-
-func TestMicroBatchingCoalesces(t *testing.T) {
-	_, loaded, spec := fixture(t)
-	// Cache off so every request reaches the batcher.
-	srv := New(loaded, Config{CacheSize: -1, BatchWindow: 5 * time.Millisecond, BatchMax: 64})
-	defer srv.Shutdown(context.Background())
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	base := spec.DB.Table(spec.BaseTable)
-	want, err := loaded.Featurize(base.SelectRows(seq(8)), spec.BaseTable, nil, func(int) int { return -1 })
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	feats := make([][]float64, 8)
-	errs := make([]error, 8)
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			body := mustJSON(map[string]any{
-				"table": spec.BaseTable,
-				"rows":  []any{jsonRow(base, i)},
-			})
-			resp, err := http.Post(ts.URL+"/v1/featurize", "application/json", strings.NewReader(body))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs[i] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			var out featurizeResponse
-			if errs[i] = json.NewDecoder(resp.Body).Decode(&out); errs[i] == nil {
-				feats[i] = out.Features[0]
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		for j := range want[i] {
-			if feats[i][j] != want[i][j] {
-				t.Fatalf("row %d feature %d: got %v, want %v", i, j, feats[i][j], want[i][j])
-			}
-		}
-	}
-	snap := srv.metrics.snapshot()
-	if snap.BatchedRowsTotal != 8 {
-		t.Errorf("batchedRowsTotal = %d, want 8", snap.BatchedRowsTotal)
-	}
-	if snap.BatchesTotal == 0 || snap.BatchesTotal > 8 {
-		t.Errorf("batchesTotal = %d, want within [1, 8]", snap.BatchesTotal)
+	if p50 := m.latency.With("featurize").Quantile(0.50); p50 <= 0 {
+		t.Errorf("featurize p50 = %v, want > 0", p50)
 	}
 }
 

@@ -15,20 +15,17 @@ import (
 
 // store is the read path between the HTTP handlers and the loaded
 // embedding: concurrency-safe token→vector lookups (the embedding index
-// is immutable after load, so reads need no locking), an LRU cache of
-// fully-featurized rows keyed by row content, and an optional
-// micro-batcher that groups cache misses from concurrent requests into
-// one parallel featurize pass.
+// is immutable after load, so reads need no locking) and an LRU cache
+// of fully-featurized rows keyed by row content.
 //
 // Stores are immutable snapshots: a hot reload builds a whole new store
-// (fresh cache, fresh batcher) around the new bundle and swaps it in
-// atomically, so one request only ever sees one bundle version. The
-// refs counter retires a replaced store — its batcher shuts down when
-// the last in-flight request using it finishes, never under one.
+// (fresh cache) around the new bundle and swaps it in atomically, so
+// one request only ever sees one bundle version. The refs counter
+// retires a replaced store — its mappings are released when the last
+// in-flight request using it finishes, never under one.
 type store struct {
 	res     *core.Result
 	cache   *lruCache
-	batcher *batcher
 	metrics *metrics
 	workers int
 
@@ -41,11 +38,6 @@ type store struct {
 	// queries are not cached: their keys would be unbounded). Nil when
 	// the index is absent or caching is disabled.
 	annCache *lruCache
-
-	// guards carries the server's circuit breakers and chaos source —
-	// shared across store generations so breaker history survives a hot
-	// reload. Nil in direct store tests.
-	guards *guards
 
 	// owned lists the file mappings this store releases when it
 	// retires. newStore seeds it with the store's own bundle, always
@@ -69,8 +61,8 @@ type store struct {
 // or an index (*ann.Index) loaded with mmap. Unmap is idempotent.
 type mapping interface{ Unmap() error }
 
-func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics, g *guards) *store {
-	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers, guards: g, owned: []mapping{res, ix}}
+func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics) *store {
+	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers, owned: []mapping{res, ix}}
 	s.refs.Store(1) // the serving reference
 	if cfg.CacheSize > 0 {
 		s.cache = newLRU(cfg.CacheSize)
@@ -91,24 +83,17 @@ func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics, g *guards
 		m.quantEnabled.Set(0)
 		m.quantArenaBytes.Set(0)
 	}
-	if cfg.BatchWindow > 0 {
-		s.batcher = newBatcher(cfg.BatchWindow, cfg.BatchMax, s.runBatch)
-	}
 	return s
 }
 
-// release drops one reference; the last drop stops the batcher's gather
-// loop and returns every mapping the store owns to the kernel — a
-// retired generation must not keep its pages resident for the life of
-// the process.
+// release drops one reference; the last drop returns every mapping the
+// store owns to the kernel — a retired generation must not keep its
+// pages resident for the life of the process.
 // Idempotence of the close is guarded so the acquire/swap race (see
 // Server.acquireStore) cannot close twice.
 func (s *store) release() {
 	if s.refs.Add(-1) <= 0 {
 		s.closeOnce.Do(func() {
-			if s.batcher != nil {
-				s.batcher.close()
-			}
 			for _, m := range s.owned {
 				_ = m.Unmap()
 			}
@@ -172,45 +157,13 @@ func cacheKey(j *rowJob) string {
 	return b.String()
 }
 
-// cacheGate decides — once per request — whether the row cache may be
-// used, routing the decision through the rowcache circuit breaker and
-// chaos target. The in-memory LRU cannot fail on its own; the breaker
-// exists so injected cache faults (and any future remote cache) brown
-// out into cache bypass — every row recomputed, correctness kept —
-// instead of failed requests.
-func (s *store) cacheGate() bool {
-	if s.cache == nil {
-		return false
-	}
-	g := s.guards
-	if g == nil || g.breakers[depRowCache] == nil {
-		return true
-	}
-	done, err := g.breakers[depRowCache].Allow()
-	if err != nil {
-		s.metrics.depCalls.With(depRowCache, "open").Inc()
-		s.metrics.degraded.With("featurize").Inc()
-		return false
-	}
-	if d := g.chaos.Decide(depRowCache); d.Err {
-		done(false)
-		s.metrics.depCalls.With(depRowCache, "error").Inc()
-		s.metrics.degraded.With("featurize").Inc()
-		return false
-	}
-	done(true)
-	s.metrics.depCalls.With(depRowCache, "ok").Inc()
-	return true
-}
-
 // featurizeRows fills every job's out vector, serving from the cache
 // where possible, and reports the number of cache hits. Returned
 // vectors may be shared with the cache; callers must not mutate them.
 func (s *store) featurizeRows(ctx context.Context, jobs []*rowJob) (int, error) {
 	hits := 0
 	misses := jobs
-	useCache := s.cacheGate()
-	if useCache {
+	if s.cache != nil {
 		misses = misses[:0:0]
 		for _, j := range jobs {
 			if v, ok := s.cache.get(j.key); ok {
@@ -224,16 +177,10 @@ func (s *store) featurizeRows(ctx context.Context, jobs []*rowJob) (int, error) 
 		s.metrics.cacheMisses.Add(float64(len(misses)))
 	}
 	if len(misses) > 0 {
-		var err error
-		if s.batcher != nil {
-			err = s.batcher.doAll(ctx, misses)
-		} else {
-			err = s.compute(ctx, misses)
-		}
-		if err != nil {
+		if err := s.compute(ctx, misses); err != nil {
 			return hits, err
 		}
-		if useCache {
+		if s.cache != nil {
 			for _, j := range misses {
 				s.cache.put(j.key, j.out)
 			}
@@ -297,19 +244,4 @@ func annCacheKey(token string, k, ef int) string {
 	b.WriteByte(0x1e)
 	b.WriteString(strconv.Itoa(ef))
 	return b.String()
-}
-
-// runBatch is the batcher's executor: one gathered batch, featurized in
-// parallel, each job's error delivered individually.
-func (s *store) runBatch(batch []*featJob) {
-	s.metrics.batches.Inc()
-	s.metrics.batchedRows.Add(float64(len(batch)))
-	parallel.For(len(batch), s.workers, func(_ int, pr parallel.Range) {
-		for i := pr.Lo; i < pr.Hi; i++ {
-			fj := batch[i]
-			j := fj.job
-			j.out, fj.err = s.res.FeaturizeRow(j.t, j.table, j.exclude, 0, j.graphRow, j.mode)
-			close(fj.done)
-		}
-	})
 }

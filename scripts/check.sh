@@ -49,10 +49,9 @@ curl -fsS -X POST "http://$ADDR/v1/featurize" \
     -H 'Content-Type: application/json' \
     -d '{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}' \
     | grep -q '"features"'
-# /metrics serves Prometheus text by default and the legacy JSON
-# snapshot behind ?format=json; both must render from one registry.
+# /metrics serves the registry as Prometheus text.
 curl -fsS "http://$ADDR/metrics" | grep -q '^leva_http_requests_total{endpoint="featurize"} 1$'
-curl -fsS "http://$ADDR/metrics?format=json" | grep -q '"requests"'
+curl -fsS "http://$ADDR/metrics" | grep -q '^# TYPE leva_http_requests_total counter$'
 
 # The -debug-addr listener: pprof and the registry as JSON.
 DEBUG_ADDR=$(cat "$SMOKE/addr.debug")
@@ -163,7 +162,8 @@ if [ "$BEFORE" = "$AFTER" ]; then
 fi
 curl -fsS "http://$ADDR/metrics" | grep -q '^leva_reloads_total 1$'
 curl -fsS "http://$ADDR/metrics" | grep -q '^leva_bundle_generation 2$'
-curl -fsS "http://$ADDR/metrics?format=json" | grep -q '"reload"'
+curl -fsS "http://$ADDR/metrics" | grep -q '^leva_reload_failures_total 0$'
+curl -fsS "http://$ADDR/metrics" | grep -q '^leva_reload_last_unix_seconds [1-9]'
 
 kill -TERM "$LEVAD_PID"
 wait "$LEVAD_PID"
@@ -291,6 +291,15 @@ echo "ann index smoke test passed"
 # never a hung or hybrid response), the breaker transitions are visible
 # on /metrics, a saturation burst sheds 429s carrying Retry-After, and
 # disabling chaos at runtime recovers full, non-degraded service.
+# A rule for a target levad never consults would arm nothing, so it is
+# refused at startup with the named error.
+if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -addr 127.0.0.1:0 \
+    -chaos 'seed=1;rowcache:err=1' 2>"$SMOKE/levad_chaos_target.log"; then
+    echo "levad accepted a chaos rule for an unconsulted target" >&2
+    exit 1
+fi
+grep -q 'unknown chaos target "rowcache"' "$SMOKE/levad_chaos_target.log"
+
 rm -f "$SMOKE/addr"
 "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" \
     -addr 127.0.0.1:0 -ready-file "$SMOKE/addr" \
@@ -408,71 +417,72 @@ wait "$LEVAD_PID"
 echo "chaos resilience smoke test passed"
 
 # --- bundle migration smoke test --------------------------------------
-# The binary (formatVersion 5) and legacy JSON (formatVersion 3)
-# layouts must be interchangeable on the wire: convert the ann bundle
-# to the legacy layout with `leva bundle convert`, serve both against
-# the same index (the v5 daemon with -mmap, exercising the zero-copy
-# fast path), and require byte-identical /v1/featurize and
-# /v1/neighbors responses. The legacy load must warn but still serve.
+# A legacy JSON bundle (formatVersion 3; the committed fixture, since
+# nothing writes that layout any more) and its `leva bundle convert`
+# upgrade to the binary format (formatVersion 5) must be
+# interchangeable on the wire: serve both, the upgrade with -mmap
+# (the zero-copy fast path), and require byte-identical /v1/featurize
+# and /v1/embedding responses. The legacy load must warn but still
+# serve. The float ann bundle is served with its index under -mmap too,
+# as the baseline the quantization test below compares against.
+LEGACY_FIXTURE=internal/core/testdata/legacy-v3-dim6
 "$SMOKE/bin/leva" bundle info "$SMOKE/bundle_ann" > "$SMOKE/info_v4.log"
 grep -q 'version 5' "$SMOKE/info_v4.log"
 grep -q 'bundle.bin' "$SMOKE/info_v4.log"
 
-"$SMOKE/bin/leva" bundle convert -in "$SMOKE/bundle_ann" \
-    -out "$SMOKE/bundle_legacy" -format legacy > "$SMOKE/convert.log"
-"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_legacy" > "$SMOKE/info_v3.log"
+"$SMOKE/bin/leva" bundle info "$LEGACY_FIXTURE" > "$SMOKE/info_v3.log"
 grep -q 'version 3' "$SMOKE/info_v3.log"
 grep -q 'legacy JSON' "$SMOKE/info_v3.log"
+"$SMOKE/bin/leva" bundle convert -in "$LEGACY_FIXTURE" \
+    -out "$SMOKE/bundle_upgraded" > "$SMOKE/convert.log"
+"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_upgraded" > "$SMOKE/info_upgraded.log"
+grep -q 'version 5' "$SMOKE/info_upgraded.log"
+grep -q 'bundle.bin' "$SMOKE/info_upgraded.log"
 
 FEAT_BODY='{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}'
 
-rm -f "$SMOKE/addr"
-"$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" -mmap \
-    -addr 127.0.0.1:0 -ready-file "$SMOKE/addr" 2>"$SMOKE/levad_v4.log" &
-LEVAD_PID=$!
-i=0
-while [ ! -s "$SMOKE/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "levad (v4 migration run) never became ready" >&2
-        cat "$SMOKE/levad_v4.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR=$(cat "$SMOKE/addr")
-curl -fsS "http://$ADDR/healthz" | grep -q '"bundleFormat":5'
-curl -fsS -X POST "http://$ADDR/v1/featurize" \
-    -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/v4_features.json"
-curl -fsS "http://$ADDR/v1/neighbors?token=expenses:0&k=5" > "$SMOKE/v4_neighbors.json"
-kill -TERM "$LEVAD_PID"
-wait "$LEVAD_PID"
+# serve_capture <log> <name> <levad args...>: start levad, record its
+# featurize and embedding answers as <name>_features.json and
+# <name>_embedding.json, then drain it.
+serve_capture() {
+    log=$1
+    name=$2
+    shift 2
+    rm -f "$SMOKE/addr"
+    "$SMOKE/bin/levad" "$@" -addr 127.0.0.1:0 -ready-file "$SMOKE/addr" 2>"$log" &
+    LEVAD_PID=$!
+    i=0
+    while [ ! -s "$SMOKE/addr" ]; do
+        i=$((i + 1))
+        if [ "$i" -gt 100 ]; then
+            echo "levad ($name migration run) never became ready" >&2
+            cat "$log" >&2
+            exit 1
+        fi
+        sleep 0.1
+    done
+    ADDR=$(cat "$SMOKE/addr")
+    curl -fsS "http://$ADDR/healthz" > "$SMOKE/${name}_healthz.json"
+    curl -fsS -X POST "http://$ADDR/v1/featurize" \
+        -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/${name}_features.json"
+    curl -fsS "http://$ADDR/v1/embedding/expenses:0" > "$SMOKE/${name}_embedding.json"
+    kill -TERM "$LEVAD_PID"
+    wait "$LEVAD_PID"
+}
 
-rm -f "$SMOKE/addr"
-"$SMOKE/bin/levad" -bundle "$SMOKE/bundle_legacy" -index "$SMOKE/index" \
-    -addr 127.0.0.1:0 -ready-file "$SMOKE/addr" 2>"$SMOKE/levad_v3.log" &
-LEVAD_PID=$!
-i=0
-while [ ! -s "$SMOKE/addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 100 ]; then
-        echo "levad (legacy migration run) never became ready" >&2
-        cat "$SMOKE/levad_v3.log" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-ADDR=$(cat "$SMOKE/addr")
+serve_capture "$SMOKE/levad_v4.log" v4 -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" -mmap
+grep -q '"bundleFormat":5' "$SMOKE/v4_healthz.json"
+grep -q '"annVectors":[1-9]' "$SMOKE/v4_healthz.json"
+
+serve_capture "$SMOKE/levad_v3.log" v3 -bundle "$LEGACY_FIXTURE"
 grep -q 'legacy JSON bundle' "$SMOKE/levad_v3.log"
-curl -fsS "http://$ADDR/healthz" | grep -q '"bundleFormat":3'
-curl -fsS -X POST "http://$ADDR/v1/featurize" \
-    -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/v3_features.json"
-curl -fsS "http://$ADDR/v1/neighbors?token=expenses:0&k=5" > "$SMOKE/v3_neighbors.json"
-kill -TERM "$LEVAD_PID"
-wait "$LEVAD_PID"
+grep -q '"bundleFormat":3' "$SMOKE/v3_healthz.json"
 
-cmp "$SMOKE/v4_features.json" "$SMOKE/v3_features.json"
-cmp "$SMOKE/v4_neighbors.json" "$SMOKE/v3_neighbors.json"
+serve_capture "$SMOKE/levad_upgraded.log" upgraded -bundle "$SMOKE/bundle_upgraded" -mmap
+grep -q '"bundleFormat":5' "$SMOKE/upgraded_healthz.json"
+
+cmp "$SMOKE/v3_features.json" "$SMOKE/upgraded_features.json"
+cmp "$SMOKE/v3_embedding.json" "$SMOKE/upgraded_embedding.json"
 
 echo "bundle migration smoke test passed"
 
