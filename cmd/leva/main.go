@@ -11,12 +11,13 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"time"
 
@@ -174,11 +175,7 @@ func runEmbed(args []string) error {
 		res.Timings.Embed.Round(time.Millisecond))
 	printCacheReport(res)
 
-	var buf bytes.Buffer
-	if err := res.Embedding.WriteTSV(&buf); err != nil {
-		return err
-	}
-	if err := durable.WriteFile(durable.OS(), *out, buf.Bytes()); err != nil {
+	if err := durable.WriteFileFunc(durable.OS(), *out, res.Embedding.WriteTSV); err != nil {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)
@@ -383,18 +380,24 @@ func runApply(args []string) error {
 	if err != nil {
 		return err
 	}
-	var buf bytes.Buffer
-	for i, row := range x {
-		fmt.Fprintf(&buf, "%d\t", i)
-		for j, v := range row {
-			if j > 0 {
-				buf.WriteByte(' ')
+	err = durable.WriteFileFunc(durable.OS(), *out, func(w io.Writer) error {
+		var line []byte
+		for i, row := range x {
+			line = append(strconv.AppendInt(line[:0], int64(i), 10), '\t')
+			for j, v := range row {
+				if j > 0 {
+					line = append(line, ' ')
+				}
+				line = strconv.AppendFloat(line, v, 'g', -1, 64)
 			}
-			fmt.Fprintf(&buf, "%g", v)
+			line = append(line, '\n')
+			if _, err := w.Write(line); err != nil {
+				return err
+			}
 		}
-		buf.WriteByte('\n')
-	}
-	if err := durable.WriteFile(durable.OS(), *out, buf.Bytes()); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	fmt.Printf("wrote %d rows x %d features to %s\n", len(x), len(x[0]), *out)

@@ -173,28 +173,8 @@ func encodeBundleV4(r *Result) ([]byte, error) {
 		}
 	}
 
-	// Symbols: the embedding's interned name table, verbatim.
-	st := r.Embedding.Symbols()
-	n := st.Len()
-	var syms []byte
-	syms = binary.LittleEndian.AppendUint32(syms, uint32(n))
-	syms = binary.LittleEndian.AppendUint32(syms, uint32(len(st.Blob())))
-	for _, off := range st.Offsets() {
-		syms = binary.LittleEndian.AppendUint32(syms, off)
-	}
-	for _, id := range st.SortedIDs() {
-		syms = binary.LittleEndian.AppendUint32(syms, uint32(id))
-	}
-	syms = append(syms, st.Blob()...)
-
-	// Arena: the vector matrix, verbatim.
+	syms, arena := encodeEmbeddingSections(r.Embedding)
 	m := r.Embedding.Matrix()
-	arena := make([]byte, 0, 8+8*len(m.Data))
-	arena = binary.LittleEndian.AppendUint32(arena, uint32(m.Cols))
-	arena = binary.LittleEndian.AppendUint32(arena, uint32(m.Rows))
-	for _, v := range m.Data {
-		arena = binary.LittleEndian.AppendUint64(arena, math.Float64bits(v))
-	}
 
 	// Quant (optional): the int8 arena, mirroring the float arena's
 	// shape exactly.
@@ -339,50 +319,13 @@ func decodeBundleV4(data []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(symsData) < 8 {
-		return nil, fmt.Errorf("%w: symbols section is %d bytes", ErrCorrupt, len(symsData))
-	}
-	n := int(binary.LittleEndian.Uint32(symsData))
-	blobLen := int(binary.LittleEndian.Uint32(symsData[4:]))
-	if n < 0 || n >= math.MaxInt32 {
-		return nil, fmt.Errorf("%w: implausible symbol count %d", ErrCorrupt, n)
-	}
-	want := 8 + 4*(n+1) + 4*n + blobLen
-	if blobLen < 0 || len(symsData) != want {
-		return nil, fmt.Errorf("%w: symbols section is %d bytes, want %d for %d symbols / %d blob bytes",
-			ErrCorrupt, len(symsData), want, n, blobLen)
-	}
-	offs := durable.ViewU32(symsData[8:], n+1)
-	perm := durable.ViewI32(symsData[8+4*(n+1):], n)
-	blob := symsData[8+4*(n+1)+4*n:]
-	st, err := embed.FromParts(blob, offs, perm)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-
 	arenaData, err := requireSection(secs, secArena, "arena")
 	if err != nil {
 		return nil, err
 	}
-	if len(arenaData) < 8 {
-		return nil, fmt.Errorf("%w: arena section is %d bytes", ErrCorrupt, len(arenaData))
-	}
-	dim := int(binary.LittleEndian.Uint32(arenaData))
-	rows := int(binary.LittleEndian.Uint32(arenaData[4:]))
-	if dim != cfg.Dim {
-		return nil, fmt.Errorf("%w: arena dim %d != config dim %d", ErrCorrupt, dim, cfg.Dim)
-	}
-	if rows != n {
-		return nil, fmt.Errorf("%w: arena holds %d rows for %d symbols", ErrCorrupt, rows, n)
-	}
-	if int64(len(arenaData)-8) != int64(rows)*int64(dim)*8 {
-		return nil, fmt.Errorf("%w: arena section has %d data bytes, want %d",
-			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(dim)*8)
-	}
-	arena := durable.ViewF64(arenaData[8:], rows*dim)
-	e, err := embed.NewEmbeddingTable(st, &matrix.Dense{Rows: rows, Cols: dim, Data: arena})
+	e, err := decodeEmbeddingSections(symsData, arenaData, cfg.Dim)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return nil, err
 	}
 
 	res := &Result{
@@ -414,15 +357,93 @@ func decodeBundleV4(data []byte) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if q.Rows != rows || q.Cols != dim {
+		if q.Rows != e.Len() || q.Cols != e.Dim {
 			return nil, fmt.Errorf("%w: quant section is %dx%d, arena is %dx%d",
-				ErrCorrupt, q.Rows, q.Cols, rows, dim)
+				ErrCorrupt, q.Rows, q.Cols, e.Len(), e.Dim)
 		}
 		res.Quant = q
 	}
 	// The columns section is informational (the model carries the
 	// fitted order); it is validated by ReadBundleInfo, not here.
 	return res, nil
+}
+
+// encodeEmbeddingSections serializes an embedding as the payloads of
+// the symbols and arena sections: the interned name table and the
+// vector matrix, both verbatim. The stage cache stores an embedding as
+// exactly these two payloads too.
+func encodeEmbeddingSections(e *embed.Embedding) (syms, arena []byte) {
+	st := e.Symbols()
+	n := st.Len()
+	syms = make([]byte, 0, 8+4*(n+1)+4*n+len(st.Blob()))
+	syms = binary.LittleEndian.AppendUint32(syms, uint32(n))
+	syms = binary.LittleEndian.AppendUint32(syms, uint32(len(st.Blob())))
+	for _, off := range st.Offsets() {
+		syms = binary.LittleEndian.AppendUint32(syms, off)
+	}
+	for _, id := range st.SortedIDs() {
+		syms = binary.LittleEndian.AppendUint32(syms, uint32(id))
+	}
+	syms = append(syms, st.Blob()...)
+
+	m := e.Matrix()
+	arena = make([]byte, 0, 8+8*len(m.Data))
+	arena = binary.LittleEndian.AppendUint32(arena, uint32(m.Cols))
+	arena = binary.LittleEndian.AppendUint32(arena, uint32(m.Rows))
+	for _, v := range m.Data {
+		arena = binary.LittleEndian.AppendUint64(arena, math.Float64bits(v))
+	}
+	return syms, arena
+}
+
+// decodeEmbeddingSections builds an embedding of dimension dim over
+// symbols and arena section payloads. The result views both buffers,
+// which must not be mutated afterward — which is also why every
+// structural invariant is validated here. Failures wrap ErrCorrupt;
+// the decoder never panics on hostile input.
+func decodeEmbeddingSections(symsData, arenaData []byte, dim int) (*embed.Embedding, error) {
+	if len(symsData) < 8 {
+		return nil, fmt.Errorf("%w: symbols section is %d bytes", ErrCorrupt, len(symsData))
+	}
+	n := int(binary.LittleEndian.Uint32(symsData))
+	blobLen := int(binary.LittleEndian.Uint32(symsData[4:]))
+	if n < 0 || n >= math.MaxInt32 {
+		return nil, fmt.Errorf("%w: implausible symbol count %d", ErrCorrupt, n)
+	}
+	want := 8 + 4*(n+1) + 4*n + blobLen
+	if blobLen < 0 || len(symsData) != want {
+		return nil, fmt.Errorf("%w: symbols section is %d bytes, want %d for %d symbols / %d blob bytes",
+			ErrCorrupt, len(symsData), want, n, blobLen)
+	}
+	offs := durable.ViewU32(symsData[8:], n+1)
+	perm := durable.ViewI32(symsData[8+4*(n+1):], n)
+	blob := symsData[8+4*(n+1)+4*n:]
+	st, err := embed.FromParts(blob, offs, perm)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+
+	if len(arenaData) < 8 {
+		return nil, fmt.Errorf("%w: arena section is %d bytes", ErrCorrupt, len(arenaData))
+	}
+	cols := int(binary.LittleEndian.Uint32(arenaData))
+	rows := int(binary.LittleEndian.Uint32(arenaData[4:]))
+	if cols != dim {
+		return nil, fmt.Errorf("%w: arena dim %d != config dim %d", ErrCorrupt, cols, dim)
+	}
+	if rows != n {
+		return nil, fmt.Errorf("%w: arena holds %d rows for %d symbols", ErrCorrupt, rows, n)
+	}
+	if int64(len(arenaData)-8) != int64(rows)*int64(cols)*8 {
+		return nil, fmt.Errorf("%w: arena section has %d data bytes, want %d",
+			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(cols)*8)
+	}
+	arena := durable.ViewF64(arenaData[8:], rows*cols)
+	e, err := embed.NewEmbeddingTable(st, &matrix.Dense{Rows: rows, Cols: cols, Data: arena})
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return e, nil
 }
 
 // encodeQuantSection serializes a quantized arena as a quant section

@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
@@ -297,4 +300,72 @@ func TestFeaturizeTimingAccrues(t *testing.T) {
 	if res.Timings.Total() <= buildOnly {
 		t.Error("Total does not include featurize time")
 	}
+}
+
+// TestEmbedCacheEntryIsBundleSections: the embed stage caches its
+// embedding as the bundle's own symbols and arena section payloads,
+// byte for byte, and a damaged entry decodes to an error (a miss), not
+// to a wrong embedding.
+func TestEmbedCacheEntryIsBundleSections(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 5})
+	dir := t.TempDir()
+	cfg := Config{Dim: 8, Seed: 5, Method: embed.MethodMF, Workers: 1, CacheDir: filepath.Join(dir, "cache")}
+	res, err := BuildEmbedding(spec.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.SaveBundle(filepath.Join(dir, "bundle")); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "bundle", bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, _, err := bundleSections(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	entries, err := filepath.Glob(filepath.Join(dir, "cache", stageEmbed, "*"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("embed cache entries = %v (%v), want one", entries, err)
+	}
+	files, ok := NewCache(filepath.Join(dir, "cache")).Load(stageEmbed, filepath.Base(entries[0]))
+	if !ok {
+		t.Fatal("embed cache entry does not load")
+	}
+	if len(files) != 3 {
+		t.Errorf("embed cache entry holds %d files, want symbols, arena and meta", len(files))
+	}
+	if !bytes.Equal(files[artifactSymbolsFile], secs[secSymbols]) {
+		t.Error("cached symbols differ from the bundle's symbols section")
+	}
+	if !bytes.Equal(files[artifactArenaFile], secs[secArena]) {
+		t.Error("cached arena differs from the bundle's arena section")
+	}
+
+	e, err := decodeEmbedArtifact(files, res.MethodUsed, cfg.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(embeddingTSV(t, e), embeddingTSV(t, res.Embedding)) {
+		t.Error("decoded cache entry differs from the built embedding")
+	}
+	if _, err := decodeEmbedArtifact(files, res.MethodUsed, cfg.Dim+1); err == nil {
+		t.Error("entry of the wrong dimension decoded")
+	}
+	arena := files[artifactArenaFile]
+	files[artifactArenaFile] = arena[:len(arena)-8]
+	if _, err := decodeEmbedArtifact(files, res.MethodUsed, cfg.Dim); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("truncated arena: err = %v, want ErrCorrupt", err)
+	}
+}
+
+func embeddingTSV(t *testing.T, e *embed.Embedding) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.WriteTSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }

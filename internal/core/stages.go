@@ -48,8 +48,9 @@ const (
 	artifactTokensFile    = "tokens.json" // per-table textify.TokenizedTable
 	artifactGraphFile     = "graph.bin"   // graph.WriteBinary
 	artifactGraphMetaFile = "meta.json"   // graphMeta
-	artifactEmbeddingFile = "embedding.tsv"
-	artifactEmbedMetaFile = "meta.json" // embedMeta
+	artifactSymbolsFile   = "symbols.bin" // bundle symbols section payload
+	artifactArenaFile     = "arena.bin"   // bundle arena section payload
+	artifactEmbedMetaFile = "meta.json"   // embedMeta
 )
 
 // Stage fingerprint domains; bump a version when an artifact encoding
@@ -58,7 +59,7 @@ const (
 	textifyTableFPDomain = "leva/stage-textify-table/v1"
 	textifyStageFPDomain = "leva/stage-textify/v1"
 	graphStageFPDomain   = "leva/stage-graph/v1"
-	embedStageFPDomain   = "leva/stage-embed/v1"
+	embedStageFPDomain   = "leva/stage-embed/v2"
 )
 
 // TextifyStage fits the textification model and tokenizes every table
@@ -400,16 +401,16 @@ func (s *EmbedStage) Run() (e *embed.Embedding, method embed.Method, cached bool
 	return e, method, false, nil
 }
 
+// encodeEmbedArtifact stores an embedding as the bundle's own symbols
+// and arena section payloads, so a warm build views the cached bytes
+// instead of parsing them.
 func encodeEmbedArtifact(e *embed.Embedding, method embed.Method) (map[string][]byte, error) {
-	var buf bytes.Buffer
-	if err := e.WriteTSV(&buf); err != nil {
-		return nil, err
-	}
 	meta, err := json.Marshal(embedMeta{Method: method, Dim: e.Dim})
 	if err != nil {
 		return nil, err
 	}
-	return map[string][]byte{artifactEmbeddingFile: buf.Bytes(), artifactEmbedMetaFile: meta}, nil
+	syms, arena := encodeEmbeddingSections(e)
+	return map[string][]byte{artifactSymbolsFile: syms, artifactArenaFile: arena, artifactEmbedMetaFile: meta}, nil
 }
 
 func decodeEmbedArtifact(files map[string][]byte, method embed.Method, dim int) (*embed.Embedding, error) {
@@ -420,12 +421,5 @@ func decodeEmbedArtifact(files map[string][]byte, method embed.Method, dim int) 
 	if meta.Method != method {
 		return nil, fmt.Errorf("core: cached embedding was built by %q, want %q", meta.Method, method)
 	}
-	e, err := embed.ReadTSV(bytes.NewReader(files[artifactEmbeddingFile]))
-	if err != nil {
-		return nil, err
-	}
-	if e.Dim != dim {
-		return nil, fmt.Errorf("core: cached embedding has dim %d, want %d", e.Dim, dim)
-	}
-	return e, nil
+	return decodeEmbeddingSections(files[artifactSymbolsFile], files[artifactArenaFile], dim)
 }

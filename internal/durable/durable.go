@@ -14,6 +14,7 @@
 package durable
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -94,13 +95,22 @@ func (osFS) SyncDir(path string) error {
 	return err
 }
 
-// WriteFile atomically replaces path with data: the bytes are written
-// to a sibling temp file, fsynced, closed (both checked — a full disk
-// often only reports there), renamed over path, and the parent
-// directory is fsynced so the rename survives power loss. Readers of
-// path see either the old content or the new content, never a prefix.
+// WriteFile atomically replaces path with data; it is WriteFileFunc
+// with a writer that emits data in one call.
 func WriteFile(fsys FS, path string, data []byte) error {
-	err := writeFile(fsys, path, data)
+	return WriteFileFunc(fsys, path, func(w io.Writer) error { _, err := w.Write(data); return err })
+}
+
+// WriteFileFunc atomically replaces path with the bytes write streams
+// to its writer: they go to a sibling temp file through a buffer,
+// which is fsynced, closed (both checked — a full disk often only
+// reports there), renamed over path, and the parent directory is
+// fsynced so the rename survives power loss. Readers of path see
+// either the old content or the new content, never a prefix; an error
+// from write, or from any step, removes the temp file and leaves path
+// as it was.
+func WriteFileFunc(fsys FS, path string, write func(io.Writer) error) error {
+	err := writeFile(fsys, path, write)
 	if err != nil {
 		errorsTotal.Inc()
 	} else {
@@ -109,13 +119,22 @@ func WriteFile(fsys FS, path string, data []byte) error {
 	return err
 }
 
-func writeFile(fsys FS, path string, data []byte) error {
+// writeBufferSize is the buffer WriteFileFunc streams through. Writes
+// at least this large go straight to the file.
+const writeBufferSize = 64 << 10
+
+func writeFile(fsys FS, path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := fsys.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("durable: create %s: %w", tmp, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	bw := bufio.NewWriterSize(f, writeBufferSize)
+	err = write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
+	if err != nil {
 		f.Close()
 		fsys.RemoveAll(tmp)
 		return fmt.Errorf("durable: write %s: %w", tmp, err)

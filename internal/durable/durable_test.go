@@ -1,7 +1,10 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -266,5 +269,135 @@ func TestReadOrMapFile(t *testing.T) {
 	if err == nil || mapped || len(warned) != 1 ||
 		!(strings.Contains(warned[0], "plain read") || strings.Contains(warned[0], "unsupported")) {
 		t.Errorf("mapping a directory: mapped=%v, err=%v, warnings %q; want one fallback warning and the read's error", mapped, err, warned)
+	}
+}
+
+// streamChunks writes content in chunks at least as large as the
+// publish buffer, so each reaches the file as its own write and a
+// write-fault sweep has several mid-stream crash points.
+func streamChunks(content []byte) func(io.Writer) error {
+	return func(w io.Writer) error {
+		for len(content) > 0 {
+			n := min(len(content), writeBufferSize+1)
+			if _, err := w.Write(content[:n]); err != nil {
+				return err
+			}
+			content = content[n:]
+		}
+		return nil
+	}
+}
+
+// TestWriteFileFuncCrashSweep: a failure or a crash at every operation
+// of a streamed publish leaves path holding the complete old content or
+// the complete new content, never a prefix; a failure that lets cleanup
+// run also leaves no temp file.
+func TestWriteFileFuncCrashSweep(t *testing.T) {
+	oldData := []byte("old content")
+	newData := bytes.Repeat([]byte("0123456789abcdef"), 3*writeBufferSize/16+5)
+
+	probe := NewFaultFS(OS())
+	if err := WriteFileFunc(probe, filepath.Join(t.TempDir(), "probe"), streamChunks(newData)); err != nil {
+		t.Fatal(err)
+	}
+	counts := probe.Counts()
+	if counts[OpWrite] < 3 {
+		t.Fatalf("stream reached the file in %d writes, want >= 3", counts[OpWrite])
+	}
+	for _, op := range Ops {
+		for n := 1; n <= counts[op]; n++ {
+			for _, crash := range []bool{false, true} {
+				name := fmt.Sprintf("%s#%d/crash=%v", op, n, crash)
+				path := filepath.Join(t.TempDir(), "out")
+				if err := WriteFile(OS(), path, oldData); err != nil {
+					t.Fatal(err)
+				}
+				ffs := NewFaultFS(OS())
+				if crash {
+					ffs.CrashAt(op, n)
+				} else {
+					ffs.FailAt(op, n)
+				}
+				if op == OpWrite {
+					ffs.ShortWrites()
+				}
+				err := WriteFileFunc(ffs, path, streamChunks(newData))
+				got, rerr := os.ReadFile(path)
+				if rerr != nil {
+					t.Fatalf("%s: %v", name, rerr)
+				}
+				if !bytes.Equal(got, oldData) && !bytes.Equal(got, newData) {
+					t.Fatalf("%s: path holds %d bytes, neither the old (%d) nor the new (%d) content",
+						name, len(got), len(oldData), len(newData))
+				}
+				if err == nil {
+					t.Fatalf("%s: injected fault did not surface", name)
+				}
+				// A fault before the rename must leave the old content.
+				if op != OpSyncDir && !bytes.Equal(got, oldData) {
+					t.Errorf("%s: failed publish replaced the file", name)
+				}
+				if _, err := os.Stat(path + ".tmp"); !crash && !os.IsNotExist(err) {
+					t.Errorf("%s: temp file left behind", name)
+				}
+			}
+		}
+	}
+}
+
+// TestWriteFileFuncWriterError: a writer that fails mid-stream leaves
+// the old file intact, no temp file behind, and its error wrapped.
+func TestWriteFileFuncWriterError(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	if err := WriteFile(OS(), path, []byte("v1")); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	err := WriteFileFunc(OS(), path, func(w io.Writer) error {
+		if _, err := w.Write(bytes.Repeat([]byte("x"), 3*writeBufferSize)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want the writer's error", err)
+	}
+	if got, _ := os.ReadFile(path); string(got) != "v1" {
+		t.Fatalf("failed stream corrupted the target: %d bytes", len(got))
+	}
+	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
+		t.Error("temp file left behind after writer error")
+	}
+}
+
+// TestWriteFileFuncCounters: WriteFileFunc moves the publishes and
+// errors counters exactly as WriteFile does, on success and on failure.
+func TestWriteFileFuncCounters(t *testing.T) {
+	type delta struct{ publishes, errors float64 }
+	measure := func(fn func(path string, fsys FS) error, fail bool) delta {
+		pub, errs := publishesTotal.With("file").Value(), errorsTotal.Value()
+		fsys := FS(OS())
+		if fail {
+			ffs := NewFaultFS(OS())
+			ffs.FailAt(OpSync, 1)
+			fsys = ffs
+		}
+		fn(filepath.Join(t.TempDir(), "out"), fsys)
+		return delta{publishesTotal.With("file").Value() - pub, errorsTotal.Value() - errs}
+	}
+	plain := func(path string, fsys FS) error { return WriteFile(fsys, path, []byte("data")) }
+	streamed := func(path string, fsys FS) error {
+		return WriteFileFunc(fsys, path, func(w io.Writer) error { _, err := io.WriteString(w, "data"); return err })
+	}
+	for _, tc := range []struct {
+		fail bool
+		want delta
+	}{{false, delta{1, 0}}, {true, delta{0, 1}}} {
+		if got := measure(plain, tc.fail); got != tc.want {
+			t.Errorf("fail=%v: WriteFile moved counters by %+v, want %+v", tc.fail, got, tc.want)
+		}
+		if got := measure(streamed, tc.fail); got != tc.want {
+			t.Errorf("fail=%v: WriteFileFunc moved counters by %+v, want %+v", tc.fail, got, tc.want)
+		}
 	}
 }

@@ -15,20 +15,23 @@ import (
 // through ReadTSV and is trivially consumable from any language.
 func (e *Embedding) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
+	var line []byte
 	for _, name := range e.Names() {
 		if strings.ContainsAny(name, "\t\n") {
 			return fmt.Errorf("embed: name %q contains a separator", name)
 		}
-		bw.WriteString(name)
-		bw.WriteByte('\t')
+		line = append(append(line[:0], name...), '\t')
 		vec, _ := e.Vector(name)
 		for i, v := range vec {
 			if i > 0 {
-				bw.WriteByte(' ')
+				line = append(line, ' ')
 			}
-			bw.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
+			line = strconv.AppendFloat(line, v, 'g', -1, 64)
 		}
-		bw.WriteByte('\n')
+		line = append(line, '\n')
+		if _, err := bw.Write(line); err != nil {
+			return err
+		}
 	}
 	return bw.Flush()
 }

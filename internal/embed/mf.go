@@ -1,7 +1,6 @@
 package embed
 
 import (
-	"math"
 	"math/rand"
 	"sort"
 
@@ -186,19 +185,9 @@ func transitionCSR(g *graph.Graph, nodeSum []float64, workers int) *matrix.CSR {
 // transition matrix p, factorizes it to dim dimensions, and applies
 // spectral propagation when adj is non-nil.
 func factorizeWindow(p, adj *matrix.CSR, nodeSum []float64, vol float64, window, dim int, opts MFOptions) *matrix.Dense {
-	// S = (P + P^2 + ... + P^window) / window with per-row pruning.
-	s := p
-	acc := p
-	for t := 2; t <= window; t++ {
-		acc = matrix.MulCSRPruneWorkers(acc, p, opts.TopK, 1e-6, opts.Workers)
-		s = matrix.AddCSRWorkers(s, acc, opts.Workers)
-	}
-	if window > 1 {
-		s = matrix.ScaleCSR(s, 1/float64(window))
-	}
-
-	// Shifted positive PMI: M_ij = max(log(vol·S_ij / (τ·d_j)), 0).
-	m := prunePMI(s, nodeSum, vol, opts.Tau, opts.PMICap, opts.Workers)
+	// M = shifted positive PMI of (P + P^2 + ... + P^window)/window,
+	// with each power pruned per row, built in one fused row pass.
+	m := matrix.WindowPMI(p, window, opts.TopK, 1e-6, nodeSum, vol, opts.Tau, opts.PMICap, opts.Workers)
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := matrix.RandomizedSVDWorkers(m, dim, opts.Oversample, opts.PowerIters, rng, opts.Workers)
@@ -208,39 +197,6 @@ func factorizeWindow(p, adj *matrix.CSR, nodeSum []float64, vol float64, window,
 		e = matrix.ChebyshevPropagateWorkers(adj, e, opts.ChebOrder, opts.ChebMu, opts.ChebS, opts.Workers)
 	}
 	return e
-}
-
-// prunePMI maps windowed-transition probabilities to clipped shifted
-// PMI, with the rows partitioned across workers.
-func prunePMI(s *matrix.CSR, degree []float64, vol, tau, cap float64, workers int) *matrix.CSR {
-	return matrix.ShardedCSR(s.NumRows, s.NumCols, workers, func(lo, hi int, frag *matrix.CSR) {
-		for i := lo; i < hi; i++ {
-			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
-				j := s.ColIdx[p]
-				if int(j) == i {
-					// Drop self-proximity: bipartite walks return to
-					// their origin at every even step, and the
-					// resulting huge diagonal PMI would make the
-					// truncated SVD spend its dimension budget
-					// encoding node identity instead of structure.
-					continue
-				}
-				dj := degree[j]
-				if dj <= 0 || s.Vals[p] <= 0 {
-					continue
-				}
-				v := math.Log(vol * s.Vals[p] / (tau * dj))
-				if cap > 0 && v > cap {
-					v = cap
-				}
-				if v > 0 {
-					frag.ColIdx = append(frag.ColIdx, j)
-					frag.Vals = append(frag.Vals, v)
-				}
-			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
-		}
-	})
 }
 
 // padColumns widens e with zero columns up to dim (the randomized SVD

@@ -1,5 +1,7 @@
 package matrix
 
+import "repro/internal/parallel"
+
 // BesselI returns the modified Bessel function of the first kind I_n(x)
 // by direct series summation. It is accurate for the small orders and
 // arguments the spectral propagation filter uses (n <= ~30, |x| <= ~10).
@@ -41,6 +43,13 @@ func ChebyshevPropagate(adj *CSR, emb *Dense, order int, mu, s float64) *Dense {
 // products row-partitioned across workers (<= 0 means GOMAXPROCS); the
 // filter is bit-identical at every worker count because each output row
 // accumulates in sequential order on exactly one goroutine.
+//
+// The recurrence runs in five n×d buffers, allocated once and rotated
+// between steps; emb is only read. In the element loops every product
+// is rounded before the add or subtract that uses it: the explicit
+// float64 conversions forbid a compiler from fusing the two (Go spec,
+// "Floating-point operators"), so these loops round the same way on
+// every target.
 func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, workers int) *Dense {
 	if adj.NumRows != adj.NumCols || adj.NumRows != emb.Rows {
 		panic("matrix: ChebyshevPropagate shape mismatch")
@@ -61,7 +70,8 @@ func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, w
 		}
 	}
 	aPlus := NewCSR(n, n, selfLoops)
-	da := NewCSR(n, n, selfLoops) // second copy to normalize
+	da := &CSR{NumRows: n, NumCols: n, RowPtr: aPlus.RowPtr, ColIdx: aPlus.ColIdx,
+		Vals: append([]float64(nil), aPlus.Vals...)}
 	sums := da.RowSums()
 	inv := make([]float64, n)
 	for i, v := range sums {
@@ -71,38 +81,68 @@ func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, w
 	}
 	da.ScaleRows(inv)
 
-	mdot := func(x *Dense) *Dense {
-		out := da.MulDenseWorkers(x, workers)
-		out.Scale(-1)
-		scaled := x.Clone().Scale(1 - mu)
-		return out.Add(scaled)
+	// mdot writes M·x into dst (which must not alias x), row by row.
+	omu := 1 - mu
+	mdot := func(dst, x *Dense) {
+		parallel.For(n, workers, func(_ int, r parallel.Range) {
+			for i := r.Lo; i < r.Hi; i++ {
+				oi, xi := dst.Row(i), x.Row(i)
+				da.mulRow(oi, i, x)
+				for j, v := range oi {
+					oi[j] = -v + float64(xi[j]*omu)
+				}
+			}
+		})
 	}
 
+	tmp := NewDense(n, emb.Cols)
 	lx0 := emb.Clone()
-	lx1 := mdot(mdot(emb)).Scale(0.5).Sub(emb)
-	conv := lx0.Clone().Scale(BesselI(0, s))
-	conv.Sub(lx1.Clone().Scale(2 * BesselI(1, s)))
-	for i := 2; i < order; i++ {
-		lx2 := mdot(mdot(lx1))
-		lx2.Sub(lx1.Clone().Scale(2)).Sub(lx0)
-		coeff := 2 * BesselI(i, s)
-		if i%2 == 0 {
-			conv.Add(lx2.Clone().Scale(coeff))
-		} else {
-			conv.Sub(lx2.Clone().Scale(coeff))
-		}
-		lx0, lx1 = lx1, lx2
-	}
-	mm := aPlus.MulDenseWorkers(emb.Clone().Sub(conv), workers)
+	lx1 := NewDense(n, emb.Cols)
+	lx2 := NewDense(n, emb.Cols)
+	conv := NewDense(n, emb.Cols)
 
-	for i := 0; i < n; i++ {
-		row := mm.Row(i)
-		norm := L2Norm(row)
-		if norm > 1e-12 {
-			for j := range row {
-				row[j] /= norm
+	// lx1 = M²·emb/2 − emb; conv = I₀·lx0 − 2I₁·lx1.
+	mdot(tmp, emb)
+	mdot(lx1, tmp)
+	c0, c1 := BesselI(0, s), 2*BesselI(1, s)
+	for k, v := range lx1.Data {
+		v = float64(v*0.5) - emb.Data[k]
+		lx1.Data[k] = v
+		conv.Data[k] = float64(lx0.Data[k]*c0) - float64(v*c1)
+	}
+	for i := 2; i < order; i++ {
+		// lx2 = (M²·lx1 − 2·lx1) − lx0; conv ±= coeff·lx2.
+		mdot(tmp, lx1)
+		mdot(lx2, tmp)
+		coeff := 2 * BesselI(i, s)
+		for k, v := range lx2.Data {
+			v = (v - float64(lx1.Data[k]*2)) - lx0.Data[k]
+			lx2.Data[k] = v
+			if i%2 == 0 {
+				conv.Data[k] += float64(v * coeff)
+			} else {
+				conv.Data[k] -= float64(v * coeff)
 			}
 		}
+		lx0, lx1, lx2 = lx1, lx2, lx0
 	}
-	return mm
+
+	// out = row-normalized (I + A)·(emb − conv), in the spare buffer.
+	for k, v := range emb.Data {
+		tmp.Data[k] = v - conv.Data[k]
+	}
+	out := lx2
+	parallel.For(n, workers, func(_ int, r parallel.Range) {
+		for i := r.Lo; i < r.Hi; i++ {
+			row := out.Row(i)
+			aPlus.mulRow(row, i, tmp)
+			norm := L2Norm(row)
+			if norm > 1e-12 {
+				for j := range row {
+					row[j] /= norm
+				}
+			}
+		}
+	})
+	return out
 }

@@ -86,17 +86,23 @@ func (m *CSR) MulDenseWorkers(b *Dense, workers int) *Dense {
 	out := NewDense(m.NumRows, b.Cols)
 	parallel.For(m.NumRows, workers, func(_ int, r parallel.Range) {
 		for i := r.Lo; i < r.Hi; i++ {
-			oi := out.Row(i)
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				v := m.Vals[p]
-				bk := b.Row(int(m.ColIdx[p]))
-				for j, bv := range bk {
-					oi[j] += v * bv
-				}
-			}
+			m.mulRow(out.Row(i), i, b)
 		}
 	})
 	return out
+}
+
+// mulRow overwrites oi with row i of m*b, accumulating m's entries in
+// stored order.
+func (m *CSR) mulRow(oi []float64, i int, b *Dense) {
+	clear(oi)
+	for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+		v := m.Vals[p]
+		bk := b.Row(int(m.ColIdx[p]))
+		for j, bv := range bk {
+			oi[j] += v * bv
+		}
+	}
 }
 
 // TMulDense returns mᵀ * b as a dense matrix.

@@ -1,10 +1,6 @@
 package matrix
 
-import (
-	"sort"
-
-	"repro/internal/parallel"
-)
+import "repro/internal/parallel"
 
 // ShardedCSR assembles a rows x cols CSR matrix by computing contiguous
 // row ranges concurrently and concatenating the fragments in shard
@@ -14,8 +10,8 @@ import (
 // row lo is fragment row 0). Because every global row is produced by
 // exactly one shard and fragments concatenate in row order, the result
 // is bit-identical to a sequential build at every worker count. This is
-// the assembly primitive behind the parallel proximity-matrix pipeline
-// (MulCSRPruneWorkers, AddCSRWorkers, the PMI transform).
+// the assembly primitive behind the parallel proximity-matrix build
+// (WindowPMI) and the transition matrix it starts from.
 func ShardedCSR(rows, cols, workers int, fill func(lo, hi int, frag *CSR)) *CSR {
 	shards := parallel.Shards(rows, workers)
 	if len(shards) <= 1 {
@@ -50,119 +46,4 @@ func ShardedCSR(rows, cols, workers int, fill func(lo, hi int, frag *CSR)) *CSR 
 		out.Vals = append(out.Vals, f.Vals...)
 	}
 	return out
-}
-
-// MulCSRPrune computes the sparse product a*b, keeping at most topK
-// entries per output row (the largest by magnitude; topK <= 0 keeps
-// everything) and dropping entries below eps. Pruned sparse powers of
-// the transition matrix are how the windowed (NetSMF-style) proximity
-// matrix stays tractable on graphs with hub nodes.
-func MulCSRPrune(a, b *CSR, topK int, eps float64) *CSR {
-	return MulCSRPruneWorkers(a, b, topK, eps, 1)
-}
-
-// MulCSRPruneWorkers is MulCSRPrune with the output rows partitioned
-// across workers (<= 0 means GOMAXPROCS). Each worker owns a contiguous
-// row range and a private dense accumulator; the pruning decisions are
-// per-row, so the product is bit-identical at every worker count.
-func MulCSRPruneWorkers(a, b *CSR, topK int, eps float64, workers int) *CSR {
-	if a.NumCols != b.NumRows {
-		panic("matrix: MulCSRPrune shape mismatch")
-	}
-	return ShardedCSR(a.NumRows, b.NumCols, workers, func(lo, hi int, frag *CSR) {
-		// Dense accumulator with a touched-list, reset per row.
-		acc := make([]float64, b.NumCols)
-		touched := make([]int32, 0, 256)
-		type entry struct {
-			col int32
-			val float64
-		}
-		row := make([]entry, 0, 256)
-
-		for i := lo; i < hi; i++ {
-			touched = touched[:0]
-			for p := a.RowPtr[i]; p < a.RowPtr[i+1]; p++ {
-				av := a.Vals[p]
-				k := a.ColIdx[p]
-				for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-					j := b.ColIdx[q]
-					if acc[j] == 0 {
-						touched = append(touched, j)
-					}
-					acc[j] += av * b.Vals[q]
-				}
-			}
-			row = row[:0]
-			for _, j := range touched {
-				v := acc[j]
-				acc[j] = 0
-				if v > eps || v < -eps {
-					row = append(row, entry{col: j, val: v})
-				}
-			}
-			if topK > 0 && len(row) > topK {
-				sort.Slice(row, func(x, y int) bool {
-					ax, ay := row[x].val, row[y].val
-					if ax < 0 {
-						ax = -ax
-					}
-					if ay < 0 {
-						ay = -ay
-					}
-					return ax > ay
-				})
-				row = row[:topK]
-			}
-			sort.Slice(row, func(x, y int) bool { return row[x].col < row[y].col })
-			for _, e := range row {
-				frag.ColIdx = append(frag.ColIdx, e.col)
-				frag.Vals = append(frag.Vals, e.val)
-			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
-		}
-	})
-}
-
-// AddCSR returns a + b (same shape).
-func AddCSR(a, b *CSR) *CSR { return AddCSRWorkers(a, b, 1) }
-
-// AddCSRWorkers is AddCSR with the output rows partitioned across
-// workers (<= 0 means GOMAXPROCS); each row merges independently, so
-// the sum is bit-identical at every worker count.
-func AddCSRWorkers(a, b *CSR, workers int) *CSR {
-	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
-		panic("matrix: AddCSR shape mismatch")
-	}
-	return ShardedCSR(a.NumRows, a.NumCols, workers, func(lo, hi int, frag *CSR) {
-		for i := lo; i < hi; i++ {
-			pa, pb := a.RowPtr[i], b.RowPtr[i]
-			ea, eb := a.RowPtr[i+1], b.RowPtr[i+1]
-			for pa < ea || pb < eb {
-				switch {
-				case pb >= eb || (pa < ea && a.ColIdx[pa] < b.ColIdx[pb]):
-					frag.ColIdx = append(frag.ColIdx, a.ColIdx[pa])
-					frag.Vals = append(frag.Vals, a.Vals[pa])
-					pa++
-				case pa >= ea || b.ColIdx[pb] < a.ColIdx[pa]:
-					frag.ColIdx = append(frag.ColIdx, b.ColIdx[pb])
-					frag.Vals = append(frag.Vals, b.Vals[pb])
-					pb++
-				default:
-					frag.ColIdx = append(frag.ColIdx, a.ColIdx[pa])
-					frag.Vals = append(frag.Vals, a.Vals[pa]+b.Vals[pb])
-					pa++
-					pb++
-				}
-			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
-		}
-	})
-}
-
-// ScaleCSR multiplies every stored value by s in place and returns m.
-func ScaleCSR(m *CSR, s float64) *CSR {
-	for i := range m.Vals {
-		m.Vals[i] *= s
-	}
-	return m
 }

@@ -382,8 +382,12 @@ var timeLayouts = []string{
 	"2006/01/02",
 }
 
+// parseTime tries each of timeLayouts on s. Every layout begins with a
+// numeric field that time.Parse reads only from ASCII digits, so a cell
+// that starts any other way is rejected before five doomed parses
+// (each of which allocates its *time.ParseError).
 func parseTime(s string) (time.Time, bool) {
-	if len(s) < 8 || len(s) > 35 {
+	if len(s) < 8 || len(s) > 35 || s[0] < '0' || s[0] > '9' {
 		return time.Time{}, false
 	}
 	for _, layout := range timeLayouts {

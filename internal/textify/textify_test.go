@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
@@ -244,6 +245,48 @@ func TestDatetimeLayouts(t *testing.T) {
 	for _, bad := range []string{"hello", "12", "2021-13-99", ""} {
 		if _, ok := parseTime(bad); ok {
 			t.Errorf("non-date %q parsed", bad)
+		}
+	}
+}
+
+// TestParseTimeFastPathAgrees: rejecting cells that do not start with
+// an ASCII digit never changes an answer the five full parses would
+// give, whatever the first byte is.
+func TestParseTimeFastPathAgrees(t *testing.T) {
+	full := func(s string) (time.Time, bool) {
+		if len(s) < 8 || len(s) > 35 {
+			return time.Time{}, false
+		}
+		for _, layout := range timeLayouts {
+			if ts, err := time.Parse(layout, s); err == nil {
+				return ts, true
+			}
+		}
+		return time.Time{}, false
+	}
+	cases := []string{
+		// Every layout, parsed.
+		"2006-01-02T15:04:05Z", "2006-01-02T15:04:05+07:00", "2006-01-02T15:04:05.999-03:30",
+		"2006-01-02 15:04:05", "2006-01-02", "01/02/2006", "2006/01/02", "0001-01-01", "9999-12-31",
+		// Near misses starting with a digit.
+		"2006-13-02", "2006-01-32", "2006-01-02x", "1/02/2006", "01/02/06", "2006-1-02",
+		"2006-01-02T15:04:05", "2006-01-02 15:04", "20060102", "12345678", "2006.01.02",
+		// Leading non-digits: signs, space, letters, punctuation.
+		"+2006-01-02", "-2006-01-02", " 2006-01-02", "\t2006-01-02", "x2006-01-02",
+		"T2006-01-02", "/01/02/2006", ".2006-01-02", "abcdefgh", "hello world",
+		// Non-ASCII digits (fullwidth, Arabic-Indic, Devanagari).
+		"２００６-01-02", "٢٠٠٦-01-02", "२००६-01-02", "\u00a02006-01-02", "\xff2006-01-02",
+		// Length bounds.
+		"", "2006-1-2", "1/2/2006", "2006-01-02T15:04:05.123456789+07:00", "2006-01-02T15:04:05.1234567890+07:00",
+	}
+	for c := 0; c < 256; c++ {
+		cases = append(cases, string([]byte{byte(c)})+"006-01-02")
+	}
+	for _, s := range cases {
+		wantT, wantOK := full(s)
+		gotT, gotOK := parseTime(s)
+		if gotOK != wantOK || !gotT.Equal(wantT) || gotT.String() != wantT.String() {
+			t.Errorf("parseTime(%q) = %v, %v; full parse = %v, %v", s, gotT, gotOK, wantT, wantOK)
 		}
 	}
 }

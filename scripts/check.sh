@@ -187,6 +187,14 @@ grep -q 'cache: textify=rebuilt tables=0/3 graph=rebuilt embed=rebuilt' "$SMOKE/
 grep -q 'cache: textify=cached tables=3/3 graph=cached embed=cached' "$SMOKE/cache_warm.log"
 cmp "$SMOKE/cache_cold.tsv" "$SMOKE/cache_warm.tsv"
 
+# The embed entry is the bundle's symbols and arena section payloads,
+# not a TSV.
+ls "$CACHE"/embed/*/symbols.bin "$CACHE"/embed/*/arena.bin > /dev/null
+if find "$CACHE" -name embedding.tsv | grep -q .; then
+    echo "stage cache holds an embedding.tsv" >&2
+    exit 1
+fi
+
 # -metrics-dump prints the build registry (Prometheus text) on stderr,
 # and its cache counters agree with the report line: a fully warm build
 # is two hits, zero misses.
