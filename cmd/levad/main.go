@@ -33,10 +33,15 @@
 // in-flight requests for up to -drain-timeout before exiting. SIGHUP
 // (or POST /admin/reload) re-reads the bundle directory and swaps it in
 // without dropping in-flight requests; a bundle that fails validation
-// is rejected and the current one keeps serving. -mmap memory-maps the
-// bundle payload and the ANN index so loads and reloads cost page-table
-// setup plus an integrity hash instead of copying every vector; each
-// generation unmaps both files when its last request finishes.
+// is rejected and the current one keeps serving. Each load reads the
+// bundle and the ANN index concurrently. Where the platform supports it
+// (linux), the daemon memory-maps both files by default, so loads and
+// reloads cost page-table setup plus an integrity hash instead of
+// copying every vector onto the heap; each generation unmaps both files
+// when its last request finishes. A mapped file must only ever be
+// replaced through leva's rename protocol — rewriting it in place under
+// a running daemon can change served bytes or crash it with SIGBUS —
+// so pass -mmap=false to read the files onto the heap instead.
 // -quantize answers neighbor searches from an int8-quantized arena (8x
 // less memory traffic) with an exact float64 re-rank of the final beam;
 // /v1/featurize is unaffected. -chaos arms seeded fault injection on
@@ -63,6 +68,7 @@ import (
 
 	leva "repro"
 	"repro/internal/ann"
+	"repro/internal/durable"
 	"repro/internal/resilience"
 	"repro/internal/serve"
 )
@@ -93,7 +99,7 @@ func run(ctx context.Context, args []string) error {
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheSize := fs.Int("cache", 4096, "LRU entries for fully-featurized rows (0 disables)")
 	workers := fs.Int("workers", 0, "featurization worker goroutines per request (0 = all cores)")
-	mmapFiles := fs.Bool("mmap", false, "memory-map bundle.bin and index.bin instead of reading them (binary bundles on supporting platforms; reloads then cost page-table setup plus an integrity hash, not a vector copy)")
+	mmapFiles := fs.Bool("mmap", durable.MapSupported, "memory-map bundle.bin and index.bin instead of reading them onto the heap (on by default where supported; pass -mmap=false if you rewrite those files in place instead of republishing them)")
 	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; uses the bundle's quant section when present, else quantizes at startup)")
 	readyFile := fs.String("ready-file", "", "write the bound address to this file once serving (for scripts; with -debug-addr, the debug address goes to <ready-file>.debug)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /debug/vars on this separate address (disabled when empty; keep it private)")
@@ -123,9 +129,29 @@ func run(ctx context.Context, args []string) error {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	warn := func(msg string) { logger.Warn("bundle", slog.String("warning", msg)) }
 	loadOpts := leva.LoadOptions{Warn: warn, MMap: *mmapFiles}
-	res, err := leva.LoadBundleOpts(*bundle, loadOpts)
+	// Hot reload re-reads the same directories, so a deployer can
+	// publish a new bundle (and index) into them with leva's rename
+	// protocol and SIGHUP the daemon without dropping a request.
+	loadBundle := func() (*leva.Result, error) {
+		return leva.LoadBundleOpts(*bundle, loadOpts)
+	}
+	var loadIndex func() (*ann.Index, error)
+	if *indexDir != "" {
+		indexOpts := ann.LoadOptions{Warn: warn, MMap: *mmapFiles}
+		loadIndex = func() (*ann.Index, error) {
+			return ann.LoadOpts(*indexDir, indexOpts)
+		}
+	}
+	res, ix, err := serve.LoadGeneration(loadBundle, loadIndex)
 	if err != nil {
 		return err
+	}
+	if ix != nil {
+		if err := adoptIndex(res, ix, *quantize); err != nil {
+			_ = ix.Unmap()
+			_ = res.Unmap()
+			return err
+		}
 	}
 
 	cfg := serve.Config{
@@ -157,38 +183,13 @@ func run(ctx context.Context, args []string) error {
 	if !*quiet {
 		cfg.Logger = logger
 	}
-	// Hot reload re-reads the same bundle directory, so a deployer can
-	// atomically publish a new bundle in place (SaveBundle's rename
-	// protocol) and SIGHUP the daemon without dropping a request.
-	cfg.Loader = func() (*leva.Result, error) {
-		return leva.LoadBundleOpts(*bundle, loadOpts)
-	}
-	if *indexDir != "" {
-		indexOpts := ann.LoadOptions{Warn: warn, MMap: *mmapFiles}
-		ix, err := ann.LoadOpts(*indexDir, indexOpts)
-		if err != nil {
-			return fmt.Errorf("load ANN index: %w", err)
-		}
-		if ix.Dim() != res.Embedding.Dim {
-			_ = ix.Unmap()
-			return fmt.Errorf("ANN index dim %d does not match bundle embedding dim %d (rebuild with leva embed -index)",
-				ix.Dim(), res.Embedding.Dim)
-		}
-		if *quantize {
-			// The bundle's quant section is adopted zero-copy when it
-			// matches the index layout; otherwise the index quantizes
-			// its own vectors. /v1/featurize stays on the float arena
-			// either way.
-			if err := ix.Quantize(res.Quant); err != nil {
-				_ = ix.Unmap()
-				return fmt.Errorf("quantize ANN index: %w", err)
-			}
-		}
+	cfg.Loader = loadBundle
+	if ix != nil {
 		cfg.Index = ix
 		// The index reloads from the same directory alongside the
 		// bundle, so one SIGHUP swaps both atomically (or neither).
 		cfg.IndexLoader = func() (*ann.Index, error) {
-			cand, err := ann.LoadOpts(*indexDir, indexOpts)
+			cand, err := loadIndex()
 			if err != nil {
 				return nil, err
 			}
@@ -289,6 +290,25 @@ func run(ctx context.Context, args []string) error {
 		logger.Info("shutdown: drained cleanly")
 		return nil
 	}
+}
+
+// adoptIndex checks the startup index against the bundle it serves
+// with and, under -quantize, quantizes it.
+func adoptIndex(res *leva.Result, ix *ann.Index, quantize bool) error {
+	if ix.Dim() != res.Embedding.Dim {
+		return fmt.Errorf("ANN index dim %d does not match bundle embedding dim %d (rebuild with leva embed -index)",
+			ix.Dim(), res.Embedding.Dim)
+	}
+	if quantize {
+		// The bundle's quant section is adopted zero-copy when it
+		// matches the index layout; otherwise the index quantizes its
+		// own vectors. /v1/featurize stays on the float arena either
+		// way.
+		if err := ix.Quantize(res.Quant); err != nil {
+			return fmt.Errorf("quantize ANN index: %w", err)
+		}
+	}
+	return nil
 }
 
 // debugMux carries the operator-only endpoints of -debug-addr: the

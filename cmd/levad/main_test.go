@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,6 +18,7 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/embed"
 	"repro/internal/serve"
 	"repro/internal/synth"
@@ -317,6 +320,99 @@ func TestRunRefusesVersion1Index(t *testing.T) {
 	}
 }
 
+// corruptBundle republishes dir's bundle.bin, by rename, with one byte
+// flipped, so it fails its SHA-256 check against the manifest.
+func corruptBundle(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, "bundle.bin")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := durable.WriteFile(durable.OS(), path, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// corruptIndex republishes dir's index.bin, by rename, short of its
+// last 8 bytes, with a manifest that records the short file: the
+// SHA-256 check passes and Decode refuses it with ann.ErrCorrupt.
+func corruptIndex(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, ann.IndexFileName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := durable.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = data[:len(data)-8]
+	m.Files = nil
+	m.Add(ann.IndexFileName, data)
+	if err := durable.WriteFile(durable.OS(), path, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRunRefusesEitherFailedLoad: the bundle and the index load
+// concurrently, so startup can fail on either side or on both. Each
+// way, run returns an error naming every failed side, and the side
+// that did load leaves no mapping behind.
+func TestRunRefusesEitherFailedLoad(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
+	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ann.Build(res.Embedding, ann.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name          string
+		bundle, index bool
+	}{
+		{"index corrupt", false, true},
+		{"bundle corrupt", true, false},
+		{"both corrupt", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, indexDir := t.TempDir(), filepath.Join(t.TempDir(), "index")
+			if err := res.SaveBundle(dir); err != nil {
+				t.Fatal(err)
+			}
+			if err := ix.Save(indexDir); err != nil {
+				t.Fatal(err)
+			}
+			if c.bundle {
+				corruptBundle(t, dir)
+			}
+			if c.index {
+				corruptIndex(t, indexDir)
+			}
+			err := run(context.Background(), []string{"-bundle", dir, "-index", indexDir, "-addr", "127.0.0.1:0", "-quiet"})
+			if err == nil {
+				t.Fatal("daemon started on a corrupt generation")
+			}
+			if got := strings.Contains(err.Error(), "bundle.bin fails its SHA-256 check"); got != c.bundle {
+				t.Errorf("error names the corrupt bundle.bin = %v, want %v: %v", got, c.bundle, err)
+			}
+			if got := errors.Is(err, ann.ErrCorrupt); got != c.index {
+				t.Errorf("errors.Is(err, ann.ErrCorrupt) = %v, want %v: %v", got, c.index, err)
+			}
+			if b, x := fileMappings(t, dir), fileMappings(t, indexDir); b != 0 || x != 0 {
+				t.Errorf("%d bundle and %d index mappings after the refused start, want 0 and 0", b, x)
+			}
+		})
+	}
+}
+
 // TestRunRefusesUnknownChaosTarget: a -chaos rule for a target the
 // server never consults would arm nothing, so startup refuses it with
 // the named error instead.
@@ -553,21 +649,45 @@ func startDaemon(t *testing.T, args ...string) (addr string, cancel context.Canc
 	return "", nil, nil
 }
 
-// indexMappings counts this process's mappings of files under dir.
-func indexMappings(t *testing.T, dir string) int {
+// fileMappings counts this process's mappings of the file at path.
+func fileMappings(t *testing.T, path string) int {
 	t.Helper()
 	data, err := os.ReadFile("/proc/self/maps")
 	if err != nil {
 		t.Skipf("no /proc/self/maps on this platform: %v", err)
 	}
-	return strings.Count(string(data), dir)
+	return strings.Count(string(data), path)
 }
 
-// TestDaemonMMapIndexAnswersLikeLoad: a daemon started with -mmap
-// -index (with and without -quantize) answers /v1/neighbors, by token
-// and by raw vector, exactly like the same index read with ann.Load;
-// it holds one mapping of index.bin while serving and none after the
-// drain.
+// fetch returns the status and body of a GET (body "") or POST.
+func fetch(t *testing.T, target, body string) (int, []byte) {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = http.Get(target)
+	} else {
+		resp, err = http.Post(target, "application/json", strings.NewReader(body))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, data
+}
+
+// TestDaemonMMapIndexAnswersLikeLoad: levad started with no -mmap
+// flag, with -mmap and with -mmap=false, each with and without
+// -quantize, answers /v1/neighbors, by token and by raw vector, exactly
+// like the same index read with ann.Load, and answers /v1/featurize and
+// /v1/embedding with the same bytes however it loaded its files. The
+// default and -mmap hold one mapping each of bundle.bin and index.bin
+// while serving (on a platform that maps at all), -mmap=false holds
+// none, and no mapping survives the drain.
 func TestDaemonMMapIndexAnswersLikeLoad(t *testing.T) {
 	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 9})
 	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 6, Seed: 9, Method: embed.MethodMF})
@@ -587,77 +707,120 @@ func TestDaemonMMapIndexAnswersLikeLoad(t *testing.T) {
 	if err := built.Save(indexDir); err != nil {
 		t.Fatal(err)
 	}
+	bundleBin := filepath.Join(dir, "bundle.bin")
+	indexBin := filepath.Join(indexDir, ann.IndexFileName)
+	mapped := 0
+	if durable.MapSupported {
+		mapped = 1
+	}
+	base := spec.DB.Table(spec.BaseTable)
+	row := map[string]any{}
+	for _, c := range base.Columns {
+		switch v := c.Values[0]; v.Kind {
+		case 1: // KindString
+			row[c.Name] = v.Str
+		default:
+			row[c.Name] = v.Num
+		}
+	}
+	featBody := mustJSON(t, map[string]any{"table": spec.BaseTable, "rows": []any{row}, "exclude": []string{spec.Target}})
+	embToken := res.Embedding.Names()[0]
 
 	for _, quantize := range []bool{false, true} {
 		want, err := ann.Load(indexDir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		args := []string{"-bundle", dir, "-index", indexDir, "-mmap"}
 		if quantize {
 			if err := want.Quantize(res.Quant); err != nil {
 				t.Fatal(err)
 			}
-			args = append(args, "-quantize")
 		}
-		addr, cancel, done := startDaemon(t, args...)
-		if got := indexMappings(t, indexDir); got != 1 {
-			t.Errorf("quantize=%v: %d mappings of index.bin while serving, want 1", quantize, got)
-		}
-		for i, token := range want.Names() {
-			if i%5 != 0 {
-				continue
+		// The first daemon's featurize and embedding bodies; the other
+		// two must match them byte for byte.
+		var firstFeat, firstEmb []byte
+		for _, c := range []struct {
+			flags []string
+			maps  int
+		}{
+			{nil, mapped},
+			{[]string{"-mmap"}, mapped},
+			{[]string{"-mmap=false"}, 0},
+		} {
+			name := fmt.Sprintf("flags=%v quantize=%v", c.flags, quantize)
+			args := append([]string{"-bundle", dir, "-index", indexDir}, c.flags...)
+			if quantize {
+				args = append(args, "-quantize")
 			}
-			vec, _ := res.Embedding.Vector(token)
-			byName, err := want.SearchName(token, 4, 0)
-			if err != nil {
-				t.Fatal(err)
+			addr, cancel, done := startDaemon(t, args...)
+			if b, x := fileMappings(t, bundleBin), fileMappings(t, indexBin); b != c.maps || x != c.maps {
+				t.Errorf("%s: %d mappings of bundle.bin and %d of index.bin while serving, want %d each", name, b, x, c.maps)
 			}
-			byVector, err := want.SearchVector(vec, 4, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, c := range []struct {
-				body string
-				want []ann.Result
-			}{
-				{mustJSON(t, map[string]any{"token": token, "k": 4}), byName},
-				{mustJSON(t, map[string]any{"vector": vec, "k": 4}), byVector},
-			} {
-				resp, err := http.Post("http://"+addr+"/v1/neighbors", "application/json", strings.NewReader(c.body))
+			for i, token := range want.Names() {
+				if i%5 != 0 {
+					continue
+				}
+				vec, _ := res.Embedding.Vector(token)
+				byName, err := want.SearchName(token, 4, 0)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var out struct {
-					Neighbors []struct {
-						Token string  `json:"token"`
-						Score float64 `json:"score"`
-					} `json:"neighbors"`
+				byVector, err := want.SearchVector(vec, 4, 0)
+				if err != nil {
+					t.Fatal(err)
 				}
-				err = json.NewDecoder(resp.Body).Decode(&out)
-				resp.Body.Close()
-				if err != nil || resp.StatusCode != http.StatusOK || len(out.Neighbors) != len(c.want) {
-					t.Fatalf("quantize=%v %s: status %d, %d results, err %v", quantize, c.body, resp.StatusCode, len(out.Neighbors), err)
-				}
-				for j, n := range out.Neighbors {
-					if n.Token != c.want[j].Name || n.Score != c.want[j].Score {
-						t.Errorf("quantize=%v %s: neighbor %d = %s/%v, ann.Load answers %s/%v",
-							quantize, c.body, j, n.Token, n.Score, c.want[j].Name, c.want[j].Score)
+				for _, q := range []struct {
+					body string
+					want []ann.Result
+				}{
+					{mustJSON(t, map[string]any{"token": token, "k": 4}), byName},
+					{mustJSON(t, map[string]any{"vector": vec, "k": 4}), byVector},
+				} {
+					status, body := fetch(t, "http://"+addr+"/v1/neighbors", q.body)
+					var out struct {
+						Neighbors []struct {
+							Token string  `json:"token"`
+							Score float64 `json:"score"`
+						} `json:"neighbors"`
+					}
+					err := json.Unmarshal(body, &out)
+					if err != nil || status != http.StatusOK || len(out.Neighbors) != len(q.want) {
+						t.Fatalf("%s %s: status %d, %d results, err %v", name, q.body, status, len(out.Neighbors), err)
+					}
+					for j, n := range out.Neighbors {
+						if n.Token != q.want[j].Name || n.Score != q.want[j].Score {
+							t.Errorf("%s %s: neighbor %d = %s/%v, ann.Load answers %s/%v",
+								name, q.body, j, n.Token, n.Score, q.want[j].Name, q.want[j].Score)
+						}
 					}
 				}
 			}
-		}
-		cancel()
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Fatalf("daemon exit after cancel: %v", err)
+			status, feat := fetch(t, "http://"+addr+"/v1/featurize", featBody)
+			if status != http.StatusOK {
+				t.Fatalf("%s: featurize status %d: %s", name, status, feat)
 			}
-		case <-time.After(10 * time.Second):
-			t.Fatal("daemon did not exit within 10s of context cancel")
-		}
-		if got := indexMappings(t, indexDir); got != 0 {
-			t.Errorf("quantize=%v: %d mappings of index.bin after the drain, want 0", quantize, got)
+			status, emb := fetch(t, "http://"+addr+"/v1/embedding/"+url.PathEscape(embToken), "")
+			if status != http.StatusOK {
+				t.Fatalf("%s: embedding status %d: %s", name, status, emb)
+			}
+			if firstFeat == nil {
+				firstFeat, firstEmb = feat, emb
+			} else if !bytes.Equal(feat, firstFeat) || !bytes.Equal(emb, firstEmb) {
+				t.Errorf("%s: featurize or embedding body differs from the no-flag daemon's:\n%s%s\nvs\n%s%s",
+					name, feat, emb, firstFeat, firstEmb)
+			}
+			cancel()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatalf("%s: daemon exit after cancel: %v", name, err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: daemon did not exit within 10s of context cancel", name)
+			}
+			if b, x := fileMappings(t, bundleBin), fileMappings(t, indexBin); b != 0 || x != 0 {
+				t.Errorf("%s: %d mappings of bundle.bin and %d of index.bin after the drain, want 0", name, b, x)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ann"
 	"repro/internal/core"
@@ -495,5 +497,168 @@ func reloadWhileQuerying(t *testing.T, first *core.Result, cfg Config) {
 	close(errs)
 	for e := range errs {
 		t.Errorf("query under reload failed: %s", e)
+	}
+}
+
+// publishCorruptBundle republishes dir's bundle.bin, by rename, with
+// one byte flipped, so it fails its SHA-256 check against the manifest.
+func publishCorruptBundle(t *testing.T, dir string) {
+	t.Helper()
+	path := dir + "/bundle.bin"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x01
+	if err := durable.WriteFile(durable.OS(), path, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// publishCorruptIndex republishes dir's index.bin, by rename, short of
+// its last 8 bytes, with a manifest that records the short file: the
+// SHA-256 check passes and Decode refuses it with ann.ErrCorrupt.
+func publishCorruptIndex(t *testing.T, dir string) {
+	t.Helper()
+	path := dir + "/" + ann.IndexFileName
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := durable.ReadManifest(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = data[:len(data)-8]
+	m.Files = nil
+	m.Add(ann.IndexFileName, data)
+	if err := durable.WriteFile(durable.OS(), path, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReloadRejectsEitherFailedLoad: the candidate bundle and index
+// load concurrently, so a reload can fail on either side or on both.
+// Each way the reload is rejected with an error naming every failed
+// side, generation 1 keeps serving the same bytes, and both files'
+// mapping counts return to their pre-reload values: the side that did
+// load is unmapped, including a mapped index whose bundle failed.
+func TestReloadRejectsEitherFailedLoad(t *testing.T) {
+	if !durable.MapSupported {
+		t.Skip("mmap unsupported on this platform")
+	}
+	_, _, spec := fixture(t)
+	featBody := mustJSON(map[string]any{"table": spec.BaseTable, "rows": []any{jsonRow(spec.DB.Table(spec.BaseTable), 0)}})
+	for _, c := range []struct {
+		name          string
+		bundle, index bool
+	}{
+		{"index corrupt", false, true},
+		{"bundle corrupt", true, false},
+		{"both corrupt", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+			load, loadIndex := mmapLoader(dir), mmapIndexLoader(indexDir)
+			first, err := load()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ix, err := loadIndex()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// No caches, so a repeated request's body is its answer alone.
+			srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex, BreakerFailures: 100, CacheSize: -1})
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Shutdown(context.Background())
+			neighborsURL := fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, ix.Names()[0])
+			answers := func() string {
+				var b strings.Builder
+				for _, req := range []func() (*http.Response, error){
+					func() (*http.Response, error) { return http.Get(neighborsURL) },
+					func() (*http.Response, error) {
+						return http.Post(ts.URL+"/v1/featurize", "application/json", strings.NewReader(featBody))
+					},
+				} {
+					resp, err := req()
+					if err != nil {
+						t.Fatal(err)
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						t.Fatalf("status %d: %s", resp.StatusCode, body)
+					}
+					b.Write(body)
+				}
+				return b.String()
+			}
+			before := answers()
+
+			if c.bundle {
+				publishCorruptBundle(t, dir)
+			}
+			if c.index {
+				publishCorruptIndex(t, indexDir)
+			}
+			b0, x0 := countMappings(t, dir), countMappings(t, indexDir)
+			err = srv.Reload()
+			if err == nil {
+				t.Fatal("reload accepted a corrupt generation")
+			}
+			if got := strings.Contains(err.Error(), "bundle.bin fails its SHA-256 check"); got != c.bundle {
+				t.Errorf("error names the corrupt bundle.bin = %v, want %v: %v", got, c.bundle, err)
+			}
+			if got := errors.Is(err, ann.ErrCorrupt); got != c.index {
+				t.Errorf("errors.Is(err, ann.ErrCorrupt) = %v, want %v: %v", got, c.index, err)
+			}
+			if b, x := countMappings(t, dir), countMappings(t, indexDir); b != b0 || x != x0 {
+				t.Errorf("bundle mappings %d -> %d and index mappings %d -> %d across the rejected reload", b0, b, x0, x)
+			}
+			if gen := srv.curStore().gen; gen != 1 {
+				t.Errorf("generation = %d after the rejected reload, want 1", gen)
+			}
+			if after := answers(); after != before {
+				t.Errorf("answers changed across the rejected reload:\n%s\nvs\n%s", after, before)
+			}
+		})
+	}
+}
+
+// TestLoadGenerationRunsBothLoadsAtOnce: each stub loader waits for the
+// other to start, which only returns when the two run concurrently.
+func TestLoadGenerationRunsBothLoadsAtOnce(t *testing.T) {
+	_, loaded, _ := fixture(t)
+	bundleStarted, indexStarted := make(chan struct{}), make(chan struct{})
+	wait := func(ch chan struct{}, what string) error {
+		select {
+		case <-ch:
+			return nil
+		case <-time.After(10 * time.Second):
+			return fmt.Errorf("%s load never started alongside", what)
+		}
+	}
+	res, ix, err := LoadGeneration(
+		func() (*core.Result, error) {
+			close(bundleStarted)
+			return loaded, wait(indexStarted, "index")
+		},
+		func() (*ann.Index, error) {
+			close(indexStarted)
+			if err := wait(bundleStarted, "bundle"); err != nil {
+				return nil, err
+			}
+			return ann.Build(loaded.Embedding, ann.Options{Seed: 7})
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res != loaded || ix == nil || ix.Len() != loaded.Embedding.Len() {
+		t.Errorf("LoadGeneration = %p, %v; want the loaded bundle and its index", res, ix)
 	}
 }

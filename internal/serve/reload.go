@@ -20,12 +20,14 @@ var ErrReloadDisabled = errors.New("serve: hot reload disabled: no bundle loader
 var errServerClosed = errors.New("serve: reload refused: server is shut down")
 
 // Reload swaps the serving bundle with zero downtime: the candidate is
-// loaded (manifest-verified by the loader), validated against the
-// running store — embedding dimension, feature width, and featurization
-// mode must match, and a canary row must featurize cleanly — and only
-// then atomically swapped in. In-flight requests keep the store they
-// started with; new requests see the new store. Any failure leaves the
-// current store serving, untouched, and the returned error says why.
+// loaded (manifest-verified by the loader, concurrently with the
+// candidate index when an IndexLoader is configured; see
+// LoadGeneration), validated against the running store — embedding
+// dimension, feature width, and featurization mode must match, and a
+// canary row must featurize cleanly — and only then atomically swapped
+// in. In-flight requests keep the store they started with; new requests
+// see the new store. Any failure leaves the current store serving,
+// untouched, and the returned error says why.
 //
 // Reloads are serialized: concurrent calls (a double SIGHUP, an admin
 // request racing a signal) run one after another, each against the
@@ -75,36 +77,29 @@ func (s *Server) reloadLocked() error {
 	if s.cfg.Loader == nil {
 		return ErrReloadDisabled
 	}
-	res, err := s.cfg.Loader()
-	if err != nil {
-		return fmt.Errorf("serve: reload: load candidate bundle: %w", err)
-	}
 	cur := s.st.Load()
-	// A rejected candidate's mappings must not leak: every rejection
-	// unmaps the candidates loaded so far.
-	reject := func(err error, cands ...mapping) error {
-		for _, m := range cands {
-			_ = m.Unmap()
-		}
-		return fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
-	}
-	if err := validateCandidate(cur.res, res); err != nil {
-		return reject(err, res)
-	}
 	// The index reloads with the bundle when an IndexLoader is
 	// configured; otherwise the current index (possibly nil) carries
 	// forward. A candidate index that fails to load or validate rejects
 	// the whole reload — serving a new embedding against a stale index
 	// would silently return neighbors from the wrong vector space.
+	res, cand, err := LoadGeneration(s.cfg.Loader, s.cfg.IndexLoader)
+	if err == nil {
+		err = validateCandidate(cur.res, res)
+		if err == nil && s.cfg.IndexLoader != nil {
+			err = validateIndex(res, cand)
+		}
+		if err != nil {
+			// A rejected candidate's mappings must not leak.
+			_ = res.Unmap()
+			_ = cand.Unmap()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
+	}
 	ix := cur.index
 	if s.cfg.IndexLoader != nil {
-		cand, err := s.cfg.IndexLoader()
-		if err != nil {
-			return reject(fmt.Errorf("load candidate index: %w", err), res)
-		}
-		if err := validateIndex(res, cand); err != nil {
-			return reject(err, res, cand)
-		}
 		ix = cand
 	}
 	next := newStore(res, ix, s.cfg, s.metrics)
@@ -129,6 +124,47 @@ func (s *Server) reloadLocked() error {
 	// the last in-flight request using it finishes.
 	cur.release()
 	return nil
+}
+
+// LoadGeneration loads one serving generation: the bundle and, when
+// loadIndex is non-nil, the ANN index. The two loads run concurrently,
+// so the two file reads (or mappings) and SHA-256 checks overlap
+// instead of queuing. levad calls it at startup and reloadLocked on
+// every reload. When either load fails, whatever the other produced is
+// unmapped and the error names each side that failed (errors.Is sees
+// every cause); validating the pair against each other is the caller's
+// job.
+func LoadGeneration(loadBundle func() (*core.Result, error), loadIndex func() (*ann.Index, error)) (*core.Result, *ann.Index, error) {
+	var (
+		ix     *ann.Index
+		ixErr  error
+		ixDone = make(chan struct{})
+	)
+	if loadIndex != nil {
+		go func() {
+			defer close(ixDone)
+			ix, ixErr = loadIndex()
+		}()
+	} else {
+		close(ixDone)
+	}
+	res, resErr := loadBundle()
+	<-ixDone
+	if resErr == nil && ixErr == nil {
+		return res, ix, nil
+	}
+	var errs []error
+	if resErr != nil {
+		errs = append(errs, fmt.Errorf("load bundle: %w", resErr))
+	} else {
+		_ = res.Unmap()
+	}
+	if ixErr != nil {
+		errs = append(errs, fmt.Errorf("load ANN index: %w", ixErr))
+	} else {
+		_ = ix.Unmap()
+	}
+	return nil, nil, errors.Join(errs...)
 }
 
 // validateCandidate checks a candidate bundle against the serving one.

@@ -9,6 +9,11 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# Off linux, durable maps nothing (mmap_other.go) and levad's -mmap
+# default is false; nothing else builds that code, so vet it for darwin
+# and build the commands for windows.
+GOOS=darwin go vet ./cmd/... ./internal/durable ./internal/core ./internal/ann ./internal/serve
+GOOS=windows go build ./cmd/...
 go test -race ./...
 # The benchmark harness is its own module (bench/go.mod) and calls the
 # ann and core APIs; its short tests catch a change that breaks it.
@@ -449,10 +454,10 @@ grep -q 'bundle.bin' "$SMOKE/info_upgraded.log"
 
 FEAT_BODY='{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}'
 
-# serve_capture <log> <name> <levad args...>: start levad, record its
-# featurize and embedding answers as <name>_features.json and
-# <name>_embedding.json, then drain it.
-serve_capture() {
+# start_levad <log> <name> <levad args...>: start levad in the
+# background as $LEVAD_PID, logging to <log>, and wait until it serves
+# at $ADDR.
+start_levad() {
     log=$1
     name=$2
     shift 2
@@ -463,13 +468,21 @@ serve_capture() {
     while [ ! -s "$SMOKE/addr" ]; do
         i=$((i + 1))
         if [ "$i" -gt 100 ]; then
-            echo "levad ($name migration run) never became ready" >&2
+            echo "levad ($name) never became ready" >&2
             cat "$log" >&2
             exit 1
         fi
         sleep 0.1
     done
     ADDR=$(cat "$SMOKE/addr")
+}
+
+# serve_capture <log> <name> <levad args...>: start levad, record its
+# featurize and embedding answers as <name>_features.json and
+# <name>_embedding.json, then drain it.
+serve_capture() {
+    start_levad "$@"
+    name=$2
     curl -fsS "http://$ADDR/healthz" > "$SMOKE/${name}_healthz.json"
     curl -fsS -X POST "http://$ADDR/v1/featurize" \
         -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/${name}_features.json"
@@ -544,6 +557,26 @@ curl -fsS -X POST "http://$ADDR/v1/featurize" \
     -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/quant_features.json"
 cmp "$SMOKE/v4_features.json" "$SMOKE/quant_features.json"
 
+# reload_storm <log>: SIGHUP the daemon at $LEVAD_PID 10 times, waiting
+# for each reload to finish (generations 2 through 11).
+reload_storm() {
+    i=0
+    while [ "$i" -lt 10 ]; do
+        i=$((i + 1))
+        kill -HUP "$LEVAD_PID"
+        j=0
+        until curl -fsS "http://$ADDR/healthz" | grep -q "\"generation\":$((i + 1))"; do
+            j=$((j + 1))
+            if [ "$j" -gt 100 ]; then
+                echo "reload $i never completed" >&2
+                cat "$1" >&2
+                exit 1
+            fi
+            sleep 0.1
+        done
+    done
+}
+
 # Reload-leak guard: every SIGHUP remaps the bundle and the index; the
 # retired generation must munmap both once its requests drain, so each
 # file's mapping count in /proc/<pid>/maps stays exactly where it
@@ -555,21 +588,7 @@ if [ -r "/proc/$LEVAD_PID/maps" ]; then
         echo "levad -mmap did not map $SMOKE/index_quant/index.bin" >&2
         exit 1
     fi
-    i=0
-    while [ "$i" -lt 10 ]; do
-        i=$((i + 1))
-        kill -HUP "$LEVAD_PID"
-        j=0
-        until curl -fsS "http://$ADDR/healthz" | grep -q "\"generation\":$((i + 1))"; do
-            j=$((j + 1))
-            if [ "$j" -gt 100 ]; then
-                echo "quant reload $i never completed" >&2
-                cat "$SMOKE/levad_quant.log" >&2
-                exit 1
-            fi
-            sleep 0.1
-        done
-    done
+    reload_storm "$SMOKE/levad_quant.log"
     BUNDLE_MAPS_AFTER=$(grep -c 'bundle_quant' "/proc/$LEVAD_PID/maps" || true)
     INDEX_MAPS_AFTER=$(grep -c 'index_quant' "/proc/$LEVAD_PID/maps" || true)
     if [ "$BUNDLE_MAPS_BEFORE" != "$BUNDLE_MAPS_AFTER" ] || [ "$INDEX_MAPS_BEFORE" != "$INDEX_MAPS_AFTER" ]; then
@@ -587,3 +606,58 @@ kill -TERM "$LEVAD_PID"
 wait "$LEVAD_PID"
 
 echo "int8 quantization smoke test passed"
+
+# --- default load path smoke test -------------------------------------
+# With no -mmap flag levad maps bundle.bin and index.bin wherever the
+# platform supports it, so the reload-leak guard runs on default flags
+# too: 10 SIGHUPs must leave each file's mapping count where it started.
+# A -mmap=false daemon reads both files onto the heap instead; on the
+# same artifacts it must answer /v1/featurize, /v1/embedding and
+# /v1/neighbors with byte-identical bodies, and map neither file.
+
+# serve_answers <log> <name> <levad args...>: start levad and record its
+# first featurize, embedding and neighbors answers as <name>_*.json; the
+# daemon keeps running as $LEVAD_PID at $ADDR.
+serve_answers() {
+    start_levad "$@"
+    name=$2
+    curl -fsS -X POST "http://$ADDR/v1/featurize" \
+        -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/${name}_features.json"
+    curl -fsS "http://$ADDR/v1/embedding/expenses:0" > "$SMOKE/${name}_embedding.json"
+    curl -fsS "http://$ADDR/v1/neighbors?token=expenses:0&k=5" > "$SMOKE/${name}_neighbors.json"
+    grep -q '"neighbors"' "$SMOKE/${name}_neighbors.json"
+}
+
+serve_answers "$SMOKE/levad_default.log" default -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index"
+if [ -r "/proc/$LEVAD_PID/maps" ]; then
+    BUNDLE_MAPS_BEFORE=$(grep -c "$SMOKE/bundle_ann/bundle.bin" "/proc/$LEVAD_PID/maps" || true)
+    INDEX_MAPS_BEFORE=$(grep -c "$SMOKE/index/index.bin" "/proc/$LEVAD_PID/maps" || true)
+    if [ "$BUNDLE_MAPS_BEFORE" -lt 1 ] || [ "$INDEX_MAPS_BEFORE" -lt 1 ]; then
+        echo "levad with default flags did not map bundle.bin and index.bin" >&2
+        exit 1
+    fi
+    reload_storm "$SMOKE/levad_default.log"
+    BUNDLE_MAPS_AFTER=$(grep -c "$SMOKE/bundle_ann/bundle.bin" "/proc/$LEVAD_PID/maps" || true)
+    INDEX_MAPS_AFTER=$(grep -c "$SMOKE/index/index.bin" "/proc/$LEVAD_PID/maps" || true)
+    if [ "$BUNDLE_MAPS_BEFORE" != "$BUNDLE_MAPS_AFTER" ] || [ "$INDEX_MAPS_BEFORE" != "$INDEX_MAPS_AFTER" ]; then
+        echo "mmap leak on default flags: bundle mappings $BUNDLE_MAPS_BEFORE -> $BUNDLE_MAPS_AFTER, index mappings $INDEX_MAPS_BEFORE -> $INDEX_MAPS_AFTER across 10 reloads" >&2
+        grep -E 'bundle_ann|/index/' "/proc/$LEVAD_PID/maps" >&2 || true
+        exit 1
+    fi
+fi
+kill -TERM "$LEVAD_PID"
+wait "$LEVAD_PID"
+
+serve_answers "$SMOKE/levad_heap.log" heap -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" -mmap=false
+if [ -r "/proc/$LEVAD_PID/maps" ] && grep -qE "$SMOKE/bundle_ann/bundle.bin|$SMOKE/index/index.bin" "/proc/$LEVAD_PID/maps"; then
+    echo "levad -mmap=false mapped bundle.bin or index.bin" >&2
+    exit 1
+fi
+kill -TERM "$LEVAD_PID"
+wait "$LEVAD_PID"
+
+cmp "$SMOKE/default_features.json" "$SMOKE/heap_features.json"
+cmp "$SMOKE/default_embedding.json" "$SMOKE/heap_embedding.json"
+cmp "$SMOKE/default_neighbors.json" "$SMOKE/heap_neighbors.json"
+
+echo "default load path smoke test passed"
