@@ -12,7 +12,7 @@
 //	GET  /v1/embedding/{token}  one embedding vector
 //	GET  /v1/neighbors          top-k ANN neighbors by token (with -index)
 //	POST /v1/neighbors          top-k ANN neighbors by token or raw vector
-//	GET  /healthz              liveness + degradation (per-breaker state)
+//	GET  /healthz              liveness + degradation (reload breaker state)
 //	GET  /metrics              Prometheus text
 //	POST /admin/reload         hot-reload the bundle (and index) directory
 //	GET  /admin/chaos          chaos-harness state (POST reconfigures;
@@ -25,15 +25,15 @@
 // The daemon admits load through an adaptive AIMD limiter capped at
 // -max-inflight (excess requests queue up to -queue for -queue-timeout,
 // then shed with 429 + Retry-After), honors client deadlines sent as
-// X-Leva-Deadline-Ms, circuit-breaks its dependencies (ANN searches
-// degrade to exact brute-force scans marked "degraded":true; pass
-// -no-fallback for 503s instead), times out individual requests at
+// X-Leva-Deadline-Ms, times out individual requests at
 // -request-timeout, logs one structured JSON record per request to
 // stderr, and on SIGINT/SIGTERM stops accepting connections and drains
 // in-flight requests for up to -drain-timeout before exiting. SIGHUP
 // (or POST /admin/reload) re-reads the bundle directory and swaps it in
 // without dropping in-flight requests; a bundle that fails validation
-// is rejected and the current one keeps serving. Each load reads the
+// is rejected and the current one keeps serving, and -breaker-failures
+// rejected reloads in a row refuse further reloads for
+// -breaker-open-for. Each load reads the
 // bundle and the ANN index concurrently. Where the platform supports it
 // (linux), the daemon memory-maps both files by default, so loads and
 // reloads cost page-table setup plus an integrity hash instead of
@@ -45,8 +45,8 @@
 // -quantize answers neighbor searches from an int8-quantized arena (8x
 // less memory traffic) with an exact float64 re-rank of the final beam;
 // /v1/featurize is unaffected. -chaos arms seeded fault injection on
-// the http and ann targets for resilience drills; a rule for any other
-// target is refused at startup. See docs/SERVING.md and
+// the http target for resilience drills; a rule for any other target
+// is refused at startup. See docs/SERVING.md and
 // docs/OPERATIONS.md.
 package main
 
@@ -90,11 +90,9 @@ func run(ctx context.Context, args []string) error {
 	maxInFlight := fs.Int("max-inflight", 64, "adaptive concurrency ceiling: admitted requests before queueing and shedding 429s")
 	queueLen := fs.Int("queue", 16, "requests allowed to wait for an admission slot (0 sheds immediately at the limit)")
 	queueTimeout := fs.Duration("queue-timeout", 100*time.Millisecond, "max wait in the admission queue before shedding 429")
-	depTimeout := fs.Duration("dep-timeout", 2*time.Second, "per-call budget for circuit-broken dependencies like the ANN index (0 disables)")
-	breakerFailures := fs.Int("breaker-failures", 5, "consecutive dependency failures that trip its circuit breaker")
-	breakerOpenFor := fs.Duration("breaker-open-for", 5*time.Second, "how long a tripped breaker rejects calls before probing recovery")
-	chaosSpec := fs.String("chaos", "", "arm the chaos harness with a fault spec, e.g. 'seed=1;ann:err=0.3,lat=400ms' (targets: http, ann; empty = no fault injection, ever)")
-	noFallback := fs.Bool("no-fallback", false, "answer 503 instead of degraded brute-force neighbor scans when the ANN dependency is broken")
+	breakerFailures := fs.Int("breaker-failures", 5, "consecutive rejected reloads that trip the reload circuit breaker")
+	breakerOpenFor := fs.Duration("breaker-open-for", 5*time.Second, "how long a tripped reload breaker refuses reloads before admitting a probe")
+	chaosSpec := fs.String("chaos", "", "arm the chaos harness with a fault spec, e.g. 'seed=1;http:err=0.3,lat=400ms' (targets: http; empty = no fault injection, ever)")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler budget (503 on expiry)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheSize := fs.Int("cache", 4096, "LRU entries for fully-featurized rows (0 disables)")
@@ -155,17 +153,15 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	cfg := serve.Config{
-		Addr:              *addr,
-		MaxInFlight:       *maxInFlight,
-		QueueLen:          *queueLen,
-		QueueTimeout:      *queueTimeout,
-		DependencyTimeout: *depTimeout,
-		BreakerFailures:   *breakerFailures,
-		BreakerOpenFor:    *breakerOpenFor,
-		DisableFallback:   *noFallback,
-		RequestTimeout:    *reqTimeout,
-		CacheSize:         *cacheSize,
-		Workers:           *workers,
+		Addr:            *addr,
+		MaxInFlight:     *maxInFlight,
+		QueueLen:        *queueLen,
+		QueueTimeout:    *queueTimeout,
+		BreakerFailures: *breakerFailures,
+		BreakerOpenFor:  *breakerOpenFor,
+		RequestTimeout:  *reqTimeout,
+		CacheSize:       *cacheSize,
+		Workers:         *workers,
 	}
 	if *cacheSize <= 0 {
 		cfg.CacheSize = -1
@@ -175,9 +171,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *queueLen <= 0 {
 		cfg.QueueLen = -1
-	}
-	if *depTimeout <= 0 {
-		cfg.DependencyTimeout = -1
 	}
 	cfg.Chaos = chaos
 	if !*quiet {

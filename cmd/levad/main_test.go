@@ -415,7 +415,8 @@ func TestRunRefusesEitherFailedLoad(t *testing.T) {
 
 // TestRunRefusesUnknownChaosTarget: a -chaos rule for a target the
 // server never consults would arm nothing, so startup refuses it with
-// the named error instead.
+// the named error instead. "ann" is such a target: the neighbor search
+// is an in-process call with no chaos hook.
 func TestRunRefusesUnknownChaosTarget(t *testing.T) {
 	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
 	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
@@ -426,14 +427,16 @@ func TestRunRefusesUnknownChaosTarget(t *testing.T) {
 	if err := res.SaveBundle(dir); err != nil {
 		t.Fatal(err)
 	}
-	// Were the rule accepted, the daemon would serve until ctx expires
-	// and run would return nil.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	err = run(ctx, []string{"-bundle", dir, "-addr", "127.0.0.1:0", "-quiet",
-		"-chaos", "seed=1;rowcache:err=1"})
-	if !errors.Is(err, serve.ErrUnknownChaosTarget) || !strings.Contains(err.Error(), `"rowcache"`) {
-		t.Errorf("startup error = %v, want ErrUnknownChaosTarget naming rowcache", err)
+	for _, target := range []string{"rowcache", "ann"} {
+		// Were the rule accepted, the daemon would serve until ctx
+		// expires and run would return nil.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err = run(ctx, []string{"-bundle", dir, "-addr", "127.0.0.1:0", "-quiet",
+			"-chaos", "seed=1;" + target + ":err=1"})
+		cancel()
+		if !errors.Is(err, serve.ErrUnknownChaosTarget) || !strings.Contains(err.Error(), `"`+target+`"`) {
+			t.Errorf("startup error = %v, want ErrUnknownChaosTarget naming %s", err, target)
+		}
 	}
 }
 

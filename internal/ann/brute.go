@@ -7,8 +7,9 @@ import (
 
 // BruteForceVector returns the exact k nearest stored vectors to q by
 // scanning every vector — no graph traversal, no approximation. It is
-// the serving layer's degraded mode: when the HNSW path is circuit-
-// broken, an O(n·dim) scan still answers correctly, just slower.
+// the recall oracle for the HNSW search: tests and the benchmark
+// compare SearchVector against it. The O(n·dim) scan is far slower
+// than the graph walk at serving sizes, so nothing serves from it.
 // Ranking and tie-breaking match SearchVector exactly (descending
 // score, ties by ascending id).
 func (ix *Index) BruteForceVector(q []float64, k int) ([]Result, error) {
@@ -28,7 +29,7 @@ func (ix *Index) BruteForceVector(q []float64, k int) ([]Result, error) {
 }
 
 // BruteForceName returns the exact k nearest neighbors of an indexed
-// entity (excluding itself) by full scan — the degraded-mode
+// entity (excluding itself) by full scan — the recall-oracle
 // counterpart of SearchName. Unknown names return an error wrapping
 // ErrUnknownName.
 func (ix *Index) BruteForceName(name string, k int) ([]Result, error) {

@@ -7,7 +7,7 @@ import (
 	"repro/internal/ann"
 )
 
-// TestBruteForceMatchesOracle pins the degraded-mode scan to the same
+// TestBruteForceMatchesOracle pins the exact scan to the same
 // exact-cosine oracle the recall test uses: BruteForceName must return
 // the oracle's top-k verbatim (it IS exact), in the same order.
 func TestBruteForceMatchesOracle(t *testing.T) {

@@ -37,8 +37,7 @@ func (s State) String() string {
 }
 
 // ErrOpen is returned by Breaker.Allow while the breaker is rejecting
-// calls. Callers should degrade (serve a fallback) or fail fast with a
-// Retry-After, never block.
+// calls. Callers should fail fast with a Retry-After, never block.
 var ErrOpen = errors.New("resilience: circuit breaker open")
 
 // BreakerConfig tunes one Breaker. The zero value gets production
@@ -105,9 +104,9 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 
 // Allow asks to make one guarded call. On admission it returns a done
 // function the caller MUST invoke exactly once with the call's outcome
-// (ok=false only for dependency failures — timeouts, injected faults,
-// infrastructure errors — never for caller mistakes like an unknown
-// token). While the breaker is open, Allow returns ErrOpen and a nil
+// (ok=false only for dependency failures — a bad candidate, an
+// infrastructure error — never for configuration states or caller
+// mistakes). While the breaker is open, Allow returns ErrOpen and a nil
 // done.
 func (b *Breaker) Allow() (done func(ok bool), err error) {
 	b.mu.Lock()
@@ -206,13 +205,4 @@ func (b *Breaker) RetryAfter() time.Duration {
 		return 0
 	}
 	return remaining
-}
-
-// Reset forces the breaker closed, clearing all counters — the hook a
-// successful hot reload uses: the dependency was just replaced and
-// validated, so its failure history is stale by construction.
-func (b *Breaker) Reset() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.transition(StateClosed)
 }

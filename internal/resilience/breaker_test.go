@@ -152,21 +152,6 @@ func TestBreakerHalfOpenBoundsProbes(t *testing.T) {
 	}
 }
 
-func TestBreakerResetForcesClosed(t *testing.T) {
-	clock := newFakeClock()
-	b := NewBreaker(BreakerConfig{FailureThreshold: 1, OpenFor: time.Hour, Now: clock.Now})
-
-	fail(t, b)
-	if got := b.State(); got != StateOpen {
-		t.Fatalf("state = %v, want open", got)
-	}
-	b.Reset()
-	if got := b.State(); got != StateClosed {
-		t.Fatalf("state after Reset = %v, want closed", got)
-	}
-	succeed(t, b)
-}
-
 func TestBreakerOnStateChangeSequence(t *testing.T) {
 	clock := newFakeClock()
 	var transitions []string

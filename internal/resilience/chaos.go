@@ -2,7 +2,6 @@ package resilience
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -12,15 +11,10 @@ import (
 	"time"
 )
 
-// ErrInjected marks a chaos-injected dependency failure, so callers
-// (and error taxonomies) can tell a drill from a real outage.
-var ErrInjected = errors.New("resilience: chaos-injected failure")
-
 // Rule is the fault profile for one chaos target. Rates are
 // probabilities in [0, 1]; a zero rule injects nothing.
 type Rule struct {
-	// ErrRate is the probability of failing the call outright with
-	// ErrInjected.
+	// ErrRate is the probability of failing the call outright.
 	ErrRate float64
 	// Latency is the delay injected with probability LatencyRate.
 	Latency time.Duration
@@ -54,8 +48,7 @@ type Decision struct {
 	// Delay is extra latency to impose before the real work (zero =
 	// none). Sleep it with Sleep so a caller deadline still wins.
 	Delay time.Duration
-	// Err, when true, fails the call with ErrInjected instead of
-	// running it.
+	// Err, when true, fails the call instead of running it.
 	Err bool
 	// Stall, when true, hangs the response body mid-write for StallFor.
 	Stall bool
@@ -66,7 +59,7 @@ type Decision struct {
 // Chaos is a seeded fault source. All draws come from one PRNG, so a
 // fixed seed plus a fixed call sequence yields a fixed fault schedule —
 // the property the chaos test suite and the check.sh drill rely on to
-// make breaker transitions deterministic.
+// replay the same faults.
 //
 // Chaos is always constructed explicitly (levad's -chaos flag, a test)
 // and starts enabled; it can be toggled and re-profiled at runtime via
@@ -99,11 +92,11 @@ func NewChaos(seed int64) *Chaos {
 //	seed=<n>;<target>:<key>=<value>[,<key>=<value>...];...
 //
 // Targets are free-form names here; the consumer decides which it
-// consults (levad: "http" and "ann", see serve.CheckChaosTargets). Keys:
+// consults (levad: only "http", see serve.CheckChaosTargets). Keys:
 // err=<rate>, lat=<duration>, latrate=<rate>, stall=<rate>,
 // stallfor=<duration>. Example:
 //
-//	seed=1;ann:err=0.3,lat=400ms;http:stall=0.05
+//	seed=1;http:err=0.3,lat=400ms,stall=0.05
 //
 // A spec of just "seed=<n>" (or "") yields an enabled source with no
 // rules — faults can then be added at runtime via /admin/chaos.

@@ -1,7 +1,7 @@
 // Package resilience is the serving daemon's overload- and
-// fault-tolerance substrate: the pieces that keep levad answering —
-// degraded if it must, bounded always — when traffic exceeds capacity
-// or a dependency misbehaves.
+// fault-tolerance substrate: the pieces that keep levad answering, in
+// bounded time, when traffic exceeds capacity or a reload keeps
+// failing.
 //
 // It carries four independent, dependency-free mechanisms:
 //
@@ -14,14 +14,16 @@
 //     while requests succeed and backs off multiplicatively when they
 //     time out, so sustained overload degrades into fast, explicit
 //     429s whose Retry-After is derived from observed service time.
-//   - Circuit breakers (Breaker): per-dependency closed → open →
-//     half-open state machines. A dependency that keeps failing is cut
-//     off for a cooling period instead of dragging every request down
-//     with it; probes re-close the breaker once it recovers.
+//   - Circuit breakers (Breaker): closed → open → half-open state
+//     machines. A dependency that keeps failing — in levad, hot reload
+//     of a bad bundle — is cut off for a cooling period instead of
+//     being retried into a storm; probes re-close the breaker once it
+//     recovers.
 //   - Chaos injection (Chaos): a seeded fault source that injects
-//     latency, errors, and stalled response bodies per target, so the
-//     three mechanisms above can be proven under fire — in tests, and
-//     as an operator drill via levad's -chaos flag and /admin/chaos.
+//     latency, errors, and stalled response bodies per target, so
+//     deadlines and the limiter can be proven under fire — in tests,
+//     and as an operator drill via levad's -chaos flag and
+//     /admin/chaos.
 //
 // Everything is deterministic under test: breakers take an injectable
 // clock, the chaos source is a seeded PRNG, and the limiter's

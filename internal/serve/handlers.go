@@ -63,7 +63,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeErrorReason is writeError with a machine-readable taxonomy tag:
 // clients branch on "reason" (capacity, queue_timeout, client_gone,
-// breaker_open, chaos_injected, dependency_timeout, bad_deadline,
+// breaker_open, chaos_injected, bad_deadline,
 // deadline_exceeded, chaos_disabled, unknown_chaos_target, no_index,
 // bad_param) instead of parsing the human-facing message.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
@@ -199,10 +199,10 @@ func (s *Server) handleEmbedding(st *store, w http.ResponseWriter, r *http.Reque
 }
 
 // handleHealthz reports liveness plus degradation: status flips to
-// "degraded" while any circuit breaker is off closed, and the
-// per-breaker states are listed so a load balancer (or operator) can
-// drain a browning-out replica before it starts shedding hard. After a
-// rejected reload, "lastReloadError" says why until a reload succeeds.
+// "degraded" while the reload breaker is off closed, and its state is
+// listed under "breakers" so a load balancer (or operator) can see a
+// replica stuck on a bad bundle. After a rejected reload,
+// "lastReloadError" says why until a reload succeeds.
 func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request) {
 	annVectors := 0
 	quantized := false
@@ -213,13 +213,9 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 		quantBytes = st.index.QuantBytes()
 	}
 	status := "ok"
-	breakers := make(map[string]string, len(depNames))
-	for _, dep := range depNames {
-		state := s.breakers[dep].State()
-		breakers[dep] = state.String()
-		if state != resilience.StateClosed {
-			status = "degraded"
-		}
+	reload := s.reloadBreaker.State()
+	if reload != resilience.StateClosed {
+		status = "degraded"
 	}
 	body := map[string]any{
 		"status":       status,
@@ -230,7 +226,7 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 		"quantBytes":   quantBytes,
 		"generation":   st.gen,
 		"bundleFormat": st.res.BundleFormat,
-		"breakers":     breakers,
+		"breakers":     map[string]string{depReload: reload.String()},
 		"chaosEnabled": s.chaos.Enabled(),
 	}
 	if e, _ := s.metrics.lastReloadError.Load().(string); e != "" {

@@ -46,7 +46,6 @@ const (
 	metricBreakerTransitions = "leva_resilience_breaker_transitions_total"
 	metricChaosEnabled       = "leva_resilience_chaos_enabled"
 	metricChaosInjections    = "leva_resilience_chaos_injections_total"
-	metricDegraded           = "leva_resilience_degraded_total"
 	metricDepCalls           = "leva_resilience_dep_calls_total"
 	metricLimit              = "leva_resilience_limit"
 	metricQueueDepth         = "leva_resilience_queue_depth"
@@ -94,8 +93,7 @@ type metrics struct {
 	breakerTransitions *obs.CounterVec // by dep, to
 	chaosEnabled       *obs.Gauge
 	chaosInjections    *obs.CounterVec // by target, kind
-	degraded           *obs.CounterVec // by endpoint
-	depCalls           *obs.CounterVec // by dep, outcome
+	breakerCalls       *obs.CounterVec // by dep, outcome
 	shedByReason       *obs.CounterVec // by reason
 	shedRetryAfter     *obs.Gauge
 
@@ -177,10 +175,8 @@ func newMetrics() *metrics {
 			"Whether chaos fault injection is active (1) or not (0)."),
 		chaosInjections: r.CounterVec(metricChaosInjections,
 			"Faults injected by the chaos harness, by target and kind (error, latency, stall).", "target", "kind"),
-		degraded: r.CounterVec(metricDegraded,
-			"Requests answered in a degraded mode (brute-force neighbor scan), by endpoint.", "endpoint"),
-		depCalls: r.CounterVec(metricDepCalls,
-			"Guarded dependency calls, by dependency and outcome (ok, error, timeout, canceled, open).", "dep", "outcome"),
+		breakerCalls: r.CounterVec(metricDepCalls,
+			"Guarded dependency calls, by dependency and outcome (ok, error, canceled, open).", "dep", "outcome"),
 		shedByReason: r.CounterVec(metricShedByReason,
 			"Requests shed with 429, by reason (capacity, queue_timeout, client_gone).", "reason"),
 		shedRetryAfter: r.Gauge(metricShedRetryAfter,

@@ -119,9 +119,7 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_resilience_chaos_enabled gauge
 # HELP leva_resilience_chaos_injections_total Faults injected by the chaos harness, by target and kind (error, latency, stall).
 # TYPE leva_resilience_chaos_injections_total counter
-# HELP leva_resilience_degraded_total Requests answered in a degraded mode (brute-force neighbor scan), by endpoint.
-# TYPE leva_resilience_degraded_total counter
-# HELP leva_resilience_dep_calls_total Guarded dependency calls, by dependency and outcome (ok, error, timeout, canceled, open).
+# HELP leva_resilience_dep_calls_total Guarded dependency calls, by dependency and outcome (ok, error, canceled, open).
 # TYPE leva_resilience_dep_calls_total counter
 # HELP leva_resilience_limit Current adaptive concurrency limit (AIMD: climbs on success, falls on congestion).
 # TYPE leva_resilience_limit gauge

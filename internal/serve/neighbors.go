@@ -1,14 +1,12 @@
 package serve
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
 
 	"repro/internal/ann"
-	"repro/internal/resilience"
 )
 
 // neighborsRequest is the POST /v1/neighbors body. Exactly one of
@@ -34,14 +32,10 @@ type neighborItem struct {
 }
 
 type neighborsResponse struct {
-	Token    string `json:"token,omitempty"`
-	K        int    `json:"k"`
-	Dim      int    `json:"dim"`
-	CacheHit bool   `json:"cacheHit"`
-	// Degraded marks an answer computed by the exact brute-force
-	// fallback because the ANN dependency was circuit-broken or
-	// failing: correct, but slower and uncached.
-	Degraded  bool           `json:"degraded,omitempty"`
+	Token     string         `json:"token,omitempty"`
+	K         int            `json:"k"`
+	Dim       int            `json:"dim"`
+	CacheHit  bool           `json:"cacheHit"`
 	Neighbors []neighborItem `json:"neighbors"`
 }
 
@@ -127,52 +121,18 @@ func (s *Server) handleNeighbors(st *store, w http.ResponseWriter, r *http.Reque
 		return
 	}
 
-	// The HNSW search runs as a guarded dependency call: circuit
-	// breaker, time budget, chaos faults. A dependency failure drops
-	// one rung down the degradation ladder — an exact brute-force scan
-	// (marked "degraded":true) — or, with fallback disabled, a named
-	// 503. Client errors (unknown token, bad k) pass straight through.
 	var (
 		results  []ann.Result
 		cacheHit bool
-		degraded bool
+		err      error
 	)
-	err := s.depCall(r.Context(), depANN, func(context.Context) error {
-		var e error
-		if req.Token != "" {
-			results, cacheHit, e = st.neighborsByName(req.Token, req.K, req.EfSearch)
-		} else {
-			results, e = st.index.SearchVector(req.Vector, req.K, req.EfSearch)
-		}
-		return e
-	})
-	if isDepFailure(err) {
-		if s.cfg.DisableFallback {
-			reason := "dependency_timeout"
-			switch {
-			case errors.Is(err, resilience.ErrOpen):
-				reason = "breaker_open"
-				retryAfterHeader(w, s.breakers[depANN].RetryAfter())
-			case errors.Is(err, resilience.ErrInjected):
-				reason = "chaos_injected"
-			}
-			writeErrorReason(w, http.StatusServiceUnavailable, reason, "neighbors unavailable: %v", err)
-			return
-		}
-		s.metrics.degraded.With("neighbors").Inc()
-		degraded, cacheHit = true, false
-		if req.Token != "" {
-			results, err = st.index.BruteForceName(req.Token, req.K)
-		} else {
-			results, err = st.index.BruteForceVector(req.Vector, req.K)
-		}
+	if req.Token != "" {
+		results, cacheHit, err = st.neighborsByName(req.Token, req.K, req.EfSearch)
+	} else {
+		results, err = st.index.SearchVector(req.Vector, req.K, req.EfSearch)
 	}
 	if errors.Is(err, ann.ErrUnknownName) {
 		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	if errors.Is(err, context.Canceled) {
-		writeErrorReason(w, http.StatusServiceUnavailable, "client_gone", "request canceled: %v", err)
 		return
 	}
 	if err != nil {
@@ -188,7 +148,6 @@ func (s *Server) handleNeighbors(st *store, w http.ResponseWriter, r *http.Reque
 		K:         req.K,
 		Dim:       st.index.Dim(),
 		CacheHit:  cacheHit,
-		Degraded:  degraded,
 		Neighbors: items,
 	})
 }

@@ -38,15 +38,13 @@ var errServerClosed = errors.New("serve: reload refused: server is shut down")
 // failures trip the "reload" breaker and further attempts fail fast
 // (wrapping resilience.ErrOpen) until the cooling period admits a
 // probe — an operator republishing a bad bundle in a retry loop gets
-// one clear signal instead of a validation storm. A reload that does
-// succeed resets the ANN breaker: that dependency was just replaced and
-// validated, so its failure history is stale by construction.
+// one clear signal instead of a validation storm.
 func (s *Server) Reload() error {
-	done, berr := s.breakers[depReload].Allow()
+	done, berr := s.reloadBreaker.Allow()
 	if berr != nil {
-		s.metrics.depCalls.With(depReload, "open").Inc()
+		s.metrics.breakerCalls.With(depReload, "open").Inc()
 		return fmt.Errorf("serve: reload refused (%d consecutive failures, retry in %s): %w",
-			s.cfg.BreakerFailures, s.breakers[depReload].RetryAfter().Round(time.Second), berr)
+			s.cfg.BreakerFailures, s.reloadBreaker.RetryAfter().Round(time.Second), berr)
 	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
@@ -59,14 +57,13 @@ func (s *Server) Reload() error {
 	done(err == nil || benign)
 	if err != nil {
 		if benign {
-			s.metrics.depCalls.With(depReload, "canceled").Inc()
+			s.metrics.breakerCalls.With(depReload, "canceled").Inc()
 		} else {
-			s.metrics.depCalls.With(depReload, "error").Inc()
+			s.metrics.breakerCalls.With(depReload, "error").Inc()
 		}
 		return err
 	}
-	s.metrics.depCalls.With(depReload, "ok").Inc()
-	s.breakers[depANN].Reset()
+	s.metrics.breakerCalls.With(depReload, "ok").Inc()
 	return nil
 }
 
@@ -269,7 +266,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if err := s.Reload(); err != nil {
 		if errors.Is(err, resilience.ErrOpen) {
-			retryAfterHeader(w, s.breakers[depReload].RetryAfter())
+			retryAfterHeader(w, s.reloadBreaker.RetryAfter())
 			writeErrorReason(w, http.StatusServiceUnavailable, "breaker_open", "%v", err)
 			return
 		}

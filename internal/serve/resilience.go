@@ -14,24 +14,13 @@ import (
 	"repro/internal/resilience"
 )
 
-// Dependency names: one circuit breaker each, fixed for the life of the
-// server. The ANN index degrades to a brute-force scan; reload fails
-// fast.
-const (
-	depANN    = "ann"
-	depReload = "reload"
-)
-
-// depNames is the fixed breaker set, in display order.
-var depNames = []string{depANN, depReload}
-
 // chaosHTTP is the request-level chaos target (see withChaosHTTP).
 const chaosHTTP = "http"
 
-// chaosTargets are the chaos targets the server consults: "http" in
-// the request middleware, "ann" around every index search. A rule for
-// any other target would arm nothing, so one is refused instead.
-var chaosTargets = []string{chaosHTTP, depANN}
+// chaosTargets are the chaos targets the server consults: only "http",
+// in the request middleware. A rule for any other target would arm
+// nothing, so one is refused instead.
+var chaosTargets = []string{chaosHTTP}
 
 // ErrUnknownChaosTarget reports a chaos rule for a target the server
 // never consults.
@@ -56,90 +45,34 @@ func checkChaosTarget(target string) error {
 	return fmt.Errorf("%w %q (consulted targets: %s)", ErrUnknownChaosTarget, target, strings.Join(chaosTargets, ", "))
 }
 
-// newBreakers builds the per-dependency breaker set, wired into the
-// state gauge and transition counter.
-func (s *Server) newBreakers() map[string]*resilience.Breaker {
-	bs := make(map[string]*resilience.Breaker, len(depNames))
-	for _, dep := range depNames {
-		dep := dep
-		bs[dep] = resilience.NewBreaker(resilience.BreakerConfig{
-			FailureThreshold: s.cfg.BreakerFailures,
-			OpenFor:          s.cfg.BreakerOpenFor,
-			OnStateChange: func(from, to resilience.State) {
-				s.metrics.breakerState.With(dep).Set(float64(to))
-				s.metrics.breakerTransitions.With(dep, to.String()).Inc()
-				if s.logger != nil {
-					s.logger.Info("breaker transition",
-						"dep", dep, "from", from.String(), "to", to.String())
-				}
-			},
-		})
-		s.metrics.breakerState.With(dep).Set(float64(resilience.StateClosed))
-	}
-	return bs
-}
+// depReload names the reload breaker in metrics and /healthz.
+const depReload = "reload"
 
-// isDepFailure reports whether err indicts a dependency (and should
-// trigger degradation) rather than the caller: a breaker rejection, an
-// injected fault, or a dependency-budget timeout. Everything else —
-// unknown tokens, bad dimensions — is a client error and says nothing
-// about the dependency's health.
-func isDepFailure(err error) bool {
-	return errors.Is(err, resilience.ErrOpen) ||
-		errors.Is(err, resilience.ErrInjected) ||
-		errors.Is(err, context.DeadlineExceeded)
-}
-
-// depCall runs fn against a circuit-broken dependency: breaker
-// admission first, then the dependency time budget, then any chaos
-// faults scheduled for this call, then fn itself. The breaker sees
-// every dependency failure and no client error.
-func (s *Server) depCall(ctx context.Context, dep string, fn func(context.Context) error) error {
-	done, err := s.breakers[dep].Allow()
-	if err != nil {
-		s.metrics.depCalls.With(dep, "open").Inc()
-		return err
-	}
-	callCtx := ctx
-	if s.cfg.DependencyTimeout > 0 {
-		var cancel context.CancelFunc
-		callCtx, cancel = context.WithTimeout(ctx, s.cfg.DependencyTimeout)
-		defer cancel()
-	}
-	d := s.chaos.Decide(dep)
-	if d.Delay > 0 {
-		if resilience.Sleep(callCtx, d.Delay) != nil {
-			if ctx.Err() != nil {
-				// The caller stopped waiting: not the dependency's fault.
-				done(true)
-				s.metrics.depCalls.With(dep, "canceled").Inc()
-				return ctx.Err()
+// newReloadBreaker builds the breaker guarding hot reload, wired into
+// the state gauge and transition counter.
+func (s *Server) newReloadBreaker() *resilience.Breaker {
+	b := resilience.NewBreaker(resilience.BreakerConfig{
+		FailureThreshold: s.cfg.BreakerFailures,
+		OpenFor:          s.cfg.BreakerOpenFor,
+		OnStateChange: func(from, to resilience.State) {
+			s.metrics.breakerState.With(depReload).Set(float64(to))
+			s.metrics.breakerTransitions.With(depReload, to.String()).Inc()
+			if s.logger != nil {
+				s.logger.Info("breaker transition",
+					"dep", depReload, "from", from.String(), "to", to.String())
 			}
-			done(false)
-			s.metrics.depCalls.With(dep, "timeout").Inc()
-			return context.DeadlineExceeded
-		}
-	}
-	if d.Err {
-		done(false)
-		s.metrics.depCalls.With(dep, "error").Inc()
-		return resilience.ErrInjected
-	}
-	err = fn(callCtx)
-	if isDepFailure(err) {
-		done(false)
-		s.metrics.depCalls.With(dep, "error").Inc()
-	} else {
-		done(true)
-		s.metrics.depCalls.With(dep, "ok").Inc()
-	}
-	return err
+		},
+	})
+	s.metrics.breakerState.With(depReload).Set(float64(resilience.StateClosed))
+	return b
 }
 
 // withDeadline folds the client's X-Leva-Deadline-Ms budget into the
-// request context — downstream work (featurization, neighbor search,
-// injected chaos latency, the dependency budget) all descends from it,
-// so the whole pipeline stops the moment the caller stops waiting. Abandoned
+// request context. The per-request timeout handler derives its context
+// from it, so whichever budget is shorter answers the timed-out 503.
+// Injected chaos latency gives up at it and featurization checks it
+// between rows; a neighbor search takes no context and runs to
+// completion (tens of µs), its answer dropped for the 503. Abandoned
 // requests are counted by why they were abandoned.
 func (s *Server) withDeadline(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

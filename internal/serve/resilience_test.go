@@ -2,15 +2,16 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/resilience"
 )
@@ -64,90 +65,10 @@ func reasonOf(t *testing.T, body []byte) string {
 	return e["reason"]
 }
 
-// TestNeighborsDegradeUnderChaos: with 100% injected ANN errors every
-// neighbor query must still answer 200 — served by the exact
-// brute-force fallback, marked degraded, never a hybrid (degraded +
-// cacheHit) — and the breaker must trip deterministically after exactly
-// BreakerFailures consecutive failures, observable via /metrics and
-// /healthz.
-func TestNeighborsDegradeUnderChaos(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	ix := fixtureIndex(t)
-	srv := New(loaded, Config{
-		Index:           ix,
-		BreakerFailures: 3,
-		Chaos:           mustChaos(t, "seed=1;ann:err=1"),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	token := loaded.Embedding.SortedNames()[0]
-	want, err := ix.BruteForceName(token, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 8
-	for i := 0; i < n; i++ {
-		out, code := getNeighbors(t, ts.URL, token, 5)
-		if code != http.StatusOK {
-			t.Fatalf("request %d: status %d, want 200 (degraded serving must keep answering)", i, code)
-		}
-		if !out.Degraded {
-			t.Fatalf("request %d: not marked degraded under 100%% ANN chaos", i)
-		}
-		if out.CacheHit {
-			t.Fatalf("request %d: degraded response claims a cache hit (hybrid response)", i)
-		}
-		if len(out.Neighbors) != len(want) {
-			t.Fatalf("request %d: %d neighbors, want %d", i, len(out.Neighbors), len(want))
-		}
-		for j := range want {
-			if out.Neighbors[j].Token != want[j].Name || out.Neighbors[j].Score != want[j].Score {
-				t.Fatalf("request %d neighbor %d: got (%q, %v), brute-force oracle says (%q, %v)",
-					i, j, out.Neighbors[j].Token, out.Neighbors[j].Score, want[j].Name, want[j].Score)
-			}
-		}
-	}
-
-	if st := srv.breakers["ann"].State(); st != resilience.StateOpen {
-		t.Errorf("ann breaker %v after %d consecutive failures, want open", st, n)
-	}
-	if got := srv.metrics.degraded.With("neighbors").Value(); got != n {
-		t.Errorf("degraded neighbors = %v, want %d", got, n)
-	}
-	if !srv.chaos.Enabled() {
-		t.Error("chaos reported disabled")
-	}
-
-	// The transition is deterministic under the fixed seed: exactly one
-	// closed->open, visible in the Prometheus exposition.
-	_, _, prom := getRaw(t, ts.URL+"/metrics")
-	for _, line := range []string{
-		`leva_resilience_breaker_transitions_total{dep="ann",to="open"} 1`,
-		`leva_resilience_breaker_state{dep="ann"} 2`,
-		`leva_resilience_chaos_enabled 1`,
-	} {
-		if !strings.Contains(string(prom), line) {
-			t.Errorf("/metrics missing %q", line)
-		}
-	}
-
-	var hz struct {
-		Status   string            `json:"status"`
-		Breakers map[string]string `json:"breakers"`
-	}
-	getJSON(t, ts.URL+"/healthz", &hz)
-	if hz.Status != "degraded" {
-		t.Errorf("healthz status %q with an open breaker, want degraded", hz.Status)
-	}
-	if hz.Breakers["ann"] != "open" {
-		t.Errorf("healthz breakers[ann] = %q, want open", hz.Breakers["ann"])
-	}
-}
-
 // TestChaosDeterministicAcrossServers: two servers with the same chaos
 // seed and the same serial request sequence must inject the same faults
-// — the degraded/clean pattern is a replayable schedule, not noise.
+// — the 200 / 503 chaos_injected pattern is a replayable schedule, not
+// noise.
 func TestChaosDeterministicAcrossServers(t *testing.T) {
 	_, loaded, _ := fixture(t)
 	ix := fixtureIndex(t)
@@ -155,156 +76,164 @@ func TestChaosDeterministicAcrossServers(t *testing.T) {
 
 	run := func() []bool {
 		srv := New(loaded, Config{
-			Index:           ix,
-			BreakerFailures: 3,
-			Chaos:           mustChaos(t, "seed=42;ann:err=0.5"),
+			Index: ix,
+			Chaos: mustChaos(t, "seed=42;http:err=0.5"),
 		})
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
+		url := fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, token)
 		pattern := make([]bool, 0, 20)
 		for i := 0; i < 20; i++ {
-			out, code := getNeighbors(t, ts.URL, token, 3)
-			if code != http.StatusOK {
-				t.Fatalf("request %d: status %d", i, code)
+			code, _, body := getRaw(t, url)
+			switch {
+			case code == http.StatusOK:
+				pattern = append(pattern, false)
+			case code == http.StatusServiceUnavailable && reasonOf(t, body) == "chaos_injected":
+				pattern = append(pattern, true)
+			default:
+				t.Fatalf("request %d: status %d (%s), want 200 or 503 chaos_injected", i, code, body)
 			}
-			pattern = append(pattern, out.Degraded)
 		}
 		return pattern
 	}
 	a, b := run(), run()
+	injected := 0
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("request %d: degraded=%v on one server, %v on the other — same seed must replay the same faults\n a=%v\n b=%v",
+			t.Fatalf("request %d: injected=%v on one server, %v on the other — same seed must replay the same faults\n a=%v\n b=%v",
 				i, a[i], b[i], a, b)
 		}
+		if a[i] {
+			injected++
+		}
+	}
+	if injected == 0 || injected == len(a) {
+		t.Fatalf("%d of %d requests injected at err=0.5 — the schedule must mix faults and clean answers: %v",
+			injected, len(a), a)
 	}
 }
 
-// TestNeighborsDisableFallback: with degraded serving turned off, a
-// failing ANN dependency answers a named 503 — chaos_injected while the
-// breaker counts failures, breaker_open (with Retry-After) once it
-// trips — and never a hung or fabricated response.
-func TestNeighborsDisableFallback(t *testing.T) {
+// TestReloadBreakerTripsAndRecovers drives the reload breaker end to
+// end: BreakerFailures rejected reloads trip it, the next reload is
+// refused fast with 503 breaker_open + Retry-After, /healthz and
+// /metrics report it, and once OpenFor has passed, successful probe
+// reloads close it again. Reload attempts on a server without a Loader
+// are configuration, not failures, and never trip it.
+func TestReloadBreakerTripsAndRecovers(t *testing.T) {
 	_, loaded, _ := fixture(t)
-	ix := fixtureIndex(t)
+	const openFor = 150 * time.Millisecond
+	var failing atomic.Bool
+	failing.Store(true)
 	srv := New(loaded, Config{
-		Index:           ix,
 		BreakerFailures: 2,
-		DisableFallback: true,
-		Chaos:           mustChaos(t, "seed=3;ann:err=1"),
+		BreakerOpenFor:  openFor,
+		Loader: func() (*core.Result, error) {
+			if failing.Load() {
+				return nil, errors.New("bundle unreadable")
+			}
+			return loaded, nil
+		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	token := loaded.Embedding.SortedNames()[0]
-	url := fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, token)
+	reload := func() (int, http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/admin/reload", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header, body
+	}
+	type health struct {
+		Status   string            `json:"status"`
+		Breakers map[string]string `json:"breakers"`
+	}
+	healthz := func() health {
+		t.Helper()
+		var hz health
+		if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK {
+			t.Fatalf("healthz status %d", code)
+		}
+		return hz
+	}
+
+	if hz := healthz(); hz.Status != "ok" || hz.Breakers["reload"] != "closed" || len(hz.Breakers) != 1 {
+		t.Fatalf("fresh healthz = %+v, want ok with breakers {reload: closed}", hz)
+	}
 	for i := 0; i < 2; i++ {
-		code, _, body := getRaw(t, url)
-		if code != http.StatusServiceUnavailable {
-			t.Fatalf("request %d: status %d, want 503 (%s)", i, code, body)
-		}
-		if r := reasonOf(t, body); r != "chaos_injected" {
-			t.Fatalf("request %d: reason %q, want chaos_injected", i, r)
+		if code, _, body := reload(); code != http.StatusInternalServerError {
+			t.Fatalf("failing reload %d: status %d (%s), want 500", i, code, body)
 		}
 	}
-	code, hdr, body := getRaw(t, url)
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("post-trip request: status %d, want 503 (%s)", code, body)
-	}
-	if r := reasonOf(t, body); r != "breaker_open" {
-		t.Fatalf("post-trip request: reason %q, want breaker_open", r)
+	code, hdr, body := reload()
+	if code != http.StatusServiceUnavailable || reasonOf(t, body) != "breaker_open" {
+		t.Fatalf("reload after %d failures: status %d (%s), want 503 breaker_open", 2, code, body)
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("breaker_open 503 missing Retry-After")
 	}
-}
-
-// TestChaosLatencyBoundedByDependencyTimeout: injected ANN latency far
-// beyond the dependency budget must not hang the request — the budget
-// expires, the breaker records a timeout, and the brute-force fallback
-// answers.
-func TestChaosLatencyBoundedByDependencyTimeout(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	ix := fixtureIndex(t)
-	srv := New(loaded, Config{
-		Index:             ix,
-		DependencyTimeout: 50 * time.Millisecond,
-		Chaos:             mustChaos(t, "seed=2;ann:lat=30s"),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	token := loaded.Embedding.SortedNames()[0]
-	start := time.Now()
-	out, code := getNeighbors(t, ts.URL, token, 3)
-	elapsed := time.Since(start)
-	if code != http.StatusOK || !out.Degraded {
-		t.Fatalf("status %d degraded=%v, want a degraded 200", code, out.Degraded)
+	if hz := healthz(); hz.Status != "degraded" || hz.Breakers["reload"] != "open" {
+		t.Errorf("healthz with a tripped reload breaker = %+v, want degraded with reload open", hz)
 	}
-	if elapsed > 5*time.Second {
-		t.Fatalf("request took %v under 30s injected latency — dependency budget did not bound it", elapsed)
-	}
-}
-
-// TestReloadResetsOpenBreaker: a successful hot reload replaces and
-// revalidates the ANN index, so it must reset the open ann breaker and
-// restore full (non-degraded) service.
-func TestReloadResetsOpenBreaker(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	ix := fixtureIndex(t)
-	srv := New(loaded, Config{
-		Index:           ix,
-		BreakerFailures: 2,
-		Chaos:           mustChaos(t, "seed=9;ann:err=1"),
-		Loader:          func() (*core.Result, error) { return loaded, nil },
-		IndexLoader:     func() (*ann.Index, error) { return ix, nil },
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	token := loaded.Embedding.SortedNames()[0]
-	for i := 0; i < 2; i++ {
-		if out, code := getNeighbors(t, ts.URL, token, 3); code != http.StatusOK || !out.Degraded {
-			t.Fatalf("request %d: status %d degraded=%v, want a degraded 200", i, code, out.Degraded)
+	_, _, prom := getRaw(t, ts.URL+"/metrics")
+	for _, line := range []string{
+		`leva_resilience_breaker_transitions_total{dep="reload",to="open"} 1`,
+		`leva_resilience_breaker_state{dep="reload"} 2`,
+		`leva_resilience_dep_calls_total{dep="reload",outcome="error"} 2`,
+		`leva_resilience_dep_calls_total{dep="reload",outcome="open"} 1`,
+	} {
+		if !strings.Contains(string(prom), line) {
+			t.Errorf("/metrics missing %q", line)
 		}
 	}
-	if st := srv.breakers["ann"].State(); st != resilience.StateOpen {
-		t.Fatalf("ann breaker %v after tripping, want open", st)
+
+	// Repair the bundle and wait out the cooling period: each admitted
+	// probe must succeed, and SuccessThreshold (2) of them close it.
+	failing.Store(false)
+	time.Sleep(openFor + 50*time.Millisecond)
+	for i := 0; i < 2; i++ {
+		if code, _, body := reload(); code != http.StatusOK {
+			t.Fatalf("probe reload %d: status %d (%s), want 200", i, code, body)
+		}
+	}
+	if st := srv.reloadBreaker.State(); st != resilience.StateClosed {
+		t.Errorf("reload breaker %v after successful probes, want closed", st)
+	}
+	if hz := healthz(); hz.Status != "ok" || hz.Breakers["reload"] != "closed" {
+		t.Errorf("healthz after recovery = %+v, want ok with reload closed", hz)
 	}
 
-	// Stop injecting faults, then repair via hot reload.
-	resp, err := http.Post(ts.URL+"/admin/chaos", "application/json", strings.NewReader(`{"enabled": false}`))
-	if err != nil {
-		t.Fatal(err)
+	// A server without a Loader answers ErrReloadDisabled forever; that
+	// is configuration, so the breaker never opens.
+	bare := New(loaded, Config{BreakerFailures: 1})
+	bs := httptest.NewServer(bare.Handler())
+	defer bs.Close()
+	for i := 0; i < 3; i++ {
+		resp, err := http.Post(bs.URL+"/admin/reload", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || strings.Contains(string(body), "breaker_open") {
+			t.Fatalf("reload %d without a Loader: status %d (%s), want a plain 503", i, resp.StatusCode, body)
+		}
+		if err := bare.Reload(); !errors.Is(err, ErrReloadDisabled) {
+			t.Fatalf("Reload %d without a Loader: %v, want ErrReloadDisabled", i, err)
+		}
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("disable chaos: status %d", resp.StatusCode)
+	if st := bare.reloadBreaker.State(); st != resilience.StateClosed {
+		t.Errorf("reload breaker %v after disabled reloads, want closed", st)
 	}
-	resp, err = http.Post(ts.URL+"/admin/reload", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload: status %d (%s)", resp.StatusCode, body)
-	}
-
-	if st := srv.breakers["ann"].State(); st != resilience.StateClosed {
-		t.Errorf("ann breaker %v after successful reload, want closed", st)
-	}
-	var hz struct {
-		Status string `json:"status"`
-	}
-	getJSON(t, ts.URL+"/healthz", &hz)
-	if hz.Status != "ok" {
-		t.Errorf("healthz status %q after reload reset the breaker, want ok", hz.Status)
-	}
-	out, code := getNeighbors(t, ts.URL, token, 3)
-	if code != http.StatusOK || out.Degraded {
-		t.Errorf("post-reload query: status %d degraded=%v, want a clean 200", code, out.Degraded)
+	_, _, prom = getRaw(t, bs.URL+"/metrics")
+	if strings.Contains(string(prom), `leva_resilience_breaker_transitions_total{dep="reload"`) {
+		t.Error("disabled reloads recorded a breaker transition")
 	}
 }
 
@@ -474,7 +403,7 @@ func TestQueueShedsWithRetryAfter(t *testing.T) {
 // refuses with the chaos_disabled taxonomy tag.
 func TestAdminChaosEndpoint(t *testing.T) {
 	_, loaded, _ := fixture(t)
-	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;ann:err=0.5")})
+	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;http:err=0.5")})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -485,8 +414,8 @@ func TestAdminChaosEndpoint(t *testing.T) {
 	if !state.Enabled || state.Seed != 5 {
 		t.Fatalf("state = enabled=%v seed=%d, want enabled seed=5", state.Enabled, state.Seed)
 	}
-	if r := state.Rules["ann"]; r.ErrRate != 0.5 {
-		t.Fatalf("rules[ann].errRate = %v, want 0.5", r.ErrRate)
+	if r := state.Rules["http"]; r.ErrRate != 0.5 {
+		t.Fatalf("rules[http].errRate = %v, want 0.5", r.ErrRate)
 	}
 
 	resp, err := http.Post(ts.URL+"/admin/chaos", "application/json",
@@ -532,38 +461,41 @@ func TestAdminChaosEndpoint(t *testing.T) {
 }
 
 // TestAdminChaosRejectsUnknownTarget: a POST naming a target the
-// server never consults answers 400 unknown_chaos_target and changes
-// nothing — not the seed, not the enabled flag, not the other rules in
-// the same body.
+// server never consults — "ann" included, since the neighbor search has
+// no chaos hook — answers 400 unknown_chaos_target and changes nothing:
+// not the seed, not the enabled flag, not the other rules in the same
+// body.
 func TestAdminChaosRejectsUnknownTarget(t *testing.T) {
 	_, loaded, _ := fixture(t)
-	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;ann:err=0.5")})
+	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;http:err=0.5")})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := http.Post(ts.URL+"/admin/chaos", "application/json", strings.NewReader(
-		`{"enabled": false, "seed": 9, "rules": {"http": {"errRate": 0.2}, "rowcache": {"errRate": 1}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown target: status %d, want 400 (%s)", resp.StatusCode, body)
-	}
-	if r := reasonOf(t, body); r != "unknown_chaos_target" {
-		t.Errorf("unknown target: reason %q, want unknown_chaos_target", r)
-	}
-	if !strings.Contains(string(body), "rowcache") {
-		t.Errorf("unknown target: error does not name the target: %s", body)
-	}
+	for _, target := range []string{"rowcache", "ann"} {
+		resp, err := http.Post(ts.URL+"/admin/chaos", "application/json", strings.NewReader(fmt.Sprintf(
+			`{"enabled": false, "seed": 9, "rules": {"http": {"errRate": 0.2}, %q: {"errRate": 1}}}`, target)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("target %s: status %d, want 400 (%s)", target, resp.StatusCode, body)
+		}
+		if r := reasonOf(t, body); r != "unknown_chaos_target" {
+			t.Errorf("target %s: reason %q, want unknown_chaos_target", target, r)
+		}
+		if !strings.Contains(string(body), `\"`+target+`\"`) {
+			t.Errorf("target %s: error does not name the target: %s", target, body)
+		}
 
-	var state chaosState
-	if code := getJSON(t, ts.URL+"/admin/chaos", &state); code != http.StatusOK {
-		t.Fatalf("GET /admin/chaos: status %d", code)
-	}
-	if !state.Enabled || state.Seed != 5 || len(state.Rules) != 1 || state.Rules["ann"].ErrRate != 0.5 {
-		t.Errorf("chaos state changed by a rejected POST: %+v", state)
+		var state chaosState
+		if code := getJSON(t, ts.URL+"/admin/chaos", &state); code != http.StatusOK {
+			t.Fatalf("GET /admin/chaos: status %d", code)
+		}
+		if !state.Enabled || state.Seed != 5 || len(state.Rules) != 1 || state.Rules["http"].ErrRate != 0.5 {
+			t.Errorf("chaos state changed by a rejected POST naming %s: %+v", target, state)
+		}
 	}
 }
 

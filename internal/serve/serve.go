@@ -11,17 +11,15 @@
 //	GET  /v1/neighbors        top-k approximate nearest neighbors of a
 //	POST /v1/neighbors        token (GET) or raw vector (POST), when an
 //	                          ANN index is configured
-//	GET  /healthz             liveness + degradation (per-breaker state)
+//	GET  /healthz             liveness + degradation (reload breaker state)
 //	GET  /metrics             Prometheus text
 //	GET  /admin/chaos         chaos-harness state (POST to reconfigure;
 //	                          503 unless started with a chaos source)
 //
 // The HTTP layer carries the production plumbing: deadline propagation
-// (clients bound their wait with X-Leva-Deadline-Ms and the context
-// flows through featurize/neighbors), an adaptive AIMD
+// (clients bound their wait with X-Leva-Deadline-Ms), an adaptive AIMD
 // concurrency limiter with a short bounded queue that sheds excess
-// load with Retry-After-carrying 429s, per-dependency circuit breakers
-// with a degraded fallback (brute-force neighbor scans),
+// load with Retry-After-carrying 429s, a circuit breaker on hot reload,
 // per-request timeouts, structured request logging, and graceful
 // shutdown that drains in-flight requests. internal/resilience holds
 // the mechanisms; cmd/levad is the daemon around this package.
@@ -61,25 +59,17 @@ type Config struct {
 	// QueueTimeout bounds one request's wait in the admission queue.
 	// Default 100ms.
 	QueueTimeout time.Duration
-	// DependencyTimeout is the per-call time budget for circuit-broken
-	// dependencies (the ANN index). Default 2s; negative disables.
-	DependencyTimeout time.Duration
-	// BreakerFailures is the consecutive-failure count that trips a
-	// dependency's circuit breaker. Default 5.
+	// BreakerFailures is the consecutive failed-reload count that trips
+	// the reload circuit breaker. Default 5.
 	BreakerFailures int
-	// BreakerOpenFor is how long a tripped breaker rejects calls before
-	// admitting recovery probes. Default 5s.
+	// BreakerOpenFor is how long a tripped reload breaker refuses
+	// reloads before admitting a recovery probe. Default 5s.
 	BreakerOpenFor time.Duration
 	// Chaos, when non-nil, arms the request-level chaos harness: faults
-	// from this seeded source are injected per its rules for the "http"
-	// and "ann" targets (see CheckChaosTargets), and /admin/chaos can
-	// reconfigure it at runtime. Nil — the default — means no fault
-	// injection, ever.
+	// from this seeded source are injected per its rule for the "http"
+	// target (see CheckChaosTargets), and /admin/chaos can reconfigure
+	// it at runtime. Nil — the default — means no fault injection, ever.
 	Chaos *resilience.Chaos
-	// DisableFallback turns off degraded serving: a breaker-open or
-	// failing ANN dependency answers 503 with an error taxonomy instead
-	// of falling back to an exact brute-force scan.
-	DisableFallback bool
 	// RequestTimeout bounds one request's handler time; timed-out
 	// requests get 503. Default 10s; negative disables.
 	RequestTimeout time.Duration
@@ -135,9 +125,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 100 * time.Millisecond
 	}
-	if c.DependencyTimeout == 0 {
-		c.DependencyTimeout = 2 * time.Second
-	}
 	if c.BreakerFailures <= 0 {
 		c.BreakerFailures = 5
 	}
@@ -172,11 +159,11 @@ type Server struct {
 	ln      net.Listener
 
 	// limiter is the adaptive admission controller behind every
-	// data-plane endpoint; breakers protect the dependencies (see
-	// depNames); chaos is the optional fault source.
-	limiter  *resilience.Limiter
-	breakers map[string]*resilience.Breaker
-	chaos    *resilience.Chaos
+	// data-plane endpoint; reloadBreaker fails repeated bad reloads
+	// fast; chaos is the optional fault source.
+	limiter       *resilience.Limiter
+	reloadBreaker *resilience.Breaker
+	chaos         *resilience.Chaos
 
 	// reloadMu serializes reloads (and the shutdown/reload handoff):
 	// overlapping SIGHUPs queue behind each other instead of
@@ -216,7 +203,7 @@ func New(res *core.Result, cfg Config) *Server {
 		OnBackoff:    m.backoffs.Inc,
 	})
 	m.setLimiter(s.limiter)
-	s.breakers = s.newBreakers()
+	s.reloadBreaker = s.newReloadBreaker()
 	if s.chaos != nil {
 		s.chaos.OnInject = func(target, kind string) {
 			m.chaosInjections.With(target, kind).Inc()
