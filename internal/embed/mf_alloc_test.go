@@ -14,9 +14,11 @@ import (
 // BenchmarkEmbedMF graph (1804 nodes × 64 dims). Measured on that
 // graph: 98.4 arenas with the four-pass windowed PMI and the
 // clone-per-step Chebyshev filter, 26.8 with the fused pass and the
-// rotating buffers. At one worker the allocation volume is
-// deterministic, so unlike peak RSS it does not depend on GC timing.
-const mfAllocBudget = 35
+// rotating buffers, 13.4 with the randomized SVD in two reused buffers,
+// the column-blocked Chebyshev filter and presized CSR assembly. At one
+// worker the allocation volume is deterministic, so unlike peak RSS it
+// does not depend on GC timing.
+const mfAllocBudget = 17
 
 func TestMFAllocationBudget(t *testing.T) {
 	spec := synth.Genes(synth.GenesOptions{Scale: 0.2, Seed: 1})

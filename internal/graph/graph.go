@@ -244,7 +244,7 @@ func (g *Graph) EstimateMFMemoryBytes(dim int) int64 {
 	n := int64(g.NumNodes())
 	nnz := int64(2 * g.NumEdges())
 	csr := nnz*(8+4) + (n+1)*4
-	dense := 4 * n * int64(dim) * 8 // Y, Q, Bt, U working copies
+	dense := 4 * n * int64(dim) * 8 // Y/Q, Ω/Bt, U and V
 	return csr + dense
 }
 

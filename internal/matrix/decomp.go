@@ -9,9 +9,16 @@ import (
 // m-by-n orthonormal factor Q. The R factor is discarded because the
 // randomized range finder only needs the basis. Columns that become
 // numerically zero (rank deficiency) are replaced with zero vectors.
+// a is left unchanged.
 func QR(a *Dense) *Dense {
-	m, n := a.Rows, a.Cols
 	q := a.Clone()
+	qrInPlace(q)
+	return q
+}
+
+// qrInPlace overwrites q with QR(q) bit for bit, without the copy.
+func qrInPlace(q *Dense) {
+	m, n := q.Rows, q.Cols
 	// Column-major access via strided indexing into the row-major data.
 	col := func(j int) func(i int) *float64 {
 		return func(i int) *float64 { return &q.Data[i*n+j] }
@@ -52,7 +59,6 @@ func QR(a *Dense) *Dense {
 			*cj(i) *= inv
 		}
 	}
-	return q
 }
 
 // SymEigen computes the eigendecomposition of a small symmetric matrix

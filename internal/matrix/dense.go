@@ -1,8 +1,9 @@
 // Package matrix supplies the linear-algebra substrate Leva's matrix
-// factorization path needs: dense and CSR sparse matrices, Householder
-// QR, a Jacobi symmetric eigensolver, the Halko-style randomized SVD the
-// paper cites, PCA for embedding dimension reduction, and the Chebyshev
-// spectral-propagation filter used as the ProNE-style enhancement.
+// factorization path needs: dense and CSR sparse matrices, a thin QR by
+// modified Gram–Schmidt with reorthogonalization, a Jacobi symmetric
+// eigensolver, the Halko-style randomized SVD the paper cites, PCA for
+// embedding dimension reduction, and the Chebyshev spectral-propagation
+// filter used as the ProNE-style enhancement.
 //
 // Everything is stdlib-only float64 code; matrices are row-major flat
 // slices.

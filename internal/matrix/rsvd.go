@@ -31,6 +31,11 @@ func RandomizedSVD(m *CSR, d, oversample, powerIters int, rng *rand.Rand) SVDRes
 // stream and the partitioned products accumulate in sequential order,
 // so the decomposition is bit-identical at every worker count; only the
 // O(rows·k²) QR and the tiny k×k eigensolve remain single-threaded.
+//
+// The range finder runs in two buffers: y (NumRows x k) is
+// orthonormalized in place, and the test matrix's buffer (NumCols x k)
+// is reused for every z = Mᵀy and finally holds Bt. Apart from them it
+// allocates only U, V and the k-sized eigenproblem.
 func RandomizedSVDWorkers(m *CSR, d, oversample, powerIters int, rng *rand.Rand, workers int) SVDResult {
 	if d <= 0 {
 		panic("matrix: RandomizedSVD rank must be positive")
@@ -47,17 +52,20 @@ func RandomizedSVDWorkers(m *CSR, d, oversample, powerIters int, rng *rand.Rand,
 	}
 
 	// Range sampling: Y = M * Omega.
-	omega := Gaussian(m.NumCols, k, rng)
-	y := m.MulDenseWorkers(omega, workers)
+	w := Gaussian(m.NumCols, k, rng)
+	y := NewDense(m.NumRows, k)
+	m.mulDenseInto(y, w, workers)
 	for it := 0; it < powerIters; it++ {
-		y = QR(y) // re-orthonormalize to avoid collapse
-		z := m.TMulDenseWorkers(y, workers)
-		y = m.MulDenseWorkers(z, workers)
+		qrInPlace(y) // re-orthonormalize to avoid collapse
+		m.tMulDenseInto(w, y, workers)
+		m.mulDenseInto(y, w, workers)
 	}
-	q := QR(y) // NumRows x k orthonormal basis of the range
+	qrInPlace(y) // Q: NumRows x k orthonormal basis of the range
+	q := y
 
 	// B = Qᵀ M computed transposed: Bt = Mᵀ Q (NumCols x k).
-	bt := m.TMulDenseWorkers(q, workers)
+	m.tMulDenseInto(w, q, workers)
+	bt := w
 
 	// C = B Bᵀ = Btᵀ Bt is k x k symmetric; its eigenpairs give the
 	// left singular structure of B.

@@ -24,7 +24,9 @@ type CSR struct {
 }
 
 // NewCSR assembles a CSR matrix from unordered COO triples. Duplicate
-// (row, col) entries are summed.
+// (row, col) entries are summed. The index and value arrays are sized
+// for len(entries) up front: grown by append, they would allocate about
+// five times their final size.
 func NewCSR(rows, cols int, entries []COO) *CSR {
 	sort.Slice(entries, func(i, j int) bool {
 		if entries[i].Row != entries[j].Row {
@@ -32,7 +34,8 @@ func NewCSR(rows, cols int, entries []COO) *CSR {
 		}
 		return entries[i].Col < entries[j].Col
 	})
-	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int32, rows+1)}
+	m := &CSR{NumRows: rows, NumCols: cols, RowPtr: make([]int32, rows+1),
+		ColIdx: make([]int32, 0, len(entries)), Vals: make([]float64, 0, len(entries))}
 	for i := 0; i < len(entries); {
 		e := entries[i]
 		if e.Row < 0 || e.Row >= rows || e.Col < 0 || e.Col >= cols {
@@ -80,16 +83,23 @@ func (m *CSR) MulDense(b *Dense) *Dense { return m.MulDenseWorkers(b, 1) }
 // exactly one goroutine in the sequential order, so the product is
 // bit-identical at every worker count.
 func (m *CSR) MulDenseWorkers(b *Dense, workers int) *Dense {
-	if m.NumCols != b.Rows {
-		panic(fmt.Sprintf("matrix: CSR MulDense shape mismatch %dx%d * %dx%d", m.NumRows, m.NumCols, b.Rows, b.Cols))
-	}
 	out := NewDense(m.NumRows, b.Cols)
+	m.mulDenseInto(out, b, workers)
+	return out
+}
+
+// mulDenseInto overwrites out (NumRows x b.Cols, not aliasing b) with
+// m * b, partitioned as in MulDenseWorkers.
+func (m *CSR) mulDenseInto(out, b *Dense, workers int) {
+	if m.NumCols != b.Rows || out.Rows != m.NumRows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("matrix: CSR MulDense shape mismatch %dx%d * %dx%d into %dx%d",
+			m.NumRows, m.NumCols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
 	parallel.For(m.NumRows, workers, func(_ int, r parallel.Range) {
 		for i := r.Lo; i < r.Hi; i++ {
 			m.mulRow(out.Row(i), i, b)
 		}
 	})
-	return out
 }
 
 // mulRow overwrites oi with row i of m*b, accumulating m's entries in
@@ -116,10 +126,20 @@ func (m *CSR) TMulDense(b *Dense) *Dense { return m.TMulDenseWorkers(b, 1) }
 // every worker count, at the cost of re-reading the index arrays once
 // per worker (cheap next to the fused multiply-adds).
 func (m *CSR) TMulDenseWorkers(b *Dense, workers int) *Dense {
-	if m.NumRows != b.Rows {
-		panic(fmt.Sprintf("matrix: CSR TMulDense shape mismatch (%dx%d)T * %dx%d", m.NumRows, m.NumCols, b.Rows, b.Cols))
-	}
 	out := NewDense(m.NumCols, b.Cols)
+	m.tMulDenseInto(out, b, workers)
+	return out
+}
+
+// tMulDenseInto overwrites out (NumCols x b.Cols, not aliasing b) with
+// mᵀ * b, partitioned as in TMulDenseWorkers. It clears out first, so
+// every output row accumulates from zero exactly as in a fresh matrix.
+func (m *CSR) tMulDenseInto(out, b *Dense, workers int) {
+	if m.NumRows != b.Rows || out.Rows != m.NumCols || out.Cols != b.Cols {
+		panic(fmt.Sprintf("matrix: CSR TMulDense shape mismatch (%dx%d)T * %dx%d into %dx%d",
+			m.NumRows, m.NumCols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
+	clear(out.Data)
 	parallel.For(m.NumCols, workers, func(_ int, cr parallel.Range) {
 		lo, hi := int32(cr.Lo), int32(cr.Hi)
 		for i := 0; i < m.NumRows; i++ {
@@ -137,7 +157,6 @@ func (m *CSR) TMulDenseWorkers(b *Dense, workers int) *Dense {
 			}
 		}
 	})
-	return out
 }
 
 // MulVec returns m * x.

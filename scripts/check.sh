@@ -217,6 +217,23 @@ grep -q 'cache: textify=partial tables=2/3 graph=rebuilt embed=rebuilt' "$SMOKE/
 
 echo "stage-cache smoke test passed"
 
+# --- worker-count identity smoke test ---------------------------------
+# MF's Chebyshev filter runs in column blocks of 8, so at -dim 8 it is
+# one block; -dim 12 adds a partial second block. Cold MF builds at one
+# and two workers, against separate caches, must publish byte-identical
+# files.
+for w in 1 2; do
+    mkdir -p "$SMOKE/w$w"
+    "$SMOKE/bin/leva" embed -data "$SMOKE/csv" -method mf -dim 12 -seed 7 -workers "$w" \
+        -cache "$SMOKE/cache_w$w" -out "$SMOKE/w$w/embedding.tsv" \
+        -bundle "$SMOKE/w$w/bundle" -index "$SMOKE/w$w/index" > /dev/null
+done
+cmp "$SMOKE/w1/embedding.tsv" "$SMOKE/w2/embedding.tsv"
+cmp "$SMOKE/w1/bundle/bundle.bin" "$SMOKE/w2/bundle/bundle.bin"
+cmp "$SMOKE/w1/index/index.bin" "$SMOKE/w2/index/index.bin"
+
+echo "worker-count identity smoke test passed"
+
 # --- ANN index smoke test ---------------------------------------------
 # The HNSW index artifact end to end: `leva embed -index` publishes it
 # (durably, content-addressed in the stage cache), `leva neighbors`
