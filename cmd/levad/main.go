@@ -95,7 +95,7 @@ func run(ctx context.Context, args []string) error {
 	chaosSpec := fs.String("chaos", "", "arm the chaos harness with a fault spec, e.g. 'seed=1;http:err=0.3,lat=400ms' (targets: http; empty = no fault injection, ever)")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler budget (503 on expiry)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
-	cacheSize := fs.Int("cache", 4096, "LRU entries for fully-featurized rows (0 disables)")
+	cacheSize := fs.Int("cache", 4096, "LRU entries for token-keyed /v1/neighbors queries (0 disables)")
 	workers := fs.Int("workers", 0, "featurization worker goroutines per request (0 = all cores)")
 	mmapFiles := fs.Bool("mmap", durable.MapSupported, "memory-map bundle.bin and index.bin instead of reading them onto the heap (on by default where supported; pass -mmap=false if you rewrite those files in place instead of republishing them)")
 	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; uses the bundle's quant section when present, else quantizes at startup)")

@@ -332,7 +332,8 @@ func (ix *Index) save(fsys durable.FS, dir string) error {
 type LoadOptions struct {
 	// MMap memory-maps index.bin instead of reading it, when the
 	// platform supports it (see durable.MapSupported). Names and vectors
-	// then point into the mapping and pages fault in on first access;
+	// then point into the mapping. Load hashes every byte of it against
+	// the manifest, so all of its pages are resident when Load returns;
 	// the holder must call Index.Unmap once nothing can touch them.
 	MMap bool
 	// Warn receives human-readable warnings for conditions that do not

@@ -152,8 +152,11 @@ type LoadOptions struct {
 	Warn func(msg string)
 	// MMap memory-maps bundle.bin instead of reading it, when the
 	// platform supports it (see durable.MapSupported). Vector and
-	// symbol views then point into the mapping and pages fault in on
-	// first access. Ignored for legacy JSON bundles.
+	// symbol views then point into the mapping. Verifying a sealed
+	// bundle against its manifest reads every byte through it, so all
+	// of its pages are resident when the load returns; only a bundle
+	// with no manifest faults pages in on first access. Ignored for
+	// legacy JSON bundles.
 	MMap bool
 }
 

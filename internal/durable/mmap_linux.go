@@ -12,7 +12,10 @@ import (
 const MapSupported = true
 
 // MapFile memory-maps path read-only and returns the file's bytes as a
-// view over the mapping (no read, no copy — pages fault in on access).
+// view over the mapping (no read, no copy onto the heap). Pages fault
+// in on first touch, so a caller that hashes the whole view — as
+// Manifest.VerifyData does for every sealed bundle and index — leaves
+// every page resident (as clean, shared page cache) when it returns.
 // The mapping is page-aligned, so any 8-aligned offset within the file
 // is 8-aligned in memory, which is what the bundle arena's zero-copy
 // float64 view relies on.

@@ -2,62 +2,83 @@ package serve
 
 import (
 	"context"
-	"strconv"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
-// BenchmarkServeFeaturize measures single-row featurization latency
-// through the store — the /v1/featurize hot path minus HTTP/JSON — with
-// a warm cache (every lookup hits) versus a cold cache (every lookup
-// misses and runs the full tokenize+embed composition). The gap is the
-// capacity headroom the LRU buys for repeat-heavy traffic; see
-// docs/SERVING.md for tuning notes.
-func BenchmarkServeFeaturize(b *testing.B) {
-	_, loaded, spec := fixture(b)
+// featurizeJobs returns a store over the fixture bundle and n rowJobs
+// for the fixture's first n base-table rows, shaped as handleFeaturize
+// builds them: one-row tables in fitted column order, graph row -1.
+func featurizeJobs(tb testing.TB, n int) (*store, []*rowJob) {
+	tb.Helper()
+	_, loaded, spec := fixture(tb)
 	base := spec.DB.Table(spec.BaseTable)
-
-	job := func(rowIdx int, tag string) *rowJob {
+	jobs := make([]*rowJob, n)
+	for i := range jobs {
 		t := &dataset.Table{Name: spec.BaseTable}
 		for _, c := range base.Columns {
-			v := c.Values[rowIdx]
-			if tag != "" && c.Name == "name" {
-				v = dataset.String(v.Str + tag)
-			}
-			t.Columns = append(t.Columns, &dataset.Column{Name: c.Name, Values: []dataset.Value{v}})
+			t.Columns = append(t.Columns, &dataset.Column{Name: c.Name, Values: []dataset.Value{c.Values[i]}})
 		}
-		j := &rowJob{t: t, table: spec.BaseTable, exclude: []string{spec.Target},
+		jobs[i] = &rowJob{t: t, table: spec.BaseTable, exclude: []string{spec.Target},
 			graphRow: -1, mode: loaded.Config.Featurization}
-		j.key = cacheKey(j)
-		return j
 	}
+	return newStore(loaded, nil, Config{}.withDefaults(), newMetrics()), jobs
+}
 
-	b.Run("warm-cache", func(b *testing.B) {
-		st := newStore(loaded, nil, Config{CacheSize: 1024}.withDefaults(), newMetrics())
-		j := job(0, "")
-		if _, err := st.featurizeRows(context.Background(), []*rowJob{j}); err != nil {
+// BenchmarkServeFeaturize measures single-row featurization through the
+// store — the /v1/featurize hot path minus HTTP/JSON: tokenization plus
+// vector composition, which every request pays.
+func BenchmarkServeFeaturize(b *testing.B) {
+	st, jobs := featurizeJobs(b, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.compute(context.Background(), jobs); err != nil {
 			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.featurizeRows(context.Background(), []*rowJob{job(0, "")}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
+}
 
-	b.Run("cold-cache", func(b *testing.B) {
-		st := newStore(loaded, nil, Config{CacheSize: 1024}.withDefaults(), newMetrics())
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			// A unique name per iteration defeats the cache, so every
-			// lookup pays tokenization + vector composition.
-			if _, err := st.featurizeRows(context.Background(), []*rowJob{job(0, strconv.Itoa(i))}); err != nil {
-				b.Fatal(err)
+// Allocation budgets of the featurize path on the fixture bundle, set at
+// the measured counts: every call allocates the same, so one more
+// allocation per row (or per request) fails the gate. A compute call of
+// n rows costs n rows plus a fixed per-call overhead.
+// testing.AllocsPerRun runs at GOMAXPROCS 1, so compute runs inline.
+const (
+	featurizeRowAllocBudget = 8
+	computeAllocOverhead    = 5
+)
+
+func TestFeaturizeAllocBudget(t *testing.T) {
+	st, jobs := featurizeJobs(t, 32)
+	j := jobs[0]
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name   string
+		budget float64
+		fn     func() error
+	}{
+		{"FeaturizeRow", featurizeRowAllocBudget, func() error {
+			_, err := st.res.FeaturizeRow(j.t, j.table, j.exclude, 0, j.graphRow, j.mode)
+			return err
+		}},
+		{"compute-1", featurizeRowAllocBudget + computeAllocOverhead,
+			func() error { return st.compute(ctx, jobs[:1]) }},
+		{"compute-32", 32*featurizeRowAllocBudget + computeAllocOverhead,
+			func() error { return st.compute(ctx, jobs) }},
+	} {
+		var err error
+		got := testing.AllocsPerRun(50, func() {
+			if e := tc.fn(); e != nil {
+				err = e
 			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-	})
+		if got > tc.budget {
+			t.Errorf("%s: %v allocs per call, budget %v", tc.name, got, tc.budget)
+		}
+	}
 }

@@ -3,14 +3,15 @@ package serve
 import (
 	"container/list"
 	"sync"
+
+	"repro/internal/ann"
 )
 
-// lruCache is a mutex-guarded LRU of computed serving results —
-// featurized row vectors and ANN neighbor lists. The serving hot path
-// is read-mostly with small values, so a single lock in front of a map
-// plus intrusive recency list is simpler than sharding and fast enough
-// — the computation it avoids costs orders of magnitude more than the
-// critical section.
+// lruCache is a mutex-guarded LRU of token-keyed ANN neighbor lists.
+// The serving hot path is read-mostly with small values, so a single
+// lock in front of a map plus intrusive recency list is simpler than
+// sharding and fast enough — the search it avoids costs orders of
+// magnitude more than the critical section.
 type lruCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -20,7 +21,7 @@ type lruCache struct {
 
 type lruEntry struct {
 	key string
-	val any
+	val []ann.Result
 }
 
 func newLRU(capacity int) *lruCache {
@@ -33,7 +34,7 @@ func newLRU(capacity int) *lruCache {
 
 // get returns the cached value and marks it most recently used. The
 // returned value is shared; callers must not mutate it.
-func (c *lruCache) get(key string) (any, bool) {
+func (c *lruCache) get(key string) ([]ann.Result, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
@@ -46,7 +47,7 @@ func (c *lruCache) get(key string) (any, bool) {
 
 // put inserts or refreshes a value, evicting the least recently used
 // entry when full.
-func (c *lruCache) put(key string, val any) {
+func (c *lruCache) put(key string, val []ann.Result) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
@@ -60,11 +61,4 @@ func (c *lruCache) put(key string, val any) {
 		c.ll.Remove(oldest)
 		delete(c.items, oldest.Value.(*lruEntry).key)
 	}
-}
-
-// len returns the current entry count.
-func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }

@@ -35,11 +35,10 @@ type featurizeRequest struct {
 }
 
 type featurizeResponse struct {
-	Table     string      `json:"table"`
-	Rows      int         `json:"rows"`
-	Dim       int         `json:"dim"`
-	CacheHits int         `json:"cacheHits"`
-	Features  [][]float64 `json:"features"`
+	Table    string      `json:"table"`
+	Rows     int         `json:"rows"`
+	Dim      int         `json:"dim"`
+	Features [][]float64 `json:"features"`
 }
 
 type embeddingResponse struct {
@@ -161,13 +160,10 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 		if req.GraphRows != nil {
 			graphRow = req.GraphRows[i]
 		}
-		j := &rowJob{t: t, table: req.Table, exclude: req.Exclude, graphRow: graphRow, mode: mode}
-		j.key = cacheKey(j)
-		jobs[i] = j
+		jobs[i] = &rowJob{t: t, table: req.Table, exclude: req.Exclude, graphRow: graphRow, mode: mode}
 	}
 
-	hits, err := st.featurizeRows(r.Context(), jobs)
-	if err != nil {
+	if err := st.compute(r.Context(), jobs); err != nil {
 		if r.Context().Err() != nil {
 			writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
 			return
@@ -180,11 +176,10 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 		features[i] = j.out
 	}
 	writeJSON(w, http.StatusOK, featurizeResponse{
-		Table:     req.Table,
-		Rows:      len(features),
-		Dim:       st.featureWidth(mode),
-		CacheHits: hits,
-		Features:  features,
+		Table:    req.Table,
+		Rows:     len(features),
+		Dim:      st.featureWidth(mode),
+		Features: features,
 	})
 }
 

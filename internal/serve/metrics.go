@@ -24,10 +24,6 @@ const (
 	metricRequestErrors   = "leva_http_request_errors_total"
 	metricRequestDuration = "leva_http_request_duration_seconds"
 	metricResponses       = "leva_http_responses_total"
-	metricCacheHits       = "leva_rowcache_hits_total"
-	metricCacheMisses     = "leva_rowcache_misses_total"
-	metricCacheSize       = "leva_rowcache_size"
-	metricCacheCapacity   = "leva_rowcache_capacity"
 	metricRowsFeaturized  = "leva_rows_featurized_total"
 	metricANNCacheHits    = "leva_ann_cache_hits_total"
 	metricANNCacheMisses  = "leva_ann_cache_misses_total"
@@ -77,9 +73,6 @@ type metrics struct {
 	requestErrors   *obs.CounterVec   // by endpoint, status >= 400
 	latency         *obs.HistogramVec // by endpoint, seconds
 	statuses        *obs.CounterVec   // by code ("200", ..., "other")
-	cacheHits       *obs.Counter
-	cacheMisses     *obs.Counter
-	cacheCapGauge   *obs.Gauge
 	rowsFeaturized  *obs.Counter
 	annCacheHits    *obs.Counter
 	annCacheMisses  *obs.Counter
@@ -103,10 +96,6 @@ type metrics struct {
 	lastReloadSeconds *obs.Gauge
 	lastReloadUnix    *obs.Gauge
 	lastReloadError   atomic.Value // string; reported on /healthz, not a number
-
-	// cacheLenFn sizes the *current* store's row cache. It is swapped on
-	// hot reload while scrapes may be rendering, hence the atomic.Value.
-	cacheLenFn atomic.Value // func() int
 
 	// limitFn and queueDepthFn read the admission limiter, which is
 	// created after the metrics (atomic.Value holds func() float64 so a
@@ -135,12 +124,6 @@ func newMetrics() *metrics {
 			obs.LatencyBuckets, "endpoint"),
 		statuses: r.CounterVec(metricResponses,
 			"HTTP responses, by status code (untracked codes land under \"other\").", "code"),
-		cacheHits: r.Counter(metricCacheHits,
-			"Featurized-row cache hits."),
-		cacheMisses: r.Counter(metricCacheMisses,
-			"Featurized-row cache misses."),
-		cacheCapGauge: r.Gauge(metricCacheCapacity,
-			"Row-cache capacity in entries (0 = cache disabled)."),
 		rowsFeaturized: r.Counter(metricRowsFeaturized,
 			"Rows featurized by the serving path."),
 		annCacheHits: r.Counter(metricANNCacheHits,
@@ -185,14 +168,6 @@ func newMetrics() *metrics {
 	r.Register(obs.NewGaugeFunc(metricUptime,
 		"Seconds since this server was created.",
 		func() float64 { return time.Since(m.start).Seconds() }))
-	r.Register(obs.NewGaugeFunc(metricCacheSize,
-		"Featurized rows currently cached.",
-		func() float64 {
-			if fn, ok := m.cacheLenFn.Load().(func() int); ok && fn != nil {
-				return float64(fn())
-			}
-			return 0
-		}))
 	r.Register(obs.NewGaugeFunc(metricLimit,
 		"Current adaptive concurrency limit (AIMD: climbs on success, falls on congestion).",
 		func() float64 {
@@ -217,15 +192,6 @@ func newMetrics() *metrics {
 	ann.RegisterMetrics(r)
 	obs.RegisterRuntimeMetrics(r)
 	return m
-}
-
-// setRowCache points the cache gauges at the current store's cache.
-// Called at store construction (startup and every reload).
-func (m *metrics) setRowCache(capacity int, lenFn func() int) {
-	m.cacheCapGauge.Set(float64(capacity))
-	if lenFn != nil {
-		m.cacheLenFn.Store(lenFn)
-	}
 }
 
 // setLimiter points the admission gauges at the server's limiter.

@@ -125,14 +125,6 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_resilience_limit gauge
 # HELP leva_resilience_queue_depth Requests waiting in the admission queue.
 # TYPE leva_resilience_queue_depth gauge
-# HELP leva_rowcache_capacity Row-cache capacity in entries (0 = cache disabled).
-# TYPE leva_rowcache_capacity gauge
-# HELP leva_rowcache_hits_total Featurized-row cache hits.
-# TYPE leva_rowcache_hits_total counter
-# HELP leva_rowcache_misses_total Featurized-row cache misses.
-# TYPE leva_rowcache_misses_total counter
-# HELP leva_rowcache_size Featurized rows currently cached.
-# TYPE leva_rowcache_size gauge
 # HELP leva_rows_featurized_total Rows featurized by the serving path.
 # TYPE leva_rows_featurized_total counter
 # HELP leva_shed_retry_after_seconds Retry-After value of the most recent shed response.
@@ -151,7 +143,7 @@ func TestMetricsPrometheusGolden(t *testing.T) {
 
 func TestMetricsPrometheusEndToEnd(t *testing.T) {
 	_, loaded, spec := fixture(t)
-	srv := New(loaded, Config{CacheSize: 64})
+	srv := New(loaded, Config{})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -188,9 +180,6 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 		`leva_http_requests_total{endpoint="featurize"} 2`,
 		`leva_http_responses_total{code="200"} 2`,
 		`leva_http_request_duration_seconds_count{endpoint="featurize"} 2`,
-		`leva_rowcache_hits_total 1`,
-		`leva_rowcache_misses_total 1`,
-		`leva_rowcache_capacity 64`,
 		`leva_rows_featurized_total 2`,
 		`leva_bundle_generation 1`,
 		`leva_http_request_duration_seconds_bucket{endpoint="featurize",le="+Inf"} 2`,
@@ -202,18 +191,20 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 	if !strings.Contains(text, `le="0.005"`) {
 		t.Error("exposition has no latency bucket boundaries")
 	}
+	// Featurized rows are not cached, so no row-cache family exists.
+	if strings.Contains(text, "leva_rowcache_") {
+		t.Error("exposition still has a leva_rowcache_ family")
+	}
 }
 
 // TestMetricsConcurrentScrapeAndReload drives featurization, Prometheus
 // scrapes, health checks, and hot reloads all at once. Run under -race,
-// this is the proof that the registry's hot paths, the reload-time
-// cacheLen swap and the reload error /healthz reports are properly
-// synchronized.
+// this is the proof that the registry's hot paths and the reload error
+// /healthz reports are properly synchronized.
 func TestMetricsConcurrentScrapeAndReload(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	srv := New(loaded, Config{
-		CacheSize: 64,
-		Loader:    func() (*core.Result, error) { return loaded, nil },
+		Loader: func() (*core.Result, error) { return loaded, nil },
 	})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())

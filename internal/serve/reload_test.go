@@ -132,7 +132,6 @@ func TestReloadDuringInFlightRequest(t *testing.T) {
 	alt := altFixture(t)
 	srv := New(loaded, Config{
 		RequestTimeout: -1,
-		CacheSize:      -1, // force full featurization so the pinned store does real work
 		Loader:         func() (*core.Result, error) { return alt, nil },
 	})
 	entered := make(chan struct{})
@@ -187,8 +186,8 @@ func TestReloadDuringInFlightRequest(t *testing.T) {
 }
 
 // TestReloadUnderConcurrentLoad hammers featurize from many goroutines
-// while the bundle is swapped back and forth, with the row cache off so
-// every row is computed inline against the pinned store: every response
+// while the bundle is swapped back and forth; every row is computed
+// inline against the pinned store, so every response
 // must be a 200 carrying exactly the old vector or exactly the new
 // vector, never a mix and never a retired store's answer after release.
 func TestReloadUnderConcurrentLoad(t *testing.T) {
@@ -196,8 +195,7 @@ func TestReloadUnderConcurrentLoad(t *testing.T) {
 	alt := altFixture(t)
 	next := make(chan *core.Result, 8)
 	srv := New(loaded, Config{
-		CacheSize: -1,
-		Loader:    func() (*core.Result, error) { return <-next, nil },
+		Loader: func() (*core.Result, error) { return <-next, nil },
 	})
 	defer srv.Shutdown(context.Background())
 	ts := httptest.NewServer(srv.Handler())

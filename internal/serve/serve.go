@@ -3,8 +3,8 @@
 // Section 2's "build the embedding once, featurize any downstream
 // task"). It wraps a loaded core.Result in a read-optimized,
 // concurrency-safe store — token→vector lookups straight off the
-// embedding index and an LRU cache of fully-featurized rows — and
-// exposes it over HTTP:
+// embedding index, rows featurized per request, and an LRU cache of
+// token-keyed neighbor queries — and exposes it over HTTP:
 //
 //	POST /v1/featurize        rows in, dense feature vectors out
 //	GET  /v1/embedding/{token} one embedding vector
@@ -73,8 +73,10 @@ type Config struct {
 	// RequestTimeout bounds one request's handler time; timed-out
 	// requests get 503. Default 10s; negative disables.
 	RequestTimeout time.Duration
-	// CacheSize is the LRU capacity (fully-featurized rows). Default
-	// 4096 entries; negative disables the cache.
+	// CacheSize is the capacity of the token-keyed /v1/neighbors LRU
+	// (one entry per distinct token, k and efSearch). Default 4096
+	// entries; negative disables the cache. Featurized rows are never
+	// cached.
 	CacheSize int
 	// MaxRowsPerRequest bounds one featurize call. Default 1024.
 	MaxRowsPerRequest int

@@ -373,6 +373,10 @@ func TestGracefulShutdownDrainsInFlight(t *testing.T) {
 	}
 }
 
+// TestMetricsAndCacheCounters pins that featurize serves no row cache:
+// the same request posted twice is recomputed into byte-identical
+// bodies with no cacheHits field, whose features are == to offline
+// FeaturizeRow, and the counters see two featurized rows.
 func TestMetricsAndCacheCounters(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	srv := New(loaded, Config{})
@@ -385,28 +389,44 @@ func TestMetricsAndCacheCounters(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	// The same row twice: second featurization must come from the LRU.
-	body := mustJSON(map[string]any{
-		"table": spec.BaseTable,
-		"rows":  []any{jsonRow(spec.DB.Table(spec.BaseTable), 0)},
-	})
-	var outs [2]featurizeResponse
-	for i := range outs {
-		resp, err := http.Post(ts.URL+"/v1/featurize", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&outs[i]); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	base := spec.DB.Table(spec.BaseTable)
+	req := map[string]any{
+		"table":   spec.BaseTable,
+		"rows":    []any{jsonRow(base, 0)},
+		"exclude": []string{spec.Target},
 	}
-	if outs[0].CacheHits != 0 || outs[1].CacheHits != 1 {
-		t.Fatalf("cacheHits = %d then %d, want 0 then 1", outs[0].CacheHits, outs[1].CacheHits)
+	var bodies [2][]byte
+	for i := range bodies {
+		resp, body := postFeaturize(t, ts.URL, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("post %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		bodies[i] = body
 	}
-	for j := range outs[0].Features[0] {
-		if outs[0].Features[0][j] != outs[1].Features[0][j] {
-			t.Fatalf("cached features differ at %d", j)
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatalf("repeated request bodies differ:\n%s\n%s", bodies[0], bodies[1])
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(bodies[0], &fields); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := fields["cacheHits"]; ok {
+		t.Errorf("featurize response still carries cacheHits: %s", bodies[0])
+	}
+	var out featurizeResponse
+	if err := json.Unmarshal(bodies[0], &out); err != nil {
+		t.Fatal(err)
+	}
+	want, err := loaded.FeaturizeRow(base, spec.BaseTable, []string{spec.Target}, 0, -1, loaded.Config.Featurization)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Features) != 1 || len(out.Features[0]) != len(want) {
+		t.Fatalf("features shape %d×%d, want 1×%d", len(out.Features), len(out.Features[0]), len(want))
+	}
+	for j := range want {
+		if out.Features[0][j] != want[j] {
+			t.Fatalf("feature %d: served %v, offline FeaturizeRow %v", j, out.Features[0][j], want[j])
 		}
 	}
 
@@ -420,11 +440,8 @@ func TestMetricsAndCacheCounters(t *testing.T) {
 	if got := m.statuses.With("200").Value(); got < 3 {
 		t.Errorf("200 responses = %v, want >= 3", got)
 	}
-	if hits, misses := m.cacheHits.Value(), m.cacheMisses.Value(); hits != 1 || misses != 1 {
-		t.Errorf("row cache = %v hits / %v misses, want 1 / 1", hits, misses)
-	}
 	if got := m.rowsFeaturized.Value(); got != 2 {
-		t.Errorf("rows featurized = %v, want 2", got)
+		t.Errorf("rows featurized = %v, want 2 (every row is computed)", got)
 	}
 	if p50 := m.latency.With("featurize").Quantile(0.50); p50 <= 0 {
 		t.Errorf("featurize p50 = %v, want > 0", p50)

@@ -15,17 +15,18 @@ import (
 
 // store is the read path between the HTTP handlers and the loaded
 // embedding: concurrency-safe token→vector lookups (the embedding index
-// is immutable after load, so reads need no locking) and an LRU cache
-// of fully-featurized rows keyed by row content.
+// is immutable after load, so reads need no locking) and per-request
+// row featurization. Rows are not cached: composing one costs a few
+// microseconds, and the embedding already is the compact form of every
+// row a cache could hold.
 //
 // Stores are immutable snapshots: a hot reload builds a whole new store
-// (fresh cache) around the new bundle and swaps it in atomically, so
-// one request only ever sees one bundle version. The refs counter
-// retires a replaced store — its mappings are released when the last
-// in-flight request using it finishes, never under one.
+// (fresh neighbor cache) around the new bundle and swaps it in
+// atomically, so one request only ever sees one bundle version. The
+// refs counter retires a replaced store — its mappings are released
+// when the last in-flight request using it finishes, never under one.
 type store struct {
 	res     *core.Result
-	cache   *lruCache
 	metrics *metrics
 	workers int
 
@@ -64,10 +65,6 @@ type mapping interface{ Unmap() error }
 func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics) *store {
 	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers, owned: []mapping{res, ix}}
 	s.refs.Store(1) // the serving reference
-	if cfg.CacheSize > 0 {
-		s.cache = newLRU(cfg.CacheSize)
-		m.setRowCache(cfg.CacheSize, s.cache.len)
-	}
 	if ix != nil && cfg.CacheSize > 0 {
 		s.annCache = newLRU(cfg.CacheSize)
 	}
@@ -120,80 +117,20 @@ func (s *store) featureWidth(mode core.FeaturizationMode) int {
 }
 
 // rowJob is one row awaiting featurization. t is a one-row table whose
-// columns are in the fitted order; out is filled by featurizeRows.
+// columns are in the fitted order; out is filled by compute.
 type rowJob struct {
 	t        *dataset.Table
 	table    string
 	exclude  []string
 	graphRow int
 	mode     core.FeaturizationMode
-	key      string
 	out      []float64
-}
-
-// cacheKey renders a canonical identity for a row's featurization:
-// table, mode, graph row, excluded columns, and every (column, value)
-// pair in fitted column order. Two requests with the same key are
-// guaranteed the same feature vector, so cached vectors can be shared.
-func cacheKey(j *rowJob) string {
-	var b strings.Builder
-	b.Grow(64)
-	b.WriteString(j.table)
-	b.WriteByte(0x1e)
-	b.WriteByte(byte('0' + j.mode))
-	b.WriteByte(0x1e)
-	b.WriteString(strconv.Itoa(j.graphRow))
-	for _, e := range j.exclude {
-		b.WriteByte(0x1e)
-		b.WriteString(e)
-	}
-	for _, c := range j.t.Columns {
-		b.WriteByte(0x1f)
-		b.WriteString(c.Name)
-		b.WriteByte(0x1e)
-		b.WriteByte(byte('0' + c.Values[0].Kind))
-		b.WriteString(c.Values[0].Text())
-	}
-	return b.String()
-}
-
-// featurizeRows fills every job's out vector, serving from the cache
-// where possible, and reports the number of cache hits. Returned
-// vectors may be shared with the cache; callers must not mutate them.
-func (s *store) featurizeRows(ctx context.Context, jobs []*rowJob) (int, error) {
-	hits := 0
-	misses := jobs
-	if s.cache != nil {
-		misses = misses[:0:0]
-		for _, j := range jobs {
-			if v, ok := s.cache.get(j.key); ok {
-				j.out = v.([]float64)
-				hits++
-				continue
-			}
-			misses = append(misses, j)
-		}
-		s.metrics.cacheHits.Add(float64(hits))
-		s.metrics.cacheMisses.Add(float64(len(misses)))
-	}
-	if len(misses) > 0 {
-		if err := s.compute(ctx, misses); err != nil {
-			return hits, err
-		}
-		if s.cache != nil {
-			for _, j := range misses {
-				s.cache.put(j.key, j.out)
-			}
-		}
-	}
-	s.metrics.rowsFeaturized.Add(float64(len(jobs)))
-	return hits, nil
 }
 
 // compute featurizes jobs inline, fanning out across s.workers
 // goroutines; each job writes only its own out slot.
 func (s *store) compute(ctx context.Context, jobs []*rowJob) error {
-	return parallel.ForError(len(jobs), s.workers, func(_ int, pr parallel.Range) error {
+	err := parallel.ForError(len(jobs), s.workers, func(_ int, pr parallel.Range) error {
 		for i := pr.Lo; i < pr.Hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -207,6 +144,11 @@ func (s *store) compute(ctx context.Context, jobs []*rowJob) error {
 		}
 		return nil
 	})
+	if err != nil {
+		return err
+	}
+	s.metrics.rowsFeaturized.Add(float64(len(jobs)))
+	return nil
 }
 
 // neighborsByName answers a token-keyed neighbor query through the
@@ -219,9 +161,9 @@ func (s *store) neighborsByName(token string, k, ef int) ([]ann.Result, bool, er
 		return res, false, err
 	}
 	key := annCacheKey(token, k, ef)
-	if v, ok := s.annCache.get(key); ok {
+	if res, ok := s.annCache.get(key); ok {
 		s.metrics.annCacheHits.Inc()
-		return v.([]ann.Result), true, nil
+		return res, true, nil
 	}
 	s.metrics.annCacheMisses.Inc()
 	res, err := s.index.SearchName(token, k, ef)

@@ -50,13 +50,24 @@ done
 ADDR=$(cat "$SMOKE/addr")
 
 curl -fsS "http://$ADDR/healthz"
-curl -fsS -X POST "http://$ADDR/v1/featurize" \
-    -H 'Content-Type: application/json' \
-    -d '{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}' \
-    | grep -q '"features"'
+# Every row is recomputed (featurized rows are not cached), so the same
+# body posted twice must come back byte-identical.
+FEATURIZE_BODY='{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}'
+for n in 1 2; do
+    curl -fsS -X POST "http://$ADDR/v1/featurize" \
+        -H 'Content-Type: application/json' -d "$FEATURIZE_BODY" \
+        -o "$SMOKE/featurize_$n.json"
+done
+grep -q '"features"' "$SMOKE/featurize_1.json"
+cmp "$SMOKE/featurize_1.json" "$SMOKE/featurize_2.json"
 # /metrics serves the registry as Prometheus text.
-curl -fsS "http://$ADDR/metrics" | grep -q '^leva_http_requests_total{endpoint="featurize"} 1$'
-curl -fsS "http://$ADDR/metrics" | grep -q '^# TYPE leva_http_requests_total counter$'
+curl -fsS "http://$ADDR/metrics" > "$SMOKE/metrics.txt"
+grep -q '^leva_http_requests_total{endpoint="featurize"} 2$' "$SMOKE/metrics.txt"
+grep -q '^# TYPE leva_http_requests_total counter$' "$SMOKE/metrics.txt"
+if grep -q 'leva_rowcache_' "$SMOKE/metrics.txt"; then
+    echo "levad still exports a leva_rowcache_ family" >&2
+    exit 1
+fi
 
 # The -debug-addr listener: pprof and the registry as JSON.
 DEBUG_ADDR=$(cat "$SMOKE/addr.debug")
