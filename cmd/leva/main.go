@@ -25,7 +25,6 @@ import (
 	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/embed"
 	"repro/internal/obs"
 )
 
@@ -60,7 +59,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  leva embed -data <csv dir> [-out emb.tsv] [-bundle dir] [-index dir] [-quantize] [-dim N] [-method auto|mf|rw] [-bins N] [-seed N] [-workers N] [-cache DIR | -no-cache] [-metrics-dump]
+  leva embed -data <csv dir> [-out emb.tsv] [-bundle dir] [-index dir] [-dim N] [-method auto|mf|rw] [-bins N] [-seed N] [-workers N] [-cache DIR | -no-cache] [-metrics-dump]
   leva train -data <csv dir> -base <table> -target <column> [-dim N] [-method ...] [-seed N] [-workers N] [-cache DIR | -no-cache] [-metrics-dump]
   leva apply -bundle <dir> -data <csv dir> -table <name> [-out features.tsv] [-exclude col1,col2]
   leva neighbors -index <dir> -token <entity> [-k N] [-ef N]
@@ -146,7 +145,6 @@ func runEmbed(args []string) error {
 	out := fs.String("out", "embedding.tsv", "output TSV path")
 	bundle := fs.String("bundle", "", "also save a reusable deployment bundle to this directory")
 	index := fs.String("index", "", "also build and save an HNSW ANN index over the embedding to this directory (for levad -index)")
-	quantize := fs.Bool("quantize", false, "attach int8-quantized vectors: the bundle gains a quant section (levad -quantize serves from it) and the -index build searches int8 with float re-ranking")
 	dump := fs.Bool("metrics-dump", false, "print build metrics to stderr in Prometheus text format")
 	fs.Parse(args)
 	if *data == "" {
@@ -179,11 +177,6 @@ func runEmbed(args []string) error {
 		return err
 	}
 	fmt.Printf("wrote %s\n", *out)
-	if *quantize {
-		res.Quant = embed.Quantize(res.Embedding.Matrix())
-		fmt.Printf("quantized: int8 arena %d bytes (float arena %d bytes)\n",
-			res.Quant.Bytes(), 8*int64(res.Embedding.Len())*int64(res.Embedding.Dim))
-	}
 	if *bundle != "" {
 		if err := res.SaveBundle(*bundle); err != nil {
 			return err
@@ -202,7 +195,6 @@ func runEmbed(args []string) error {
 			Embedding: res.Embedding,
 			Opts:      ann.Options{Seed: *seed},
 			Cache:     annCache,
-			Quantize:  *quantize,
 		}
 		annStart := time.Now()
 		ix, cached, err := stage.Run()
@@ -298,10 +290,6 @@ func runBundleInfo(args []string) error {
 		info.Entities, info.Dim, info.MethodUsed, info.Featurization)
 	fmt.Printf("  payload:       %d bytes total (symbols %d, arena %d)\n",
 		info.PayloadBytes, info.SymbolBytes, info.ArenaBytes)
-	if info.QuantBytes > 0 {
-		fmt.Printf("  quantized:     int8 section %d bytes (%.1fx smaller than the float arena)\n",
-			info.QuantBytes, float64(info.ArenaBytes)/float64(info.QuantBytes))
-	}
 	if info.UnseenFallbackDims > 0 {
 		fmt.Printf("  unseen fallback dims: %d\n", info.UnseenFallbackDims)
 	}

@@ -1,9 +1,12 @@
 package main
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -326,51 +329,72 @@ func TestRunEmbedMetricsDump(t *testing.T) {
 	}
 }
 
-// TestRunEmbedQuantize: -quantize writes a bundle whose quant section
-// round-trips through LoadBundle, reports itself in bundle info, and
-// the -index build still answers neighbor queries.
+// TestRunEmbedQuantize: `leva embed -quantize` is not a flag any more
+// (the bundle has no quant section to write, and levad -quantize
+// quantizes the index it loads), so embed exits with a usage error. The
+// flag set exits the process, so the refusal runs in a child process.
 func TestRunEmbedQuantize(t *testing.T) {
-	dir := writeTestCSVs(t)
-	bundle := filepath.Join(t.TempDir(), "bundle")
-	index := filepath.Join(t.TempDir(), "index")
-	out := filepath.Join(t.TempDir(), "emb.tsv")
-	if err := runEmbed([]string{"-data", dir, "-out", out, "-bundle", bundle,
-		"-index", index, "-quantize", "-dim", "8", "-method", "mf", "-no-cache"}); err != nil {
+	if os.Getenv("LEVA_TEST_EMBED_QUANTIZE") != "" {
+		dir := t.TempDir()
+		_ = runEmbed([]string{"-data", writeTestCSVs(t), "-out", filepath.Join(dir, "emb.tsv"),
+			"-bundle", filepath.Join(dir, "bundle"), "-quantize", "-dim", "8", "-no-cache"})
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestRunEmbedQuantize$")
+	cmd.Env = append(os.Environ(), "LEVA_TEST_EMBED_QUANTIZE=1")
+	out, err := cmd.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("embed -quantize: err = %v, want exit status 2\n%s", err, out)
+	}
+	if !strings.Contains(string(out), "flag provided but not defined: -quantize") {
+		t.Errorf("embed -quantize output does not name the flag:\n%s", out)
+	}
+}
+
+// TestRunBundleConvertDropsQuantSection: a version-5 bundle written
+// with the quant section (committed in internal/core/testdata) is
+// described without it by bundle info, and bundle convert writes it
+// without the section and with the same features.
+func TestRunBundleConvertDropsQuantSection(t *testing.T) {
+	fixture := filepath.Join("..", "..", "internal", "core", "testdata", "v5-quant-dim4")
+	converted := filepath.Join(t.TempDir(), "converted")
+	if err := runBundle([]string{"convert", "-in", fixture, "-out", converted}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := leva.LoadBundle(bundle)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Quant == nil {
-		t.Fatal("-quantize bundle loaded without a quant section")
-	}
-	if res.Quant.Rows != res.Embedding.Len() || res.Quant.Cols != res.Embedding.Dim {
-		t.Fatalf("quant shape %dx%d, embedding %dx%d",
-			res.Quant.Rows, res.Quant.Cols, res.Embedding.Len(), res.Embedding.Dim)
-	}
-	floatArena := int64(8 * res.Embedding.Len() * res.Embedding.Dim)
-	if res.Quant.Bytes()*4 > floatArena {
-		t.Errorf("quant arena %d bytes is not >=4x smaller than the float arena %d", res.Quant.Bytes(), floatArena)
-	}
-
-	text := captureStdout(t, func() {
-		if err := runBundle([]string{"info", bundle}); err != nil {
+	sections := func(dir string) uint32 {
+		data, err := os.ReadFile(filepath.Join(dir, "bundle.bin"))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if !strings.Contains(text, "quantized:") {
-		t.Errorf("bundle info does not report the quant section:\n%s", text)
+		return binary.LittleEndian.Uint32(data[12:])
+	}
+	if got, want := sections(fixture), uint32(7); got != want {
+		t.Fatalf("fixture has %d sections, want %d", got, want)
+	}
+	if got, want := sections(converted), uint32(6); got != want {
+		t.Errorf("converted bundle has %d sections, want %d", got, want)
+	}
+	for _, dir := range []string{fixture, converted} {
+		text := captureStdout(t, func() {
+			if err := runBundle([]string{"info", dir}); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !strings.Contains(text, "version 5") || !strings.Contains(text, "verified against") ||
+			strings.Contains(text, "quantized") {
+			t.Errorf("bundle info %s:\n%s", dir, text)
+		}
 	}
 
-	// The saved index stays portable float; a neighbors query resolves.
-	token := res.Embedding.Names()[0]
-	text = captureStdout(t, func() {
-		if err := runNeighbors([]string{"-index", index, "-token", token, "-k", "3"}); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if len(strings.Split(strings.TrimSpace(text), "\n")) != 3 {
-		t.Errorf("neighbors output:\n%s", text)
+	rows := t.TempDir()
+	mustWrite(t, filepath.Join(rows, "expenses.csv"), `name,gender,school_name,total_expenses
+student_00000,female,school_6,257
+student_00001,male,school_9,486
+student_99999,female,school_42,100
+`)
+	want := applyFeatures(t, fixture, rows, "expenses", "total_expenses")
+	if got := applyFeatures(t, converted, rows, "expenses", "total_expenses"); got != want {
+		t.Errorf("features changed across convert:\n%s\nvs\n%s", got, want)
 	}
 }

@@ -42,8 +42,11 @@
 // replaced through leva's rename protocol — rewriting it in place under
 // a running daemon can change served bytes or crash it with SIGBUS —
 // so pass -mmap=false to read the files onto the heap instead.
-// -quantize answers neighbor searches from an int8-quantized arena (8x
-// less memory traffic) with an exact float64 re-rank of the final beam;
+// Each generation is one bundle plus the index loaded with it, checked
+// as a pair (the index's entities must be the bundle's) at startup and
+// on every reload alike. -quantize quantizes each loaded index to int8
+// and answers neighbor searches from that arena (8x less memory
+// traffic) with an exact float64 re-rank of the final beam;
 // /v1/featurize is unaffected. -chaos arms seeded fault injection on
 // the http target for resilience drills; a rule for any other target
 // is refused at startup. See docs/SERVING.md and
@@ -98,7 +101,7 @@ func run(ctx context.Context, args []string) error {
 	cacheSize := fs.Int("cache", 4096, "LRU entries for token-keyed /v1/neighbors queries (0 disables)")
 	workers := fs.Int("workers", 0, "featurization worker goroutines per request (0 = all cores)")
 	mmapFiles := fs.Bool("mmap", durable.MapSupported, "memory-map bundle.bin and index.bin instead of reading them onto the heap (on by default where supported; pass -mmap=false if you rewrite those files in place instead of republishing them)")
-	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; uses the bundle's quant section when present, else quantizes at startup)")
+	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; each loaded index quantizes its own vectors)")
 	readyFile := fs.String("ready-file", "", "write the bound address to this file once serving (for scripts; with -debug-addr, the debug address goes to <ready-file>.debug)")
 	debugAddr := fs.String("debug-addr", "", "serve net/http/pprof and /debug/vars on this separate address (disabled when empty; keep it private)")
 	quiet := fs.Bool("quiet", false, "disable per-request logging")
@@ -137,19 +140,20 @@ func run(ctx context.Context, args []string) error {
 	if *indexDir != "" {
 		indexOpts := ann.LoadOptions{Warn: warn, MMap: *mmapFiles}
 		loadIndex = func() (*ann.Index, error) {
-			return ann.LoadOpts(*indexDir, indexOpts)
+			ix, err := ann.LoadOpts(*indexDir, indexOpts)
+			if err != nil || !*quantize {
+				return ix, err
+			}
+			if err := ix.Quantize(nil); err != nil {
+				_ = ix.Unmap()
+				return nil, fmt.Errorf("quantize ANN index: %w", err)
+			}
+			return ix, nil
 		}
 	}
 	res, ix, err := serve.LoadGeneration(loadBundle, loadIndex)
 	if err != nil {
 		return err
-	}
-	if ix != nil {
-		if err := adoptIndex(res, ix, *quantize); err != nil {
-			_ = ix.Unmap()
-			_ = res.Unmap()
-			return err
-		}
 	}
 
 	cfg := serve.Config{
@@ -181,22 +185,7 @@ func run(ctx context.Context, args []string) error {
 		cfg.Index = ix
 		// The index reloads from the same directory alongside the
 		// bundle, so one SIGHUP swaps both atomically (or neither).
-		cfg.IndexLoader = func() (*ann.Index, error) {
-			cand, err := loadIndex()
-			if err != nil {
-				return nil, err
-			}
-			if *quantize {
-				// Self-quantize: the initial bundle's quant section may
-				// not match a republished index, and re-deriving the
-				// arena from the candidate's own vectors always does.
-				if err := cand.Quantize(nil); err != nil {
-					_ = cand.Unmap()
-					return nil, err
-				}
-			}
-			return cand, nil
-		}
+		cfg.IndexLoader = loadIndex
 	}
 	srv := serve.New(res, cfg)
 	bound, err := srv.Listen()
@@ -283,25 +272,6 @@ func run(ctx context.Context, args []string) error {
 		logger.Info("shutdown: drained cleanly")
 		return nil
 	}
-}
-
-// adoptIndex checks the startup index against the bundle it serves
-// with and, under -quantize, quantizes it.
-func adoptIndex(res *leva.Result, ix *ann.Index, quantize bool) error {
-	if ix.Dim() != res.Embedding.Dim {
-		return fmt.Errorf("ANN index dim %d does not match bundle embedding dim %d (rebuild with leva embed -index)",
-			ix.Dim(), res.Embedding.Dim)
-	}
-	if quantize {
-		// The bundle's quant section is adopted zero-copy when it
-		// matches the index layout; otherwise the index quantizes its
-		// own vectors. /v1/featurize stays on the float arena either
-		// way.
-		if err := ix.Quantize(res.Quant); err != nil {
-			return fmt.Errorf("quantize ANN index: %w", err)
-		}
-	}
-	return nil
 }
 
 // debugMux carries the operator-only endpoints of -debug-addr: the

@@ -320,6 +320,54 @@ func TestRunRefusesVersion1Index(t *testing.T) {
 	}
 }
 
+// TestRunRefusesForeignIndex: an index built from another data set of
+// the same dimension passes every load check, but its entities are not
+// the bundle's, so startup refuses the pair exactly as a reload would,
+// naming the index, and leaves no mapping behind.
+func TestRunRefusesForeignIndex(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
+	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := synth.Restbase(synth.RestbaseOptions{Scale: 0.02, Seed: 7})
+	foreign, err := core.BuildEmbedding(other.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := ann.Build(foreign.Embedding, ann.Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, indexDir := t.TempDir(), filepath.Join(t.TempDir(), "index")
+	if err := res.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Save(indexDir); err != nil {
+		t.Fatal(err)
+	}
+	for _, quantize := range []bool{false, true} {
+		args := []string{"-bundle", dir, "-index", indexDir, "-addr", "127.0.0.1:0", "-quiet"}
+		if quantize {
+			args = append(args, "-quantize")
+		}
+		// Were the pair accepted, the daemon would serve until ctx
+		// expires and run would return nil.
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		err := run(ctx, args)
+		cancel()
+		if err == nil {
+			t.Fatalf("quantize=%v: daemon started on an index built from another data set", quantize)
+		}
+		if !strings.Contains(err.Error(), "ANN index entry") || !strings.Contains(err.Error(), "not in the bundle's embedding") {
+			t.Errorf("quantize=%v: startup error = %v, want one naming the index entry the bundle lacks", quantize, err)
+		}
+		if b, x := fileMappings(t, dir), fileMappings(t, indexDir); b != 0 || x != 0 {
+			t.Errorf("quantize=%v: %d bundle and %d index mappings after the refused start, want 0 and 0", quantize, b, x)
+		}
+	}
+}
+
 // corruptBundle republishes dir's bundle.bin, by rename, with one byte
 // flipped, so it fails its SHA-256 check against the manifest.
 func corruptBundle(t *testing.T, dir string) {
@@ -562,7 +610,6 @@ func TestDaemonQuantizedServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Quant = embed.Quantize(res.Embedding.Matrix())
 	dir := t.TempDir()
 	if err := res.SaveBundle(dir); err != nil {
 		t.Fatal(err)
@@ -697,7 +744,6 @@ func TestDaemonMMapIndexAnswersLikeLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Quant = embed.Quantize(res.Embedding.Matrix())
 	dir := t.TempDir()
 	if err := res.SaveBundle(dir); err != nil {
 		t.Fatal(err)
@@ -735,7 +781,7 @@ func TestDaemonMMapIndexAnswersLikeLoad(t *testing.T) {
 			t.Fatal(err)
 		}
 		if quantize {
-			if err := want.Quantize(res.Quant); err != nil {
+			if err := want.Quantize(nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -1,12 +1,13 @@
 package ann
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
-	"unsafe"
 
 	"repro/internal/embed"
+	"repro/internal/matrix"
 )
 
 // int8 search path. Quantize attaches a symmetric int8 arena (see
@@ -15,41 +16,28 @@ import (
 // memory traffic per distance — and the final beam is re-ranked
 // exactly in float64 before truncation to k, which is what keeps
 // recall@10 >= 0.95 against brute force (asserted in quant_test.go).
-// The float vectors are retained for the re-rank; under an mmap'd
-// bundle they are file-backed pages the kernel can evict, so the
-// resident per-vector cost of a quantized index is the int8 arena.
+// The float vectors are retained for the re-rank, so the int8 arena
+// is heap memory on top of them: it adds about an eighth to the
+// index's vector bytes, whether those were read or mapped from
+// index.bin (a mapped index is fully resident once Load has hashed it).
 
 // maxQuantDim bounds the dimension so the int32 accumulator cannot
 // overflow: 127*127*maxQuantDim < 2^31.
 const maxQuantDim = 1 << 17
 
-// Quantize switches the index's graph traversal to int8 arithmetic.
-// When q is a quantized form of the index's own vector layout — same
-// shape, and the metric is dot, whose vectors are stored raw — it is
-// adopted directly (zero copy: a bundle's quant section serves
-// straight from its buffer). Otherwise the index quantizes its stored
-// vectors (normalized ones, for cosine) itself; pass nil to force
-// that. Quantize must complete before the index is searched; it is
-// not safe to call concurrently with searches.
+// Quantize switches the index's graph traversal to int8 arithmetic
+// over a quantization of its own stored vectors (normalized ones, for
+// cosine). q must be nil: an index never adopts an arena another
+// artifact owns. Quantize must complete before the index is searched;
+// it is not safe to call concurrently with searches.
 func (ix *Index) Quantize(q *embed.QuantizedMatrix) error {
+	if q != nil {
+		return errors.New("ann: Quantize quantizes the index's own vectors; pass nil")
+	}
 	if ix.dim > maxQuantDim {
 		return fmt.Errorf("ann: cannot quantize dim %d (int32 dot-product accumulation is exact only up to dim %d)", ix.dim, maxQuantDim)
 	}
-	n := ix.Len()
-	if q != nil && ix.opts.Metric == MetricDot && q.Rows == n && q.Cols == ix.dim {
-		ix.quant = q
-		return nil
-	}
-	qm := &embed.QuantizedMatrix{
-		Rows:   n,
-		Cols:   ix.dim,
-		Data:   make([]int8, n*ix.dim),
-		Scales: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		qm.Scales[i] = embed.QuantizeRow(ix.vec(int32(i)), qm.Data[i*ix.dim:(i+1)*ix.dim])
-	}
-	ix.quant = qm
+	ix.quant = embed.Quantize(&matrix.Dense{Rows: ix.Len(), Cols: ix.dim, Data: ix.vecs})
 	return nil
 }
 
@@ -64,28 +52,6 @@ func (ix *Index) QuantBytes() int64 {
 		return 0
 	}
 	return ix.quant.Bytes()
-}
-
-// SharesStorage reports whether the index borrows memory owned by e
-// or q — the interned symbol table Build shares, the vector arena a
-// dot-metric Build aliases, or the quantized arena Quantize adopts —
-// rather than holding private copies. A serving layer about to unmap
-// the buffer behind e and q must keep that buffer alive while an index
-// for which this returns true is still queryable. An index restored by
-// Load views only its own index.bin, so it shares storage only
-// through an adopted q. Either argument may be nil.
-func (ix *Index) SharesStorage(e *embed.Embedding, q *embed.QuantizedMatrix) bool {
-	if q != nil && ix.quant == q {
-		return true
-	}
-	if e == nil {
-		return false
-	}
-	if ix.syms != nil && ix.syms == e.Symbols() {
-		return true
-	}
-	a, b := ix.vecs, e.Matrix().Data
-	return len(a) > 0 && len(b) > 0 && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // distQ is dist over the int8 arena: negated reconstructed inner

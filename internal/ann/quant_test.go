@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"repro/internal/embed"
+	"repro/internal/matrix"
 )
 
 // randomCollection builds n clustered random vectors (clustered so
@@ -162,5 +165,22 @@ func TestQuantizeDimGuard(t *testing.T) {
 	ix := &Index{dim: maxQuantDim + 1}
 	if err := ix.Quantize(nil); err == nil {
 		t.Fatal("Quantize accepted a dimension past the int32 accumulation bound")
+	}
+}
+
+// TestQuantizeRefusesForeignArena: Quantize only ever quantizes the
+// index's own vectors; an arena passed in is refused, not adopted, and
+// the index stays on the float path.
+func TestQuantizeRefusesForeignArena(t *testing.T) {
+	names, vecs := randomCollection(50, 8, 9)
+	ix, err := BuildVectors(names, vecs, Options{Seed: 1, Metric: MetricDot})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.Quantize(embed.Quantize(matrix.FromRows(vecs))); err == nil {
+		t.Fatal("Quantize accepted an arena the index does not own")
+	}
+	if ix.Quantized() {
+		t.Fatal("refused arena left the index quantized")
 	}
 }

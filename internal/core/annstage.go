@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/ann"
 	"repro/internal/embed"
-	"repro/internal/fingerprint"
 )
 
 // stageANN is the stage-cache namespace of ANN index artifacts.
@@ -24,23 +23,12 @@ type ANNStage struct {
 	// publishes fresh builds best-effort (a failed cache write never
 	// fails the build).
 	Cache *Cache
-	// Quantize attaches the int8 search arena to the built (or cached)
-	// index. It is part of the cache key: a quantized build must never
-	// satisfy a float request or vice versa — the two serve different
-	// arithmetic, even though the persisted graph artifact is float
-	// either way.
-	Quantize bool
 }
 
 // Fingerprint keys the stage's artifact by everything that determines
-// it: the embedding content hash, the defaulted build options, and
-// whether the index serves quantized.
+// it: the embedding content hash and the defaulted build options.
 func (s *ANNStage) Fingerprint() string {
-	fp := ann.IndexFingerprint(s.Embedding.Fingerprint(), s.Opts)
-	if s.Quantize {
-		fp = fingerprint.Combine("leva/ann-quant/v1", fp)
-	}
-	return fp
+	return ann.IndexFingerprint(s.Embedding.Fingerprint(), s.Opts)
 }
 
 // Run returns the index and whether it was served from the cache. A
@@ -52,11 +40,6 @@ func (s *ANNStage) Run() (ix *ann.Index, cached bool, err error) {
 		fp = s.Fingerprint()
 		if files, ok := s.Cache.Load(stageANN, fp); ok {
 			if ix, err := ann.Decode(files[ann.IndexFileName]); err == nil {
-				if s.Quantize {
-					if err := ix.Quantize(nil); err != nil {
-						return nil, false, err
-					}
-				}
 				return ix, true, nil
 			}
 		}
@@ -68,11 +51,6 @@ func (s *ANNStage) Run() (ix *ann.Index, cached bool, err error) {
 	if s.Cache != nil {
 		s.Cache.noteStore(s.Cache.Store(stageANN, fp,
 			map[string][]byte{ann.IndexFileName: ix.Encode()}))
-	}
-	if s.Quantize {
-		if err := ix.Quantize(nil); err != nil {
-			return nil, false, err
-		}
 	}
 	return ix, false, nil
 }

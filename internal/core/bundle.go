@@ -58,11 +58,12 @@ const (
 //	    provenance) replacing the three JSON/TSV files; the load path
 //	    builds zero-copy views over one buffer instead of decoding
 //	    per-entity records
-//	5 — optional quant section: a symmetric int8 quantization of the
-//	    vector arena (per-row scale, zero point 0) that serving loads
-//	    zero-copy for int8 ANN search; bundles built without -quantize
-//	    are version 5 with no quant section, and version-4 files still
-//	    load unchanged
+//	5 — added an optional int8 quant section (id 7). Nothing reads it
+//	    any more and nothing writes it: `levad -quantize` quantizes the
+//	    index it loads. A version-5 file is a version-4 file with the
+//	    new version number, or, if an older build wrote it, with an id 7
+//	    section that readers ignore. Version-4 files still load
+//	    unchanged
 //
 // LoadBundle reads every version up to the current one and rejects
 // anything newer or unrecognized instead of decoding garbage. Legacy

@@ -6,19 +6,17 @@ import (
 	"testing"
 
 	"repro/internal/durable"
-	"repro/internal/embed"
 )
 
 // benchBundle saves the 150-student legacy fixture's deployment in the
-// binary layout, plain and quantized, once per benchmark binary.
+// binary layout once per benchmark binary.
 var (
-	benchBundleOnce  sync.Once
-	benchBundleV4    string
-	benchBundleQuant string
-	benchBundleErr   error
+	benchBundleOnce sync.Once
+	benchBundleV4   string
+	benchBundleErr  error
 )
 
-func benchBundleDirs(b *testing.B) (v4, v3, quant string) {
+func benchBundleDirs(b *testing.B) (v4, v3 string) {
 	b.Helper()
 	benchBundleOnce.Do(func() {
 		res, err := LoadBundle(legacyFixtureDim16)
@@ -29,19 +27,12 @@ func benchBundleDirs(b *testing.B) (v4, v3, quant string) {
 		if benchBundleV4, benchBundleErr = os.MkdirTemp("", "leva-bench-v4-*"); benchBundleErr != nil {
 			return
 		}
-		if benchBundleErr = res.SaveBundle(benchBundleV4); benchBundleErr != nil {
-			return
-		}
-		res.Quant = embed.Quantize(res.Embedding.Matrix())
-		if benchBundleQuant, benchBundleErr = os.MkdirTemp("", "leva-bench-quant-*"); benchBundleErr != nil {
-			return
-		}
-		benchBundleErr = res.SaveBundle(benchBundleQuant)
+		benchBundleErr = res.SaveBundle(benchBundleV4)
 	})
 	if benchBundleErr != nil {
 		b.Fatal(benchBundleErr)
 	}
-	return benchBundleV4, legacyFixtureDim16, benchBundleQuant
+	return benchBundleV4, legacyFixtureDim16
 }
 
 // BenchmarkBundleLoad compares the two load paths over the same
@@ -50,7 +41,7 @@ func benchBundleDirs(b *testing.B) (v4, v3, quant string) {
 // hash, and slice headers). Run with -benchmem; the allocs/op column is
 // the point of the format migration.
 func BenchmarkBundleLoad(b *testing.B) {
-	v4, v3, quant := benchBundleDirs(b)
+	v4, v3 := benchBundleDirs(b)
 	b.Run("v3-json", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -67,35 +58,11 @@ func BenchmarkBundleLoad(b *testing.B) {
 			}
 		}
 	})
-	b.Run("v5-quant", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			res, err := LoadBundle(quant)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if res.Quant == nil {
-				b.Fatal("quant bundle loaded without its int8 arena")
-			}
-		}
-	})
 	if durable.MapSupported {
 		b.Run("v4-mmap", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				res, err := LoadBundleOpts(v4, LoadOptions{MMap: true})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := res.Unmap(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("v5-quant-mmap", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := LoadBundleOpts(quant, LoadOptions{MMap: true})
 				if err != nil {
 					b.Fatal(err)
 				}

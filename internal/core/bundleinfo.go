@@ -37,9 +37,6 @@ type BundleInfo struct {
 	// in-memory equivalents reconstructed from the TSV payload.
 	SymbolBytes int64 `json:"symbolBytes"`
 	ArenaBytes  int64 `json:"arenaBytes"`
-	// QuantBytes is the size of the optional int8 quant section
-	// (version 5); 0 when the bundle carries no quantized arena.
-	QuantBytes int64 `json:"quantBytes,omitempty"`
 	// PayloadBytes is the total on-disk size of the payload files
 	// (excluding the manifest).
 	PayloadBytes       int64             `json:"payloadBytes"`
@@ -118,12 +115,9 @@ func ReadBundleInfo(dir string) (*BundleInfo, error) {
 // section headers and the JSON sections — no symbol-table validation,
 // no embedding construction.
 func fillInfoV4(info *BundleInfo, data []byte) error {
-	secs, version, err := bundleSections(data)
+	secs, _, err := bundleSections(data)
 	if err != nil {
 		return err
-	}
-	if quantData, ok := secs[secQuant]; ok && version >= 5 {
-		info.QuantBytes = int64(len(quantData))
 	}
 	cfgData, err := requireSection(secs, secConfig, "config")
 	if err != nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -12,253 +11,282 @@ import (
 	"testing"
 
 	"repro/internal/ann"
+	"repro/internal/dataset"
 	"repro/internal/durable"
-	"repro/internal/embed"
-	"repro/internal/matrix"
-	"repro/internal/synth"
 )
 
-func quantBundleResult(t *testing.T) *Result {
+// v5QuantFixture is a version-5 bundle that still carries the int8
+// quant section (id 7) older builds wrote under `leva embed -quantize`:
+// 489 entities x 4 dims, from `levagen -dataset student -scale 0.02
+// -seed 3` and `leva embed -dim 4 -seed 3 -method mf -no-cache
+// -quantize`. Nothing writes that section any more; readers ignore it.
+const v5QuantFixture = "testdata/v5-quant-dim4"
+
+// secRetiredQuant is the id the removed quant section was written
+// under. No reader gives it a meaning.
+const secRetiredQuant = 7
+
+func readFixtureBin(t testing.TB) []byte {
 	t.Helper()
-	spec := synth.Student(synth.StudentOptions{Students: 40, Seed: 13})
-	res, err := BuildEmbedding(spec.DB, Config{Dim: 8, Seed: 13, Method: embed.MethodMF})
+	data, err := os.ReadFile(filepath.Join(v5QuantFixture, bundleBinFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Quant = embed.Quantize(res.Embedding.Matrix())
-	return res
+	return data
 }
 
-// TestBundleQuantRoundTrip: a bundle saved with a quantized arena
-// restores it exactly — scales, bytes, shape — through both the read
-// and the mmap load path, and the float embedding is untouched.
-func TestBundleQuantRoundTrip(t *testing.T) {
-	res := quantBundleResult(t)
-	dir := t.TempDir() + "/bundle"
-	if err := res.SaveBundle(dir); err != nil {
+// sectionIDs lists the section ids of a bundle.bin in table order.
+func sectionIDs(t testing.TB, data []byte) []int {
+	t.Helper()
+	if _, _, err := bundleSections(data); err != nil {
+		t.Fatal(err)
+	}
+	n := int(binary.LittleEndian.Uint32(data[len(bundleMagic)+4:]))
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = int(binary.LittleEndian.Uint32(data[len(bundleMagic)+8+24*i:]))
+	}
+	return ids
+}
+
+// withSection7 re-assembles the fixture's bundle.bin with payload as
+// its id 7 section, every other section unchanged.
+func withSection7(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	data := readFixtureBin(t)
+	secs, version, err := bundleSections(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []int{secConfig, secColumns, secTextify, secSymbols, secArena, secProvenance, secRetiredQuant}
+	w := &sectionWriter{}
+	headerLen := len(bundleMagic) + 8 + 24*len(ids)
+	w.buf = make([]byte, headerLen)
+	for _, id := range ids {
+		if id == secRetiredQuant {
+			w.add(id, payload)
+		} else {
+			w.add(id, secs[id])
+		}
+	}
+	h := append(w.buf[:0], bundleMagic...)
+	h = binary.LittleEndian.AppendUint32(h, uint32(version))
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(w.table)))
+	for _, e := range w.table {
+		h = binary.LittleEndian.AppendUint32(h, uint32(e.id))
+		h = binary.LittleEndian.AppendUint32(h, 0)
+		h = binary.LittleEndian.AppendUint64(h, e.off)
+		h = binary.LittleEndian.AppendUint64(h, e.length)
+	}
+	return w.buf
+}
+
+// fixtureRows are expenses rows of the fixture's data set, plus one
+// the embedding never saw.
+func fixtureRows(t *testing.T) *dataset.Table {
+	t.Helper()
+	tb, err := dataset.ReadCSV("expenses", strings.NewReader(`name,gender,school_name,total_expenses
+student_00000,female,school_6,257
+student_00001,male,school_9,486
+student_00004,nonbinary,school_3,300
+student_99999,female,school_42,100
+`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
+}
+
+// TestBundleV5QuantFixture: a version-5 bundle written with the quant
+// section loads and verifies through both load paths, and featurizes
+// and embeds exactly like its re-encode, which carries no section 7.
+func TestBundleV5QuantFixture(t *testing.T) {
+	if ids := sectionIDs(t, readFixtureBin(t)); ids[len(ids)-1] != secRetiredQuant {
+		t.Fatalf("fixture sections %v do not end with the quant section", ids)
+	}
+	dir := filepath.Join(t.TempDir(), "reencoded")
+	fixture, err := LoadBundle(v5QuantFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fixture.BundleFormat != 5 {
+		t.Errorf("BundleFormat = %d, want 5", fixture.BundleFormat)
+	}
+	if err := fixture.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := sectionIDs(t, data); !reflect.DeepEqual(ids, []int{1, 2, 3, 4, 5, 6}) {
+		t.Errorf("re-encoded sections = %v, want 1 through 6", ids)
+	}
+	want, err := LoadBundle(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	load := func(opts LoadOptions) *Result {
-		t.Helper()
-		back, err := LoadBundleOpts(dir, opts)
+	checks := map[string]*Result{"read": fixture}
+	if durable.MapSupported {
+		mapped, err := LoadBundleOpts(v5QuantFixture, LoadOptions{MMap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return back
+		defer mapped.Unmap()
+		checks["mmap"] = mapped
 	}
-	checks := map[string]*Result{"read": load(LoadOptions{})}
-	if durable.MapSupported {
-		checks["mmap"] = load(LoadOptions{MMap: true})
-	}
-	for name, back := range checks {
-		if back.BundleFormat != BundleFormatVersion {
-			t.Errorf("%s: BundleFormat = %d, want %d", name, back.BundleFormat, BundleFormatVersion)
+	rows := fixtureRows(t)
+	exclude := []string{"total_expenses"}
+	for name, got := range checks {
+		if got.Embedding.Len() != want.Embedding.Len() || got.Embedding.Len() != 489 {
+			t.Fatalf("%s: %d entities, re-encode has %d", name, got.Embedding.Len(), want.Embedding.Len())
 		}
-		if back.Quant == nil {
-			t.Fatalf("%s: quant section not restored", name)
-		}
-		if back.Quant.Rows != res.Quant.Rows || back.Quant.Cols != res.Quant.Cols {
-			t.Errorf("%s: quant shape %dx%d, want %dx%d", name,
-				back.Quant.Rows, back.Quant.Cols, res.Quant.Rows, res.Quant.Cols)
-		}
-		if !reflect.DeepEqual(back.Quant.Scales, res.Quant.Scales) {
-			t.Errorf("%s: quant scales differ", name)
-		}
-		if !bytes.Equal(int8Bytes(back.Quant.Data), int8Bytes(res.Quant.Data)) {
-			t.Errorf("%s: quant data differs", name)
-		}
-		if !reflect.DeepEqual(back.Embedding.Matrix().Data, res.Embedding.Matrix().Data) {
-			t.Errorf("%s: float arena perturbed by quant section", name)
-		}
-		if name == "mmap" {
-			if err := back.Unmap(); err != nil {
-				t.Errorf("unmap: %v", err)
+		for i := 0; i < want.Embedding.Len(); i++ {
+			key := want.Embedding.Symbols().At(i)
+			gv, ok := got.Embedding.Vector(key)
+			wv, _ := want.Embedding.Vector(key)
+			if !ok || !reflect.DeepEqual(gv, wv) {
+				t.Fatalf("%s: vector %q = %v, re-encode has %v", name, key, gv, wv)
 			}
-			if err := back.Unmap(); err != nil {
-				t.Errorf("second unmap not idempotent: %v", err)
+		}
+		for i := 0; i < rows.NumRows(); i++ {
+			graphRow := i
+			if i == rows.NumRows()-1 {
+				graphRow = -1
+			}
+			for _, mode := range []FeaturizationMode{RowPlusValue, RowOnly} {
+				g, err := got.FeaturizeRow(rows, "expenses", exclude, i, graphRow, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				w, err := want.FeaturizeRow(rows, "expenses", exclude, i, graphRow, mode)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range w {
+					if g[j] != w[j] {
+						t.Fatalf("%s: row %d mode %v feature %d = %v, re-encode has %v", name, i, mode, j, g[j], w[j])
+					}
+				}
 			}
 		}
 	}
 }
 
-func int8Bytes(d []int8) []byte {
-	out := make([]byte, len(d))
-	for i, b := range d {
-		out[i] = byte(b)
-	}
-	return out
-}
-
-// TestBundleWithoutQuant: bundles built without -quantize stay
-// loadable with a nil Quant — the section is genuinely optional.
+// TestBundleWithoutQuant: SaveBundle writes the six sections of the
+// format and no quant section.
 func TestBundleWithoutQuant(t *testing.T) {
-	res := quantBundleResult(t)
-	res.Quant = nil
-	dir := t.TempDir() + "/bundle"
-	if err := res.SaveBundle(dir); err != nil {
-		t.Fatal(err)
-	}
-	back, err := LoadBundle(dir)
+	data, err := os.ReadFile(filepath.Join(savedBundle(t), bundleBinFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Quant != nil {
-		t.Fatal("bundle saved without Quant loaded with one")
-	}
-	info, err := ReadBundleInfo(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.QuantBytes != 0 {
-		t.Errorf("QuantBytes = %d for an unquantized bundle", info.QuantBytes)
+	if ids := sectionIDs(t, data); !reflect.DeepEqual(ids, []int{1, 2, 3, 4, 5, 6}) {
+		t.Errorf("sections = %v, want 1 through 6", ids)
 	}
 }
 
 // TestBundleV4StillLoads: a version-4 file (header and config version
-// 4, no quant section) decodes unchanged — the v5 bump does not orphan
-// existing deployments.
+// 4) decodes unchanged — the v5 bump does not orphan existing
+// deployments.
 func TestBundleV4StillLoads(t *testing.T) {
-	res := quantBundleResult(t)
-	res.Quant = nil
+	res := bundleFixture(t)
 	enc, err := encodeBundleV4(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the file as its version-4 twin: header version byte and
-	// the config section's formatVersion field (same byte length, so
-	// every section offset is preserved).
-	v4 := bytes.Replace(enc, []byte(`"formatVersion":5`), []byte(`"formatVersion":4`), 1)
-	if bytes.Equal(v4, enc) {
-		t.Fatal("config formatVersion not found to patch")
-	}
-	v4[len(bundleMagic)] = 4
-	dec, err := decodeBundleV4(v4)
+	dec, err := decodeBundleV4(toVersion4(t, enc))
 	if err != nil {
 		t.Fatalf("version-4 bundle rejected: %v", err)
 	}
 	if dec.BundleFormat != 4 {
 		t.Errorf("BundleFormat = %d, want 4", dec.BundleFormat)
 	}
-	if dec.Quant != nil {
-		t.Error("version-4 bundle decoded with a quant arena")
-	}
 	if !reflect.DeepEqual(dec.Embedding.Matrix().Data, res.Embedding.Matrix().Data) {
 		t.Error("version-4 arena differs")
 	}
 }
 
-// TestQuantSectionIgnoredInV4File: a (hand-built) version-4 file that
-// smuggles a quant section id is decoded as if the section were not
-// there — v4 writers never emitted id 7.
+// toVersion4 rewrites a version-5 bundle.bin as its version-4 twin:
+// header version byte and the config section's formatVersion field
+// (same byte length, so every section offset is preserved).
+func toVersion4(t *testing.T, enc []byte) []byte {
+	t.Helper()
+	v4 := bytes.Replace(enc, []byte(`"formatVersion":5`), []byte(`"formatVersion":4`), 1)
+	if bytes.Equal(v4, enc) {
+		t.Fatal("config formatVersion not found to patch")
+	}
+	v4[len(bundleMagic)] = 4
+	return v4
+}
+
+// TestQuantSectionIgnoredInV4File: a version-4 file that carries an
+// id 7 section decodes to the same embedding as the version-5 file it
+// came from.
 func TestQuantSectionIgnoredInV4File(t *testing.T) {
-	res := quantBundleResult(t)
-	enc, err := encodeBundleV4(res) // v5 with a real quant section
+	v5 := readFixtureBin(t)
+	want, err := decodeBundleV4(v5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v4 := bytes.Replace(enc, []byte(`"formatVersion":5`), []byte(`"formatVersion":4`), 1)
-	v4[len(bundleMagic)] = 4
-	dec, err := decodeBundleV4(v4)
+	dec, err := decodeBundleV4(toVersion4(t, v5))
 	if err != nil {
 		t.Fatalf("v4 file with a quant section id rejected: %v", err)
 	}
-	if dec.Quant != nil {
-		t.Error("quant section honored inside a version-4 file")
+	if !reflect.DeepEqual(dec.Embedding.Matrix().Data, want.Embedding.Matrix().Data) {
+		t.Error("version-4 twin of the fixture decodes a different arena")
 	}
 }
 
-// TestQuantShapeMismatchRejected: a quant section whose shape
-// disagrees with the arena is corruption, not a warning.
-func TestQuantShapeMismatchRejected(t *testing.T) {
-	res := quantBundleResult(t)
-	res.Quant = embed.Quantize(matrix.NewDense(3, res.Embedding.Dim))
-	if _, err := encodeBundleV4(res); err == nil {
-		t.Error("encoder accepted a quant arena of the wrong shape")
-	}
-
-	res.Quant = embed.Quantize(res.Embedding.Matrix())
-	enc, err := encodeBundleV4(res)
+// TestANNStageFingerprintPinned: the ANN stage's cache key is the
+// index fingerprint alone, unchanged from when the stage also had a
+// quantize option, so cache entries built before still hit. A cold run
+// then a warm run over the same stage hit the same entry.
+func TestANNStageFingerprintPinned(t *testing.T) {
+	res, err := LoadBundle(v5QuantFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the stored quant row count (the second u32 of the quant
-	// section payload).
-	secs, _, err := bundleSections(enc)
-	if err != nil {
-		t.Fatal(err)
+	stage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 1}, Cache: NewCache(t.TempDir())}
+	const want = "a4c0bc2e4482518945dda055afa530da5a5845e6f77f743a44289b3b3e950b59"
+	if fp := stage.Fingerprint(); fp != want {
+		t.Errorf("fingerprint = %s, want %s", fp, want)
 	}
-	sec := secs[secQuant]
-	binary.LittleEndian.PutUint32(sec[4:], uint32(res.Quant.Rows-1))
-	if _, err := decodeBundleV4(enc); err == nil || !errors.Is(err, ErrCorrupt) {
-		t.Errorf("mismatched quant shape not rejected as corrupt: %v", err)
+	cold, cached, err := stage.Run()
+	if err != nil || cached {
+		t.Fatalf("cold run: cached=%v err=%v", cached, err)
+	}
+	warm, cached, err := stage.Run()
+	if err != nil || !cached {
+		t.Fatalf("warm run: cached=%v err=%v", cached, err)
+	}
+	if cold.Quantized() || warm.Quantized() {
+		t.Error("ANN stage returned a quantized index")
+	}
+	if !bytes.Equal(cold.Encode(), warm.Encode()) {
+		t.Error("warm index differs from the cold build")
 	}
 }
 
-// TestANNStageQuantCacheKey is the cache-poisoning regression: a
-// quantized stage and a float stage over the same embedding must have
-// different fingerprints, so neither ever serves the other's artifact
-// — cold/warm in every direction.
-func TestANNStageQuantCacheKey(t *testing.T) {
-	res := quantBundleResult(t)
-	cache := NewCache(t.TempDir())
-	floatStage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 1}, Cache: cache}
-	quantStage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 1}, Cache: cache, Quantize: true}
-	if floatStage.Fingerprint() == quantStage.Fingerprint() {
-		t.Fatal("quantized and float ANN stages share a fingerprint")
-	}
-
-	ix, cached, err := floatStage.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("cold float build reported cached")
-	}
-	if ix.Quantized() {
-		t.Fatal("float stage produced a quantized index")
-	}
-
-	// A -quantize rebuild right after: the float artifact must not
-	// satisfy it.
-	qix, cached, err := quantStage.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cached {
-		t.Fatal("quantized build served from the float stage's cache entry")
-	}
-	if !qix.Quantized() {
-		t.Fatal("quantized stage produced a float index")
-	}
-
-	// Warm re-runs hit their own entries and keep their arithmetic.
-	qix2, cached, err := quantStage.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || !qix2.Quantized() {
-		t.Fatalf("warm quantized run: cached=%v quantized=%v", cached, qix2.Quantized())
-	}
-	ix2, cached, err := floatStage.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cached || ix2.Quantized() {
-		t.Fatalf("warm float run: cached=%v quantized=%v", cached, ix2.Quantized())
-	}
-}
-
-// FuzzQuantSection feeds arbitrary bytes to the quant-section decoder:
-// it never panics, every rejection wraps ErrCorrupt, and any accepted
-// payload re-encodes byte-exactly (the section codec has exactly one
-// canonical form).
+// FuzzQuantSection: whatever an id 7 section holds, the fixture with
+// that section in its place decodes without error to the embedding of
+// the fixture's re-encode — the section is never parsed.
 func FuzzQuantSection(f *testing.F) {
-	q := embed.Quantize(matrix.FromRows([][]float64{{1, -2, 3}, {0.5, 0, -0.25}}))
-	valid := encodeQuantSection(q)
+	data := readFixtureBin(f)
+	secs, _, err := bundleSections(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	want, err := decodeBundleV4(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := secs[secRetiredQuant]
+	if !bytes.Equal(withSection7(f, valid), data) {
+		f.Fatal("re-assembling the fixture with its own id 7 section changed its bytes")
+	}
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1])
-	f.Add(encodeQuantSection(embed.Quantize(matrix.NewDense(0, 0))))
 	f.Add([]byte{})
 	f.Add(make([]byte, 8))
 	// NaN scale: shape 1x0 with one bad scale word.
@@ -266,50 +294,14 @@ func FuzzQuantSection(f *testing.F) {
 	binary.LittleEndian.PutUint32(bad[4:], 1)
 	binary.LittleEndian.PutUint64(bad[8:], math.Float64bits(math.NaN()))
 	f.Add(bad)
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dec, err := decodeQuantSection(data)
+	f.Add([]byte("not a quant section"))
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		dec, err := decodeBundleV4(withSection7(t, payload))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("rejection is not ErrCorrupt: %v", err)
-			}
-			return
+			t.Fatalf("bundle with a %d-byte id 7 section rejected: %v", len(payload), err)
 		}
-		enc := encodeQuantSection(dec)
-		if !bytes.Equal(enc, data) {
-			t.Fatalf("accepted quant section did not re-encode byte-exactly: %d vs %d bytes", len(enc), len(data))
+		if !reflect.DeepEqual(dec.Embedding.Matrix().Data, want.Embedding.Matrix().Data) {
+			t.Fatal("id 7 payload changed the decoded arena")
 		}
 	})
-}
-
-// TestQuantSectionDecodeNames: corrupt quant rejections surface
-// through LoadBundle with the payload file named, like every other
-// decode failure.
-func TestQuantSectionDecodeNames(t *testing.T) {
-	res := quantBundleResult(t)
-	dir := t.TempDir() + "/bundle"
-	if err := res.SaveBundle(dir); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a scale to NaN in place and drop the manifest so the
-	// structural decoder (not the hash check) sees it.
-	path := filepath.Join(dir, bundleBinFile)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, _, err := bundleSections(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	binary.LittleEndian.PutUint64(secs[secQuant][8:], math.Float64bits(math.NaN()))
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, durable.ManifestName)); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadBundle(dir)
-	if err == nil || !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bundle.bin") {
-		t.Errorf("NaN quant scale not rejected naming bundle.bin: %v", err)
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"unsafe"
 
 	"repro/internal/durable"
 	"repro/internal/embed"
@@ -49,19 +48,16 @@ import (
 //	              8-byte header directly: n×dim f64 bits, row-major,
 //	              row i = vector of symbol i
 //	6 provenance  JSON: stageCache, unweightedFallback
-//	7 quant       (version 5, optional) symmetric int8 arena:
-//	              u32 cols, u32 rows, scales rows×f64 (the 8-byte
-//	              header keeps them 8-aligned), data rows×cols int8 —
-//	              row i quantizes arena row i, element b decodes to
-//	              b*scale[i]
+//	7 reserved    an int8 copy of the arena, written by builds before
+//	              the quant section was removed; ignored on read like
+//	              any unknown id
 //
-// Version 5 readers accept version-4 files (the quant section is
-// simply absent); version-4 readers reject version-5 files by the
-// header version — they could not honor the quantization the writer
-// requested. Encode is deterministic: equal Results produce
-// byte-identical files, and encode(decode(encode(x))) == encode(x).
-// Re-encoding a version-4 file writes the current version, exactly as
-// loading-then-saving a legacy bundle upgrades it.
+// Version 5 readers accept version-4 files; the two versions differ
+// only in the id 7 section version-5 writers used to emit. Encode is
+// deterministic: equal Results produce byte-identical files, and
+// encode(decode(encode(x))) == encode(x). Re-encoding a version-4
+// file writes the current version, exactly as loading-then-saving a
+// legacy bundle upgrades it.
 
 const (
 	bundleBinFile = "bundle.bin"
@@ -73,10 +69,10 @@ const (
 	secSymbols    = 4
 	secArena      = 5
 	secProvenance = 6
-	secQuant      = 7
 
 	// bundleVersionMin is the oldest binary header version this build
-	// reads (4 introduced the format; 5 added the quant section).
+	// reads (4 introduced the format; 5 added a quant section that is
+	// no longer written or read).
 	bundleVersionMin = 4
 
 	// maxSections bounds what a lying header can claim before the
@@ -132,8 +128,7 @@ func (w *sectionWriter) add(id int, payload []byte) {
 }
 
 // encodeBundleV4 serializes r as a bundle.bin at the current format
-// version. Output is byte-identical for equal Results; the quant
-// section is written only when r.Quant is set.
+// version. Output is byte-identical for equal Results.
 func encodeBundleV4(r *Result) ([]byte, error) {
 	cfgData, err := json.Marshal(v4Config{
 		FormatVersion:      BundleFormatVersion,
@@ -174,35 +169,17 @@ func encodeBundleV4(r *Result) ([]byte, error) {
 	}
 
 	syms, arena := encodeEmbeddingSections(r.Embedding)
-	m := r.Embedding.Matrix()
 
-	// Quant (optional): the int8 arena, mirroring the float arena's
-	// shape exactly.
-	var quant []byte
-	if r.Quant != nil {
-		if r.Quant.Rows != m.Rows || r.Quant.Cols != m.Cols {
-			return nil, fmt.Errorf("core: quantized arena is %dx%d, embedding arena is %dx%d",
-				r.Quant.Rows, r.Quant.Cols, m.Rows, m.Cols)
-		}
-		quant = encodeQuantSection(r.Quant)
-	}
-
-	sections := 6
-	if quant != nil {
-		sections = 7
-	}
+	const sections = 6
 	w := &sectionWriter{}
 	headerLen := len(bundleMagic) + 4 + 4 + sections*24
-	w.buf = make([]byte, headerLen, headerLen+len(cfgData)+len(cols)+len(modelData)+len(syms)+len(arena)+len(provData)+len(quant)+64)
+	w.buf = make([]byte, headerLen, headerLen+len(cfgData)+len(cols)+len(modelData)+len(syms)+len(arena)+len(provData)+64)
 	w.add(secConfig, cfgData)
 	w.add(secColumns, cols)
 	w.add(secTextify, modelData)
 	w.add(secSymbols, syms)
 	w.add(secArena, arena)
 	w.add(secProvenance, provData)
-	if quant != nil {
-		w.add(secQuant, quant)
-	}
 
 	h := w.buf[:0]
 	h = append(h, bundleMagic...)
@@ -350,19 +327,6 @@ func decodeBundleV4(data []byte) (*Result, error) {
 		}
 		res.UnweightedFallback = prov.UnweightedFallback
 	}
-	// The quant section only exists from version 5 on; a version-4 file
-	// claiming one carries an id that version's writers never emitted.
-	if quantData, ok := secs[secQuant]; ok && version >= 5 {
-		q, err := decodeQuantSection(quantData)
-		if err != nil {
-			return nil, err
-		}
-		if q.Rows != e.Len() || q.Cols != e.Dim {
-			return nil, fmt.Errorf("%w: quant section is %dx%d, arena is %dx%d",
-				ErrCorrupt, q.Rows, q.Cols, e.Len(), e.Dim)
-		}
-		res.Quant = q
-	}
 	// The columns section is informational (the model carries the
 	// fitted order); it is validated by ReadBundleInfo, not here.
 	return res, nil
@@ -444,57 +408,6 @@ func decodeEmbeddingSections(symsData, arenaData []byte, dim int) (*embed.Embedd
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	return e, nil
-}
-
-// encodeQuantSection serializes a quantized arena as a quant section
-// payload: u32 cols, u32 rows, rows×f64 scale bits, rows×cols int8
-// elements. Deterministic; the 8-byte header keeps the scales
-// 8-aligned relative to the (8-aligned) section start.
-func encodeQuantSection(q *embed.QuantizedMatrix) []byte {
-	buf := make([]byte, 0, 8+8*len(q.Scales)+len(q.Data))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.Cols))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(q.Rows))
-	for _, s := range q.Scales {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s))
-	}
-	for _, b := range q.Data {
-		buf = append(buf, byte(b))
-	}
-	return buf
-}
-
-// decodeQuantSection parses a quant section payload into a validated
-// QuantizedMatrix whose slices view data (zero copy on aligned
-// little-endian hosts). It accepts exactly the canonical encoding —
-// encodeQuantSection(decodeQuantSection(x)) == x for every accepted x
-// — and never panics on hostile input; failures wrap ErrCorrupt.
-func decodeQuantSection(data []byte) (*embed.QuantizedMatrix, error) {
-	if len(data) < 8 {
-		return nil, fmt.Errorf("%w: quant section is %d bytes", ErrCorrupt, len(data))
-	}
-	cols := int(binary.LittleEndian.Uint32(data))
-	rows := int(binary.LittleEndian.Uint32(data[4:]))
-	if cols < 0 || cols > 1<<20 || rows < 0 || rows >= math.MaxInt32 {
-		return nil, fmt.Errorf("%w: implausible quant shape %dx%d", ErrCorrupt, rows, cols)
-	}
-	want := int64(8) + 8*int64(rows) + int64(rows)*int64(cols)
-	if int64(len(data)) != want {
-		return nil, fmt.Errorf("%w: quant section is %d bytes, want %d for %dx%d",
-			ErrCorrupt, len(data), want, rows, cols)
-	}
-	scales := durable.ViewF64(data[8:], rows)
-	raw := data[8+8*rows:]
-	var cells []int8
-	if len(raw) == 0 {
-		cells = []int8{}
-	} else {
-		cells = unsafe.Slice((*int8)(unsafe.Pointer(&raw[0])), len(raw))
-	}
-	q, err := embed.QuantizedFromParts(rows, cols, cells, scales)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	return q, nil
 }
 
 // decodeColumns parses a columns section into (table, fitted columns)

@@ -194,11 +194,6 @@ type Result struct {
 	// BundleFormat is the on-disk format version this Result was loaded
 	// from (0 for Results built in-process rather than loaded).
 	BundleFormat int
-	// Quant is the optional int8 quantization of the embedding arena:
-	// populated by `leva embed -quantize` before saving, or restored
-	// from a version-5 bundle's quant section. Featurization never
-	// touches it — it exists for the ANN serving path.
-	Quant *embed.QuantizedMatrix
 
 	// mapped is the whole-file mmap behind this Result's views when it
 	// was loaded with LoadOptions.MMap; nil otherwise. Owned by Unmap.
@@ -218,7 +213,7 @@ func (r *Result) Mapped() bool { return r.mapped != nil }
 
 // Unmap releases the file mapping behind a Result loaded with
 // LoadOptions.MMap. Every view into the Result — embedding vectors,
-// symbol strings, the quantized arena — is invalid afterward, so this
+// symbol strings — is invalid afterward, so this
 // must be the very last call; serving ties it to the bundle
 // generation's refcount draining. Unmap is idempotent and a no-op for
 // Results that were read rather than mapped.

@@ -1,7 +1,6 @@
 package embed
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/matrix"
@@ -84,27 +83,6 @@ func QuantizeRow(v []float64, dst []int8) float64 {
 		}
 	}
 	return scale
-}
-
-// QuantizedFromParts validates an externally decoded quantized arena
-// (the bundle quant section) and wraps it without copying. data and
-// scales are retained.
-func QuantizedFromParts(rows, cols int, data []int8, scales []float64) (*QuantizedMatrix, error) {
-	if rows < 0 || cols < 0 {
-		return nil, fmt.Errorf("embed: quantized matrix has negative shape %dx%d", rows, cols)
-	}
-	if len(data) != rows*cols {
-		return nil, fmt.Errorf("embed: quantized matrix %dx%d needs %d bytes, got %d", rows, cols, rows*cols, len(data))
-	}
-	if len(scales) != rows {
-		return nil, fmt.Errorf("embed: quantized matrix has %d scales for %d rows", len(scales), rows)
-	}
-	for i, s := range scales {
-		if s < 0 || math.IsNaN(s) || math.IsInf(s, 0) {
-			return nil, fmt.Errorf("embed: quantized matrix row %d has invalid scale %v", i, s)
-		}
-	}
-	return &QuantizedMatrix{Rows: rows, Cols: cols, Data: data, Scales: scales}, nil
 }
 
 // Row returns a view (not a copy) of row i.

@@ -81,31 +81,6 @@ func TestQuantizeNonFinite(t *testing.T) {
 	}
 }
 
-func TestQuantizedFromParts(t *testing.T) {
-	if _, err := QuantizedFromParts(2, 3, make([]int8, 6), []float64{1, 2}); err != nil {
-		t.Fatalf("valid parts rejected: %v", err)
-	}
-	bad := []struct {
-		name   string
-		rows   int
-		cols   int
-		data   []int8
-		scales []float64
-	}{
-		{"short data", 2, 3, make([]int8, 5), []float64{1, 2}},
-		{"short scales", 2, 3, make([]int8, 6), []float64{1}},
-		{"negative scale", 2, 3, make([]int8, 6), []float64{1, -2}},
-		{"nan scale", 2, 3, make([]int8, 6), []float64{1, math.NaN()}},
-		{"inf scale", 2, 3, make([]int8, 6), []float64{1, math.Inf(1)}},
-		{"negative rows", -1, 3, nil, nil},
-	}
-	for _, tc := range bad {
-		if _, err := QuantizedFromParts(tc.rows, tc.cols, tc.data, tc.scales); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
 func TestQuantizedBytes(t *testing.T) {
 	q := Quantize(matrix.NewDense(10, 100))
 	if got, want := q.Bytes(), int64(10*100+8*10); got != want {

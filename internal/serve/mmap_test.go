@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -228,7 +227,7 @@ func TestReloadRejectedIndexUnmapped(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.cfg.IndexLoader = mmapIndexLoader(foreignDir)
-	if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "not in the candidate embedding") {
+	if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "not in the bundle's embedding") {
 		t.Fatalf("reload with a foreign index: err = %v, want a rejection naming the missing entry", err)
 	}
 	if got := countMappings(t, foreignDir); got != 0 {
@@ -257,141 +256,9 @@ func TestReloadRejectedIndexUnmapped(t *testing.T) {
 	}
 }
 
-// TestCarriedIndexKeepsRetiredMappingAlive: without an IndexLoader the
-// index carries forward across reloads, and so must every mapping it
-// reads. An in-process index reads vectors straight out of the mapped
-// bundle (ann.Build aliases the arena and symbol table), so the
-// generation-1 bundle mapping stays alive exactly as long as the index
-// does; a mapped index keeps its own mapping, plus the generation-1
-// bundle when it adopted that bundle's quant section. Every other
-// generation is still unmapped on retirement.
-func TestCarriedIndexKeepsRetiredMappingAlive(t *testing.T) {
-	if !durable.MapSupported {
-		t.Skip("mmap unsupported on this platform")
-	}
-	// quantDir is a bundle with a version-5 quant section, so a mapped
-	// dot-metric index can adopt its int8 arena zero-copy.
-	built, _, _ := fixture(t)
-	quantDir := t.TempDir() + "/bundle"
-	withQuant, err := core.LoadBundle(mmapBundleDir(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	withQuant.Quant = embed.Quantize(built.Embedding.Matrix())
-	if err := withQuant.SaveBundle(quantDir); err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name string
-		// bundleDir is served mapped; index builds the carried index
-		// over the first generation and returns the directory it maps
-		// ("" when it maps none).
-		bundleDir string
-		index     func(t *testing.T, first *core.Result) (*ann.Index, string)
-		// bundleMaps is the bundle mapping count while serving.
-		bundleMaps int
-	}{
-		{"in-process build", mmapBundleDir(t), func(t *testing.T, first *core.Result) (*ann.Index, string) {
-			ix, err := ann.Build(first.Embedding, ann.Options{Seed: 7, Metric: ann.MetricDot})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ix.SharesStorage(first.Embedding, nil) {
-				t.Fatal("dot-metric in-process index does not alias the embedding; the test is vacuous")
-			}
-			return ix, ""
-		}, 2},
-		{"mapped index", mmapBundleDir(t), func(t *testing.T, first *core.Result) (*ann.Index, string) {
-			dir := mmapIndexDir(t, ann.MetricCosine)
-			ix, err := mmapIndexLoader(dir)()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return ix, dir
-		}, 1},
-		{"mapped index adopting the quant section", quantDir, func(t *testing.T, first *core.Result) (*ann.Index, string) {
-			dir := mmapIndexDir(t, ann.MetricDot)
-			ix, err := mmapIndexLoader(dir)()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := ix.Quantize(first.Quant); err != nil {
-				t.Fatal(err)
-			}
-			if !ix.SharesStorage(nil, first.Quant) {
-				t.Fatal("mapped index did not adopt the bundle's quant section; the test is vacuous")
-			}
-			return ix, dir
-		}, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			load := mmapLoader(tc.bundleDir)
-			first, err := load()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ix, indexDir := tc.index(t, first)
-			indexMaps := func() int {
-				if indexDir == "" {
-					return 0
-				}
-				return countMappings(t, indexDir)
-			}
-			wantIndexMaps := 0
-			if indexDir != "" {
-				wantIndexMaps = 1
-			}
-			srv := New(first, Config{Index: ix, Loader: load})
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-
-			token := ix.Names()[0]
-			want, err := ix.SearchName(token, 3, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < 10; i++ {
-				if err := srv.Reload(); err != nil {
-					t.Fatalf("reload %d: %v", i, err)
-				}
-				if b, x := countMappings(t, tc.bundleDir), indexMaps(); b != tc.bundleMaps || x != wantIndexMaps {
-					t.Fatalf("after reload %d: %d bundle and %d index mappings, want %d and %d",
-						i, b, x, tc.bundleMaps, wantIndexMaps)
-				}
-			}
-			// The carried index must still answer correctly off the
-			// mappings it kept.
-			resp, err := http.Get(fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, token))
-			if err != nil {
-				t.Fatal(err)
-			}
-			var out neighborsResponse
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK || len(out.Neighbors) != len(want) {
-				t.Fatalf("neighbors after 10 reloads: status %d, %d results", resp.StatusCode, len(out.Neighbors))
-			}
-			for i, n := range out.Neighbors {
-				if n.Token != want[i].Name || n.Score != want[i].Score {
-					t.Errorf("neighbor %d = %s/%g, want %s/%g", i, n.Token, n.Score, want[i].Name, want[i].Score)
-				}
-			}
-			if err := srv.Shutdown(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if b, x := countMappings(t, tc.bundleDir), indexMaps(); b != 0 || x != 0 {
-				t.Errorf("after shutdown: %d bundle and %d index mappings, want 0 and 0", b, x)
-			}
-		})
-	}
-}
-
 // TestReloadUnderMMapWhileQuerying hammers the swap path with live
 // traffic: neighbor and featurize requests run nonstop while the bundle
-// hot-reloads under mmap 20 times — once carrying an in-process index
-// that aliases the first bundle, once with an IndexLoader that maps and
+// hot-reloads under mmap 20 times, with an IndexLoader that maps and
 // quantizes a fresh index per generation, as levad -mmap -quantize
 // does. Run under -race this doubles as the use-after-unmap detector
 // for the ownership logic.
@@ -399,18 +266,6 @@ func TestReloadUnderMMapWhileQuerying(t *testing.T) {
 	if !durable.MapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
-	t.Run("carried in-process index", func(t *testing.T) {
-		dir := mmapBundleDir(t)
-		first, err := mmapLoader(dir)()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := ann.Build(first.Embedding, ann.Options{Seed: 7, Metric: ann.MetricDot})
-		if err != nil {
-			t.Fatal(err)
-		}
-		reloadWhileQuerying(t, first, Config{Index: ix, Loader: mmapLoader(dir)})
-	})
 	t.Run("mapping IndexLoader", func(t *testing.T) {
 		dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
 		loadIndex := func() (*ann.Index, error) {

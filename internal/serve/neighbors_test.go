@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/core"
+	"repro/internal/resilience"
 )
 
 // fixtureIndex builds one ANN index over the serve fixture's embedding
@@ -382,21 +384,31 @@ func TestReloadRejectsBadIndex(t *testing.T) {
 			Loader:      func() (*core.Result, error) { return alt, nil },
 			IndexLoader: func() (*ann.Index, error) { return foreign, nil },
 		})
-		if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "not in the candidate embedding") {
+		if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "not in the bundle's embedding") {
 			t.Fatalf("reload error = %v, want a foreign-name rejection", err)
 		}
 	})
 
-	t.Run("no index loader carries index forward", func(t *testing.T) {
+	t.Run("no index loader refuses reload", func(t *testing.T) {
+		// Reloading the bundle alone would serve ix against an embedding
+		// it was never checked against, so the reload is refused as a
+		// configuration state: the breaker, tripping after one failure
+		// here, stays closed.
 		srv := New(loaded, Config{
-			Index:  ix,
-			Loader: func() (*core.Result, error) { return loaded, nil },
+			Index:           ix,
+			Loader:          func() (*core.Result, error) { return loaded, nil },
+			BreakerFailures: 1,
 		})
-		if err := srv.Reload(); err != nil {
-			t.Fatal(err)
+		for i := 0; i < 3; i++ {
+			if err := srv.Reload(); !errors.Is(err, ErrReloadDisabled) {
+				t.Fatalf("reload %d without IndexLoader: %v, want ErrReloadDisabled", i, err)
+			}
 		}
-		if st := srv.curStore(); st.gen != 2 || st.index != ix {
-			t.Errorf("reload without IndexLoader: gen %d, index carried = %v", st.gen, st.index == ix)
+		if st := srv.curStore(); st.gen != 1 || st.index != ix {
+			t.Errorf("refused reload advanced the store: gen %d, same index = %v", st.gen, st.index == ix)
+		}
+		if st := srv.reloadBreaker.State(); st != resilience.StateClosed {
+			t.Errorf("reload breaker %v after refused reloads, want closed", st)
 		}
 	})
 }

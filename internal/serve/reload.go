@@ -13,21 +13,21 @@ import (
 )
 
 // ErrReloadDisabled reports a reload attempt on a Server configured
-// without a bundle Loader.
-var ErrReloadDisabled = errors.New("serve: hot reload disabled: no bundle loader configured")
+// without a bundle Loader, or with an Index but no IndexLoader.
+var ErrReloadDisabled = errors.New("serve: hot reload disabled")
 
 // errServerClosed reports a reload attempt after Shutdown.
 var errServerClosed = errors.New("serve: reload refused: server is shut down")
 
-// Reload swaps the serving bundle with zero downtime: the candidate is
-// loaded (manifest-verified by the loader, concurrently with the
-// candidate index when an IndexLoader is configured; see
-// LoadGeneration), validated against the running store — embedding
-// dimension, feature width, and featurization mode must match, and a
-// canary row must featurize cleanly — and only then atomically swapped
-// in. In-flight requests keep the store they started with; new requests
-// see the new store. Any failure leaves the current store serving,
-// untouched, and the returned error says why.
+// Reload swaps the serving bundle with zero downtime: the candidate
+// generation is loaded and its index checked against its bundle (see
+// LoadGeneration), the bundle is validated against the running store —
+// embedding dimension, feature width, and featurization mode must
+// match, and a canary row must featurize cleanly — and only then the
+// pair is atomically swapped in. In-flight requests keep the store
+// they started with; new requests see the new store. Any failure
+// leaves the current store serving, untouched, and the returned error
+// says why.
 //
 // Reloads are serialized: concurrent calls (a double SIGHUP, an admin
 // request racing a signal) run one after another, each against the
@@ -72,49 +72,25 @@ func (s *Server) reloadLocked() error {
 		return errServerClosed
 	}
 	if s.cfg.Loader == nil {
-		return ErrReloadDisabled
+		return fmt.Errorf("%w: no bundle loader configured", ErrReloadDisabled)
+	}
+	if s.cfg.Index != nil && s.cfg.IndexLoader == nil {
+		return fmt.Errorf("%w: the server has an ANN index but no index loader", ErrReloadDisabled)
 	}
 	cur := s.st.Load()
-	// The index reloads with the bundle when an IndexLoader is
-	// configured; otherwise the current index (possibly nil) carries
-	// forward. A candidate index that fails to load or validate rejects
-	// the whole reload — serving a new embedding against a stale index
-	// would silently return neighbors from the wrong vector space.
-	res, cand, err := LoadGeneration(s.cfg.Loader, s.cfg.IndexLoader)
+	res, ix, err := LoadGeneration(s.cfg.Loader, s.cfg.IndexLoader)
 	if err == nil {
-		err = validateCandidate(cur.res, res)
-		if err == nil && s.cfg.IndexLoader != nil {
-			err = validateIndex(res, cand)
-		}
-		if err != nil {
+		if err = validateCandidate(cur.res, res); err != nil {
 			// A rejected candidate's mappings must not leak.
 			_ = res.Unmap()
-			_ = cand.Unmap()
+			_ = ix.Unmap()
 		}
 	}
 	if err != nil {
 		return fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
 	}
-	ix := cur.index
-	if s.cfg.IndexLoader != nil {
-		ix = cand
-	}
 	next := newStore(res, ix, s.cfg, s.metrics)
 	next.gen = cur.gen + 1
-	// A carried index must outlive the store that loaded it: its own
-	// mapping, and the retired bundles it reads vectors out of, move to
-	// the new store, which releases them when it retires in turn. That
-	// is everything cur owns but its own bundle (owned[0]) — plus that
-	// bundle too when the index aliases it (an in-process build over a
-	// mapped arena, or a quant section adopted zero-copy).
-	if s.cfg.IndexLoader == nil && ix != nil {
-		next.owned = append(next.owned[:1], cur.owned[1:]...)
-		cur.owned = cur.owned[:1]
-		if cur.res.Mapped() && ix.SharesStorage(cur.res.Embedding, cur.res.Quant) {
-			next.owned = append(next.owned, cur.res)
-			cur.owned = nil
-		}
-	}
 	s.st.Store(next)
 	s.metrics.generation.Set(float64(next.gen))
 	// Drop the serving reference of the replaced store; it retires once
@@ -124,13 +100,14 @@ func (s *Server) reloadLocked() error {
 }
 
 // LoadGeneration loads one serving generation: the bundle and, when
-// loadIndex is non-nil, the ANN index. The two loads run concurrently,
-// so the two file reads (or mappings) and SHA-256 checks overlap
-// instead of queuing. levad calls it at startup and reloadLocked on
-// every reload. When either load fails, whatever the other produced is
-// unmapped and the error names each side that failed (errors.Is sees
-// every cause); validating the pair against each other is the caller's
-// job.
+// loadIndex is non-nil, the ANN index, which must have been built from
+// that bundle's embedding (see validateIndex). The two loads run
+// concurrently, so the two file reads (or mappings) and SHA-256 checks
+// overlap instead of queuing. levad calls it at startup and
+// reloadLocked on every reload, so both check a pair the same way.
+// When either load fails, whatever the other produced is unmapped and
+// the error names each side that failed (errors.Is sees every cause);
+// when the pair does not match, both are unmapped.
 func LoadGeneration(loadBundle func() (*core.Result, error), loadIndex func() (*ann.Index, error)) (*core.Result, *ann.Index, error) {
 	var (
 		ix     *ann.Index
@@ -148,6 +125,14 @@ func LoadGeneration(loadBundle func() (*core.Result, error), loadIndex func() (*
 	res, resErr := loadBundle()
 	<-ixDone
 	if resErr == nil && ixErr == nil {
+		if loadIndex == nil {
+			return res, nil, nil
+		}
+		if err := validateIndex(res, ix); err != nil {
+			_ = res.Unmap()
+			_ = ix.Unmap()
+			return nil, nil, err
+		}
 		return res, ix, nil
 	}
 	var errs []error
@@ -216,26 +201,26 @@ func canaryProbe(cand *core.Result) error {
 	return nil
 }
 
-// validateIndex checks a candidate ANN index against the bundle it
-// will serve with: the dimensions must agree, every probed index entry
-// must name an entity the embedding actually holds, and a canary
-// search must answer — an index built from a different embedding (or a
-// corrupt one that decoded anyway) is rejected before the swap.
-func validateIndex(cand *core.Result, ix *ann.Index) error {
+// validateIndex checks an ANN index against the bundle it will serve
+// with: the dimensions must agree, every probed index entry must name
+// an entity the embedding actually holds, and a canary search must
+// answer — an index built from a different embedding (or a corrupt one
+// that decoded anyway) is rejected before it serves.
+func validateIndex(res *core.Result, ix *ann.Index) error {
 	if ix == nil || ix.Len() == 0 {
-		return errors.New("candidate ANN index is empty")
+		return errors.New("ANN index is empty")
 	}
-	if ix.Dim() != cand.Embedding.Dim {
-		return fmt.Errorf("candidate ANN index dim %d != candidate embedding dim %d", ix.Dim(), cand.Embedding.Dim)
+	if ix.Dim() != res.Embedding.Dim {
+		return fmt.Errorf("ANN index dim %d != bundle embedding dim %d (rebuild the index with `leva embed -index`)", ix.Dim(), res.Embedding.Dim)
 	}
 	names := ix.Names()
 	for _, probe := range []int{0, len(names) / 2, len(names) - 1} {
-		if _, ok := cand.Embedding.Vector(names[probe]); !ok {
-			return fmt.Errorf("candidate ANN index entry %q is not in the candidate embedding (index built from a different bundle?)", names[probe])
+		if _, ok := res.Embedding.Vector(names[probe]); !ok {
+			return fmt.Errorf("ANN index entry %q is not in the bundle's embedding (index built from a different bundle?)", names[probe])
 		}
 	}
 	if _, err := ix.SearchName(names[0], 1, 0); err != nil {
-		return fmt.Errorf("candidate ANN index canary search: %w", err)
+		return fmt.Errorf("ANN index canary search: %w", err)
 	}
 	return nil
 }

@@ -40,14 +40,6 @@ type store struct {
 	// the index is absent or caching is disabled.
 	annCache *lruCache
 
-	// owned lists the file mappings this store releases when it
-	// retires. newStore seeds it with the store's own bundle, always
-	// first, and its index; Unmap is a no-op for whichever of them was
-	// read or built rather than mapped, and for a nil index. A reload that carries the index
-	// forward moves the index's mappings to the successor store instead
-	// (see reloadLocked).
-	owned []mapping
-
 	// gen is the bundle generation this store serves: 1 for the store
 	// loaded at startup, +1 per successful reload.
 	gen int64
@@ -58,12 +50,8 @@ type store struct {
 	closeOnce sync.Once
 }
 
-// mapping is a file mapping a store can own: a bundle (*core.Result)
-// or an index (*ann.Index) loaded with mmap. Unmap is idempotent.
-type mapping interface{ Unmap() error }
-
 func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics) *store {
-	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers, owned: []mapping{res, ix}}
+	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers}
 	s.refs.Store(1) // the serving reference
 	if ix != nil && cfg.CacheSize > 0 {
 		s.annCache = newLRU(cfg.CacheSize)
@@ -83,17 +71,18 @@ func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics) *store {
 	return s
 }
 
-// release drops one reference; the last drop returns every mapping the
-// store owns to the kernel — a retired generation must not keep its
-// pages resident for the life of the process.
+// release drops one reference; the last drop returns the store's
+// bundle and index mappings to the kernel — a retired generation must
+// not keep its pages resident for the life of the process. Unmap is a
+// no-op for whichever was read or built rather than mapped, and for a
+// nil index.
 // Idempotence of the close is guarded so the acquire/swap race (see
 // Server.acquireStore) cannot close twice.
 func (s *store) release() {
 	if s.refs.Add(-1) <= 0 {
 		s.closeOnce.Do(func() {
-			for _, m := range s.owned {
-				_ = m.Unmap()
-			}
+			_ = s.res.Unmap()
+			_ = s.index.Unmap()
 		})
 	}
 }

@@ -518,21 +518,28 @@ cmp "$SMOKE/v3_embedding.json" "$SMOKE/upgraded_embedding.json"
 echo "bundle migration smoke test passed"
 
 # --- int8 quantization smoke test -------------------------------------
-# `leva embed -quantize` publishes a bundle with the v5 quant section
-# (and the same float index artifact — quantization is a serving-time
-# transform), levad -quantize serves neighbors from the int8 arena while
-# /v1/featurize stays byte-identical to the float daemon, and 10 SIGHUP
-# hot reloads under -mmap leave the daemon's bundle and index mapping
-# counts flat (the retired-generation munmap regression guard).
+# Quantization is a serving-time transform: `leva embed` publishes the
+# same bundle and float index as for any other build (the -quantize
+# flag is gone, and the index comes straight from the stage cache),
+# levad -quantize quantizes the index it loads and serves neighbors
+# from the int8 arena while /v1/featurize stays byte-identical to the
+# float daemon, and 10 SIGHUP hot reloads under -mmap leave the
+# daemon's bundle and index mapping counts flat (the retired-generation
+# munmap regression guard).
+if "$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 9 -workers 1 \
+    -cache "$CACHE" -out "$SMOKE/quant_emb.tsv" -quantize > "$SMOKE/quant_flag.log" 2>&1; then
+    echo "leva embed accepted the removed -quantize flag" >&2
+    exit 1
+fi
+grep -q 'flag provided but not defined: -quantize' "$SMOKE/quant_flag.log"
 "$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 9 -workers 1 \
     -cache "$CACHE" -out "$SMOKE/quant_emb.tsv" -bundle "$SMOKE/bundle_quant" \
-    -index "$SMOKE/index_quant" -quantize > "$SMOKE/quant_embed.log"
-grep -q 'quantized: int8 arena' "$SMOKE/quant_embed.log"
+    -index "$SMOKE/index_quant" > "$SMOKE/quant_embed.log"
+# The seed-9 index was built by the hot-reload test above, so this
+# build reads it from the stage cache instead of rebuilding HNSW.
+grep -q 'vectors, cached in' "$SMOKE/quant_embed.log"
 "$SMOKE/bin/leva" bundle info "$SMOKE/bundle_quant" > "$SMOKE/info_quant.log"
 grep -q 'version 5' "$SMOKE/info_quant.log"
-grep -q 'quantized:' "$SMOKE/info_quant.log"
-# The saved index artifact is the same float index either way; the
-# quant arena never changes what is published.
 cmp "$SMOKE/index/index.bin" "$SMOKE/index_quant/index.bin"
 
 rm -f "$SMOKE/addr"
