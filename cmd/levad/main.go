@@ -15,8 +15,6 @@
 //	GET  /healthz              liveness + degradation (reload breaker state)
 //	GET  /metrics              Prometheus text
 //	POST /admin/reload         hot-reload the bundle (and index) directory
-//	GET  /admin/chaos          chaos-harness state (POST reconfigures;
-//	                           503 unless started with -chaos)
 //
 // With -debug-addr, a second listener serves net/http/pprof under
 // /debug/pprof/ and a JSON metric dump at /debug/vars — bind it to
@@ -47,9 +45,7 @@
 // on every reload alike. -quantize quantizes each loaded index to int8
 // and answers neighbor searches from that arena (8x less memory
 // traffic) with an exact float64 re-rank of the final beam;
-// /v1/featurize is unaffected. -chaos arms seeded fault injection on
-// the http target for resilience drills; a rule for any other target
-// is refused at startup. See docs/SERVING.md and
+// /v1/featurize is unaffected. See docs/SERVING.md and
 // docs/OPERATIONS.md.
 package main
 
@@ -72,7 +68,6 @@ import (
 	leva "repro"
 	"repro/internal/ann"
 	"repro/internal/durable"
-	"repro/internal/resilience"
 	"repro/internal/serve"
 )
 
@@ -95,7 +90,6 @@ func run(ctx context.Context, args []string) error {
 	queueTimeout := fs.Duration("queue-timeout", 100*time.Millisecond, "max wait in the admission queue before shedding 429")
 	breakerFailures := fs.Int("breaker-failures", 5, "consecutive rejected reloads that trip the reload circuit breaker")
 	breakerOpenFor := fs.Duration("breaker-open-for", 5*time.Second, "how long a tripped reload breaker refuses reloads before admitting a probe")
-	chaosSpec := fs.String("chaos", "", "arm the chaos harness with a fault spec, e.g. 'seed=1;http:err=0.3,lat=400ms' (targets: http; empty = no fault injection, ever)")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler budget (503 on expiry)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheSize := fs.Int("cache", 4096, "LRU entries for token-keyed /v1/neighbors queries (0 disables)")
@@ -114,17 +108,6 @@ func run(ctx context.Context, args []string) error {
 	}
 	if *quantize && *indexDir == "" {
 		return fmt.Errorf("-quantize needs -index: only the ANN search path is quantized")
-	}
-	var chaos *resilience.Chaos
-	if *chaosSpec != "" {
-		var err error
-		chaos, err = resilience.ParseSpec(*chaosSpec)
-		if err == nil {
-			err = serve.CheckChaosTargets(chaos)
-		}
-		if err != nil {
-			return fmt.Errorf("-chaos: %w", err)
-		}
 	}
 
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, nil))
@@ -176,7 +159,6 @@ func run(ctx context.Context, args []string) error {
 	if *queueLen <= 0 {
 		cfg.QueueLen = -1
 	}
-	cfg.Chaos = chaos
 	if !*quiet {
 		cfg.Logger = logger
 	}

@@ -6,11 +6,16 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/url"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"syscall"
 	"testing"
@@ -20,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/embed"
-	"repro/internal/serve"
 	"repro/internal/synth"
 )
 
@@ -461,31 +465,76 @@ func TestRunRefusesEitherFailedLoad(t *testing.T) {
 	}
 }
 
-// TestRunRefusesUnknownChaosTarget: a -chaos rule for a target the
-// server never consults would arm nothing, so startup refuses it with
-// the named error instead. "ann" is such a target: the neighbor search
-// is an in-process call with no chaos hook.
-func TestRunRefusesUnknownChaosTarget(t *testing.T) {
-	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
-	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+// TestFlagsMatchServingDocs pins levad's flags to the flag table in
+// docs/SERVING.md both ways: every flag run defines has a row there,
+// and every row names a flag run defines, so a deleted flag's row
+// cannot linger and a new flag cannot ship undocumented.
+func TestFlagsMatchServingDocs(t *testing.T) {
+	defined := definedFlags(t)
+	if !defined["bundle"] || !defined["addr"] {
+		t.Fatalf("found flags %v in main.go; the fs.<Kind>(\"name\", ...) scan is broken", defined)
+	}
+	raw, err := os.ReadFile("../../docs/SERVING.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := res.SaveBundle(dir); err != nil {
-		t.Fatal(err)
+	_, table, ok := strings.Cut(string(raw), "\nFlags:\n")
+	if !ok {
+		t.Fatal(`docs/SERVING.md has no "Flags:" table`)
 	}
-	for _, target := range []string{"rowcache", "ann"} {
-		// Were the rule accepted, the daemon would serve until ctx
-		// expires and run would return nil.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		err = run(ctx, []string{"-bundle", dir, "-addr", "127.0.0.1:0", "-quiet",
-			"-chaos", "seed=1;" + target + ":err=1"})
-		cancel()
-		if !errors.Is(err, serve.ErrUnknownChaosTarget) || !strings.Contains(err.Error(), `"`+target+`"`) {
-			t.Errorf("startup error = %v, want ErrUnknownChaosTarget naming %s", err, target)
+	row := regexp.MustCompile("^\\| `-([a-z0-9-]+)` \\|")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimLeft(table, "\n"), "\n") {
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		if m := row.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = true
 		}
 	}
+	for name := range defined {
+		if !documented[name] {
+			t.Errorf("levad flag -%s has no row in docs/SERVING.md's flag table", name)
+		}
+	}
+	for name := range documented {
+		if !defined[name] {
+			t.Errorf("docs/SERVING.md documents -%s, which levad does not define", name)
+		}
+	}
+}
+
+// definedFlags lists the flags run defines: the name argument of every
+// fs.<Kind>("name", ...) call in main.go.
+func definedFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flags := map[string]bool{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "fs" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flags[name] = true
+		}
+		return true
+	})
+	return flags
 }
 
 func TestRunRejectsMissingBundle(t *testing.T) {

@@ -3,7 +3,7 @@
 // bounded time, when traffic exceeds capacity or a reload keeps
 // failing.
 //
-// It carries four independent, dependency-free mechanisms:
+// It carries three independent, dependency-free mechanisms:
 //
 //   - Deadline propagation (ParseDeadline): clients declare how long
 //     they will wait via the X-Leva-Deadline-Ms header; the serving
@@ -19,15 +19,10 @@
 //     of a bad bundle — is cut off for a cooling period instead of
 //     being retried into a storm; probes re-close the breaker once it
 //     recovers.
-//   - Chaos injection (Chaos): a seeded fault source that injects
-//     latency, errors, and stalled response bodies per target, so
-//     deadlines and the limiter can be proven under fire — in tests,
-//     and as an operator drill via levad's -chaos flag and
-//     /admin/chaos.
 //
 // Everything is deterministic under test: breakers take an injectable
-// clock, the chaos source is a seeded PRNG, and the limiter's
-// adjustments are pure functions of the outcomes fed to it.
+// clock, and the limiter's adjustments are pure functions of the
+// outcomes fed to it.
 // internal/serve wires these into the HTTP stack; see
 // docs/SERVING.md (API surface) and docs/OPERATIONS.md (the overload
 // & brownout runbook).

@@ -62,9 +62,9 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeErrorReason is writeError with a machine-readable taxonomy tag:
 // clients branch on "reason" (capacity, queue_timeout, client_gone,
-// breaker_open, chaos_injected, bad_deadline,
-// deadline_exceeded, chaos_disabled, unknown_chaos_target, no_index,
-// bad_param) instead of parsing the human-facing message.
+// breaker_open, bad_deadline, no_index, bad_param — plus timeout, which
+// the per-request timeout handler writes itself) instead of parsing the
+// human-facing message.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, map[string]string{
 		"error":  fmt.Sprintf(format, args...),
@@ -222,7 +222,6 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 		"generation":   st.gen,
 		"bundleFormat": st.res.BundleFormat,
 		"breakers":     map[string]string{depReload: reload.String()},
-		"chaosEnabled": s.chaos.Enabled(),
 	}
 	if e, _ := s.metrics.lastReloadError.Load().(string); e != "" {
 		body["lastReloadError"] = e

@@ -40,8 +40,6 @@ const (
 	metricBackoffs           = "leva_resilience_backoffs_total"
 	metricBreakerState       = "leva_resilience_breaker_state"
 	metricBreakerTransitions = "leva_resilience_breaker_transitions_total"
-	metricChaosEnabled       = "leva_resilience_chaos_enabled"
-	metricChaosInjections    = "leva_resilience_chaos_injections_total"
 	metricDepCalls           = "leva_resilience_dep_calls_total"
 	metricLimit              = "leva_resilience_limit"
 	metricQueueDepth         = "leva_resilience_queue_depth"
@@ -55,7 +53,7 @@ var trackedStatuses = []int{200, 400, 404, 413, 429, 500, 503}
 
 // endpointNames are the fixed endpoint label values — one per route in
 // Server.Handler.
-var endpointNames = []string{"featurize", "embedding", "neighbors", "healthz", "metrics", "reload", "chaos"}
+var endpointNames = []string{"featurize", "embedding", "neighbors", "healthz", "metrics", "reload"}
 
 // metrics is the daemon-wide instrument set behind GET /metrics, one
 // per Server (tests assert exact per-instance counts). Every value
@@ -84,8 +82,6 @@ type metrics struct {
 	backoffs           *obs.Counter
 	breakerState       *obs.GaugeVec   // by dep
 	breakerTransitions *obs.CounterVec // by dep, to
-	chaosEnabled       *obs.Gauge
-	chaosInjections    *obs.CounterVec // by target, kind
 	breakerCalls       *obs.CounterVec // by dep, outcome
 	shedByReason       *obs.CounterVec // by reason
 	shedRetryAfter     *obs.Gauge
@@ -154,10 +150,6 @@ func newMetrics() *metrics {
 			"Circuit breaker state, by dependency (0 = closed, 1 = half-open, 2 = open).", "dep"),
 		breakerTransitions: r.CounterVec(metricBreakerTransitions,
 			"Circuit breaker state transitions, by dependency and new state.", "dep", "to"),
-		chaosEnabled: r.Gauge(metricChaosEnabled,
-			"Whether chaos fault injection is active (1) or not (0)."),
-		chaosInjections: r.CounterVec(metricChaosInjections,
-			"Faults injected by the chaos harness, by target and kind (error, latency, stall).", "target", "kind"),
 		breakerCalls: r.CounterVec(metricDepCalls,
 			"Guarded dependency calls, by dependency and outcome (ok, error, canceled, open).", "dep", "outcome"),
 		shedByReason: r.CounterVec(metricShedByReason,

@@ -115,10 +115,6 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_resilience_breaker_state gauge
 # HELP leva_resilience_breaker_transitions_total Circuit breaker state transitions, by dependency and new state.
 # TYPE leva_resilience_breaker_transitions_total counter
-# HELP leva_resilience_chaos_enabled Whether chaos fault injection is active (1) or not (0).
-# TYPE leva_resilience_chaos_enabled gauge
-# HELP leva_resilience_chaos_injections_total Faults injected by the chaos harness, by target and kind (error, latency, stall).
-# TYPE leva_resilience_chaos_injections_total counter
 # HELP leva_resilience_dep_calls_total Guarded dependency calls, by dependency and outcome (ok, error, canceled, open).
 # TYPE leva_resilience_dep_calls_total counter
 # HELP leva_resilience_limit Current adaptive concurrency limit (AIMD: climbs on success, falls on congestion).
@@ -161,6 +157,26 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 		resp.Body.Close()
 	}
 
+	// No route listed in testdata/deleted_surface.txt answers 200.
+	deleted := deletedSurface(t)
+	for _, route := range deleted["route"] {
+		for _, method := range []string{http.MethodGet, http.MethodPost} {
+			req, err := http.NewRequest(method, ts.URL+route, strings.NewReader("{}"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode == http.StatusOK {
+				t.Errorf("%s %s: status 200, want the route gone", method, route)
+			}
+		}
+	}
+
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -191,10 +207,45 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 	if !strings.Contains(text, `le="0.005"`) {
 		t.Error("exposition has no latency bucket boundaries")
 	}
-	// Featurized rows are not cached, so no row-cache family exists.
-	if strings.Contains(text, "leva_rowcache_") {
-		t.Error("exposition still has a leva_rowcache_ family")
+
+	// Deleted surface stays deleted: no family, series or healthz key
+	// listed in testdata/deleted_surface.txt is served (the route probes
+	// above would have put a deleted endpoint's series on /metrics).
+	for _, name := range append(deleted["metric"], deleted["series"]...) {
+		if strings.Contains(text, name) {
+			t.Errorf("exposition still has %s", name)
+		}
 	}
+	var hz map[string]any
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK {
+		t.Fatalf("GET /healthz: status %d", code)
+	}
+	for _, key := range deleted["healthz"] {
+		if _, ok := hz[key]; ok {
+			t.Errorf("/healthz still has a %q key", key)
+		}
+	}
+}
+
+// deletedSurface reads testdata/deleted_surface.txt into kind → values.
+func deletedSurface(t *testing.T) map[string][]string {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/deleted_surface.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		kind, value, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("deleted_surface.txt: malformed line %q", line)
+		}
+		out[kind] = append(out[kind], value)
+	}
+	return out
 }
 
 // TestMetricsConcurrentScrapeAndReload drives featurization, Prometheus

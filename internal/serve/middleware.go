@@ -37,10 +37,10 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 
 // instrument wraps a handler with the serving middleware stack, from
 // the outside in: metrics + structured logging, then panic recovery,
-// then (for limited endpoints) client-deadline propagation, chaos
-// injection, the per-request timeout, and the admission limiter. The
-// limiter sits inside the timeout handler so a timed-out request's
-// admission slot is released only when its work actually finishes —
+// then (for limited endpoints) client-deadline propagation, the
+// per-request timeout, and the admission limiter. The limiter sits
+// inside the timeout handler so a timed-out request's admission slot
+// is released only when its work actually finishes —
 // otherwise abandoned handlers could stack up past MaxInFlight. The
 // deadline layer sits outside the timeout handler: TimeoutHandler
 // derives its context from the request's, so whichever budget is
@@ -56,7 +56,7 @@ func (s *Server) instrument(name string, limited bool, h http.Handler) http.Hand
 			// context, which the store checks between rows.
 			h = http.TimeoutHandler(h, s.cfg.RequestTimeout, `{"error":"request timed out","reason":"timeout"}`)
 		}
-		h = s.withDeadline(s.withChaosHTTP(h))
+		h = s.withDeadline(h)
 	}
 	inner := h
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

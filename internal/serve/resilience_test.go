@@ -3,7 +3,6 @@ package serve
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -15,16 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/resilience"
 )
-
-// mustChaos parses a chaos spec or fails the test.
-func mustChaos(t *testing.T, spec string) *resilience.Chaos {
-	t.Helper()
-	c, err := resilience.ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
 
 // getJSON GETs url and decodes the response body into out.
 func getJSON(t *testing.T, url string, out any) int {
@@ -63,54 +52,6 @@ func reasonOf(t *testing.T, body []byte) string {
 		t.Fatalf("error body %q is not JSON: %v", body, err)
 	}
 	return e["reason"]
-}
-
-// TestChaosDeterministicAcrossServers: two servers with the same chaos
-// seed and the same serial request sequence must inject the same faults
-// — the 200 / 503 chaos_injected pattern is a replayable schedule, not
-// noise.
-func TestChaosDeterministicAcrossServers(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	ix := fixtureIndex(t)
-	token := loaded.Embedding.SortedNames()[1]
-
-	run := func() []bool {
-		srv := New(loaded, Config{
-			Index: ix,
-			Chaos: mustChaos(t, "seed=42;http:err=0.5"),
-		})
-		ts := httptest.NewServer(srv.Handler())
-		defer ts.Close()
-		url := fmt.Sprintf("%s/v1/neighbors?token=%s&k=3", ts.URL, token)
-		pattern := make([]bool, 0, 20)
-		for i := 0; i < 20; i++ {
-			code, _, body := getRaw(t, url)
-			switch {
-			case code == http.StatusOK:
-				pattern = append(pattern, false)
-			case code == http.StatusServiceUnavailable && reasonOf(t, body) == "chaos_injected":
-				pattern = append(pattern, true)
-			default:
-				t.Fatalf("request %d: status %d (%s), want 200 or 503 chaos_injected", i, code, body)
-			}
-		}
-		return pattern
-	}
-	a, b := run(), run()
-	injected := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("request %d: injected=%v on one server, %v on the other — same seed must replay the same faults\n a=%v\n b=%v",
-				i, a[i], b[i], a, b)
-		}
-		if a[i] {
-			injected++
-		}
-	}
-	if injected == 0 || injected == len(a) {
-		t.Fatalf("%d of %d requests injected at err=0.5 — the schedule must mix faults and clean answers: %v",
-			injected, len(a), a)
-	}
 }
 
 // TestReloadBreakerTripsAndRecovers drives the reload breaker end to
@@ -395,135 +336,5 @@ func TestQueueShedsWithRetryAfter(t *testing.T) {
 	}
 	if total != 2 {
 		t.Errorf("shed by reason sums to %v, want 2", total)
-	}
-}
-
-// TestAdminChaosEndpoint: GET reports the live configuration, POST
-// partially updates it, and a server started without a chaos source
-// refuses with the chaos_disabled taxonomy tag.
-func TestAdminChaosEndpoint(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;http:err=0.5")})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	var state chaosState
-	if code := getJSON(t, ts.URL+"/admin/chaos", &state); code != http.StatusOK {
-		t.Fatalf("GET /admin/chaos: status %d", code)
-	}
-	if !state.Enabled || state.Seed != 5 {
-		t.Fatalf("state = enabled=%v seed=%d, want enabled seed=5", state.Enabled, state.Seed)
-	}
-	if r := state.Rules["http"]; r.ErrRate != 0.5 {
-		t.Fatalf("rules[http].errRate = %v, want 0.5", r.ErrRate)
-	}
-
-	resp, err := http.Post(ts.URL+"/admin/chaos", "application/json",
-		strings.NewReader(`{"enabled": false, "rules": {"http": {"errRate": 0.1, "latencyMs": 250, "latencyRate": 1}}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&state); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if state.Enabled {
-		t.Error("POST enabled=false did not disable chaos")
-	}
-	if r := state.Rules["http"]; r.ErrRate != 0.1 || r.LatencyMs != 250 {
-		t.Errorf("rules[http] = %+v, want errRate 0.1 latencyMs 250", r)
-	}
-	_, _, prom := getRaw(t, ts.URL+"/metrics")
-	if !strings.Contains(string(prom), "leva_resilience_chaos_enabled 0") {
-		t.Error("chaos_enabled gauge did not drop to 0")
-	}
-
-	resp, err = http.Post(ts.URL+"/admin/chaos", "application/json", strings.NewReader(`{"bogus": 1}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("unknown field: status %d, want 400", resp.StatusCode)
-	}
-
-	bare := New(loaded, Config{})
-	bs := httptest.NewServer(bare.Handler())
-	defer bs.Close()
-	code, _, body := getRaw(t, bs.URL+"/admin/chaos")
-	if code != http.StatusServiceUnavailable {
-		t.Fatalf("chaos-less server: status %d, want 503", code)
-	}
-	if r := reasonOf(t, body); r != "chaos_disabled" {
-		t.Errorf("chaos-less server: reason %q, want chaos_disabled", r)
-	}
-}
-
-// TestAdminChaosRejectsUnknownTarget: a POST naming a target the
-// server never consults — "ann" included, since the neighbor search has
-// no chaos hook — answers 400 unknown_chaos_target and changes nothing:
-// not the seed, not the enabled flag, not the other rules in the same
-// body.
-func TestAdminChaosRejectsUnknownTarget(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	srv := New(loaded, Config{Chaos: mustChaos(t, "seed=5;http:err=0.5")})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	for _, target := range []string{"rowcache", "ann"} {
-		resp, err := http.Post(ts.URL+"/admin/chaos", "application/json", strings.NewReader(fmt.Sprintf(
-			`{"enabled": false, "seed": 9, "rules": {"http": {"errRate": 0.2}, %q: {"errRate": 1}}}`, target)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("target %s: status %d, want 400 (%s)", target, resp.StatusCode, body)
-		}
-		if r := reasonOf(t, body); r != "unknown_chaos_target" {
-			t.Errorf("target %s: reason %q, want unknown_chaos_target", target, r)
-		}
-		if !strings.Contains(string(body), `\"`+target+`\"`) {
-			t.Errorf("target %s: error does not name the target: %s", target, body)
-		}
-
-		var state chaosState
-		if code := getJSON(t, ts.URL+"/admin/chaos", &state); code != http.StatusOK {
-			t.Fatalf("GET /admin/chaos: status %d", code)
-		}
-		if !state.Enabled || state.Seed != 5 || len(state.Rules) != 1 || state.Rules["http"].ErrRate != 0.5 {
-			t.Errorf("chaos state changed by a rejected POST naming %s: %+v", target, state)
-		}
-	}
-}
-
-// TestHTTPChaosStall: an injected mid-body stall still delivers a
-// complete, valid response — the fault is the hang, not corruption.
-func TestHTTPChaosStall(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	srv := New(loaded, Config{
-		Chaos: mustChaos(t, "seed=6;http:stall=1,stallfor=80ms"),
-	})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	token := loaded.Embedding.SortedNames()[0]
-	start := time.Now()
-	code, _, body := getRaw(t, ts.URL+"/v1/embedding/"+token)
-	elapsed := time.Since(start)
-	if code != http.StatusOK {
-		t.Fatalf("status %d (%s)", code, body)
-	}
-	var out embeddingResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatalf("stalled body did not reassemble into valid JSON: %v (%q)", err, body)
-	}
-	if out.Token != token {
-		t.Fatalf("token %q, want %q", out.Token, token)
-	}
-	if elapsed < 80*time.Millisecond {
-		t.Errorf("response in %v, want >= 80ms stall", elapsed)
 	}
 }

@@ -13,8 +13,7 @@
 //	                          ANN index is configured
 //	GET  /healthz             liveness + degradation (reload breaker state)
 //	GET  /metrics             Prometheus text
-//	GET  /admin/chaos         chaos-harness state (POST to reconfigure;
-//	                          503 unless started with a chaos source)
+//	POST /admin/reload        hot-reload the bundle (and index)
 //
 // The HTTP layer carries the production plumbing: deadline propagation
 // (clients bound their wait with X-Leva-Deadline-Ms), an adaptive AIMD
@@ -65,11 +64,6 @@ type Config struct {
 	// BreakerOpenFor is how long a tripped reload breaker refuses
 	// reloads before admitting a recovery probe. Default 5s.
 	BreakerOpenFor time.Duration
-	// Chaos, when non-nil, arms the request-level chaos harness: faults
-	// from this seeded source are injected per its rule for the "http"
-	// target (see CheckChaosTargets), and /admin/chaos can reconfigure
-	// it at runtime. Nil — the default — means no fault injection, ever.
-	Chaos *resilience.Chaos
 	// RequestTimeout bounds one request's handler time; timed-out
 	// requests get 503. Default 10s; negative disables.
 	RequestTimeout time.Duration
@@ -163,11 +157,9 @@ type Server struct {
 	ln      net.Listener
 
 	// limiter is the adaptive admission controller behind every
-	// data-plane endpoint; reloadBreaker fails repeated bad reloads
-	// fast; chaos is the optional fault source.
+	// data-plane endpoint; reloadBreaker fails repeated bad reloads fast.
 	limiter       *resilience.Limiter
 	reloadBreaker *resilience.Breaker
-	chaos         *resilience.Chaos
 
 	// reloadMu serializes reloads (and the shutdown/reload handoff):
 	// overlapping SIGHUPs queue behind each other instead of
@@ -198,7 +190,6 @@ func New(res *core.Result, cfg Config) *Server {
 		cfg:     cfg,
 		metrics: m,
 		logger:  cfg.Logger,
-		chaos:   cfg.Chaos,
 	}
 	s.limiter = resilience.NewLimiter(resilience.LimiterConfig{
 		MaxLimit:     cfg.MaxInFlight,
@@ -208,14 +199,6 @@ func New(res *core.Result, cfg Config) *Server {
 	})
 	m.setLimiter(s.limiter)
 	s.reloadBreaker = s.newReloadBreaker()
-	if s.chaos != nil {
-		s.chaos.OnInject = func(target, kind string) {
-			m.chaosInjections.With(target, kind).Inc()
-		}
-		if s.chaos.Enabled() {
-			m.chaosEnabled.Set(1)
-		}
-	}
 	first := newStore(res, cfg.Index, cfg, m)
 	first.gen = 1
 	s.st.Store(first)
@@ -239,9 +222,6 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /healthz", s.instrument("healthz", false, s.withStore(s.handleHealthz)))
 	mux.Handle("GET /metrics", s.instrument("metrics", false, http.HandlerFunc(s.handleMetrics)))
 	mux.Handle("POST /admin/reload", s.instrument("reload", false, http.HandlerFunc(s.handleReload)))
-	chaos := s.instrument("chaos", false, http.HandlerFunc(s.handleChaos))
-	mux.Handle("GET /admin/chaos", chaos)
-	mux.Handle("POST /admin/chaos", chaos)
 	return mux
 }
 

@@ -324,120 +324,72 @@ wait "$LEVAD_PID"
 
 echo "ann index smoke test passed"
 
-# --- chaos / resilience smoke test ------------------------------------
-# Arm the request-level chaos harness (30% injected errors on the http
-# target) and require: every neighbor query finishes within the curl
-# budget as either a 200 carrying neighbors or a 503 tagged
-# chaos_injected, both occur, and the injections are counted on
-# /metrics. Then stall every response body under -request-timeout 0, so
-# a stalled request holds its admission slot, and require a 12-way
-# burst against 2 slots and no queue to shed 429s carrying Retry-After.
-# Finally disable chaos at runtime and require clean service.
-# Rules for targets levad never consults (rowcache; ann, whose search
-# has no chaos hook) would arm nothing, so each is refused at startup
-# with the named error.
-for target in rowcache ann; do
-    if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -addr 127.0.0.1:0 \
-        -chaos "seed=1;$target:err=1" 2>"$SMOKE/levad_chaos_target.log"; then
-        echo "levad accepted a chaos rule for the unconsulted target $target" >&2
-        exit 1
-    fi
-    grep -q "unknown chaos target \"$target\"" "$SMOKE/levad_chaos_target.log"
-done
+# --- wire-surface smoke test -----------------------------------------
+# levad's -max-inflight must reach the admission limiter: the limiter
+# starts at its ceiling, so /metrics must read exactly 2. And the
+# serving surface listed in internal/serve/testdata/deleted_surface.txt
+# must stay deleted: no listed route answers 200 to GET or POST, no
+# listed key is in /healthz, no listed family or series is on /metrics,
+# and a listed flag stops startup as undefined.
+DELETED=internal/serve/testdata/deleted_surface.txt
+deleted() { sed -n "s/^$1 //p" "$DELETED"; }
+test -n "$(deleted route)"
 
 rm -f "$SMOKE/addr"
-"$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" \
-    -addr 127.0.0.1:0 -ready-file "$SMOKE/addr" \
-    -chaos 'seed=1;http:err=0.3' \
-    -request-timeout 0 -max-inflight 2 -queue 0 2>"$SMOKE/levad_chaos.log" &
+"$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -addr 127.0.0.1:0 \
+    -ready-file "$SMOKE/addr" -max-inflight 2 -queue 0 \
+    2>"$SMOKE/levad_wire.log" &
 LEVAD_PID=$!
 i=0
 while [ ! -s "$SMOKE/addr" ]; do
     i=$((i + 1))
     if [ "$i" -gt 100 ]; then
-        echo "levad (chaos run) never became ready" >&2
-        cat "$SMOKE/levad_chaos.log" >&2
+        echo "levad (wire run) never became ready" >&2
+        cat "$SMOKE/levad_wire.log" >&2
         exit 1
     fi
     sleep 0.1
 done
 ADDR=$(cat "$SMOKE/addr")
 
-curl -fsS "http://$ADDR/healthz" | grep -q '"chaosEnabled":true'
-curl -fsS "http://$ADDR/admin/chaos" | grep -q '"http"'
-
-# Fault leg. --max-time 2 turns a hang into a 000 line, which fails.
-OK=0
-INJECTED=0
-i=0
-while [ "$i" -lt 100 ]; do
-    i=$((i + 1))
-    code=$(curl -s --max-time 2 -o "$SMOKE/chaos_body" -w '%{http_code}' \
-        "http://$ADDR/v1/neighbors?token=expenses:0&k=5")
-    if [ "$code" = 200 ] && grep -q '"neighbors"' "$SMOKE/chaos_body"; then
-        OK=$((OK + 1))
-    elif [ "$code" = 503 ] && grep -q '"reason":"chaos_injected"' "$SMOKE/chaos_body"; then
-        INJECTED=$((INJECTED + 1))
-    else
-        echo "request $i under http chaos: status $code, want 200 or 503 chaos_injected:" >&2
-        cat "$SMOKE/chaos_body" >&2
+curl -fsS "http://$ADDR/metrics" > "$SMOKE/wire_metrics.txt"
+grep -q '^leva_resilience_limit 2$' "$SMOKE/wire_metrics.txt"
+curl -fsS "http://$ADDR/healthz" > "$SMOKE/wire_healthz.json"
+for key in $(deleted healthz); do
+    if grep -q "\"$key\"" "$SMOKE/wire_healthz.json"; then
+        echo "/healthz still has a $key key" >&2
         exit 1
     fi
 done
-if [ "$OK" -eq 0 ] || [ "$INJECTED" -eq 0 ]; then
-    echo "http:err=0.3 gave $OK answers and $INJECTED injected 503s; want both" >&2
-    exit 1
-fi
-curl -fsS "http://$ADDR/metrics" \
-    | grep -q 'leva_resilience_chaos_injections_total{target="http",kind="error"} [1-9]'
-
-# Burst leg: 12 concurrent queries against 2 admission slots and no
-# queue must shed — with 429s that carry Retry-After. Injected latency
-# is drawn outside the limiter, but a stalled body is written inside it,
-# and with -request-timeout 0 nothing buffers the write, so each admitted
-# request holds its slot for the 150ms stall.
-curl -fsS -X POST "http://$ADDR/admin/chaos" -H 'Content-Type: application/json' \
-    -d '{"rules": {"http": {"errRate": 0, "stallRate": 1, "stallForMs": 150}}}' \
-    > /dev/null
-: > "$SMOKE/burst_codes"
-rm -f "$SMOKE"/chaos_hdr_*
-# Subshell so the bare wait sees only the burst curls, not the daemon.
-(
-    i=0
-    while [ "$i" -lt 12 ]; do
-        i=$((i + 1))
-        curl -s --max-time 2 -o /dev/null -D "$SMOKE/chaos_hdr_$i" \
-            -w '%{http_code}\n' "http://$ADDR/v1/neighbors?token=expenses:0&k=5" \
-            >> "$SMOKE/burst_codes" &
+for route in $(deleted route); do
+    for method in GET POST; do
+        code=$(curl -s -o /dev/null -w '%{http_code}' -X "$method" "http://$ADDR$route")
+        if [ "$code" = 200 ]; then
+            echo "$method $route still answers 200" >&2
+            exit 1
+        fi
     done
-    wait
-)
-grep -q '^429$' "$SMOKE/burst_codes"
-SHED=0
-for f in "$SMOKE"/chaos_hdr_*; do
-    if grep -q ' 429' "$f"; then
-        SHED=1
-        grep -qi '^retry-after:' "$f"
+done
+for name in $(deleted metric) $(deleted series); do
+    if grep -qF "$name" "$SMOKE/wire_metrics.txt"; then
+        echo "/metrics still has $name" >&2
+        exit 1
     fi
 done
-test "$SHED" = "1"
-curl -fsS "http://$ADDR/metrics" | grep -q 'leva_shed_total{reason='
-
-# Recovery: disable chaos at runtime, then require clean answers.
-curl -fsS -X POST "http://$ADDR/admin/chaos" -H 'Content-Type: application/json' \
-    -d '{"enabled": false}' | grep -q '"enabled":false'
-i=0
-while [ "$i" -lt 3 ]; do
-    i=$((i + 1))
-    curl -fsS --max-time 2 "http://$ADDR/v1/neighbors?token=expenses:0&k=5" \
-        | grep -q '"neighbors"'
-done
-curl -fsS "http://$ADDR/metrics" | grep -q 'leva_resilience_chaos_enabled 0'
 
 kill -TERM "$LEVAD_PID"
 wait "$LEVAD_PID"
 
-echo "chaos resilience smoke test passed"
+for flag in $(deleted flag); do
+    if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -addr 127.0.0.1:0 \
+        "-$flag" x 2>"$SMOKE/levad_flag.log"; then
+        echo "levad accepted the deleted flag -$flag" >&2
+        exit 1
+    fi
+    grep -q "flag provided but not defined: -$flag" "$SMOKE/levad_flag.log"
+done
+
+echo "wire-surface smoke test passed"
 
 # --- bundle migration smoke test --------------------------------------
 # A legacy JSON bundle (formatVersion 3; the committed fixture, since
