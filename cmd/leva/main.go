@@ -80,23 +80,23 @@ func pipelineFlags(fs *flag.FlagSet) (data *string, dim *int, method *string, bi
 	return
 }
 
-// metricsScope implements -metrics-dump: when enabled, the run carries
-// an observability scope whose registry accumulates the pipeline
-// metrics (see docs/OBSERVABILITY.md), rendered to stderr at the end in
-// Prometheus text format. Stderr keeps -out/stdout data clean.
-func metricsScope(dump bool) *obs.Scope {
+// metricsRegistry implements -metrics-dump: when enabled, the run
+// carries a registry that accumulates the pipeline metrics (see
+// docs/OBSERVABILITY.md), rendered to stderr at the end in Prometheus
+// text format. Stderr keeps -out/stdout data clean.
+func metricsRegistry(dump bool) *obs.Registry {
 	if !dump {
 		return nil
 	}
-	return obs.NewScope()
+	return obs.NewRegistry()
 }
 
-func dumpMetrics(sc *obs.Scope) error {
-	if sc == nil {
+func dumpMetrics(r *obs.Registry) error {
+	if r == nil {
 		return nil
 	}
 	fmt.Fprintln(os.Stderr, "--- metrics ---")
-	return sc.Registry.WritePrometheus(os.Stderr)
+	return r.WritePrometheus(os.Stderr)
 }
 
 // resolveCacheDir implements the -cache/-no-cache flag pair: caching is
@@ -155,10 +155,10 @@ func runEmbed(args []string) error {
 	if err != nil {
 		return err
 	}
-	sc := metricsScope(*dump)
+	reg := metricsRegistry(*dump)
 	cfg := buildConfig(*dim, *bins, *method, *seed, *workers,
 		resolveCacheDir(*data, *cache, *noCache))
-	cfg.Obs = sc
+	cfg.Obs = reg
 	start := time.Now()
 	res, err := leva.Build(db, cfg)
 	if err != nil {
@@ -211,7 +211,7 @@ func runEmbed(args []string) error {
 		fmt.Printf("saved ANN index (%d vectors, %s in %v) to %s\n",
 			ix.Len(), src, time.Since(annStart).Round(time.Millisecond), *index)
 	}
-	return dumpMetrics(sc)
+	return dumpMetrics(reg)
 }
 
 // runNeighbors queries a saved ANN index from the shell: one line per
@@ -417,10 +417,10 @@ func runTrain(args []string) error {
 	}
 
 	task := leva.Task{DB: db, BaseTable: *base, Target: *target, Seed: *seed}
-	sc := metricsScope(*dump)
+	reg := metricsRegistry(*dump)
 	cfg := buildConfig(*dim, *bins, *method, *seed, *workers,
 		resolveCacheDir(*data, *cache, *noCache))
-	cfg.Obs = sc
+	cfg.Obs = reg
 
 	// Numeric targets with many distinct values run as regression,
 	// everything else as classification.
@@ -434,7 +434,7 @@ func runTrain(args []string) error {
 		mae := leva.MAE(rf.PredictRegression(data.XTest), data.YRegTest)
 		fmt.Printf("regression (%s used): test MAE = %.4f over %d test rows\n",
 			data.Result.MethodUsed, mae, len(data.XTest))
-		return dumpMetrics(sc)
+		return dumpMetrics(reg)
 	}
 	dataC, err := leva.PrepareClassification(task, cfg)
 	if err != nil {
@@ -445,7 +445,7 @@ func runTrain(args []string) error {
 	acc := leva.Accuracy(rf.Predict(dataC.XTest), dataC.YClassTest)
 	fmt.Printf("classification (%s used): test accuracy = %.4f (%d classes, %d test rows)\n",
 		dataC.Result.MethodUsed, acc, dataC.NumClasses, len(dataC.XTest))
-	return dumpMetrics(sc)
+	return dumpMetrics(reg)
 }
 
 // runInspect profiles every table and column of a CSV directory.

@@ -8,6 +8,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -293,31 +295,42 @@ func TestResolveCacheDir(t *testing.T) {
 	}
 }
 
-// TestRunEmbedMetricsDump runs embed with -metrics-dump and requires
-// the Prometheus rendering of the build registry on stderr, with the
-// stage-duration histogram fed by the same spans Timings reports.
-func TestRunEmbedMetricsDump(t *testing.T) {
-	dir := writeTestCSVs(t)
-	out := filepath.Join(t.TempDir(), "emb.tsv")
-
+// runCapturingStderr runs fn with os.Stderr redirected into a pipe and
+// returns what fn wrote there.
+func runCapturingStderr(t *testing.T, fn func() error) string {
+	t.Helper()
 	old := os.Stderr
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
+	captured := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		captured <- b
+	}()
 	os.Stderr = w
-	runErr := runEmbed([]string{"-data", dir, "-out", out, "-dim", "8",
-		"-method", "mf", "-no-cache", "-metrics-dump"})
+	runErr := fn()
 	w.Close()
 	os.Stderr = old
-	captured, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := string(<-captured)
 	if runErr != nil {
 		t.Fatal(runErr)
 	}
-	text := string(captured)
+	return text
+}
+
+// TestRunEmbedMetricsDump runs embed with -metrics-dump and requires
+// the Prometheus rendering of the build registry on stderr, with the
+// stage-duration histogram fed by the same clock readings Timings
+// reports.
+func TestRunEmbedMetricsDump(t *testing.T) {
+	dir := writeTestCSVs(t)
+	out := filepath.Join(t.TempDir(), "emb.tsv")
+	text := runCapturingStderr(t, func() error {
+		return runEmbed([]string{"-data", dir, "-out", out, "-dim", "8",
+			"-method", "mf", "-no-cache", "-metrics-dump"})
+	})
 	for _, want := range []string{
 		"# TYPE leva_build_stage_duration_seconds histogram",
 		`leva_build_stage_duration_seconds_count{stage="embed"} 1`,
@@ -325,6 +338,37 @@ func TestRunEmbedMetricsDump(t *testing.T) {
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("-metrics-dump output missing %q", want)
+		}
+	}
+}
+
+// TestRunTrainMetricsDump runs train with -metrics-dump: the build's
+// three stages are each observed once, and the featurization of the
+// train and test rows reaches the same stage histogram and the row
+// counter.
+func TestRunTrainMetricsDump(t *testing.T) {
+	dir := writeTestCSVs(t)
+	text := runCapturingStderr(t, func() error {
+		return runTrain([]string{"-data", dir, "-base", "orders", "-target", "label",
+			"-dim", "8", "-method", "mf", "-no-cache", "-metrics-dump"})
+	})
+	for _, stage := range []string{"textify", "graph", "embed"} {
+		want := `leva_build_stage_duration_seconds_count{stage="` + stage + `"} 1`
+		if !strings.Contains(text, want+"\n") {
+			t.Errorf("-metrics-dump output missing %q", want)
+		}
+	}
+	for _, series := range []string{
+		`leva_build_stage_duration_seconds_count{stage="featurize"}`,
+		"leva_build_featurized_rows_total",
+	} {
+		m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(series) + ` (\S+)$`).FindStringSubmatch(text)
+		if m == nil {
+			t.Errorf("-metrics-dump output missing %s", series)
+			continue
+		}
+		if v, err := strconv.ParseFloat(m[1], 64); err != nil || v <= 0 {
+			t.Errorf("%s = %s, want > 0", series, m[1])
 		}
 	}
 }

@@ -30,8 +30,8 @@ type Cache struct {
 	root string
 	fs   durable.FS
 	// errs counts failed best-effort Store calls. It defaults to a
-	// standalone counter owned by this Cache; a build carrying an obs
-	// scope swaps in the scope registry's counter (observeInto), making
+	// standalone counter owned by this Cache; a build carrying a
+	// registry swaps in that registry's counter (observeInto), making
 	// the registry the single source of store-error accounting — the
 	// CLI report derives from the same counter a /metrics scrape reads.
 	errs *obs.Counter
@@ -58,7 +58,7 @@ func newCacheFS(dir string, fs durable.FS) *Cache {
 }
 
 // observeInto points the cache's store-error accounting at the build's
-// registry counter (when a scope is attached) and captures the baseline
+// registry counter (when a registry is attached) and captures the baseline
 // for this build's delta reporting.
 func (c *Cache) observeInto(b *buildObs) {
 	if b != nil {
@@ -147,7 +147,7 @@ func (c *Cache) noteStore(err error) {
 
 // StoreErrors returns the store-error counter's current value — the
 // count for this Cache alone when standalone, or the registry-wide
-// cumulative count once a build attached a scope (per-build deltas are
+// cumulative count once a build attached a registry (per-build deltas are
 // what CacheStats reports).
 func (c *Cache) StoreErrors() int { return int(c.errs.Value()) }
 

@@ -24,30 +24,22 @@ const (
 const helpStageDuration = "Wall time of each pipeline stage per build."
 
 // buildObs holds one build's view of the pipeline instruments: the
-// get-or-created families of the scope's registry, plus the baseline
-// of the cumulative store-error counter captured at build start, so
-// the per-build CacheStats.StoreErrors is the counter's delta — the
-// registry is the single source, the report derives from it, and the
-// two can never disagree. A nil *buildObs (no scope or no registry)
-// degrades to timing-only spans.
+// get-or-created families of the build's registry. A nil *buildObs (no
+// registry) records nothing; the caller's Timings still see every
+// stage's wall time.
 type buildObs struct {
-	scope     *obs.Scope
 	builds    *obs.Counter
 	stageDur  *obs.HistogramVec
 	tables    *obs.CounterVec
 	lookups   *obs.CounterVec
 	storeErrs *obs.Counter
-
-	storeErrBase float64
 }
 
-func newBuildObs(sc *obs.Scope) *buildObs {
-	if sc == nil || sc.Registry == nil {
+func newBuildObs(r *obs.Registry) *buildObs {
+	if r == nil {
 		return nil
 	}
-	r := sc.Registry
-	b := &buildObs{
-		scope: sc,
+	return &buildObs{
 		builds: r.Counter(metricBuildsTotal,
 			"Completed BuildEmbedding runs."),
 		stageDur: r.HistogramVec(metricStageDuration, helpStageDuration,
@@ -61,25 +53,14 @@ func newBuildObs(sc *obs.Scope) *buildObs {
 		storeErrs: r.Counter(metricCacheStoreErrors,
 			"Failed best-effort stage-cache writes (the build itself still succeeded)."),
 	}
-	b.storeErrBase = b.storeErrs.Value()
-	return b
 }
 
-// span starts a pipeline-stage span (nil-safe: still measures time).
-func (b *buildObs) span(name string) *obs.ActiveSpan {
-	if b == nil {
-		return obs.StartSpan(nil, name)
-	}
-	return b.scope.Span(name)
-}
-
-// endStage finishes a stage span and feeds the measured wall time to
-// the stage-duration histogram. The returned duration is the one the
-// span measured — the single time source both Timings and the
-// histogram see, so Timings.Total() and the histogram sums agree by
-// construction.
-func (b *buildObs) endStage(sp *obs.ActiveSpan, stage string) time.Duration {
-	d := sp.End()
+// endStage reads the stage's wall time since start once and feeds it
+// to the stage-duration histogram. The returned duration is that same
+// reading — the single time source both Timings and the histogram see,
+// so Timings.Total() and the histogram sums agree by construction.
+func (b *buildObs) endStage(start time.Time, stage string) time.Duration {
+	d := time.Since(start)
 	if b != nil {
 		b.stageDur.With(stage).ObserveDuration(d)
 	}
@@ -107,15 +88,6 @@ func (b *buildObs) countLookup(stage string, hit bool) {
 	b.lookups.With(stage, outcome).Inc()
 }
 
-// storeErrDelta returns how many store errors this build added on top
-// of the baseline captured at build start.
-func (b *buildObs) storeErrDelta() int {
-	if b == nil {
-		return 0
-	}
-	return int(b.storeErrs.Value() - b.storeErrBase)
-}
-
 // done marks one completed build.
 func (b *buildObs) done() {
 	if b == nil {
@@ -124,17 +96,17 @@ func (b *buildObs) done() {
 	b.builds.Inc()
 }
 
-// observeFeaturize records one batch featurization against the scope's
-// registry: the wall time joins the stage-duration histogram under
-// stage="featurize" (the same family the build driver feeds), and the
-// row count accrues. No-op without a registry.
-func observeFeaturize(sc *obs.Scope, d time.Duration, rows int) {
-	if sc == nil || sc.Registry == nil {
+// observeFeaturize records one batch featurization against r: the
+// wall time joins the stage-duration histogram under stage="featurize"
+// (the same family the build driver feeds), and the row count accrues.
+// No-op without a registry.
+func observeFeaturize(r *obs.Registry, d time.Duration, rows int) {
+	if r == nil {
 		return
 	}
-	sc.Registry.HistogramVec(metricStageDuration, helpStageDuration,
+	r.HistogramVec(metricStageDuration, helpStageDuration,
 		obs.StageBuckets, "stage").With("featurize").ObserveDuration(d)
-	sc.Registry.Counter(metricFeaturizedRows,
+	r.Counter(metricFeaturizedRows,
 		"Rows featurized by batch deployment (Featurize/FeaturizeWithMode); the online serving path reports through leva_rows_featurized_total instead.").
 		Add(float64(rows))
 }

@@ -8,7 +8,7 @@ import (
 	"repro/internal/synth"
 )
 
-func buildScoped(t *testing.T, cacheDir string, sc *obs.Scope) *Result {
+func buildInstrumented(t *testing.T, cacheDir string, reg *obs.Registry) *Result {
 	t.Helper()
 	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 7})
 	res, err := BuildEmbedding(spec.DB, Config{
@@ -17,7 +17,7 @@ func buildScoped(t *testing.T, cacheDir string, sc *obs.Scope) *Result {
 		Seed:     7,
 		Workers:  1,
 		CacheDir: cacheDir,
-		Obs:      sc,
+		Obs:      reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -26,11 +26,10 @@ func buildScoped(t *testing.T, cacheDir string, sc *obs.Scope) *Result {
 }
 
 func TestBuildMetricsAccrue(t *testing.T) {
-	sc := obs.NewScope()
+	r := obs.NewRegistry()
 	dir := t.TempDir()
-	res := buildScoped(t, dir, sc)
+	res := buildInstrumented(t, dir, r)
 
-	r := sc.Registry
 	if got := r.Counter(metricBuildsTotal, "").Value(); got != 1 {
 		t.Errorf("builds_total = %v, want 1", got)
 	}
@@ -42,7 +41,7 @@ func TestBuildMetricsAccrue(t *testing.T) {
 	}
 
 	// The single-time-source property: the histogram sum and the
-	// Timings field come from one span End() per stage, so they are
+	// Timings field come from one clock reading per stage, so they are
 	// equal not approximately but exactly.
 	if got, want := stageDur.With("textify").Sum(), res.Timings.Textify.Seconds(); got != want {
 		t.Errorf("textify histogram sum %v != Timings.Textify %v", got, want)
@@ -67,8 +66,8 @@ func TestBuildMetricsAccrue(t *testing.T) {
 		t.Error("no rebuilt tables counted on a cold build")
 	}
 
-	// Warm build into the same scope: hits accrue, builds_total = 2.
-	warm := buildScoped(t, dir, sc)
+	// Warm build into the same registry: hits accrue, builds_total = 2.
+	warm := buildInstrumented(t, dir, r)
 	if warm.Timings.Cache.Embed != StageCached {
 		t.Fatalf("warm build not cached: %+v", warm.Timings.Cache)
 	}
@@ -78,51 +77,33 @@ func TestBuildMetricsAccrue(t *testing.T) {
 	if got := r.Counter(metricBuildsTotal, "").Value(); got != 2 {
 		t.Errorf("builds_total after warm build = %v, want 2", got)
 	}
-
-	// Stage spans landed in the trace ring with their cache outcomes.
-	var names []string
-	for _, rec := range sc.Trace.Spans() {
-		names = append(names, rec.Name+":"+rec.Outcome)
-	}
-	want := []string{
-		"build.textify:rebuilt", "build.graph:rebuilt", "build.embed:rebuilt",
-		"build.textify:cached", "build.graph:cached", "build.embed:cached",
-	}
-	if len(names) != len(want) {
-		t.Fatalf("spans = %v, want %v", names, want)
-	}
-	for i := range want {
-		if names[i] != want[i] {
-			t.Errorf("span[%d] = %q, want %q", i, names[i], want[i])
-		}
-	}
 }
 
 func TestFeaturizeFeedsRegistry(t *testing.T) {
-	sc := obs.NewScope()
-	res := buildScoped(t, "", sc)
+	r := obs.NewRegistry()
+	res := buildInstrumented(t, "", r)
 	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 7})
 	base := spec.DB.Table(spec.BaseTable)
 	feats, err := res.Featurize(base, spec.BaseTable, []string{spec.Target}, func(i int) int { return i })
 	if err != nil {
 		t.Fatal(err)
 	}
-	stageDur := sc.Registry.HistogramVec(metricStageDuration, "", obs.StageBuckets, "stage")
+	stageDur := r.HistogramVec(metricStageDuration, "", obs.StageBuckets, "stage")
 	if got := stageDur.With("featurize").Count(); got != 1 {
 		t.Errorf("featurize observations = %d, want 1", got)
 	}
 	if got, want := stageDur.With("featurize").Sum(), res.Timings.Featurize.Seconds(); got != want {
 		t.Errorf("featurize histogram sum %v != Timings.Featurize %v", got, want)
 	}
-	rows := sc.Registry.Counter(metricFeaturizedRows, "")
+	rows := r.Counter(metricFeaturizedRows, "")
 	if got := rows.Value(); got != float64(len(feats)) {
 		t.Errorf("featurized rows = %v, want %d", got, len(feats))
 	}
 }
 
 func TestBuildWithoutScopeStillTimes(t *testing.T) {
-	res := buildScoped(t, "", nil)
+	res := buildInstrumented(t, "", nil)
 	if res.Timings.Total() <= 0 {
-		t.Error("nil-scope build recorded no timings")
+		t.Error("nil-registry build recorded no timings")
 	}
 }

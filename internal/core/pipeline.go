@@ -79,14 +79,13 @@ type Config struct {
 	// deterministic (see Workers). Cache write failures never fail a
 	// build; they are counted in Timings.Cache.StoreErrors.
 	CacheDir string
-	// Obs, when non-nil, receives the build's observability output:
-	// stage spans go to its Trace, and the pipeline's metric families
+	// Obs, when non-nil, is the registry the pipeline's metric families
 	// (leva_builds_total, leva_build_stage_duration_seconds, cache
-	// counters — see docs/OBSERVABILITY.md) accrue into its Registry.
-	// Nil disables instrumentation entirely; timings in Result.Timings
-	// are recorded either way, from the same clock readings the
-	// histograms see. Never serialized (bundles, fingerprints).
-	Obs *obs.Scope `json:"-"`
+	// counters — see docs/OBSERVABILITY.md) accrue into. Nil disables
+	// instrumentation entirely; timings in Result.Timings are recorded
+	// either way, from the same clock readings the histograms see.
+	// Never serialized (bundles, fingerprints).
+	Obs *obs.Registry `json:"-"`
 	// Workers caps the parallelism of every pipeline hot path:
 	// textification, graph construction, the MF matmuls, RW walk
 	// generation and SGNS training, and featurization. 0 means
@@ -259,7 +258,7 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	res := &Result{Config: cfg}
 	res.Timings.Cache.Enabled = cache != nil
 
-	sp := bo.span("build.textify")
+	start := time.Now()
 	ts := &TextifyStage{DB: db, Opts: cfg.Textify, Workers: cfg.Workers, Cache: cache}
 	model, tokenized, reused, rebuilt, err := ts.Run()
 	if err != nil {
@@ -267,13 +266,12 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	}
 	res.Textifier = model
 	res.Timings.Cache.Textify = tableOutcome(reused, rebuilt)
-	sp.SetOutcome(string(res.Timings.Cache.Textify))
-	res.Timings.Textify = bo.endStage(sp, "textify")
+	res.Timings.Textify = bo.endStage(start, "textify")
 	res.Timings.Cache.TablesReused = reused
 	res.Timings.Cache.TablesRebuilt = rebuilt
 	bo.countTables(reused, rebuilt)
 
-	sp = bo.span("build.graph")
+	start = time.Now()
 	gs := &GraphStage{
 		Tokenized:         tokenized,
 		Opts:              cfg.Graph,
@@ -295,13 +293,12 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	res.GraphStats = stats
 	res.UnweightedFallback = fellBack
 	res.Timings.Cache.Graph = hitOutcome(graphCached)
-	sp.SetOutcome(string(res.Timings.Cache.Graph))
-	res.Timings.GraphBuild = bo.endStage(sp, "graph")
+	res.Timings.GraphBuild = bo.endStage(start, "graph")
 	if cache != nil {
 		bo.countLookup(stageGraph, graphCached)
 	}
 
-	sp = bo.span("build.embed")
+	start = time.Now()
 	es := &EmbedStage{Graph: g, Cfg: cfg, Cache: cache}
 	if cache != nil {
 		es.InputFP = gs.Fingerprint()
@@ -313,8 +310,7 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	res.Embedding = emb
 	res.MethodUsed = method
 	res.Timings.Cache.Embed = hitOutcome(embedCached)
-	sp.SetOutcome(string(res.Timings.Cache.Embed))
-	res.Timings.Embed = bo.endStage(sp, "embed")
+	res.Timings.Embed = bo.endStage(start, "embed")
 	if cache != nil {
 		bo.countLookup(stageEmbed, embedCached)
 		// The registry counter is the single source for store-error
@@ -385,13 +381,13 @@ func (r *Result) Featurize(t *dataset.Table, tableName string, exclude []string,
 // graphRow must therefore be safe for concurrent calls — pure index
 // arithmetic, the common case, always is.
 func (r *Result) FeaturizeWithMode(t *dataset.Table, tableName string, exclude []string, graphRow func(i int) int, mode FeaturizationMode) ([][]float64, error) {
-	// One span is the single timer: its wall time feeds the accrued
+	// One clock reading is the single timer: it feeds the accrued
 	// Timings.Featurize AND the stage-duration histogram, so the CLI
 	// report and a metrics scrape can never disagree. Bundle-loaded
-	// Results have a nil scope and degrade to plain accrual.
-	sp := r.Config.Obs.Span("build.featurize")
+	// Results have a nil registry and degrade to plain accrual.
+	start := time.Now()
 	defer func() {
-		d := sp.End()
+		d := time.Since(start)
 		r.mu.Lock()
 		r.Timings.Featurize += d
 		r.mu.Unlock()

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -223,32 +222,6 @@ func TestMemoryEstimatesPositive(t *testing.T) {
 	gu, _ := Build([]*textify.TokenizedTable{a}, Options{Unweighted: true})
 	if g.EstimateRWMemoryBytes(80, 10) <= gu.EstimateRWMemoryBytes(80, 10) {
 		t.Error("weighted RW estimate not larger")
-	}
-}
-
-func TestWriteDOT(t *testing.T) {
-	a := tt("a", []string{"x", "y"},
-		[][]string{cell("p"), cell("q")},
-		[][]string{cell("p"), cell("q")},
-	)
-	g, _ := Build([]*textify.TokenizedTable{a}, Options{})
-	var buf strings.Builder
-	if err := g.WriteDOT(&buf, 0); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"graph leva", "shape=box", "shape=ellipse", "label=\"0.50\""} {
-		if !strings.Contains(out, want) {
-			t.Errorf("DOT missing %q:\n%s", want, out)
-		}
-	}
-	// Cap respected.
-	var small strings.Builder
-	if err := g.WriteDOT(&small, 2); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(small.String(), "shape=") != 2 {
-		t.Errorf("maxNodes ignored:\n%s", small.String())
 	}
 }
 

@@ -1,9 +1,6 @@
-// Package obs is Leva's unified observability substrate: a
-// dependency-free metrics registry (counters, gauges, histograms with
-// fixed bucket layouts) rendered in Prometheus text exposition format,
-// a leveled structured key=value logger with an injectable sink, and
-// lightweight span tracing that records per-stage wall time, bytes
-// processed, and cache outcome.
+// Package obs is Leva's metrics registry: dependency-free counters,
+// gauges and histograms with fixed bucket layouts, rendered in
+// Prometheus text exposition format.
 //
 // Every subsystem instruments itself against this one package — the
 // offline pipeline (internal/core), the serving daemon (internal/serve),
@@ -25,72 +22,4 @@
 // All instruments are safe for concurrent use and lock-free on the hot
 // path (atomics only); registries take a read lock only while
 // rendering.
-//
-// # Scopes and spans
-//
-// A Scope bundles the three facilities (Registry, Logger, Trace) so a
-// subsystem can thread one handle through its call graph:
-//
-//	sc := obs.NewScope()
-//	sp := sc.Span("textify")
-//	... work ...
-//	sp.SetOutcome("rebuilt")
-//	d := sp.End() // records to the trace ring, returns wall time
-//
-// Spans are also available off a context (WithScope / Span), for call
-// paths that already carry one.
 package obs
-
-import "context"
-
-// Scope bundles the observability facilities one subsystem threads
-// through its call graph. Any field may be nil; every method of Scope
-// and of the objects it hands out is safe on a nil receiver or nil
-// field, degrading to timing-only (spans) or no-op (logging, metrics
-// registration) behavior.
-type Scope struct {
-	// Registry collects the metrics of this scope.
-	Registry *Registry
-	// Logger receives structured log records.
-	Logger *Logger
-	// Trace records finished spans in a bounded ring.
-	Trace *Trace
-}
-
-// NewScope returns a Scope with a fresh registry and a trace ring of
-// 256 spans. The logger is left nil (logging disabled) — attach one
-// when log output is wanted.
-func NewScope() *Scope {
-	return &Scope{Registry: NewRegistry(), Trace: NewTrace(256)}
-}
-
-// Span starts a span named name, recorded into the scope's trace ring
-// on End. Safe on a nil scope (the span still measures wall time).
-func (sc *Scope) Span(name string) *ActiveSpan {
-	if sc == nil {
-		return StartSpan(nil, name)
-	}
-	return StartSpan(sc.Trace, name)
-}
-
-// scopeKey is the context key WithScope stores a *Scope under.
-type scopeKey struct{}
-
-// WithScope returns a context carrying sc, for call paths that already
-// thread a context.
-func WithScope(ctx context.Context, sc *Scope) context.Context {
-	return context.WithValue(ctx, scopeKey{}, sc)
-}
-
-// ScopeFrom returns the Scope carried by ctx, or nil.
-func ScopeFrom(ctx context.Context) *Scope {
-	sc, _ := ctx.Value(scopeKey{}).(*Scope)
-	return sc
-}
-
-// Span starts a span against the scope carried by ctx (nil scope is
-// fine: the span still measures wall time). This is the
-// `obs.Span(ctx, "textify")` form used on context-threaded call paths.
-func Span(ctx context.Context, name string) *ActiveSpan {
-	return ScopeFrom(ctx).Span(name)
-}

@@ -56,15 +56,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeErrorReason is writeError with a machine-readable taxonomy tag:
-// clients branch on "reason" (capacity, queue_timeout, client_gone,
-// breaker_open, bad_deadline, no_index, bad_param — plus timeout, which
-// the per-request timeout handler writes itself) instead of parsing the
-// human-facing message.
+// writeErrorReason writes every error body: a human-facing "error"
+// message plus a machine-readable "reason" tag that clients branch on
+// instead of parsing the message. The reasons are bad_request,
+// body_too_large, too_many_rows, canceled, unknown_token, bad_param,
+// no_index, capacity, queue_timeout, client_gone, bad_deadline,
+// breaker_open, reload_disabled, reload_rejected and internal — plus
+// timeout, which the per-request timeout handler writes itself. The
+// table in docs/SERVING.md lists where each comes from.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, map[string]string{
 		"error":  fmt.Sprintf(format, args...),
@@ -89,26 +88,26 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+			writeErrorReason(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", tooBig.Limit)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "malformed request: %v", err)
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "malformed request: %v", err)
 		return
 	}
 	if req.Table == "" {
-		writeError(w, http.StatusBadRequest, "missing table")
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "missing table")
 		return
 	}
 	if len(req.Rows) == 0 {
-		writeError(w, http.StatusBadRequest, "no rows")
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "no rows")
 		return
 	}
 	if len(req.Rows) > s.cfg.MaxRowsPerRequest {
-		writeError(w, http.StatusRequestEntityTooLarge, "%d rows exceeds the per-request limit of %d", len(req.Rows), s.cfg.MaxRowsPerRequest)
+		writeErrorReason(w, http.StatusRequestEntityTooLarge, "too_many_rows", "%d rows exceeds the per-request limit of %d", len(req.Rows), s.cfg.MaxRowsPerRequest)
 		return
 	}
 	if req.GraphRows != nil && len(req.GraphRows) != len(req.Rows) {
-		writeError(w, http.StatusBadRequest, "graphRows has %d entries for %d rows", len(req.GraphRows), len(req.Rows))
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "graphRows has %d entries for %d rows", len(req.GraphRows), len(req.Rows))
 		return
 	}
 	mode := st.res.Config.Featurization
@@ -119,12 +118,12 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 	case "row+value":
 		mode = core.RowPlusValue
 	default:
-		writeError(w, http.StatusBadRequest, "unknown mode %q (want \"row\" or \"row+value\")", req.Mode)
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "unknown mode %q (want \"row\" or \"row+value\")", req.Mode)
 		return
 	}
 	cols := st.columns(req.Table)
 	if cols == nil {
-		writeError(w, http.StatusBadRequest, "unknown table %q (bundle knows: %v)", req.Table, st.res.Textifier.Tables())
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "unknown table %q (bundle knows: %v)", req.Table, st.res.Textifier.Tables())
 		return
 	}
 	colSet := make(map[string]bool, len(cols))
@@ -136,7 +135,7 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 	for i, row := range req.Rows {
 		for _, k := range sortedKeys(row) {
 			if !colSet[k] {
-				writeError(w, http.StatusBadRequest, "row %d: unknown column %q in table %q", i, k, req.Table)
+				writeErrorReason(w, http.StatusBadRequest, "bad_request", "row %d: unknown column %q in table %q", i, k, req.Table)
 				return
 			}
 		}
@@ -151,7 +150,7 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 			}
 			v, err := toValue(raw)
 			if err != nil {
-				writeError(w, http.StatusBadRequest, "row %d, column %q: %v", i, c, err)
+				writeErrorReason(w, http.StatusBadRequest, "bad_request", "row %d, column %q: %v", i, c, err)
 				return
 			}
 			t.Columns = append(t.Columns, &dataset.Column{Name: c, Values: []dataset.Value{v}})
@@ -165,10 +164,10 @@ func (s *Server) handleFeaturize(st *store, w http.ResponseWriter, r *http.Reque
 
 	if err := st.compute(r.Context(), jobs); err != nil {
 		if r.Context().Err() != nil {
-			writeError(w, http.StatusServiceUnavailable, "request canceled: %v", err)
+			writeErrorReason(w, http.StatusServiceUnavailable, "canceled", "request canceled: %v", err)
 			return
 		}
-		writeError(w, http.StatusBadRequest, "featurize: %v", err)
+		writeErrorReason(w, http.StatusBadRequest, "bad_request", "featurize: %v", err)
 		return
 	}
 	features := make([][]float64, len(jobs))
@@ -187,7 +186,7 @@ func (s *Server) handleEmbedding(st *store, w http.ResponseWriter, r *http.Reque
 	token := r.PathValue("token")
 	vec, ok := st.vector(token)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown token %q", token)
+		writeErrorReason(w, http.StatusNotFound, "unknown_token", "unknown token %q", token)
 		return
 	}
 	writeJSON(w, http.StatusOK, embeddingResponse{Token: token, Dim: len(vec), Vector: vec})

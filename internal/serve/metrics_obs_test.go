@@ -334,13 +334,13 @@ func TestMetricsCatalogMatchesDocs(t *testing.T) {
 	for _, f := range newMetrics().reg.Families() {
 		emitted[f.Name] = true
 	}
-	// The offline-pipeline surface: run one tiny scoped build (with a
+	// The offline-pipeline surface: run one tiny instrumented build (with a
 	// stage cache, so lookup families register) plus one featurization.
-	sc := obs.NewScope()
+	reg := obs.NewRegistry()
 	bspec := synth.Student(synth.StudentOptions{Students: 12, Seed: 3})
 	res, err := core.BuildEmbedding(bspec.DB, core.Config{
 		Dim: 4, Method: embed.MethodMF, Seed: 3, Workers: 1,
-		CacheDir: t.TempDir(), Obs: sc,
+		CacheDir: t.TempDir(), Obs: reg,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -349,7 +349,7 @@ func TestMetricsCatalogMatchesDocs(t *testing.T) {
 		[]string{bspec.Target}, func(i int) int { return i }); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range sc.Registry.Families() {
+	for _, f := range reg.Families() {
 		emitted[f.Name] = true
 	}
 

@@ -105,7 +105,7 @@ func (s *Server) serveRecovered(name string, h http.Handler, rec *statusRecorder
 			)
 		}
 		if !rec.wrote {
-			writeError(rec, http.StatusInternalServerError, "internal error")
+			writeErrorReason(rec, http.StatusInternalServerError, "internal", "internal error")
 		} else {
 			rec.status = http.StatusInternalServerError
 		}

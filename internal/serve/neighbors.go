@@ -81,10 +81,10 @@ func (s *Server) handleNeighbors(st *store, w http.ResponseWriter, r *http.Reque
 		if err := dec.Decode(&req); err != nil {
 			var tooBig *http.MaxBytesError
 			if errors.As(err, &tooBig) {
-				writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooBig.Limit)
+				writeErrorReason(w, http.StatusRequestEntityTooLarge, "body_too_large", "request body exceeds %d bytes", tooBig.Limit)
 				return
 			}
-			writeError(w, http.StatusBadRequest, "malformed request: %v", err)
+			writeErrorReason(w, http.StatusBadRequest, "bad_request", "malformed request: %v", err)
 			return
 		}
 		if req.K == 0 {
@@ -132,11 +132,11 @@ func (s *Server) handleNeighbors(st *store, w http.ResponseWriter, r *http.Reque
 		results, err = st.index.SearchVector(req.Vector, req.K, req.EfSearch)
 	}
 	if errors.Is(err, ann.ErrUnknownName) {
-		writeError(w, http.StatusNotFound, "%v", err)
+		writeErrorReason(w, http.StatusNotFound, "unknown_token", "%v", err)
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, "neighbors: %v", err)
+		writeErrorReason(w, http.StatusBadRequest, "bad_param", "neighbors: %v", err)
 		return
 	}
 	items := make([]neighborItem, len(results))

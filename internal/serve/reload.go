@@ -244,9 +244,10 @@ func stageProvenance(res *core.Result) map[string]string {
 // handleReload is POST /admin/reload: a synchronous reload with the
 // outcome in the response. 200 with the new generation on success; 503
 // when reload is not configured; 500 with the reason when the candidate
-// was rejected (the previous bundle keeps serving either way). The
-// "stages" field reports which pipeline stages the refreshed bundle's
-// build recomputed versus served from its stage cache.
+// was rejected or the server is shutting down (the previous bundle
+// keeps serving either way). The "stages" field reports which pipeline
+// stages the refreshed bundle's build recomputed versus served from its
+// stage cache.
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if err := s.Reload(); err != nil {
@@ -255,11 +256,14 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			writeErrorReason(w, http.StatusServiceUnavailable, "breaker_open", "%v", err)
 			return
 		}
-		status := http.StatusInternalServerError
-		if errors.Is(err, ErrReloadDisabled) {
-			status = http.StatusServiceUnavailable
+		status, reason := http.StatusInternalServerError, "reload_rejected"
+		switch {
+		case errors.Is(err, ErrReloadDisabled):
+			status, reason = http.StatusServiceUnavailable, "reload_disabled"
+		case errors.Is(err, errServerClosed):
+			reason = "canceled"
 		}
-		writeError(w, status, "%v", err)
+		writeErrorReason(w, status, reason, "%v", err)
 		return
 	}
 	st := s.st.Load()

@@ -228,20 +228,21 @@ func TestFeaturizeBadRequests(t *testing.T) {
 
 	row := jsonRow(spec.DB.Table(spec.BaseTable), 0)
 	cases := []struct {
-		name string
-		body string
-		want int
+		name   string
+		body   string
+		want   int
+		reason string
 	}{
-		{"malformed-json", `{"table": "expenses", "rows": [`, http.StatusBadRequest},
-		{"unknown-field", `{"table": "expenses", "rows": [{}], "bogus": 1}`, http.StatusBadRequest},
-		{"missing-table", `{"rows": [{"name": "x"}]}`, http.StatusBadRequest},
-		{"no-rows", `{"table": "expenses", "rows": []}`, http.StatusBadRequest},
-		{"unknown-table", `{"table": "nope", "rows": [{"name": "x"}]}`, http.StatusBadRequest},
-		{"unknown-column", `{"table": "expenses", "rows": [{"bogus_col": "x"}]}`, http.StatusBadRequest},
-		{"bad-mode", `{"table": "expenses", "rows": [{"name": "x"}], "mode": "fancy"}`, http.StatusBadRequest},
-		{"graphrows-mismatch", `{"table": "expenses", "rows": [{"name": "x"}], "graphRows": [1, 2]}`, http.StatusBadRequest},
-		{"nested-value", `{"table": "expenses", "rows": [{"name": {"a": 1}}]}`, http.StatusBadRequest},
-		{"too-many-rows", mustJSON(map[string]any{"table": spec.BaseTable, "rows": []any{row, row, row}}), http.StatusRequestEntityTooLarge},
+		{"malformed-json", `{"table": "expenses", "rows": [`, http.StatusBadRequest, "bad_request"},
+		{"unknown-field", `{"table": "expenses", "rows": [{}], "bogus": 1}`, http.StatusBadRequest, "bad_request"},
+		{"missing-table", `{"rows": [{"name": "x"}]}`, http.StatusBadRequest, "bad_request"},
+		{"no-rows", `{"table": "expenses", "rows": []}`, http.StatusBadRequest, "bad_request"},
+		{"unknown-table", `{"table": "nope", "rows": [{"name": "x"}]}`, http.StatusBadRequest, "bad_request"},
+		{"unknown-column", `{"table": "expenses", "rows": [{"bogus_col": "x"}]}`, http.StatusBadRequest, "bad_request"},
+		{"bad-mode", `{"table": "expenses", "rows": [{"name": "x"}], "mode": "fancy"}`, http.StatusBadRequest, "bad_request"},
+		{"graphrows-mismatch", `{"table": "expenses", "rows": [{"name": "x"}], "graphRows": [1, 2]}`, http.StatusBadRequest, "bad_request"},
+		{"nested-value", `{"table": "expenses", "rows": [{"name": {"a": 1}}]}`, http.StatusBadRequest, "bad_request"},
+		{"too-many-rows", mustJSON(map[string]any{"table": spec.BaseTable, "rows": []any{row, row, row}}), http.StatusRequestEntityTooLarge, "too_many_rows"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -254,10 +255,7 @@ func TestFeaturizeBadRequests(t *testing.T) {
 			if resp.StatusCode != tc.want {
 				t.Fatalf("status %d, want %d (%s)", resp.StatusCode, tc.want, body)
 			}
-			var e map[string]string
-			if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
-				t.Fatalf("error body %q is not {\"error\": ...}", body)
-			}
+			requireReason(t, resp.StatusCode, body, tc.reason)
 		})
 	}
 }

@@ -1,5 +1,5 @@
 #!/bin/sh
-# Full verification gate: build, vet, race-checked tests, and an HTTP
+# Full verification gate: build, vet, gofmt, race-checked tests, and an HTTP
 # smoke test of the levad serving daemon end to end (generate data,
 # build a bundle, serve it, featurize over the wire, drain on SIGTERM).
 # The race run is slow (the experiment suites re-run under -race);
@@ -9,6 +9,13 @@ cd "$(dirname "$0")/.."
 
 go build ./...
 go vet ./...
+# The tree stays gofmt-clean, the benchmark module included.
+UNFORMATTED=$(gofmt -l .)
+if [ -n "$UNFORMATTED" ]; then
+    echo "gofmt -l lists unformatted files:" >&2
+    echo "$UNFORMATTED" >&2
+    exit 1
+fi
 # Off linux, durable maps nothing (mmap_other.go) and levad's -mmap
 # default is false; nothing else builds that code, so vet it for darwin
 # and build the commands for windows.
