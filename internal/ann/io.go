@@ -333,8 +333,9 @@ type LoadOptions struct {
 	// MMap memory-maps index.bin instead of reading it, when the
 	// platform supports it (see durable.MapSupported). Names and vectors
 	// then point into the mapping. Load hashes every byte of it against
-	// the manifest, so all of its pages are resident when Load returns;
-	// the holder must call Index.Unmap once nothing can touch them.
+	// the manifest without keeping the pages (durable.LoadVerified), so
+	// only the pages decoding and searching touch are resident; the
+	// holder must call Index.Unmap once nothing can touch them.
 	MMap bool
 	// Warn receives human-readable warnings for conditions that do not
 	// prevent loading: an mmap fallback to a plain read. nil discards
@@ -375,22 +376,19 @@ func LoadOpts(dir string, opts LoadOptions) (*Index, error) {
 			filepath.Join(dir, durable.ManifestName), IndexFileName)
 	}
 	path := filepath.Join(dir, IndexFileName)
-	data, mapped, err := durable.ReadOrMapFile(path, opts.MMap, opts.Warn)
+	data, mapped, err, checkErr := durable.LoadVerified(path, manifest, opts.MMap, opts.Warn)
 	if err != nil {
 		return nil, fmt.Errorf("ann: load index: %w", err)
 	}
-	fail := func(err error) (*Index, error) {
+	if checkErr != nil {
+		return nil, fmt.Errorf("ann: load index %s: %w", path, checkErr)
+	}
+	ix, err := Decode(data)
+	if err != nil {
 		if mapped {
 			_ = durable.Unmap(data)
 		}
 		return nil, fmt.Errorf("ann: load index %s: %w", path, err)
-	}
-	if err := manifest.VerifyData(IndexFileName, data); err != nil {
-		return fail(err)
-	}
-	ix, err := Decode(data)
-	if err != nil {
-		return fail(err)
 	}
 	if mapped {
 		ix.mapped = data

@@ -18,8 +18,8 @@ import (
 // recall@10 >= 0.95 against brute force (asserted in quant_test.go).
 // The float vectors are retained for the re-rank, so the int8 arena
 // is heap memory on top of them: it adds about an eighth to the
-// index's vector bytes, whether those were read or mapped from
-// index.bin (a mapped index is fully resident once Load has hashed it).
+// index's vector bytes when those were read from index.bin; a mapped
+// index's vectors are resident only once searches have touched them.
 
 // maxQuantDim bounds the dimension so the int32 accumulator cannot
 // overflow: 127*127*maxQuantDim < 2^31.

@@ -154,10 +154,10 @@ type LoadOptions struct {
 	// MMap memory-maps bundle.bin instead of reading it, when the
 	// platform supports it (see durable.MapSupported). Vector and
 	// symbol views then point into the mapping. Verifying a sealed
-	// bundle against its manifest reads every byte through it, so all
-	// of its pages are resident when the load returns; only a bundle
-	// with no manifest faults pages in on first access. Ignored for
-	// legacy JSON bundles.
+	// bundle against its manifest hashes every byte through it without
+	// keeping the pages (durable.LoadVerified), so after a load only the
+	// pages decoding and serving touch are resident. Ignored for legacy
+	// JSON bundles.
 	MMap bool
 }
 
@@ -226,17 +226,12 @@ func LoadBundleOpts(dir string, opts LoadOptions) (*Result, error) {
 // independent of entity count.
 func loadBundleBin(dir string, manifest *durable.Manifest, opts LoadOptions, warn func(string)) (*Result, error) {
 	path := filepath.Join(dir, bundleBinFile)
-	data, mapped, err := durable.ReadOrMapFile(path, opts.MMap, warn)
+	data, mapped, err, checkErr := durable.LoadVerified(path, manifest, opts.MMap, warn)
 	if err != nil {
 		return nil, fmt.Errorf("core: load bundle: %w", err)
 	}
-	if manifest != nil {
-		if err := manifest.VerifyData(bundleBinFile, data); err != nil {
-			if mapped {
-				_ = durable.Unmap(data)
-			}
-			return nil, fmt.Errorf("core: load bundle: %s: %w", dir, err)
-		}
+	if checkErr != nil {
+		return nil, fmt.Errorf("core: load bundle: %s: %w", dir, checkErr)
 	}
 	res, err := decodeBundleV4(data)
 	if err != nil {

@@ -146,12 +146,25 @@ func TestSaveBundleReportsFullDisk(t *testing.T) {
 	}
 }
 
+// countMappings returns how many /proc/self/maps entries reference
+// substr (a bundle directory path). Skips the test off linux.
+func countMappings(t *testing.T, substr string) int {
+	t.Helper()
+	data, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Skipf("no /proc/self/maps on this platform: %v", err)
+	}
+	return strings.Count(string(data), substr)
+}
+
 // TestLoadBundleRejectsSingleByteCorruption flips single bytes at the
 // start, middle, and end of every bundle file — payloads and manifest —
 // and requires LoadBundle to reject each mutation with an error naming
 // the damaged file (manifest damage may be reported through the file
-// whose record it corrupted; either way MANIFEST.json is named). Both
-// layouts are swept: the binary bundle and the legacy JSON one.
+// whose record it corrupted; either way MANIFEST.json is named). A
+// mapped load (LoadOptions.MMap) must fail with the same error and
+// leave no mapping of the bundle behind. Both layouts are swept: the
+// binary bundle and the legacy JSON one.
 func TestLoadBundleRejectsSingleByteCorruption(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		sweepByteCorruption(t, savedBundle(t), []string{bundleBinFile, durable.ManifestName})
@@ -187,6 +200,12 @@ func sweepByteCorruption(t *testing.T, dir string, files []string) {
 				}
 				if !strings.Contains(err.Error(), name) && !strings.Contains(err.Error(), durable.ManifestName) {
 					t.Errorf("corruption error names neither %s nor the manifest: %v", name, err)
+				}
+				if _, mapErr := LoadBundleOpts(dir, LoadOptions{MMap: true}); mapErr == nil || mapErr.Error() != err.Error() {
+					t.Errorf("mapped load fails with %v, read load with %v", mapErr, err)
+				}
+				if n := countMappings(t, dir); n != 0 {
+					t.Errorf("%d mappings of the bundle left after a refused mapped load", n)
 				}
 			})
 		}

@@ -26,12 +26,36 @@ import (
 // platform; callers fall back to a plain read (see MapSupported).
 var ErrMapUnsupported = errors.New("durable: file mapping not supported on this platform")
 
-// ReadOrMapFile returns path's bytes, memory-mapped when mmap is set
-// and MapFile succeeds, read otherwise. A map that is unsupported or
-// fails falls back to a plain read after telling warn (which may be
-// nil) why. mapped reports whether the caller owns a mapping it must
-// pass to Unmap.
-func ReadOrMapFile(path string, mmap bool, warn func(string)) (data []byte, mapped bool, err error) {
+// LoadVerified returns the bytes of path, a payload file of a sealed
+// directory, checked against m's record for the file's base name. m
+// may be nil for an unsealed artifact: the bytes then come back
+// unchecked. With mmap set the file is memory-mapped where the
+// platform allows; a map that is unsupported or fails falls back to a
+// plain read after telling warn (which may be nil) why. mapped reports
+// whether the caller owns a mapping it must pass to Unmap.
+//
+// readErr reports a file that could not be opened or read, checkErr
+// bytes that do not match m; on either, nothing is mapped. A mapped
+// check hashes every byte but leaves none of the file resident (see
+// sum256): pages the caller later touches fault back in from the page
+// cache.
+func LoadVerified(path string, m *Manifest, mmap bool, warn func(string)) (data []byte, mapped bool, readErr, checkErr error) {
+	data, mapped, readErr = readOrMapFile(path, mmap, warn)
+	if readErr != nil || m == nil {
+		return data, mapped, readErr, nil
+	}
+	if checkErr = m.verify(filepath.Base(path), data, mapped); checkErr != nil {
+		if mapped {
+			_ = Unmap(data) // the check already failed; that is the error to report
+		}
+		return nil, false, nil, checkErr
+	}
+	return data, mapped, nil, nil
+}
+
+// readOrMapFile returns path's bytes, memory-mapped by MapFile when
+// mmap is set and mapping works, read otherwise (see LoadVerified).
+func readOrMapFile(path string, mmap bool, warn func(string)) (data []byte, mapped bool, err error) {
 	if mmap {
 		if warn == nil {
 			warn = func(string) {}

@@ -254,7 +254,7 @@ func TestReadOrMapFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mmap := range []bool{false, true} {
-		data, mapped, err := ReadOrMapFile(path, mmap, func(msg string) { t.Errorf("mmap=%v: unexpected warning %q", mmap, msg) })
+		data, mapped, err := readOrMapFile(path, mmap, func(msg string) { t.Errorf("mmap=%v: unexpected warning %q", mmap, msg) })
 		if err != nil || string(data) != "payload bytes" || mapped != (mmap && MapSupported) {
 			t.Errorf("mmap=%v: got %q, mapped=%v, err=%v", mmap, data, mapped, err)
 		}
@@ -265,7 +265,7 @@ func TestReadOrMapFile(t *testing.T) {
 		}
 	}
 	var warned []string
-	_, mapped, err := ReadOrMapFile(dir, true, func(msg string) { warned = append(warned, msg) })
+	_, mapped, err := readOrMapFile(dir, true, func(msg string) { warned = append(warned, msg) })
 	if err == nil || mapped || len(warned) != 1 ||
 		!(strings.Contains(warned[0], "plain read") || strings.Contains(warned[0], "unsupported")) {
 		t.Errorf("mapping a directory: mapped=%v, err=%v, warnings %q; want one fallback warning and the read's error", mapped, err, warned)

@@ -84,12 +84,18 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// VerifyData checks already-read (or mapped) bytes against the
-// manifest's record for name — the single-read verification path: a
-// reader that must consume a payload file anyway hashes the bytes it
-// already holds instead of having VerifyDir read the file a second
-// time.
+// VerifyData checks already-read bytes against the manifest's record
+// for name — the single-read verification path: a reader that must
+// consume a payload file anyway hashes the bytes it already holds
+// instead of having VerifyDir read the file a second time. Mapped
+// files are checked by LoadVerified.
 func (m *Manifest) VerifyData(name string, data []byte) error {
+	return m.verify(name, data, false)
+}
+
+// verify is VerifyData for bytes that are a MapFile mapping when
+// mapped is set; only LoadVerified, which made the mapping, sets it.
+func (m *Manifest) verify(name string, data []byte, mapped bool) error {
 	e := m.Entry(name)
 	if e == nil {
 		return fmt.Errorf("durable: %s is not listed in %s", name, ManifestName)
@@ -98,12 +104,36 @@ func (m *Manifest) VerifyData(name string, data []byte) error {
 		return fmt.Errorf("durable: %s is %d bytes but %s records %d (truncated or torn write)",
 			name, len(data), ManifestName, e.Size)
 	}
-	sum := sha256.Sum256(data)
-	if hex.EncodeToString(sum[:]) != e.SHA256 {
+	if hex.EncodeToString(sum256(data, mapped)) != e.SHA256 {
 		return fmt.Errorf("durable: %s fails its SHA-256 check against %s (file or manifest corrupt)",
 			name, ManifestName)
 	}
 	return nil
+}
+
+// verifyChunk is how many bytes of a mapping sum256 hashes before it
+// drops their pages. It matches the 2 MiB folios the page cache maps
+// on linux; it is a multiple of every page size, so each chunk starts
+// page-aligned in a page-aligned mapping.
+const verifyChunk = 2 << 20
+
+// sum256 returns data's SHA-256. Heap bytes are hashed in one call. A
+// mapping (mapped set: a PROT_READ, MAP_PRIVATE view from MapFile,
+// never heap memory) is hashed verifyChunk bytes at a time, and each
+// chunk's page-table entries are dropped once it is hashed, so the
+// check does not leave the whole file resident in this process.
+func sum256(data []byte, mapped bool) []byte {
+	if !mapped {
+		sum := sha256.Sum256(data)
+		return sum[:]
+	}
+	h := sha256.New()
+	for off := 0; off < len(data); off += verifyChunk {
+		chunk := data[off:min(off+verifyChunk, len(data))]
+		h.Write(chunk)
+		dropPages(chunk)
+	}
+	return h.Sum(nil)
 }
 
 // VerifyDir checks every file listed in dir's manifest against its

@@ -13,9 +13,11 @@ const MapSupported = true
 
 // MapFile memory-maps path read-only and returns the file's bytes as a
 // view over the mapping (no read, no copy onto the heap). Pages fault
-// in on first touch, so a caller that hashes the whole view — as
-// Manifest.VerifyData does for every sealed bundle and index — leaves
-// every page resident (as clean, shared page cache) when it returns.
+// in on first touch. LoadVerified hashes every byte of a sealed
+// bundle or index through the mapping but drops each hashed chunk's
+// page-table entries (dropPages), so after a load only the pages a
+// reader touches are resident; the page cache keeps the file's data,
+// so a later touch is a minor fault, not a disk read.
 // The mapping is page-aligned, so any 8-aligned offset within the file
 // is 8-aligned in memory, which is what the bundle arena's zero-copy
 // float64 view relies on.
@@ -62,4 +64,16 @@ func Unmap(data []byte) error {
 		return fmt.Errorf("durable: munmap: %w", err)
 	}
 	return nil
+}
+
+// dropPages removes chunk's pages from this process's page tables
+// (madvise MADV_DONTNEED). chunk must start page-aligned inside a
+// PROT_READ, MAP_PRIVATE mapping from MapFile: such a mapping holds no
+// private copies to lose, so a later touch faults the same file bytes
+// back in from the page cache. On heap memory the call would zero the
+// pages, which is why only sum256 calls it, and only on a mapping. The
+// advice only saves memory, so its error is dropped: the pages then
+// stay resident.
+func dropPages(chunk []byte) {
+	_ = syscall.Madvise(chunk, syscall.MADV_DONTNEED)
 }

@@ -16,3 +16,7 @@ func MapFile(path string) ([]byte, error) {
 func Unmap(data []byte) error {
 	return nil
 }
+
+// dropPages is a no-op off linux: MapFile never maps here, so there
+// are no mapped pages to drop.
+func dropPages(chunk []byte) {}

@@ -107,6 +107,8 @@ func TestErrorBodiesCarryDocumentedReason(t *testing.T) {
 		{"reload/disabled", plain, "POST", "/admin/reload", "", 503, "reload_disabled"},
 		{"reload/rejected", rejecting, "POST", "/admin/reload", "", 500, "reload_rejected"},
 		{"reload/after-shutdown", closed.Handler(), "POST", "/admin/reload", "", 500, "canceled"},
+		{"router/unknown-route", plain, "GET", "/v1/no-such-route", "", 404, "not_found"},
+		{"router/wrong-method", plain, "GET", "/v1/featurize", "", 405, "method_not_allowed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -61,14 +62,39 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // instead of parsing the message. The reasons are bad_request,
 // body_too_large, too_many_rows, canceled, unknown_token, bad_param,
 // no_index, capacity, queue_timeout, client_gone, bad_deadline,
-// breaker_open, reload_disabled, reload_rejected and internal — plus
-// timeout, which the per-request timeout handler writes itself. The
-// table in docs/SERVING.md lists where each comes from.
+// breaker_open, reload_disabled, reload_rejected, not_found,
+// method_not_allowed and internal — plus timeout, which the
+// per-request timeout handler writes itself. The table in
+// docs/SERVING.md lists where each comes from.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, map[string]string{
 		"error":  fmt.Sprintf(format, args...),
 		"reason": reason,
 	})
+}
+
+// routeMethods are the methods Server.Handler routes (a GET route also
+// takes HEAD); handleUnmatched probes them to build an Allow header.
+var routeMethods = []string{http.MethodGet, http.MethodHead, http.MethodPost}
+
+// handleUnmatched answers a request that only mux's "/" catch-all
+// matched: 405 with an Allow header when the path has routes under
+// other methods, 404 when it has none.
+func handleUnmatched(mux *http.ServeMux, w http.ResponseWriter, r *http.Request) {
+	var allow []string
+	probe := r.Clone(r.Context())
+	for _, method := range routeMethods {
+		probe.Method = method
+		if _, pattern := mux.Handler(probe); pattern != "/" {
+			allow = append(allow, method)
+		}
+	}
+	if len(allow) == 0 {
+		writeErrorReason(w, http.StatusNotFound, "not_found", "no route for %s", r.URL.Path)
+		return
+	}
+	w.Header().Set("Allow", strings.Join(allow, ", "))
+	writeErrorReason(w, http.StatusMethodNotAllowed, "method_not_allowed", "%s is not allowed on %s", r.Method, r.URL.Path)
 }
 
 // handleFeaturize computes features against st — the store pinned at

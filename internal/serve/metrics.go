@@ -49,7 +49,7 @@ const (
 
 // trackedStatuses are the response codes counted individually; anything
 // else lands under code="other".
-var trackedStatuses = []int{200, 400, 404, 413, 429, 500, 503}
+var trackedStatuses = []int{200, 400, 404, 405, 413, 429, 500, 503}
 
 // endpointNames are the fixed endpoint label values — one per route in
 // Server.Handler.

@@ -227,6 +227,42 @@ func TestMetricsPrometheusEndToEnd(t *testing.T) {
 	}
 }
 
+// TestUnmatchedRequestsCounted: a request no route takes is answered
+// through the middleware, not by the mux itself — an unknown path is a
+// 404, a known path under another method a 405 whose Allow header
+// lists the methods the path takes — and both are counted in
+// leva_http_responses_total on the next scrape.
+func TestUnmatchedRequestsCounted(t *testing.T) {
+	_, loaded, _ := fixture(t)
+	h := New(loaded, Config{}).Handler()
+	for _, tc := range []struct {
+		method, path string
+		status       int
+		allow        string
+	}{
+		{"GET", "/v1/no-such-route", 404, ""},
+		{"GET", "/v1/featurize", 405, "POST"},
+		{"POST", "/healthz", 405, "GET, HEAD"},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, nil))
+		if rec.Code != tc.status || rec.Header().Get("Allow") != tc.allow {
+			t.Errorf("%s %s: status %d, Allow %q; want %d, %q", tc.method, tc.path,
+				rec.Code, rec.Header().Get("Allow"), tc.status, tc.allow)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	for _, want := range []string{
+		`leva_http_responses_total{code="404"} 1`,
+		`leva_http_responses_total{code="405"} 2`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
 // deletedSurface reads testdata/deleted_surface.txt into kind → values.
 func deletedSurface(t *testing.T) map[string][]string {
 	t.Helper()

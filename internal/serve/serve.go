@@ -222,6 +222,12 @@ func (s *Server) Handler() http.Handler {
 	mux.Handle("GET /healthz", s.instrument("healthz", false, s.withStore(s.handleHealthz)))
 	mux.Handle("GET /metrics", s.instrument("metrics", false, http.HandlerFunc(s.handleMetrics)))
 	mux.Handle("POST /admin/reload", s.instrument("reload", false, http.HandlerFunc(s.handleReload)))
+	// "/" takes every request no route above matches — an unknown path
+	// or a known one under another method — so the answer carries a
+	// reason and is counted, instead of the mux's own plain-text reply.
+	mux.Handle("/", s.instrument("unmatched", false, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		handleUnmatched(mux, w, r)
+	})))
 	return mux
 }
 

@@ -111,6 +111,40 @@ if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_corrupt" -addr 127.0.0.1:0 \
 fi
 grep -q 'bundle.bin' "$SMOKE/levad_corrupt.log"
 
+# refuse_start <log> <what> <levad args...>: levad must exit at startup
+# instead of serving, with a log that names the file and the integrity
+# check.
+refuse_start() {
+    log=$1
+    what=$2
+    shift 2
+    if "$SMOKE/bin/levad" "$@" -addr 127.0.0.1:0 2>"$log"; then
+        echo "levad served $what" >&2
+        exit 1
+    fi
+    grep -q 'SHA-256' "$log"
+}
+
+# The same bundle read onto the heap (-mmap=false) is refused as well.
+refuse_start "$SMOKE/levad_corrupt_heap.log" "a corrupt bundle with -mmap=false" \
+    -bundle "$SMOKE/bundle_corrupt" -mmap=false
+grep -q 'bundle.bin' "$SMOKE/levad_corrupt_heap.log"
+
+# flip_byte <file> <offset>: replace one byte with its complement.
+flip_byte() {
+    old=$(od -An -tu1 -j "$2" -N1 "$1" | tr -d ' ')
+    printf "\\$(printf '%03o' $((255 - old)))" | dd of="$1" bs=1 count=1 seek="$2" conv=notrunc 2>/dev/null
+}
+
+# A flip in the last byte lands in the tail of the mapped check's last
+# hashing chunk.
+cp -r "$SMOKE/bundle" "$SMOKE/bundle_corrupt_tail"
+flip_byte "$SMOKE/bundle_corrupt_tail/bundle.bin" \
+    $(($(wc -c < "$SMOKE/bundle_corrupt_tail/bundle.bin") - 1))
+refuse_start "$SMOKE/levad_corrupt_tail.log" "a bundle with its last byte flipped" \
+    -bundle "$SMOKE/bundle_corrupt_tail"
+grep -q 'bundle.bin' "$SMOKE/levad_corrupt_tail.log"
+
 echo "corruption smoke test passed"
 
 # --- live hot-reload smoke test ---------------------------------------
@@ -330,6 +364,18 @@ kill -TERM "$LEVAD_PID"
 wait "$LEVAD_PID"
 
 echo "ann index smoke test passed"
+
+# --- index corruption smoke test --------------------------------------
+# A flipped byte in index.bin is refused at startup by name, with the
+# bundle beside it intact.
+cp -r "$SMOKE/index" "$SMOKE/index_corrupt"
+flip_byte "$SMOKE/index_corrupt/index.bin" \
+    $(($(wc -c < "$SMOKE/index_corrupt/index.bin") / 2))
+refuse_start "$SMOKE/levad_index_corrupt.log" "a corrupt index" \
+    -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_corrupt"
+grep -q 'index.bin' "$SMOKE/levad_index_corrupt.log"
+
+echo "index corruption smoke test passed"
 
 # --- wire-surface smoke test -----------------------------------------
 # levad's -max-inflight must reach the admission limiter: the limiter
