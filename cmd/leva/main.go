@@ -242,7 +242,7 @@ func runNeighbors(args []string) error {
 
 // runBundle dispatches the bundle maintenance subcommands: info
 // (inspect a saved bundle without serving it) and convert (rewrite a
-// bundle, legacy JSON or binary, in the current binary format).
+// version-4 or version-5 bundle in the current version).
 func runBundle(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("bundle: want a subcommand: info or convert")
@@ -276,16 +276,8 @@ func runBundleInfo(args []string) error {
 		enc.SetIndent("", "  ")
 		return enc.Encode(info)
 	}
-	layout := "binary (bundle.bin)"
-	if info.FormatVersion < leva.BundleFormatVersion {
-		layout = "legacy JSON (config.json + textify.json + embedding.tsv)"
-	}
-	verified := "verified against MANIFEST.json"
-	if !info.Verified {
-		verified = "NO integrity manifest"
-	}
 	fmt.Printf("bundle %s\n", info.Dir)
-	fmt.Printf("  format:        version %d, %s (%s)\n", info.FormatVersion, layout, verified)
+	fmt.Printf("  format:        version %d, binary (bundle.bin) (verified against MANIFEST.json)\n", info.FormatVersion)
 	fmt.Printf("  embedding:     %d entities x %d dims (%s, %s featurization)\n",
 		info.Entities, info.Dim, info.MethodUsed, info.Featurization)
 	fmt.Printf("  payload:       %d bytes total (symbols %d, arena %d)\n",
@@ -307,9 +299,10 @@ func runBundleInfo(args []string) error {
 	return nil
 }
 
-// runBundleConvert rewrites a bundle in the current binary format — the
-// migration tool that upgrades legacy JSON bundles. Featurization is
-// unchanged by conversion.
+// runBundleConvert rewrites a bundle in the current format version — the
+// migration tool that upgrades version-4 bundles and drops the unused
+// section older version-5 builds wrote. Featurization is unchanged by
+// conversion.
 func runBundleConvert(args []string) error {
 	fs := flag.NewFlagSet("bundle convert", flag.ExitOnError)
 	in := fs.String("in", "", "source bundle directory")
@@ -318,7 +311,7 @@ func runBundleConvert(args []string) error {
 	if *in == "" || *out == "" {
 		return fmt.Errorf("bundle convert: -in and -out are required")
 	}
-	res, err := leva.LoadBundleWarn(*in, func(msg string) { fmt.Fprintln(os.Stderr, "leva: warning:", msg) })
+	res, err := leva.LoadBundleOpts(*in, leva.LoadOptions{Warn: func(msg string) { fmt.Fprintln(os.Stderr, "leva: warning:", msg) }})
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	leva "repro"
 	"repro/internal/dataset"
+	"repro/internal/durable"
 	"repro/internal/synth"
 )
 
@@ -110,10 +112,10 @@ func TestRunEmbedThenApplyBundle(t *testing.T) {
 }
 
 // TestRunBundleInfoAndConvert drives the bundle maintenance commands
-// end to end: info on a freshly embedded binary bundle and on the
-// committed legacy (version 3) fixture, then convert upgrades the
-// fixture to the current binary format, and apply must produce
-// identical features from the fixture and from its upgrade.
+// end to end: info on a freshly embedded bundle and on a version-4
+// twin of the committed fixture, then convert upgrades the twin to the
+// current version, and apply must produce identical features from the
+// committed fixture, the twin and its upgrade.
 func TestRunBundleInfoAndConvert(t *testing.T) {
 	dir := writeTestCSVs(t)
 	bundle := filepath.Join(t.TempDir(), "bundle")
@@ -135,18 +137,19 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 	}
 
 	// The fixture holds synth.Student{Students: 30, Seed: 7} at dim 6.
-	legacy := filepath.Join("..", "..", "internal", "core", "testdata", "legacy-v3-dim6")
+	fixture := filepath.Join("..", "..", "internal", "core", "testdata", "v5-dim6")
+	v4 := version4Twin(t, fixture)
 	text = captureStdout(t, func() {
-		if err := runBundle([]string{"info", legacy}); err != nil {
+		if err := runBundle([]string{"info", v4}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if !strings.Contains(text, "version 3") || !strings.Contains(text, "legacy JSON") {
-		t.Errorf("legacy bundle info wrong:\n%s", text)
+	if !strings.Contains(text, "version 4") || !strings.Contains(text, "binary (bundle.bin)") {
+		t.Errorf("version-4 bundle info wrong:\n%s", text)
 	}
 
 	upgraded := filepath.Join(t.TempDir(), "upgraded")
-	if err := runBundle([]string{"convert", "-in", legacy, "-out", upgraded}); err != nil {
+	if err := runBundle([]string{"convert", "-in", v4, "-out", upgraded}); err != nil {
 		t.Fatal(err)
 	}
 	text = captureStdout(t, func() {
@@ -158,7 +161,7 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 		t.Errorf("upgraded bundle info wrong:\n%s", text)
 	}
 
-	// The upgraded bundle must featurize byte-identically.
+	// Every version of the bundle must featurize byte-identically.
 	students := t.TempDir()
 	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 7})
 	var csv strings.Builder
@@ -166,10 +169,11 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustWrite(t, filepath.Join(students, "expenses.csv"), csv.String())
-	want := applyFeatures(t, legacy, students, "expenses", "total_expenses")
-	got := applyFeatures(t, upgraded, students, "expenses", "total_expenses")
-	if want != got {
-		t.Error("features changed across the legacy -> binary conversion")
+	want := applyFeatures(t, fixture, students, "expenses", "total_expenses")
+	for _, dir := range []string{v4, upgraded} {
+		if got := applyFeatures(t, dir, students, "expenses", "total_expenses"); got != want {
+			t.Errorf("features of %s differ from the fixture's", dir)
+		}
 	}
 
 	if err := runBundle([]string{"nonsense"}); err == nil {
@@ -178,9 +182,34 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 	if err := runBundle(nil); err == nil {
 		t.Error("bare bundle command accepted")
 	}
-	if err := runBundle([]string{"convert", "-in", legacy}); err == nil {
+	if err := runBundle([]string{"convert", "-in", v4}); err == nil {
 		t.Error("convert without -out accepted")
 	}
+}
+
+// version4Twin writes the version-4 twin of the version-5 bundle at src
+// to a fresh dir: the header and config-section versions read 4 (same
+// byte length, so every section offset holds) and the manifest is
+// resealed at version 4.
+func version4Twin(t *testing.T, src string) string {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join(src, "bundle.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4 := bytes.Replace(data, []byte(`"formatVersion":5`), []byte(`"formatVersion":4`), 1)
+	if bytes.Equal(v4, data) || binary.LittleEndian.Uint32(v4[8:]) != 5 {
+		t.Fatalf("%s is not a version-5 bundle", src)
+	}
+	v4[8] = 4
+	dir := t.TempDir()
+	mustWrite(t, filepath.Join(dir, "bundle.bin"), string(v4))
+	m := &durable.Manifest{FormatVersion: 4}
+	m.Add("bundle.bin", v4)
+	if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+		t.Fatal(err)
+	}
+	return dir
 }
 
 func applyFeatures(t *testing.T, bundle, data, table, exclude string) string {

@@ -93,7 +93,6 @@ func run(ctx context.Context, args []string) error {
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler budget (503 on expiry)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheSize := fs.Int("cache", 4096, "LRU entries for token-keyed /v1/neighbors queries (0 disables)")
-	workers := fs.Int("workers", 0, "featurization worker goroutines per request (0 = all cores)")
 	mmapFiles := fs.Bool("mmap", durable.MapSupported, "memory-map bundle.bin and index.bin instead of reading them onto the heap (on by default where supported; pass -mmap=false if you rewrite those files in place instead of republishing them)")
 	quantize := fs.Bool("quantize", false, "search the ANN index on int8-quantized vectors with float64 re-ranking (needs -index; each loaded index quantizes its own vectors)")
 	readyFile := fs.String("ready-file", "", "write the bound address to this file once serving (for scripts; with -debug-addr, the debug address goes to <ready-file>.debug)")
@@ -148,7 +147,6 @@ func run(ctx context.Context, args []string) error {
 		BreakerOpenFor:  *breakerOpenFor,
 		RequestTimeout:  *reqTimeout,
 		CacheSize:       *cacheSize,
-		Workers:         *workers,
 	}
 	if *cacheSize <= 0 {
 		cfg.CacheSize = -1

@@ -288,6 +288,61 @@ func TestRunRefusesCorruptBundle(t *testing.T) {
 	}
 }
 
+// TestRunRefusesUnsealedBundle: levad starts only on a sealed binary
+// bundle. A directory in the retired JSON layout, sealed by its
+// version-3 manifest or not, and a bundle.bin whose MANIFEST.json is
+// gone are refused at startup with a named error that says how to
+// rebuild.
+func TestRunRefusesUnsealedBundle(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
+	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsealed := t.TempDir()
+	if err := res.SaveBundle(unsealed); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(unsealed, durable.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	jsonLayout := func(sealed bool) string {
+		dir := t.TempDir()
+		m := &durable.Manifest{FormatVersion: 3}
+		for name, body := range map[string]string{
+			"config.json":   `{"formatVersion": 3, "dim": 4}`,
+			"textify.json":  `{}`,
+			"embedding.tsv": "expenses:0\t1 2 3 4\n",
+		} {
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m.Add(name, []byte(body))
+		}
+		if sealed {
+			if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return dir
+	}
+	for _, c := range []struct {
+		name string
+		dir  string
+		want error
+	}{
+		{"json-layout", jsonLayout(true), core.ErrVersion},
+		{"json-layout-unsealed", jsonLayout(false), durable.ErrNoManifest},
+		{"bundle.bin-unsealed", unsealed, durable.ErrNoManifest},
+	} {
+		err := run(context.Background(), []string{"-bundle", c.dir, "-addr", "127.0.0.1:0", "-quiet"})
+		if !errors.Is(err, c.want) || !strings.Contains(err.Error(), durable.ManifestName) ||
+			!strings.Contains(err.Error(), "leva embed -bundle") {
+			t.Errorf("%s: startup error = %v, want %v naming %s and `leva embed -bundle`", c.name, err, c.want, durable.ManifestName)
+		}
+	}
+}
+
 // TestRunRefusesVersion1Index: an index directory saved in the
 // version-1 format (committed in internal/ann/testdata) is refused at
 // startup with an error that says how to rebuild it.

@@ -18,6 +18,12 @@
 //
 // Search is read-only after Build returns; an *Index may be queried
 // from any number of goroutines concurrently.
+//
+// # Similarity
+//
+// Every index ranks by cosine similarity: vectors are normalized to
+// unit length at build (and query) time, so scores are in [-1, 1] and
+// match embed/er cosine exactly for nonzero vectors.
 package ann
 
 import (
@@ -30,19 +36,6 @@ import (
 	"time"
 
 	"repro/internal/embed"
-)
-
-// Metric selects the vector similarity an index is built for.
-type Metric string
-
-const (
-	// MetricCosine ranks by cosine similarity. Vectors are normalized
-	// to unit length at build (and query) time, so scores are in
-	// [-1, 1] and match embed/er cosine exactly for nonzero vectors.
-	MetricCosine Metric = "cosine"
-	// MetricDot ranks by raw inner product (for vectors whose norm is
-	// meaningful, e.g. popularity-scaled embeddings).
-	MetricDot Metric = "dot"
 )
 
 // maxLevelCap bounds node levels so a hostile or corrupt file can
@@ -63,8 +56,6 @@ type Options struct {
 	// search passes ef <= 0. Larger values trade latency for recall.
 	// Default 64.
 	EfSearch int
-	// Metric selects cosine (default) or dot-product ranking.
-	Metric Metric
 	// Seed feeds the level generator. Fixed seed + fixed input =
 	// byte-identical index (see the package determinism contract).
 	Seed int64
@@ -80,18 +71,12 @@ func (o Options) withDefaults() Options {
 	if o.EfSearch <= 0 {
 		o.EfSearch = 64
 	}
-	if o.Metric == "" {
-		o.Metric = MetricCosine
-	}
 	return o
 }
 
 func (o Options) validate() error {
 	if o.M < 2 {
 		return fmt.Errorf("ann: M must be >= 2, got %d", o.M)
-	}
-	if o.Metric != MetricCosine && o.Metric != MetricDot {
-		return fmt.Errorf("ann: unknown metric %q (want %q or %q)", o.Metric, MetricCosine, MetricDot)
 	}
 	return nil
 }
@@ -106,9 +91,8 @@ type Result struct {
 	ID int
 	// Name is the embedded entity name (a token, or "table:rowIdx").
 	Name string
-	// Score is the similarity under the index metric: cosine
-	// similarity for MetricCosine, inner product for MetricDot.
-	// Results are ordered by descending score, ties by ascending ID.
+	// Score is the cosine similarity to the query. Results are
+	// ordered by descending score, ties by ascending ID.
 	Score float64
 }
 
@@ -121,10 +105,7 @@ type Index struct {
 	// embedding's interned table, BuildVectors interns its own, and
 	// Decode views the one stored in index.bin.
 	syms *embed.SymbolTable
-	// vecs holds all vectors row-major (n x dim), unit-normalized for
-	// MetricCosine. For a dot-metric Build it aliases the embedding's
-	// arena directly — zero copies; the index and the embedding are both
-	// immutable after construction.
+	// vecs holds all vectors row-major (n x dim), unit-normalized.
 	vecs     []float64
 	adj      csr
 	entry    int32
@@ -191,10 +172,9 @@ func duplicateName(st *embed.SymbolTable) (string, bool) {
 // Build indexes every vector of e under opts. Unlike BuildVectors it
 // does not copy per entity: the name table is the embedding's interned
 // symbol table, and the vector block is the embedding's contiguous
-// arena — aliased directly for MetricDot, copied once (one memmove,
-// then normalized in place) for MetricCosine. The graph construction
-// arithmetic is identical to BuildVectors', so the two produce the same
-// index for the same input.
+// arena, copied once (one memmove, then normalized in place). The
+// graph construction arithmetic is identical to BuildVectors', so the
+// two produce the same index for the same input.
 func Build(e *embed.Embedding, opts Options) (*Index, error) {
 	if e == nil || e.Len() == 0 {
 		return nil, errors.New("ann: cannot build an index over an empty embedding")
@@ -216,16 +196,9 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("ann: duplicate name %q", name)
 	}
 	start := time.Now()
-	ix := &Index{opts: opts, dim: dim, syms: st}
-	arena := e.Matrix().Data
-	if opts.Metric == MetricCosine {
-		ix.vecs = make([]float64, len(arena))
-		copy(ix.vecs, arena)
-		for i := 0; i < n; i++ {
-			normalize(ix.vecs[i*dim : (i+1)*dim])
-		}
-	} else {
-		ix.vecs = arena
+	ix := &Index{opts: opts, dim: dim, syms: st, vecs: append([]float64(nil), e.Matrix().Data...)}
+	for i := 0; i < n; i++ {
+		normalize(ix.vecs[i*dim : (i+1)*dim])
 	}
 	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
 		return nil, err
@@ -236,8 +209,8 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 }
 
 // BuildVectors indexes the given vectors, where vecs[i] is the vector
-// for names[i]. Vectors are copied (and normalized for MetricCosine);
-// the inputs are not retained.
+// for names[i]. Vectors are copied and normalized; the inputs are not
+// retained.
 func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -272,9 +245,7 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 		}
 		row := ix.vecs[i*dim : (i+1)*dim]
 		copy(row, v)
-		if opts.Metric == MetricCosine {
-			normalize(row)
-		}
+		normalize(row)
 	}
 	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
 		return nil, err
@@ -380,13 +351,13 @@ func (ix *Index) Has(name string) bool {
 	return ok
 }
 
-// vec returns the stored (possibly normalized) vector of node id.
+// vec returns the stored (normalized) vector of node id.
 func (ix *Index) vec(id int32) []float64 {
 	return ix.vecs[int(id)*ix.dim : (int(id)+1)*ix.dim]
 }
 
-// dist is the internal ordering key: negated inner product, so smaller
-// is more similar under both metrics (cosine vectors are pre-normalized).
+// dist is the internal ordering key: the negated inner product of unit
+// vectors, so smaller is more similar.
 func (ix *Index) dist(q []float64, id int32) float64 {
 	v := ix.vec(id)
 	var dot float64
@@ -420,13 +391,7 @@ func (ix *Index) SearchVector(q []float64, k, ef int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ann: k must be positive, got %d", k)
 	}
-	if ix.opts.Metric == MetricCosine {
-		qn := make([]float64, len(q))
-		copy(qn, q)
-		normalize(qn)
-		q = qn
-	}
-	return ix.results(ix.search(q, k, ef)), nil
+	return ix.results(ix.search(normalized(q), k, ef)), nil
 }
 
 // SearchName returns the k nearest neighbors of an indexed entity,
@@ -464,7 +429,7 @@ func (ix *Index) results(hits []cand) []Result {
 }
 
 // search runs the layered HNSW query and returns up to k candidates
-// sorted best-first. q must already be normalized for MetricCosine.
+// sorted best-first. q must already be normalized.
 func (ix *Index) search(q []float64, k, ef int) []cand {
 	if ix.quant != nil {
 		return ix.searchQuant(q, k, ef)
@@ -682,6 +647,13 @@ func (b *builder) shrink(id, lvl int32, m int) {
 	}
 	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
 	b.links[id][lvl] = ix.selectNeighbors(v, cands, m)
+}
+
+// normalized returns a unit-length copy of q, leaving q untouched.
+func normalized(q []float64) []float64 {
+	qn := append([]float64(nil), q...)
+	normalize(qn)
+	return qn
 }
 
 func normalize(v []float64) {

@@ -172,45 +172,43 @@ func TestBuildByteIdentical(t *testing.T) {
 }
 
 // TestBuildArenaMatchesBuildVectors pins the zero-copy Build fast path
-// (interned symbol table + shared arena) to the copying BuildVectors
-// path: for the same embedding and options the two must produce
-// byte-identical Encode output under both metrics — the fast path may
-// not change a single bit of the graph.
+// (interned symbol table + one copy of the arena) to the copying
+// BuildVectors path: for the same embedding and options the two must
+// produce byte-identical Encode output — the fast path may not change a
+// single bit of the graph.
 func TestBuildArenaMatchesBuildVectors(t *testing.T) {
 	e := benchmarkEmbedding(t)
 	rows := make([][]float64, e.Len())
 	for i := range rows {
 		rows[i] = append([]float64(nil), e.Matrix().Row(i)...)
 	}
-	for _, metric := range []ann.Metric{ann.MetricCosine, ann.MetricDot} {
-		opts := ann.Options{M: 8, EfConstruction: 60, Seed: 9, Metric: metric}
-		fast, err := ann.Build(e, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		slow, err := ann.BuildVectors(e.Names(), rows, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		enc := fast.Encode()
-		if !bytes.Equal(enc, slow.Encode()) {
-			t.Fatalf("%s: arena build and copying build produced different indexes", metric)
-		}
-		dec, err := ann.Decode(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dec.Encode(), enc) {
-			t.Fatalf("%s: Encode(Decode(Encode(Build))) is not byte-exact", metric)
-		}
-		// The arena path must leave the embedding's vectors untouched
-		// (cosine normalization must copy, dot must not write at all).
-		for i := range rows {
-			row := e.Matrix().Row(i)
-			for j := range row {
-				if row[j] != rows[i][j] {
-					t.Fatalf("%s: Build mutated the embedding arena at [%d][%d]", metric, i, j)
-				}
+	opts := ann.Options{M: 8, EfConstruction: 60, Seed: 9}
+	fast, err := ann.Build(e, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := ann.BuildVectors(e.Names(), rows, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := fast.Encode()
+	if !bytes.Equal(enc, slow.Encode()) {
+		t.Fatal("arena build and copying build produced different indexes")
+	}
+	dec, err := ann.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(dec.Encode(), enc) {
+		t.Fatal("Encode(Decode(Encode(Build))) is not byte-exact")
+	}
+	// Normalization must work on the index's copy, never on the
+	// embedding's arena.
+	for i := range rows {
+		row := e.Matrix().Row(i)
+		for j := range row {
+			if row[j] != rows[i][j] {
+				t.Fatalf("Build mutated the embedding arena at [%d][%d]", i, j)
 			}
 		}
 	}
@@ -331,29 +329,5 @@ func TestBuildValidation(t *testing.T) {
 	}
 	if _, err := ann.BuildVectors([]string{"a", "b"}, [][]float64{{1}, {2, 3}}, ann.Options{}); err == nil {
 		t.Fatal("ragged vectors accepted")
-	}
-	if _, err := ann.BuildVectors([]string{"a"}, [][]float64{{1}}, ann.Options{Metric: "euclid"}); err == nil {
-		t.Fatal("unknown metric accepted")
-	}
-}
-
-// TestDotMetricOrdersByInnerProduct: under MetricDot longer vectors in
-// the query direction must outrank unit ones, which cosine would tie.
-func TestDotMetricOrdersByInnerProduct(t *testing.T) {
-	names := []string{"long", "short", "orthogonal"}
-	vecs := [][]float64{{2, 0}, {1, 0}, {0, 1}}
-	ix, err := ann.BuildVectors(names, vecs, ann.Options{Metric: ann.MetricDot})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := ix.SearchVector([]float64{1, 0}, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Name != "long" || res[0].Score != 2 {
-		t.Fatalf("dot metric top hit = %+v, want long/2", res[0])
-	}
-	if res[1].Name != "short" || res[1].Score != 1 {
-		t.Fatalf("dot metric second hit = %+v, want short/1", res[1])
 	}
 }

@@ -19,13 +19,7 @@ func (ix *Index) BruteForceVector(q []float64, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ann: k must be positive, got %d", k)
 	}
-	if ix.opts.Metric == MetricCosine {
-		qn := make([]float64, len(q))
-		copy(qn, q)
-		normalize(qn)
-		q = qn
-	}
-	return ix.results(ix.scan(q, k, -1)), nil
+	return ix.results(ix.scan(normalized(q), k, -1)), nil
 }
 
 // BruteForceName returns the exact k nearest neighbors of an indexed
@@ -45,7 +39,7 @@ func (ix *Index) BruteForceName(name string, k int) ([]Result, error) {
 
 // scan computes the exact top-k candidates for q over every stored
 // vector, skipping exclude (pass -1 to keep all). q must already be
-// normalized for MetricCosine.
+// normalized.
 func (ix *Index) scan(q []float64, k int, exclude int32) []cand {
 	cands := make([]cand, 0, ix.Len())
 	for id := int32(0); int(id) < ix.Len(); id++ {

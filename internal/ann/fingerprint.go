@@ -5,9 +5,15 @@ import "repro/internal/fingerprint"
 // Fingerprint hashes the fully-defaulted options, so an explicit
 // default and an unset zero value key the same cache entry. The domain
 // carries the index format version: a codec change invalidates every
-// cached index.
+// cached index. The hashed JSON still carries "Metric":"cosine" where
+// Options once had a metric field, so every cache key is unchanged.
 func (o Options) Fingerprint() string {
-	return fingerprint.JSON("leva/ann-options/v1", o.withDefaults())
+	o = o.withDefaults()
+	return fingerprint.JSON("leva/ann-options/v1", struct {
+		M, EfConstruction, EfSearch int
+		Metric                      string
+		Seed                        int64
+	}{o.M, o.EfConstruction, o.EfSearch, "cosine", o.Seed})
 }
 
 // IndexFingerprint keys an index artifact by its inputs: the content

@@ -26,7 +26,7 @@ import (
 //
 //	magic        8 bytes  "LEVAHNSW"
 //	version      u32      format version (currently 2)
-//	metric       u32      0 = cosine, 1 = dot
+//	metric       u32      0 = cosine (1 = dot product, no longer read)
 //	M            u32      build options, for provenance and defaults
 //	efConstruct  u32
 //	efSearch     u32
@@ -46,7 +46,7 @@ import (
 //	lids         L × u32      neighbor node ids
 //	blob         blobLen bytes, names in node order
 //	padding      zero bytes up to the next multiple of 8
-//	vectors      n × dim × f64 bits (normalized for cosine)
+//	vectors      n × dim × f64 bits, unit-normalized
 //
 // The header is 64 bytes, so every u32 array is 4-aligned and the
 // vectors 8-aligned relative to the file start. The symbol arrays are
@@ -76,6 +76,11 @@ const (
 	// rebuildHint ends every version error: the fix for an index written
 	// by another format revision is a rebuild from its bundle.
 	rebuildHint = "rebuild the index with `leva embed -index`"
+
+	// Header metric words. Every index is cosine; metricDot marks an
+	// inner-product index written by older builds, which Decode refuses.
+	metricCosine = 0
+	metricDot    = 1
 )
 
 // Named decode errors. Every failure of Decode/Load wraps exactly one
@@ -83,7 +88,8 @@ const (
 var (
 	// ErrBadMagic marks a file that is not an ANN index at all.
 	ErrBadMagic = errors.New("ann: not an ANN index file (bad magic)")
-	// ErrVersion marks an index written by another format revision.
+	// ErrVersion marks an index written by another format revision, or
+	// one ranking by inner product, which only older builds wrote.
 	ErrVersion = errors.New("ann: unsupported ANN index format version")
 	// ErrCorrupt marks a truncated or internally inconsistent index.
 	ErrCorrupt = errors.New("ann: corrupt or truncated ANN index")
@@ -117,11 +123,7 @@ func (ix *Index) Encode() []byte {
 	buf := make([]byte, 0, lay.vecOff()+8*int64(len(ix.vecs)))
 	buf = append(buf, indexMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
-	metric := uint32(0)
-	if ix.opts.Metric == MetricDot {
-		metric = 1
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, metric)
+	buf = binary.LittleEndian.AppendUint32(buf, metricCosine)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.opts.M))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.opts.EfConstruction))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(ix.opts.EfSearch))
@@ -187,13 +189,13 @@ func Decode(data []byte) (*Index, error) {
 		EfSearch:       int(u32(24)),
 		Seed:           int64(binary.LittleEndian.Uint64(data[32:])),
 	}
-	switch u32(12) {
-	case 0:
-		opts.Metric = MetricCosine
-	case 1:
-		opts.Metric = MetricDot
+	switch m := u32(12); m {
+	case metricCosine:
+	case metricDot:
+		return nil, fmt.Errorf("%w: file ranks by inner product (metric %d), this build reads only cosine indexes (metric %d); %s",
+			ErrVersion, m, metricCosine, rebuildHint)
 	default:
-		return nil, corrupt("unknown metric %d", u32(12))
+		return nil, corrupt("unknown metric %d", m)
 	}
 	dim, n := int(u32(28)), int(u32(40))
 	entry, maxLevel := int64(u32(44)), int64(u32(48))
@@ -346,9 +348,9 @@ type LoadOptions struct {
 // Load restores an index saved by Save. A publish interrupted between
 // its two renames is repaired on the way in. index.bin is read once:
 // those bytes are verified against MANIFEST.json and then decoded in
-// place, so the loaded index is views over a single buffer. Unlike
-// bundles, index artifacts have never existed without a manifest, so a
-// missing manifest is an error, not a legacy warning.
+// place, so the loaded index is views over a single buffer. As with
+// bundles (core.LoadBundle), a directory without a manifest is refused
+// with an error wrapping durable.ErrNoManifest.
 func Load(dir string) (*Index, error) {
 	return LoadOpts(dir, LoadOptions{})
 }

@@ -247,6 +247,28 @@ func TestVersion1IsRebuiltNotRead(t *testing.T) {
 	}
 }
 
+// TestDotMetricIndexIsRebuiltNotRead: every index ranks by cosine and
+// says so with header metric word 0. Word 1 marks an inner-product
+// index, which only older builds wrote; Decode refuses it with
+// ErrVersion and says how to rebuild it. Any other word is corrupt.
+func TestDotMetricIndexIsRebuiltNotRead(t *testing.T) {
+	data := testIndex(t, 40, 6, 2).Encode()
+	if word := binary.LittleEndian.Uint32(data[12:]); word != metricCosine {
+		t.Fatalf("header metric word = %d, want %d", word, metricCosine)
+	}
+	for word, want := range map[uint32]error{metricDot: ErrVersion, 2: ErrCorrupt} {
+		b := append([]byte(nil), data...)
+		binary.LittleEndian.PutUint32(b[12:], word)
+		_, err := Decode(b)
+		if !errors.Is(err, want) {
+			t.Errorf("metric word %d: got %v, want %v", word, err, want)
+		}
+		if want == ErrVersion && !strings.Contains(err.Error(), "leva embed -index") {
+			t.Errorf("metric word %d: %v does not say how to rebuild", word, err)
+		}
+	}
+}
+
 // isNamedError reports whether err wraps one of the codec's named
 // errors — the contract for every decode failure.
 func isNamedError(err error) bool {

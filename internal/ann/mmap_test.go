@@ -70,44 +70,42 @@ func answers(t *testing.T, ix *Index, brute bool) [][]Result {
 }
 
 // TestMappedEqualsRead: a mapped index answers every query kind
-// bit-identically to a read one, under both metrics and after
-// Quantize(nil); Unmap drops the mapping and is idempotent.
+// bit-identically to a read one, before and after Quantize(nil);
+// Unmap drops the mapping and is idempotent.
 func TestMappedEqualsRead(t *testing.T) {
 	if !durable.MapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
-	for _, metric := range []Metric{MetricCosine, MetricDot} {
-		names, vecs := randomCollection(300, 12, 21)
-		built, err := BuildVectors(names, vecs, Options{M: 8, EfConstruction: 60, Seed: 21, Metric: metric})
-		if err != nil {
+	names, vecs := randomCollection(300, 12, 21)
+	built, err := BuildVectors(names, vecs, Options{M: 8, EfConstruction: 60, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir, read, mapped := loadBoth(t, built)
+	if got := countMappings(t, dir); got != 1 {
+		t.Fatalf("%d mappings of the index, want 1", got)
+	}
+	if !reflect.DeepEqual(answers(t, mapped, true), answers(t, read, true)) {
+		t.Error("mapped index answers differ from the read one")
+	}
+	for _, ix := range []*Index{read, mapped} {
+		if err := ix.Quantize(nil); err != nil {
 			t.Fatal(err)
 		}
-		dir, read, mapped := loadBoth(t, built)
-		if got := countMappings(t, dir); got != 1 {
-			t.Fatalf("%s: %d mappings of the index, want 1", metric, got)
+	}
+	if !reflect.DeepEqual(answers(t, mapped, false), answers(t, read, false)) {
+		t.Error("quantized mapped index answers differ from the quantized read one")
+	}
+	for i := 0; i < 2; i++ {
+		if err := mapped.Unmap(); err != nil {
+			t.Fatalf("Unmap #%d: %v", i+1, err)
 		}
-		if !reflect.DeepEqual(answers(t, mapped, true), answers(t, read, true)) {
-			t.Errorf("%s: mapped index answers differ from the read one", metric)
-		}
-		for _, ix := range []*Index{read, mapped} {
-			if err := ix.Quantize(nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !reflect.DeepEqual(answers(t, mapped, false), answers(t, read, false)) {
-			t.Errorf("%s: quantized mapped index answers differ from the quantized read one", metric)
-		}
-		for i := 0; i < 2; i++ {
-			if err := mapped.Unmap(); err != nil {
-				t.Fatalf("%s: Unmap #%d: %v", metric, i+1, err)
-			}
-		}
-		if got := countMappings(t, dir); got != 0 {
-			t.Errorf("%s: %d mappings after Unmap, want 0", metric, got)
-		}
-		if err := read.Unmap(); err != nil {
-			t.Errorf("%s: Unmap of a read index: %v", metric, err)
-		}
+	}
+	if got := countMappings(t, dir); got != 0 {
+		t.Errorf("%d mappings after Unmap, want 0", got)
+	}
+	if err := read.Unmap(); err != nil {
+		t.Errorf("Unmap of a read index: %v", err)
 	}
 }
 

@@ -49,55 +49,53 @@ func itoa(i int) string {
 
 // TestQuantizedRecall asserts the tentpole accuracy bar: int8
 // traversal with float64 re-rank keeps recall@10 >= 0.95 against the
-// exact brute-force scan, under both metrics.
+// exact brute-force scan.
 func TestQuantizedRecall(t *testing.T) {
-	for _, metric := range []Metric{MetricCosine, MetricDot} {
-		t.Run(string(metric), func(t *testing.T) {
-			names, vecs := randomCollection(2000, 32, 11)
-			ix, err := BuildVectors(names, vecs, Options{Metric: metric, Seed: 42})
+	t.Run("cosine", func(t *testing.T) {
+		names, vecs := randomCollection(2000, 32, 11)
+		ix, err := BuildVectors(names, vecs, Options{Seed: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ix.Quantize(nil); err != nil {
+			t.Fatal(err)
+		}
+		if !ix.Quantized() {
+			t.Fatal("index not quantized after Quantize")
+		}
+		rng := rand.New(rand.NewSource(99))
+		const k, queries = 10, 50
+		hits, want := 0, 0
+		for qi := 0; qi < queries; qi++ {
+			q := make([]float64, 32)
+			for j := range q {
+				q[j] = rng.NormFloat64()
+			}
+			exact, err := ix.BruteForceVector(q, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := ix.Quantize(nil); err != nil {
+			approx, err := ix.SearchVector(q, k, 0)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if !ix.Quantized() {
-				t.Fatal("index not quantized after Quantize")
+			truth := make(map[int]bool, k)
+			for _, r := range exact {
+				truth[r.ID] = true
 			}
-			rng := rand.New(rand.NewSource(99))
-			const k, queries = 10, 50
-			hits, want := 0, 0
-			for qi := 0; qi < queries; qi++ {
-				q := make([]float64, 32)
-				for j := range q {
-					q[j] = rng.NormFloat64()
+			for _, r := range approx {
+				if truth[r.ID] {
+					hits++
 				}
-				exact, err := ix.BruteForceVector(q, k)
-				if err != nil {
-					t.Fatal(err)
-				}
-				approx, err := ix.SearchVector(q, k, 0)
-				if err != nil {
-					t.Fatal(err)
-				}
-				truth := make(map[int]bool, k)
-				for _, r := range exact {
-					truth[r.ID] = true
-				}
-				for _, r := range approx {
-					if truth[r.ID] {
-						hits++
-					}
-				}
-				want += len(exact)
 			}
-			recall := float64(hits) / float64(want)
-			if recall < 0.95 {
-				t.Fatalf("quantized recall@%d = %.3f, want >= 0.95", k, recall)
-			}
-			t.Logf("quantized recall@%d = %.3f over %d queries", k, recall, queries)
-		})
-	}
+			want += len(exact)
+		}
+		recall := float64(hits) / float64(want)
+		if recall < 0.95 {
+			t.Fatalf("quantized recall@%d = %.3f, want >= 0.95", k, recall)
+		}
+		t.Logf("quantized recall@%d = %.3f over %d queries", k, recall, queries)
+	})
 }
 
 // TestQuantizedDeterministic: quantized searches are as repeatable as
@@ -173,7 +171,7 @@ func TestQuantizeDimGuard(t *testing.T) {
 // the index stays on the float path.
 func TestQuantizeRefusesForeignArena(t *testing.T) {
 	names, vecs := randomCollection(50, 8, 9)
-	ix, err := BuildVectors(names, vecs, Options{Seed: 1, Metric: MetricDot})
+	ix, err := BuildVectors(names, vecs, Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -163,15 +163,10 @@ func countMappings(t *testing.T, substr string) int {
 // the damaged file (manifest damage may be reported through the file
 // whose record it corrupted; either way MANIFEST.json is named). A
 // mapped load (LoadOptions.MMap) must fail with the same error and
-// leave no mapping of the bundle behind. Both layouts are swept: the
-// binary bundle and the legacy JSON one.
+// leave no mapping of the bundle behind.
 func TestLoadBundleRejectsSingleByteCorruption(t *testing.T) {
 	t.Run("binary", func(t *testing.T) {
 		sweepByteCorruption(t, savedBundle(t), []string{bundleBinFile, durable.ManifestName})
-	})
-	t.Run("legacy", func(t *testing.T) {
-		sweepByteCorruption(t, savedLegacyBundle(t),
-			[]string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile, durable.ManifestName})
 	})
 }
 
@@ -216,9 +211,8 @@ func sweepByteCorruption(t *testing.T, dir string, files []string) {
 	}
 }
 
-// TestLoadBundleRejectsTruncation cuts each payload file in half — the
-// classic torn-write outcome — and requires a named rejection, for both
-// layouts.
+// TestLoadBundleRejectsTruncation cuts bundle.bin in half — the
+// classic torn-write outcome — and requires a named rejection.
 func TestLoadBundleRejectsTruncation(t *testing.T) {
 	t.Run(bundleBinFile, func(t *testing.T) {
 		dir := savedBundle(t)
@@ -235,23 +229,6 @@ func TestLoadBundleRejectsTruncation(t *testing.T) {
 			t.Fatalf("truncated %s not rejected by name: %v", bundleBinFile, err)
 		}
 	})
-	for _, name := range []string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile} {
-		t.Run(name, func(t *testing.T) {
-			dir := savedLegacyBundle(t)
-			path := filepath.Join(dir, name)
-			orig, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, orig[:len(orig)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err = LoadBundle(dir)
-			if err == nil || !strings.Contains(err.Error(), path) {
-				t.Fatalf("truncated %s not rejected by name: %v", name, err)
-			}
-		})
-	}
 }
 
 // TestStaleStagingDirIsIgnored: garbage left in the staging sibling by
@@ -267,7 +244,7 @@ func TestStaleStagingDirIsIgnored(t *testing.T) {
 	if err := os.MkdirAll(staging, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(staging, bundleEmbeddingFile), []byte("garbage\t1 2"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(staging, bundleBinFile), []byte("garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadBundle(dir); err != nil {

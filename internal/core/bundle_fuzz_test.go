@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"os"
@@ -12,58 +13,62 @@ import (
 	"repro/internal/durable"
 )
 
-// fuzzBundle is the committed legacy (JSON layout) fixture whose
-// payload files seed and host the decoder fuzzing; the three legacy
-// fuzzers below target its per-file decoders.
-const fuzzBundle = legacyFixtureDim3
+// fuzzBundle is the committed bundle whose bundle.bin seeds and hosts
+// the decoder fuzzing: the section fuzzers below put arbitrary bytes in
+// place of one part of it.
+const fuzzBundle = goldenBundleFixture
 
-// cloneBundleWithout copies the fuzz bundle's payload files into a
-// fresh dir, dropping MANIFEST.json so corrupted bytes reach the
-// decoders instead of being screened out by the integrity check — the
-// decoders themselves must be panic-free on arbitrary input, because
-// legacy bundles have no manifest protecting them.
-func cloneBundleWithout(t *testing.T, replace string, data []byte) string {
+func fuzzBundleBin(t testing.TB) []byte {
 	t.Helper()
-	src := fuzzBundle
-	dst := t.TempDir()
-	for _, name := range []string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile} {
-		content := data
-		if name != replace {
-			var err error
-			content, err = os.ReadFile(filepath.Join(src, name))
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dst, name), content, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	data, err := os.ReadFile(filepath.Join(fuzzBundle, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return dst
+	return data
 }
 
-// fuzzBundleFile is the shared property: feeding arbitrary bytes into
-// one bundle file must never panic, and any invalid JSON must be
-// rejected with an error naming that file.
-func fuzzBundleFile(t *testing.T, name string, data []byte) {
-	dir := cloneBundleWithout(t, name, data)
+// isNamedBundleError reports whether err wraps one of the decoder's
+// named errors — the contract for every decode failure.
+func isNamedBundleError(err error) bool {
+	return errors.Is(err, ErrBadMagic) || errors.Is(err, ErrVersion) || errors.Is(err, ErrCorrupt)
+}
+
+// fuzzBundleSections is the shared property of the section fuzzers:
+// base with the sections in replace swapped for arbitrary bytes, sealed
+// by a manifest over those bytes so they get past the integrity check
+// and reach the decoder, must never panic LoadBundle. A rejection wraps
+// a named decode error and names bundle.bin; when section (the name
+// the decoder gives the one replaced JSON section) is set and its bytes
+// are not valid JSON, the error names that section too.
+func fuzzBundleSections(t *testing.T, base []byte, replace map[int][]byte, section string) {
+	dir := t.TempDir()
+	writeSealedBundle(t, dir, withSections(t, base, replace), BundleFormatVersion)
 	_, err := LoadBundle(dir)
 	if err == nil {
 		return // decodable and consistent — fine
 	}
-	if !strings.Contains(err.Error(), dir) {
-		t.Errorf("error does not locate the bundle %s: %v", dir, err)
+	if !isNamedBundleError(err) {
+		t.Fatalf("rejection is not a named bundle error: %v", err)
 	}
-	if !json.Valid(data) && !strings.Contains(err.Error(), name) {
-		t.Errorf("invalid JSON in %s produced an error naming some other file: %v", name, err)
+	if !strings.Contains(err.Error(), filepath.Join(dir, bundleBinFile)) {
+		t.Errorf("error does not name %s: %v", filepath.Join(dir, bundleBinFile), err)
+	}
+	for _, data := range replace {
+		if section != "" && !json.Valid(data) && !strings.Contains(err.Error(), section+" section") {
+			t.Errorf("invalid JSON in the %s section produced an error naming something else: %v", section, err)
+		}
 	}
 }
 
+// FuzzLoadBundleConfig puts arbitrary bytes in the config section (a
+// JSON object: format version, dimension, featurization, method).
 func FuzzLoadBundleConfig(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzBundle, bundleConfigFile))
+	base := fuzzBundleBin(f)
+	secs, _, err := bundleSections(base)
 	if err != nil {
 		f.Fatal(err)
 	}
+	seed := secs[secConfig]
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add([]byte(`{}`))
@@ -73,15 +78,19 @@ func FuzzLoadBundleConfig(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFE, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBundleFile(t, bundleConfigFile, data)
+		fuzzBundleSections(t, base, map[int][]byte{secConfig: data}, "config")
 	})
 }
 
+// FuzzLoadBundleTextify puts arbitrary bytes in the textify section
+// (the fitted textify.Model as JSON).
 func FuzzLoadBundleTextify(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzBundle, bundleTextifyFile))
+	base := fuzzBundleBin(f)
+	secs, _, err := bundleSections(base)
 	if err != nil {
 		f.Fatal(err)
 	}
+	seed := secs[secTextify]
 	f.Add(seed)
 	f.Add(seed[:len(seed)/3])
 	f.Add([]byte(`{}`))
@@ -89,37 +98,38 @@ func FuzzLoadBundleTextify(f *testing.F) {
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte{0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fuzzBundleFile(t, bundleTextifyFile, data)
+		fuzzBundleSections(t, base, map[int][]byte{secTextify: data}, "textify")
 	})
 }
 
-// FuzzLoadBundleEmbedding rounds out the trio: arbitrary bytes in
-// embedding.tsv (not JSON — the TSV reader has its own parser) must
-// never panic LoadBundle, and parse failures must name the file.
+// FuzzLoadBundleEmbedding rounds out the trio: arbitrary bytes in the
+// two binary sections the embedding is viewed from, the interned
+// symbol table and the vector arena (not JSON — the decoder validates
+// their structure itself).
 func FuzzLoadBundleEmbedding(f *testing.F) {
-	seed, err := os.ReadFile(filepath.Join(fuzzBundle, bundleEmbeddingFile))
+	base := fuzzBundleBin(f)
+	secs, _, err := bundleSections(base)
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(seed)
-	f.Add(seed[:len(seed)/2])
-	f.Add([]byte("a\t1 2\nb\t3\n"))
-	f.Add([]byte("no-tab-here\n"))
-	f.Add([]byte("x\tnot-a-number\n"))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := cloneBundleWithout(t, bundleEmbeddingFile, data)
-		if _, err := LoadBundle(dir); err != nil {
-			if !strings.Contains(err.Error(), dir) {
-				t.Errorf("error does not locate the bundle %s: %v", dir, err)
-			}
-		}
+	syms, arena := secs[secSymbols], secs[secArena]
+	lying := append([]byte(nil), syms...)
+	binary.LittleEndian.PutUint32(lying, binary.LittleEndian.Uint32(lying)+1) // one symbol too many
+	f.Add(syms, arena)
+	f.Add(syms[:len(syms)/2], arena)
+	f.Add(syms, arena[:len(arena)/2])
+	f.Add(syms, arena[:8])
+	f.Add([]byte{}, []byte{})
+	f.Add(lying, arena)
+	f.Fuzz(func(t *testing.T, syms, arena []byte) {
+		fuzzBundleSections(t, base, map[int][]byte{secSymbols: syms, secArena: arena}, "")
 	})
 }
 
-// TestManifestScreensBeforeDecoding confirms the layering the fuzz
-// tests sidestep: with a manifest present, corrupted payload bytes are
-// rejected by the integrity check before any decoder runs.
+// TestManifestScreensBeforeDecoding confirms the layering the section
+// fuzzers sidestep by resealing: with the manifest intact, corrupted
+// payload bytes are rejected by the integrity check before any decoder
+// runs.
 func TestManifestScreensBeforeDecoding(t *testing.T) {
 	dir := savedBundle(t)
 	path := filepath.Join(dir, bundleBinFile)
@@ -144,14 +154,7 @@ func TestManifestScreensBeforeDecoding(t *testing.T) {
 // decode∘encode, so a hostile-but-valid file cannot round-trip into a
 // different bundle.
 func FuzzBundleV4(f *testing.F) {
-	res, err := LoadBundle(fuzzBundle)
-	if err != nil {
-		f.Fatal(err)
-	}
-	valid, err := encodeBundleV4(res)
-	if err != nil {
-		f.Fatal(err)
-	}
+	valid := fuzzBundleBin(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:len(bundleMagic)+8])
@@ -169,7 +172,7 @@ func FuzzBundleV4(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec, err := decodeBundleV4(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
+			if !isNamedBundleError(err) {
 				t.Fatalf("rejection is not a named bundle error: %v", err)
 			}
 			return

@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -66,56 +69,63 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBundleGoldenLegacyVsBinary is the migration golden test: the
-// committed legacy fixture and a fresh deterministic build of the same
-// deployment, saved in the binary format, must featurize
-// byte-identically after loading — every served feature vector is
-// unchanged by the format migration.
-func TestBundleGoldenLegacyVsBinary(t *testing.T) {
+// TestBundleGoldenFixture is the format golden test: the committed
+// bundle an earlier build wrote and a fresh deterministic build of the
+// same deployment, saved by this build, must agree on every name and
+// every vector bit and featurize byte-identically after loading — a
+// format change may not move a single served feature.
+func TestBundleGoldenFixture(t *testing.T) {
 	spec, res := goldenFixture(t, "")
-	v4Dir := t.TempDir()
-	if err := res.SaveBundle(v4Dir); err != nil {
+	dir := t.TempDir()
+	if err := res.SaveBundle(dir); err != nil {
 		t.Fatal(err)
 	}
-	var warned []string
-	fromV4, err := LoadBundle(v4Dir)
+	fresh, err := LoadBundle(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromV3, err := LoadBundleWarn(legacyFixtureDim6, func(msg string) { warned = append(warned, msg) })
+	golden, err := LoadBundle(goldenBundleFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(warned) == 0 || !strings.Contains(warned[0], "legacy") {
-		t.Errorf("legacy bundle loaded without a legacy warning: %v", warned)
-	}
-	if fromV3.BundleFormat != 3 || fromV4.BundleFormat != BundleFormatVersion {
-		t.Errorf("BundleFormat: legacy %d, binary %d", fromV3.BundleFormat, fromV4.BundleFormat)
+	if golden.BundleFormat != 5 || fresh.BundleFormat != BundleFormatVersion {
+		t.Errorf("BundleFormat: fixture %d, fresh %d", golden.BundleFormat, fresh.BundleFormat)
 	}
 
-	// The two loads must agree on every name and every vector bit.
-	namesV3, namesV4 := fromV3.Embedding.Names(), fromV4.Embedding.Names()
-	if len(namesV3) != len(namesV4) {
-		t.Fatalf("entity counts differ: %d vs %d", len(namesV3), len(namesV4))
+	namesGolden, namesFresh := golden.Embedding.Names(), fresh.Embedding.Names()
+	if len(namesGolden) != len(namesFresh) {
+		t.Fatalf("entity counts differ: fixture %d, fresh %d", len(namesGolden), len(namesFresh))
 	}
-	for i := range namesV3 {
-		if namesV3[i] != namesV4[i] {
-			t.Fatalf("name order differs at %d: %q vs %q", i, namesV3[i], namesV4[i])
+	for i, name := range namesGolden {
+		if name != namesFresh[i] {
+			t.Fatalf("name order differs at %d: fixture %q, fresh %q", i, name, namesFresh[i])
+		}
+		want, _ := golden.Embedding.Vector(name)
+		got, _ := fresh.Embedding.Vector(name)
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("vector %q[%d]: fresh %v, fixture %v", name, j, got[j], want[j])
+			}
 		}
 	}
 	base := spec.DB.Table("expenses")
-	want, err := fromV3.Featurize(base, "expenses", []string{"total_expenses"}, func(i int) int { return i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := fromV4.Featurize(base, "expenses", []string{"total_expenses"}, func(i int) int { return i })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if got[i][j] != want[i][j] {
-				t.Fatalf("feature [%d][%d]: binary %v, legacy %v", i, j, got[i][j], want[i][j])
+	for _, graphRow := range []func(int) int{
+		func(i int) int { return i },
+		func(int) int { return -1 },
+	} {
+		want, err := golden.Featurize(base, "expenses", []string{"total_expenses"}, graphRow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := fresh.Featurize(base, "expenses", []string{"total_expenses"}, graphRow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("feature [%d][%d]: fresh %v, fixture %v", i, j, got[i][j], want[i][j])
+				}
 			}
 		}
 	}
@@ -138,36 +148,30 @@ func savedBundle(t *testing.T) string {
 	return dir
 }
 
-// Committed legacy bundles (format version 3, JSON layout), the legacy
-// read path's fixtures: nothing writes that layout any more. Each holds
-// the deployment named beside it, so a test can rebuild the same
-// deployment deterministically and compare.
+// Committed bundles (format version 5) that an earlier build wrote with
+// `leva bundle convert` from the last JSON-layout (version 3) fixtures.
+// Each holds the deployment named beside it, so a test can rebuild the
+// same deployment deterministically and compare.
 const (
-	legacyFixtureDim3  = "testdata/legacy-v3-dim3"  // the fuzz deployment
-	legacyFixtureDim4  = "testdata/legacy-v3-dim4"  // bundleFixture
-	legacyFixtureDim6  = "testdata/legacy-v3-dim6"  // goldenFixture, warm build
-	legacyFixtureDim16 = "testdata/legacy-v3-dim16" // 150 students: load benchmarks
+	goldenBundleFixture = "testdata/v5-dim6"  // goldenFixture, warm build
+	benchBundleFixture  = "testdata/v5-dim16" // 150 students: load benchmarks
 )
 
-// savedLegacyBundle copies the bundleFixture deployment's legacy
-// fixture into a fresh dir that the test may damage.
-func savedLegacyBundle(t *testing.T) string {
+// writeSealedBundle writes data as dir's bundle.bin and seals it with a
+// manifest recording version, the way SaveBundle publishes a bundle.
+func writeSealedBundle(t testing.TB, dir string, data []byte, version int) {
 	t.Helper()
-	dir := t.TempDir()
-	entries, err := os.ReadDir(legacyFixtureDim4)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(legacyFixtureDim4, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.WriteFile(filepath.Join(dir, bundleBinFile), data, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	return dir
+	m := &durable.Manifest{FormatVersion: version}
+	m.Add(bundleBinFile, data)
+	if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func bundleFixture(t *testing.T) *Result {
@@ -180,7 +184,7 @@ func bundleFixture(t *testing.T) *Result {
 	return res
 }
 
-// goldenFixture builds the legacyFixtureDim6 deployment. With a
+// goldenFixture builds the goldenBundleFixture deployment. With a
 // cacheDir it builds twice and returns the warm (stage-cached) build,
 // whose provenance the fixture records.
 func goldenFixture(t *testing.T, cacheDir string) (*synth.Spec, *Result) {
@@ -201,7 +205,7 @@ func goldenFixture(t *testing.T, cacheDir string) (*synth.Spec, *Result) {
 
 // TestBundleV4Layout pins the on-disk shape of a current-format bundle:
 // one bundle.bin payload starting with the magic, sealed by a manifest
-// recording formatVersion 4.
+// recording the current format version, and nothing else.
 func TestBundleV4Layout(t *testing.T) {
 	dir := savedBundle(t)
 	data, err := os.ReadFile(filepath.Join(dir, bundleBinFile))
@@ -218,13 +222,15 @@ func TestBundleV4Layout(t *testing.T) {
 	if man.FormatVersion != BundleFormatVersion {
 		t.Errorf("manifest formatVersion = %d, want %d", man.FormatVersion, BundleFormatVersion)
 	}
-	if man.Entry(bundleBinFile) == nil {
-		t.Errorf("manifest does not list %s", bundleBinFile)
+	if len(man.Files) != 1 || man.Entry(bundleBinFile) == nil {
+		t.Errorf("manifest lists %+v, want %s alone", man.Files, bundleBinFile)
 	}
-	for _, legacy := range []string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile} {
-		if _, err := os.Stat(filepath.Join(dir, legacy)); !os.IsNotExist(err) {
-			t.Errorf("binary bundle contains legacy file %s", legacy)
-		}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 2 {
+		t.Errorf("bundle directory holds %d files, want %s and %s", len(entries), bundleBinFile, durable.ManifestName)
 	}
 }
 
@@ -256,49 +262,43 @@ func TestBundleV4EncodeDeterministic(t *testing.T) {
 	}
 }
 
+// TestBundleFormatVersion pins the versions LoadBundle reads: a saved
+// bundle records the current version in its manifest, its bundle.bin
+// header and its config section; a sealed version-4 bundle still loads
+// and reports version 4; and a manifest recording any version from 0
+// to 3 (the JSON layout) is refused by ErrVersion, naming the manifest
+// and how to rebuild.
 func TestBundleFormatVersion(t *testing.T) {
-	dir := savedLegacyBundle(t)
-	cfgPath := filepath.Join(dir, bundleConfigFile)
-	data, err := os.ReadFile(cfgPath)
+	dir := savedBundle(t)
+	data, err := os.ReadFile(filepath.Join(dir, bundleBinFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"formatVersion": 3`) {
-		t.Fatalf("legacy config.json does not record formatVersion 3:\n%s", data)
+	if v := binary.LittleEndian.Uint32(data[len(bundleMagic):]); v != BundleFormatVersion {
+		t.Errorf("bundle.bin header version = %d, want %d", v, BundleFormatVersion)
+	}
+	if !bytes.Contains(data, []byte(fmt.Sprintf(`"formatVersion":%d`, BundleFormatVersion))) {
+		t.Errorf("config section does not record formatVersion %d", BundleFormatVersion)
 	}
 
-	// Hand-editing a payload file invalidates the manifest, so these
-	// scenarios model legacy (pre-manifest) bundles: drop MANIFEST.json
-	// and let the config.json version check do its own work.
-	if err := os.Remove(filepath.Join(dir, durable.ManifestName)); err != nil {
-		t.Fatal(err)
+	v4Dir := filepath.Join(t.TempDir(), "v4")
+	writeSealedBundle(t, v4Dir, toVersion4(t, data), 4)
+	res, err := LoadBundle(v4Dir)
+	if err != nil {
+		t.Fatalf("sealed version-4 bundle refused: %v", err)
+	}
+	if res.BundleFormat != 4 {
+		t.Errorf("BundleFormat = %d, want 4", res.BundleFormat)
 	}
 
-	// A bundle from a future build must be rejected, not mis-decoded.
-	future := strings.Replace(string(data), `"formatVersion": 3`, `"formatVersion": 99`, 1)
-	if err := os.WriteFile(cfgPath, []byte(future), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = LoadBundle(dir)
-	if err == nil {
-		t.Fatal("future-version bundle loaded")
-	}
-	if !strings.Contains(err.Error(), "format version 99") || !strings.Contains(err.Error(), cfgPath) {
-		t.Errorf("version error should name the version and file: %v", err)
-	}
-
-	// Legacy pre-versioned bundles (no formatVersion field) still load,
-	// and the warning hook reports the missing manifest.
-	legacy := strings.Replace(string(data), `"formatVersion": 3,`, ``, 1)
-	if err := os.WriteFile(cfgPath, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var warnings []string
-	if _, err := LoadBundleWarn(dir, func(msg string) { warnings = append(warnings, msg) }); err != nil {
-		t.Errorf("legacy bundle without formatVersion rejected: %v", err)
-	}
-	if len(warnings) == 0 || !strings.Contains(warnings[0], durable.ManifestName) {
-		t.Errorf("legacy bundle load did not warn about the missing manifest: %v", warnings)
+	for v := 0; v < bundleVersionMin; v++ {
+		old := filepath.Join(t.TempDir(), fmt.Sprintf("v%d", v))
+		writeSealedBundle(t, old, data, v)
+		_, err := LoadBundle(old)
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), filepath.Join(old, durable.ManifestName)) ||
+			!strings.Contains(err.Error(), fmt.Sprintf("format version %d", v)) || !strings.Contains(err.Error(), rebuildHint) {
+			t.Errorf("manifest version %d: got %v, want ErrVersion naming the manifest, the version and %q", v, err, rebuildHint)
+		}
 	}
 }
 
@@ -326,8 +326,9 @@ func TestFutureManifestVersionRejected(t *testing.T) {
 }
 
 // TestFutureBinaryVersionRejected covers the bundle.bin header gate: a
-// file claiming a newer binary revision fails with ErrVersion even when
-// the manifest is gone.
+// sealed file (manifest resealed over the patched bytes, so the
+// integrity check passes) claiming a newer binary revision is refused
+// by the decoder with ErrVersion, naming the version and the file.
 func TestFutureBinaryVersionRejected(t *testing.T) {
 	dir := savedBundle(t)
 	path := filepath.Join(dir, bundleBinFile)
@@ -336,50 +337,23 @@ func TestFutureBinaryVersionRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	data[len(bundleMagic)] = 99 // version u32 little-endian low byte
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, durable.ManifestName)); err != nil {
-		t.Fatal(err)
-	}
+	writeSealedBundle(t, dir, data, BundleFormatVersion)
 	_, err = LoadBundle(dir)
-	if err == nil || !strings.Contains(err.Error(), "version 99") {
-		t.Errorf("future binary version not rejected by name: %v", err)
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 99") || !strings.Contains(err.Error(), path) {
+		t.Errorf("future binary version not rejected by ErrVersion naming it and %s: %v", path, err)
 	}
 }
 
 func TestLoadBundleErrorsNamePath(t *testing.T) {
-	// Legacy layout: each corrupted payload file is named. (The
-	// manifest is dropped so the per-file decoders, not the integrity
-	// check, produce the error — modelling pre-durability bundles.)
-	for _, corrupt := range []string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile} {
-		t.Run(corrupt, func(t *testing.T) {
-			dir := savedLegacyBundle(t)
-			if err := os.Remove(filepath.Join(dir, durable.ManifestName)); err != nil {
-				t.Fatal(err)
-			}
-			path := filepath.Join(dir, corrupt)
-			if err := os.WriteFile(path, []byte("{{{ not valid"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, err := LoadBundle(dir)
-			if err == nil {
-				t.Fatalf("bundle with corrupt %s loaded", corrupt)
-			}
-			if !strings.Contains(err.Error(), path) {
-				t.Errorf("error does not name the corrupt file %s: %v", path, err)
-			}
-		})
-	}
 	t.Run("missing-file", func(t *testing.T) {
-		dir := savedLegacyBundle(t)
-		path := filepath.Join(dir, bundleEmbeddingFile)
+		dir := savedBundle(t)
+		path := filepath.Join(dir, bundleBinFile)
 		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
 		_, err := LoadBundle(dir)
 		if err == nil {
-			t.Fatal("bundle with missing embedding loaded")
+			t.Fatal("bundle with missing bundle.bin loaded")
 		}
 		if !strings.Contains(err.Error(), path) {
 			t.Errorf("error does not name the missing file %s: %v", path, err)
@@ -401,18 +375,91 @@ func TestLoadBundleErrorsNamePath(t *testing.T) {
 	})
 }
 
+// jsonLayoutBundle writes a directory in the retired JSON layout
+// (format versions 0–3): config.json, textify.json and embedding.tsv,
+// sealed by a version-3 manifest when sealed is set.
+func jsonLayoutBundle(t *testing.T, sealed bool) string {
+	t.Helper()
+	dir := t.TempDir()
+	files := map[string]string{
+		"config.json":   `{"formatVersion": 3, "dim": 2, "featurization": "row+value", "methodUsed": "mf"}`,
+		"textify.json":  `{}`,
+		"embedding.tsv": "expenses:0\t0.5 -0.5\n",
+	}
+	m := &durable.Manifest{FormatVersion: 3}
+	for _, name := range []string{"config.json", "textify.json", "embedding.tsv"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(files[name]), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m.Add(name, []byte(files[name]))
+	}
+	if sealed {
+		if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// TestUnreadableBundlesRefused: LoadBundle (read and mapped) and
+// ReadBundleInfo refuse every directory that is not a sealed binary
+// bundle, each with a named error that says how to rebuild and leaves
+// no mapping behind: the JSON layout with or without its manifest, a
+// bundle.bin whose manifest is gone, and a manifest that does not list
+// bundle.bin.
+func TestUnreadableBundlesRefused(t *testing.T) {
+	unsealed := savedBundle(t)
+	if err := os.Remove(filepath.Join(unsealed, durable.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	unlisted := savedBundle(t)
+	m := &durable.Manifest{FormatVersion: BundleFormatVersion}
+	m.Add("config.json", []byte("{}"))
+	if err := durable.WriteManifest(durable.OS(), unlisted, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		dir   string
+		want  error
+		names string
+	}{
+		{"json-layout", jsonLayoutBundle(t, true), ErrVersion, durable.ManifestName},
+		{"json-layout-unsealed", jsonLayoutBundle(t, false), durable.ErrNoManifest, durable.ManifestName},
+		{"bundle.bin-unsealed", unsealed, durable.ErrNoManifest, durable.ManifestName},
+		{"manifest-without-bundle.bin", unlisted, ErrCorrupt, bundleBinFile},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, loadErr := LoadBundle(c.dir)
+			_, mapErr := LoadBundleOpts(c.dir, LoadOptions{MMap: true})
+			_, infoErr := ReadBundleInfo(c.dir)
+			for what, err := range map[string]error{"LoadBundle": loadErr, "mapped LoadBundle": mapErr, "ReadBundleInfo": infoErr} {
+				if !errors.Is(err, c.want) {
+					t.Errorf("%s: got %v, want %v", what, err, c.want)
+					continue
+				}
+				if !strings.Contains(err.Error(), c.dir) || !strings.Contains(err.Error(), c.names) || !strings.Contains(err.Error(), rebuildHint) {
+					t.Errorf("%s: %v does not name %s, %s and %q", what, err, c.dir, c.names, rebuildHint)
+				}
+			}
+			if n := countMappings(t, c.dir); n != 0 {
+				t.Errorf("%d mappings left after a refused load", n)
+			}
+		})
+	}
+}
+
 // TestBundleCarriesBuildProvenance checks bundles preserve the
 // stage-cache outcomes and the unweighted-fallback decision of the
-// build that produced them, across both formats: a warm build saved in
-// the binary format, and the legacy fixture saved from the same warm
-// build.
+// build that produced them: a warm build saved by this build, and the
+// committed fixture an earlier build saved from the same warm build.
 func TestBundleCarriesBuildProvenance(t *testing.T) {
 	_, warm := goldenFixture(t, t.TempDir())
 	binDir := t.TempDir()
 	if err := warm.SaveBundle(binDir); err != nil {
 		t.Fatal(err)
 	}
-	for name, dir := range map[string]string{"binary": binDir, "legacy": legacyFixtureDim6} {
+	for name, dir := range map[string]string{"binary": binDir, "fixture": goldenBundleFixture} {
 		t.Run(name, func(t *testing.T) {
 			back, err := LoadBundle(dir)
 			if err != nil {
@@ -432,20 +479,26 @@ func TestBundleCarriesBuildProvenance(t *testing.T) {
 	}
 }
 
-// TestReadBundleInfo covers the inspection path over both formats.
+// TestReadBundleInfo covers the inspection path over a bundle this
+// build saved and over the committed fixture an earlier build saved:
+// each report must match the deployment the bundle holds.
 func TestReadBundleInfo(t *testing.T) {
-	res := bundleFixture(t)
-	for name, dir := range map[string]string{
-		"binary": savedBundle(t),
-		"legacy": legacyFixtureDim4,
+	_, golden := goldenFixture(t, "")
+	for name, c := range map[string]struct {
+		dir string
+		res *Result
+	}{
+		"binary":  {savedBundle(t), bundleFixture(t)},
+		"fixture": {goldenBundleFixture, golden},
 	} {
+		res := c.res
 		t.Run(name, func(t *testing.T) {
-			info, err := ReadBundleInfo(dir)
+			info, err := ReadBundleInfo(c.dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !info.Verified {
-				t.Error("freshly saved bundle reported unverified")
+			if info.FormatVersion != BundleFormatVersion {
+				t.Errorf("format version %d, want %d", info.FormatVersion, BundleFormatVersion)
 			}
 			if info.Dim != res.Embedding.Dim || info.Entities != res.Embedding.Len() {
 				t.Errorf("info shape %d/%d, want %d/%d", info.Entities, info.Dim, res.Embedding.Len(), res.Embedding.Dim)
@@ -472,15 +525,12 @@ func TestReadBundleInfo(t *testing.T) {
 					}
 				}
 			}
-			if info.SymbolBytes <= 0 || info.ArenaBytes <= 0 || info.PayloadBytes <= 0 {
+			if info.SymbolBytes <= 0 || info.PayloadBytes <= info.SymbolBytes+info.ArenaBytes {
 				t.Errorf("sizes not populated: %+v", info)
 			}
-			wantArena := int64(8 * len(res.Embedding.Matrix().Data))
-			if name == "binary" {
-				wantArena += 8 // dim/rows header
-			}
-			if info.ArenaBytes != wantArena {
-				t.Errorf("arena bytes = %d, want %d", info.ArenaBytes, wantArena)
+			// The arena section is an 8-byte dim/rows header plus the vectors.
+			if want := int64(8 + 8*len(res.Embedding.Matrix().Data)); info.ArenaBytes != want {
+				t.Errorf("arena bytes = %d, want %d", info.ArenaBytes, want)
 			}
 		})
 	}

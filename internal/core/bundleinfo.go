@@ -3,12 +3,9 @@ package core
 import (
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 
-	"repro/internal/durable"
 	"repro/internal/embed"
 )
 
@@ -22,23 +19,19 @@ type BundleTableColumns struct {
 // BundleInfo describes a saved bundle without loading it for serving:
 // what format it is, what it embeds, how large its payload sections
 // are, and how the build that produced it was satisfied. Produced by
-// ReadBundleInfo; rendered by `leva bundle info`.
+// ReadBundleInfo, which only returns one for a bundle that passed its
+// MANIFEST.json check; rendered by `leva bundle info`.
 type BundleInfo struct {
-	Dir           string `json:"dir"`
-	FormatVersion int    `json:"formatVersion"`
-	// Verified reports whether the payload passed its MANIFEST.json
-	// integrity check (false for pre-durability bundles).
-	Verified bool                 `json:"verified"`
-	Dim      int                  `json:"dim"`
-	Entities int                  `json:"entities"`
-	Columns  []BundleTableColumns `json:"columns"`
-	// SymbolBytes and ArenaBytes are the sizes of the interned symbol
-	// table and the vector arena. For legacy bundles both are the
-	// in-memory equivalents reconstructed from the TSV payload.
+	Dir           string               `json:"dir"`
+	FormatVersion int                  `json:"formatVersion"`
+	Dim           int                  `json:"dim"`
+	Entities      int                  `json:"entities"`
+	Columns       []BundleTableColumns `json:"columns"`
+	// SymbolBytes and ArenaBytes are the sizes of bundle.bin's interned
+	// symbol table and vector arena sections.
 	SymbolBytes int64 `json:"symbolBytes"`
 	ArenaBytes  int64 `json:"arenaBytes"`
-	// PayloadBytes is the total on-disk size of the payload files
-	// (excluding the manifest).
+	// PayloadBytes is the size of bundle.bin (the manifest excluded).
 	PayloadBytes       int64             `json:"payloadBytes"`
 	Featurization      FeaturizationMode `json:"featurization"`
 	MethodUsed         embed.Method      `json:"methodUsed"`
@@ -47,66 +40,19 @@ type BundleInfo struct {
 	StageCache         *CacheStats       `json:"stageCache,omitempty"`
 }
 
-// ReadBundleInfo inspects the bundle at dir. For binary bundles it
-// parses section headers without constructing an Embedding; for legacy
-// JSON bundles it falls back to a full load. Corruption surfaces with
-// the same named errors as LoadBundle.
+// ReadBundleInfo inspects the bundle at dir: it reads bundle.bin,
+// verifies it against MANIFEST.json and parses its section headers
+// without constructing an Embedding. A bundle LoadBundle refuses is
+// refused here with the same named errors.
 func ReadBundleInfo(dir string) (*BundleInfo, error) {
 	dir = filepath.Clean(dir)
-	info := &BundleInfo{Dir: dir}
-
-	manifest, err := durable.ReadManifest(dir)
-	switch {
-	case errors.Is(err, durable.ErrNoManifest):
-		manifest = nil
-	case err != nil:
-		return nil, fmt.Errorf("core: bundle info: %w", err)
-	}
-
-	binPath := filepath.Join(dir, bundleBinFile)
-	data, err := os.ReadFile(binPath)
-	if err == nil {
-		if manifest != nil {
-			if verr := manifest.VerifyData(bundleBinFile, data); verr != nil {
-				return nil, fmt.Errorf("core: bundle info: %s: %w", dir, verr)
-			}
-			info.Verified = true
-		}
-		if err := fillInfoV4(info, data); err != nil {
-			return nil, fmt.Errorf("core: bundle info: %s: %w", binPath, err)
-		}
-		info.PayloadBytes = int64(len(data))
-		return info, nil
-	}
-	if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("core: bundle info: %w", err)
-	}
-
-	// Legacy JSON bundle: load it and measure the reconstruction.
-	res, err := loadBundleLegacy(dir, manifest)
+	data, _, err := readBundleBin(dir, false, nil)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: bundle info: %w", err)
 	}
-	info.Verified = manifest != nil
-	info.FormatVersion = res.BundleFormat
-	info.Dim = res.Embedding.Dim
-	info.Entities = res.Embedding.Len()
-	st := res.Embedding.Symbols()
-	info.SymbolBytes = int64(len(st.Blob()) + 4*(st.Len()+1) + 4*st.Len())
-	info.ArenaBytes = int64(8 * len(res.Embedding.Matrix().Data))
-	for _, tb := range res.Textifier.Tables() {
-		info.Columns = append(info.Columns, BundleTableColumns{Table: tb, Columns: res.Textifier.Columns(tb)})
-	}
-	info.Featurization = res.Config.Featurization
-	info.MethodUsed = res.MethodUsed
-	info.UnseenFallbackDims = res.Config.UnseenFallbackDims
-	info.UnweightedFallback = res.UnweightedFallback
-	cache := res.Timings.Cache
-	info.StageCache = &cache
-	for _, name := range []string{bundleConfigFile, bundleTextifyFile, bundleEmbeddingFile} {
-		if fi, err := os.Stat(filepath.Join(dir, name)); err == nil {
-			info.PayloadBytes += fi.Size()
-		}
+	info := &BundleInfo{Dir: dir, PayloadBytes: int64(len(data))}
+	if err := fillInfoV4(info, data); err != nil {
+		return nil, fmt.Errorf("core: bundle info: %s: %w", filepath.Join(dir, bundleBinFile), err)
 	}
 	return info, nil
 }

@@ -49,25 +49,24 @@ func sectionIDs(t testing.TB, data []byte) []int {
 	return ids
 }
 
-// withSection7 re-assembles the fixture's bundle.bin with payload as
-// its id 7 section, every other section unchanged.
-func withSection7(t testing.TB, payload []byte) []byte {
+// withSections re-assembles a bundle.bin with the payloads in replace
+// standing in for the sections of those ids; every other section, and
+// the order of the section table, is unchanged.
+func withSections(t testing.TB, data []byte, replace map[int][]byte) []byte {
 	t.Helper()
-	data := readFixtureBin(t)
 	secs, version, err := bundleSections(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ids := []int{secConfig, secColumns, secTextify, secSymbols, secArena, secProvenance, secRetiredQuant}
+	ids := sectionIDs(t, data)
 	w := &sectionWriter{}
-	headerLen := len(bundleMagic) + 8 + 24*len(ids)
-	w.buf = make([]byte, headerLen)
+	w.buf = make([]byte, len(bundleMagic)+8+24*len(ids))
 	for _, id := range ids {
-		if id == secRetiredQuant {
-			w.add(id, payload)
-		} else {
-			w.add(id, secs[id])
+		payload, ok := replace[id]
+		if !ok {
+			payload = secs[id]
 		}
+		w.add(id, payload)
 	}
 	h := append(w.buf[:0], bundleMagic...)
 	h = binary.LittleEndian.AppendUint32(h, uint32(version))
@@ -79,6 +78,13 @@ func withSection7(t testing.TB, payload []byte) []byte {
 		h = binary.LittleEndian.AppendUint64(h, e.length)
 	}
 	return w.buf
+}
+
+// withSection7 re-assembles the fixture's bundle.bin with payload as
+// its id 7 section, every other section unchanged.
+func withSection7(t testing.TB, payload []byte) []byte {
+	t.Helper()
+	return withSections(t, readFixtureBin(t), map[int][]byte{secRetiredQuant: payload})
 }
 
 // fixtureRows are expenses rows of the fixture's data set, plus one

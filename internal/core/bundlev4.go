@@ -56,8 +56,8 @@ import (
 // only in the id 7 section version-5 writers used to emit. Encode is
 // deterministic: equal Results produce byte-identical files, and
 // encode(decode(encode(x))) == encode(x). Re-encoding a version-4
-// file writes the current version, exactly as loading-then-saving a
-// legacy bundle upgrades it.
+// file writes the current version, which is how `leva bundle convert`
+// upgrades it.
 
 const (
 	bundleBinFile = "bundle.bin"

@@ -27,9 +27,8 @@ import (
 var ErrMapUnsupported = errors.New("durable: file mapping not supported on this platform")
 
 // LoadVerified returns the bytes of path, a payload file of a sealed
-// directory, checked against m's record for the file's base name. m
-// may be nil for an unsealed artifact: the bytes then come back
-// unchecked. With mmap set the file is memory-mapped where the
+// directory, checked against m, that directory's manifest, by the
+// file's base name. With mmap set the file is memory-mapped where the
 // platform allows; a map that is unsupported or fails falls back to a
 // plain read after telling warn (which may be nil) why. mapped reports
 // whether the caller owns a mapping it must pass to Unmap.
@@ -41,8 +40,8 @@ var ErrMapUnsupported = errors.New("durable: file mapping not supported on this 
 // cache.
 func LoadVerified(path string, m *Manifest, mmap bool, warn func(string)) (data []byte, mapped bool, readErr, checkErr error) {
 	data, mapped, readErr = readOrMapFile(path, mmap, warn)
-	if readErr != nil || m == nil {
-		return data, mapped, readErr, nil
+	if readErr != nil {
+		return nil, false, readErr, nil
 	}
 	if checkErr = m.verify(filepath.Base(path), data, mapped); checkErr != nil {
 		if mapped {

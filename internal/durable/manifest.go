@@ -16,10 +16,10 @@ import (
 // has a manifest has every payload file the manifest lists.
 const ManifestName = "MANIFEST.json"
 
-// ErrNoManifest reports a directory with no MANIFEST.json — either a
-// legacy artifact from before integrity records existed, or a directory
-// that was never a published artifact at all. Callers decide whether
-// that is fatal.
+// ErrNoManifest reports a directory with no MANIFEST.json: one that was
+// never a published artifact, or one written before integrity records
+// existed. Bundle and index loads refuse it; the stage cache treats it
+// as a miss.
 var ErrNoManifest = errors.New("durable: no " + ManifestName)
 
 // ManifestEntry records one payload file's identity.
@@ -84,17 +84,10 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// VerifyData checks already-read bytes against the manifest's record
-// for name — the single-read verification path: a reader that must
-// consume a payload file anyway hashes the bytes it already holds
-// instead of having VerifyDir read the file a second time. Mapped
-// files are checked by LoadVerified.
-func (m *Manifest) VerifyData(name string, data []byte) error {
-	return m.verify(name, data, false)
-}
-
-// verify is VerifyData for bytes that are a MapFile mapping when
-// mapped is set; only LoadVerified, which made the mapping, sets it.
+// verify checks data, the bytes of the payload file name, against the
+// manifest's record for it: size first, then SHA-256. data is a MapFile
+// mapping when mapped is set; only LoadVerified, which made the
+// mapping, sets it.
 func (m *Manifest) verify(name string, data []byte, mapped bool) error {
 	e := m.Entry(name)
 	if e == nil {
@@ -140,7 +133,8 @@ func sum256(data []byte, mapped bool) []byte {
 // recorded size and SHA-256 and returns the parsed manifest. Any
 // mismatch comes back as an error naming the offending file, so a torn
 // write or flipped bit is an actionable message, not garbage data
-// downstream. Returns ErrNoManifest (wrapped) for legacy directories.
+// downstream. Returns ErrNoManifest (wrapped) for a directory without
+// a manifest.
 func VerifyDir(dir string) (*Manifest, error) {
 	m, err := ReadManifest(dir)
 	if err != nil {

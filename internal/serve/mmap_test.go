@@ -58,10 +58,10 @@ func mmapLoader(dir string) func() (*core.Result, error) {
 
 // mmapIndexDir saves an ANN index over the serve fixture's embedding
 // to a directory of its own.
-func mmapIndexDir(t *testing.T, metric ann.Metric) string {
+func mmapIndexDir(t *testing.T) string {
 	t.Helper()
 	built, _, _ := fixture(t)
-	ix, err := ann.Build(built.Embedding, ann.Options{Seed: 7, Metric: metric})
+	ix, err := ann.Build(built.Embedding, ann.Options{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestReloadUnmapsRetiredIndexes(t *testing.T) {
 	if !durable.MapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
-	dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+	dir, indexDir := mmapBundleDir(t), mmapIndexDir(t)
 	load, loadIndex := mmapLoader(dir), mmapIndexLoader(indexDir)
 	first, err := load()
 	if err != nil {
@@ -196,7 +196,7 @@ func TestReloadRejectedIndexUnmapped(t *testing.T) {
 	if !durable.MapSupported {
 		t.Skip("mmap unsupported on this platform")
 	}
-	dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+	dir, indexDir := mmapBundleDir(t), mmapIndexDir(t)
 	load, loadIndex := mmapLoader(dir), mmapIndexLoader(indexDir)
 	first, err := load()
 	if err != nil {
@@ -267,7 +267,7 @@ func TestReloadUnderMMapWhileQuerying(t *testing.T) {
 		t.Skip("mmap unsupported on this platform")
 	}
 	t.Run("mapping IndexLoader", func(t *testing.T) {
-		dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+		dir, indexDir := mmapBundleDir(t), mmapIndexDir(t)
 		loadIndex := func() (*ann.Index, error) {
 			ix, err := mmapIndexLoader(indexDir)()
 			if err != nil {
@@ -416,7 +416,7 @@ func TestReloadRejectsEitherFailedLoad(t *testing.T) {
 		{"both corrupt", true, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			dir, indexDir := mmapBundleDir(t), mmapIndexDir(t, ann.MetricCosine)
+			dir, indexDir := mmapBundleDir(t), mmapIndexDir(t)
 			load, loadIndex := mmapLoader(dir), mmapIndexLoader(indexDir)
 			first, err := load()
 			if err != nil {

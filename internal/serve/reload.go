@@ -226,9 +226,10 @@ func validateIndex(res *core.Result, ix *ann.Index) error {
 }
 
 // stageProvenance summarizes which pipeline stages the build behind res
-// actually recomputed, from the stage-cache provenance that version-3
-// bundles carry (cached / partial / rebuilt per stage). Bundles saved
-// before provenance existed report every stage as "unknown".
+// actually recomputed, from the stage-cache provenance bundles carry
+// (cached / partial / rebuilt per stage). A Result with no recorded
+// outcomes — a bundle.bin without a provenance section — reports every
+// stage as "unknown".
 func stageProvenance(res *core.Result) map[string]string {
 	c := res.Timings.Cache
 	if c.Textify == "" && c.Graph == "" && c.Embed == "" {

@@ -501,16 +501,16 @@ func TestPanicBecomesCounted500(t *testing.T) {
 }
 
 // TestStageProvenance covers the provenance summary: builds carry their
-// stage outcomes; bundles predating provenance report unknown.
+// stage outcomes; a Result without recorded outcomes reports unknown.
 func TestStageProvenance(t *testing.T) {
 	_, loaded, _ := fixture(t)
 	got := stageProvenance(loaded)
 	if got["textify"] == "" || got["textify"] == "unknown" {
 		t.Errorf("built result reports no provenance: %v", got)
 	}
-	legacy := &core.Result{}
-	if got := stageProvenance(legacy); got["textify"] != "unknown" ||
+	bare := &core.Result{}
+	if got := stageProvenance(bare); got["textify"] != "unknown" ||
 		got["graph"] != "unknown" || got["embed"] != "unknown" {
-		t.Errorf("legacy bundle provenance = %v, want unknown", got)
+		t.Errorf("provenance without recorded outcomes = %v, want unknown", got)
 	}
 }

@@ -76,9 +76,6 @@ type Config struct {
 	MaxRowsPerRequest int
 	// MaxBodyBytes bounds the request body. Default 8 MiB.
 	MaxBodyBytes int64
-	// Workers caps the goroutines featurizing one request's rows. 0
-	// means GOMAXPROCS.
-	Workers int
 	// Logger receives one structured record per request. Nil disables
 	// request logging.
 	Logger *slog.Logger

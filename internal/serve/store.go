@@ -28,7 +28,6 @@ import (
 type store struct {
 	res     *core.Result
 	metrics *metrics
-	workers int
 
 	// index is the optional ANN index behind /v1/neighbors. Like the
 	// embedding it is immutable after load, so searches need no
@@ -51,7 +50,7 @@ type store struct {
 }
 
 func newStore(res *core.Result, ix *ann.Index, cfg Config, m *metrics) *store {
-	s := &store{res: res, index: ix, metrics: m, workers: cfg.Workers}
+	s := &store{res: res, index: ix, metrics: m}
 	s.refs.Store(1) // the serving reference
 	if ix != nil && cfg.CacheSize > 0 {
 		s.annCache = newLRU(cfg.CacheSize)
@@ -116,10 +115,10 @@ type rowJob struct {
 	out      []float64
 }
 
-// compute featurizes jobs inline, fanning out across s.workers
+// compute featurizes jobs inline, fanning out across GOMAXPROCS
 // goroutines; each job writes only its own out slot.
 func (s *store) compute(ctx context.Context, jobs []*rowJob) error {
-	err := parallel.ForError(len(jobs), s.workers, func(_ int, pr parallel.Range) error {
+	err := parallel.ForError(len(jobs), 0, func(_ int, pr parallel.Range) error {
 		for i := pr.Lo; i < pr.Hi; i++ {
 			if err := ctx.Err(); err != nil {
 				return err

@@ -143,8 +143,8 @@ func PrepareRegression(task Task, cfg Config) (*SupervisedData, error) {
 }
 
 // BundleFormatVersion is the on-disk format written by
-// Result.SaveBundle. LoadBundle reads every version up to the current
-// one and rejects newer or unrecognized versions with a clear error.
+// Result.SaveBundle. LoadBundle reads the binary versions 4 and 5 and
+// refuses every other version with an error that says to rebuild.
 const BundleFormatVersion = core.BundleFormatVersion
 
 // LoadBundle restores a deployment saved with Result.SaveBundle: the
@@ -152,22 +152,15 @@ const BundleFormatVersion = core.BundleFormatVersion
 // featurize new rows without retraining. The returned Result exposes
 // both the batch path (Featurize) and the single-row serving path
 // (FeaturizeRow, used by internal/serve and the levad daemon — see
-// docs/SERVING.md).
+// docs/SERVING.md). The bundle must be sealed: bundle.bin is verified
+// against MANIFEST.json first, and a directory without a manifest is
+// refused. Corruption — checksum mismatches, truncated or missing
+// files — is always an error naming the offending file.
 func LoadBundle(dir string) (*Result, error) { return core.LoadBundle(dir) }
 
-// LoadBundleWarn is LoadBundle with a hook for non-fatal conditions:
-// warn is called (when non-nil) with a human-readable message for
-// recoverable states such as a legacy-format bundle, one predating
-// integrity manifests, or a crash-interrupted save that was rolled back
-// to its previous complete version. Corruption — checksum mismatches,
-// truncated or missing files — is always a hard error naming the
-// offending file.
-func LoadBundleWarn(dir string, warn func(msg string)) (*Result, error) {
-	return core.LoadBundleWarn(dir, warn)
-}
-
-// LoadOptions tunes LoadBundleOpts: a warning hook and an optional
-// mmap fast path for binary bundles.
+// LoadOptions tunes LoadBundleOpts: a hook for non-fatal conditions (a
+// crash-interrupted save rolled back to its previous complete version,
+// an mmap fallback) and an optional mmap fast path.
 type LoadOptions = core.LoadOptions
 
 // LoadBundleOpts is LoadBundle with explicit options. With MMap set

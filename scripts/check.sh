@@ -445,27 +445,25 @@ done
 echo "wire-surface smoke test passed"
 
 # --- bundle migration smoke test --------------------------------------
-# A legacy JSON bundle (formatVersion 3; the committed fixture, since
-# nothing writes that layout any more) and its `leva bundle convert`
-# upgrade to the binary format (formatVersion 5) must be
-# interchangeable on the wire: serve both, the upgrade with -mmap
-# (the zero-copy fast path), and require byte-identical /v1/featurize
-# and /v1/embedding responses. The legacy load must warn but still
-# serve. The float ann bundle is served with its index under -mmap too,
-# as the baseline the quantization test below compares against.
-LEGACY_FIXTURE=internal/core/testdata/legacy-v3-dim6
+# A committed version-5 bundle (an earlier build's output) and its
+# `leva bundle convert` rewrite must be interchangeable on the wire:
+# serve both, the rewrite with -mmap (the zero-copy fast path), and
+# require byte-identical /v1/featurize and /v1/embedding responses.
+# The float ann bundle is served with its index under -mmap too, as the
+# baseline the quantization test below compares against.
+FIXTURE=internal/core/testdata/v5-dim6
 "$SMOKE/bin/leva" bundle info "$SMOKE/bundle_ann" > "$SMOKE/info_v4.log"
 grep -q 'version 5' "$SMOKE/info_v4.log"
 grep -q 'bundle.bin' "$SMOKE/info_v4.log"
 
-"$SMOKE/bin/leva" bundle info "$LEGACY_FIXTURE" > "$SMOKE/info_v3.log"
-grep -q 'version 3' "$SMOKE/info_v3.log"
-grep -q 'legacy JSON' "$SMOKE/info_v3.log"
-"$SMOKE/bin/leva" bundle convert -in "$LEGACY_FIXTURE" \
-    -out "$SMOKE/bundle_upgraded" > "$SMOKE/convert.log"
-"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_upgraded" > "$SMOKE/info_upgraded.log"
-grep -q 'version 5' "$SMOKE/info_upgraded.log"
-grep -q 'bundle.bin' "$SMOKE/info_upgraded.log"
+"$SMOKE/bin/leva" bundle info "$FIXTURE" > "$SMOKE/info_fixture.log"
+grep -q 'version 5' "$SMOKE/info_fixture.log"
+grep -q 'verified against MANIFEST.json' "$SMOKE/info_fixture.log"
+"$SMOKE/bin/leva" bundle convert -in "$FIXTURE" \
+    -out "$SMOKE/bundle_converted" > "$SMOKE/convert.log"
+"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_converted" > "$SMOKE/info_converted.log"
+grep -q 'version 5' "$SMOKE/info_converted.log"
+grep -q 'bundle.bin' "$SMOKE/info_converted.log"
 
 FEAT_BODY='{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}'
 
@@ -510,17 +508,61 @@ serve_capture "$SMOKE/levad_v4.log" v4 -bundle "$SMOKE/bundle_ann" -index "$SMOK
 grep -q '"bundleFormat":5' "$SMOKE/v4_healthz.json"
 grep -q '"annVectors":[1-9]' "$SMOKE/v4_healthz.json"
 
-serve_capture "$SMOKE/levad_v3.log" v3 -bundle "$LEGACY_FIXTURE"
-grep -q 'legacy JSON bundle' "$SMOKE/levad_v3.log"
-grep -q '"bundleFormat":3' "$SMOKE/v3_healthz.json"
+serve_capture "$SMOKE/levad_fixture.log" fixture -bundle "$FIXTURE" -mmap=false
+grep -q '"bundleFormat":5' "$SMOKE/fixture_healthz.json"
 
-serve_capture "$SMOKE/levad_upgraded.log" upgraded -bundle "$SMOKE/bundle_upgraded" -mmap
-grep -q '"bundleFormat":5' "$SMOKE/upgraded_healthz.json"
+serve_capture "$SMOKE/levad_converted.log" converted -bundle "$SMOKE/bundle_converted" -mmap
+grep -q '"bundleFormat":5' "$SMOKE/converted_healthz.json"
 
-cmp "$SMOKE/v3_features.json" "$SMOKE/upgraded_features.json"
-cmp "$SMOKE/v3_embedding.json" "$SMOKE/upgraded_embedding.json"
+cmp "$SMOKE/fixture_features.json" "$SMOKE/converted_features.json"
+cmp "$SMOKE/fixture_embedding.json" "$SMOKE/converted_embedding.json"
 
 echo "bundle migration smoke test passed"
+
+# --- unsealed bundle refusal test ---------------------------------------
+# Only a sealed binary bundle is served. The JSON/TSV layout of format
+# versions 0-3, with its version-3 manifest or without one, and a copy
+# of a good bundle without MANIFEST.json must each stop levad at startup
+# (and `leva bundle info`) with an error naming MANIFEST.json and saying
+# to rebuild with `leva embed -bundle`.
+JSON_BUNDLE="$SMOKE/bundle_json"
+mkdir "$JSON_BUNDLE"
+printf '{"formatVersion": 3, "dim": 8}\n' > "$JSON_BUNDLE/config.json"
+printf '{}\n' > "$JSON_BUNDLE/textify.json"
+cp "$SMOKE/embedding.tsv" "$JSON_BUNDLE/embedding.tsv"
+cp -r "$JSON_BUNDLE" "$SMOKE/bundle_json_sealed"
+{
+    printf '{\n  "formatVersion": 3,\n  "files": [\n'
+    sep=''
+    for f in config.json textify.json embedding.tsv; do
+        printf '%s    {"name": "%s", "size": %s, "sha256": "%s"}' "$sep" "$f" \
+            "$(wc -c < "$JSON_BUNDLE/$f" | tr -d ' ')" \
+            "$(sha256sum "$JSON_BUNDLE/$f" | cut -d' ' -f1)"
+        sep=',
+'
+    done
+    printf '\n  ]\n}\n'
+} > "$SMOKE/bundle_json_sealed/MANIFEST.json"
+cp -r "$SMOKE/bundle_converted" "$SMOKE/bundle_unsealed"
+rm "$SMOKE/bundle_unsealed/MANIFEST.json"
+
+for dir in "$JSON_BUNDLE" "$SMOKE/bundle_json_sealed" "$SMOKE/bundle_unsealed"; do
+    if "$SMOKE/bin/levad" -bundle "$dir" -addr 127.0.0.1:0 2>"$dir.levad.log"; then
+        echo "levad served $dir" >&2
+        exit 1
+    fi
+    grep -q 'MANIFEST.json' "$dir.levad.log"
+    grep -q 'leva embed -bundle' "$dir.levad.log"
+    if "$SMOKE/bin/leva" bundle info "$dir" 2>"$dir.info.log"; then
+        echo "leva bundle info accepted $dir" >&2
+        exit 1
+    fi
+    grep -q 'MANIFEST.json' "$dir.info.log"
+done
+# The sealed JSON layout is refused by its manifest's version.
+grep -q 'records format version 3' "$SMOKE/bundle_json_sealed.levad.log"
+
+echo "unsealed bundle refusal test passed"
 
 # --- int8 quantization smoke test -------------------------------------
 # Quantization is a serving-time transform: `leva embed` publishes the
