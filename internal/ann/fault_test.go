@@ -1,7 +1,9 @@
 package ann
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -11,7 +13,7 @@ import (
 
 func faultManifestKey(t *testing.T, dir string) string {
 	t.Helper()
-	m, err := durable.VerifyDir(dir)
+	m, _, err := durable.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("index at %s fails verification: %v", dir, err)
 	}
@@ -93,5 +95,40 @@ func TestSaveIndexCrashPointSweep(t *testing.T) {
 
 	if crashPoints < 10 {
 		t.Errorf("sweep covered only %d crash points; the op counts look implausibly low: %v", crashPoints, counts)
+	}
+}
+
+// TestLoadRestoresInterruptedSave: a save that crashes between the
+// swap's two renames leaves no index at dir and the old one at
+// dir.old. LoadOpts restores the old index, loads it, and reports the
+// restore through Warn.
+func TestLoadRestoresInterruptedSave(t *testing.T) {
+	oldIx := testIndex(t, 30, 4, 23)
+	newIx := testIndex(t, 30, 4, 24)
+	dir := filepath.Join(t.TempDir(), "index")
+	if err := oldIx.Save(dir); err != nil {
+		t.Fatal(err)
+	}
+	// Renames 1 and 2 publish index.bin and the manifest into the
+	// stage, 3 moves the old index aside; 4 would swap the new one in.
+	ffs := durable.NewFaultFS(durable.OS())
+	ffs.CrashAt(durable.OpRename, 4)
+	if err := newIx.save(ffs, dir); err == nil {
+		t.Fatal("crashed save reported success")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("index dir present after a crash between the renames (stat err %v)", err)
+	}
+
+	var warned []string
+	got, err := LoadOpts(dir, LoadOptions{Warn: func(msg string) { warned = append(warned, msg) }})
+	if err != nil {
+		t.Fatalf("interrupted save not restored: %v", err)
+	}
+	if len(warned) != 1 || !strings.Contains(warned[0], "restored") || !strings.Contains(warned[0], dir+durable.OldSuffix) {
+		t.Errorf("warnings %q, want one naming the restore from %s%s", warned, dir, durable.OldSuffix)
+	}
+	if !bytes.Equal(got.Encode(), oldIx.Encode()) {
+		t.Error("restored index is not the old one")
 	}
 }

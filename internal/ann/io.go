@@ -304,27 +304,7 @@ func (ix *Index) Save(dir string) error {
 // save is Save over an injectable filesystem — the seam the
 // fault-injection suite uses to prove crash safety.
 func (ix *Index) save(fsys durable.FS, dir string) error {
-	dir = filepath.Clean(dir)
-	data := ix.Encode()
-	if _, err := durable.RecoverDir(fsys, dir); err != nil {
-		return fmt.Errorf("ann: save index: %w", err)
-	}
-	staging := dir + durable.StagingSuffix
-	if err := fsys.RemoveAll(staging); err != nil {
-		return fmt.Errorf("ann: save index: clear staging: %w", err)
-	}
-	if err := fsys.MkdirAll(staging, 0o755); err != nil {
-		return fmt.Errorf("ann: save index: %w", err)
-	}
-	manifest := &durable.Manifest{FormatVersion: FormatVersion}
-	if err := durable.WriteFile(fsys, filepath.Join(staging, IndexFileName), data); err != nil {
-		return fmt.Errorf("ann: save index: %w", err)
-	}
-	manifest.Add(IndexFileName, data)
-	if err := durable.WriteManifest(fsys, staging, manifest); err != nil {
-		return fmt.Errorf("ann: save index: %w", err)
-	}
-	if err := durable.SwapDir(fsys, staging, dir); err != nil {
+	if err := durable.PublishDir(fsys, dir, FormatVersion, map[string][]byte{IndexFileName: ix.Encode()}); err != nil {
 		return fmt.Errorf("ann: save index: %w", err)
 	}
 	return nil
@@ -340,8 +320,8 @@ type LoadOptions struct {
 	// holder must call Index.Unmap once nothing can touch them.
 	MMap bool
 	// Warn receives human-readable warnings for conditions that do not
-	// prevent loading: an mmap fallback to a plain read. nil discards
-	// them.
+	// prevent loading: a crashed publish that was rolled back, or an
+	// mmap fallback to a plain read. nil discards them.
 	Warn func(msg string)
 }
 
@@ -362,8 +342,12 @@ func Load(dir string) (*Index, error) {
 // falls back to a plain read.
 func LoadOpts(dir string, opts LoadOptions) (*Index, error) {
 	dir = filepath.Clean(dir)
-	if _, err := durable.RecoverDir(durable.OS(), dir); err != nil {
+	recovered, err := durable.RecoverDir(durable.OS(), dir)
+	if err != nil {
 		return nil, fmt.Errorf("ann: load index: %w", err)
+	}
+	if recovered && opts.Warn != nil {
+		opts.Warn(fmt.Sprintf("ann: load index: %s was missing after an interrupted save; restored the previous complete index from %s%s", dir, dir, durable.OldSuffix))
 	}
 	manifest, err := durable.ReadManifest(dir)
 	if err != nil {
@@ -378,12 +362,9 @@ func LoadOpts(dir string, opts LoadOptions) (*Index, error) {
 			filepath.Join(dir, durable.ManifestName), IndexFileName)
 	}
 	path := filepath.Join(dir, IndexFileName)
-	data, mapped, err, checkErr := durable.LoadVerified(path, manifest, opts.MMap, opts.Warn)
+	data, mapped, err := durable.LoadVerified(path, manifest, opts.MMap, opts.Warn)
 	if err != nil {
 		return nil, fmt.Errorf("ann: load index: %w", err)
-	}
-	if checkErr != nil {
-		return nil, fmt.Errorf("ann: load index %s: %w", path, checkErr)
 	}
 	ix, err := Decode(data)
 	if err != nil {

@@ -74,7 +74,7 @@ func TestANNStageCorruptEntryIsAMiss(t *testing.T) {
 		t.Fatal("rebuild after corruption produced a different index")
 	}
 	// The rebuild re-published a clean entry.
-	if _, err := durable.VerifyDir(filepath.Join(dir, stageANN, stage.Fingerprint())); err != nil {
+	if _, _, err := durable.ReadDir(filepath.Join(dir, stageANN, stage.Fingerprint())); err != nil {
 		t.Fatalf("entry not re-published cleanly: %v", err)
 	}
 }

@@ -69,43 +69,15 @@ func (r *Result) SaveBundle(dir string) error {
 }
 
 // saveBundle is SaveBundle over an injectable filesystem — the seam the
-// fault-injection suite uses to prove crash safety. It runs the publish
-// protocol: recover any interrupted previous publish, stage bundle.bin
-// in a sibling directory, seal the stage with the manifest (written
-// last), and swap the stage in with one rename.
+// fault-injection suite uses to prove crash safety. The bundle is
+// encoded up front, so a serialization failure never touches the disk,
+// then published as a one-file sealed directory (durable.PublishDir).
 func (r *Result) saveBundle(fsys durable.FS, dir string) error {
-	// Encode up front: a serialization failure must not touch the disk.
 	data, err := encodeBundleV4(r)
 	if err != nil {
 		return err
 	}
-	dir = filepath.Clean(dir)
-
-	// If a previous publish crashed between its two renames, restore
-	// the old bundle first so "replace the existing bundle" below has a
-	// consistent starting point.
-	if _, err := durable.RecoverDir(fsys, dir); err != nil {
-		return fmt.Errorf("core: save bundle: %w", err)
-	}
-
-	staging := dir + durable.StagingSuffix
-	if err := fsys.RemoveAll(staging); err != nil {
-		return fmt.Errorf("core: save bundle: clear staging: %w", err)
-	}
-	if err := fsys.MkdirAll(staging, 0o755); err != nil {
-		return fmt.Errorf("core: save bundle: %w", err)
-	}
-	if err := durable.WriteFile(fsys, filepath.Join(staging, bundleBinFile), data); err != nil {
-		return fmt.Errorf("core: save bundle: %w", err)
-	}
-	manifest := &durable.Manifest{FormatVersion: BundleFormatVersion}
-	manifest.Add(bundleBinFile, data)
-	// The manifest seals the stage: it exists only once the payload is
-	// durably in place.
-	if err := durable.WriteManifest(fsys, staging, manifest); err != nil {
-		return fmt.Errorf("core: save bundle: %w", err)
-	}
-	if err := durable.SwapDir(fsys, staging, dir); err != nil {
+	if err := durable.PublishDir(fsys, dir, BundleFormatVersion, map[string][]byte{bundleBinFile: data}); err != nil {
 		return fmt.Errorf("core: save bundle: %w", err)
 	}
 	return nil
@@ -149,7 +121,11 @@ func LoadBundleOpts(dir string, opts LoadOptions) (*Result, error) {
 		warn = func(string) {}
 	}
 	dir = filepath.Clean(dir)
-	if recovered, err := durable.RecoverDir(durable.OS(), dir); err == nil && recovered {
+	recovered, err := durable.RecoverDir(durable.OS(), dir)
+	if err != nil {
+		return nil, fmt.Errorf("core: load bundle: %w", err)
+	}
+	if recovered {
 		warn(fmt.Sprintf("core: load bundle: %s was missing after an interrupted save; restored the previous complete bundle from %s%s", dir, dir, durable.OldSuffix))
 	}
 	data, mapped, err := readBundleBin(dir, opts.MMap, warn)
@@ -193,12 +169,5 @@ func readBundleBin(dir string, mmap bool, warn func(string)) (data []byte, mappe
 	if manifest.Entry(bundleBinFile) == nil {
 		return nil, false, fmt.Errorf("%w: %s does not list %s; %s", ErrCorrupt, manPath, bundleBinFile, rebuildHint)
 	}
-	data, mapped, err, checkErr := durable.LoadVerified(filepath.Join(dir, bundleBinFile), manifest, mmap, warn)
-	if err != nil {
-		return nil, false, err
-	}
-	if checkErr != nil {
-		return nil, false, fmt.Errorf("%s: %w", dir, checkErr)
-	}
-	return data, mapped, nil
+	return durable.LoadVerified(filepath.Join(dir, bundleBinFile), manifest, mmap, warn)
 }

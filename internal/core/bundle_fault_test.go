@@ -34,7 +34,7 @@ func faultFixture(t *testing.T) (oldRes, newRes *Result) {
 // string (name:sha pairs in manifest order).
 func manifestKey(t *testing.T, dir string) string {
 	t.Helper()
-	m, err := durable.VerifyDir(dir)
+	m, _, err := durable.ReadDir(dir)
 	if err != nil {
 		t.Fatalf("bundle at %s fails verification: %v", dir, err)
 	}
@@ -258,5 +258,39 @@ func TestStaleStagingDirIsIgnored(t *testing.T) {
 	}
 	if _, err := os.Stat(staging); !os.IsNotExist(err) {
 		t.Error("stale staging dir survived a clean save")
+	}
+}
+
+// TestLoadBundleRestoresInterruptedSave: a save that crashes between
+// the swap's two renames leaves no bundle at dir and the old one at
+// dir.old. LoadBundleOpts restores the old bundle, loads it, and
+// reports the restore through Warn.
+func TestLoadBundleRestoresInterruptedSave(t *testing.T) {
+	oldRes, newRes := faultFixture(t)
+	dir := filepath.Join(t.TempDir(), "bundle")
+	if err := oldRes.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	oldKey := manifestKey(t, dir)
+	// Renames 1 and 2 publish bundle.bin and the manifest into the
+	// stage, 3 moves the old bundle aside; 4 would swap the new one in.
+	ffs := durable.NewFaultFS(durable.OS())
+	ffs.CrashAt(durable.OpRename, 4)
+	if err := newRes.saveBundle(ffs, dir); err == nil {
+		t.Fatal("crashed save reported success")
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("bundle dir present after a crash between the renames (stat err %v)", err)
+	}
+
+	var warned []string
+	if _, err := LoadBundleOpts(dir, LoadOptions{Warn: func(msg string) { warned = append(warned, msg) }}); err != nil {
+		t.Fatalf("interrupted save not restored: %v", err)
+	}
+	if len(warned) != 1 || !strings.Contains(warned[0], "restored") || !strings.Contains(warned[0], dir+durable.OldSuffix) {
+		t.Errorf("warnings %q, want one naming the restore from %s%s", warned, dir, durable.OldSuffix)
+	}
+	if got := manifestKey(t, dir); got != oldKey {
+		t.Errorf("restored bundle is not the old one:\n got %s\nwant %s", got, oldKey)
 	}
 }

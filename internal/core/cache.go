@@ -2,9 +2,7 @@ package core
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
 
 	"repro/internal/durable"
 	"repro/internal/obs"
@@ -21,11 +19,13 @@ import (
 //
 // Entries are immutable once published: a fingerprint fully determines
 // its content, so there is never anything to update — only new entries
-// to add. Publication reuses internal/durable's crash-safe protocol
-// (stage a sibling directory, seal it with a manifest, swap with one
-// rename), so an interrupted write can never produce a readable-but-
-// wrong entry: Load verifies the manifest and treats anything torn,
-// truncated, or half-published as a plain miss.
+// to add. An entry is a sealed directory, the same protocol as the
+// bundle and the ANN index: Store publishes it with
+// durable.PublishDir, so an interrupted write can never produce a
+// readable-but-wrong entry, and Load reads it with durable.ReadDir,
+// returning the very bytes it verified. Anything torn, truncated,
+// half-published or sealed at another cacheFormatVersion is a plain
+// miss.
 type Cache struct {
 	root string
 	fs   durable.FS
@@ -74,64 +74,29 @@ func (c *Cache) entryDir(stage, fp string) string {
 	return filepath.Join(c.root, stage, fp)
 }
 
-// Load returns every payload file of the entry for (stage, fp), or
-// ok=false when the entry is absent, unsealed, or fails integrity
-// verification. A corrupt entry is indistinguishable from a miss by
-// design: the caller rebuilds and re-publishes over it.
+// Load returns every payload file of the entry for (stage, fp), as
+// durable.ReadDir read and verified them, or ok=false when the entry is
+// absent, unsealed, fails integrity verification or was sealed at a
+// formatVersion other than cacheFormatVersion. Any of those is a plain
+// miss by design: the caller rebuilds and re-publishes over it.
 func (c *Cache) Load(stage, fp string) (map[string][]byte, bool) {
-	dir := c.entryDir(stage, fp)
-	manifest, err := durable.VerifyDir(dir)
-	if err != nil {
+	manifest, files, err := durable.ReadDir(c.entryDir(stage, fp))
+	if err != nil || manifest.FormatVersion != cacheFormatVersion {
 		return nil, false
-	}
-	files := make(map[string][]byte, len(manifest.Files))
-	for _, e := range manifest.Files {
-		data, err := os.ReadFile(filepath.Join(dir, e.Name))
-		if err != nil {
-			return nil, false
-		}
-		files[e.Name] = data
 	}
 	return files, true
 }
 
-// Store publishes files as the sealed entry for (stage, fp),
-// crash-safely: all payload files are staged in a sibling directory,
-// the manifest is written last, and one rename makes the entry visible.
-// Failures leave at worst an unsealed staging directory, which Load
-// ignores and the next Store of the same fingerprint clears.
+// Store publishes files as the sealed entry for (stage, fp) through
+// durable.PublishDir: a failure leaves at worst an unsealed staging
+// directory, which Load ignores and the next Store of the same
+// fingerprint clears.
 //
 // Pipeline callers treat Store errors as non-fatal (a build must not
 // fail because its cache is on a full disk), so errors are returned for
 // reporting, not control flow.
 func (c *Cache) Store(stage, fp string, files map[string][]byte) error {
-	final := c.entryDir(stage, fp)
-	if err := c.fs.MkdirAll(filepath.Dir(final), 0o755); err != nil {
-		return fmt.Errorf("core: cache store %s/%s: %w", stage, fp, err)
-	}
-	staging := final + durable.StagingSuffix
-	if err := c.fs.RemoveAll(staging); err != nil {
-		return fmt.Errorf("core: cache store %s/%s: clear staging: %w", stage, fp, err)
-	}
-	if err := c.fs.MkdirAll(staging, 0o755); err != nil {
-		return fmt.Errorf("core: cache store %s/%s: %w", stage, fp, err)
-	}
-	names := make([]string, 0, len(files))
-	for name := range files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	manifest := &durable.Manifest{FormatVersion: cacheFormatVersion}
-	for _, name := range names {
-		if err := durable.WriteFile(c.fs, filepath.Join(staging, name), files[name]); err != nil {
-			return fmt.Errorf("core: cache store %s/%s: %w", stage, fp, err)
-		}
-		manifest.Add(name, files[name])
-	}
-	if err := durable.WriteManifest(c.fs, staging, manifest); err != nil {
-		return fmt.Errorf("core: cache store %s/%s: %w", stage, fp, err)
-	}
-	if err := durable.SwapDir(c.fs, staging, final); err != nil {
+	if err := durable.PublishDir(c.fs, c.entryDir(stage, fp), cacheFormatVersion, files); err != nil {
 		return fmt.Errorf("core: cache store %s/%s: %w", stage, fp, err)
 	}
 	return nil

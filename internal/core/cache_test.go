@@ -281,6 +281,55 @@ func TestCacheCrashMidWriteIsAtWorstAMiss(t *testing.T) {
 	}
 }
 
+// TestCacheEntryOfAnotherFormatVersionIsAMiss: an entry whose manifest
+// records a formatVersion other than cacheFormatVersion is never read,
+// even under a live fingerprint with every file intact. The build
+// rebuilds that stage alone, publishes a current entry over it, and the
+// build after that is fully warm.
+func TestCacheEntryOfAnotherFormatVersionIsAMiss(t *testing.T) {
+	spec := synth.Student(synth.StudentOptions{Students: 30, Seed: 8})
+	cfg := Config{Dim: 8, Seed: 8, Method: embed.MethodMF, Workers: 1, CacheDir: t.TempDir()}
+	cold, err := BuildEmbedding(spec.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := signatureOf(t, cold)
+
+	entries, err := filepath.Glob(filepath.Join(cfg.CacheDir, stageEmbed, "*"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("embed cache entries = %v (%v), want one", entries, err)
+	}
+	m, err := durable.ReadManifest(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.FormatVersion = cacheFormatVersion + 1
+	if err := durable.WriteManifest(durable.OS(), entries[0], m); err != nil {
+		t.Fatal(err)
+	}
+
+	next, err := BuildEmbedding(spec.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSameSignature(t, "rebuild over another version", want, signatureOf(t, next))
+	if nc := next.Timings.Cache; nc.Textify != StageCached || nc.Graph != StageCached || nc.Embed != StageRebuilt {
+		t.Errorf("cache stats with a version-%d embed entry = %+v, want only embed rebuilt", m.FormatVersion, nc)
+	}
+	if m, err := durable.ReadManifest(entries[0]); err != nil || m.FormatVersion != cacheFormatVersion {
+		t.Fatalf("rebuilt entry not republished at version %d: %+v, %v", cacheFormatVersion, m, err)
+	}
+
+	final, err := BuildEmbedding(spec.DB, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fc := final.Timings.Cache; fc.Textify != StageCached || fc.Graph != StageCached || fc.Embed != StageCached {
+		t.Errorf("build after the republish is not fully warm: %+v", fc)
+	}
+	assertSameSignature(t, "warm after republish", want, signatureOf(t, final))
+}
+
 // TestFeaturizeTimingAccrues checks deployment time lands in
 // Timings.Featurize and Total.
 func TestFeaturizeTimingAccrues(t *testing.T) {

@@ -317,9 +317,10 @@ type embedMeta struct {
 
 // EmbedStage constructs the embedding over the graph with the method
 // the memory rule selects (paper Section 4.2). Its artifact is the
-// embedding TSV — the same encoding bundles use — which round-trips
-// float64 vectors exactly, so a cache-loaded embedding is bit-identical
-// to the one the build produced.
+// bundle's own symbols and arena section payloads (plus a small JSON
+// sidecar recording method and dimension), which hold the float64
+// vectors bit for bit, so a cache-loaded embedding is bit-identical to
+// the one the build produced.
 type EmbedStage struct {
 	Graph *graph.Graph
 	// InputFP is the upstream GraphStage fingerprint.

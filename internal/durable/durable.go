@@ -1,10 +1,21 @@
 // Package durable provides crash-safe filesystem primitives for
-// publishing artifacts that other processes depend on: atomic
-// single-file writes (temp file + fsync + rename), atomic directory
-// publication (stage a sibling directory, swap it in with one rename),
-// and a MANIFEST.json integrity record (per-file SHA-256 and sizes) so
-// torn writes and bit rot surface as named errors instead of silently
-// corrupt data.
+// publishing artifacts that other processes depend on. Every artifact
+// — a stage-cache entry, a bundle, an ANN index — is a sealed
+// directory: payload files plus a MANIFEST.json integrity record
+// (format version, per-file size and SHA-256) written last. One
+// protocol writes and reads them all:
+//
+//   - PublishDir stages the payload files and the manifest in a sibling
+//     directory and swaps it in with one rename, so readers see the old
+//     complete directory or the new one, never a hybrid. WriteFile is
+//     the atomic single-file write (temp file + fsync + rename) it is
+//     built from.
+//   - ReadDir returns a sealed directory's manifest and every file it
+//     lists, each read once and checked; LoadVerified is the same
+//     check for one file, read or memory-mapped. Torn writes and bit
+//     rot surface as errors naming the file, not as corrupt data.
+//   - RecoverDir repairs the one state a crash mid-publish can leave
+//     visible.
 //
 // All mutating operations go through the FS interface so tests can
 // inject faults (error at the Nth write, short writes, torn renames,
@@ -20,6 +31,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // ErrMapUnsupported reports that MapFile is not implemented for this
@@ -33,23 +45,52 @@ var ErrMapUnsupported = errors.New("durable: file mapping not supported on this 
 // plain read after telling warn (which may be nil) why. mapped reports
 // whether the caller owns a mapping it must pass to Unmap.
 //
-// readErr reports a file that could not be opened or read, checkErr
-// bytes that do not match m; on either, nothing is mapped. A mapped
-// check hashes every byte but leaves none of the file resident (see
-// sum256): pages the caller later touches fault back in from the page
-// cache.
-func LoadVerified(path string, m *Manifest, mmap bool, warn func(string)) (data []byte, mapped bool, readErr, checkErr error) {
-	data, mapped, readErr = readOrMapFile(path, mmap, warn)
-	if readErr != nil {
-		return nil, false, readErr, nil
+// A file m does not list, a listed file that is missing or unreadable,
+// and bytes that do not match m's record are each an error naming
+// path; on any error nothing is mapped. A mapped check hashes every
+// byte but leaves none of the file resident (see sum256): pages the
+// caller later touches fault back in from the page cache.
+func LoadVerified(path string, m *Manifest, mmap bool, warn func(string)) (data []byte, mapped bool, err error) {
+	e := m.Entry(filepath.Base(path))
+	if e == nil {
+		return nil, false, fmt.Errorf("durable: %s is not listed in %s", path, ManifestName)
 	}
-	if checkErr = m.verify(filepath.Base(path), data, mapped); checkErr != nil {
+	data, mapped, err = readOrMapFile(path, mmap, warn)
+	if os.IsNotExist(err) {
+		return nil, false, fmt.Errorf("durable: %s is listed in %s but missing", path, ManifestName)
+	}
+	if err != nil {
+		return nil, false, err
+	}
+	if err = e.check(path, data, mapped); err != nil {
 		if mapped {
 			_ = Unmap(data) // the check already failed; that is the error to report
 		}
-		return nil, false, nil, checkErr
+		return nil, false, err
 	}
-	return data, mapped, nil, nil
+	return data, mapped, nil
+}
+
+// ReadDir reads dir, a sealed directory: it returns dir's manifest and
+// the bytes of every payload file the manifest lists, by name, each
+// read once and checked as LoadVerified checks it. A directory without
+// a manifest is ErrNoManifest (wrapped); any other failure is an error
+// naming the file. ReadDir does not check the manifest's format
+// version: that is the caller's decision.
+func ReadDir(dir string) (*Manifest, map[string][]byte, error) {
+	m, err := ReadManifest(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	files := make(map[string][]byte, len(m.Files))
+	for _, e := range m.Files {
+		data, _, err := LoadVerified(filepath.Join(dir, e.Name), m, false, nil)
+		if err != nil {
+			return nil, nil, err
+		}
+		files[e.Name] = data
+	}
+	return m, files, nil
 }
 
 // readOrMapFile returns path's bytes, memory-mapped by MapFile when
@@ -190,25 +231,61 @@ const (
 	OldSuffix     = ".old"
 )
 
-// SwapDir publishes the fully written staging directory at final,
+// PublishDir publishes files (name → bytes) as the sealed directory
+// dir, crash-safely, with a manifest recording version. It first
+// restores a publish interrupted between its two renames (RecoverDir),
+// then writes every file into the cleared sibling dir+StagingSuffix in
+// name order, each atomically, seals the stage with MANIFEST.json
+// (written last, entries in the same order) and swaps it in for dir
+// with one rename. Readers of dir see the old complete directory until
+// the instant the new one replaces it. A failure leaves at worst an
+// unsealed staging directory, which readers never look at and the next
+// publish clears.
+func PublishDir(fsys FS, dir string, version int, files map[string][]byte) error {
+	dir = filepath.Clean(dir)
+	if _, err := RecoverDir(fsys, dir); err != nil {
+		return err
+	}
+	staging := dir + StagingSuffix
+	if err := fsys.RemoveAll(staging); err != nil {
+		return fmt.Errorf("durable: clear %s: %w", staging, err)
+	}
+	if err := fsys.MkdirAll(staging, 0o755); err != nil {
+		return err
+	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	m := &Manifest{FormatVersion: version}
+	for _, name := range names {
+		if err := WriteFile(fsys, filepath.Join(staging, name), files[name]); err != nil {
+			return err
+		}
+		m.Add(name, files[name])
+	}
+	if err := WriteManifest(fsys, staging, m); err != nil {
+		return err
+	}
+	return swapDir(fsys, staging, dir)
+}
+
+// swapDir publishes the fully written staging directory at final,
 // crash-safely. If final already exists it is first moved aside to
 // final+OldSuffix, then staging is renamed to final, the parent
 // directory is fsynced, and the old version is removed. At every crash
 // point either final holds a complete version (old or new), or final is
 // absent and final+OldSuffix holds the complete old version, which
 // RecoverDir restores.
-func SwapDir(fsys FS, staging, final string) error {
-	err := swapDir(fsys, staging, final)
-	if err != nil {
-		errorsTotal.Inc()
-	} else {
-		publishesTotal.With("dir").Inc()
-	}
-	return err
-}
-
-func swapDir(fsys FS, staging, final string) error {
-	final = filepath.Clean(final)
+func swapDir(fsys FS, staging, final string) (err error) {
+	defer func() {
+		if err != nil {
+			errorsTotal.Inc()
+		} else {
+			publishesTotal.With("dir").Inc()
+		}
+	}()
 	old := final + OldSuffix
 	// A leftover .old from an earlier crashed publish would make the
 	// move-aside fail; final exists, so the leftover is garbage.
@@ -235,12 +312,13 @@ func swapDir(fsys FS, staging, final string) error {
 	return nil
 }
 
-// RecoverDir repairs the one observable interruption of SwapDir: a
+// RecoverDir repairs the one observable interruption of a publish: a
 // crash between the move-aside and the publish rename leaves final
 // absent and final+OldSuffix holding the complete previous version. It
 // restores that version and reports whether it did. When final exists
 // it does nothing — leftover .staging/.old siblings are cleaned up by
-// the next publish, not by readers.
+// the next publish, not by readers. PublishDir runs it before every
+// publish; the bundle and index loads run it before every load.
 func RecoverDir(fsys FS, final string) (recovered bool, err error) {
 	final = filepath.Clean(final)
 	if _, err := fsys.Stat(final); err == nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
@@ -70,50 +71,38 @@ func TestShortWriteLeavesNoVisibleFile(t *testing.T) {
 	}
 }
 
-// stage writes a complete directory with a manifest, the way a publish
-// protocol would.
-func stage(t *testing.T, fsys FS, dir string, files map[string]string) {
+// readAll returns the payload files ReadDir reads from dir as strings,
+// failing the test when dir is not a complete sealed directory.
+func readAll(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
+	_, files, err := ReadDir(dir)
+	if err != nil {
+		t.Fatalf("%s fails verification: %v", dir, err)
 	}
-	m := &Manifest{FormatVersion: 1}
-	for name, content := range files {
-		if err := WriteFile(fsys, filepath.Join(dir, name), []byte(content)); err != nil {
-			t.Fatal(err)
-		}
-		m.Add(name, []byte(content))
+	out := make(map[string]string, len(files))
+	for name, data := range files {
+		out[name] = string(data)
 	}
-	if err := WriteManifest(fsys, dir, m); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 func TestSwapDirPublishesAndReplaces(t *testing.T) {
-	root := t.TempDir()
-	final := filepath.Join(root, "artifact")
-
-	staging := final + StagingSuffix
-	stage(t, OS(), staging, map[string]string{"a.txt": "old"})
-	if err := SwapDir(OS(), staging, final); err != nil {
+	final := filepath.Join(t.TempDir(), "artifact")
+	if err := PublishDir(OS(), final, 1, map[string][]byte{"a.txt": []byte("old")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := VerifyDir(final); err != nil {
-		t.Fatalf("published dir fails verification: %v", err)
-	}
-	if got, _ := os.ReadFile(filepath.Join(final, "a.txt")); string(got) != "old" {
+	if got := readAll(t, final); got["a.txt"] != "old" {
 		t.Fatalf("content %q", got)
 	}
 
 	// Republish over the existing version.
-	stage(t, OS(), staging, map[string]string{"a.txt": "new"})
-	if err := SwapDir(OS(), staging, final); err != nil {
+	if err := PublishDir(OS(), final, 1, map[string][]byte{"a.txt": []byte("new")}); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := os.ReadFile(filepath.Join(final, "a.txt")); string(got) != "new" {
+	if got := readAll(t, final); got["a.txt"] != "new" {
 		t.Fatalf("content after replace %q, want new", got)
 	}
-	for _, leftover := range []string{staging, final + OldSuffix} {
+	for _, leftover := range []string{final + StagingSuffix, final + OldSuffix} {
 		if _, err := os.Stat(leftover); !os.IsNotExist(err) {
 			t.Errorf("leftover %s after clean swap", leftover)
 		}
@@ -121,21 +110,17 @@ func TestSwapDirPublishesAndReplaces(t *testing.T) {
 }
 
 func TestSwapDirCrashBetweenRenamesIsRecoverable(t *testing.T) {
-	root := t.TempDir()
-	final := filepath.Join(root, "artifact")
-	staging := final + StagingSuffix
-
-	stage(t, OS(), staging, map[string]string{"a.txt": "old"})
-	if err := SwapDir(OS(), staging, final); err != nil {
+	final := filepath.Join(t.TempDir(), "artifact")
+	if err := PublishDir(OS(), final, 1, map[string][]byte{"a.txt": []byte("old")}); err != nil {
 		t.Fatal(err)
 	}
 
-	// Crash exactly between "move old aside" and "publish new": the
-	// second rename of the swap dies.
-	stage(t, OS(), staging, map[string]string{"a.txt": "new"})
+	// Crash exactly between "move old aside" and "publish new": renames
+	// 1 and 2 publish a.txt and the manifest into the stage, 3 moves the
+	// old version aside, and 4, the swap's second rename, dies.
 	ffs := NewFaultFS(OS())
-	ffs.CrashAt(OpRename, 2)
-	if err := SwapDir(ffs, staging, final); err == nil {
+	ffs.CrashAt(OpRename, 4)
+	if err := PublishDir(ffs, final, 1, map[string][]byte{"a.txt": []byte("new")}); err == nil {
 		t.Fatal("crashed swap reported success")
 	}
 	if _, err := os.Stat(final); !os.IsNotExist(err) {
@@ -146,10 +131,7 @@ func TestSwapDirCrashBetweenRenamesIsRecoverable(t *testing.T) {
 	if err != nil || !recovered {
 		t.Fatalf("RecoverDir = %v, %v; want recovery", recovered, err)
 	}
-	if _, err := VerifyDir(final); err != nil {
-		t.Fatalf("recovered dir fails verification: %v", err)
-	}
-	if got, _ := os.ReadFile(filepath.Join(final, "a.txt")); string(got) != "old" {
+	if got := readAll(t, final); got["a.txt"] != "old" {
 		t.Fatalf("recovered content %q, want the old version", got)
 	}
 
@@ -159,22 +141,38 @@ func TestSwapDirCrashBetweenRenamesIsRecoverable(t *testing.T) {
 	}
 }
 
+// TestVerifyDirNamesTheBadFile: ReadDir returns exactly the bytes that
+// were published, and refuses a listed file that is corrupt, truncated
+// or missing with an error naming it, a directory without a manifest
+// with ErrNoManifest, and an unparseable manifest as corrupt.
 func TestVerifyDirNamesTheBadFile(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "artifact")
-	stage(t, OS(), dir, map[string]string{"payload.bin": "payload-bytes"})
+	want := map[string][]byte{"payload.bin": []byte("payload-bytes"), "z.bin": []byte("zz")}
+	if err := PublishDir(OS(), dir, 3, want); err != nil {
+		t.Fatal(err)
+	}
 	path := filepath.Join(dir, "payload.bin")
 
 	t.Run("ok", func(t *testing.T) {
-		if _, err := VerifyDir(dir); err != nil {
+		m, files, err := ReadDir(dir)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if m.FormatVersion != 3 || len(m.Files) != len(want) || len(files) != len(want) {
+			t.Fatalf("manifest %+v, %d files; want version 3 and %d files", m, len(files), len(want))
+		}
+		for name, data := range want {
+			if !bytes.Equal(files[name], data) {
+				t.Errorf("%s: read %q, wrote %q", name, files[name], data)
+			}
 		}
 	})
 	t.Run("corrupt", func(t *testing.T) {
 		if err := os.WriteFile(path, []byte("payload-bytez"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := VerifyDir(dir)
-		if err == nil || !strings.Contains(err.Error(), path) {
+		_, _, err := ReadDir(dir)
+		if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "SHA-256") {
 			t.Fatalf("corruption error does not name %s: %v", path, err)
 		}
 	})
@@ -182,7 +180,7 @@ func TestVerifyDirNamesTheBadFile(t *testing.T) {
 		if err := os.WriteFile(path, []byte("pay"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := VerifyDir(dir)
+		_, _, err := ReadDir(dir)
 		if err == nil || !strings.Contains(err.Error(), "truncated") || !strings.Contains(err.Error(), path) {
 			t.Fatalf("truncation error does not name %s: %v", path, err)
 		}
@@ -191,20 +189,107 @@ func TestVerifyDirNamesTheBadFile(t *testing.T) {
 		if err := os.Remove(path); err != nil {
 			t.Fatal(err)
 		}
-		_, err := VerifyDir(dir)
-		if err == nil || !strings.Contains(err.Error(), "missing") {
-			t.Fatalf("missing-file error: %v", err)
+		_, _, err := ReadDir(dir)
+		if err == nil || !strings.Contains(err.Error(), "missing") || !strings.Contains(err.Error(), path) {
+			t.Fatalf("missing-file error does not name %s: %v", path, err)
 		}
 	})
 	t.Run("no-manifest", func(t *testing.T) {
 		if err := os.Remove(filepath.Join(dir, ManifestName)); err != nil {
 			t.Fatal(err)
 		}
-		_, err := VerifyDir(dir)
+		_, _, err := ReadDir(dir)
 		if !errors.Is(err, ErrNoManifest) {
 			t.Fatalf("err = %v, want ErrNoManifest", err)
 		}
 	})
+	t.Run("corrupt-manifest", func(t *testing.T) {
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), []byte(`{"files": [`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := ReadDir(dir)
+		if err == nil || errors.Is(err, ErrNoManifest) || !strings.Contains(err.Error(), "manifest corrupt") {
+			t.Fatalf("err = %v, want a corrupt-manifest error", err)
+		}
+	})
+}
+
+// TestPublishDirCrashPointSweep: for every filesystem operation a
+// publish of a two-file directory over an existing one performs, crash
+// at exactly that point (torn, for a write, as well as clean), or fail
+// it transiently, then "restart": RecoverDir and ReadDir must find the
+// complete old directory or the complete new one, manifest version
+// included, never a hybrid.
+func TestPublishDirCrashPointSweep(t *testing.T) {
+	oldFiles := map[string][]byte{"a.bin": []byte("old a"), "b.bin": []byte("old b")}
+	newFiles := map[string][]byte{"a.bin": []byte("new a, longer"), "b.bin": []byte("new b, longer")}
+	versionOf := func(files map[string][]byte) int {
+		if bytes.Equal(files["a.bin"], oldFiles["a.bin"]) {
+			return 1
+		}
+		return 2
+	}
+	same := func(got, want map[string][]byte) bool { return maps.EqualFunc(got, want, bytes.Equal) }
+	publish := func(fsys FS, dir string, files map[string][]byte) error {
+		return PublishDir(fsys, dir, versionOf(files), files)
+	}
+
+	counter := NewFaultFS(OS())
+	refDir := filepath.Join(t.TempDir(), "entry")
+	if err := publish(OS(), refDir, oldFiles); err != nil {
+		t.Fatal(err)
+	}
+	if err := publish(counter, refDir, newFiles); err != nil {
+		t.Fatal(err)
+	}
+	counts := counter.Counts()
+
+	points := 0
+	for _, mode := range []string{"crash", "crash-short", "transient"} {
+		for _, op := range Ops {
+			if mode == "crash-short" && op != OpWrite {
+				continue
+			}
+			for k := 1; k <= counts[op]; k++ {
+				name := fmt.Sprintf("%s/%s-%d", mode, op, k)
+				dir := filepath.Join(t.TempDir(), "entry")
+				if err := publish(OS(), dir, oldFiles); err != nil {
+					t.Fatal(err)
+				}
+				ffs := NewFaultFS(OS())
+				if mode == "transient" {
+					ffs.FailAt(op, k)
+				} else {
+					ffs.CrashAt(op, k)
+				}
+				if mode == "crash-short" {
+					ffs.ShortWrites()
+				}
+				if err := publish(ffs, dir, newFiles); err == nil {
+					t.Fatalf("%s: publish reported success", name)
+				}
+				if !ffs.Fired() {
+					t.Fatalf("%s: fault never fired; op count drifted from the reference publish", name)
+				}
+				if _, err := RecoverDir(OS(), dir); err != nil {
+					t.Fatalf("%s: RecoverDir: %v", name, err)
+				}
+				m, got, err := ReadDir(dir)
+				if err != nil {
+					t.Fatalf("%s: directory unreadable after the fault: %v", name, err)
+				}
+				if !(same(got, oldFiles) && m.FormatVersion == 1) && !(same(got, newFiles) && m.FormatVersion == 2) {
+					t.Fatalf("%s: left a hybrid: version %d, files %q", name, m.FormatVersion, got)
+				}
+				points++
+			}
+		}
+	}
+	// Per file: create, write, sync, close, rename and syncdir, three
+	// files (two payloads and the manifest) in all.
+	if points < 3*6 {
+		t.Errorf("sweep covered only %d fault points: %v", points, counts)
+	}
 }
 
 func TestFaultFSCrashModeFreezesTheDisk(t *testing.T) {

@@ -56,8 +56,8 @@ func (m *Manifest) Entry(name string) *ManifestEntry {
 	return nil
 }
 
-// WriteManifest atomically writes m as dir/MANIFEST.json. Publish
-// protocols call it after every payload file is durably in place.
+// WriteManifest atomically writes m as dir/MANIFEST.json. PublishDir
+// calls it after every payload file is durably in place.
 func WriteManifest(fsys FS, dir string, m *Manifest) error {
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -84,22 +84,18 @@ func ReadManifest(dir string) (*Manifest, error) {
 	return &m, nil
 }
 
-// verify checks data, the bytes of the payload file name, against the
-// manifest's record for it: size first, then SHA-256. data is a MapFile
-// mapping when mapped is set; only LoadVerified, which made the
+// check verifies data, the bytes of the payload file at path, against
+// e, the manifest's record for it: size first, then SHA-256. data is a
+// MapFile mapping when mapped is set; only LoadVerified, which made the
 // mapping, sets it.
-func (m *Manifest) verify(name string, data []byte, mapped bool) error {
-	e := m.Entry(name)
-	if e == nil {
-		return fmt.Errorf("durable: %s is not listed in %s", name, ManifestName)
-	}
+func (e *ManifestEntry) check(path string, data []byte, mapped bool) error {
 	if int64(len(data)) != e.Size {
 		return fmt.Errorf("durable: %s is %d bytes but %s records %d (truncated or torn write)",
-			name, len(data), ManifestName, e.Size)
+			path, len(data), ManifestName, e.Size)
 	}
 	if hex.EncodeToString(sum256(data, mapped)) != e.SHA256 {
 		return fmt.Errorf("durable: %s fails its SHA-256 check against %s (file or manifest corrupt)",
-			name, ManifestName)
+			path, ManifestName)
 	}
 	return nil
 }
@@ -127,37 +123,4 @@ func sum256(data []byte, mapped bool) []byte {
 		dropPages(chunk)
 	}
 	return h.Sum(nil)
-}
-
-// VerifyDir checks every file listed in dir's manifest against its
-// recorded size and SHA-256 and returns the parsed manifest. Any
-// mismatch comes back as an error naming the offending file, so a torn
-// write or flipped bit is an actionable message, not garbage data
-// downstream. Returns ErrNoManifest (wrapped) for a directory without
-// a manifest.
-func VerifyDir(dir string) (*Manifest, error) {
-	m, err := ReadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range m.Files {
-		path := filepath.Join(dir, e.Name)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			if os.IsNotExist(err) {
-				return nil, fmt.Errorf("durable: %s is listed in %s but missing", path, ManifestName)
-			}
-			return nil, fmt.Errorf("durable: read %s: %w", path, err)
-		}
-		if int64(len(data)) != e.Size {
-			return nil, fmt.Errorf("durable: %s is %d bytes but %s records %d (truncated or torn write)",
-				path, len(data), ManifestName, e.Size)
-		}
-		sum := sha256.Sum256(data)
-		if hex.EncodeToString(sum[:]) != e.SHA256 {
-			return nil, fmt.Errorf("durable: %s fails its SHA-256 check against %s (file or manifest corrupt)",
-				path, ManifestName)
-		}
-	}
-	return m, nil
 }

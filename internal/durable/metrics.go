@@ -9,7 +9,7 @@ import (
 // Latency of the two syscalls that decide publish durability and
 // tail latency: fsync (of the data file and of the parent directory)
 // and rename. Package-level because the durability protocol is —
-// every WriteFile/SwapDir/RecoverDir in the process reports here, and
+// every WriteFile/PublishDir/RecoverDir in the process reports here, and
 // RegisterMetrics may attach the instruments to any number of
 // registries. Timings are taken around the FS interface, so
 // fault-injecting test filesystems are measured the same way the real

@@ -27,7 +27,7 @@ func TestDurableMetricsAccrue(t *testing.T) {
 	if err := os.MkdirAll(staging, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := SwapDir(OS(), staging, filepath.Join(dir, "bundle")); err != nil {
+	if err := swapDir(OS(), staging, filepath.Join(dir, "bundle")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -40,11 +40,11 @@ func TestDurableMetricsAccrue(t *testing.T) {
 	if got := fsyncSeconds.With("file").Count() - fsyncFileBefore; got != 1 {
 		t.Errorf("file fsync observations delta = %d, want 1", got)
 	}
-	// WriteFile syncs the parent dir once, SwapDir once more.
+	// WriteFile syncs the parent dir once, swapDir once more.
 	if got := fsyncSeconds.With("dir").Count() - fsyncDirBefore; got != 2 {
 		t.Errorf("dir fsync observations delta = %d, want 2", got)
 	}
-	// WriteFile renames once; SwapDir renames staging→final (no
+	// WriteFile renames once; swapDir renames staging→final (no
 	// move-aside: final did not yet exist).
 	if got := renameSeconds.Count() - renamesBefore; got != 2 {
 		t.Errorf("rename observations delta = %d, want 2", got)

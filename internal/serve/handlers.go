@@ -219,7 +219,7 @@ func (s *Server) handleEmbedding(st *store, w http.ResponseWriter, r *http.Reque
 }
 
 // handleHealthz reports liveness plus degradation: status flips to
-// "degraded" while the reload breaker is off closed, and its state is
+// "degraded" while the reload breaker is not closed, and its state is
 // listed under "breakers" so a load balancer (or operator) can see a
 // replica stuck on a bad bundle. After a rejected reload,
 // "lastReloadError" says why until a reload succeeds.

@@ -24,8 +24,7 @@ type neighborsRequest struct {
 }
 
 // neighborItem is one returned neighbor: the entity's embedding token
-// and its similarity under the index metric (cosine or inner product —
-// higher is closer).
+// and its cosine similarity to the query (higher is closer).
 type neighborItem struct {
 	Token string  `json:"token"`
 	Score float64 `json:"score"`

@@ -259,6 +259,20 @@ grep -q '^# TYPE leva_build_stage_duration_seconds histogram$' "$SMOKE/cache_war
 grep -q '^leva_builds_total 1$' "$SMOKE/cache_warm_metrics.log"
 grep -q '^leva_build_cache_lookups_total{stage="embed",outcome="hit"} 1$' "$SMOKE/cache_warm_metrics.log"
 
+# A flipped byte in a cached entry is a miss for that stage alone: the
+# embed stage rebuilds (same output) and republishes its entry, and the
+# build after that is all hits again.
+ARENA=$(ls "$CACHE"/embed/*/arena.bin)
+flip_byte "$ARENA" $(( $(wc -c < "$ARENA") / 2 ))
+"$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 7 -workers 1 \
+    -cache "$CACHE" -out "$SMOKE/cache_flip.tsv" > "$SMOKE/cache_flip.log"
+grep -q 'cache: textify=cached tables=3/3 graph=cached embed=rebuilt' "$SMOKE/cache_flip.log"
+cmp "$SMOKE/cache_cold.tsv" "$SMOKE/cache_flip.tsv"
+"$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 7 -workers 1 \
+    -cache "$CACHE" -out "$SMOKE/cache_reheal.tsv" > "$SMOKE/cache_reheal.log"
+grep -q 'cache: textify=cached tables=3/3 graph=cached embed=cached' "$SMOKE/cache_reheal.log"
+cmp "$SMOKE/cache_cold.tsv" "$SMOKE/cache_reheal.tsv"
+
 # Mutate a single table: append a copy of the last data row.
 LAST_ROW=$(tail -n 1 "$SMOKE/csv/price_info.csv")
 printf '%s\n' "$LAST_ROW" >> "$SMOKE/csv/price_info.csv"
