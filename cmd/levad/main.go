@@ -12,7 +12,7 @@
 //	GET  /v1/embedding/{token}  one embedding vector
 //	GET  /v1/neighbors          top-k ANN neighbors by token (with -index)
 //	POST /v1/neighbors          top-k ANN neighbors by token or raw vector
-//	GET  /healthz              liveness + degradation (reload breaker state)
+//	GET  /healthz              liveness, generation, last reload error
 //	GET  /metrics              Prometheus text
 //	POST /admin/reload         hot-reload the bundle (and index) directory
 //
@@ -29,9 +29,10 @@
 // in-flight requests for up to -drain-timeout before exiting. SIGHUP
 // (or POST /admin/reload) re-reads the bundle directory and swaps it in
 // without dropping in-flight requests; a bundle that fails validation
-// is rejected and the current one keeps serving, and -breaker-failures
-// rejected reloads in a row refuse further reloads for
-// -breaker-open-for. Each load reads the
+// is rejected and the current one keeps serving. A candidate that has
+// not changed since it was rejected (same manifests, same listed
+// files: size, modification time and inode) is refused again without
+// being read; republish or touch it to retry. Each load reads the
 // bundle and the ANN index concurrently. Where the platform supports it
 // (linux), the daemon memory-maps both files by default, so loads and
 // reloads cost page-table setup plus an integrity hash instead of
@@ -88,8 +89,6 @@ func run(ctx context.Context, args []string) error {
 	maxInFlight := fs.Int("max-inflight", 64, "adaptive concurrency ceiling: admitted requests before queueing and shedding 429s")
 	queueLen := fs.Int("queue", 16, "requests allowed to wait for an admission slot (0 sheds immediately at the limit)")
 	queueTimeout := fs.Duration("queue-timeout", 100*time.Millisecond, "max wait in the admission queue before shedding 429")
-	breakerFailures := fs.Int("breaker-failures", 5, "consecutive rejected reloads that trip the reload circuit breaker")
-	breakerOpenFor := fs.Duration("breaker-open-for", 5*time.Second, "how long a tripped reload breaker refuses reloads before admitting a probe")
 	reqTimeout := fs.Duration("request-timeout", 10*time.Second, "per-request handler budget (503 on expiry)")
 	drainTimeout := fs.Duration("drain-timeout", 15*time.Second, "graceful-shutdown budget for in-flight requests")
 	cacheSize := fs.Int("cache", 4096, "LRU entries for token-keyed /v1/neighbors queries (0 disables)")
@@ -139,14 +138,13 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	cfg := serve.Config{
-		Addr:            *addr,
-		MaxInFlight:     *maxInFlight,
-		QueueLen:        *queueLen,
-		QueueTimeout:    *queueTimeout,
-		BreakerFailures: *breakerFailures,
-		BreakerOpenFor:  *breakerOpenFor,
-		RequestTimeout:  *reqTimeout,
-		CacheSize:       *cacheSize,
+		Addr:           *addr,
+		MaxInFlight:    *maxInFlight,
+		QueueLen:       *queueLen,
+		QueueTimeout:   *queueTimeout,
+		RequestTimeout: *reqTimeout,
+		CacheSize:      *cacheSize,
+		ReloadDirs:     []string{*bundle},
 	}
 	if *cacheSize <= 0 {
 		cfg.CacheSize = -1
@@ -166,6 +164,7 @@ func run(ctx context.Context, args []string) error {
 		// The index reloads from the same directory alongside the
 		// bundle, so one SIGHUP swaps both atomically (or neither).
 		cfg.IndexLoader = loadIndex
+		cfg.ReloadDirs = append(cfg.ReloadDirs, *indexDir)
 	}
 	srv := serve.New(res, cfg)
 	bound, err := srv.Listen()

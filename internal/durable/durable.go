@@ -248,10 +248,12 @@ func PublishDir(fsys FS, dir string, version int, files map[string][]byte) error
 	}
 	staging := dir + StagingSuffix
 	if err := fsys.RemoveAll(staging); err != nil {
+		errorsTotal.Inc()
 		return fmt.Errorf("durable: clear %s: %w", staging, err)
 	}
 	if err := fsys.MkdirAll(staging, 0o755); err != nil {
-		return err
+		errorsTotal.Inc()
+		return fmt.Errorf("durable: create %s: %w", staging, err)
 	}
 	names := make([]string, 0, len(files))
 	for name := range files {

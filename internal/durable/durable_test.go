@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestWriteFileAtomicVisibility(t *testing.T) {
@@ -138,6 +139,83 @@ func TestSwapDirCrashBetweenRenamesIsRecoverable(t *testing.T) {
 	// Recovery is idempotent and a no-op on a healthy dir.
 	if recovered, err := RecoverDir(OS(), final); err != nil || recovered {
 		t.Fatalf("second RecoverDir = %v, %v; want no-op", recovered, err)
+	}
+}
+
+// TestStampChangesWithContent: a directory nobody touches keeps its
+// Stamp, and each way of replacing what it holds — a listed file
+// flipped and renamed over, rewritten in place, touched, the manifest
+// rewritten, or a PublishDir republish of the very same bytes —
+// changes it. A directory without a manifest has no stamp.
+func TestStampChangesWithContent(t *testing.T) {
+	files := map[string][]byte{"a.bin": []byte("payload a"), "b.bin": []byte("payload b")}
+	cases := []struct {
+		name   string
+		change func(t *testing.T, dir string)
+	}{
+		{"untouched", func(*testing.T, string) {}},
+		{"flipped-and-renamed", func(t *testing.T, dir string) {
+			flipped := append([]byte(nil), files["a.bin"]...)
+			flipped[0] ^= 0xff
+			tmp := filepath.Join(dir, "a.bin.flipped")
+			if err := os.WriteFile(tmp, flipped, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Rename(tmp, filepath.Join(dir, "a.bin")); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"rewritten-in-place", func(t *testing.T, dir string) {
+			// Same inode, new size. A same-size rewrite shows only
+			// through the modification time (the touch case).
+			if err := os.WriteFile(filepath.Join(dir, "b.bin"), []byte("payload b, rewritten"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"touched", func(t *testing.T, dir string) {
+			later := time.Now().Add(time.Hour)
+			if err := os.Chtimes(filepath.Join(dir, "b.bin"), later, later); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"manifest-rewritten", func(t *testing.T, dir string) {
+			path := filepath.Join(dir, ManifestName)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"republished", func(t *testing.T, dir string) {
+			if err := PublishDir(OS(), dir, 1, files); err != nil {
+				t.Fatal(err)
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "artifact")
+			if err := PublishDir(OS(), dir, 1, files); err != nil {
+				t.Fatal(err)
+			}
+			before, err := Stamp(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.change(t, dir)
+			after, err := Stamp(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := c.name == "untouched"; after.Equal(before) != want || before.Equal(after) != want {
+				t.Errorf("stamp equal after %s = %v, want %v", c.name, after.Equal(before), want)
+			}
+		})
+	}
+	if _, err := Stamp(t.TempDir()); !errors.Is(err, ErrNoManifest) {
+		t.Errorf("Stamp of a dir without a manifest: %v, want ErrNoManifest", err)
 	}
 }
 

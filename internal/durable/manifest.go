@@ -69,19 +69,72 @@ func WriteManifest(fsys FS, dir string, m *Manifest) error {
 // ReadManifest parses dir/MANIFEST.json, returning ErrNoManifest when
 // the file does not exist.
 func ReadManifest(dir string) (*Manifest, error) {
+	m, _, err := readManifest(dir)
+	return m, err
+}
+
+// readManifest is ReadManifest that also returns the manifest's raw
+// bytes.
+func readManifest(dir string) (*Manifest, []byte, error) {
 	path := filepath.Join(dir, ManifestName)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return nil, fmt.Errorf("%w in %s", ErrNoManifest, dir)
+			return nil, nil, fmt.Errorf("%w in %s", ErrNoManifest, dir)
 		}
-		return nil, fmt.Errorf("durable: read %s: %w", path, err)
+		return nil, nil, fmt.Errorf("durable: read %s: %w", path, err)
 	}
 	var m Manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("durable: parse %s: %w (manifest corrupt; the artifact cannot be trusted)", path, err)
+		return nil, nil, fmt.Errorf("durable: parse %s: %w (manifest corrupt; the artifact cannot be trusted)", path, err)
 	}
-	return &m, nil
+	return &m, data, nil
+}
+
+// DirStamp identifies what a sealed directory holds without reading
+// its payload: the SHA-256 of its MANIFEST.json bytes plus the file
+// metadata of every file the manifest lists. See Stamp.
+type DirStamp struct {
+	manifest [sha256.Size]byte
+	files    []os.FileInfo
+}
+
+// Stamp returns dir's DirStamp: one manifest read and one stat per
+// listed file. A directory without a manifest is ErrNoManifest
+// (wrapped); a listed file that cannot be stat'ed is an error.
+func Stamp(dir string) (DirStamp, error) {
+	m, data, err := readManifest(dir)
+	if err != nil {
+		return DirStamp{}, err
+	}
+	s := DirStamp{manifest: sha256.Sum256(data)}
+	for _, e := range m.Files {
+		fi, err := os.Stat(filepath.Join(dir, e.Name))
+		if err != nil {
+			return DirStamp{}, fmt.Errorf("durable: stamp %s: %w", dir, err)
+		}
+		s.files = append(s.files, fi)
+	}
+	return s, nil
+}
+
+// Equal reports whether s and t stamp the same directory content: the
+// same manifest bytes, and every listed file the same file (same
+// inode, as os.SameFile sees it) with the same size and modification
+// time. A republish (PublishDir writes new files), a rename over a
+// listed file and a touch each change the stamp; an in-place rewrite
+// shows only through the size and modification time it changes.
+func (s DirStamp) Equal(t DirStamp) bool {
+	if s.manifest != t.manifest || len(s.files) != len(t.files) {
+		return false
+	}
+	for i, a := range s.files {
+		b := t.files[i]
+		if a.Size() != b.Size() || !a.ModTime().Equal(b.ModTime()) || !os.SameFile(a, b) {
+			return false
+		}
+	}
+	return true
 }
 
 // check verifies data, the bytes of the payload file at path, against

@@ -22,10 +22,10 @@ var (
 		"Latency of rename calls issued by the durability protocol.",
 		obs.FsyncBuckets)
 	publishesTotal = obs.NewCounterVec("leva_durable_publishes_total",
-		"Completed durable publishes, by kind (file = WriteFile, dir = SwapDir, recover = RecoverDir restoration).",
+		"Completed durable publishes, by kind (file = WriteFile, dir = PublishDir, recover = RecoverDir restoration).",
 		"kind")
 	errorsTotal = obs.NewCounter("leva_durable_errors_total",
-		"Durable operations (WriteFile/SwapDir/RecoverDir) that returned an error.")
+		"Durable operations (WriteFile/PublishDir/RecoverDir) that returned an error.")
 )
 
 // RegisterMetrics attaches the durability-layer metrics to r.

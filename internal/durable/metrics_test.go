@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -75,5 +76,45 @@ func TestDurableErrorCounter(t *testing.T) {
 	}
 	if got := errorsTotal.Value() - before; got != 1 {
 		t.Errorf("errors delta = %v, want 1", got)
+	}
+}
+
+// TestPublishDirCountsEachFailureOnce: whichever filesystem operation
+// of a publish over an existing directory fails, the failed PublishDir
+// moves leva_durable_errors_total by exactly one — clearing and
+// creating the staging directory included, and no failure counted by
+// WriteFile or the swap counted again.
+func TestPublishDirCountsEachFailureOnce(t *testing.T) {
+	files := map[string][]byte{"a.bin": []byte("a"), "b.bin": []byte("b")}
+	counter := NewFaultFS(OS())
+	refDir := filepath.Join(t.TempDir(), "entry")
+	for _, fsys := range []FS{OS(), counter} {
+		if err := PublishDir(fsys, refDir, 1, files); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counts := counter.Counts()
+	for _, op := range Ops {
+		for k := 1; k <= counts[op]; k++ {
+			name := fmt.Sprintf("%s-%d", op, k)
+			dir := filepath.Join(t.TempDir(), "entry")
+			if err := PublishDir(OS(), dir, 1, files); err != nil {
+				t.Fatal(err)
+			}
+			ffs := NewFaultFS(OS())
+			ffs.FailAt(op, k)
+			before := errorsTotal.Value()
+			if err := PublishDir(ffs, dir, 1, files); err == nil {
+				t.Fatalf("%s: publish reported success", name)
+			}
+			if got := errorsTotal.Value() - before; got != 1 {
+				t.Errorf("%s: errors delta = %v, want 1", name, got)
+			}
+		}
+	}
+	// The staging directory's clear and create are the first remove
+	// and the first mkdir of the publish.
+	if counts[OpRemove] < 1 || counts[OpMkdir] < 1 {
+		t.Errorf("publish made no remove or mkdir: %v", counts)
 	}
 }

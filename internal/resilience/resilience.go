@@ -1,9 +1,8 @@
-// Package resilience is the serving daemon's overload- and
-// fault-tolerance substrate: the pieces that keep levad answering, in
-// bounded time, when traffic exceeds capacity or a reload keeps
-// failing.
+// Package resilience is the serving daemon's overload substrate: the
+// pieces that keep levad answering, in bounded time, when traffic
+// exceeds capacity.
 //
-// It carries three independent, dependency-free mechanisms:
+// It carries two independent, dependency-free mechanisms:
 //
 //   - Deadline propagation (ParseDeadline): clients declare how long
 //     they will wait via the X-Leva-Deadline-Ms header; the serving
@@ -14,15 +13,9 @@
 //     while requests succeed and backs off multiplicatively when they
 //     time out, so sustained overload degrades into fast, explicit
 //     429s whose Retry-After is derived from observed service time.
-//   - Circuit breakers (Breaker): closed → open → half-open state
-//     machines. A dependency that keeps failing — in levad, hot reload
-//     of a bad bundle — is cut off for a cooling period instead of
-//     being retried into a storm; probes re-close the breaker once it
-//     recovers.
 //
-// Everything is deterministic under test: breakers take an injectable
-// clock, and the limiter's adjustments are pure functions of the
-// outcomes fed to it.
+// Everything is deterministic under test: the limiter's adjustments
+// are pure functions of the outcomes fed to it.
 // internal/serve wires these into the HTTP stack; see
 // docs/SERVING.md (API surface) and docs/OPERATIONS.md (the overload
 // & brownout runbook).

@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // featurizeRequest is the POST /v1/featurize body. Rows are JSON
@@ -62,10 +61,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // instead of parsing the message. The reasons are bad_request,
 // body_too_large, too_many_rows, canceled, unknown_token, bad_param,
 // no_index, capacity, queue_timeout, client_gone, bad_deadline,
-// breaker_open, reload_disabled, reload_rejected, not_found,
-// method_not_allowed and internal — plus timeout, which the
-// per-request timeout handler writes itself. The table in
-// docs/SERVING.md lists where each comes from.
+// reload_disabled, reload_rejected, not_found, method_not_allowed and
+// internal — plus timeout, which the per-request timeout handler
+// writes itself. The table in docs/SERVING.md lists where each comes
+// from.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, map[string]string{
 		"error":  fmt.Sprintf(format, args...),
@@ -218,11 +217,10 @@ func (s *Server) handleEmbedding(st *store, w http.ResponseWriter, r *http.Reque
 	writeJSON(w, http.StatusOK, embeddingResponse{Token: token, Dim: len(vec), Vector: vec})
 }
 
-// handleHealthz reports liveness plus degradation: status flips to
-// "degraded" while the reload breaker is not closed, and its state is
-// listed under "breakers" so a load balancer (or operator) can see a
-// replica stuck on a bad bundle. After a rejected reload,
-// "lastReloadError" says why until a reload succeeds.
+// handleHealthz reports liveness: status is always "ok" while the
+// server answers. After a rejected reload, "lastReloadError" says why
+// until a reload succeeds, so an operator can see a replica stuck on a
+// bad bundle.
 func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request) {
 	annVectors := 0
 	quantized := false
@@ -232,13 +230,8 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 		quantized = st.index.Quantized()
 		quantBytes = st.index.QuantBytes()
 	}
-	status := "ok"
-	reload := s.reloadBreaker.State()
-	if reload != resilience.StateClosed {
-		status = "degraded"
-	}
 	body := map[string]any{
-		"status":       status,
+		"status":       "ok",
 		"vectors":      st.res.Embedding.Len(),
 		"dim":          st.res.Embedding.Dim,
 		"annVectors":   annVectors,
@@ -246,7 +239,6 @@ func (s *Server) handleHealthz(st *store, w http.ResponseWriter, _ *http.Request
 		"quantBytes":   quantBytes,
 		"generation":   st.gen,
 		"bundleFormat": st.res.BundleFormat,
-		"breakers":     map[string]string{depReload: reload.String()},
 	}
 	if e, _ := s.metrics.lastReloadError.Load().(string); e != "" {
 		body["lastReloadError"] = e

@@ -18,7 +18,6 @@ import (
 const (
 	metricUptime          = "leva_uptime_seconds"
 	metricInFlight        = "leva_http_in_flight_requests"
-	metricShed            = "leva_http_shed_total"
 	metricPanics          = "leva_http_panics_total"
 	metricRequests        = "leva_http_requests_total"
 	metricRequestErrors   = "leva_http_request_errors_total"
@@ -36,15 +35,12 @@ const (
 	metricReloadDuration  = "leva_reload_last_duration_seconds"
 	metricReloadUnix      = "leva_reload_last_unix_seconds"
 
-	metricAbandoned          = "leva_resilience_abandoned_total"
-	metricBackoffs           = "leva_resilience_backoffs_total"
-	metricBreakerState       = "leva_resilience_breaker_state"
-	metricBreakerTransitions = "leva_resilience_breaker_transitions_total"
-	metricDepCalls           = "leva_resilience_dep_calls_total"
-	metricLimit              = "leva_resilience_limit"
-	metricQueueDepth         = "leva_resilience_queue_depth"
-	metricShedRetryAfter     = "leva_shed_retry_after_seconds"
-	metricShedByReason       = "leva_shed_total"
+	metricAbandoned      = "leva_resilience_abandoned_total"
+	metricBackoffs       = "leva_resilience_backoffs_total"
+	metricLimit          = "leva_resilience_limit"
+	metricQueueDepth     = "leva_resilience_queue_depth"
+	metricShedRetryAfter = "leva_shed_retry_after_seconds"
+	metricShedByReason   = "leva_shed_total"
 )
 
 // trackedStatuses are the response codes counted individually; anything
@@ -65,7 +61,6 @@ type metrics struct {
 	start time.Time
 
 	inFlight        *obs.Gauge
-	shed            *obs.Counter
 	panics          *obs.Counter
 	requests        *obs.CounterVec   // by endpoint
 	requestErrors   *obs.CounterVec   // by endpoint, status >= 400
@@ -78,13 +73,10 @@ type metrics struct {
 	quantEnabled    *obs.Gauge
 	quantArenaBytes *obs.Gauge
 
-	abandoned          *obs.CounterVec // by reason (deadline, disconnect)
-	backoffs           *obs.Counter
-	breakerState       *obs.GaugeVec   // by dep
-	breakerTransitions *obs.CounterVec // by dep, to
-	breakerCalls       *obs.CounterVec // by dep, outcome
-	shedByReason       *obs.CounterVec // by reason
-	shedRetryAfter     *obs.Gauge
+	abandoned      *obs.CounterVec // by reason (deadline, disconnect)
+	backoffs       *obs.Counter
+	shedByReason   *obs.CounterVec // by reason
+	shedRetryAfter *obs.Gauge
 
 	generation        *obs.Gauge
 	reloads           *obs.Counter
@@ -107,8 +99,6 @@ func newMetrics() *metrics {
 		start: time.Now(),
 		inFlight: r.Gauge(metricInFlight,
 			"HTTP requests currently being handled."),
-		shed: r.Counter(metricShed,
-			"Requests shed with 429 by the concurrency limiter."),
 		panics: r.Counter(metricPanics,
 			"Handler panics recovered into 500 responses."),
 		requests: r.CounterVec(metricRequests,
@@ -146,12 +136,6 @@ func newMetrics() *metrics {
 			"Requests abandoned mid-flight, by reason (deadline = X-Leva-Deadline-Ms expired, disconnect = client closed the connection).", "reason"),
 		backoffs: r.Counter(metricBackoffs,
 			"Multiplicative decreases of the adaptive concurrency limit (each marks observed congestion)."),
-		breakerState: r.GaugeVec(metricBreakerState,
-			"Circuit breaker state, by dependency (0 = closed, 1 = half-open, 2 = open).", "dep"),
-		breakerTransitions: r.CounterVec(metricBreakerTransitions,
-			"Circuit breaker state transitions, by dependency and new state.", "dep", "to"),
-		breakerCalls: r.CounterVec(metricDepCalls,
-			"Guarded dependency calls, by dependency and outcome (ok, error, canceled, open).", "dep", "outcome"),
 		shedByReason: r.CounterVec(metricShedByReason,
 			"Requests shed with 429, by reason (capacity, queue_timeout, client_gone).", "reason"),
 		shedRetryAfter: r.Gauge(metricShedRetryAfter,

@@ -55,11 +55,11 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_ann_query_seconds histogram
 # HELP leva_bundle_generation Serving bundle generation (1 at startup, +1 per successful reload).
 # TYPE leva_bundle_generation gauge
-# HELP leva_durable_errors_total Durable operations (WriteFile/SwapDir/RecoverDir) that returned an error.
+# HELP leva_durable_errors_total Durable operations (WriteFile/PublishDir/RecoverDir) that returned an error.
 # TYPE leva_durable_errors_total counter
 # HELP leva_durable_fsync_seconds Latency of fsync calls issued by the durability protocol, by target (file or dir).
 # TYPE leva_durable_fsync_seconds histogram
-# HELP leva_durable_publishes_total Completed durable publishes, by kind (file = WriteFile, dir = SwapDir, recover = RecoverDir restoration).
+# HELP leva_durable_publishes_total Completed durable publishes, by kind (file = WriteFile, dir = PublishDir, recover = RecoverDir restoration).
 # TYPE leva_durable_publishes_total counter
 # HELP leva_durable_rename_seconds Latency of rename calls issued by the durability protocol.
 # TYPE leva_durable_rename_seconds histogram
@@ -81,8 +81,6 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_http_requests_total counter
 # HELP leva_http_responses_total HTTP responses, by status code (untracked codes land under "other").
 # TYPE leva_http_responses_total counter
-# HELP leva_http_shed_total Requests shed with 429 by the concurrency limiter.
-# TYPE leva_http_shed_total counter
 # HELP leva_parallel_busy_workers Shard goroutines currently executing across all fan-outs.
 # TYPE leva_parallel_busy_workers gauge
 # HELP leva_parallel_fanouts_total Completed fan-outs (For/ForEach/ForError calls), including single-shard inline runs.
@@ -111,12 +109,6 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_resilience_abandoned_total counter
 # HELP leva_resilience_backoffs_total Multiplicative decreases of the adaptive concurrency limit (each marks observed congestion).
 # TYPE leva_resilience_backoffs_total counter
-# HELP leva_resilience_breaker_state Circuit breaker state, by dependency (0 = closed, 1 = half-open, 2 = open).
-# TYPE leva_resilience_breaker_state gauge
-# HELP leva_resilience_breaker_transitions_total Circuit breaker state transitions, by dependency and new state.
-# TYPE leva_resilience_breaker_transitions_total counter
-# HELP leva_resilience_dep_calls_total Guarded dependency calls, by dependency and outcome (ok, error, canceled, open).
-# TYPE leva_resilience_dep_calls_total counter
 # HELP leva_resilience_limit Current adaptive concurrency limit (AIMD: climbs on success, falls on congestion).
 # TYPE leva_resilience_limit gauge
 # HELP leva_resilience_queue_depth Requests waiting in the admission queue.

@@ -135,7 +135,6 @@ func (s *Server) limit(h http.Handler) http.Handler {
 				reason = "client_gone"
 			}
 			retry := s.limiter.RetryAfter()
-			s.metrics.shed.Inc()
 			s.metrics.shedByReason.With(reason).Inc()
 			s.metrics.shedRetryAfter.Set(retry.Seconds())
 			retryAfterHeader(w, retry)

@@ -139,7 +139,7 @@ func TestReloadRejectedCandidateUnmapped(t *testing.T) {
 	if err := wrong.SaveBundle(altDir); err != nil {
 		t.Fatal(err)
 	}
-	srv := New(loaded, Config{Loader: mmapLoader(altDir), BreakerFailures: 100})
+	srv := New(loaded, Config{Loader: mmapLoader(altDir)})
 	for i := 0; i < 3; i++ {
 		if err := srv.Reload(); err == nil || !strings.Contains(err.Error(), "dim") {
 			t.Fatalf("reload %d: err = %v, want a dim rejection", i, err)
@@ -206,7 +206,7 @@ func TestReloadRejectedIndexUnmapped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex, BreakerFailures: 100})
+	srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex})
 	defer srv.Shutdown(context.Background())
 
 	// The foreign index has the fixture's dimension but none of its
@@ -427,7 +427,7 @@ func TestReloadRejectsEitherFailedLoad(t *testing.T) {
 				t.Fatal(err)
 			}
 			// No caches, so a repeated request's body is its answer alone.
-			srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex, BreakerFailures: 100, CacheSize: -1})
+			srv := New(first, Config{Index: ix, Loader: load, IndexLoader: loadIndex, CacheSize: -1})
 			ts := httptest.NewServer(srv.Handler())
 			defer ts.Close()
 			defer srv.Shutdown(context.Background())

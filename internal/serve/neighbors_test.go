@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/ann"
 	"repro/internal/core"
-	"repro/internal/resilience"
 )
 
 // fixtureIndex builds one ANN index over the serve fixture's embedding
@@ -392,12 +391,10 @@ func TestReloadRejectsBadIndex(t *testing.T) {
 	t.Run("no index loader refuses reload", func(t *testing.T) {
 		// Reloading the bundle alone would serve ix against an embedding
 		// it was never checked against, so the reload is refused as a
-		// configuration state: the breaker, tripping after one failure
-		// here, stays closed.
+		// configuration state.
 		srv := New(loaded, Config{
-			Index:           ix,
-			Loader:          func() (*core.Result, error) { return loaded, nil },
-			BreakerFailures: 1,
+			Index:  ix,
+			Loader: func() (*core.Result, error) { return loaded, nil },
 		})
 		for i := 0; i < 3; i++ {
 			if err := srv.Reload(); !errors.Is(err, ErrReloadDisabled) {
@@ -406,9 +403,6 @@ func TestReloadRejectsBadIndex(t *testing.T) {
 		}
 		if st := srv.curStore(); st.gen != 1 || st.index != ix {
 			t.Errorf("refused reload advanced the store: gen %d, same index = %v", st.gen, st.index == ix)
-		}
-		if st := srv.reloadBreaker.State(); st != resilience.StateClosed {
-			t.Errorf("reload breaker %v after refused reloads, want closed", st)
 		}
 	})
 }

@@ -4,12 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/resilience"
+	"repro/internal/durable"
 )
 
 // ErrReloadDisabled reports a reload attempt on a Server configured
@@ -34,37 +35,24 @@ var errServerClosed = errors.New("serve: reload refused: server is shut down")
 // then-current store. Every outcome and its duration is recorded in
 // /metrics.
 //
-// Reload is itself a circuit-broken dependency: repeated candidate
-// failures trip the "reload" breaker and further attempts fail fast
-// (wrapping resilience.ErrOpen) until the cooling period admits a
-// probe — an operator republishing a bad bundle in a retry loop gets
-// one clear signal instead of a validation storm.
+// A candidate that has not changed since it was last rejected is
+// refused without loading it (see Config.ReloadDirs), so a reload loop
+// on a broken bundle costs a few stat calls per attempt instead of a
+// full read and hash.
 func (s *Server) Reload() error {
-	done, berr := s.reloadBreaker.Allow()
-	if berr != nil {
-		s.metrics.breakerCalls.With(depReload, "open").Inc()
-		return fmt.Errorf("serve: reload refused (%d consecutive failures, retry in %s): %w",
-			s.cfg.BreakerFailures, s.reloadBreaker.RetryAfter().Round(time.Second), berr)
-	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	start := time.Now()
 	err := s.reloadLocked()
 	s.metrics.recordReload(time.Since(start), err)
-	// Config states (reload disabled, server shut down) say nothing
-	// about bundle health; only real candidate failures count.
-	benign := errors.Is(err, ErrReloadDisabled) || errors.Is(err, errServerClosed)
-	done(err == nil || benign)
-	if err != nil {
-		if benign {
-			s.metrics.breakerCalls.With(depReload, "canceled").Inc()
-		} else {
-			s.metrics.breakerCalls.With(depReload, "error").Inc()
-		}
-		return err
-	}
-	s.metrics.breakerCalls.With(depReload, "ok").Inc()
-	return nil
+	return err
+}
+
+// rejectedCandidate is the memo of the last rejected reload: the stamps
+// of Config.ReloadDirs taken before it loaded, and why it was rejected.
+type rejectedCandidate struct {
+	stamps []durable.DirStamp
+	err    error
 }
 
 func (s *Server) reloadLocked() error {
@@ -78,6 +66,16 @@ func (s *Server) reloadLocked() error {
 		return fmt.Errorf("%w: the server has an ANN index but no index loader", ErrReloadDisabled)
 	}
 	cur := s.st.Load()
+	// A dir that cannot be stamped (no manifest, a listed file missing,
+	// a publish caught mid-recovery) clears the memo and loads as
+	// usual, so the loaders' recovery and named errors still run.
+	stamps, err := stampDirs(s.cfg.ReloadDirs)
+	if err != nil {
+		s.rejected = nil
+	} else if s.rejected != nil && slices.EqualFunc(stamps, s.rejected.stamps, durable.DirStamp.Equal) {
+		return fmt.Errorf("serve: reload rejected, still serving generation %d: candidate unchanged since its rejection: %w",
+			cur.gen, s.rejected.err)
+	}
 	res, ix, err := LoadGeneration(s.cfg.Loader, s.cfg.IndexLoader)
 	if err == nil {
 		if err = validateCandidate(cur.res, res); err != nil {
@@ -87,8 +85,12 @@ func (s *Server) reloadLocked() error {
 		}
 	}
 	if err != nil {
+		if len(stamps) > 0 {
+			s.rejected = &rejectedCandidate{stamps: stamps, err: err}
+		}
 		return fmt.Errorf("serve: reload rejected, still serving generation %d: %w", cur.gen, err)
 	}
+	s.rejected = nil
 	next := newStore(res, ix, s.cfg, s.metrics)
 	next.gen = cur.gen + 1
 	s.st.Store(next)
@@ -97,6 +99,19 @@ func (s *Server) reloadLocked() error {
 	// the last in-flight request using it finishes.
 	cur.release()
 	return nil
+}
+
+// stampDirs stamps each of dirs (see durable.Stamp).
+func stampDirs(dirs []string) ([]durable.DirStamp, error) {
+	stamps := make([]durable.DirStamp, len(dirs))
+	for i, dir := range dirs {
+		st, err := durable.Stamp(dir)
+		if err != nil {
+			return nil, err
+		}
+		stamps[i] = st
+	}
+	return stamps, nil
 }
 
 // LoadGeneration loads one serving generation: the bundle and, when
@@ -252,11 +267,6 @@ func stageProvenance(res *core.Result) map[string]string {
 func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	if err := s.Reload(); err != nil {
-		if errors.Is(err, resilience.ErrOpen) {
-			retryAfterHeader(w, s.reloadBreaker.RetryAfter())
-			writeErrorReason(w, http.StatusServiceUnavailable, "breaker_open", "%v", err)
-			return
-		}
 		status, reason := http.StatusInternalServerError, "reload_rejected"
 		switch {
 		case errors.Is(err, ErrReloadDisabled):

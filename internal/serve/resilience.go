@@ -10,28 +10,6 @@ import (
 	"repro/internal/resilience"
 )
 
-// depReload names the reload breaker in metrics and /healthz.
-const depReload = "reload"
-
-// newReloadBreaker builds the breaker guarding hot reload, wired into
-// the state gauge and transition counter.
-func (s *Server) newReloadBreaker() *resilience.Breaker {
-	b := resilience.NewBreaker(resilience.BreakerConfig{
-		FailureThreshold: s.cfg.BreakerFailures,
-		OpenFor:          s.cfg.BreakerOpenFor,
-		OnStateChange: func(from, to resilience.State) {
-			s.metrics.breakerState.With(depReload).Set(float64(to))
-			s.metrics.breakerTransitions.With(depReload, to.String()).Inc()
-			if s.logger != nil {
-				s.logger.Info("breaker transition",
-					"dep", depReload, "from", from.String(), "to", to.String())
-			}
-		},
-	})
-	s.metrics.breakerState.With(depReload).Set(float64(resilience.StateClosed))
-	return b
-}
-
 // withDeadline folds the client's X-Leva-Deadline-Ms budget into the
 // request context. The per-request timeout handler derives its context
 // from it, so whichever budget is shorter answers the timed-out 503.

@@ -3,15 +3,19 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/durable"
 	"repro/internal/resilience"
 )
 
@@ -54,127 +58,170 @@ func reasonOf(t *testing.T, body []byte) string {
 	return e["reason"]
 }
 
-// TestReloadBreakerTripsAndRecovers drives the reload breaker end to
-// end: BreakerFailures rejected reloads trip it, the next reload is
-// refused fast with 503 breaker_open + Retry-After, /healthz and
-// /metrics report it, and once OpenFor has passed, successful probe
-// reloads close it again. Reload attempts on a server without a Loader
-// are configuration, not failures, and never trip it.
-func TestReloadBreakerTripsAndRecovers(t *testing.T) {
-	_, loaded, _ := fixture(t)
-	const openFor = 150 * time.Millisecond
-	var failing atomic.Bool
-	failing.Store(true)
+// postReload POSTs /admin/reload and returns status and body.
+func postReload(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url+"/admin/reload", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// memo returns srv's rejected-candidate memo, read under its lock.
+func memo(srv *Server) *rejectedCandidate {
+	srv.reloadMu.Lock()
+	defer srv.reloadMu.Unlock()
+	return srv.rejected
+}
+
+// shedTotal sums leva_shed_total over its reasons.
+func shedTotal(srv *Server) float64 {
+	total := 0.0
+	for _, reason := range []string{"capacity", "queue_timeout", "client_gone"} {
+		total += srv.metrics.shedByReason.With(reason).Value()
+	}
+	return total
+}
+
+// TestReloadRefusesUnchangedRejectedCandidate drives the rejected-
+// candidate memo end to end over real bundle directories: a corrupt
+// candidate is loaded once and then refused unread, with the same
+// 500 reload_rejected and every attempt counted, until it changes — a
+// republished good bundle reloads on the very next call, a touched bad
+// one is loaded (and rejected) again. A directory that cannot be
+// stamped loads as usual, and refusals that say nothing about the
+// candidate (reload disabled) never set the memo.
+func TestReloadRefusesUnchangedRejectedCandidate(t *testing.T) {
+	built, loaded, _ := fixture(t)
+	dir := filepath.Join(t.TempDir(), "bundle")
+	if err := built.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	binPath := filepath.Join(dir, "bundle.bin")
+	var loads atomic.Int64
 	srv := New(loaded, Config{
-		BreakerFailures: 2,
-		BreakerOpenFor:  openFor,
+		ReloadDirs: []string{dir},
 		Loader: func() (*core.Result, error) {
-			if failing.Load() {
-				return nil, errors.New("bundle unreadable")
-			}
-			return loaded, nil
+			loads.Add(1)
+			return core.LoadBundle(dir)
 		},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	reload := func() (int, http.Header, []byte) {
+	reload := func() (int, string) {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/admin/reload", "application/json", nil)
+		code, body := postReload(t, ts.URL)
+		return code, string(body)
+	}
+	// rejected requires one 500 reload_rejected answer, refused unread
+	// (the memo's wording) or not, with the load count it leaves.
+	rejected := func(what string, unread bool, wantLoads int64) {
+		t.Helper()
+		code, body := reload()
+		if code != http.StatusInternalServerError || reasonOf(t, []byte(body)) != "reload_rejected" {
+			t.Fatalf("%s: status %d (%s), want 500 reload_rejected", what, code, body)
+		}
+		if got := strings.Contains(body, "candidate unchanged since its rejection"); got != unread {
+			t.Errorf("%s: body %s; refused unread = %v, want %v", what, body, got, unread)
+		}
+		if got := loads.Load(); got != wantLoads {
+			t.Errorf("%s: %d loads, want %d", what, got, wantLoads)
+		}
+	}
+	// flip replaces bundle.bin, by rename, with a copy that has one byte
+	// flipped: it fails its manifest hash.
+	flip := func() {
+		t.Helper()
+		data, err := os.ReadFile(binPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
+		data[len(data)/2] ^= 0xff
+		if err := os.WriteFile(binPath+".flipped", data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return resp.StatusCode, resp.Header, body
-	}
-	type health struct {
-		Status   string            `json:"status"`
-		Breakers map[string]string `json:"breakers"`
-	}
-	healthz := func() health {
-		t.Helper()
-		var hz health
-		if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK {
-			t.Fatalf("healthz status %d", code)
-		}
-		return hz
-	}
-
-	if hz := healthz(); hz.Status != "ok" || hz.Breakers["reload"] != "closed" || len(hz.Breakers) != 1 {
-		t.Fatalf("fresh healthz = %+v, want ok with breakers {reload: closed}", hz)
-	}
-	for i := 0; i < 2; i++ {
-		if code, _, body := reload(); code != http.StatusInternalServerError {
-			t.Fatalf("failing reload %d: status %d (%s), want 500", i, code, body)
-		}
-	}
-	code, hdr, body := reload()
-	if code != http.StatusServiceUnavailable || reasonOf(t, body) != "breaker_open" {
-		t.Fatalf("reload after %d failures: status %d (%s), want 503 breaker_open", 2, code, body)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Error("breaker_open 503 missing Retry-After")
-	}
-	if hz := healthz(); hz.Status != "degraded" || hz.Breakers["reload"] != "open" {
-		t.Errorf("healthz with a tripped reload breaker = %+v, want degraded with reload open", hz)
-	}
-	_, _, prom := getRaw(t, ts.URL+"/metrics")
-	for _, line := range []string{
-		`leva_resilience_breaker_transitions_total{dep="reload",to="open"} 1`,
-		`leva_resilience_breaker_state{dep="reload"} 2`,
-		`leva_resilience_dep_calls_total{dep="reload",outcome="error"} 2`,
-		`leva_resilience_dep_calls_total{dep="reload",outcome="open"} 1`,
-	} {
-		if !strings.Contains(string(prom), line) {
-			t.Errorf("/metrics missing %q", line)
+		if err := os.Rename(binPath+".flipped", binPath); err != nil {
+			t.Fatal(err)
 		}
 	}
 
-	// Repair the bundle and wait out the cooling period: each admitted
-	// probe must succeed, and SuccessThreshold (2) of them close it.
-	failing.Store(false)
-	time.Sleep(openFor + 50*time.Millisecond)
-	for i := 0; i < 2; i++ {
-		if code, _, body := reload(); code != http.StatusOK {
-			t.Fatalf("probe reload %d: status %d (%s), want 200", i, code, body)
+	flip()
+	for i := 1; i <= 5; i++ {
+		rejected(fmt.Sprintf("corrupt reload %d", i), i > 1, 1)
+	}
+	if got := srv.metrics.reloadFailures.Value(); got != 5 {
+		t.Errorf("leva_reload_failures_total = %v after 5 rejected reloads, want 5", got)
+	}
+	var hz struct {
+		Status          string `json:"status"`
+		LastReloadError string `json:"lastReloadError"`
+	}
+	if code := getJSON(t, ts.URL+"/healthz", &hz); code != http.StatusOK || hz.Status != "ok" ||
+		!strings.Contains(hz.LastReloadError, "SHA-256") || !strings.Contains(hz.LastReloadError, "unchanged since its rejection") {
+		t.Errorf("healthz after refused reloads = %d %+v, want ok naming the refusal and its cause", code, hz)
+	}
+
+	// A republished good bundle is picked up on the next call.
+	if err := built.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := reload(); code != http.StatusOK || !strings.Contains(body, `"generation":2`) {
+		t.Fatalf("reload of the republished bundle: status %d (%s), want 200 at generation 2", code, body)
+	}
+	if m := memo(srv); loads.Load() != 2 || m != nil {
+		t.Errorf("after the good reload: %d loads, memo %v; want 2 loads and no memo", loads.Load(), m)
+	}
+
+	// Touching the rejected bundle.bin makes it a new candidate: one
+	// full load, rejected again, then refused unread.
+	flip()
+	rejected("corrupt after the good reload", false, 3)
+	rejected("unchanged corrupt", true, 3)
+	later := time.Now().Add(time.Hour)
+	if err := os.Chtimes(binPath, later, later); err != nil {
+		t.Fatal(err)
+	}
+	rejected("touched corrupt", false, 4)
+	rejected("touched corrupt, unchanged since", true, 4)
+
+	// A dir without a manifest cannot be stamped: every reload loads and
+	// names what is missing.
+	if err := os.Remove(filepath.Join(dir, durable.ManifestName)); err != nil {
+		t.Fatal(err)
+	}
+	for i := int64(1); i <= 2; i++ {
+		rejected(fmt.Sprintf("unsealed reload %d", i), false, 4+i)
+		if e, _ := srv.metrics.lastReloadError.Load().(string); !strings.Contains(e, durable.ManifestName) {
+			t.Errorf("unsealed reload %d: error %q does not name %s", i, e, durable.ManifestName)
 		}
 	}
-	if st := srv.reloadBreaker.State(); st != resilience.StateClosed {
-		t.Errorf("reload breaker %v after successful probes, want closed", st)
-	}
-	if hz := healthz(); hz.Status != "ok" || hz.Breakers["reload"] != "closed" {
-		t.Errorf("healthz after recovery = %+v, want ok with reload closed", hz)
+	if memo(srv) != nil {
+		t.Error("an unstampable candidate set the memo")
 	}
 
 	// A server without a Loader answers ErrReloadDisabled forever; that
-	// is configuration, so the breaker never opens.
-	bare := New(loaded, Config{BreakerFailures: 1})
+	// is configuration, so it never sets the memo.
+	bare := New(loaded, Config{ReloadDirs: []string{dir}})
 	bs := httptest.NewServer(bare.Handler())
 	defer bs.Close()
 	for i := 0; i < 3; i++ {
-		resp, err := http.Post(bs.URL+"/admin/reload", "application/json", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable || strings.Contains(string(body), "breaker_open") {
-			t.Fatalf("reload %d without a Loader: status %d (%s), want a plain 503", i, resp.StatusCode, body)
+		code, body := postReload(t, bs.URL)
+		if code != http.StatusServiceUnavailable || reasonOf(t, body) != "reload_disabled" {
+			t.Fatalf("reload %d without a Loader: status %d (%s), want 503 reload_disabled", i, code, body)
 		}
 		if err := bare.Reload(); !errors.Is(err, ErrReloadDisabled) {
 			t.Fatalf("Reload %d without a Loader: %v, want ErrReloadDisabled", i, err)
 		}
 	}
-	if st := bare.reloadBreaker.State(); st != resilience.StateClosed {
-		t.Errorf("reload breaker %v after disabled reloads, want closed", st)
-	}
-	_, _, prom = getRaw(t, bs.URL+"/metrics")
-	if strings.Contains(string(prom), `leva_resilience_breaker_transitions_total{dep="reload"`) {
-		t.Error("disabled reloads recorded a breaker transition")
+	if memo(bare) != nil {
+		t.Error("disabled reloads set the memo")
 	}
 }
 
@@ -327,14 +374,7 @@ func TestQueueShedsWithRetryAfter(t *testing.T) {
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("admitted request: status %d, want 200", code)
 	}
-	if got := srv.metrics.shed.Value(); got != 2 {
-		t.Errorf("shed total = %v, want 2", got)
-	}
-	total := 0.0
-	for _, reason := range []string{"capacity", "queue_timeout", "client_gone"} {
-		total += srv.metrics.shedByReason.With(reason).Value()
-	}
-	if total != 2 {
-		t.Errorf("shed by reason sums to %v, want 2", total)
+	if got := shedTotal(srv); got != 2 {
+		t.Errorf("shed by reason sums to %v, want 2", got)
 	}
 }

@@ -11,16 +11,17 @@
 //	GET  /v1/neighbors        top-k approximate nearest neighbors of a
 //	POST /v1/neighbors        token (GET) or raw vector (POST), when an
 //	                          ANN index is configured
-//	GET  /healthz             liveness + degradation (reload breaker state)
+//	GET  /healthz             liveness, generation, last reload error
 //	GET  /metrics             Prometheus text
 //	POST /admin/reload        hot-reload the bundle (and index)
 //
 // The HTTP layer carries the production plumbing: deadline propagation
 // (clients bound their wait with X-Leva-Deadline-Ms), an adaptive AIMD
 // concurrency limiter with a short bounded queue that sheds excess
-// load with Retry-After-carrying 429s, a circuit breaker on hot reload,
-// per-request timeouts, structured request logging, and graceful
-// shutdown that drains in-flight requests. internal/resilience holds
+// load with Retry-After-carrying 429s, per-request timeouts, structured
+// request logging, and graceful shutdown that drains in-flight
+// requests. Hot reload refuses, without loading it, a candidate that
+// has not changed since it was last rejected. internal/resilience holds
 // the mechanisms; cmd/levad is the daemon around this package.
 package serve
 
@@ -58,12 +59,6 @@ type Config struct {
 	// QueueTimeout bounds one request's wait in the admission queue.
 	// Default 100ms.
 	QueueTimeout time.Duration
-	// BreakerFailures is the consecutive failed-reload count that trips
-	// the reload circuit breaker. Default 5.
-	BreakerFailures int
-	// BreakerOpenFor is how long a tripped reload breaker refuses
-	// reloads before admitting a recovery probe. Default 5s.
-	BreakerOpenFor time.Duration
 	// RequestTimeout bounds one request's handler time; timed-out
 	// requests get 503. Default 10s; negative disables.
 	RequestTimeout time.Duration
@@ -102,6 +97,15 @@ type Config struct {
 	// reload: without one, Reload fails with ErrReloadDisabled rather
 	// than serve the old index against a new embedding.
 	IndexLoader func() (*ann.Index, error)
+	// ReloadDirs are the sealed directories Loader and IndexLoader read
+	// (in levad, -bundle and -index). Before each reload the server
+	// stamps them (durable.Stamp: the manifest's digest plus the size,
+	// modification time and inode of every listed file); a candidate
+	// whose stamps equal those of the last rejected one is refused
+	// without loading it, with that rejection's error. Republishing or
+	// touching a file makes the next reload load again. Empty disables
+	// the check: every reload loads.
+	ReloadDirs []string
 }
 
 func (c Config) withDefaults() Config {
@@ -119,12 +123,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 100 * time.Millisecond
-	}
-	if c.BreakerFailures <= 0 {
-		c.BreakerFailures = 5
-	}
-	if c.BreakerOpenFor <= 0 {
-		c.BreakerOpenFor = 5 * time.Second
 	}
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 10 * time.Second
@@ -154,15 +152,17 @@ type Server struct {
 	ln      net.Listener
 
 	// limiter is the adaptive admission controller behind every
-	// data-plane endpoint; reloadBreaker fails repeated bad reloads fast.
-	limiter       *resilience.Limiter
-	reloadBreaker *resilience.Breaker
+	// data-plane endpoint.
+	limiter *resilience.Limiter
 
 	// reloadMu serializes reloads (and the shutdown/reload handoff):
 	// overlapping SIGHUPs queue behind each other instead of
-	// interleaving their validate-then-swap sequences.
+	// interleaving their validate-then-swap sequences. It guards closed
+	// and rejected, the memo of the last rejected candidate (nil after
+	// a successful reload).
 	reloadMu sync.Mutex
 	closed   bool
+	rejected *rejectedCandidate
 
 	// testHookFeaturize, when set, runs inside the featurize handler
 	// after admission (limiter slot held, store pinned) — the seam the
@@ -195,7 +195,6 @@ func New(res *core.Result, cfg Config) *Server {
 		OnBackoff:    m.backoffs.Inc,
 	})
 	m.setLimiter(s.limiter)
-	s.reloadBreaker = s.newReloadBreaker()
 	first := newStore(res, cfg.Index, cfg, m)
 	first.gen = 1
 	s.st.Store(first)

@@ -307,7 +307,7 @@ func TestSaturationSheds429(t *testing.T) {
 		t.Fatalf("admitted request: status %d, want 200", code)
 	}
 
-	if got := srv.metrics.shed.Value(); got != 1 {
+	if got := shedTotal(srv); got != 1 {
 		t.Errorf("shed total = %v, want 1", got)
 	}
 }

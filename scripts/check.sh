@@ -227,6 +227,65 @@ wait "$LEVAD_PID"
 
 echo "hot-reload smoke test passed"
 
+# --- rejected-candidate smoke test ------------------------------------
+# Serve a bundle copy, replace its bundle.bin by rename with a copy that
+# has one byte flipped, and reload three times: each must be a 500
+# reload_rejected, reloads 2 and 3 refused unread ("unchanged since its
+# rejection"), all three counted. Then republish a good bundle: the
+# very next reload must succeed, with no wait.
+MEMO="$SMOKE/bundle_memo"
+cp -R "$SMOKE/bundle" "$MEMO"
+rm -f "$SMOKE/addr"
+"$SMOKE/bin/levad" -bundle "$MEMO" -addr 127.0.0.1:0 \
+    -ready-file "$SMOKE/addr" 2>"$SMOKE/levad_memo.log" &
+LEVAD_PID=$!
+i=0
+while [ ! -s "$SMOKE/addr" ]; do
+    i=$((i + 1))
+    if [ "$i" -gt 100 ]; then
+        echo "levad (rejected-candidate run) never became ready" >&2
+        cat "$SMOKE/levad_memo.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+ADDR=$(cat "$SMOKE/addr")
+
+cp "$MEMO/bundle.bin" "$MEMO/bundle.bin.flipped"
+flip_byte "$MEMO/bundle.bin.flipped" $(($(wc -c < "$MEMO/bundle.bin") / 2))
+mv "$MEMO/bundle.bin.flipped" "$MEMO/bundle.bin"
+
+for n in 1 2 3; do
+    code=$(curl -s -o "$SMOKE/memo_reload_$n.json" -w '%{http_code}' -X POST "http://$ADDR/admin/reload")
+    if [ "$code" != 500 ] || ! grep -q '"reason":"reload_rejected"' "$SMOKE/memo_reload_$n.json"; then
+        echo "corrupt reload $n: status $code, want 500 reload_rejected" >&2
+        cat "$SMOKE/memo_reload_$n.json" >&2
+        exit 1
+    fi
+done
+for n in 2 3; do
+    if ! grep -q 'unchanged since its rejection' "$SMOKE/memo_reload_$n.json"; then
+        echo "corrupt reload $n was not refused as unchanged" >&2
+        cat "$SMOKE/memo_reload_$n.json" >&2
+        exit 1
+    fi
+done
+curl -fsS "http://$ADDR/metrics" | grep -q '^leva_reload_failures_total 3$'
+
+"$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 7 \
+    -out "$SMOKE/embedding_memo.tsv" -bundle "$MEMO"
+code=$(curl -s -o "$SMOKE/memo_reload_fixed.json" -w '%{http_code}' -X POST "http://$ADDR/admin/reload")
+if [ "$code" != 200 ] || ! grep -q '"generation":2' "$SMOKE/memo_reload_fixed.json"; then
+    echo "reload of the republished bundle: status $code, want 200 at generation 2" >&2
+    cat "$SMOKE/memo_reload_fixed.json" >&2
+    exit 1
+fi
+
+kill -TERM "$LEVAD_PID"
+wait "$LEVAD_PID"
+
+echo "rejected-candidate smoke test passed"
+
 # --- stage-cache smoke test -------------------------------------------
 # Exercises the content-addressed incremental pipeline through the real
 # binary: two identical builds against one cache must be all-stage hits
