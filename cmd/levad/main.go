@@ -44,8 +44,9 @@
 // Each generation is one bundle plus the index loaded with it, checked
 // as a pair (the index's entities must be the bundle's) at startup and
 // on every reload alike. -quantize quantizes each loaded index to int8
-// and answers neighbor searches from that arena (8x less memory
-// traffic) with an exact float64 re-rank of the final beam;
+// and answers neighbor searches from that arena (4x less memory
+// traffic than the index's float32 vectors) with an exact float64
+// re-rank of the final beam;
 // /v1/featurize is unaffected. See docs/SERVING.md and
 // docs/OPERATIONS.md.
 package main

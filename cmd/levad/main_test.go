@@ -347,6 +347,23 @@ func TestRunRefusesUnsealedBundle(t *testing.T) {
 // version-1 format (committed in internal/ann/testdata) is refused at
 // startup with an error that says how to rebuild it.
 func TestRunRefusesVersion1Index(t *testing.T) {
+	refusesIndexFixture(t, "index-v1")
+}
+
+// TestRunRefusesVersion2Index: the same for version 2, whose vectors
+// are float64; the error also names index.bin.
+func TestRunRefusesVersion2Index(t *testing.T) {
+	if err := refusesIndexFixture(t, "index-v2"); !strings.Contains(err.Error(), ann.IndexFileName) {
+		t.Errorf("startup error = %v, want it to name %s", err, ann.IndexFileName)
+	}
+}
+
+// refusesIndexFixture starts the daemon on a good bundle and a copy of
+// the committed index directory internal/ann/testdata/<fixture>, and
+// requires startup to fail with ErrVersion naming `leva embed -index`.
+// It returns the startup error.
+func refusesIndexFixture(t *testing.T, fixture string) error {
+	t.Helper()
 	spec := synth.Student(synth.StudentOptions{Students: 20, Seed: 7})
 	res, err := core.BuildEmbedding(spec.DB, core.Config{Dim: 4, Seed: 7, Method: embed.MethodMF})
 	if err != nil {
@@ -356,7 +373,7 @@ func TestRunRefusesVersion1Index(t *testing.T) {
 	if err := res.SaveBundle(dir); err != nil {
 		t.Fatal(err)
 	}
-	src := filepath.Join("..", "..", "internal", "ann", "testdata", "index-v1")
+	src := filepath.Join("..", "..", "internal", "ann", "testdata", fixture)
 	indexDir := filepath.Join(t.TempDir(), "index")
 	if err := os.MkdirAll(indexDir, 0o755); err != nil {
 		t.Fatal(err)
@@ -372,11 +389,12 @@ func TestRunRefusesVersion1Index(t *testing.T) {
 	}
 	err = run(context.Background(), []string{"-bundle", dir, "-index", indexDir, "-addr", "127.0.0.1:0", "-quiet"})
 	if err == nil {
-		t.Fatal("daemon started on a version-1 index")
+		t.Fatalf("daemon started on the %s index", fixture)
 	}
 	if !errors.Is(err, ann.ErrVersion) || !strings.Contains(err.Error(), "leva embed -index") {
-		t.Errorf("startup error = %v, want ErrVersion naming `leva embed -index`", err)
+		t.Errorf("%s: startup error = %v, want ErrVersion naming `leva embed -index`", fixture, err)
 	}
+	return err
 }
 
 // TestRunRefusesForeignIndex: an index built from another data set of

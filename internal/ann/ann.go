@@ -22,8 +22,18 @@
 // # Similarity
 //
 // Every index ranks by cosine similarity: vectors are normalized to
-// unit length at build (and query) time, so scores are in [-1, 1] and
-// match embed/er cosine exactly for nonzero vectors.
+// unit length at build (and query) time, so scores are in [-1, 1].
+//
+// # Precision
+//
+// An index stores its unit-normalized vectors as float32, the
+// precision of the paper's own word2vec path: each row is normalized
+// in float64 and rounded to float32 once (storeUnit), and the graph is
+// wired on the rounded rows, so a built index answers exactly like its
+// Decode(Encode(...)). Distances widen each stored element to float64
+// and accumulate in float64 in element order; queries stay float64.
+// Scores therefore match the exact float64 cosine of the unrounded
+// vectors to within float32 rounding (about 1e-7 per component).
 package ann
 
 import (
@@ -105,8 +115,9 @@ type Index struct {
 	// embedding's interned table, BuildVectors interns its own, and
 	// Decode views the one stored in index.bin.
 	syms *embed.SymbolTable
-	// vecs holds all vectors row-major (n x dim), unit-normalized.
-	vecs     []float64
+	// vecs holds all vectors row-major (n x dim), unit-normalized in
+	// float64 and then rounded to float32 (storeUnit).
+	vecs     []float32
 	adj      csr
 	entry    int32
 	maxLevel int32
@@ -171,10 +182,10 @@ func duplicateName(st *embed.SymbolTable) (string, bool) {
 
 // Build indexes every vector of e under opts. Unlike BuildVectors it
 // does not copy per entity: the name table is the embedding's interned
-// symbol table, and the vector block is the embedding's contiguous
-// arena, copied once (one memmove, then normalized in place). The
-// graph construction arithmetic is identical to BuildVectors', so the
-// two produce the same index for the same input.
+// symbol table, and the vector block is read row by row from the
+// embedding's contiguous arena. Rows are stored by the same storeUnit
+// as BuildVectors', so the two produce the same index for the same
+// input.
 func Build(e *embed.Embedding, opts Options) (*Index, error) {
 	if e == nil || e.Len() == 0 {
 		return nil, errors.New("ann: cannot build an index over an empty embedding")
@@ -196,9 +207,10 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 		return nil, fmt.Errorf("ann: duplicate name %q", name)
 	}
 	start := time.Now()
-	ix := &Index{opts: opts, dim: dim, syms: st, vecs: append([]float64(nil), e.Matrix().Data...)}
+	ix := &Index{opts: opts, dim: dim, syms: st, vecs: make([]float32, 0, n*dim)}
+	data, scratch := e.Matrix().Data, make([]float64, dim)
 	for i := 0; i < n; i++ {
-		normalize(ix.vecs[i*dim : (i+1)*dim])
+		ix.vecs = storeUnit(ix.vecs, data[i*dim:(i+1)*dim], scratch)
 	}
 	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
 		return nil, err
@@ -209,8 +221,8 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 }
 
 // BuildVectors indexes the given vectors, where vecs[i] is the vector
-// for names[i]. Vectors are copied and normalized; the inputs are not
-// retained.
+// for names[i]. Vectors are normalized and stored as float32 copies
+// (storeUnit); the inputs are not retained.
 func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -238,14 +250,13 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 	if name, dup := duplicateName(st); dup {
 		return nil, fmt.Errorf("ann: duplicate name %q", name)
 	}
-	ix := &Index{opts: opts, dim: dim, syms: st, vecs: make([]float64, n*dim)}
+	ix := &Index{opts: opts, dim: dim, syms: st, vecs: make([]float32, 0, n*dim)}
+	scratch := make([]float64, dim)
 	for i, v := range vecs {
 		if len(v) != dim {
 			return nil, fmt.Errorf("ann: vector %d has dim %d, want %d", i, len(v), dim)
 		}
-		row := ix.vecs[i*dim : (i+1)*dim]
-		copy(row, v)
-		normalize(row)
+		ix.vecs = storeUnit(ix.vecs, v, scratch)
 	}
 	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
 		return nil, err
@@ -263,6 +274,8 @@ type builder struct {
 	ix     *Index
 	levels []int32
 	links  [][][]int32 // links[node][layer] = neighbor ids
+	// q holds the widened vector of the node being inserted.
+	q []float64
 }
 
 func (b *builder) linksAt(id, lvl int32) []int32 {
@@ -278,7 +291,7 @@ func (b *builder) linksAt(id, lvl int32) []int32 {
 // freezes the result into ix.adj.
 func (ix *Index) wire(rng *rand.Rand) error {
 	n := ix.Len()
-	b := &builder{ix: ix, levels: make([]int32, n), links: make([][][]int32, n)}
+	b := &builder{ix: ix, levels: make([]int32, n), links: make([][][]int32, n), q: make([]float64, ix.dim)}
 	mL := 1 / math.Log(float64(ix.opts.M))
 	for i := range b.levels {
 		b.levels[i] = drawLevel(rng, mL)
@@ -351,18 +364,32 @@ func (ix *Index) Has(name string) bool {
 	return ok
 }
 
-// vec returns the stored (normalized) vector of node id.
-func (ix *Index) vec(id int32) []float64 {
+// vec returns the stored (normalized, float32) vector of node id.
+func (ix *Index) vec(id int32) []float32 {
 	return ix.vecs[int(id)*ix.dim : (int(id)+1)*ix.dim]
 }
 
 // dist is the internal ordering key: the negated inner product of unit
-// vectors, so smaller is more similar.
+// vectors, so smaller is more similar. Each stored element is widened
+// to float64 and the products accumulate in float64.
 func (ix *Index) dist(q []float64, id int32) float64 {
 	v := ix.vec(id)
 	var dot float64
 	for i, x := range q {
-		dot += x * v[i]
+		dot += x * float64(v[i])
+	}
+	return -dot
+}
+
+// distPair is dist between two stored vectors. It equals
+// dist(widen(nil, ix.vec(a)), b) bit for bit — same products (each
+// exact, as two widened float32 values have 48 significant bits at
+// most), same summation order — without widening a into a buffer.
+func (ix *Index) distPair(a, b int32) float64 {
+	va, vb := ix.vec(a), ix.vec(b)
+	var dot float64
+	for i, x := range va {
+		dot += float64(x) * float64(vb[i])
 	}
 	return -dot
 }
@@ -406,7 +433,7 @@ func (ix *Index) SearchName(name string, k, ef int) ([]Result, error) {
 		return nil, fmt.Errorf("ann: k must be positive, got %d", k)
 	}
 	// Ask for one extra: the entity is its own nearest neighbor.
-	hits := ix.search(ix.vec(id), k+1, ef)
+	hits := ix.search(widen(nil, ix.vec(id)), k+1, ef)
 	out := make([]Result, 0, k)
 	for _, c := range hits {
 		if c.id == id {
@@ -560,7 +587,7 @@ func (b *builder) insert(i int32) {
 		ix.maxLevel = b.levels[i]
 		return
 	}
-	q := ix.vec(i)
+	q := widen(b.q[:0], ix.vec(i))
 	ep := ix.entry
 	for lc := ix.maxLevel; lc > b.levels[i]; lc-- {
 		ep = ix.greedy(b, q, ep, lc)
@@ -568,7 +595,7 @@ func (b *builder) insert(i int32) {
 	top := min(b.levels[i], ix.maxLevel)
 	for lc := top; lc >= 0; lc-- {
 		w := ix.searchLayer(b, q, ep, ix.opts.EfConstruction, lc)
-		nbs := ix.selectNeighbors(q, w, ix.opts.M)
+		nbs := ix.selectNeighbors(w, ix.opts.M)
 		b.links[i][lc] = nbs
 		limit := ix.maxConn(lc)
 		for _, nb := range nbs {
@@ -585,12 +612,13 @@ func (b *builder) insert(i int32) {
 	}
 }
 
-// selectNeighbors is the HNSW heuristic: walk candidates best-first,
-// keeping one only if it is closer to q than to every neighbor already
+// selectNeighbors is the HNSW heuristic: walk candidates (sorted by
+// their distance to the node being linked) best-first, keeping one
+// only if it is closer to that node than to every neighbor already
 // kept (so the kept set spreads across directions instead of
 // clustering), then fill any remaining slots with the nearest pruned
 // candidates to preserve connectivity.
-func (ix *Index) selectNeighbors(q []float64, cands []cand, m int) []int32 {
+func (ix *Index) selectNeighbors(cands []cand, m int) []int32 {
 	if len(cands) <= m {
 		out := make([]int32, len(cands))
 		for i, c := range cands {
@@ -605,7 +633,7 @@ func (ix *Index) selectNeighbors(q []float64, cands []cand, m int) []int32 {
 		}
 		keep := true
 		for _, s := range selected {
-			if ix.dist(ix.vec(s.id), c.id) < c.dist {
+			if ix.distPair(s.id, c.id) < c.dist {
 				keep = false
 				break
 			}
@@ -640,13 +668,32 @@ func (ix *Index) selectNeighbors(q []float64, cands []cand, m int) []int32 {
 // using the same heuristic insertion uses.
 func (b *builder) shrink(id, lvl int32, m int) {
 	ix := b.ix
-	v := ix.vec(id)
 	cands := make([]cand, 0, len(b.links[id][lvl]))
 	for _, nb := range b.links[id][lvl] {
-		cands = append(cands, cand{ix.dist(v, nb), nb})
+		cands = append(cands, cand{ix.distPair(id, nb), nb})
 	}
 	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	b.links[id][lvl] = ix.selectNeighbors(v, cands, m)
+	b.links[id][lvl] = ix.selectNeighbors(cands, m)
+}
+
+// storeUnit appends v to dst as a stored row: normalized in float64 in
+// scratch (len(v)), then rounded to float32 once. Build and
+// BuildVectors both store every row through it.
+func storeUnit(dst []float32, v, scratch []float64) []float32 {
+	copy(scratch, v)
+	normalize(scratch)
+	for _, x := range scratch {
+		dst = append(dst, float32(x))
+	}
+	return dst
+}
+
+// widen appends the float64 values of a stored row to dst.
+func widen(dst []float64, v []float32) []float64 {
+	for _, x := range v {
+		dst = append(dst, float64(x))
+	}
+	return dst
 }
 
 // normalized returns a unit-length copy of q, leaving q untouched.

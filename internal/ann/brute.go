@@ -34,7 +34,7 @@ func (ix *Index) BruteForceName(name string, k int) ([]Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("ann: k must be positive, got %d", k)
 	}
-	return ix.results(ix.scan(ix.vec(id), k, id)), nil
+	return ix.results(ix.scan(widen(nil, ix.vec(id)), k, id)), nil
 }
 
 // scan computes the exact top-k candidates for q over every stored

@@ -3,10 +3,9 @@ package ann
 import "repro/internal/fingerprint"
 
 // Fingerprint hashes the fully-defaulted options, so an explicit
-// default and an unset zero value key the same cache entry. The domain
-// carries the index format version: a codec change invalidates every
-// cached index. The hashed JSON still carries "Metric":"cosine" where
-// Options once had a metric field, so every cache key is unchanged.
+// default and an unset zero value key the same cache entry. The hashed
+// JSON still carries "Metric":"cosine" where Options once had a metric
+// field, so the options' part of every cache key is unchanged.
 func (o Options) Fingerprint() string {
 	o = o.withDefaults()
 	return fingerprint.JSON("leva/ann-options/v1", struct {
@@ -20,7 +19,10 @@ func (o Options) Fingerprint() string {
 // fingerprint of the embedding it indexes (embed.Embedding.Fingerprint)
 // and the build options. Deterministic builds make this an equivalence
 // proof — equal fingerprints mean byte-equal index files — which is
-// what lets the stage cache serve a previously built index.
+// what lets the stage cache serve a previously built index. The domain
+// carries the index format version (FormatVersion): a codec change
+// invalidates every cached index, so entries written in another
+// format are never looked up.
 func IndexFingerprint(embeddingFP string, o Options) string {
-	return fingerprint.Combine("leva/ann-index/v2", embeddingFP, o.Fingerprint())
+	return fingerprint.Combine("leva/ann-index/v3", embeddingFP, o.Fingerprint())
 }

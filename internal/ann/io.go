@@ -25,7 +25,7 @@ import (
 // little-endian; n nodes, P (node, layer) pairs, L links):
 //
 //	magic        8 bytes  "LEVAHNSW"
-//	version      u32      format version (currently 2)
+//	version      u32      format version (currently 3)
 //	metric       u32      0 = cosine (1 = dot product, no longer read)
 //	M            u32      build options, for provenance and defaults
 //	efConstruct  u32
@@ -45,11 +45,12 @@ import (
 //	loff         (P+1) × u32  pair p links lids[loff[p]:loff[p+1]]
 //	lids         L × u32      neighbor node ids
 //	blob         blobLen bytes, names in node order
-//	padding      zero bytes up to the next multiple of 8
-//	vectors      n × dim × f64 bits, unit-normalized
+//	padding      zero bytes up to the next multiple of 4
+//	vectors      n × dim × f32 bits, unit-normalized in float64 and
+//	             rounded to float32 once (see the package doc)
 //
-// The header is 64 bytes, so every u32 array is 4-aligned and the
-// vectors 8-aligned relative to the file start. The symbol arrays are
+// The header is 64 bytes, so every u32 array and the vectors are
+// 4-aligned relative to the file start. The symbol arrays are
 // bundle.bin's symbols section (internal/core) minus its count header.
 //
 // Encode is deterministic (the package determinism contract), so equal
@@ -59,12 +60,14 @@ import (
 //
 // Version history: 1 stored names as length-prefixed strings and
 // links as per-node, per-layer counted lists, decoded node by node.
-// Version 2 is the viewable layout above. There is no version-1
-// reader: an old index is rebuilt, not read.
+// Version 2 introduced the viewable layout above with float64 vectors
+// padded to an 8-byte boundary. Version 3 stores the vectors as
+// float32, halving their bytes on disk and in memory. There is no
+// reader for versions 1 or 2: an old index is rebuilt, not read.
 
 const (
 	// FormatVersion is the index.bin format written by Encode.
-	FormatVersion = 2
+	FormatVersion = 3
 	// IndexFileName is the payload file inside an index directory.
 	IndexFileName = "index.bin"
 
@@ -108,7 +111,7 @@ func (l layout) loffOff() int64    { return l.firstOff() + 4*(l.n+1) }
 func (l layout) lidsOff() int64    { return l.loffOff() + 4*(l.pairs+1) }
 func (l layout) blobOff() int64    { return l.lidsOff() + 4*l.links }
 func (l layout) padOff() int64     { return l.blobOff() + l.blobLen }
-func (l layout) vecOff() int64     { return (l.padOff() + 7) &^ 7 }
+func (l layout) vecOff() int64     { return (l.padOff() + 3) &^ 3 }
 
 // Encode serializes the index. Output is byte-identical for equal
 // indexes.
@@ -120,7 +123,7 @@ func (ix *Index) Encode() []byte {
 		links:   int64(len(g.lids)),
 		blobLen: int64(len(st.Blob())),
 	}
-	buf := make([]byte, 0, lay.vecOff()+8*int64(len(ix.vecs)))
+	buf := make([]byte, 0, lay.vecOff()+4*int64(len(ix.vecs)))
 	buf = append(buf, indexMagic...)
 	buf = binary.LittleEndian.AppendUint32(buf, FormatVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, metricCosine)
@@ -142,7 +145,7 @@ func (ix *Index) Encode() []byte {
 		buf = append(buf, 0)
 	}
 	for _, v := range ix.vecs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(v))
 	}
 	return buf
 }
@@ -213,7 +216,7 @@ func Decode(data []byte) (*Index, error) {
 	if entry >= int64(n) || maxLevel > maxLevelCap {
 		return nil, corrupt("entry point %d / max level %d out of range", entry, maxLevel)
 	}
-	if want := lay.vecOff() + 8*int64(n)*int64(dim); int64(len(data)) != want {
+	if want := lay.vecOff() + 4*int64(n)*int64(dim); int64(len(data)) != want {
 		return nil, corrupt("file is %d bytes, want %d for %d nodes of dim %d, %d layer lists, %d links and %d name bytes",
 			len(data), want, n, dim, lay.pairs, lay.links, lay.blobLen)
 	}
@@ -248,7 +251,7 @@ func Decode(data []byte) (*Index, error) {
 		opts:     opts,
 		dim:      dim,
 		syms:     st,
-		vecs:     durable.ViewF64(data[lay.vecOff():], n*dim),
+		vecs:     durable.ViewF32(data[lay.vecOff():], n*dim),
 		adj:      g,
 		entry:    int32(entry),
 		maxLevel: int32(maxLevel),
@@ -354,8 +357,8 @@ func LoadOpts(dir string, opts LoadOptions) (*Index, error) {
 		return nil, fmt.Errorf("ann: load index: %w", err)
 	}
 	if manifest.FormatVersion != FormatVersion {
-		return nil, fmt.Errorf("%w: %s records format version %d, this build reads version %d; %s",
-			ErrVersion, filepath.Join(dir, durable.ManifestName), manifest.FormatVersion, FormatVersion, rebuildHint)
+		return nil, fmt.Errorf("%w: %s records %s format version %d, this build reads version %d; %s",
+			ErrVersion, filepath.Join(dir, durable.ManifestName), IndexFileName, manifest.FormatVersion, FormatVersion, rebuildHint)
 	}
 	if manifest.Entry(IndexFileName) == nil {
 		return nil, fmt.Errorf("%w: %s does not list %s", ErrCorrupt,

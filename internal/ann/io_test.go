@@ -136,21 +136,21 @@ func TestDecodeRejectsLyingIndexes(t *testing.T) {
 
 // TestDecodeAllocs: Decode builds views instead of per-node and
 // per-name objects, so it allocates the same number of times at 200
-// nodes as at 5000, and the vectors alias an 8-aligned input buffer.
+// nodes as at 5000, and the float32 vectors alias the input buffer.
 func TestDecodeAllocs(t *testing.T) {
 	if !durable.HostLittleEndian {
 		t.Skip("zero-copy views need a little-endian host")
 	}
 	allocs := func(n int) float64 {
 		data := testIndex(t, n, 4, 9).Encode()
-		if uintptr(unsafe.Pointer(&data[0]))%8 != 0 {
-			t.Fatal("Encode returned a buffer that is not 8-aligned")
+		if uintptr(unsafe.Pointer(&data[0]))%4 != 0 {
+			t.Fatal("Encode returned a buffer that is not 4-aligned")
 		}
 		ix, err := Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := &data[len(data)-8*len(ix.vecs)]; unsafe.Pointer(unsafe.SliceData(ix.vecs)) != unsafe.Pointer(want) {
+		if !vectorsView(ix, data) {
 			t.Fatalf("n=%d: decoded vectors are a copy, not a view of the input", n)
 		}
 		return testing.AllocsPerRun(10, func() {
@@ -166,23 +166,49 @@ func TestDecodeAllocs(t *testing.T) {
 	t.Logf("Decode: %v allocations per call", small)
 }
 
+// vectorsView reports whether ix's vectors alias the tail of data.
+func vectorsView(ix *Index, data []byte) bool {
+	return unsafe.Pointer(unsafe.SliceData(ix.vecs)) == unsafe.Pointer(&data[len(data)-4*len(ix.vecs)])
+}
+
 // TestDecodeMisalignedBuffer: a buffer starting one byte past an
 // aligned address cannot be viewed in place; Decode falls back to
-// element-wise copies and must answer every query identically.
+// element-wise copies and must answer every query identically. A
+// buffer that is 4- but not 8-aligned is viewed in place, since no
+// array in the file is wider than 4 bytes.
 func TestDecodeMisalignedBuffer(t *testing.T) {
 	data := testIndex(t, 120, 8, 10).Encode()
-	shifted := make([]byte, len(data)+1)[1:]
-	copy(shifted, data)
 	want, err := Decode(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Decode(shifted)
-	if err != nil {
-		t.Fatal(err)
+	for _, shift := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shift=%d", shift), func(t *testing.T) {
+			backing := make([]byte, len(data)+8)
+			start := shift - int(uintptr(unsafe.Pointer(&backing[0]))%8)
+			if start < 0 {
+				start += 8
+			}
+			shifted := backing[start : start+len(data)]
+			copy(shifted, data)
+			got, err := Decode(shifted)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if view := vectorsView(got, shifted); durable.HostLittleEndian && view != (shift%4 == 0) {
+				t.Errorf("vectors viewed in place = %v at %d bytes past an 8-aligned address", view, shift)
+			}
+			checkSameAnswers(t, want, got)
+		})
 	}
-	if !bytes.Equal(got.Encode(), data) {
-		t.Fatal("misaligned decode does not re-encode byte-exactly")
+}
+
+// checkSameAnswers requires got to re-encode to want's bytes and to
+// answer every query kind exactly as want does.
+func checkSameAnswers(t *testing.T, want, got *Index) {
+	t.Helper()
+	if !bytes.Equal(got.Encode(), want.Encode()) {
+		t.Fatal("decoded index does not re-encode byte-exactly")
 	}
 	rng := rand.New(rand.NewSource(10))
 	names := want.Names()
@@ -192,7 +218,7 @@ func TestDecodeMisalignedBuffer(t *testing.T) {
 			t.Fatalf("%s: %v / %v", what, errA, errB)
 		}
 		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s: aligned %+v, misaligned %+v", what, a, b)
+			t.Fatalf("%s: aligned %+v, shifted %+v", what, a, b)
 		}
 	}
 	for i := 0; i < 20; i++ {
@@ -216,16 +242,15 @@ func TestDecodeMisalignedBuffer(t *testing.T) {
 	}
 }
 
-// TestVersion1IsRebuiltNotRead: testdata/index-v1 was saved by the last
-// version-1 encoder. There is no version-1 reader; Decode and Load both
-// refuse it with ErrVersion and say how to rebuild it.
-func TestVersion1IsRebuiltNotRead(t *testing.T) {
-	src := filepath.Join("testdata", "index-v1")
-	dir := filepath.Join(t.TempDir(), "index")
+// copyFixture copies the committed index directory testdata/<name> to
+// a fresh directory and returns that directory and its index.bin.
+func copyFixture(t *testing.T, fixture string) (dir string, data []byte) {
+	t.Helper()
+	src := filepath.Join("testdata", fixture)
+	dir = filepath.Join(t.TempDir(), "index")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	var data []byte
 	for _, name := range []string{IndexFileName, durable.ManifestName} {
 		b, err := os.ReadFile(filepath.Join(src, name))
 		if err != nil {
@@ -238,11 +263,48 @@ func TestVersion1IsRebuiltNotRead(t *testing.T) {
 			data = b
 		}
 	}
+	return dir, data
+}
+
+// TestVersion1IsRebuiltNotRead: testdata/index-v1 was saved by the last
+// version-1 encoder. There is no version-1 reader; Decode and Load both
+// refuse it with ErrVersion and say how to rebuild it.
+func TestVersion1IsRebuiltNotRead(t *testing.T) {
+	dir, data := copyFixture(t, "index-v1")
 	_, decErr := Decode(data)
 	_, loadErr := Load(dir)
 	for what, err := range map[string]error{"Decode": decErr, "Load": loadErr} {
 		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "leva embed -index") {
 			t.Errorf("%s of a version-1 index: got %v, want ErrVersion naming `leva embed -index`", what, err)
+		}
+	}
+}
+
+// TestVersion2IsRebuiltNotRead: testdata/index-v2 was saved by the last
+// version-2 encoder, whose vectors are float64. There is no version-2
+// reader; Decode and Load, read and mapped, refuse it with ErrVersion,
+// name version 2 (and Load index.bin), say how to rebuild it, and
+// leave no mapping behind.
+func TestVersion2IsRebuiltNotRead(t *testing.T) {
+	dir, data := copyFixture(t, "index-v2")
+	if v := binary.LittleEndian.Uint32(data[len(indexMagic):]); v != 2 {
+		t.Fatalf("fixture index.bin has version %d, want 2", v)
+	}
+	_, decErr := Decode(data)
+	_, readErr := Load(dir)
+	_, mapErr := LoadOpts(dir, LoadOptions{MMap: true})
+	for what, err := range map[string]error{"Decode": decErr, "Load": readErr, "mapped Load": mapErr} {
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") ||
+			!strings.Contains(err.Error(), rebuildHint) {
+			t.Errorf("%s of a version-2 index: got %v, want ErrVersion naming version 2 and %q", what, err, rebuildHint)
+		}
+		if what != "Decode" && !strings.Contains(err.Error(), IndexFileName) {
+			t.Errorf("%s of a version-2 index: %v does not name %s", what, err, IndexFileName)
+		}
+	}
+	if _, err := os.Stat("/proc/self/maps"); err == nil {
+		if got := countMappings(t, dir); got != 0 {
+			t.Errorf("%d mappings of the version-2 index left behind, want 0", got)
 		}
 	}
 }

@@ -57,7 +57,7 @@ func answers(t *testing.T, ix *Index, brute bool) [][]Result {
 	}
 	names := ix.Names()
 	for i := 0; i < ix.Len(); i += 7 {
-		q := append([]float64(nil), ix.vec(int32((i+3)%ix.Len()))...)
+		q := widen(nil, ix.vec(int32((i+3)%ix.Len())))
 		q[0] += 0.25
 		add(ix.SearchVector(q, 5, 0))
 		add(ix.SearchName(names[i], 5, 16))

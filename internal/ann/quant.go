@@ -7,17 +7,17 @@ import (
 	"time"
 
 	"repro/internal/embed"
-	"repro/internal/matrix"
 )
 
 // int8 search path. Quantize attaches a symmetric int8 arena (see
 // embed.QuantizedMatrix) to a built or loaded index; graph traversal
-// then runs on int8 dot products with int32 accumulation — 8x less
-// memory traffic per distance — and the final beam is re-ranked
-// exactly in float64 before truncation to k, which is what keeps
+// then runs on int8 dot products with int32 accumulation — 4x less
+// memory traffic per distance than the float32 vectors — and the final
+// beam is re-ranked exactly (float64 accumulation over the widened
+// float32 vectors) before truncation to k, which is what keeps
 // recall@10 >= 0.95 against brute force (asserted in quant_test.go).
 // The float vectors are retained for the re-rank, so the int8 arena
-// is heap memory on top of them: it adds about an eighth to the
+// is heap memory on top of them: it adds about a quarter to the
 // index's vector bytes when those were read from index.bin; a mapped
 // index's vectors are resident only once searches have touched them.
 
@@ -28,8 +28,10 @@ const maxQuantDim = 1 << 17
 // Quantize switches the index's graph traversal to int8 arithmetic
 // over a quantization of its own stored vectors (normalized ones, for
 // cosine). q must be nil: an index never adopts an arena another
-// artifact owns. Quantize must complete before the index is searched;
-// it is not safe to call concurrently with searches.
+// artifact owns. embed.Quantize widens the float32 rows one at a
+// time, so this allocates the int8 arena, its scales and one row,
+// never a float64 copy of the index. Quantize must complete before the index is searched; it is not safe
+// to call concurrently with searches.
 func (ix *Index) Quantize(q *embed.QuantizedMatrix) error {
 	if q != nil {
 		return errors.New("ann: Quantize quantizes the index's own vectors; pass nil")
@@ -37,7 +39,7 @@ func (ix *Index) Quantize(q *embed.QuantizedMatrix) error {
 	if ix.dim > maxQuantDim {
 		return fmt.Errorf("ann: cannot quantize dim %d (int32 dot-product accumulation is exact only up to dim %d)", ix.dim, maxQuantDim)
 	}
-	ix.quant = embed.Quantize(&matrix.Dense{Rows: ix.Len(), Cols: ix.dim, Data: ix.vecs})
+	ix.quant = embed.Quantize(ix.Len(), ix.dim, ix.vecs)
 	return nil
 }
 
@@ -45,8 +47,8 @@ func (ix *Index) Quantize(q *embed.QuantizedMatrix) error {
 func (ix *Index) Quantized() bool { return ix.quant != nil }
 
 // QuantBytes is the quantized arena's memory footprint (0 when the
-// index is not quantized). Compare with 8*Len()*Dim() for the float
-// arena.
+// index is not quantized). Compare with 4*Len()*Dim() for the float32
+// vectors.
 func (ix *Index) QuantBytes() int64 {
 	if ix.quant == nil {
 		return 0

@@ -3,6 +3,7 @@ package ann
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/embed"
@@ -175,10 +176,44 @@ func TestQuantizeRefusesForeignArena(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ix.Quantize(embed.Quantize(matrix.FromRows(vecs))); err == nil {
+	m := matrix.FromRows(vecs)
+	if err := ix.Quantize(embed.Quantize(m.Rows, m.Cols, m.Data)); err == nil {
 		t.Fatal("Quantize accepted an arena the index does not own")
 	}
 	if ix.Quantized() {
 		t.Fatal("refused arena left the index quantized")
+	}
+}
+
+// TestQuantizeAllocatesOnlyTheArena guards the reload path's memory:
+// Quantize(nil) on an n = 5,000 index allocates the int8 arena, its
+// float64 scales and one widened row, never a float64 copy of the
+// float32 vectors (which would be 8·n·dim bytes more).
+func TestQuantizeAllocatesOnlyTheArena(t *testing.T) {
+	const n, dim = 5000, 16
+	names, vecs := randomCollection(n, dim, 41)
+	built, err := BuildVectors(names, vecs, Options{M: 4, EfConstruction: 8, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := Decode(built.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The arena, the scales, one row, and slack for the QuantizedMatrix
+	// header and allocator rounding of the two large slices (a page
+	// each). A widened copy of the vectors is 640,000 bytes.
+	const budget = n*dim + 8*n + 8*dim + 3*8192
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if err := ix.Quantize(nil); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("Quantize(nil) allocated %d bytes at n=%d dim=%d, want at most %d", got, n, dim, budget)
+	} else {
+		t.Logf("Quantize(nil) allocated %d bytes (budget %d)", got, budget)
 	}
 }

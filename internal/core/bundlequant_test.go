@@ -246,15 +246,17 @@ func TestQuantSectionIgnoredInV4File(t *testing.T) {
 
 // TestANNStageFingerprintPinned: the ANN stage's cache key is the
 // index fingerprint alone, unchanged from when the stage also had a
-// quantize option, so cache entries built before still hit. A cold run
-// then a warm run over the same stage hit the same entry.
+// quantize option. The constant changed on purpose with index.bin
+// format version 3 (float32 vectors): the fingerprint domain carries
+// the format version, so no version-2 entry is ever looked up. A cold
+// run then a warm run over the same stage hit the same entry.
 func TestANNStageFingerprintPinned(t *testing.T) {
 	res, err := LoadBundle(v5QuantFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 1}, Cache: NewCache(t.TempDir())}
-	const want = "a4c0bc2e4482518945dda055afa530da5a5845e6f77f743a44289b3b3e950b59"
+	const want = "ed0501c664bd4416ab45ea17a0685aab59922ae71e30b399995ebf186cd895a7"
 	if fp := stage.Fingerprint(); fp != want {
 		t.Errorf("fingerprint = %s, want %s", fp, want)
 	}

@@ -52,6 +52,21 @@ func ViewI32(b []byte, n int) []int32 {
 	return out
 }
 
+// ViewF32 reinterprets the first 4n bytes of b as n float32s.
+func ViewF32(b []byte, n int) []float32 {
+	if n == 0 {
+		return []float32{}
+	}
+	if HostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
+		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
+	}
+	out := make([]float32, n)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
+}
+
 // ViewF64 reinterprets the first 8n bytes of b as n float64s.
 func ViewF64(b []byte, n int) []float64 {
 	if n == 0 {

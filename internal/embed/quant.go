@@ -32,21 +32,28 @@ type QuantizedMatrix struct {
 	Scales []float64
 }
 
-// Quantize builds the symmetric int8 form of m. Non-finite inputs are
-// clamped: NaN quantizes to 0, ±Inf to ±127 with the scale taken over
-// the finite elements only (an all-±Inf row gets scale 0 and saturated
-// bytes decode to 0 — embeddings never contain such rows, but the
-// quantizer must not poison a whole arena over one bad element).
-func Quantize(m *matrix.Dense) *QuantizedMatrix {
+// Quantize builds the symmetric int8 form of the rows × cols row-major
+// matrix data. Rows are widened to float64 one at a time into a single
+// scratch row, so Quantize allocates the int8 arena, its scales and
+// that row, never a float64 copy of a float32 input. Non-finite inputs
+// are clamped: NaN quantizes to 0, ±Inf to ±127 with the scale taken
+// over the finite elements only (an all-±Inf row gets scale 0 and
+// saturated bytes decode to 0 — embeddings never contain such rows,
+// but the quantizer must not poison a whole arena over one bad
+// element).
+func Quantize[T float32 | float64](rows, cols int, data []T) *QuantizedMatrix {
 	q := &QuantizedMatrix{
-		Rows:   m.Rows,
-		Cols:   m.Cols,
-		Data:   make([]int8, m.Rows*m.Cols),
-		Scales: make([]float64, m.Rows),
+		Rows:   rows,
+		Cols:   cols,
+		Data:   make([]int8, rows*cols),
+		Scales: make([]float64, rows),
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		q.Scales[i] = QuantizeRow(row, q.Data[i*m.Cols:(i+1)*m.Cols])
+	row := make([]float64, cols)
+	for i := range q.Scales {
+		for j, x := range data[i*cols : (i+1)*cols] {
+			row[j] = float64(x)
+		}
+		q.Scales[i] = QuantizeRow(row, q.Row(i))
 	}
 	return q
 }

@@ -3,6 +3,7 @@ package embed
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/matrix"
@@ -14,7 +15,7 @@ func TestQuantizeRoundTripBound(t *testing.T) {
 	for i := range m.Data {
 		m.Data[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(5)-2))
 	}
-	q := Quantize(m)
+	q := Quantize(m.Rows, m.Cols, m.Data)
 	if q.Rows != m.Rows || q.Cols != m.Cols {
 		t.Fatalf("shape %dx%d, want %dx%d", q.Rows, q.Cols, m.Rows, m.Cols)
 	}
@@ -39,7 +40,7 @@ func TestQuantizePerRowScale(t *testing.T) {
 		{1000, -500, 250},
 		{0, 0, 0},
 	})
-	q := Quantize(m)
+	q := Quantize(m.Rows, m.Cols, m.Data)
 	if got, want := q.Scales[0], 1.0/127; got != want {
 		t.Fatalf("row 0 scale = %v, want %v", got, want)
 	}
@@ -69,7 +70,7 @@ func TestQuantizeNonFinite(t *testing.T) {
 	m := matrix.FromRows([][]float64{
 		{math.NaN(), 2, math.Inf(1), -3, math.Inf(-1)},
 	})
-	q := Quantize(m)
+	q := Quantize(m.Rows, m.Cols, m.Data)
 	// Scale comes from the finite elements (maxabs 3); NaN → 0, ±Inf
 	// saturate.
 	if got, want := q.Scales[0], 3.0/127; got != want {
@@ -81,8 +82,23 @@ func TestQuantizeNonFinite(t *testing.T) {
 	}
 }
 
+// TestQuantizeFloat32MatchesWidened: a float32 matrix quantizes to
+// exactly the arena of its float64 widening.
+func TestQuantizeFloat32MatchesWidened(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	narrow := make([]float32, 12*7)
+	wide := make([]float64, len(narrow))
+	for i := range narrow {
+		narrow[i] = float32(rng.NormFloat64())
+		wide[i] = float64(narrow[i])
+	}
+	if got, want := Quantize(12, 7, narrow), Quantize(12, 7, wide); !reflect.DeepEqual(got, want) {
+		t.Fatalf("float32 arena %+v, widened float64 arena %+v", got, want)
+	}
+}
+
 func TestQuantizedBytes(t *testing.T) {
-	q := Quantize(matrix.NewDense(10, 100))
+	q := Quantize(10, 100, make([]float64, 10*100))
 	if got, want := q.Bytes(), int64(10*100+8*10); got != want {
 		t.Fatalf("Bytes() = %d, want %d", got, want)
 	}

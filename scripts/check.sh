@@ -450,6 +450,23 @@ grep -q 'index.bin' "$SMOKE/levad_index_corrupt.log"
 
 echo "index corruption smoke test passed"
 
+# --- version-2 index refusal test --------------------------------------
+# index.bin format version 2 (float64 vectors) has no reader: a copy of
+# the committed version-2 directory beside a good bundle must stop levad
+# at startup with an error naming index.bin and saying to rebuild the
+# index. The refusal is by version, not by the SHA-256 check, so this
+# leg greps for its own message.
+cp -r internal/ann/testdata/index-v2 "$SMOKE/index_v2"
+if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_v2" \
+    -addr 127.0.0.1:0 2>"$SMOKE/levad_index_v2.log"; then
+    echo "levad served a version-2 index" >&2
+    exit 1
+fi
+grep -q 'index.bin' "$SMOKE/levad_index_v2.log"
+grep -q 'rebuild the index' "$SMOKE/levad_index_v2.log"
+
+echo "version-2 index refusal test passed"
+
 # --- wire-surface smoke test -----------------------------------------
 # levad's -max-inflight must reach the admission limiter: the limiter
 # starts at its ceiling, so /metrics must read exactly 2. And the
