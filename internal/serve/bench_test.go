@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 )
@@ -23,7 +24,7 @@ func featurizeJobs(tb testing.TB, n int) (*store, []*rowJob) {
 		jobs[i] = &rowJob{t: t, table: spec.BaseTable, exclude: []string{spec.Target},
 			graphRow: -1, mode: loaded.Config.Featurization}
 	}
-	return newStore(loaded, nil, Config{}.withDefaults(), newMetrics()), jobs
+	return newStore(loaded, nil, Config{}.withDefaults(), newMetrics(newLimiter(1, 0, time.Second))), jobs
 }
 
 // BenchmarkServeFeaturize measures single-row featurization through the

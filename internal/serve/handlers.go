@@ -60,10 +60,10 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // message plus a machine-readable "reason" tag that clients branch on
 // instead of parsing the message. The reasons are bad_request,
 // body_too_large, too_many_rows, canceled, unknown_token, bad_param,
-// no_index, capacity, queue_timeout, client_gone, bad_deadline,
-// reload_disabled, reload_rejected, not_found, method_not_allowed and
-// internal — plus timeout, which the per-request timeout handler
-// writes itself. The table in docs/SERVING.md lists where each comes
+// no_index, capacity, queue_timeout, deadline, client_gone,
+// bad_deadline, reload_disabled, reload_rejected, not_found,
+// method_not_allowed and internal — plus timeout, which the
+// per-request timeout handler writes itself. The table in docs/SERVING.md lists where each comes
 // from.
 func writeErrorReason(w http.ResponseWriter, status int, reason, format string, args ...any) {
 	writeJSON(w, status, map[string]string{

@@ -9,7 +9,6 @@ import (
 	"repro/internal/durable"
 	"repro/internal/obs"
 	"repro/internal/parallel"
-	"repro/internal/resilience"
 )
 
 // Serving metric family names. The catalog — every family, its labels
@@ -35,12 +34,11 @@ const (
 	metricReloadDuration  = "leva_reload_last_duration_seconds"
 	metricReloadUnix      = "leva_reload_last_unix_seconds"
 
-	metricAbandoned      = "leva_resilience_abandoned_total"
-	metricBackoffs       = "leva_resilience_backoffs_total"
-	metricLimit          = "leva_resilience_limit"
-	metricQueueDepth     = "leva_resilience_queue_depth"
-	metricShedRetryAfter = "leva_shed_retry_after_seconds"
-	metricShedByReason   = "leva_shed_total"
+	metricAbandoned    = "leva_resilience_abandoned_total"
+	metricBackoffs     = "leva_resilience_backoffs_total"
+	metricLimit        = "leva_resilience_limit"
+	metricQueueDepth   = "leva_resilience_queue_depth"
+	metricShedByReason = "leva_shed_total"
 )
 
 // trackedStatuses are the response codes counted individually; anything
@@ -73,10 +71,8 @@ type metrics struct {
 	quantEnabled    *obs.Gauge
 	quantArenaBytes *obs.Gauge
 
-	abandoned      *obs.CounterVec // by reason (deadline, disconnect)
-	backoffs       *obs.Counter
-	shedByReason   *obs.CounterVec // by reason
-	shedRetryAfter *obs.Gauge
+	abandoned    *obs.CounterVec // by reason (deadline, disconnect)
+	shedByReason *obs.CounterVec // by reason
 
 	generation        *obs.Gauge
 	reloads           *obs.Counter
@@ -84,15 +80,11 @@ type metrics struct {
 	lastReloadSeconds *obs.Gauge
 	lastReloadUnix    *obs.Gauge
 	lastReloadError   atomic.Value // string; reported on /healthz, not a number
-
-	// limitFn and queueDepthFn read the admission limiter, which is
-	// created after the metrics (atomic.Value holds func() float64 so a
-	// bare metrics set — the golden test's case — renders zeros).
-	limitFn      atomic.Value // func() float64
-	queueDepthFn atomic.Value // func() float64
 }
 
-func newMetrics() *metrics {
+// newMetrics builds the instrument set, reading the admission gauges
+// and the backoff counter off l.
+func newMetrics(l *limiter) *metrics {
 	r := obs.NewRegistry()
 	m := &metrics{
 		reg:   r,
@@ -134,32 +126,19 @@ func newMetrics() *metrics {
 			"Unix time of the last reload attempt (0 = never)."),
 		abandoned: r.CounterVec(metricAbandoned,
 			"Requests abandoned mid-flight, by reason (deadline = X-Leva-Deadline-Ms expired, disconnect = client closed the connection).", "reason"),
-		backoffs: r.Counter(metricBackoffs,
-			"Multiplicative decreases of the adaptive concurrency limit (each marks observed congestion)."),
 		shedByReason: r.CounterVec(metricShedByReason,
-			"Requests shed with 429, by reason (capacity, queue_timeout, client_gone).", "reason"),
-		shedRetryAfter: r.Gauge(metricShedRetryAfter,
-			"Retry-After value of the most recent shed response."),
+			"Requests shed with 429, by reason (capacity, queue_timeout, deadline, client_gone).", "reason"),
 	}
 	r.Register(obs.NewGaugeFunc(metricUptime,
 		"Seconds since this server was created.",
 		func() float64 { return time.Since(m.start).Seconds() }))
-	r.Register(obs.NewGaugeFunc(metricLimit,
-		"Current adaptive concurrency limit (AIMD: climbs on success, falls on congestion).",
-		func() float64 {
-			if fn, ok := m.limitFn.Load().(func() float64); ok && fn != nil {
-				return fn()
-			}
-			return 0
-		}))
-	r.Register(obs.NewGaugeFunc(metricQueueDepth,
-		"Requests waiting in the admission queue.",
-		func() float64 {
-			if fn, ok := m.queueDepthFn.Load().(func() float64); ok && fn != nil {
-				return fn()
-			}
-			return 0
-		}))
+	r.Register(l.backoffs,
+		obs.NewGaugeFunc(metricLimit,
+			"Current adaptive concurrency limit (AIMD: climbs on success, falls on congestion).",
+			l.currentLimit),
+		obs.NewGaugeFunc(metricQueueDepth,
+			"Requests waiting in the admission queue.",
+			func() float64 { return float64(l.queueDepth()) }))
 	// Process-wide substrates share their package-level instruments
 	// into this server's registry, so one scrape covers worker-pool
 	// saturation, durability syscall latency, and runtime health.
@@ -168,13 +147,6 @@ func newMetrics() *metrics {
 	ann.RegisterMetrics(r)
 	obs.RegisterRuntimeMetrics(r)
 	return m
-}
-
-// setLimiter points the admission gauges at the server's limiter.
-// Called once at Server construction.
-func (m *metrics) setLimiter(l *resilience.Limiter) {
-	m.limitFn.Store(func() float64 { return l.Limit() })
-	m.queueDepthFn.Store(func() float64 { return float64(l.QueueDepth()) })
 }
 
 // recordReload accounts one reload attempt. The generation gauge itself

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/embed"
@@ -115,15 +116,13 @@ const goldenServeMeta = `# HELP leva_ann_build_seconds Wall time of HNSW index b
 # TYPE leva_resilience_queue_depth gauge
 # HELP leva_rows_featurized_total Rows featurized by the serving path.
 # TYPE leva_rows_featurized_total counter
-# HELP leva_shed_retry_after_seconds Retry-After value of the most recent shed response.
-# TYPE leva_shed_retry_after_seconds gauge
-# HELP leva_shed_total Requests shed with 429, by reason (capacity, queue_timeout, client_gone).
+# HELP leva_shed_total Requests shed with 429, by reason (capacity, queue_timeout, deadline, client_gone).
 # TYPE leva_shed_total counter
 # HELP leva_uptime_seconds Seconds since this server was created.
 # TYPE leva_uptime_seconds gauge`
 
 func TestMetricsPrometheusGolden(t *testing.T) {
-	got := metaLines(t, newMetrics())
+	got := metaLines(t, newMetrics(newLimiter(1, 0, time.Second)))
 	if got != goldenServeMeta {
 		t.Errorf("HELP/TYPE lines drifted from golden.\ngot:\n%s\n\nwant:\n%s", got, goldenServeMeta)
 	}
@@ -359,7 +358,7 @@ func TestMetricsCatalogMatchesDocs(t *testing.T) {
 
 	emitted := map[string]bool{}
 	// The serving surface: everything a Server's registry holds.
-	for _, f := range newMetrics().reg.Families() {
+	for _, f := range newMetrics(newLimiter(1, 0, time.Second)).reg.Families() {
 		emitted[f.Name] = true
 	}
 	// The offline-pipeline surface: run one tiny instrumented build (with a

@@ -7,8 +7,6 @@ import (
 	"net/http"
 	"runtime/debug"
 	"time"
-
-	"repro/internal/resilience"
 )
 
 // statusRecorder captures the response status and size for metrics and
@@ -114,41 +112,36 @@ func (s *Server) serveRecovered(name string, h http.Handler, rec *statusRecorder
 }
 
 // limit is the adaptive admission controller: requests acquire a slot
-// from the AIMD limiter (queueing briefly at the limit) and report
-// their outcome on release — a request whose deadline expired is the
-// congestion signal that shrinks the limit. Shed requests get a 429
-// with a named reason and a Retry-After derived from observed service
-// time, so saturation degrades into fast, explicit, back-off-able
-// rejections instead of unbounded queueing.
+// from the AIMD limiter (queueing briefly at the limit) and report on
+// release whether they were dropped — a request whose deadline expired
+// is the congestion signal that shrinks the limit. Shed requests get a
+// 429 with a named reason and Retry-After: 1, so saturation degrades
+// into fast, explicit, back-off-able rejections instead of unbounded
+// queueing.
 func (s *Server) limit(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		release, err := s.limiter.Acquire(r.Context())
+		release, err := s.limiter.acquire(r.Context())
 		if err != nil {
 			// The leva_shed_total reasons: capacity (limit reached, queue
 			// full or disabled), queue_timeout (queued too long),
-			// client_gone (caller vanished while queued).
+			// deadline (X-Leva-Deadline-Ms or -request-timeout expired
+			// while queued), client_gone (caller cancelled while queued).
 			reason := "capacity"
 			switch {
-			case errors.Is(err, resilience.ErrQueueTimeout):
+			case errors.Is(err, errQueueTimeout):
 				reason = "queue_timeout"
-			case r.Context().Err() != nil:
+			case errors.Is(err, context.DeadlineExceeded):
+				reason = "deadline"
+			case errors.Is(err, context.Canceled):
 				reason = "client_gone"
 			}
-			retry := s.limiter.RetryAfter()
 			s.metrics.shedByReason.With(reason).Inc()
-			s.metrics.shedRetryAfter.Set(retry.Seconds())
-			retryAfterHeader(w, retry)
+			w.Header().Set("Retry-After", "1")
 			writeErrorReason(w, http.StatusTooManyRequests, reason,
-				"server saturated: concurrency limit %d reached", int(s.limiter.Limit()))
+				"server saturated: concurrency limit %d reached", int(s.limiter.currentLimit()))
 			return
 		}
-		defer func() {
-			out := resilience.OutcomeOK
-			if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-				out = resilience.OutcomeDropped
-			}
-			release(out)
-		}()
+		defer func() { release(errors.Is(r.Context().Err(), context.DeadlineExceeded)) }()
 		h.ServeHTTP(w, r)
 	})
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/durable"
-	"repro/internal/resilience"
 )
 
 // getJSON GETs url and decodes the response body into out.
@@ -83,7 +83,7 @@ func memo(srv *Server) *rejectedCandidate {
 // shedTotal sums leva_shed_total over its reasons.
 func shedTotal(srv *Server) float64 {
 	total := 0.0
-	for _, reason := range []string{"capacity", "queue_timeout", "client_gone"} {
+	for _, reason := range []string{"capacity", "queue_timeout", "deadline", "client_gone"} {
 		total += srv.metrics.shedByReason.With(reason).Value()
 	}
 	return total
@@ -225,14 +225,34 @@ func TestReloadRefusesUnchangedRejectedCandidate(t *testing.T) {
 	}
 }
 
+// waitUntil polls cond for up to two seconds: the counters and the
+// limiter settle after the client already has its answer.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never happened", what)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
 // TestDeadlineHeader: X-Leva-Deadline-Ms is validated (400 with the
 // bad_deadline taxonomy tag on garbage) and enforced — a budget that
-// expires mid-handler yields the timeout 503 and is counted as
-// abandoned{deadline}.
+// expires mid-handler yields the timeout 503, is counted as
+// abandoned{deadline}, and is the congestion signal that backs the
+// adaptive limit off. A client that cancels mid-handler is not
+// congestion: it leaves the limit alone.
 func TestDeadlineHeader(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	srv := New(loaded, Config{})
 	srv.testHookFeaturize = func() { time.Sleep(300 * time.Millisecond) }
+	entered := make(chan struct{}, 1)
+	srv.testHookNeighbors = func() {
+		entered <- struct{}{}
+		time.Sleep(300 * time.Millisecond)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -241,7 +261,7 @@ func TestDeadlineHeader(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		req.Header.Set(resilience.DeadlineHeader, bad)
+		req.Header.Set(deadlineHeader, bad)
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -256,16 +276,49 @@ func TestDeadlineHeader(t *testing.T) {
 		}
 	}
 
+	m := srv.metrics
+	limitState := func() (float64, float64) {
+		return srv.limiter.currentLimit(), srv.limiter.backoffs.Value()
+	}
+
+	// A client that cancels mid-handler (a bodyless GET, so the server
+	// sees the closed connection at once): the request context ends
+	// cancelled, and the limit stays at its ceiling.
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/v1/neighbors?token=x", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() {
+		resp, err := http.DefaultClient.Do(req)
+		if err == nil {
+			resp.Body.Close()
+		}
+		errc <- err
+	}()
+	<-entered
+	cancel()
+	if err := <-errc; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled request: %v, want context.Canceled", err)
+	}
+	waitUntil(t, "the cancelled request's release", func() bool {
+		return m.abandoned.With("disconnect").Value() == 1 && inflight(srv.limiter) == 0
+	})
+	if limit, backoffs := limitState(); limit != 64 || backoffs != 0 {
+		t.Fatalf("after a cancelled request: limit %v, %v backoffs; want 64 and 0", limit, backoffs)
+	}
+
 	payload := mustJSON(map[string]any{
 		"table": spec.BaseTable,
 		"rows":  []any{jsonRow(spec.DB.Table(spec.BaseTable), 0)},
 	})
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/featurize", strings.NewReader(payload))
+	req, err = http.NewRequest(http.MethodPost, ts.URL+"/v1/featurize", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(resilience.DeadlineHeader, "30")
+	req.Header.Set(deadlineHeader, "30")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -278,25 +331,25 @@ func TestDeadlineHeader(t *testing.T) {
 	if !strings.Contains(string(body), "timeout") {
 		t.Fatalf("expired deadline: body %q does not name the timeout", body)
 	}
-
-	// The abandoned counter increments right after the middleware
-	// returns; poll briefly to avoid racing it.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		m := srv.metrics
-		if m.abandoned.With("deadline").Value()+m.abandoned.With("disconnect").Value() >= 1 {
-			break
+	waitUntil(t, "abandoned{deadline} and the backoff", func() bool {
+		return m.abandoned.With("deadline").Value() == 1 && inflight(srv.limiter) == 0
+	})
+	if limit, backoffs := limitState(); limit != 48 || backoffs != 1 {
+		t.Fatalf("after an expired deadline: limit %v, %v backoffs; want 48 (64 × 0.75) and 1", limit, backoffs)
+	}
+	_, _, scrape := getRaw(t, ts.URL+"/metrics")
+	for _, line := range []string{"leva_resilience_backoffs_total 1\n", "leva_resilience_limit 48\n"} {
+		if !strings.Contains(string(scrape), line) {
+			t.Errorf("/metrics lacks %q", line)
 		}
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned{deadline} was never counted")
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 }
 
 // TestQueueShedsWithRetryAfter: with one admission slot held, excess
 // requests wait in the bounded queue and shed with 429s that carry
-// Retry-After and a shed-reason taxonomy tag.
+// Retry-After: 1 and a documented shed reason — capacity when the
+// queue is full, queue_timeout when a wait outlives -queue-timeout,
+// deadline when the request's X-Leva-Deadline-Ms expires first.
 func TestQueueShedsWithRetryAfter(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	srv := New(loaded, Config{
@@ -318,63 +371,74 @@ func TestQueueShedsWithRetryAfter(t *testing.T) {
 		"table": spec.BaseTable,
 		"rows":  []any{jsonRow(spec.DB.Table(spec.BaseTable), 0)},
 	})
+	post := func(deadlineMs string) (int, http.Header, []byte) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/featurize", strings.NewReader(body))
+		if err != nil {
+			return -1, nil, []byte(err.Error())
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if deadlineMs != "" {
+			req.Header.Set(deadlineHeader, deadlineMs)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return -1, nil, []byte(err.Error())
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, resp.Header, raw
+	}
+	requireShed := func(what, reason string, code int, hdr http.Header, raw []byte) {
+		t.Helper()
+		if code != http.StatusTooManyRequests {
+			t.Fatalf("%s: status %d (%s), want 429", what, code, raw)
+		}
+		if got := hdr.Get("Retry-After"); got != "1" {
+			t.Errorf("%s: Retry-After %q, want 1", what, got)
+		}
+		requireReason(t, code, raw, reason)
+	}
+
 	first := make(chan int, 1)
 	go func() {
-		resp, err := http.Post(ts.URL+"/v1/featurize", "application/json", strings.NewReader(body))
-		if err != nil {
-			first <- -1
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		first <- resp.StatusCode
+		code, _, _ := post("")
+		first <- code
 	}()
 	<-entered // request 1 holds the only admission slot
 
-	// Request 2 fills the one queue slot and times out there; request 3
-	// finds the queue full and sheds immediately. Run them concurrently
-	// so both are in the building at once.
-	type shed struct {
-		code       int
-		retryAfter string
-		reason     string
+	// Request 2 takes the one queue slot; request 3 finds the queue full
+	// and sheds at once; request 2 then ages out of the queue.
+	type answer struct {
+		code int
+		hdr  http.Header
+		raw  []byte
 	}
-	results := make(chan shed, 2)
-	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Post(ts.URL+"/v1/featurize", "application/json", strings.NewReader(body))
-			if err != nil {
-				results <- shed{code: -1}
-				return
-			}
-			raw, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			var e map[string]string
-			_ = json.Unmarshal(raw, &e)
-			results <- shed{code: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), reason: e["reason"]}
-		}()
-		time.Sleep(10 * time.Millisecond) // deterministic arrival order
-	}
-	for i := 0; i < 2; i++ {
-		got := <-results
-		if got.code != http.StatusTooManyRequests {
-			t.Fatalf("shed request: status %d, want 429", got.code)
-		}
-		if got.retryAfter == "" {
-			t.Error("429 missing Retry-After")
-		}
-		switch got.reason {
-		case "capacity", "queue_timeout":
-		default:
-			t.Errorf("shed reason %q, want capacity or queue_timeout", got.reason)
-		}
-	}
+	queued := make(chan answer, 1)
+	go func() {
+		code, hdr, raw := post("")
+		queued <- answer{code, hdr, raw}
+	}()
+	waitUntil(t, "request 2 queueing", func() bool { return srv.limiter.queueDepth() == 1 })
+	code, hdr, raw := post("")
+	requireShed("full queue", "capacity", code, hdr, raw)
+	a := <-queued
+	requireShed("queued past -queue-timeout", "queue_timeout", a.code, a.hdr, a.raw)
+
+	// A queued request whose own deadline expires before the queue
+	// timeout sheds as deadline: the client is still there to read it.
+	code, hdr, raw = post("5")
+	requireShed("queued past its deadline", "deadline", code, hdr, raw)
 
 	close(release)
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("admitted request: status %d, want 200", code)
 	}
-	if got := shedTotal(srv); got != 2 {
-		t.Errorf("shed by reason sums to %v, want 2", got)
+	for _, reason := range []string{"capacity", "queue_timeout", "deadline"} {
+		if got := srv.metrics.shedByReason.With(reason).Value(); got != 1 {
+			t.Errorf("leva_shed_total{reason=%q} = %v, want 1", reason, got)
+		}
+	}
+	if got := shedTotal(srv); got != 3 {
+		t.Errorf("shed by reason sums to %v, want 3", got)
 	}
 }

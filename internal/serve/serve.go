@@ -18,11 +18,11 @@
 // The HTTP layer carries the production plumbing: deadline propagation
 // (clients bound their wait with X-Leva-Deadline-Ms), an adaptive AIMD
 // concurrency limiter with a short bounded queue that sheds excess
-// load with Retry-After-carrying 429s, per-request timeouts, structured
-// request logging, and graceful shutdown that drains in-flight
-// requests. Hot reload refuses, without loading it, a candidate that
-// has not changed since it was last rejected. internal/resilience holds
-// the mechanisms; cmd/levad is the daemon around this package.
+// load with Retry-After-carrying 429s (admission.go), per-request
+// timeouts, structured request logging, and graceful shutdown that
+// drains in-flight requests. Hot reload refuses, without loading it, a
+// candidate that has not changed since it was last rejected. cmd/levad
+// is the daemon around this package.
 package serve
 
 import (
@@ -37,7 +37,6 @@ import (
 	"repro/internal/ann"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/resilience"
 )
 
 // Config tunes the serving daemon. The zero value gets sensible
@@ -153,7 +152,7 @@ type Server struct {
 
 	// limiter is the adaptive admission controller behind every
 	// data-plane endpoint.
-	limiter *resilience.Limiter
+	limiter *limiter
 
 	// reloadMu serializes reloads (and the shutdown/reload handoff):
 	// overlapping SIGHUPs queue behind each other instead of
@@ -182,19 +181,14 @@ type Server struct {
 // embedding and tokenizer are treated as immutable from here on.
 func New(res *core.Result, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	m := newMetrics()
+	l := newLimiter(cfg.MaxInFlight, cfg.QueueLen, cfg.QueueTimeout)
+	m := newMetrics(l)
 	s := &Server{
 		cfg:     cfg,
 		metrics: m,
 		logger:  cfg.Logger,
+		limiter: l,
 	}
-	s.limiter = resilience.NewLimiter(resilience.LimiterConfig{
-		MaxLimit:     cfg.MaxInFlight,
-		QueueLen:     cfg.QueueLen,
-		QueueTimeout: cfg.QueueTimeout,
-		OnBackoff:    m.backoffs.Inc,
-	})
-	m.setLimiter(s.limiter)
 	first := newStore(res, cfg.Index, cfg, m)
 	first.gen = 1
 	s.st.Store(first)

@@ -448,6 +448,20 @@ refuse_start "$SMOKE/levad_index_corrupt.log" "a corrupt index" \
     -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_corrupt"
 grep -q 'index.bin' "$SMOKE/levad_index_corrupt.log"
 
+# The same index read onto the heap (-mmap=false) is refused as well.
+refuse_start "$SMOKE/levad_index_corrupt_heap.log" "a corrupt index with -mmap=false" \
+    -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_corrupt" -mmap=false
+grep -q 'index.bin' "$SMOKE/levad_index_corrupt_heap.log"
+
+# A flip in the last byte lands in the tail of the mapped check's last
+# hashing chunk.
+cp -r "$SMOKE/index" "$SMOKE/index_corrupt_tail"
+flip_byte "$SMOKE/index_corrupt_tail/index.bin" \
+    $(($(wc -c < "$SMOKE/index_corrupt_tail/index.bin") - 1))
+refuse_start "$SMOKE/levad_index_corrupt_tail.log" "an index with its last byte flipped" \
+    -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_corrupt_tail"
+grep -q 'index.bin' "$SMOKE/levad_index_corrupt_tail.log"
+
 echo "index corruption smoke test passed"
 
 # --- version-2 index refusal test --------------------------------------
