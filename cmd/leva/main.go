@@ -241,8 +241,8 @@ func runNeighbors(args []string) error {
 }
 
 // runBundle dispatches the bundle maintenance subcommands: info
-// (inspect a saved bundle without serving it) and convert (rewrite a
-// version-4 or version-5 bundle in the current version).
+// (inspect a saved bundle without serving it) and convert (rewrite an
+// older bundle in the current version).
 func runBundle(args []string) error {
 	if len(args) < 1 {
 		return fmt.Errorf("bundle: want a subcommand: info or convert")
@@ -280,8 +280,8 @@ func runBundleInfo(args []string) error {
 	fmt.Printf("  format:        version %d, binary (bundle.bin) (verified against MANIFEST.json)\n", info.FormatVersion)
 	fmt.Printf("  embedding:     %d entities x %d dims (%s, %s featurization)\n",
 		info.Entities, info.Dim, info.MethodUsed, info.Featurization)
-	fmt.Printf("  payload:       %d bytes total (symbols %d, arena %d)\n",
-		info.PayloadBytes, info.SymbolBytes, info.ArenaBytes)
+	fmt.Printf("  payload:       %d bytes total (symbols %d, arena %d %s)\n",
+		info.PayloadBytes, info.SymbolBytes, info.ArenaBytes, info.ArenaElem)
 	if info.UnseenFallbackDims > 0 {
 		fmt.Printf("  unseen fallback dims: %d\n", info.UnseenFallbackDims)
 	}
@@ -300,7 +300,8 @@ func runBundleInfo(args []string) error {
 }
 
 // runBundleConvert rewrites a bundle in the current format version — the
-// migration tool that upgrades version-4 bundles and drops the unused
+// migration tool that upgrades version-4 and version-5 bundles to the
+// float32 arena the mapped load views in place, and drops the unused
 // section older version-5 builds wrote. Featurization is unchanged by
 // conversion.
 func runBundleConvert(args []string) error {

@@ -130,7 +130,7 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	for _, want := range []string{"version 5", "binary (bundle.bin)", "verified against", "orders:", "customers:"} {
+	for _, want := range []string{"version 6", "binary (bundle.bin)", "arena 4200 float32", "verified against", "orders:", "customers:"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("bundle info output missing %q:\n%s", want, text)
 		}
@@ -144,7 +144,8 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !strings.Contains(text, "version 4") || !strings.Contains(text, "binary (bundle.bin)") {
+	if !strings.Contains(text, "version 4") || !strings.Contains(text, "binary (bundle.bin)") ||
+		!strings.Contains(text, "float64)") {
 		t.Errorf("version-4 bundle info wrong:\n%s", text)
 	}
 
@@ -157,7 +158,8 @@ func TestRunBundleInfoAndConvert(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if !strings.Contains(text, fmt.Sprintf("version %d", leva.BundleFormatVersion)) || !strings.Contains(text, "binary (bundle.bin)") {
+	if !strings.Contains(text, fmt.Sprintf("version %d", leva.BundleFormatVersion)) || !strings.Contains(text, "binary (bundle.bin)") ||
+		!strings.Contains(text, "float32)") {
 		t.Errorf("upgraded bundle info wrong:\n%s", text)
 	}
 
@@ -448,13 +450,13 @@ func TestRunBundleConvertDropsQuantSection(t *testing.T) {
 	if got, want := sections(converted), uint32(6); got != want {
 		t.Errorf("converted bundle has %d sections, want %d", got, want)
 	}
-	for _, dir := range []string{fixture, converted} {
+	for dir, version := range map[string]string{fixture: "version 5", converted: "version 6"} {
 		text := captureStdout(t, func() {
 			if err := runBundle([]string{"info", dir}); err != nil {
 				t.Fatal(err)
 			}
 		})
-		if !strings.Contains(text, "version 5") || !strings.Contains(text, "verified against") ||
+		if !strings.Contains(text, version) || !strings.Contains(text, "verified against") ||
 			strings.Contains(text, "quantized") {
 			t.Errorf("bundle info %s:\n%s", dir, text)
 		}

@@ -183,9 +183,9 @@ func duplicateName(st *embed.SymbolTable) (string, bool) {
 // Build indexes every vector of e under opts. Unlike BuildVectors it
 // does not copy per entity: the name table is the embedding's interned
 // symbol table, and the vector block is read row by row from the
-// embedding's contiguous arena. Rows are stored by the same storeUnit
-// as BuildVectors', so the two produce the same index for the same
-// input.
+// embedding's contiguous float32 arena, each row widened into a scratch
+// row first. Rows are stored by the same storeUnit as BuildVectors', so
+// the two produce the same index for the same input.
 func Build(e *embed.Embedding, opts Options) (*Index, error) {
 	if e == nil || e.Len() == 0 {
 		return nil, errors.New("ann: cannot build an index over an empty embedding")
@@ -208,9 +208,10 @@ func Build(e *embed.Embedding, opts Options) (*Index, error) {
 	}
 	start := time.Now()
 	ix := &Index{opts: opts, dim: dim, syms: st, vecs: make([]float32, 0, n*dim)}
-	data, scratch := e.Matrix().Data, make([]float64, dim)
+	arena, row, scratch := e.Arena(), make([]float64, 0, dim), make([]float64, dim)
 	for i := 0; i < n; i++ {
-		ix.vecs = storeUnit(ix.vecs, data[i*dim:(i+1)*dim], scratch)
+		row = widen(row[:0], arena[i*dim:(i+1)*dim])
+		ix.vecs = storeUnit(ix.vecs, row, scratch)
 	}
 	if err := ix.wire(rand.New(rand.NewSource(opts.Seed))); err != nil {
 		return nil, err

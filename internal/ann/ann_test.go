@@ -60,7 +60,8 @@ func cosine(a, b []float64) float64 {
 // entities to entity qi, self excluded, ties by ascending id — the
 // same ordering the index promises.
 func exactTopK(e *embed.Embedding, qi, k int) []string {
-	q := e.Matrix().Row(qi)
+	names := e.Names()
+	q, _ := e.Vector(names[qi])
 	type hit struct {
 		id    int
 		score float64
@@ -70,7 +71,8 @@ func exactTopK(e *embed.Embedding, qi, k int) []string {
 		if i == qi {
 			continue
 		}
-		hits = append(hits, hit{i, cosine(q, e.Matrix().Row(i))})
+		v, _ := e.Vector(names[i])
+		hits = append(hits, hit{i, cosine(q, v)})
 	}
 	sort.Slice(hits, func(a, b int) bool {
 		if hits[a].score != hits[b].score {
@@ -180,7 +182,7 @@ func TestBuildArenaMatchesBuildVectors(t *testing.T) {
 	e := benchmarkEmbedding(t)
 	rows := make([][]float64, e.Len())
 	for i := range rows {
-		rows[i] = append([]float64(nil), e.Matrix().Row(i)...)
+		rows[i], _ = e.Vector(e.Names()[i])
 	}
 	opts := ann.Options{M: 8, EfConstruction: 60, Seed: 9}
 	fast, err := ann.Build(e, opts)
@@ -204,10 +206,10 @@ func TestBuildArenaMatchesBuildVectors(t *testing.T) {
 	}
 	// Normalization must work on the index's copy, never on the
 	// embedding's arena.
+	arena := e.Arena()
 	for i := range rows {
-		row := e.Matrix().Row(i)
-		for j := range row {
-			if row[j] != rows[i][j] {
+		for j := range rows[i] {
+			if float64(arena[i*e.Dim+j]) != rows[i][j] {
 				t.Fatalf("Build mutated the embedding arena at [%d][%d]", i, j)
 			}
 		}

@@ -8,10 +8,11 @@ import (
 	"repro/internal/matrix"
 )
 
-// TestStoredVectorsRoundedOnce: Build and BuildVectors store each row
-// as float32 of the row normalized in float64 — one rounding, no
+// TestStoredVectorsRoundedOnce: Build and BuildVectors store each input
+// row as float32 of the row normalized in float64 — one rounding, no
 // float32 arithmetic — and SearchVector scores stay within 1e-6 of the
-// exact float64 cosine of the unrounded vectors.
+// exact float64 cosine of the unrounded vectors. Build's input rows are
+// the embedding's float32 arena, widened.
 func TestStoredVectorsRoundedOnce(t *testing.T) {
 	names, vecs := randomCollection(400, 24, 31)
 	vecs[7] = make([]float64, 24) // a zero row stays zero
@@ -19,12 +20,21 @@ func TestStoredVectorsRoundedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromArena, err := Build(embed.NewEmbedding(names, matrix.FromRows(vecs)), Options{M: 8, EfConstruction: 60, Seed: 3})
+	emb := embed.NewEmbedding(names, matrix.FromRows(vecs))
+	fromArena, err := Build(emb, Options{M: 8, EfConstruction: 60, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for what, ix := range map[string]*Index{"BuildVectors": fromVectors, "Build": fromArena} {
-		for i, v := range vecs {
+	widened := make([][]float64, len(names))
+	for i, n := range names {
+		widened[i], _ = emb.Vector(n)
+	}
+	for what, tc := range map[string]struct {
+		ix *Index
+		in [][]float64
+	}{"BuildVectors": {fromVectors, vecs}, "Build": {fromArena, widened}} {
+		ix := tc.ix
+		for i, v := range tc.in {
 			unit := normalized(v)
 			for j, got := range ix.vec(int32(i)) {
 				if want := float32(unit[j]); math.Float32bits(got) != math.Float32bits(want) {

@@ -46,12 +46,17 @@ import (
 //	    new version number, or, if an older build wrote it, with an id 7
 //	    section that readers ignore. Version-4 files still load
 //	    unchanged
+//	6 — the arena (section 5) stores float32 instead of float64,
+//	    halving it: every embedding is rounded to float32 once, when
+//	    it is built. Version-4 and version-5 files still load, their
+//	    float64 arena rounded into a heap copy rather than viewed in
+//	    place; `leva bundle convert` rewrites them as version 6
 //
-// LoadBundle reads versions 4 and 5 and nothing else: versions 0–3
+// LoadBundle reads versions 4 through 6 and nothing else: versions 0–3
 // (the JSON/TSV layout) are refused, as is anything newer or any
 // bundle without a MANIFEST.json that lists bundle.bin. The fix for a
 // refused bundle is a rebuild (rebuildHint).
-const BundleFormatVersion = 5
+const BundleFormatVersion = 6
 
 // rebuildHint ends every refusal of a bundle this build does not read:
 // the fix is to rebuild it from its data.
@@ -62,8 +67,8 @@ const rebuildHint = "rebuild the bundle with `leva embed -bundle`"
 // sibling directory — bundle.bin written atomically, the manifest last
 // — and published with one rename. If dir already holds a bundle,
 // readers observe the old complete bundle until the instant the new
-// one replaces it. Saving a Result loaded from a version-4 bundle
-// rewrites it in the current version.
+// one replaces it. Saving a Result loaded from an older bundle rewrites
+// it in the current version.
 func (r *Result) SaveBundle(dir string) error {
 	return r.saveBundle(durable.OS(), dir)
 }
@@ -90,8 +95,9 @@ type LoadOptions struct {
 	// mmap fallback. nil discards them.
 	Warn func(msg string)
 	// MMap memory-maps bundle.bin instead of reading it, when the
-	// platform supports it (see durable.MapSupported). Vector and
-	// symbol views then point into the mapping. Verifying the bundle
+	// platform supports it (see durable.MapSupported). The arena and
+	// symbol views then point into the mapping (a version-4 or -5
+	// arena is rounded into a heap copy instead). Verifying the bundle
 	// against its manifest hashes every byte through it without keeping
 	// the pages (durable.LoadVerified), so after a load only the pages
 	// decoding and serving touch are resident.
@@ -107,7 +113,7 @@ type LoadOptions struct {
 // bundle.bin is verified against the bundle's MANIFEST.json before
 // anything is built over it, and a publish interrupted between its two
 // renames is repaired on the way in. A directory without a manifest,
-// or whose manifest does not seal a version-4 or version-5 bundle.bin,
+// or whose manifest does not seal a version-4 to version-6 bundle.bin,
 // is refused (see readBundleBin). Use LoadBundleOpts to observe
 // the non-fatal conditions LoadOptions.Warn reports.
 func LoadBundle(dir string) (*Result, error) {
@@ -147,7 +153,7 @@ func LoadBundleOpts(dir string, opts LoadOptions) (*Result, error) {
 
 // readBundleBin returns the bytes of dir's bundle.bin, read or (with
 // mmap) mapped through durable.LoadVerified, once its MANIFEST.json
-// shows a bundle this build reads — format version 4 or 5, listing
+// shows a bundle this build reads — format version 4 through 6, listing
 // bundle.bin — and the bytes match it. A missing manifest wraps
 // durable.ErrNoManifest, any other version ErrVersion, and a manifest
 // without bundle.bin ErrCorrupt; each of those errors names the

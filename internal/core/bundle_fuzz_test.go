@@ -157,6 +157,16 @@ func FuzzBundleV4(f *testing.F) {
 	valid := fuzzBundleBin(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	// The same bundle at the current version: the float32 arena path.
+	fixture, err := decodeBundleV4(valid)
+	if err != nil {
+		f.Fatal(err)
+	}
+	current, err := encodeBundleV4(fixture)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(current)
 	f.Add(valid[:len(bundleMagic)+8])
 	f.Add([]byte(bundleMagic))
 	f.Add([]byte("LEVAHNSW not this format"))

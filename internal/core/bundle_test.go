@@ -2,7 +2,9 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math"
@@ -480,16 +482,19 @@ func TestBundleCarriesBuildProvenance(t *testing.T) {
 }
 
 // TestReadBundleInfo covers the inspection path over a bundle this
-// build saved and over the committed fixture an earlier build saved:
-// each report must match the deployment the bundle holds.
+// build saved and over the committed version-5 fixture an earlier build
+// saved: each report must match the deployment the bundle holds.
 func TestReadBundleInfo(t *testing.T) {
 	_, golden := goldenFixture(t, "")
 	for name, c := range map[string]struct {
-		dir string
-		res *Result
+		dir     string
+		res     *Result
+		version int
+		elem    string
+		width   int
 	}{
-		"binary":  {savedBundle(t), bundleFixture(t)},
-		"fixture": {goldenBundleFixture, golden},
+		"binary":  {savedBundle(t), bundleFixture(t), BundleFormatVersion, "float32", 4},
+		"fixture": {goldenBundleFixture, golden, 5, "float64", 8},
 	} {
 		res := c.res
 		t.Run(name, func(t *testing.T) {
@@ -497,8 +502,8 @@ func TestReadBundleInfo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.FormatVersion != BundleFormatVersion {
-				t.Errorf("format version %d, want %d", info.FormatVersion, BundleFormatVersion)
+			if info.FormatVersion != c.version || info.ArenaElem != c.elem {
+				t.Errorf("format version %d, arena %s; want %d, %s", info.FormatVersion, info.ArenaElem, c.version, c.elem)
 			}
 			if info.Dim != res.Embedding.Dim || info.Entities != res.Embedding.Len() {
 				t.Errorf("info shape %d/%d, want %d/%d", info.Entities, info.Dim, res.Embedding.Len(), res.Embedding.Dim)
@@ -528,8 +533,9 @@ func TestReadBundleInfo(t *testing.T) {
 			if info.SymbolBytes <= 0 || info.PayloadBytes <= info.SymbolBytes+info.ArenaBytes {
 				t.Errorf("sizes not populated: %+v", info)
 			}
-			// The arena section is an 8-byte dim/rows header plus the vectors.
-			if want := int64(8 + 8*len(res.Embedding.Matrix().Data)); info.ArenaBytes != want {
+			// The arena section is an 8-byte dim/rows header plus the
+			// vectors at the version's element width.
+			if want := int64(8 + c.width*len(res.Embedding.Arena())); info.ArenaBytes != want {
 				t.Errorf("arena bytes = %d, want %d", info.ArenaBytes, want)
 			}
 		})
@@ -571,6 +577,114 @@ func TestLoadBundleMMap(t *testing.T) {
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("vector %q[%d] = %v, want %v", name, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// convertedV5Golden pins the bundle.bin that `leva bundle convert`
+// (LoadBundle then SaveBundle) writes from the committed version-5
+// fixture goldenBundleFixture: its SHA-256 and its size, which is the
+// fixture's less 4 bytes per arena value.
+const (
+	convertedV5GoldenSHA256 = "aa5a23f63588636ef1b585b98ff899d8e2778b55bbb5d971677fae868cc34c3a"
+	convertedV5GoldenBytes  = 13933
+)
+
+// TestBundleConvertV5Golden is the v5→v6 conversion golden: the
+// fixture's float64 arena loads rounded once to float32, read and
+// mapped alike; converting it writes the pinned version-6 bundle.bin,
+// whose arena holds exactly those float32 values and which converts to
+// itself byte for byte; and the fixture and its conversion featurize
+// identically.
+func TestBundleConvertV5Golden(t *testing.T) {
+	fixtureBin, err := os.ReadFile(filepath.Join(goldenBundleFixture, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	secs, version, err := bundleSections(fixtureBin)
+	if err != nil || version != 5 {
+		t.Fatalf("fixture: version %d, %v; want version 5", version, err)
+	}
+	wide := secs[secArena][8:]
+
+	loads := map[string]LoadOptions{"read": {}}
+	if durable.MapSupported {
+		loads["mmap"] = LoadOptions{MMap: true}
+	}
+	for name, opts := range loads {
+		res, err := LoadBundleOpts(goldenBundleFixture, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arena := res.Embedding.Arena()
+		if len(arena)*8 != len(wide) {
+			t.Fatalf("%s: %d arena values for %d float64 bytes", name, len(arena), len(wide))
+		}
+		for i, v := range arena {
+			want := float32(math.Float64frombits(binary.LittleEndian.Uint64(wide[8*i:])))
+			if math.Float32bits(v) != math.Float32bits(want) {
+				t.Fatalf("%s: arena[%d] = %v, want float32 of the fixture's %v", name, i, v, want)
+			}
+		}
+		res.Unmap()
+	}
+
+	fixture, err := LoadBundle(goldenBundleFixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "converted")
+	if err := fixture.SaveBundle(dir); err != nil {
+		t.Fatal(err)
+	}
+	converted, err := os.ReadFile(filepath.Join(dir, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(converted)
+	if got := hex.EncodeToString(sum[:]); got != convertedV5GoldenSHA256 || len(converted) != convertedV5GoldenBytes {
+		t.Errorf("converted bundle.bin: sha256 %s, %d bytes; want %s, %d bytes",
+			got, len(converted), convertedV5GoldenSHA256, convertedV5GoldenBytes)
+	}
+	if shrink := len(fixtureBin) - len(converted); shrink != len(wide)/2 {
+		t.Errorf("conversion saved %d bytes, want %d (4 per arena value)", shrink, len(wide)/2)
+	}
+	if v := binary.LittleEndian.Uint32(converted[len(bundleMagic):]); v != BundleFormatVersion {
+		t.Errorf("converted header version %d, want %d", v, BundleFormatVersion)
+	}
+
+	upgraded, err := LoadBundleOpts(dir, LoadOptions{MMap: durable.MapSupported})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer upgraded.Unmap()
+	again, err := encodeBundleV4(upgraded)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, converted) {
+		t.Error("converting the converted bundle changed its bytes")
+	}
+	spec, _ := goldenFixture(t, "")
+	base := spec.DB.Table("expenses")
+	for _, graphRow := range []func(int) int{
+		func(i int) int { return i },
+		func(int) int { return -1 },
+	} {
+		want, err := fixture.Featurize(base, "expenses", []string{"total_expenses"}, graphRow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := upgraded.Featurize(base, "expenses", []string{"total_expenses"}, graphRow)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			for j := range want[i] {
+				if got[i][j] != want[i][j] {
+					t.Fatalf("feature [%d][%d]: converted %v, fixture %v", i, j, got[i][j], want[i][j])
+				}
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -193,8 +194,8 @@ func TestBundleWithoutQuant(t *testing.T) {
 }
 
 // TestBundleV4StillLoads: a version-4 file (header and config version
-// 4) decodes unchanged — the v5 bump does not orphan existing
-// deployments.
+// 4, float64 arena) decodes to the same float32 arena — the v5 and v6
+// bumps do not orphan existing deployments.
 func TestBundleV4StillLoads(t *testing.T) {
 	res := bundleFixture(t)
 	enc, err := encodeBundleV4(res)
@@ -208,20 +209,36 @@ func TestBundleV4StillLoads(t *testing.T) {
 	if dec.BundleFormat != 4 {
 		t.Errorf("BundleFormat = %d, want 4", dec.BundleFormat)
 	}
-	if !reflect.DeepEqual(dec.Embedding.Matrix().Data, res.Embedding.Matrix().Data) {
+	if !reflect.DeepEqual(dec.Embedding.Arena(), res.Embedding.Arena()) {
 		t.Error("version-4 arena differs")
 	}
 }
 
-// toVersion4 rewrites a version-5 bundle.bin as its version-4 twin:
-// header version byte and the config section's formatVersion field
-// (same byte length, so every section offset is preserved).
+// toVersion4 rewrites a version-5 or version-6 bundle.bin as its
+// version-4 twin: header version 4, the config section's formatVersion
+// 4 and, from version 6, the float32 arena widened to the float64 arena
+// versions before 6 store.
 func toVersion4(t *testing.T, enc []byte) []byte {
 	t.Helper()
-	v4 := bytes.Replace(enc, []byte(`"formatVersion":5`), []byte(`"formatVersion":4`), 1)
-	if bytes.Equal(v4, enc) {
+	secs, version, err := bundleSections(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := bytes.Replace(secs[secConfig], []byte(fmt.Sprintf(`"formatVersion":%d`, version)), []byte(`"formatVersion":4`), 1)
+	if bytes.Equal(cfg, secs[secConfig]) {
 		t.Fatal("config formatVersion not found to patch")
 	}
+	replace := map[int][]byte{secConfig: cfg}
+	if version >= arenaF32Version {
+		arena := secs[secArena]
+		wide := append([]byte(nil), arena[:8]...)
+		for off := 8; off < len(arena); off += 4 {
+			v := math.Float32frombits(binary.LittleEndian.Uint32(arena[off:]))
+			wide = binary.LittleEndian.AppendUint64(wide, math.Float64bits(float64(v)))
+		}
+		replace[secArena] = wide
+	}
+	v4 := withSections(t, enc, replace)
 	v4[len(bundleMagic)] = 4
 	return v4
 }
@@ -239,7 +256,7 @@ func TestQuantSectionIgnoredInV4File(t *testing.T) {
 	if err != nil {
 		t.Fatalf("v4 file with a quant section id rejected: %v", err)
 	}
-	if !reflect.DeepEqual(dec.Embedding.Matrix().Data, want.Embedding.Matrix().Data) {
+	if !reflect.DeepEqual(dec.Embedding.Arena(), want.Embedding.Arena()) {
 		t.Error("version-4 twin of the fixture decodes a different arena")
 	}
 }
@@ -248,15 +265,18 @@ func TestQuantSectionIgnoredInV4File(t *testing.T) {
 // index fingerprint alone, unchanged from when the stage also had a
 // quantize option. The constant changed on purpose with index.bin
 // format version 3 (float32 vectors): the fingerprint domain carries
-// the format version, so no version-2 entry is ever looked up. A cold
-// run then a warm run over the same stage hit the same entry.
+// the format version, so no version-2 entry is ever looked up. It
+// changed again with bundle format version 6: the fixture's float64
+// arena now loads rounded to float32, and the key hashes the embedding
+// content it indexes. A cold run then a warm run over the same stage
+// hit the same entry.
 func TestANNStageFingerprintPinned(t *testing.T) {
 	res, err := LoadBundle(v5QuantFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 1}, Cache: NewCache(t.TempDir())}
-	const want = "ed0501c664bd4416ab45ea17a0685aab59922ae71e30b399995ebf186cd895a7"
+	const want = "7266e0328bfefed38118ce11ac778bc79e1238dd32c451f8eeaa3fb8b3a6803f"
 	if fp := stage.Fingerprint(); fp != want {
 		t.Errorf("fingerprint = %s, want %s", fp, want)
 	}
@@ -308,7 +328,7 @@ func FuzzQuantSection(f *testing.F) {
 		if err != nil {
 			t.Fatalf("bundle with a %d-byte id 7 section rejected: %v", len(payload), err)
 		}
-		if !reflect.DeepEqual(dec.Embedding.Matrix().Data, want.Embedding.Matrix().Data) {
+		if !reflect.DeepEqual(dec.Embedding.Arena(), want.Embedding.Arena()) {
 			t.Fatal("id 7 payload changed the decoded arena")
 		}
 	})

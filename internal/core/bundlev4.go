@@ -9,11 +9,10 @@ import (
 
 	"repro/internal/durable"
 	"repro/internal/embed"
-	"repro/internal/matrix"
 	"repro/internal/textify"
 )
 
-// Binary bundle format, versions 4 and 5.
+// Binary bundle format, versions 4 through 6.
 //
 // A binary bundle directory holds one payload file, bundle.bin,
 // sealed by the durable MANIFEST.json protocol. The file is designed
@@ -26,7 +25,7 @@ import (
 // bundle.bin layout (all integers little-endian):
 //
 //	magic         8 bytes  "LEVABNDL"
-//	version       u32      4 or 5
+//	version       u32      4, 5 or 6
 //	sectionCount  u32
 //	section table sectionCount × { id u32, reserved u32,
 //	                               offset u64, length u64 }
@@ -44,20 +43,24 @@ import (
 //	4 symbols     interned entity names: u32 n, u32 blobLen,
 //	              offsets (n+1)×u32, sortedIds n×u32 (lexicographic
 //	              permutation), blob bytes (insertion order)
-//	5 arena       u32 dim, u32 n, reserved u64? no — data follows the
-//	              8-byte header directly: n×dim f64 bits, row-major,
-//	              row i = vector of symbol i
+//	5 arena       u32 dim, u32 n, then n×dim little-endian float32
+//	              bits (version 6; float64 bits in versions 4 and 5),
+//	              row-major, row i = vector of symbol i; the 8-byte
+//	              header keeps the data 8-byte aligned
 //	6 provenance  JSON: stageCache, unweightedFallback
 //	7 reserved    an int8 copy of the arena, written by builds before
 //	              the quant section was removed; ignored on read like
 //	              any unknown id
 //
-// Version 5 readers accept version-4 files; the two versions differ
-// only in the id 7 section version-5 writers used to emit. Encode is
-// deterministic: equal Results produce byte-identical files, and
-// encode(decode(encode(x))) == encode(x). Re-encoding a version-4
-// file writes the current version, which is how `leva bundle convert`
-// upgrades it.
+// Version 6 readers accept version-4 and version-5 files. Versions 4
+// and 5 differ only in the id 7 section version-5 writers used to emit;
+// both store the arena as float64, which the reader rounds once into a
+// heap float32 arena (the values every version-6 build stores), so an
+// old bundle loads and serves but its arena is not viewed in place.
+// Encode is deterministic: equal Results produce byte-identical files,
+// and encode(decode(encode(x))) == encode(x). Re-encoding an older file
+// writes the current version, which is how `leva bundle convert`
+// upgrades it and gives back the zero-copy arena.
 
 const (
 	bundleBinFile = "bundle.bin"
@@ -74,6 +77,8 @@ const (
 	// reads (4 introduced the format; 5 added a quant section that is
 	// no longer written or read).
 	bundleVersionMin = 4
+	// arenaF32Version is the first version whose arena holds float32.
+	arenaF32Version = 6
 
 	// maxSections bounds what a lying header can claim before the
 	// per-entry bounds checks kick in.
@@ -204,7 +209,7 @@ func appendStr(buf []byte, s string) []byte {
 
 // bundleSections parses the header and section table of a bundle.bin
 // buffer, returning section id → payload view plus the header format
-// version (4 or 5). Shared by the full decoder and the cheap
+// version (4 through 6). Shared by the full decoder and the cheap
 // ReadBundleInfo path.
 func bundleSections(data []byte) (map[int][]byte, int, error) {
 	if len(data) < len(bundleMagic) || string(data[:len(bundleMagic)]) != bundleMagic {
@@ -300,7 +305,7 @@ func decodeBundleV4(data []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := decodeEmbeddingSections(symsData, arenaData, cfg.Dim)
+	e, err := decodeEmbeddingSections(symsData, arenaData, cfg.Dim, arenaElemBytes(version))
 	if err != nil {
 		return nil, err
 	}
@@ -334,8 +339,8 @@ func decodeBundleV4(data []byte) (*Result, error) {
 
 // encodeEmbeddingSections serializes an embedding as the payloads of
 // the symbols and arena sections: the interned name table and the
-// vector matrix, both verbatim. The stage cache stores an embedding as
-// exactly these two payloads too.
+// float32 vector arena, both verbatim. The stage cache stores an
+// embedding as exactly these two payloads too.
 func encodeEmbeddingSections(e *embed.Embedding) (syms, arena []byte) {
 	st := e.Symbols()
 	n := st.Len()
@@ -350,22 +355,33 @@ func encodeEmbeddingSections(e *embed.Embedding) (syms, arena []byte) {
 	}
 	syms = append(syms, st.Blob()...)
 
-	m := e.Matrix()
-	arena = make([]byte, 0, 8+8*len(m.Data))
-	arena = binary.LittleEndian.AppendUint32(arena, uint32(m.Cols))
-	arena = binary.LittleEndian.AppendUint32(arena, uint32(m.Rows))
-	for _, v := range m.Data {
-		arena = binary.LittleEndian.AppendUint64(arena, math.Float64bits(v))
+	data := e.Arena()
+	arena = make([]byte, 0, 8+4*len(data))
+	arena = binary.LittleEndian.AppendUint32(arena, uint32(e.Dim))
+	arena = binary.LittleEndian.AppendUint32(arena, uint32(n))
+	for _, v := range data {
+		arena = binary.LittleEndian.AppendUint32(arena, math.Float32bits(v))
 	}
 	return syms, arena
 }
 
+// arenaElemBytes is the width of one arena value in a bundle of the
+// given format version: float64 before version 6, float32 since.
+func arenaElemBytes(version int) int {
+	if version < arenaF32Version {
+		return 8
+	}
+	return 4
+}
+
 // decodeEmbeddingSections builds an embedding of dimension dim over
-// symbols and arena section payloads. The result views both buffers,
-// which must not be mutated afterward — which is also why every
-// structural invariant is validated here. Failures wrap ErrCorrupt;
-// the decoder never panics on hostile input.
-func decodeEmbeddingSections(symsData, arenaData []byte, dim int) (*embed.Embedding, error) {
+// symbols and arena section payloads whose arena values are elem bytes
+// wide (arenaElemBytes). The result views the symbols buffer and a
+// float32 arena, which must not be mutated afterward — which is also
+// why every structural invariant is validated here. A float64 arena
+// (elem 8) is rounded once into a heap copy instead of viewed.
+// Failures wrap ErrCorrupt; the decoder never panics on hostile input.
+func decodeEmbeddingSections(symsData, arenaData []byte, dim, elem int) (*embed.Embedding, error) {
 	if len(symsData) < 8 {
 		return nil, fmt.Errorf("%w: symbols section is %d bytes", ErrCorrupt, len(symsData))
 	}
@@ -398,12 +414,21 @@ func decodeEmbeddingSections(symsData, arenaData []byte, dim int) (*embed.Embedd
 	if rows != n {
 		return nil, fmt.Errorf("%w: arena holds %d rows for %d symbols", ErrCorrupt, rows, n)
 	}
-	if int64(len(arenaData)-8) != int64(rows)*int64(cols)*8 {
+	if int64(len(arenaData)-8) != int64(rows)*int64(cols)*int64(elem) {
 		return nil, fmt.Errorf("%w: arena section has %d data bytes, want %d",
-			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(cols)*8)
+			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(cols)*int64(elem))
 	}
-	arena := durable.ViewF64(arenaData[8:], rows*cols)
-	e, err := embed.NewEmbeddingTable(st, &matrix.Dense{Rows: rows, Cols: cols, Data: arena})
+	var arena []float32
+	if elem == 8 {
+		wide := durable.ViewF64(arenaData[8:], rows*cols)
+		arena = make([]float32, len(wide))
+		for i, v := range wide {
+			arena[i] = float32(v)
+		}
+	} else {
+		arena = durable.ViewF32(arenaData[8:], rows*cols)
+	}
+	e, err := embed.NewEmbeddingTable(st, cols, arena)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

@@ -458,13 +458,14 @@ func (r *Result) featurizeRowInto(dst []float64, t *dataset.Table, tableName str
 	}
 	valueVec, _ := r.Embedding.MeanVector(tokens)
 
-	rowVec := valueVec
+	// The row's own vector, widened straight into dst, else the mean.
+	rowFound := false
 	if graphRow >= 0 {
-		if v, ok := r.Embedding.Vector(embed.RowKey(tableName, graphRow)); ok {
-			rowVec = v
-		}
+		_, rowFound = r.Embedding.AppendVector(dst[:0], embed.RowKey(tableName, graphRow))
 	}
-	copy(dst[:dim], rowVec)
+	if !rowFound {
+		copy(dst[:dim], valueVec)
+	}
 	if mode == RowPlusValue {
 		copy(dst[dim:width], valueVec)
 	}

@@ -59,7 +59,7 @@ const (
 	textifyTableFPDomain = "leva/stage-textify-table/v1"
 	textifyStageFPDomain = "leva/stage-textify/v1"
 	graphStageFPDomain   = "leva/stage-graph/v1"
-	embedStageFPDomain   = "leva/stage-embed/v2"
+	embedStageFPDomain   = "leva/stage-embed/v3"
 )
 
 // TextifyStage fits the textification model and tokenizes every table
@@ -318,8 +318,8 @@ type embedMeta struct {
 // EmbedStage constructs the embedding over the graph with the method
 // the memory rule selects (paper Section 4.2). Its artifact is the
 // bundle's own symbols and arena section payloads (plus a small JSON
-// sidecar recording method and dimension), which hold the float64
-// vectors bit for bit, so a cache-loaded embedding is bit-identical to
+// sidecar recording method and dimension), which hold the float32
+// arena bit for bit, so a cache-loaded embedding is bit-identical to
 // the one the build produced.
 type EmbedStage struct {
 	Graph *graph.Graph
@@ -422,5 +422,5 @@ func decodeEmbedArtifact(files map[string][]byte, method embed.Method, dim int) 
 	if meta.Method != method {
 		return nil, fmt.Errorf("core: cached embedding was built by %q, want %q", meta.Method, method)
 	}
-	return decodeEmbeddingSections(files[artifactSymbolsFile], files[artifactArenaFile], dim)
+	return decodeEmbeddingSections(files[artifactSymbolsFile], files[artifactArenaFile], dim, arenaElemBytes(BundleFormatVersion))
 }

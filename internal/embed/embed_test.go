@@ -101,6 +101,16 @@ func TestEmbeddingAPI(t *testing.T) {
 	if _, ok := e.Vector("zzz"); ok {
 		t.Error("missing name found")
 	}
+	buf := make([]float64, 1, 8)
+	if got, ok := e.AppendVector(buf, "c"); !ok || len(got) != 3 || got[1] != 1 || got[2] != 1 {
+		t.Errorf("AppendVector(c) = %v, %v", got, ok)
+	}
+	if got, ok := e.AppendVector(buf, "zzz"); ok || len(got) != 1 {
+		t.Errorf("AppendVector(zzz) = %v, %v", got, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { e.AppendVector(buf[:0], "a") }); allocs != 0 {
+		t.Errorf("AppendVector into a large enough buffer allocates %v times", allocs)
+	}
 	if !e.Has("a") || e.Has("zzz") {
 		t.Error("Has wrong")
 	}

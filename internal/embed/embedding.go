@@ -19,23 +19,26 @@ import (
 //
 // Internally the names live in an interned SymbolTable (one byte blob
 // plus offsets, binary-searched on lookup) and the vectors in one
-// contiguous row-major arena — the exact layout the version-4 bundle
-// format stores, so a loaded bundle's embedding is a set of views over
-// the file bytes rather than a decoded copy. The public API (Vector /
-// Names / Has / Matrix) is unchanged from the map-backed days.
+// contiguous row-major float32 arena — the exact layout the version-6
+// bundle format stores, so a loaded bundle's embedding is a set of
+// views over the file bytes rather than a decoded copy. The methods
+// compute in float64, but every vector is rounded to float32 once,
+// when the embedding is built (NewEmbedding); readers widen the stored
+// values back to float64 as they read them (Vector, AppendVector,
+// MeanVector), which is exact.
 type Embedding struct {
 	// Dim is the vector dimensionality.
-	Dim     int
-	syms    *SymbolTable
-	vectors *matrix.Dense // Len() x Dim arena
+	Dim   int
+	syms  *SymbolTable
+	arena []float32 // Len() x Dim, row-major
 
 	namesOnce sync.Once
 	names     []string // lazily materialized Names() slice
 }
 
-// NewEmbedding wraps a dense matrix whose i-th row is the vector for
-// names[i]. The names are interned (copied once into the symbol
-// table); the matrix is retained as-is.
+// NewEmbedding builds an embedding whose i-th vector is row i of
+// vectors, rounded to float32. The names are interned (copied once into
+// the symbol table); the matrix is not retained.
 func NewEmbedding(names []string, vectors *matrix.Dense) *Embedding {
 	if len(names) != vectors.Rows {
 		panic(fmt.Sprintf("embed: %d names for %d vectors", len(names), vectors.Rows))
@@ -44,19 +47,24 @@ func NewEmbedding(names []string, vectors *matrix.Dense) *Embedding {
 	if err != nil {
 		panic(err.Error()) // only reachable past a 4 GiB token blob
 	}
-	e := &Embedding{Dim: vectors.Cols, syms: st, vectors: vectors}
+	arena := make([]float32, len(vectors.Data))
+	for i, v := range vectors.Data {
+		arena[i] = float32(v)
+	}
+	e := &Embedding{Dim: vectors.Cols, syms: st, arena: arena}
 	e.names = append([]string(nil), names...)
 	return e
 }
 
-// NewEmbeddingTable wraps an already-built symbol table and vector
-// arena without copying either — the zero-copy path of the bundle
-// reader. arena row i is the vector for table symbol i.
-func NewEmbeddingTable(st *SymbolTable, arena *matrix.Dense) (*Embedding, error) {
-	if st.Len() != arena.Rows {
-		return nil, fmt.Errorf("embed: %d symbols for %d vectors", st.Len(), arena.Rows)
+// NewEmbeddingTable wraps an already-built symbol table and a
+// row-major float32 arena of dimension dim without copying either —
+// the zero-copy path of the bundle reader. Arena row i is the vector
+// for table symbol i.
+func NewEmbeddingTable(st *SymbolTable, dim int, arena []float32) (*Embedding, error) {
+	if dim < 0 || int64(len(arena)) != int64(st.Len())*int64(dim) {
+		return nil, fmt.Errorf("embed: %d arena values for %d symbols of dim %d", len(arena), st.Len(), dim)
 	}
-	return &Embedding{Dim: arena.Cols, syms: st, vectors: arena}, nil
+	return &Embedding{Dim: dim, syms: st, arena: arena}, nil
 }
 
 // Len returns the number of embedded entities.
@@ -78,14 +86,38 @@ func (e *Embedding) Names() []string {
 	return e.names
 }
 
-// Vector returns the vector for name and whether it exists. The slice
-// is shared with the embedding; callers must not mutate it.
+// row returns the stored vector of symbol i (shared).
+func (e *Embedding) row(i int) []float32 {
+	return e.arena[i*e.Dim : (i+1)*e.Dim]
+}
+
+// Vector returns a fresh float64 copy of the vector for name and
+// whether it exists. It allocates on every call; hot paths use
+// AppendVector with a reused buffer instead.
 func (e *Embedding) Vector(name string) ([]float64, bool) {
 	i, ok := e.syms.Lookup(name)
 	if !ok {
 		return nil, false
 	}
-	return e.vectors.Row(i), true
+	return appendWidened(make([]float64, 0, e.Dim), e.row(i)), true
+}
+
+// AppendVector appends the vector for name, widened to float64, to dst
+// and reports whether name exists (dst is returned unchanged if not).
+// It allocates only when dst lacks the capacity for Dim more values.
+func (e *Embedding) AppendVector(dst []float64, name string) ([]float64, bool) {
+	i, ok := e.syms.Lookup(name)
+	if !ok {
+		return dst, false
+	}
+	return appendWidened(dst, e.row(i)), true
+}
+
+func appendWidened(dst []float64, v []float32) []float64 {
+	for _, x := range v {
+		dst = append(dst, float64(x))
+	}
+	return dst
 }
 
 // Has reports whether name is embedded.
@@ -93,8 +125,10 @@ func (e *Embedding) Has(name string) bool {
 	return e.syms.Has(name)
 }
 
-// Matrix returns the underlying vectors (shared).
-func (e *Embedding) Matrix() *matrix.Dense { return e.vectors }
+// Arena returns the Len() x Dim row-major float32 vectors (shared; for
+// a bundle-loaded embedding a view over the file bytes, so callers must
+// not mutate it).
+func (e *Embedding) Arena() []float32 { return e.arena }
 
 // RowKey renders the canonical embedding key for a table row.
 func RowKey(table string, row int) string {
@@ -102,13 +136,18 @@ func RowKey(table string, row int) string {
 }
 
 // ReduceDim projects the embedding to k dimensions with PCA fitted on
-// its own vectors, the storage-saving path of paper Section 6.5.2.
+// its own vectors (widened to float64), the storage-saving path of
+// paper Section 6.5.2.
 func (e *Embedding) ReduceDim(k int) *Embedding {
 	if k >= e.Dim {
 		return e
 	}
-	pca := matrix.FitPCA(e.vectors, k)
-	return NewEmbedding(e.Names(), pca.Transform(e.vectors))
+	x := matrix.NewDense(e.Len(), e.Dim)
+	for i, v := range e.arena {
+		x.Data[i] = float64(v)
+	}
+	pca := matrix.FitPCA(x, k)
+	return NewEmbedding(e.Names(), pca.Transform(x))
 }
 
 // Subset returns a new embedding restricted to the given names; names
@@ -134,19 +173,19 @@ func (e *Embedding) SortedNames() []string {
 }
 
 // MeanVector averages the vectors of the given names, skipping missing
-// ones. It reports how many names were found; a zero count yields a
-// zero vector.
+// ones, accumulating the stored float32 values in float64. It reports
+// how many names were found; a zero count yields a zero vector.
 func (e *Embedding) MeanVector(names []string) ([]float64, int) {
 	out := make([]float64, e.Dim)
 	found := 0
 	for _, n := range names {
-		v, ok := e.Vector(n)
+		i, ok := e.syms.Lookup(n)
 		if !ok {
 			continue
 		}
 		found++
-		for i, x := range v {
-			out[i] += x
+		for j, x := range e.row(i) {
+			out[j] += float64(x)
 		}
 	}
 	if found > 0 {

@@ -11,11 +11,12 @@ const (
 )
 
 // Fingerprint returns a content hash of the embedding itself — the
-// dimensionality and every (name, vector) pair, by exact float bits.
+// dimensionality and every (name, vector) pair, by the exact bits of
+// the stored float32 values.
 // Downstream artifacts derived from the vectors (the ANN index) key
 // their cache entries on it: two embeddings hash equal iff every
 // derived artifact is guaranteed identical. Cost is one pass over the
-// matrix, negligible next to any build that produced it.
+// arena, negligible next to any build that produced it.
 func (e *Embedding) Fingerprint() string {
 	h := fingerprint.New("leva/embedding-content/v1")
 	h.Int(int64(e.Dim))
@@ -23,8 +24,8 @@ func (e *Embedding) Fingerprint() string {
 	h.Int(int64(len(names)))
 	for i, n := range names {
 		h.String(n)
-		for _, v := range e.vectors.Row(i) {
-			h.Float(v)
+		for _, v := range e.row(i) {
+			h.Float(float64(v))
 		}
 	}
 	return h.Sum()

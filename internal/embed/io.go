@@ -2,6 +2,7 @@ package embed
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
@@ -11,22 +12,23 @@ import (
 )
 
 // WriteTSV serializes the embedding as one line per entity: the entity
-// name, a tab, then the space-separated vector. The format round-trips
-// through ReadTSV and is trivially consumable from any language.
+// name, a tab, then the space-separated vector, each value in the
+// shortest form that parses back to the same float32. The format
+// round-trips bit for bit through ReadTSV and is trivially consumable
+// from any language.
 func (e *Embedding) WriteTSV(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	var line []byte
-	for _, name := range e.Names() {
+	for i, name := range e.Names() {
 		if strings.ContainsAny(name, "\t\n") {
 			return fmt.Errorf("embed: name %q contains a separator", name)
 		}
 		line = append(append(line[:0], name...), '\t')
-		vec, _ := e.Vector(name)
-		for i, v := range vec {
-			if i > 0 {
+		for j, v := range e.row(i) {
+			if j > 0 {
 				line = append(line, ' ')
 			}
-			line = strconv.AppendFloat(line, v, 'g', -1, 64)
+			line = strconv.AppendFloat(line, float64(v), 'g', -1, 32)
 		}
 		line = append(line, '\n')
 		if _, err := bw.Write(line); err != nil {
@@ -37,7 +39,9 @@ func (e *Embedding) WriteTSV(w io.Writer) error {
 }
 
 // ReadTSV parses an embedding written by WriteTSV. All rows must share
-// one dimension.
+// one dimension. Each value is parsed straight to the nearest float32,
+// the precision the embedding stores; a value beyond float32's range
+// reads as ±Inf, as NewEmbedding would round it.
 func ReadTSV(r io.Reader) (*Embedding, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
@@ -62,8 +66,8 @@ func ReadTSV(r io.Reader) (*Embedding, error) {
 		}
 		vec := make([]float64, len(fields))
 		for i, f := range fields {
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
+			v, err := strconv.ParseFloat(f, 32)
+			if err != nil && !errors.Is(err, strconv.ErrRange) {
 				return nil, fmt.Errorf("embed: line %d: %w", line, err)
 			}
 			vec[i] = v

@@ -2,14 +2,15 @@ package embed
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 )
 
 // FuzzReadTSV asserts the embedding parser never panics on corrupted or
 // truncated input, and that anything it accepts survives a write/read
-// round trip with identical shape — the property the bundle loader
-// leans on when a legacy bundle has no manifest screening its bytes.
+// round trip with identical shape and bit-identical values (any NaN
+// reads back as a NaN).
 func FuzzReadTSV(f *testing.F) {
 	f.Add("a\t1 2 3\nb\t4 5 6\n")
 	f.Add("a\t1 2 3\nb\t4 5\n")       // ragged dims
@@ -43,6 +44,12 @@ func FuzzReadTSV(f *testing.F) {
 		}
 		if back.Len() != e.Len() || back.Dim != e.Dim {
 			t.Fatalf("round trip shape %dx%d != %dx%d", back.Len(), back.Dim, e.Len(), e.Dim)
+		}
+		for i, v := range e.Arena() {
+			w := back.Arena()[i]
+			if math.Float32bits(w) != math.Float32bits(v) && !(v != v && w != w) {
+				t.Fatalf("round trip value %d: %v, wrote %v", i, w, v)
+			}
 		}
 	})
 }

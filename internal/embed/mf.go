@@ -111,11 +111,17 @@ func (o MFOptions) withDefaults() MFOptions {
 // structural zeros, which is what keeps randomized sparse factorization
 // applicable — the payoff of the value-node construction.
 func MF(g *graph.Graph, opts MFOptions) *Embedding {
+	return NewEmbedding(mfFactorize(g, opts))
+}
+
+// mfFactorize is MF before the rounding NewEmbedding applies: the node
+// names and the float64 factorization, row i the vector of names[i].
+func mfFactorize(g *graph.Graph, opts MFOptions) ([]string, *matrix.Dense) {
 	opts = opts.withDefaults()
 	n := g.NumNodes()
 	names := nodeNames(g)
 	if n == 0 {
-		return NewEmbedding(names, matrix.NewDense(0, opts.Dim))
+		return names, matrix.NewDense(0, opts.Dim)
 	}
 
 	// Weighted degrees and transition matrix P = D^{-1} A. The degree
@@ -132,7 +138,7 @@ func MF(g *graph.Graph, opts MFOptions) *Embedding {
 		}
 	}
 	if vol == 0 {
-		return NewEmbedding(names, matrix.NewDense(n, opts.Dim))
+		return names, matrix.NewDense(n, opts.Dim)
 	}
 	p := transitionCSR(g, nodeSum, opts.Workers)
 
@@ -140,8 +146,7 @@ func MF(g *graph.Graph, opts MFOptions) *Embedding {
 	if !opts.NoSpectralPropagation {
 		adj = g.AdjacencyCSR()
 	}
-	e := factorizeWindow(p, adj, nodeSum, vol, opts.Window, opts.Dim, opts)
-	return NewEmbedding(names, e)
+	return names, factorizeWindow(p, adj, nodeSum, vol, opts.Window, opts.Dim, opts)
 }
 
 // transitionCSR assembles the row-normalized transition matrix

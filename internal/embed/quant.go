@@ -117,7 +117,7 @@ func (q *QuantizedMatrix) Dequantize() *matrix.Dense {
 
 // Bytes is the in-memory footprint of the quantized representation:
 // one byte per element plus one float64 scale per row. Compare with
-// 8*Rows*Cols for the float arena it replaces.
+// 4*Rows*Cols for the float32 arena it replaces.
 func (q *QuantizedMatrix) Bytes() int64 {
 	return int64(len(q.Data)) + 8*int64(len(q.Scales))
 }

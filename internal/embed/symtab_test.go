@@ -97,7 +97,8 @@ func TestSymbolTableFromParts(t *testing.T) {
 }
 
 // TestEmbeddingLookupMatchesMap cross-checks the binary-search path
-// against a reference map over a randomized vocabulary.
+// against a reference map over a randomized vocabulary; each vector
+// reads back as NewEmbedding stored it, rounded to float32.
 func TestEmbeddingLookupMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	n, dim := 300, 4
@@ -120,8 +121,8 @@ func TestEmbeddingLookupMatchesMap(t *testing.T) {
 			t.Fatalf("Vector(%q) missing", nm)
 		}
 		for j, x := range v {
-			if x != m.At(want, j) {
-				t.Fatalf("Vector(%q)[%d] = %v, want %v", nm, j, x, m.At(want, j))
+			if w := float64(float32(m.At(want, j))); x != w {
+				t.Fatalf("Vector(%q)[%d] = %v, want %v", nm, j, x, w)
 			}
 		}
 	}

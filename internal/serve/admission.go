@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -40,7 +41,9 @@ func parseDeadline(value string) (d time.Duration, ok bool, err error) {
 // from it, so whichever budget is shorter answers the timed-out 503.
 // Featurization checks it between rows; a neighbor search takes no
 // context and runs to completion (tens of µs), its answer dropped for
-// the 503. Abandoned requests are counted by why they were abandoned.
+// the 503. Abandoned requests are counted by why they were abandoned —
+// only those the limiter admitted: one shed from the queue was never
+// in flight, and leva_shed_total already counts it.
 func (s *Server) withDeadline(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		d, ok, err := parseDeadline(r.Header.Get(deadlineHeader))
@@ -49,12 +52,18 @@ func (s *Server) withDeadline(h http.Handler) http.Handler {
 			return
 		}
 		parent := r.Context()
+		admitted := new(atomic.Bool)
+		ctx := context.WithValue(parent, admittedKey{}, admitted)
 		if ok {
-			ctx, cancel := context.WithTimeout(parent, d)
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, d)
 			defer cancel()
-			r = r.WithContext(ctx)
 		}
+		r = r.WithContext(ctx)
 		h.ServeHTTP(w, r)
+		if !admitted.Load() {
+			return
+		}
 		switch {
 		case ok && errors.Is(r.Context().Err(), context.DeadlineExceeded) && parent.Err() == nil:
 			s.metrics.abandoned.With("deadline").Inc()
@@ -62,6 +71,19 @@ func (s *Server) withDeadline(h http.Handler) http.Handler {
 			s.metrics.abandoned.With("disconnect").Inc()
 		}
 	})
+}
+
+// admittedKey keys the flag withDeadline puts in the request context
+// and limit sets once the limiter admits the request. The flag is
+// shared by pointer, so it survives the timeout handler deriving its
+// own request context in between.
+type admittedKey struct{}
+
+// markAdmitted records in r's context that the limiter admitted r.
+func markAdmitted(r *http.Request) {
+	if a, ok := r.Context().Value(admittedKey{}).(*atomic.Bool); ok {
+		a.Store(true)
+	}
 }
 
 // The AIMD constants: the limit starts at its ceiling, each

@@ -141,6 +141,7 @@ func (s *Server) limit(h http.Handler) http.Handler {
 				"server saturated: concurrency limit %d reached", int(s.limiter.currentLimit()))
 			return
 		}
+		markAdmitted(r)
 		defer func() { release(errors.Is(r.Context().Err(), context.DeadlineExceeded)) }()
 		h.ServeHTTP(w, r)
 	})

@@ -230,7 +230,7 @@ func validateIndex(res *core.Result, ix *ann.Index) error {
 	}
 	names := ix.Names()
 	for _, probe := range []int{0, len(names) / 2, len(names) - 1} {
-		if _, ok := res.Embedding.Vector(names[probe]); !ok {
+		if !res.Embedding.Has(names[probe]) {
 			return fmt.Errorf("ANN index entry %q is not in the bundle's embedding (index built from a different bundle?)", names[probe])
 		}
 	}

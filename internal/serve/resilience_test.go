@@ -349,7 +349,8 @@ func TestDeadlineHeader(t *testing.T) {
 // requests wait in the bounded queue and shed with 429s that carry
 // Retry-After: 1 and a documented shed reason — capacity when the
 // queue is full, queue_timeout when a wait outlives -queue-timeout,
-// deadline when the request's X-Leva-Deadline-Ms expires first.
+// deadline when the request's X-Leva-Deadline-Ms expires first. A
+// request shed from the queue is not counted as abandoned.
 func TestQueueShedsWithRetryAfter(t *testing.T) {
 	_, loaded, spec := fixture(t)
 	srv := New(loaded, Config{
@@ -436,6 +437,13 @@ func TestQueueShedsWithRetryAfter(t *testing.T) {
 	for _, reason := range []string{"capacity", "queue_timeout", "deadline"} {
 		if got := srv.metrics.shedByReason.With(reason).Value(); got != 1 {
 			t.Errorf("leva_shed_total{reason=%q} = %v, want 1", reason, got)
+		}
+	}
+	// The deadline shed was never admitted, so it was not abandoned
+	// mid-flight.
+	for _, reason := range []string{"deadline", "disconnect"} {
+		if got := srv.metrics.abandoned.With(reason).Value(); got != 0 {
+			t.Errorf("leva_resilience_abandoned_total{reason=%q} = %v, want 0", reason, got)
 		}
 	}
 	if got := shedTotal(srv); got != 3 {

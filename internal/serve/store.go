@@ -87,8 +87,8 @@ func (s *store) release() {
 }
 
 // vector returns the embedding vector for an entity key (a token, or
-// "table:rowIdx" for rows). The slice is shared and must not be
-// mutated.
+// "table:rowIdx" for rows): a fresh float64 copy of the stored float32
+// values, which the caller owns.
 func (s *store) vector(token string) ([]float64, bool) {
 	return s.res.Embedding.Vector(token)
 }

@@ -143,7 +143,7 @@ func PrepareRegression(task Task, cfg Config) (*SupervisedData, error) {
 }
 
 // BundleFormatVersion is the on-disk format written by
-// Result.SaveBundle. LoadBundle reads the binary versions 4 and 5 and
+// Result.SaveBundle. LoadBundle reads the binary versions 4 to 6 and
 // refuses every other version with an error that says to rebuild.
 const BundleFormatVersion = core.BundleFormatVersion
 

@@ -87,11 +87,19 @@ wait "$LEVAD_PID"
 
 echo "levad smoke test passed"
 
+# The bundle is format version 6: its arena section is an 8-byte
+# dim/rows header plus 4 bytes (one float32) per value.
+"$SMOKE/bin/leva" bundle info -json "$SMOKE/bundle" > "$SMOKE/info.json"
+info_int() { sed -n "s/^  \"$1\": \([0-9]*\),\{0,1\}\$/\1/p" "$SMOKE/info.json"; }
+test "$(info_int formatVersion)" -eq 6
+grep -q '^  "arenaElem": "float32",$' "$SMOKE/info.json"
+test "$(info_int arenaBytes)" -eq $((8 + 4 * $(info_int entities) * $(info_int dim)))
+
 # --- corruption smoke test --------------------------------------------
 # A single flipped byte in a published bundle must be refused — by the
 # daemon at startup and by `leva apply` — with an error that names the
 # integrity check, never silently served. Bundles are one binary file
-# (bundle.bin, formatVersion 5) sealed by MANIFEST.json.
+# (bundle.bin, formatVersion 6) sealed by MANIFEST.json.
 cp -r "$SMOKE/bundle" "$SMOKE/bundle_corrupt"
 printf '\377' | dd of="$SMOKE/bundle_corrupt/bundle.bin" \
     bs=1 count=1 seek=12 conv=notrunc 2>/dev/null
@@ -549,24 +557,28 @@ done
 echo "wire-surface smoke test passed"
 
 # --- bundle migration smoke test --------------------------------------
-# A committed version-5 bundle (an earlier build's output) and its
-# `leva bundle convert` rewrite must be interchangeable on the wire:
-# serve both, the rewrite with -mmap (the zero-copy fast path), and
-# require byte-identical /v1/featurize and /v1/embedding responses.
+# A committed version-5 bundle (an earlier build's output, float64
+# arena) and its `leva bundle convert` rewrite to version 6 (float32
+# arena) must be interchangeable on the wire: serve both, the rewrite
+# with -mmap (the zero-copy fast path), require /healthz to answer 200
+# for each, and require byte-identical /v1/featurize and /v1/embedding
+# responses.
 # The float ann bundle is served with its index under -mmap too, as the
 # baseline the quantization test below compares against.
 FIXTURE=internal/core/testdata/v5-dim6
 "$SMOKE/bin/leva" bundle info "$SMOKE/bundle_ann" > "$SMOKE/info_v4.log"
-grep -q 'version 5' "$SMOKE/info_v4.log"
+grep -q 'version 6' "$SMOKE/info_v4.log"
 grep -q 'bundle.bin' "$SMOKE/info_v4.log"
 
 "$SMOKE/bin/leva" bundle info "$FIXTURE" > "$SMOKE/info_fixture.log"
 grep -q 'version 5' "$SMOKE/info_fixture.log"
+grep -q 'float64)' "$SMOKE/info_fixture.log"
 grep -q 'verified against MANIFEST.json' "$SMOKE/info_fixture.log"
 "$SMOKE/bin/leva" bundle convert -in "$FIXTURE" \
     -out "$SMOKE/bundle_converted" > "$SMOKE/convert.log"
 "$SMOKE/bin/leva" bundle info "$SMOKE/bundle_converted" > "$SMOKE/info_converted.log"
-grep -q 'version 5' "$SMOKE/info_converted.log"
+grep -q 'version 6' "$SMOKE/info_converted.log"
+grep -q 'float32)' "$SMOKE/info_converted.log"
 grep -q 'bundle.bin' "$SMOKE/info_converted.log"
 
 FEAT_BODY='{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}'
@@ -600,7 +612,7 @@ start_levad() {
 serve_capture() {
     start_levad "$@"
     name=$2
-    curl -fsS "http://$ADDR/healthz" > "$SMOKE/${name}_healthz.json"
+    test "$(curl -sS -o "$SMOKE/${name}_healthz.json" -w '%{http_code}' "http://$ADDR/healthz")" = 200
     curl -fsS -X POST "http://$ADDR/v1/featurize" \
         -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/${name}_features.json"
     curl -fsS "http://$ADDR/v1/embedding/expenses:0" > "$SMOKE/${name}_embedding.json"
@@ -609,14 +621,14 @@ serve_capture() {
 }
 
 serve_capture "$SMOKE/levad_v4.log" v4 -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" -mmap
-grep -q '"bundleFormat":5' "$SMOKE/v4_healthz.json"
+grep -q '"bundleFormat":6' "$SMOKE/v4_healthz.json"
 grep -q '"annVectors":[1-9]' "$SMOKE/v4_healthz.json"
 
 serve_capture "$SMOKE/levad_fixture.log" fixture -bundle "$FIXTURE" -mmap=false
 grep -q '"bundleFormat":5' "$SMOKE/fixture_healthz.json"
 
 serve_capture "$SMOKE/levad_converted.log" converted -bundle "$SMOKE/bundle_converted" -mmap
-grep -q '"bundleFormat":5' "$SMOKE/converted_healthz.json"
+grep -q '"bundleFormat":6' "$SMOKE/converted_healthz.json"
 
 cmp "$SMOKE/fixture_features.json" "$SMOKE/converted_features.json"
 cmp "$SMOKE/fixture_embedding.json" "$SMOKE/converted_embedding.json"
@@ -690,7 +702,7 @@ grep -q 'flag provided but not defined: -quantize' "$SMOKE/quant_flag.log"
 # build reads it from the stage cache instead of rebuilding HNSW.
 grep -q 'vectors, cached in' "$SMOKE/quant_embed.log"
 "$SMOKE/bin/leva" bundle info "$SMOKE/bundle_quant" > "$SMOKE/info_quant.log"
-grep -q 'version 5' "$SMOKE/info_quant.log"
+grep -q 'version 6' "$SMOKE/info_quant.log"
 cmp "$SMOKE/index/index.bin" "$SMOKE/index_quant/index.bin"
 
 rm -f "$SMOKE/addr"
