@@ -7,7 +7,7 @@ import "repro/internal/fingerprint"
 const (
 	mfFPDomain    = "leva/embed-mf/v1"
 	rwFPDomain    = "leva/embed-rw/v1"
-	gloveFPDomain = "leva/embed-glove/v1"
+	gloveFPDomain = "leva/embed-glove/v2"
 )
 
 // Fingerprint returns a content hash of the embedding itself — the

@@ -2,6 +2,7 @@ package embed
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/graph"
@@ -62,6 +63,23 @@ func TestMFWorkersBitIdenticalNoPropagation(t *testing.T) {
 			if a[j] != b[j] {
 				t.Fatalf("%q[%d] differs across worker counts", name, j)
 			}
+		}
+	}
+}
+
+// TestGloVeReproducible: two GloVe builds at Workers=1 with the same
+// seed produce bit-identical arenas (the co-occurrence pairs reach the
+// seeded shuffle in a fixed order, not map order).
+func TestGloVeReproducible(t *testing.T) {
+	g := mfFixtureGraph()
+	opts := GloVeOptions{Dim: 8, WalkLength: 10, WalksPerNode: 2, Epochs: 2, Seed: 3, Workers: 1}
+	ref, got := GloVe(g, opts).Arena(), GloVe(g, opts).Arena()
+	if len(got) != len(ref) {
+		t.Fatalf("arena length %d vs %d", len(got), len(ref))
+	}
+	for i := range ref {
+		if math.Float32bits(got[i]) != math.Float32bits(ref[i]) {
+			t.Fatalf("arena[%d] = %v vs %v (must be bit-identical)", i, got[i], ref[i])
 		}
 	}
 }

@@ -7,8 +7,10 @@
 package glove
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
+	"slices"
 )
 
 // Options configures GloVe training.
@@ -75,7 +77,8 @@ func (m *Model) Vector(id int32) []float64 {
 
 // CountCooccurrence accumulates symmetric window-discounted pair counts
 // from token-id sequences, the statistic GloVe factorizes. Pairs at
-// distance d contribute 1/d, as in the reference implementation.
+// distance d contribute 1/d, as in the reference implementation. The
+// pairs come back sorted by (I, J).
 func CountCooccurrence(corpus [][]int32, window int) []Cooc {
 	if window <= 0 {
 		window = 5
@@ -98,6 +101,14 @@ func CountCooccurrence(corpus [][]int32, window int) []Cooc {
 	for k, x := range counts {
 		out = append(out, Cooc{I: k.i, J: k.j, X: x})
 	}
+	// Map iteration order is random; Train's seeded shuffle is only
+	// reproducible from a fixed starting order.
+	slices.SortFunc(out, func(a, b Cooc) int {
+		if c := cmp.Compare(a.I, b.I); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.J, b.J)
+	})
 	return out
 }
 

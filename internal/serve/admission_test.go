@@ -3,6 +3,9 @@ package serve
 import (
 	"context"
 	"errors"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -228,5 +231,83 @@ func TestLimiterReleaseIdempotent(t *testing.T) {
 	rel(false) // second call must be a no-op
 	if got := inflight(l); got != 0 {
 		t.Fatalf("inflight after double release = %d, want 0", got)
+	}
+}
+
+// TestLimiterStress races 32 goroutines × 500 acquires, with random
+// holds, drops and cancellations, against a limiter of ceiling 4 with a
+// 4-deep queue and a 1 ms queue timeout: admitted requests never exceed
+// the ceiling, the queue drains, and no slot leaks when a timeout or a
+// cancellation races a grant — once the limit has climbed back, all 4
+// slots are free at once.
+func TestLimiterStress(t *testing.T) {
+	const ceiling = 4
+	l := newLimiter(ceiling, 4, time.Millisecond)
+	var running, peak, admitted, shed atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 500; i++ {
+				ctx, cancel := context.WithCancel(context.Background())
+				if rng.Intn(4) == 0 {
+					time.AfterFunc(time.Duration(rng.Intn(1000))*time.Microsecond, cancel)
+				}
+				rel, err := l.acquire(ctx)
+				if err != nil {
+					shed.Add(1)
+					cancel()
+					continue
+				}
+				admitted.Add(1)
+				n := running.Add(1)
+				for {
+					p := peak.Load()
+					if n <= p || peak.CompareAndSwap(p, n) {
+						break
+					}
+				}
+				time.Sleep(time.Duration(rng.Intn(200)) * time.Microsecond)
+				running.Add(-1)
+				dropped := rng.Intn(16) == 0
+				rel(dropped)
+				if rng.Intn(8) == 0 {
+					rel(dropped) // a second release must not free another slot
+				}
+				cancel()
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	if p := peak.Load(); p > ceiling {
+		t.Fatalf("peak in flight = %d, want ≤ %d", p, ceiling)
+	}
+	if admitted.Load() == 0 || shed.Load() == 0 {
+		t.Fatalf("admitted %d, shed %d: the stress never saturated the limiter", admitted.Load(), shed.Load())
+	}
+	if n, d := inflight(l), l.queueDepth(); n != 0 || d != 0 {
+		t.Fatalf("after the stress: inflight %d, queueDepth %d; want 0 and 0", n, d)
+	}
+	// Clean completions climb the limit back to its ceiling.
+	for i := 0; l.currentLimit() < ceiling; i++ {
+		if i == 1000 {
+			t.Fatalf("limit stuck at %v after 1000 clean completions", l.currentLimit())
+		}
+		rel, err := l.acquire(context.Background())
+		if err != nil {
+			t.Fatalf("sequential acquire: %v", err)
+		}
+		rel(false)
+	}
+	// A cancelled context fails any acquire that has to queue, so these
+	// succeed only on the fast path.
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	for i := 0; i < ceiling; i++ {
+		if _, err := l.acquire(gone); err != nil {
+			t.Fatalf("fresh acquire %d after the stress had to queue: %v (a slot leaked)", i+1, err)
+		}
 	}
 }

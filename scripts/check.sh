@@ -22,6 +22,11 @@ fi
 GOOS=darwin go vet ./cmd/... ./internal/durable ./internal/core ./internal/ann ./internal/serve
 GOOS=windows go build ./cmd/...
 go test -race ./...
+# The admission limiter settles a grant that races a queue timeout or a
+# cancellation under its lock; a wrong interleaving leaks or double-
+# grants a slot only rarely, so run its tests many times under the race
+# detector.
+go test -race -count=20 -run 'Limiter|Queue|Deadline' ./internal/serve
 # The benchmark harness is its own module (bench/go.mod) and calls the
 # ann and core APIs; its short tests catch a change that breaks it.
 (cd bench && go test -short ./...)
