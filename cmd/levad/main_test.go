@@ -358,6 +358,14 @@ func TestRunRefusesVersion2Index(t *testing.T) {
 	}
 }
 
+// TestRunRefusesVersion3Index: the same for version 3, whose link ids
+// are 4 bytes at every size; the error also names index.bin.
+func TestRunRefusesVersion3Index(t *testing.T) {
+	if err := refusesIndexFixture(t, "index-v3"); !strings.Contains(err.Error(), ann.IndexFileName) {
+		t.Errorf("startup error = %v, want it to name %s", err, ann.IndexFileName)
+	}
+}
+
 // refusesIndexFixture starts the daemon on a good bundle and a copy of
 // the committed index directory internal/ann/testdata/<fixture>, and
 // requires startup to fail with ErrVersion naming `leva embed -index`.

@@ -117,8 +117,12 @@ type Index struct {
 	syms *embed.SymbolTable
 	// vecs holds all vectors row-major (n x dim), unit-normalized in
 	// float64 and then rounded to float32 (storeUnit).
-	vecs     []float32
-	adj      csr
+	vecs []float32
+	// The frozen adjacency, in the link-id width narrowIDs picks for
+	// the node count: narrow when the ids fit in a uint16, wide
+	// otherwise. The other one is empty.
+	narrow   csr[uint16]
+	wide     csr[int32]
 	entry    int32
 	maxLevel int32
 	// quant, when set by Quantize, routes graph traversal through the
@@ -134,20 +138,32 @@ type Index struct {
 	unmapOnce sync.Once
 }
 
+// linkID is the element type of a frozen link array: uint16 when the
+// index has at most narrowMaxNodes nodes, int32 otherwise.
+type linkID interface{ uint16 | int32 }
+
+// narrowMaxNodes is the largest node count whose link ids are stored
+// as uint16: ids run from 0 to n-1, and 65,535 is the largest uint16.
+const narrowMaxNodes = 1 << 16
+
+// narrowIDs reports whether an index of n nodes stores its link ids as
+// uint16. The width follows from n alone, in memory and in index.bin.
+func narrowIDs(n int) bool { return n <= narrowMaxNodes }
+
 // csr is the frozen adjacency in compressed-sparse-row form, the exact
 // layout index.bin stores. Node i owns the (node, layer) pairs
 // first[i] .. first[i+1]-1, one per layer 0..level(i), and pair p's
 // neighbor ids are lids[loff[p]:loff[p+1]].
-type csr struct {
+type csr[T linkID] struct {
 	first []uint32 // len n+1
 	loff  []uint32 // len P+1, P = first[n]
-	lids  []int32  // len L, L = loff[P]
+	lids  []T      // len L, L = loff[P]
 }
 
 // level returns the top layer of node id.
-func (g *csr) level(id int32) int32 { return int32(g.first[id+1]-g.first[id]) - 1 }
+func (g csr[T]) level(id int32) int32 { return int32(g.first[id+1]-g.first[id]) - 1 }
 
-func (g *csr) linksAt(id, lvl int32) []int32 {
+func (g csr[T]) linksAt(id, lvl int32) []T {
 	p := int(g.first[id]) + int(lvl)
 	if p >= int(g.first[id+1]) {
 		return nil
@@ -156,9 +172,11 @@ func (g *csr) linksAt(id, lvl int32) []int32 {
 }
 
 // adjacency is what a layer search walks: the growable lists of an
-// index under construction, or the frozen CSR arrays of a finished one.
-type adjacency interface {
-	linksAt(id, lvl int32) []int32
+// index under construction, or the frozen CSR arrays of a finished one
+// in either link-id width. The searches are generic over it, so each
+// representation gets its own instantiation.
+type adjacency[T linkID] interface {
+	linksAt(id, lvl int32) []T
 }
 
 // idOf resolves an entity name to its node id.
@@ -274,13 +292,17 @@ func BuildVectors(names []string, vecs [][]float64, opts Options) (*Index, error
 type builder struct {
 	ix     *Index
 	levels []int32
-	links  [][][]int32 // links[node][layer] = neighbor ids
+	links  lists
 	// q holds the widened vector of the node being inserted.
 	q []float64
 }
 
-func (b *builder) linksAt(id, lvl int32) []int32 {
-	ls := b.links[id]
+// lists are the growable adjacency of an index under construction:
+// lists[node][layer] = neighbor ids.
+type lists [][][]int32
+
+func (l lists) linksAt(id, lvl int32) []int32 {
+	ls := l[id]
 	if int(lvl) >= len(ls) {
 		return nil
 	}
@@ -289,10 +311,10 @@ func (b *builder) linksAt(id, lvl int32) []int32 {
 
 // wire draws every node's level up front from one seeded stream (the
 // only randomness in the whole build), inserts sequentially, and
-// freezes the result into ix.adj.
+// freezes the result into the index's CSR arrays.
 func (ix *Index) wire(rng *rand.Rand) error {
 	n := ix.Len()
-	b := &builder{ix: ix, levels: make([]int32, n), links: make([][][]int32, n), q: make([]float64, ix.dim)}
+	b := &builder{ix: ix, levels: make([]int32, n), links: make(lists, n), q: make([]float64, ix.dim)}
 	mL := 1 / math.Log(float64(ix.opts.M))
 	for i := range b.levels {
 		b.levels[i] = drawLevel(rng, mL)
@@ -305,8 +327,9 @@ func (ix *Index) wire(rng *rand.Rand) error {
 	return b.freeze()
 }
 
-// freeze flattens the neighbor lists into ix.adj: one allocation per
-// CSR array, whatever the node count.
+// freeze flattens the neighbor lists into the index's CSR arrays, in
+// the link-id width narrowIDs picks: one allocation per array,
+// whatever the node count.
 func (b *builder) freeze() error {
 	pairs, links := 0, 0
 	for _, ls := range b.links {
@@ -318,20 +341,31 @@ func (b *builder) freeze() error {
 	if pairs > math.MaxUint32 || links > math.MaxUint32 {
 		return fmt.Errorf("ann: %d layer lists / %d links exceed the u32 offsets of the index format", pairs, links)
 	}
-	g := csr{
-		first: make([]uint32, 1, len(b.links)+1),
-		loff:  make([]uint32, 1, pairs+1),
-		lids:  make([]int32, 0, links),
+	if narrowIDs(len(b.links)) {
+		b.ix.narrow = freezeAs[uint16](b.links, pairs, links)
+	} else {
+		b.ix.wide = freezeAs[int32](b.links, pairs, links)
 	}
-	for _, ls := range b.links {
-		for _, nbs := range ls {
-			g.lids = append(g.lids, nbs...)
+	return nil
+}
+
+// freezeAs flattens ls into CSR arrays with link ids of type T.
+func freezeAs[T linkID](ls lists, pairs, links int) csr[T] {
+	g := csr[T]{
+		first: make([]uint32, 1, len(ls)+1),
+		loff:  make([]uint32, 1, pairs+1),
+		lids:  make([]T, 0, links),
+	}
+	for _, node := range ls {
+		for _, nbs := range node {
+			for _, nb := range nbs {
+				g.lids = append(g.lids, T(nb))
+			}
 			g.loff = append(g.loff, uint32(len(g.lids)))
 		}
 		g.first = append(g.first, uint32(len(g.loff)-1))
 	}
-	b.ix.adj = g
-	return nil
+	return g
 }
 
 func drawLevel(rng *rand.Rand, mL float64) int32 {
@@ -463,17 +497,13 @@ func (ix *Index) search(q []float64, k, ef int) []cand {
 		return ix.searchQuant(q, k, ef)
 	}
 	start := time.Now()
-	if ef <= 0 {
-		ef = ix.opts.EfSearch
+	ef = ix.beamWidth(k, ef)
+	var w []cand
+	if narrowIDs(ix.Len()) {
+		w = descend(ix, ix.narrow, q, ef)
+	} else {
+		w = descend(ix, ix.wide, q, ef)
 	}
-	if ef < k {
-		ef = k
-	}
-	ep := ix.entry
-	for lc := ix.maxLevel; lc > 0; lc-- {
-		ep = ix.greedy(&ix.adj, q, ep, lc)
-	}
-	w := ix.searchLayer(&ix.adj, q, ep, ef, 0)
 	if len(w) > k {
 		w = w[:k]
 	}
@@ -482,14 +512,33 @@ func (ix *Index) search(q []float64, k, ef int) []cand {
 	return w
 }
 
+// beamWidth is the layer-0 beam of a k-nearest query: ef, or
+// Options.EfSearch when ef <= 0, raised to k when smaller.
+func (ix *Index) beamWidth(k, ef int) int {
+	if ef <= 0 {
+		ef = ix.opts.EfSearch
+	}
+	return max(ef, k)
+}
+
+// descend walks g from the entry point: a greedy descent down to
+// layer 1, then a beam search of width ef on layer 0.
+func descend[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ef int) []cand {
+	ep := ix.entry
+	for lc := ix.maxLevel; lc > 0; lc-- {
+		ep = greedy(ix, g, q, ep, lc)
+	}
+	return searchLayer(ix, g, q, ep, ef, 0)
+}
+
 // greedy descends one layer of g: repeatedly move to the best neighbor
 // until no neighbor improves on the current node.
-func (ix *Index) greedy(g adjacency, q []float64, ep int32, lvl int32) int32 {
+func greedy[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ep int32, lvl int32) int32 {
 	best := cand{ix.dist(q, ep), ep}
 	for {
 		improved := false
 		for _, nb := range g.linksAt(best.id, lvl) {
-			c := cand{ix.dist(q, nb), nb}
+			c := cand{ix.dist(q, int32(nb)), int32(nb)}
 			if candLess(c, best) {
 				best = c
 				improved = true
@@ -539,7 +588,7 @@ func (v *visitSet) visit(id int32) bool {
 // searchLayer is the HNSW beam search on one layer of g: expand the
 // closest unexpanded candidate until it cannot improve the current
 // ef-sized result set. Returns candidates sorted best-first.
-func (ix *Index) searchLayer(g adjacency, q []float64, ep int32, ef int, lvl int32) []cand {
+func searchLayer[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ep int32, ef int, lvl int32) []cand {
 	d0 := cand{ix.dist(q, ep), ep}
 	visited := ix.acquireVisits()
 	defer ix.visits.Put(visited)
@@ -553,7 +602,8 @@ func (ix *Index) searchLayer(g adjacency, q []float64, ep int32, ef int, lvl int
 		if results.len() >= ef && candLess(results.peek(), c) {
 			break
 		}
-		for _, nb := range g.linksAt(c.id, lvl) {
+		for _, link := range g.linksAt(c.id, lvl) {
+			nb := int32(link)
 			if !visited.visit(nb) {
 				continue
 			}
@@ -591,11 +641,11 @@ func (b *builder) insert(i int32) {
 	q := widen(b.q[:0], ix.vec(i))
 	ep := ix.entry
 	for lc := ix.maxLevel; lc > b.levels[i]; lc-- {
-		ep = ix.greedy(b, q, ep, lc)
+		ep = greedy(ix, b.links, q, ep, lc)
 	}
 	top := min(b.levels[i], ix.maxLevel)
 	for lc := top; lc >= 0; lc-- {
-		w := ix.searchLayer(b, q, ep, ix.opts.EfConstruction, lc)
+		w := searchLayer(ix, b.links, q, ep, ix.opts.EfConstruction, lc)
 		nbs := ix.selectNeighbors(w, ix.opts.M)
 		b.links[i][lc] = nbs
 		limit := ix.maxConn(lc)

@@ -24,5 +24,5 @@ func (o Options) Fingerprint() string {
 // invalidates every cached index, so entries written in another
 // format are never looked up.
 func IndexFingerprint(embeddingFP string, o Options) string {
-	return fingerprint.Combine("leva/ann-index/v3", embeddingFP, o.Fingerprint())
+	return fingerprint.Combine("leva/ann-index/v4", embeddingFP, o.Fingerprint())
 }

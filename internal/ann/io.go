@@ -22,10 +22,11 @@ import (
 // stored exactly as the in-memory Index holds it, so Load reads the
 // file once, hashes those bytes against the manifest, and Decode
 // builds slice views over the buffer. Layout (all integers
-// little-endian; n nodes, P (node, layer) pairs, L links):
+// little-endian; n nodes, P (node, layer) pairs, L links; w = 2 when
+// n <= 65,536, else 4):
 //
 //	magic        8 bytes  "LEVAHNSW"
-//	version      u32      format version (currently 3)
+//	version      u32      format version (currently 4)
 //	metric       u32      0 = cosine (1 = dot product, no longer read)
 //	M            u32      build options, for provenance and defaults
 //	efConstruct  u32
@@ -43,14 +44,16 @@ import (
 //	first        (n+1) × u32  node i owns pairs first[i]..first[i+1]-1,
 //	                          one per layer 0..level(i)
 //	loff         (P+1) × u32  pair p links lids[loff[p]:loff[p+1]]
-//	lids         L × u32      neighbor node ids
+//	lids         L × w bytes  neighbor node ids: u16 when w = 2, else u32
 //	blob         blobLen bytes, names in node order
 //	padding      zero bytes up to the next multiple of 4
 //	vectors      n × dim × f32 bits, unit-normalized in float64 and
 //	             rounded to float32 once (see the package doc)
 //
-// The header is 64 bytes, so every u32 array and the vectors are
-// 4-aligned relative to the file start. The symbol arrays are
+// The header is 64 bytes, so every u32 array, the link ids and the
+// vectors are aligned for their element type relative to the file
+// start. The id width is not stored: it follows from n, so equal
+// indexes still have one encoding. The symbol arrays are
 // bundle.bin's symbols section (internal/core) minus its count header.
 //
 // Encode is deterministic (the package determinism contract), so equal
@@ -62,12 +65,14 @@ import (
 // links as per-node, per-layer counted lists, decoded node by node.
 // Version 2 introduced the viewable layout above with float64 vectors
 // padded to an 8-byte boundary. Version 3 stores the vectors as
-// float32, halving their bytes on disk and in memory. There is no
-// reader for versions 1 or 2: an old index is rebuilt, not read.
+// float32, halving their bytes on disk and in memory. Version 4 stores
+// the link ids in 2 bytes when n <= 65,536, halving the link array of
+// every index that small. There is no reader for versions 1 to 3: an
+// old index is rebuilt, not read.
 
 const (
 	// FormatVersion is the index.bin format written by Encode.
-	FormatVersion = 3
+	FormatVersion = 4
 	// IndexFileName is the payload file inside an index directory.
 	IndexFileName = "index.bin"
 
@@ -104,19 +109,34 @@ type layout struct {
 	n, pairs, links, blobLen int64
 }
 
+// idBytes is the stored width of one link id.
+func (l layout) idBytes() int64 {
+	if narrowIDs(int(l.n)) {
+		return 2
+	}
+	return 4
+}
+
 func (l layout) offsetsOff() int64 { return headerLen }
 func (l layout) permOff() int64    { return l.offsetsOff() + 4*(l.n+1) }
 func (l layout) firstOff() int64   { return l.permOff() + 4*l.n }
 func (l layout) loffOff() int64    { return l.firstOff() + 4*(l.n+1) }
 func (l layout) lidsOff() int64    { return l.loffOff() + 4*(l.pairs+1) }
-func (l layout) blobOff() int64    { return l.lidsOff() + 4*l.links }
+func (l layout) blobOff() int64    { return l.lidsOff() + l.idBytes()*l.links }
 func (l layout) padOff() int64     { return l.blobOff() + l.blobLen }
 func (l layout) vecOff() int64     { return (l.padOff() + 3) &^ 3 }
 
 // Encode serializes the index. Output is byte-identical for equal
 // indexes.
 func (ix *Index) Encode() []byte {
-	st, g := ix.syms, &ix.adj
+	if narrowIDs(ix.Len()) {
+		return encode(ix, ix.narrow)
+	}
+	return encode(ix, ix.wide)
+}
+
+func encode[T linkID](ix *Index, g csr[T]) []byte {
+	st := ix.syms
 	lay := layout{
 		n:       int64(ix.Len()),
 		pairs:   int64(len(g.loff) - 1),
@@ -135,11 +155,11 @@ func (ix *Index) Encode() []byte {
 	for _, v := range []int64{lay.n, int64(ix.entry), int64(ix.maxLevel), lay.pairs, lay.links, lay.blobLen} {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
-	buf = appendU32s(buf, st.Offsets())
-	buf = appendU32s(buf, st.SortedIDs())
-	buf = appendU32s(buf, g.first)
-	buf = appendU32s(buf, g.loff)
-	buf = appendU32s(buf, g.lids)
+	buf = appendLE(buf, st.Offsets())
+	buf = appendLE(buf, st.SortedIDs())
+	buf = appendLE(buf, g.first)
+	buf = appendLE(buf, g.loff)
+	buf = appendLE(buf, g.lids)
 	buf = append(buf, st.Blob()...)
 	for int64(len(buf)) < lay.vecOff() {
 		buf = append(buf, 0)
@@ -150,7 +170,14 @@ func (ix *Index) Encode() []byte {
 	return buf
 }
 
-func appendU32s[T uint32 | int32](buf []byte, vs []T) []byte {
+// appendLE appends vs little-endian: 2 bytes per uint16, 4 otherwise.
+func appendLE[T uint16 | uint32 | int32](buf []byte, vs []T) []byte {
+	if u16, ok := any(vs).([]uint16); ok {
+		for _, v := range u16 {
+			buf = binary.LittleEndian.AppendUint16(buf, v)
+		}
+		return buf
+	}
 	for _, v := range vs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(v))
 	}
@@ -162,8 +189,9 @@ func corrupt(format string, args ...any) error {
 }
 
 // Decode builds a queryable index over an index.bin buffer. The index
-// retains data — names, adjacency and vectors are views into it (zero
-// copy when data is aligned and the host little-endian) — so data must
+// retains data — names, adjacency (link ids in their stored width) and
+// vectors are views into it (zero copy when data is aligned and the
+// host little-endian) — so data must
 // not be mutated afterward. That is also why every structural invariant
 // (option ranges, id ranges, no self-links, level caps, entry point,
 // name uniqueness, exact length, zero padding) is validated here: a
@@ -228,34 +256,48 @@ func Decode(data []byte) (*Index, error) {
 
 	st, err := embed.FromParts(
 		data[lay.blobOff():lay.padOff()],
-		durable.ViewU32(data[lay.offsetsOff():], n+1),
-		durable.ViewI32(data[lay.permOff():], n))
+		durable.View[uint32](data[lay.offsetsOff():], n+1),
+		durable.View[int32](data[lay.permOff():], n))
 	if err != nil {
 		return nil, corrupt("%v", err)
 	}
 	if name, dup := duplicateName(st); dup {
 		return nil, corrupt("duplicate name %q", name)
 	}
-	g := csr{
-		first: durable.ViewU32(data[lay.firstOff():], n+1),
-		loff:  durable.ViewU32(data[lay.loffOff():], int(lay.pairs)+1),
-		lids:  durable.ViewI32(data[lay.lidsOff():], int(lay.links)),
-	}
-	if err := g.validate(int32(maxLevel)); err != nil {
-		return nil, err
-	}
-	if lvl := g.level(int32(entry)); int64(lvl) != maxLevel {
-		return nil, corrupt("entry point %d has level %d, want max level %d", entry, lvl, maxLevel)
-	}
-	return &Index{
+	ix := &Index{
 		opts:     opts,
 		dim:      dim,
 		syms:     st,
-		vecs:     durable.ViewF32(data[lay.vecOff():], n*dim),
-		adj:      g,
+		vecs:     durable.View[float32](data[lay.vecOff():], n*dim),
 		entry:    int32(entry),
 		maxLevel: int32(maxLevel),
-	}, nil
+	}
+	if narrowIDs(n) {
+		ix.narrow, err = viewCSR[uint16](data, lay, ix.entry, ix.maxLevel)
+	} else {
+		ix.wide, err = viewCSR[int32](data, lay, ix.entry, ix.maxLevel)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return ix, nil
+}
+
+// viewCSR views the adjacency arrays of an index.bin buffer whose
+// length and header Decode has checked, and validates them.
+func viewCSR[T linkID](data []byte, lay layout, entry, maxLevel int32) (csr[T], error) {
+	g := csr[T]{
+		first: durable.View[uint32](data[lay.firstOff():], int(lay.n)+1),
+		loff:  durable.View[uint32](data[lay.loffOff():], int(lay.pairs)+1),
+		lids:  durable.View[T](data[lay.lidsOff():], int(lay.links)),
+	}
+	if err := g.validate(maxLevel); err != nil {
+		return csr[T]{}, err
+	}
+	if lvl := g.level(entry); lvl != maxLevel {
+		return csr[T]{}, corrupt("entry point %d has level %d, want max level %d", entry, lvl, maxLevel)
+	}
+	return g, nil
 }
 
 // validate checks that g is a well-formed adjacency over its nodes:
@@ -264,7 +306,7 @@ func Decode(data []byte) (*Index, error) {
 // layers; no layer claims more links than there are nodes; and every
 // link names another node in range. Each span is bounds-checked before
 // it is sliced, since a later offset may still decrease.
-func (g *csr) validate(maxLevel int32) error {
+func (g csr[T]) validate(maxLevel int32) error {
 	n := len(g.first) - 1
 	pairs, links := len(g.loff)-1, len(g.lids)
 	if g.first[0] != 0 || int(g.first[n]) != pairs {
@@ -287,7 +329,7 @@ func (g *csr) validate(maxLevel int32) error {
 				return corrupt("node %d layer %d claims %d links", i, p-lo, b-a)
 			}
 			for _, nb := range g.lids[a:b] {
-				if nb < 0 || int(nb) >= n || int(nb) == i {
+				if int(nb) < 0 || int(nb) >= n || int(nb) == i {
 					return corrupt("node %d layer %d links to invalid node %d", i, p-lo, nb)
 				}
 			}

@@ -23,6 +23,9 @@ func FuzzDecode(f *testing.F) {
 	for _, c := range lyingIndexes(f) {
 		f.Add(c.data)
 	}
+	// One index of each link-id width, on either side of the boundary.
+	f.Add(boundaryIndex(f, narrowMaxNodes).Encode())
+	f.Add(boundaryIndex(f, narrowMaxNodes+1).Encode())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ix, err := Decode(data)

@@ -123,6 +123,13 @@ func lyingIndexes(t testing.TB) []lyingIndex {
 	mutate("loff overshoots L", func(b []byte) {
 		binary.LittleEndian.PutUint32(b[lay.loffOff()+4:], uint32(lay.links+4))
 	})
+	// Link ids the length check cannot see: node 0's first neighbor
+	// (its 2-byte id, as the fixture has fewer than narrowMaxNodes
+	// nodes) replaced by an id out of range and by node 0 itself.
+	mutate("link to node n", func(b []byte) {
+		binary.LittleEndian.PutUint16(b[lay.lidsOff():], uint16(lay.n))
+	})
+	mutate("self-link", func(b []byte) { binary.LittleEndian.PutUint16(b[lay.lidsOff():], 0) })
 	return out
 }
 
@@ -136,13 +143,15 @@ func TestDecodeRejectsLyingIndexes(t *testing.T) {
 
 // TestDecodeAllocs: Decode builds views instead of per-node and
 // per-name objects, so it allocates the same number of times at 200
-// nodes as at 5000, and the float32 vectors alias the input buffer.
+// nodes as at 5000, and at both link-id widths (narrowMaxNodes nodes
+// and one more); the link ids and float32 vectors alias the input
+// buffer.
 func TestDecodeAllocs(t *testing.T) {
 	if !durable.HostLittleEndian {
 		t.Skip("zero-copy views need a little-endian host")
 	}
-	allocs := func(n int) float64 {
-		data := testIndex(t, n, 4, 9).Encode()
+	allocs := func(built *Index) float64 {
+		data := built.Encode()
 		if uintptr(unsafe.Pointer(&data[0]))%4 != 0 {
 			t.Fatal("Encode returned a buffer that is not 4-aligned")
 		}
@@ -150,8 +159,9 @@ func TestDecodeAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vectorsView(ix, data) {
-			t.Fatalf("n=%d: decoded vectors are a copy, not a view of the input", n)
+		if !vectorsView(ix, data) || !linksView(ix, data) {
+			t.Fatalf("n=%d: decoded vectors (view %v) or link ids (view %v) are a copy, not a view of the input",
+				ix.Len(), vectorsView(ix, data), linksView(ix, data))
 		}
 		return testing.AllocsPerRun(10, func() {
 			if _, err := Decode(data); err != nil {
@@ -159,9 +169,11 @@ func TestDecodeAllocs(t *testing.T) {
 			}
 		})
 	}
-	small, large := allocs(200), allocs(5000)
-	if small != large {
-		t.Fatalf("Decode allocates %v times at n=200 but %v times at n=5000", small, large)
+	small := allocs(testIndex(t, 200, 4, 9))
+	for _, built := range []*Index{testIndex(t, 5000, 4, 9), boundaryIndex(t, narrowMaxNodes), boundaryIndex(t, narrowMaxNodes+1)} {
+		if got := allocs(built); got != small {
+			t.Fatalf("Decode allocates %v times at n=200 but %v times at n=%d", small, got, built.Len())
+		}
 	}
 	t.Logf("Decode: %v allocations per call", small)
 }
@@ -175,30 +187,39 @@ func vectorsView(ix *Index, data []byte) bool {
 // aligned address cannot be viewed in place; Decode falls back to
 // element-wise copies and must answer every query identically. A
 // buffer that is 4- but not 8-aligned is viewed in place, since no
-// array in the file is wider than 4 bytes.
+// array in the file is wider than 4 bytes. Both link-id widths are
+// checked: 2 bytes at 120 nodes, 4 at narrowMaxNodes+1.
 func TestDecodeMisalignedBuffer(t *testing.T) {
-	data := testIndex(t, 120, 8, 10).Encode()
-	want, err := Decode(data)
-	if err != nil {
-		t.Fatal(err)
-	}
+	indexes := []*Index{testIndex(t, 120, 8, 10), boundaryIndex(t, narrowMaxNodes+1)}
 	for _, shift := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shift=%d", shift), func(t *testing.T) {
-			backing := make([]byte, len(data)+8)
-			start := shift - int(uintptr(unsafe.Pointer(&backing[0]))%8)
-			if start < 0 {
-				start += 8
+			for _, built := range indexes {
+				data := built.Encode()
+				want, err := Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				backing := make([]byte, len(data)+8)
+				start := shift - int(uintptr(unsafe.Pointer(&backing[0]))%8)
+				if start < 0 {
+					start += 8
+				}
+				shifted := backing[start : start+len(data)]
+				copy(shifted, data)
+				got, err := Decode(shifted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if durable.HostLittleEndian {
+					if view := vectorsView(got, shifted); view != (shift%4 == 0) {
+						t.Errorf("n=%d: vectors viewed in place = %v at %d bytes past an 8-aligned address", got.Len(), view, shift)
+					}
+					if view := linksView(got, shifted); view != (shift%4 == 0) {
+						t.Errorf("n=%d: link ids viewed in place = %v at %d bytes past an 8-aligned address", got.Len(), view, shift)
+					}
+				}
+				checkSameAnswers(t, want, got)
 			}
-			shifted := backing[start : start+len(data)]
-			copy(shifted, data)
-			got, err := Decode(shifted)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if view := vectorsView(got, shifted); durable.HostLittleEndian && view != (shift%4 == 0) {
-				t.Errorf("vectors viewed in place = %v at %d bytes past an 8-aligned address", view, shift)
-			}
-			checkSameAnswers(t, want, got)
 		})
 	}
 }
@@ -266,46 +287,38 @@ func copyFixture(t *testing.T, fixture string) (dir string, data []byte) {
 	return dir, data
 }
 
-// TestVersion1IsRebuiltNotRead: testdata/index-v1 was saved by the last
-// version-1 encoder. There is no version-1 reader; Decode and Load both
-// refuse it with ErrVersion and say how to rebuild it.
-func TestVersion1IsRebuiltNotRead(t *testing.T) {
-	dir, data := copyFixture(t, "index-v1")
-	_, decErr := Decode(data)
-	_, loadErr := Load(dir)
-	for what, err := range map[string]error{"Decode": decErr, "Load": loadErr} {
-		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "leva embed -index") {
-			t.Errorf("%s of a version-1 index: got %v, want ErrVersion naming `leva embed -index`", what, err)
-		}
-	}
-}
-
-// TestVersion2IsRebuiltNotRead: testdata/index-v2 was saved by the last
-// version-2 encoder, whose vectors are float64. There is no version-2
-// reader; Decode and Load, read and mapped, refuse it with ErrVersion,
-// name version 2 (and Load index.bin), say how to rebuild it, and
-// leave no mapping behind.
-func TestVersion2IsRebuiltNotRead(t *testing.T) {
-	dir, data := copyFixture(t, "index-v2")
-	if v := binary.LittleEndian.Uint32(data[len(indexMagic):]); v != 2 {
-		t.Fatalf("fixture index.bin has version %d, want 2", v)
-	}
-	_, decErr := Decode(data)
-	_, readErr := Load(dir)
-	_, mapErr := LoadOpts(dir, LoadOptions{MMap: true})
-	for what, err := range map[string]error{"Decode": decErr, "Load": readErr, "mapped Load": mapErr} {
-		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 2") ||
-			!strings.Contains(err.Error(), rebuildHint) {
-			t.Errorf("%s of a version-2 index: got %v, want ErrVersion naming version 2 and %q", what, err, rebuildHint)
-		}
-		if what != "Decode" && !strings.Contains(err.Error(), IndexFileName) {
-			t.Errorf("%s of a version-2 index: %v does not name %s", what, err, IndexFileName)
-		}
-	}
-	if _, err := os.Stat("/proc/self/maps"); err == nil {
-		if got := countMappings(t, dir); got != 0 {
-			t.Errorf("%d mappings of the version-2 index left behind, want 0", got)
-		}
+// TestOldVersionsAreRebuiltNotRead: testdata/index-vN was saved by the
+// last version-N encoder: version 1 stored per-node link lists,
+// version 2 float64 vectors, version 3 4-byte link ids at every size.
+// There is no reader for any of them; Decode and Load, read and
+// mapped, refuse each with ErrVersion, name its version (and Load
+// index.bin), say how to rebuild it, and leave no mapping behind.
+func TestOldVersionsAreRebuiltNotRead(t *testing.T) {
+	for v := 1; v < FormatVersion; v++ {
+		t.Run(fmt.Sprintf("v%d", v), func(t *testing.T) {
+			dir, data := copyFixture(t, fmt.Sprintf("index-v%d", v))
+			if got := binary.LittleEndian.Uint32(data[len(indexMagic):]); got != uint32(v) {
+				t.Fatalf("fixture index.bin has version %d, want %d", got, v)
+			}
+			_, decErr := Decode(data)
+			_, readErr := Load(dir)
+			_, mapErr := LoadOpts(dir, LoadOptions{MMap: true})
+			version := fmt.Sprintf("version %d", v)
+			for what, err := range map[string]error{"Decode": decErr, "Load": readErr, "mapped Load": mapErr} {
+				if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), version) ||
+					!strings.Contains(err.Error(), rebuildHint) {
+					t.Errorf("%s: got %v, want ErrVersion naming %s and %q", what, err, version, rebuildHint)
+				}
+				if what != "Decode" && !strings.Contains(err.Error(), IndexFileName) {
+					t.Errorf("%s: %v does not name %s", what, err, IndexFileName)
+				}
+			}
+			if _, err := os.Stat("/proc/self/maps"); err == nil {
+				if got := countMappings(t, dir); got != 0 {
+					t.Errorf("%d mappings of the version-%d index left behind, want 0", got, v)
+				}
+			}
+		})
 	}
 }
 

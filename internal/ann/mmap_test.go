@@ -45,7 +45,8 @@ func loadBoth(t *testing.T, ix *Index) (dir string, read, mapped *Index) {
 }
 
 // answers runs every query kind against ix and collects the results in
-// a fixed order, for bit-exact comparison between two indexes.
+// a fixed order, for bit-exact comparison between two indexes. It
+// queries every 7th node, and about 64 nodes of a large index.
 func answers(t *testing.T, ix *Index, brute bool) [][]Result {
 	t.Helper()
 	var out [][]Result
@@ -56,7 +57,7 @@ func answers(t *testing.T, ix *Index, brute bool) [][]Result {
 		out = append(out, r)
 	}
 	names := ix.Names()
-	for i := 0; i < ix.Len(); i += 7 {
+	for i := 0; i < ix.Len(); i += max(7, ix.Len()/64) {
 		q := widen(nil, ix.vec(int32((i+3)%ix.Len())))
 		q[0] += 0.25
 		add(ix.SearchVector(q, 5, 0))

@@ -77,19 +77,15 @@ func (ix *Index) distQ(q8 []int8, qScale float64, id int32) float64 {
 // among the survivors.
 func (ix *Index) searchQuant(q []float64, k, ef int) []cand {
 	start := time.Now()
-	if ef <= 0 {
-		ef = ix.opts.EfSearch
-	}
-	if ef < k {
-		ef = k
-	}
+	ef = ix.beamWidth(k, ef)
 	q8 := make([]int8, len(q))
 	qScale := embed.QuantizeRow(q, q8)
-	ep := ix.entry
-	for lc := ix.maxLevel; lc > 0; lc-- {
-		ep = ix.greedyQ(q8, qScale, ep, lc)
+	var w []cand
+	if narrowIDs(ix.Len()) {
+		w = descendQ(ix, ix.narrow, q8, qScale, ef)
+	} else {
+		w = descendQ(ix, ix.wide, q8, qScale, ef)
 	}
-	w := ix.searchLayerQ(q8, qScale, ep, ef, 0)
 	quantRerankedTotal.Add(float64(len(w)))
 	for i := range w {
 		w[i].dist = ix.dist(q, w[i].id)
@@ -104,13 +100,22 @@ func (ix *Index) searchQuant(q []float64, k, ef int) []cand {
 	return w
 }
 
+// descendQ is descend on int8 distances.
+func descendQ[T linkID, G adjacency[T]](ix *Index, g G, q8 []int8, qScale float64, ef int) []cand {
+	ep := ix.entry
+	for lc := ix.maxLevel; lc > 0; lc-- {
+		ep = greedyQ(ix, g, q8, qScale, ep, lc)
+	}
+	return searchLayerQ(ix, g, q8, qScale, ep, ef, 0)
+}
+
 // greedyQ is greedy on int8 distances.
-func (ix *Index) greedyQ(q8 []int8, qScale float64, ep int32, lvl int32) int32 {
+func greedyQ[T linkID, G adjacency[T]](ix *Index, g G, q8 []int8, qScale float64, ep int32, lvl int32) int32 {
 	best := cand{ix.distQ(q8, qScale, ep), ep}
 	for {
 		improved := false
-		for _, nb := range ix.adj.linksAt(best.id, lvl) {
-			c := cand{ix.distQ(q8, qScale, nb), nb}
+		for _, nb := range g.linksAt(best.id, lvl) {
+			c := cand{ix.distQ(q8, qScale, int32(nb)), int32(nb)}
 			if candLess(c, best) {
 				best = c
 				improved = true
@@ -123,7 +128,7 @@ func (ix *Index) greedyQ(q8 []int8, qScale float64, ep int32, lvl int32) int32 {
 }
 
 // searchLayerQ is searchLayer on int8 distances.
-func (ix *Index) searchLayerQ(q8 []int8, qScale float64, ep int32, ef int, lvl int32) []cand {
+func searchLayerQ[T linkID, G adjacency[T]](ix *Index, g G, q8 []int8, qScale float64, ep int32, ef int, lvl int32) []cand {
 	d0 := cand{ix.distQ(q8, qScale, ep), ep}
 	visited := ix.acquireVisits()
 	defer ix.visits.Put(visited)
@@ -137,7 +142,8 @@ func (ix *Index) searchLayerQ(q8 []int8, qScale float64, ep int32, ef int, lvl i
 		if results.len() >= ef && candLess(results.peek(), c) {
 			break
 		}
-		for _, nb := range ix.adj.linksAt(c.id, lvl) {
+		for _, link := range g.linksAt(c.id, lvl) {
+			nb := int32(link)
 			if !visited.visit(nb) {
 				continue
 			}

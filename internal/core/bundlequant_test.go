@@ -268,15 +268,17 @@ func TestQuantSectionIgnoredInV4File(t *testing.T) {
 // the format version, so no version-2 entry is ever looked up. It
 // changed again with bundle format version 6: the fixture's float64
 // arena now loads rounded to float32, and the key hashes the embedding
-// content it indexes. A cold run then a warm run over the same stage
-// hit the same entry.
+// content it indexes. It changed once more with index.bin format
+// version 4 (2-byte link ids), only because the domain carries the
+// format version. A cold run then a warm run over the same stage hit
+// the same entry.
 func TestANNStageFingerprintPinned(t *testing.T) {
 	res, err := LoadBundle(v5QuantFixture)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stage := &ANNStage{Embedding: res.Embedding, Opts: ann.Options{Seed: 1}, Cache: NewCache(t.TempDir())}
-	const want = "7266e0328bfefed38118ce11ac778bc79e1238dd32c451f8eeaa3fb8b3a6803f"
+	const want = "04b88886247cd44cadde73e4396cdb71991122a8e431a99c15163e3e0a942d34"
 	if fp := stage.Fingerprint(); fp != want {
 		t.Errorf("fingerprint = %s, want %s", fp, want)
 	}

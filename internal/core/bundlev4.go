@@ -395,8 +395,8 @@ func decodeEmbeddingSections(symsData, arenaData []byte, dim, elem int) (*embed.
 		return nil, fmt.Errorf("%w: symbols section is %d bytes, want %d for %d symbols / %d blob bytes",
 			ErrCorrupt, len(symsData), want, n, blobLen)
 	}
-	offs := durable.ViewU32(symsData[8:], n+1)
-	perm := durable.ViewI32(symsData[8+4*(n+1):], n)
+	offs := durable.View[uint32](symsData[8:], n+1)
+	perm := durable.View[int32](symsData[8+4*(n+1):], n)
 	blob := symsData[8+4*(n+1)+4*n:]
 	st, err := embed.FromParts(blob, offs, perm)
 	if err != nil {
@@ -420,13 +420,13 @@ func decodeEmbeddingSections(symsData, arenaData []byte, dim, elem int) (*embed.
 	}
 	var arena []float32
 	if elem == 8 {
-		wide := durable.ViewF64(arenaData[8:], rows*cols)
+		wide := durable.View[float64](arenaData[8:], rows*cols)
 		arena = make([]float32, len(wide))
 		for i, v := range wide {
 			arena[i] = float32(v)
 		}
 	} else {
-		arena = durable.ViewF32(arenaData[8:], rows*cols)
+		arena = durable.View[float32](arenaData[8:], rows*cols)
 	}
 	e, err := embed.NewEmbeddingTable(st, cols, arena)
 	if err != nil {

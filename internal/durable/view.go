@@ -2,17 +2,16 @@ package durable
 
 import (
 	"encoding/binary"
-	"math"
 	"unsafe"
 )
 
 // Typed views over little-endian file bytes. The binary bundle and the
 // ANN index are both laid out so a reader can use its buffer in place:
 // every array starts at an offset aligned for its element type. On a
-// little-endian host with an aligned buffer these helpers return casts
-// over the bytes — zero copy, and the result aliases b, so b must not
-// be mutated afterward. Otherwise (a big-endian host, or a buffer that
-// starts at an unaligned address) they fall back to an element-wise
+// little-endian host with an aligned buffer View returns a cast over
+// the bytes — zero copy, and the result aliases b, so b must not be
+// mutated afterward. Otherwise (a big-endian host, or a buffer that
+// starts at an unaligned address) it falls back to an element-wise
 // decode into fresh memory, with identical values.
 
 // HostLittleEndian reports whether this machine stores integers the
@@ -22,62 +21,32 @@ var HostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// ViewU32 reinterprets the first 4n bytes of b as n uint32s.
-func ViewU32(b []byte, n int) []uint32 {
+// View reinterprets the first n·size(T) bytes of b as n values of T.
+// Float payloads keep their exact bits, NaN payloads included. It
+// panics, like any out-of-range slice, when b is shorter than that.
+func View[T uint16 | uint32 | int32 | float32 | float64](b []byte, n int) []T {
 	if n == 0 {
-		return []uint32{}
+		return []T{}
 	}
-	if HostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*uint32)(unsafe.Pointer(&b[0])), n)
+	size := int(unsafe.Sizeof(T(0)))
+	_ = b[size*n-1]
+	if HostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%uintptr(size) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(&b[0])), n)
 	}
-	out := make([]uint32, n)
+	out := make([]T, n)
 	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return out
-}
-
-// ViewI32 is ViewU32 for int32 payloads.
-func ViewI32(b []byte, n int) []int32 {
-	if n == 0 {
-		return []int32{}
-	}
-	if HostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// ViewF32 reinterprets the first 4n bytes of b as n float32s.
-func ViewF32(b []byte, n int) []float32 {
-	if n == 0 {
-		return []float32{}
-	}
-	if HostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*float32)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float32, n)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-// ViewF64 reinterprets the first 8n bytes of b as n float64s.
-func ViewF64(b []byte, n int) []float64 {
-	if n == 0 {
-		return []float64{}
-	}
-	if HostLittleEndian && uintptr(unsafe.Pointer(&b[0]))%8 == 0 {
-		return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n)
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		// Decode the element's bits as an unsigned integer of its own
+		// size and store them through a pointer of that size, which
+		// is exact on either byte order.
+		p := unsafe.Pointer(&out[i])
+		switch size {
+		case 2:
+			*(*uint16)(p) = binary.LittleEndian.Uint16(b[2*i:])
+		case 4:
+			*(*uint32)(p) = binary.LittleEndian.Uint32(b[4*i:])
+		default:
+			*(*uint64)(p) = binary.LittleEndian.Uint64(b[8*i:])
+		}
 	}
 	return out
 }

@@ -384,6 +384,8 @@ echo "worker-count identity smoke test passed"
 grep -q 'saved ANN index' "$SMOKE/ann_embed.log"
 test -s "$SMOKE/index/index.bin"
 test -s "$SMOKE/index/MANIFEST.json"
+# The header's version word (bytes 8-11) is the current format, 4.
+test "$(od -An -tu4 -j8 -N4 "$SMOKE/index/index.bin" | tr -d ' ')" -eq 4
 
 # Rebuilding with the same inputs serves the index from the stage cache.
 "$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 7 -workers 1 \
@@ -477,22 +479,26 @@ grep -q 'index.bin' "$SMOKE/levad_index_corrupt_tail.log"
 
 echo "index corruption smoke test passed"
 
-# --- version-2 index refusal test --------------------------------------
-# index.bin format version 2 (float64 vectors) has no reader: a copy of
-# the committed version-2 directory beside a good bundle must stop levad
-# at startup with an error naming index.bin and saying to rebuild the
-# index. The refusal is by version, not by the SHA-256 check, so this
-# leg greps for its own message.
-cp -r internal/ann/testdata/index-v2 "$SMOKE/index_v2"
-if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_v2" \
-    -addr 127.0.0.1:0 2>"$SMOKE/levad_index_v2.log"; then
-    echo "levad served a version-2 index" >&2
-    exit 1
-fi
-grep -q 'index.bin' "$SMOKE/levad_index_v2.log"
-grep -q 'rebuild the index' "$SMOKE/levad_index_v2.log"
+# --- old-version index refusal test -----------------------------------
+# index.bin format versions 2 (float64 vectors) and 3 (4-byte link ids
+# at every size) have no reader: a copy of either committed directory
+# beside a good bundle must stop levad at startup with an error naming
+# index.bin and saying to rebuild the index. The refusal is by
+# version, not by the SHA-256 check, so this leg greps for its own
+# message.
+for v in 2 3; do
+    cp -r "internal/ann/testdata/index-v$v" "$SMOKE/index_v$v"
+    if "$SMOKE/bin/levad" -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index_v$v" \
+        -addr 127.0.0.1:0 2>"$SMOKE/levad_index_v$v.log"; then
+        echo "levad served a version-$v index" >&2
+        exit 1
+    fi
+    grep -q 'index.bin' "$SMOKE/levad_index_v$v.log"
+    grep -q 'rebuild the index' "$SMOKE/levad_index_v$v.log"
+    grep -q "version $v" "$SMOKE/levad_index_v$v.log"
+done
 
-echo "version-2 index refusal test passed"
+echo "version-2 and version-3 index refusal test passed"
 
 # --- wire-surface smoke test -----------------------------------------
 # levad's -max-inflight must reach the admission limiter: the limiter
