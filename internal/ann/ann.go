@@ -41,7 +41,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -295,6 +295,13 @@ type builder struct {
 	links  lists
 	// q holds the widened vector of the node being inserted.
 	q []float64
+	// Scratch that every insertion reuses, each reset per use:
+	// searchLayer's two heaps and visited set, the candidates
+	// selectNeighbors keeps, and the re-ranked list shrink selects from.
+	heaps    layerHeaps
+	visited  *visitSet
+	selected []cand
+	ranked   []cand
 }
 
 // lists are the growable adjacency of an index under construction:
@@ -314,7 +321,8 @@ func (l lists) linksAt(id, lvl int32) []int32 {
 // freezes the result into the index's CSR arrays.
 func (ix *Index) wire(rng *rand.Rand) error {
 	n := ix.Len()
-	b := &builder{ix: ix, levels: make([]int32, n), links: make(lists, n), q: make([]float64, ix.dim)}
+	b := &builder{ix: ix, levels: make([]int32, n), links: make(lists, n), q: make([]float64, ix.dim),
+		visited: &visitSet{stamp: make([]uint32, n)}}
 	mL := 1 / math.Log(float64(ix.opts.M))
 	for i := range b.levels {
 		b.levels[i] = drawLevel(rng, mL)
@@ -444,6 +452,22 @@ func candLess(a, b cand) bool {
 	return a.id < b.id
 }
 
+// candCmp is candLess as the three-way comparison slices.SortFunc
+// takes. The pdqsort behind slices.SortFunc and the one behind
+// sort.Slice are generated from one template and ask only whether
+// cmp(a, b) < 0, respectively less(a, b), in the same order, so sorting
+// with candCmp permutes a slice exactly as sort.Slice with candLess
+// does, without the reflection-based swapper.
+func candCmp(a, b cand) int {
+	if candLess(a, b) {
+		return -1
+	}
+	if candLess(b, a) {
+		return 1
+	}
+	return 0
+}
+
 // SearchVector returns the k nearest stored vectors to q, best first.
 // ef <= 0 uses Options.EfSearch; ef is raised to k when smaller.
 func (ix *Index) SearchVector(q []float64, k, ef int) ([]Result, error) {
@@ -528,7 +552,9 @@ func descend[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ef int) []ca
 	for lc := ix.maxLevel; lc > 0; lc-- {
 		ep = greedy(ix, g, q, ep, lc)
 	}
-	return searchLayer(ix, g, q, ep, ef, 0)
+	visited := ix.acquireVisits()
+	defer ix.visits.Put(visited)
+	return searchLayer(ix, g, q, ep, ef, 0, &layerHeaps{}, visited)
 }
 
 // greedy descends one layer of g: repeatedly move to the best neighbor
@@ -552,8 +578,9 @@ func greedy[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ep int32, lvl
 
 // visitSet is an epoch-stamped visited set over node ids: id counts as
 // visited when stamp[id] == epoch, so starting the next search is one
-// increment instead of a fresh map or an O(n) wipe. Sets are pooled per
-// index (Index.visits); each is used by one search at a time.
+// increment instead of a fresh map or an O(n) wipe. Queries take sets
+// from a pool per index (Index.visits), each used by one search at a
+// time; the builder keeps one of its own.
 type visitSet struct {
 	stamp []uint32
 	epoch uint32
@@ -566,6 +593,12 @@ func (ix *Index) acquireVisits() *visitSet {
 	if v == nil {
 		v = &visitSet{stamp: make([]uint32, ix.Len())}
 	}
+	v.reset()
+	return v
+}
+
+// reset empties the set.
+func (v *visitSet) reset() {
 	v.epoch++
 	if v.epoch == 0 {
 		// Wrapped: stamps left from 2^32 searches ago would read as
@@ -573,7 +606,6 @@ func (ix *Index) acquireVisits() *visitSet {
 		clear(v.stamp)
 		v.epoch = 1
 	}
-	return v
 }
 
 // visit marks id and reports whether it was unvisited.
@@ -585,17 +617,26 @@ func (v *visitSet) visit(id int32) bool {
 	return true
 }
 
+// layerHeaps are searchLayer's two heaps: the expansion frontier and
+// the bounded result set. A query uses a fresh pair; the builder reuses
+// one pair for every layer search of the build.
+type layerHeaps struct {
+	frontier, results candHeap
+}
+
 // searchLayer is the HNSW beam search on one layer of g: expand the
 // closest unexpanded candidate until it cannot improve the current
-// ef-sized result set. Returns candidates sorted best-first.
-func searchLayer[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ep int32, ef int, lvl int32) []cand {
+// ef-sized result set. visited must be empty. It empties h's heaps
+// first and returns the candidates sorted best-first in h's result
+// storage, so the slice is valid until h's next use.
+func searchLayer[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ep int32, ef int, lvl int32, h *layerHeaps, visited *visitSet) []cand {
 	d0 := cand{ix.dist(q, ep), ep}
-	visited := ix.acquireVisits()
-	defer ix.visits.Put(visited)
 	visited.visit(ep)
-	candidates := candHeap{min: true}
+	candidates := &h.frontier
+	candidates.items, candidates.min = candidates.items[:0], true
 	candidates.push(d0)
-	results := candHeap{min: false}
+	results := &h.results
+	results.items, results.min = results.items[:0], false
 	results.push(d0)
 	for candidates.len() > 0 {
 		c := candidates.pop()
@@ -617,9 +658,8 @@ func searchLayer[T linkID, G adjacency[T]](ix *Index, g G, q []float64, ep int32
 			}
 		}
 	}
-	out := results.drain()
-	sort.Slice(out, func(i, j int) bool { return candLess(out[i], out[j]) })
-	return out
+	slices.SortFunc(results.items, candCmp)
+	return results.items
 }
 
 // maxConn is the stored-degree cap: 2M on the base layer, M above.
@@ -645,10 +685,13 @@ func (b *builder) insert(i int32) {
 	}
 	top := min(b.levels[i], ix.maxLevel)
 	for lc := top; lc >= 0; lc-- {
-		w := searchLayer(ix, b.links, q, ep, ix.opts.EfConstruction, lc)
-		nbs := ix.selectNeighbors(w, ix.opts.M)
-		b.links[i][lc] = nbs
+		b.visited.reset()
+		w := searchLayer(ix, b.links, q, ep, ix.opts.EfConstruction, lc, &b.heaps, b.visited)
 		limit := ix.maxConn(lc)
+		// Room for the one append past limit that triggers a shrink,
+		// so the list never regrows.
+		nbs := b.selectNeighbors(make([]int32, 0, limit+1), w, ix.opts.M)
+		b.links[i][lc] = nbs
 		for _, nb := range nbs {
 			b.links[nb][lc] = append(b.links[nb][lc], i)
 			if len(b.links[nb][lc]) > limit {
@@ -668,16 +711,17 @@ func (b *builder) insert(i int32) {
 // only if it is closer to that node than to every neighbor already
 // kept (so the kept set spreads across directions instead of
 // clustering), then fill any remaining slots with the nearest pruned
-// candidates to preserve connectivity.
-func (ix *Index) selectNeighbors(cands []cand, m int) []int32 {
+// candidates to preserve connectivity. It appends the kept ids to dst
+// and returns it; cands must not share storage with dst.
+func (b *builder) selectNeighbors(dst []int32, cands []cand, m int) []int32 {
 	if len(cands) <= m {
-		out := make([]int32, len(cands))
-		for i, c := range cands {
-			out[i] = c.id
+		for _, c := range cands {
+			dst = append(dst, c.id)
 		}
-		return out
+		return dst
 	}
-	selected := make([]cand, 0, m)
+	ix := b.ix
+	selected := b.selected[:0]
 	for _, c := range cands {
 		if len(selected) == m {
 			break
@@ -708,23 +752,26 @@ func (ix *Index) selectNeighbors(cands []cand, m int) []int32 {
 			selected = append(selected, c)
 		}
 	}
-	out := make([]int32, len(selected))
-	for i, c := range selected {
-		out[i] = c.id
+	b.selected = selected
+	for _, c := range selected {
+		dst = append(dst, c.id)
 	}
-	return out
+	return dst
 }
 
 // shrink re-selects node id's neighbor list on lvl down to m entries
-// using the same heuristic insertion uses.
+// using the same heuristic insertion uses, writing the result over the
+// list itself.
 func (b *builder) shrink(id, lvl int32, m int) {
 	ix := b.ix
-	cands := make([]cand, 0, len(b.links[id][lvl]))
-	for _, nb := range b.links[id][lvl] {
-		cands = append(cands, cand{ix.distPair(id, nb), nb})
+	links := b.links[id][lvl]
+	ranked := b.ranked[:0]
+	for _, nb := range links {
+		ranked = append(ranked, cand{ix.distPair(id, nb), nb})
 	}
-	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	b.links[id][lvl] = ix.selectNeighbors(cands, m)
+	slices.SortFunc(ranked, candCmp)
+	b.ranked = ranked
+	b.links[id][lvl] = b.selectNeighbors(links[:0], ranked, m)
 }
 
 // storeUnit appends v to dst as a stored row: normalized in float64 in

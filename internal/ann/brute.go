@@ -2,7 +2,7 @@ package ann
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // BruteForceVector returns the exact k nearest stored vectors to q by
@@ -39,18 +39,23 @@ func (ix *Index) BruteForceName(name string, k int) ([]Result, error) {
 
 // scan computes the exact top-k candidates for q over every stored
 // vector, skipping exclude (pass -1 to keep all). q must already be
-// normalized.
+// normalized. A k-sized max-heap keeps the best k seen so far, and only
+// those are sorted: candLess is a strict total order over distinct ids,
+// so this returns exactly the first k of a full sort.
 func (ix *Index) scan(q []float64, k int, exclude int32) []cand {
-	cands := make([]cand, 0, ix.Len())
+	top := candHeap{items: make([]cand, 0, min(k, ix.Len())+1)}
 	for id := int32(0); int(id) < ix.Len(); id++ {
 		if id == exclude {
 			continue
 		}
-		cands = append(cands, cand{ix.dist(q, id), id})
+		c := cand{ix.dist(q, id), id}
+		if top.len() < k {
+			top.push(c)
+		} else if candLess(c, top.peek()) {
+			top.push(c)
+			top.pop()
+		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return candLess(cands[i], cands[j]) })
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
+	slices.SortFunc(top.items, candCmp)
+	return top.items
 }

@@ -141,12 +141,13 @@ func mfFactorize(g *graph.Graph, opts MFOptions) ([]string, *matrix.Dense) {
 		return names, matrix.NewDense(n, opts.Dim)
 	}
 	p := transitionCSR(g, nodeSum, opts.Workers)
-
-	var adj *matrix.CSR
+	e := factorizeWindow(p, nodeSum, vol, opts.Window, opts.Dim, opts)
 	if !opts.NoSpectralPropagation {
-		adj = g.AdjacencyCSR()
+		// The adjacency is built only now, so it is not live across
+		// the SVD.
+		e = matrix.ChebyshevPropagateWorkers(g.AdjacencyCSR(), e, opts.ChebOrder, opts.ChebMu, opts.ChebS, opts.Workers)
 	}
-	return names, factorizeWindow(p, adj, nodeSum, vol, opts.Window, opts.Dim, opts)
+	return names, e
 }
 
 // transitionCSR assembles the row-normalized transition matrix
@@ -187,21 +188,15 @@ func transitionCSR(g *graph.Graph, nodeSum []float64, workers int) *matrix.CSR {
 }
 
 // factorizeWindow builds the windowed shifted-PMI proximity from the
-// transition matrix p, factorizes it to dim dimensions, and applies
-// spectral propagation when adj is non-nil.
-func factorizeWindow(p, adj *matrix.CSR, nodeSum []float64, vol float64, window, dim int, opts MFOptions) *matrix.Dense {
+// transition matrix p and factorizes it to dim dimensions.
+func factorizeWindow(p *matrix.CSR, nodeSum []float64, vol float64, window, dim int, opts MFOptions) *matrix.Dense {
 	// M = shifted positive PMI of (P + P^2 + ... + P^window)/window,
 	// with each power pruned per row, built in one fused row pass.
 	m := matrix.WindowPMI(p, window, opts.TopK, 1e-6, nodeSum, vol, opts.Tau, opts.PMICap, opts.Workers)
 
 	rng := rand.New(rand.NewSource(opts.Seed))
 	res := matrix.RandomizedSVDWorkers(m, dim, opts.Oversample, opts.PowerIters, rng, opts.Workers)
-	e := matrix.EmbeddingFromSVD(res)
-	e = padColumns(e, dim)
-	if adj != nil {
-		e = matrix.ChebyshevPropagateWorkers(adj, e, opts.ChebOrder, opts.ChebMu, opts.ChebS, opts.Workers)
-	}
-	return e
+	return padColumns(matrix.EmbeddingFromSVD(res), dim)
 }
 
 // padColumns widens e with zero columns up to dim (the randomized SVD

@@ -15,10 +15,12 @@ import (
 // graph: 98.4 arenas with the four-pass windowed PMI and the
 // clone-per-step Chebyshev filter, 26.8 with the fused pass and the
 // rotating buffers, 13.4 with the randomized SVD in two reused buffers,
-// the column-blocked Chebyshev filter and presized CSR assembly. At one
-// worker the allocation volume is deterministic, so unlike peak RSS it
-// does not depend on GC timing.
-const mfAllocBudget = 17
+// the column-blocked Chebyshev filter and presized CSR assembly, 9.6
+// with no V, U written into the SVD's test-matrix buffer and scaled in
+// place, and the filter running in place on an I + A merged row by row.
+// At one worker the allocation volume is deterministic, so unlike peak
+// RSS it does not depend on GC timing.
+const mfAllocBudget = 10
 
 func TestMFAllocationBudget(t *testing.T) {
 	spec := synth.Genes(synth.GenesOptions{Scale: 0.2, Seed: 1})

@@ -240,11 +240,18 @@ func (g *Graph) AdjacencyCSR() *matrix.CSR {
 // factorization path: the CSR proximity matrix plus the dense range
 // sampler and factors. Leva's auto-selection compares this against the
 // caller's memory budget (paper Section 4.2).
+//
+// The dense term still counts four n×dim buffers: Y/Q, Ω/Bt, U and V.
+// The SVD now keeps only two, n×(dim+8) each: it computes no V, and U
+// is written into Bt's buffer. The formula is kept as it is because
+// changing it moves embed.Select's MF/RW choice; recalibrating it
+// against measured peaks is ROADMAP.md item 9 ("make the estimator
+// honest").
 func (g *Graph) EstimateMFMemoryBytes(dim int) int64 {
 	n := int64(g.NumNodes())
 	nnz := int64(2 * g.NumEdges())
 	csr := nnz*(8+4) + (n+1)*4
-	dense := 4 * n * int64(dim) * 8 // Y/Q, Ω/Bt, U and V
+	dense := 4 * n * int64(dim) * 8 // Y/Q, Ω/Bt, U and V (see above)
 	return csr + dense
 }
 

@@ -1,6 +1,10 @@
 package matrix
 
-import "repro/internal/parallel"
+import (
+	"fmt"
+
+	"repro/internal/parallel"
+)
 
 // BesselI returns the modified Bessel function of the first kind I_n(x)
 // by direct series summation. It is accurate for the small orders and
@@ -31,10 +35,12 @@ func BesselI(n int, x float64) float64 {
 // Chebyshev expansion of a Gaussian band-pass graph filter, evaluated
 // with nothing but sparse matrix-vector products.
 //
-// adj is the symmetric n-by-n adjacency matrix, emb the n-by-d initial
-// embedding. order is the expansion order (ProNE default 10), mu the
-// band-pass center (default 0.2) and s the kernel width (default 0.5).
-// The result rows are L2-normalized.
+// adj is the symmetric n-by-n adjacency matrix, each row sorted by
+// column without repeats (the form NewCSR builds); emb is the n-by-d
+// initial embedding, which is filtered in place and returned. order is
+// the expansion order (ProNE default 10), mu the band-pass center
+// (default 0.2) and s the kernel width (default 0.5). The result rows
+// are L2-normalized.
 func ChebyshevPropagate(adj *CSR, emb *Dense, order int, mu, s float64) *Dense {
 	return ChebyshevPropagateWorkers(adj, emb, order, mu, s, 1)
 }
@@ -52,15 +58,16 @@ const chebBlock = 8
 // accumulates in sequential order on exactly one goroutine.
 //
 // The recurrence runs over emb's columns in blocks of chebBlock, in
-// four n×chebBlock buffers (tmp, lx0, lx1, conv) reused by every block;
-// emb is only read. Each block's filtered columns land in the n×d
-// result, whose rows are L2-normalized once all blocks are done. Every
-// element goes through the same operations in the same order as in an
-// unblocked filter, so blocking changes no bit. In the element loops
-// every product is rounded before the add or subtract that uses it: the
-// explicit float64 conversions forbid a compiler from fusing the two
-// (Go spec, "Floating-point operators"), so these loops round the same
-// way on every target.
+// four n×chebBlock buffers (tmp, lx0, lx1, conv) reused by every block.
+// A block of emb is read twice, into lx0 and then into tmp = emb −
+// conv, before (I + A)·tmp is written back over it, so emb itself holds
+// the result; its rows are L2-normalized once all blocks are done.
+// Every element goes through the same operations in the same order as
+// in an unblocked filter, so blocking changes no bit. In the element
+// loops every product is rounded before the add or subtract that uses
+// it: the explicit float64 conversions forbid a compiler from fusing
+// the two (Go spec, "Floating-point operators"), so these loops round
+// the same way on every target.
 func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, workers int) *Dense {
 	if adj.NumRows != adj.NumCols || adj.NumRows != emb.Rows {
 		panic("matrix: ChebyshevPropagate shape mismatch")
@@ -71,16 +78,7 @@ func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, w
 	n, d := emb.Rows, emb.Cols
 
 	// DA = l1-row-normalized (I + A); M·x = (1-mu)·x − DA·x.
-	selfLoops := make([]COO, 0, n+adj.NNZ())
-	for i := 0; i < n; i++ {
-		selfLoops = append(selfLoops, COO{Row: i, Col: i, Val: 1})
-	}
-	for i := 0; i < n; i++ {
-		for p := adj.RowPtr[i]; p < adj.RowPtr[i+1]; p++ {
-			selfLoops = append(selfLoops, COO{Row: i, Col: int(adj.ColIdx[p]), Val: adj.Vals[p]})
-		}
-	}
-	aPlus := NewCSR(n, n, selfLoops)
+	aPlus := plusIdentity(adj)
 	da := &CSR{NumRows: n, NumCols: n, RowPtr: aPlus.RowPtr, ColIdx: aPlus.ColIdx,
 		Vals: append([]float64(nil), aPlus.Vals...)}
 	sums := da.RowSums()
@@ -115,7 +113,6 @@ func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, w
 	bw := min(d, chebBlock)
 	tmpBuf, lx0Buf := make([]float64, n*bw), make([]float64, n*bw)
 	lx1Buf, convBuf := make([]float64, n*bw), make([]float64, n*bw)
-	out := NewDense(n, d)
 	c0, c1 := BesselI(0, s), 2*BesselI(1, s)
 	for lo := 0; lo < d; lo += chebBlock {
 		w := min(d-lo, chebBlock)
@@ -159,19 +156,19 @@ func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, w
 			lx0, lx1 = lx1, lx0
 		}
 
-		// out's block = (I + A)·(emb − conv), with emb − conv in tmp.
+		// emb's block = (I + A)·(emb − conv), with emb − conv in tmp.
 		for i := 0; i < n; i++ {
 			ti, cv := tmp.Row(i), conv.Row(i)
 			for j, v := range emb.Row(i)[lo : lo+w] {
 				ti[j] = v - cv[j]
 			}
 		}
-		rows(w, func(i int, _ []float64) { aPlus.mulRow(out.Row(i)[lo:lo+w], i, tmp) })
+		rows(w, func(i int, _ []float64) { aPlus.mulRow(emb.Row(i)[lo:lo+w], i, tmp) })
 	}
 
 	// Row-normalize the assembled result.
 	rows(0, func(i int, _ []float64) {
-		row := out.Row(i)
+		row := emb.Row(i)
 		norm := L2Norm(row)
 		if norm > 1e-12 {
 			for j := range row {
@@ -179,5 +176,43 @@ func ChebyshevPropagateWorkers(adj *CSR, emb *Dense, order int, mu, s float64, w
 			}
 		}
 	})
+	return emb
+}
+
+// plusIdentity returns I + A for a square adj whose rows are sorted by
+// column without repeats. The 1 is merged into each row in column
+// order, and a diagonal entry becomes 1 + a_ii: the same layout and
+// values as NewCSR over the COO triples of I and A, without the triples
+// or their sort.
+func plusIdentity(adj *CSR) *CSR {
+	n := adj.NumRows
+	out := &CSR{NumRows: n, NumCols: n, RowPtr: make([]int32, n+1),
+		ColIdx: make([]int32, 0, n+adj.NNZ()), Vals: make([]float64, 0, n+adj.NNZ())}
+	for i := 0; i < n; i++ {
+		diag, prev := int32(i), int32(-1)
+		for p := adj.RowPtr[i]; p < adj.RowPtr[i+1]; p++ {
+			c, v := adj.ColIdx[p], adj.Vals[p]
+			if c <= prev {
+				panic(fmt.Sprintf("matrix: adjacency row %d is not sorted by column without repeats", i))
+			}
+			prev = c
+			if diag >= 0 && c >= diag {
+				if c == diag {
+					v = 1 + v
+				} else {
+					out.ColIdx = append(out.ColIdx, diag)
+					out.Vals = append(out.Vals, 1)
+				}
+				diag = -1
+			}
+			out.ColIdx = append(out.ColIdx, c)
+			out.Vals = append(out.Vals, v)
+		}
+		if diag >= 0 {
+			out.ColIdx = append(out.ColIdx, diag)
+			out.Vals = append(out.Vals, 1)
+		}
+		out.RowPtr[i+1] = int32(len(out.Vals))
+	}
 	return out
 }

@@ -83,14 +83,23 @@ func (m *Dense) Mul(b *Dense) *Dense { return m.MulWorkers(b, 1) }
 // in the sequential accumulation order, so the product is bit-identical
 // at every worker count.
 func (m *Dense) MulWorkers(b *Dense, workers int) *Dense {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d * %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
 	out := NewDense(m.Rows, b.Cols)
+	m.mulInto(out, b, workers)
+	return out
+}
+
+// mulInto overwrites out (m.Rows x b.Cols, aliasing neither m nor b)
+// with m * b, partitioned and accumulated as in MulWorkers.
+func (m *Dense) mulInto(out, b *Dense, workers int) {
+	if m.Cols != b.Rows || out.Rows != m.Rows || out.Cols != b.Cols {
+		panic(fmt.Sprintf("matrix: Mul shape mismatch %dx%d * %dx%d into %dx%d",
+			m.Rows, m.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
 	parallel.For(m.Rows, workers, func(_ int, r parallel.Range) {
 		for i := r.Lo; i < r.Hi; i++ {
 			ri := m.Row(i)
 			oi := out.Row(i)
+			clear(oi)
 			for k, a := range ri {
 				if a == 0 {
 					continue
@@ -102,7 +111,6 @@ func (m *Dense) MulWorkers(b *Dense, workers int) *Dense {
 			}
 		}
 	})
-	return out
 }
 
 // MulT returns m * bᵀ.

@@ -228,14 +228,19 @@ func TestRandomizedSVDRecoversLowRank(t *testing.T) {
 	m := NewCSR(60, 50, coos)
 	res := RandomizedSVD(m, 3, 8, 2, rng)
 
-	// Reconstruction U Σ Vᵀ ≈ M.
+	// Reconstruction U Σ Vᵀ ≈ M, with V = Mᵀ·U·Σ⁻¹ (the SVD returns
+	// no V).
+	v := dense.T().Mul(res.U)
 	us := res.U.Clone()
 	for j := 0; j < 3; j++ {
 		for i := 0; i < us.Rows; i++ {
 			us.Data[i*3+j] *= res.Sigma[j]
 		}
+		for i := 0; i < v.Rows; i++ {
+			v.Data[i*3+j] /= res.Sigma[j]
+		}
 	}
-	rec := us.MulT(res.V)
+	rec := us.MulT(v)
 	diff := rec.Clone().Sub(dense)
 	if rel := diff.Norm() / dense.Norm(); rel > 1e-6 {
 		t.Fatalf("rank-3 reconstruction relative error %v", rel)

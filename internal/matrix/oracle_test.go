@@ -11,10 +11,12 @@ import (
 )
 
 // RandomizedSVDWorkers used to allocate a fresh n×k matrix for every
-// product and QR of the range finder, and ChebyshevPropagateWorkers ran
-// its recurrence in five n×d buffers. The reused workspace and the
-// column-blocked filter must reproduce them bit for bit; the original
-// kernels live on here, unchanged but for their names, as the oracles.
+// product and QR of the range finder and a fresh U, and
+// ChebyshevPropagateWorkers ran its recurrence in five n×d buffers on an
+// I + A sorted from COO triples. The reused workspace, the in-place
+// column-blocked filter and its merged I + A must reproduce them bit
+// for bit; the original kernels live on here, unchanged but for their
+// names and the V the SVD no longer returns, as the oracles.
 
 // oracleRandomizedSVD is the allocating randomized SVD.
 func oracleRandomizedSVD(m *CSR, d, oversample, powerIters int, rng *rand.Rand, workers int) SVDResult {
@@ -64,19 +66,7 @@ func oracleRandomizedSVD(m *CSR, d, oversample, powerIters int, rng *rand.Rand, 
 		}
 	}
 	u := q.MulWorkers(uhatD, workers)
-
-	// V = Bᵀ Uhat Σ⁻¹ = Bt * Uhat * Σ⁻¹.
-	v := bt.MulWorkers(uhatD, workers)
-	for j := 0; j < d; j++ {
-		if sigma[j] <= 1e-12 {
-			continue
-		}
-		inv := 1 / sigma[j]
-		for i := 0; i < v.Rows; i++ {
-			v.Data[i*d+j] *= inv
-		}
-	}
-	return SVDResult{U: u, Sigma: sigma, V: v}
+	return SVDResult{U: u, Sigma: sigma}
 }
 
 // oracleChebyshevPropagate is the unblocked filter in five n×d buffers.
@@ -196,7 +186,6 @@ func symmetricAdj(n int, density float64, seed int64) *CSR {
 func svdEqual(t *testing.T, name string, want, got SVDResult) {
 	t.Helper()
 	denseEqual(t, name+" U", want.U, got.U)
-	denseEqual(t, name+" V", want.V, got.V)
 	if len(want.Sigma) != len(got.Sigma) {
 		t.Fatalf("%s: %d singular values vs %d", name, len(want.Sigma), len(got.Sigma))
 	}
@@ -207,23 +196,70 @@ func svdEqual(t *testing.T, name string, want, got SVDResult) {
 	}
 }
 
+// withSelfLoops returns adj plus a self loop of random weight on every
+// third node, the diagonal entries plusIdentity must sum with the 1.
+func withSelfLoops(adj *CSR, seed int64) *CSR {
+	rng := rand.New(rand.NewSource(seed))
+	var entries []COO
+	for i := 0; i < adj.NumRows; i++ {
+		for p := adj.RowPtr[i]; p < adj.RowPtr[i+1]; p++ {
+			entries = append(entries, COO{Row: i, Col: int(adj.ColIdx[p]), Val: adj.Vals[p]})
+		}
+		if i%3 == 0 {
+			entries = append(entries, COO{Row: i, Col: i, Val: rng.Float64() + 0.1})
+		}
+	}
+	return NewCSR(adj.NumRows, adj.NumCols, entries)
+}
+
 func TestChebyshevPropagateMatchesOracle(t *testing.T) {
 	const n = 45
-	adj := symmetricAdj(n, 0.08, 21)
-	for _, d := range []int{1, 7, chebBlock, chebBlock + 1, 16, 64, 70} {
-		emb := Gaussian(n, d, rand.New(rand.NewSource(int64(d))))
-		// The isolated node with a zero row exercises the norm guard.
-		clear(emb.Row(n - 1))
-		embBefore := emb.Clone()
-		for _, order := range []int{2, 3, 10} {
-			want := oracleChebyshevPropagate(adj, emb, order, 0.2, 0.5, 1)
-			for _, workers := range []int{1, 2, 4} {
-				name := fmt.Sprintf("d=%d/order=%d/workers=%d", d, order, workers)
-				denseEqual(t, name, want, ChebyshevPropagateWorkers(adj, emb, order, 0.2, 0.5, workers))
-				denseEqual(t, name+" input", embBefore, emb)
+	plain := symmetricAdj(n, 0.08, 21)
+	for _, adj := range []struct {
+		name string
+		m    *CSR
+	}{{"plain", plain}, {"self-loops", withSelfLoops(plain, 22)}} {
+		for _, d := range []int{1, 7, chebBlock, chebBlock + 1, 16, 64, 70} {
+			emb := Gaussian(n, d, rand.New(rand.NewSource(int64(d))))
+			// The isolated node with a zero row exercises the norm guard.
+			clear(emb.Row(n - 1))
+			for _, order := range []int{2, 3, 10} {
+				want := oracleChebyshevPropagate(adj.m, emb, order, 0.2, 0.5, 1)
+				for _, workers := range []int{1, 2, 4} {
+					name := fmt.Sprintf("%s/d=%d/order=%d/workers=%d", adj.name, d, order, workers)
+					in := emb.Clone()
+					got := ChebyshevPropagateWorkers(adj.m, in, order, 0.2, 0.5, workers)
+					denseEqual(t, name, want, got)
+					if got != in {
+						t.Fatalf("%s: the filter returned a new matrix instead of filtering its input in place", name)
+					}
+				}
 			}
 		}
 	}
+}
+
+func TestPlusIdentityMatchesNewCSR(t *testing.T) {
+	// Empty rows, rows whose columns all sit below or above the
+	// diagonal, and diagonal entries (including a zero one) all occur.
+	adj := withSelfLoops(symmetricAdj(40, 0.1, 23), 24)
+	adj.Vals[adj.RowPtr[3]] = 0
+	var entries []COO
+	for i := 0; i < adj.NumRows; i++ {
+		entries = append(entries, COO{Row: i, Col: i, Val: 1})
+		for p := adj.RowPtr[i]; p < adj.RowPtr[i+1]; p++ {
+			entries = append(entries, COO{Row: i, Col: int(adj.ColIdx[p]), Val: adj.Vals[p]})
+		}
+	}
+	csrEqual(t, "plusIdentity", NewCSR(adj.NumRows, adj.NumCols, entries), plusIdentity(adj))
+
+	unsorted := &CSR{NumRows: 2, NumCols: 2, RowPtr: []int32{0, 2, 2}, ColIdx: []int32{1, 0}, Vals: []float64{1, 1}}
+	defer func() {
+		if recover() == nil {
+			t.Error("plusIdentity accepted a row whose columns are not sorted")
+		}
+	}()
+	plusIdentity(unsorted)
 }
 
 func TestRandomizedSVDMatchesOracle(t *testing.T) {
@@ -320,18 +356,24 @@ func allocatedBytes(fn func()) uint64 {
 const smallBudget = 64 << 10
 
 func TestRandomizedSVDByteBudget(t *testing.T) {
-	const rows, cols, d, p = 2000, 1500, 32, 8
-	m := randCSR(rows, cols, 0.004, 61)
+	const rows, d, p = 2000, 32, 8
 	k := d + p
-	// y (rows×k) and the reused test-matrix buffer (cols×k), U and V,
-	// and six k×k or k×d matrices for the eigenproblem.
-	budget := uint64(8*(rows*k+cols*k+rows*d+cols*d)+8*6*k*k) + smallBudget
-	got := allocatedBytes(func() {
-		RandomizedSVDWorkers(m, d, p, 2, rand.New(rand.NewSource(1)), 1)
-	})
-	t.Logf("RandomizedSVD allocated %d bytes, budget %d", got, budget)
-	if got > budget {
-		t.Errorf("RandomizedSVD allocated %d bytes, budget %d", got, budget)
+	for _, cols := range []int{rows, 1500} {
+		m := randCSR(rows, cols, 0.004, 61)
+		// y (rows×k) and the reused test-matrix buffer (cols×k), which
+		// also takes U unless U is larger (a tall M); six k×k or k×d
+		// matrices for the eigenproblem.
+		budget := uint64(8*(rows*k+cols*k)+8*6*k*k) + smallBudget
+		if rows*d > cols*k {
+			budget += 8 * rows * d
+		}
+		got := allocatedBytes(func() {
+			RandomizedSVDWorkers(m, d, p, 2, rand.New(rand.NewSource(1)), 1)
+		})
+		t.Logf("RandomizedSVD %dx%d allocated %d bytes, budget %d", rows, cols, got, budget)
+		if got > budget {
+			t.Errorf("RandomizedSVD %dx%d allocated %d bytes, budget %d", rows, cols, got, budget)
+		}
 	}
 }
 
@@ -340,11 +382,10 @@ func TestChebyshevPropagateByteBudget(t *testing.T) {
 	adj := symmetricAdj(n, 0.005, 62)
 	emb := Gaussian(n, d, rand.New(rand.NewSource(63)))
 	nnz := adj.NNZ() + n // I + A
-	// The n×d result and four n×chebBlock buffers; the COO assembly of
-	// I + A (24 bytes per entry), its CSR and DA's scaled values; the
-	// row sums and their inverses.
-	budget := uint64(8*n*d+4*8*n*chebBlock) +
-		uint64(24*nnz) + uint64(4*(n+1)+4*nnz+8*nnz) + uint64(8*nnz) + uint64(2*8*n) +
+	// Four n×chebBlock buffers (the result is emb itself); the CSR of
+	// I + A and DA's scaled values; the row sums and their inverses.
+	budget := uint64(4*8*n*chebBlock) +
+		uint64(4*(n+1)+4*nnz+8*nnz) + uint64(8*nnz) + uint64(2*8*n) +
 		smallBudget
 	got := allocatedBytes(func() {
 		ChebyshevPropagateWorkers(adj, emb, 10, 0.2, 0.5, 1)

@@ -5,11 +5,12 @@ import (
 	"math/rand"
 )
 
-// SVDResult holds a truncated singular value decomposition M ≈ U Σ Vᵀ.
+// SVDResult holds the left half of a truncated singular value
+// decomposition M ≈ U Σ Vᵀ. V is not computed: the embedding is U·Σ^½,
+// and a caller that needs V recovers it as Mᵀ·U·Σ⁻¹.
 type SVDResult struct {
 	U     *Dense    // NumRows x d left singular vectors
 	Sigma []float64 // d singular values, descending
-	V     *Dense    // NumCols x d right singular vectors
 }
 
 // RandomizedSVD computes a rank-d truncated SVD of a sparse matrix with
@@ -34,8 +35,10 @@ func RandomizedSVD(m *CSR, d, oversample, powerIters int, rng *rand.Rand) SVDRes
 //
 // The range finder runs in two buffers: y (NumRows x k) is
 // orthonormalized in place, and the test matrix's buffer (NumCols x k)
-// is reused for every z = Mᵀy and finally holds Bt. Apart from them it
-// allocates only U, V and the k-sized eigenproblem.
+// is reused for every z = Mᵀy and then holds Bt. Once C = Btᵀ·Bt is
+// formed, Bt is dead and U is written into the front of that buffer
+// when it fits (always for a square M, since d <= k). Apart from them
+// it allocates only the k-sized eigenproblem.
 func RandomizedSVDWorkers(m *CSR, d, oversample, powerIters int, rng *rand.Rand, workers int) SVDResult {
 	if d <= 0 {
 		panic("matrix: RandomizedSVD rank must be positive")
@@ -78,34 +81,29 @@ func RandomizedSVDWorkers(m *CSR, d, oversample, powerIters int, rng *rand.Rand,
 			sigma[i] = math.Sqrt(eig[i])
 		}
 	}
-	// U = Q * Uhat[:, :d].
+	// U = Q * Uhat[:, :d], into Bt's buffer when it is large enough.
 	uhatD := NewDense(k, d)
 	for i := 0; i < k; i++ {
 		for j := 0; j < d; j++ {
 			uhatD.Set(i, j, uhat.At(i, j))
 		}
 	}
-	u := q.MulWorkers(uhatD, workers)
-
-	// V = Bᵀ Uhat Σ⁻¹ = Bt * Uhat * Σ⁻¹.
-	v := bt.MulWorkers(uhatD, workers)
-	for j := 0; j < d; j++ {
-		if sigma[j] <= 1e-12 {
-			continue
-		}
-		inv := 1 / sigma[j]
-		for i := 0; i < v.Rows; i++ {
-			v.Data[i*d+j] *= inv
-		}
+	var u *Dense
+	if n := m.NumRows * d; n <= len(bt.Data) {
+		u = &Dense{Rows: m.NumRows, Cols: d, Data: bt.Data[:n:n]}
+	} else {
+		u = NewDense(m.NumRows, d)
 	}
-	return SVDResult{U: u, Sigma: sigma, V: v}
+	q.mulInto(u, uhatD, workers)
+	return SVDResult{U: u, Sigma: sigma}
 }
 
 // EmbeddingFromSVD returns E = U Σ^{1/2}, the node-embedding convention
-// from the paper (Section 4.2.1).
+// from the paper (Section 4.2.1). It scales res.U in place and returns
+// it.
 func EmbeddingFromSVD(res SVDResult) *Dense {
 	d := len(res.Sigma)
-	e := res.U.Clone()
+	e := res.U
 	for j := 0; j < d; j++ {
 		s := math.Sqrt(math.Max(res.Sigma[j], 0))
 		for i := 0; i < e.Rows; i++ {

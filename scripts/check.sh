@@ -852,3 +852,25 @@ cmp "$SMOKE/default_embedding.json" "$SMOKE/heap_embedding.json"
 cmp "$SMOKE/default_neighbors.json" "$SMOKE/heap_neighbors.json"
 
 echo "default load path smoke test passed"
+
+# --- benchmark-shape bytes --------------------------------------------
+# The shape bench/'s embed-restbase workload builds: restbase at scale
+# 0.3, seed 1, `leva embed -dim 64 -method mf -index` into an empty
+# stage cache (bundle.bin records the cache's stage provenance, so a
+# -no-cache build differs). A change
+# that promises byte-identical outputs must reproduce these SHA-256
+# sums. Like TestMFGolden, the pin holds only on amd64 below GOAMD64=v3,
+# where Go never fuses a multiply-add.
+if [ "$(go env GOARCH)" = amd64 ] && case "$(go env GOAMD64)" in v1|v2) true ;; *) false ;; esac; then
+    "$SMOKE/bin/levagen" -dataset restbase -scale 0.3 -seed 1 -out "$SMOKE/restbase" >/dev/null
+    mkdir -p "$SMOKE/restbase_out"
+    "$SMOKE/bin/leva" embed -data "$SMOKE/restbase" -dim 64 -method mf -seed 1 -cache "$SMOKE/restbase_cache" \
+        -out "$SMOKE/restbase_out/embedding.tsv" -bundle "$SMOKE/restbase_out/bundle" \
+        -index "$SMOKE/restbase_out/index" >/dev/null
+    (cd "$SMOKE/restbase_out" && sha256sum -c -) <<'SUMS'
+8fab2e13e6c1cfe9edf18214527abad039006d8d9586eb3db107b77121ba2390  embedding.tsv
+97c292aba82960c1df2f20fe832ac60f02a4abf96d3f1c8b9e0099ee5da204c3  bundle/bundle.bin
+b55159d56c9d2c5b3a507382defd2495c4c57e889046cedb11c390ae8667b92f  index/index.bin
+SUMS
+    echo "benchmark-shape bytes check passed"
+fi
