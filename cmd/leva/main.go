@@ -64,7 +64,6 @@ func usage() {
   leva apply -bundle <dir> -data <csv dir> -table <name> [-out features.tsv] [-exclude col1,col2]
   leva neighbors -index <dir> -token <entity> [-k N] [-ef N]
   leva bundle info <dir>
-  leva bundle convert -in <dir> -out <dir>
   leva inspect -data <csv dir>`)
 }
 
@@ -240,20 +239,17 @@ func runNeighbors(args []string) error {
 	return nil
 }
 
-// runBundle dispatches the bundle maintenance subcommands: info
-// (inspect a saved bundle without serving it) and convert (rewrite an
-// older bundle in the current version).
+// runBundle dispatches the bundle maintenance subcommands; info
+// (inspect a saved bundle without serving it) is the only one.
 func runBundle(args []string) error {
 	if len(args) < 1 {
-		return fmt.Errorf("bundle: want a subcommand: info or convert")
+		return fmt.Errorf("bundle: want a subcommand: info")
 	}
 	switch args[0] {
 	case "info":
 		return runBundleInfo(args[1:])
-	case "convert":
-		return runBundleConvert(args[1:])
 	default:
-		return fmt.Errorf("bundle: unknown subcommand %q (want info or convert)", args[0])
+		return fmt.Errorf("bundle: unknown subcommand %q (want info)", args[0])
 	}
 }
 
@@ -280,8 +276,8 @@ func runBundleInfo(args []string) error {
 	fmt.Printf("  format:        version %d, binary (bundle.bin) (verified against MANIFEST.json)\n", info.FormatVersion)
 	fmt.Printf("  embedding:     %d entities x %d dims (%s, %s featurization)\n",
 		info.Entities, info.Dim, info.MethodUsed, info.Featurization)
-	fmt.Printf("  payload:       %d bytes total (symbols %d, arena %d %s)\n",
-		info.PayloadBytes, info.SymbolBytes, info.ArenaBytes, info.ArenaElem)
+	fmt.Printf("  payload:       %d bytes total (symbols %d, arena %d)\n",
+		info.PayloadBytes, info.SymbolBytes, info.ArenaBytes)
 	if info.UnseenFallbackDims > 0 {
 		fmt.Printf("  unseen fallback dims: %d\n", info.UnseenFallbackDims)
 	}
@@ -296,35 +292,6 @@ func runBundleInfo(args []string) error {
 	if info.UnweightedFallback {
 		fmt.Printf("  build note:    fell back to the unweighted graph (memory budget)\n")
 	}
-	return nil
-}
-
-// runBundleConvert rewrites a bundle in the current format version — the
-// migration tool that upgrades version-4 and version-5 bundles to the
-// float32 arena the mapped load views in place, and drops the unused
-// section older version-5 builds wrote. Featurization is unchanged by
-// conversion.
-func runBundleConvert(args []string) error {
-	fs := flag.NewFlagSet("bundle convert", flag.ExitOnError)
-	in := fs.String("in", "", "source bundle directory")
-	out := fs.String("out", "", "destination bundle directory (crash-safely replaced if it exists)")
-	fs.Parse(args)
-	if *in == "" || *out == "" {
-		return fmt.Errorf("bundle convert: -in and -out are required")
-	}
-	res, err := leva.LoadBundleOpts(*in, leva.LoadOptions{Warn: func(msg string) { fmt.Fprintln(os.Stderr, "leva: warning:", msg) }})
-	if err != nil {
-		return err
-	}
-	if err := res.SaveBundle(*out); err != nil {
-		return err
-	}
-	info, err := leva.ReadBundleInfo(*out)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("converted %s -> %s (format version %d, %d entities x %d dims, %d payload bytes)\n",
-		*in, *out, info.FormatVersion, info.Entities, info.Dim, info.PayloadBytes)
 	return nil
 }
 

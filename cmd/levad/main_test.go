@@ -343,6 +343,59 @@ func TestRunRefusesUnsealedBundle(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOldBundleVersions: a bundle of an older binary version
+// is refused at startup, read or mapped, with ErrVersion naming the
+// manifest that records it (or bundle.bin, when a version-6 manifest
+// seals an older file) and saying how to rebuild; no mapping of it is
+// left behind.
+func TestRunRefusesOldBundleVersions(t *testing.T) {
+	testdata := filepath.Join("..", "..", "internal", "core", "testdata")
+	v6, err := os.ReadFile(filepath.Join(testdata, "v6-dim6", "bundle.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v6[8] = 4 // the version word's low byte
+	v5Fixture := filepath.Join(testdata, "v5-quant-dim4")
+	v5, err := os.ReadFile(filepath.Join(v5Fixture, "bundle.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := func(data []byte, version int) string {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "bundle.bin"), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m := &durable.Manifest{FormatVersion: version}
+		m.Add("bundle.bin", data)
+		if err := durable.WriteManifest(durable.OS(), dir, m); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+	for _, c := range []struct {
+		name, dir, names string
+	}{
+		{"v4-twin", sealed(v6, 4), durable.ManifestName},
+		{"v5-fixture", v5Fixture, durable.ManifestName},
+		{"v5-bundle.bin-sealed-as-v6", sealed(v5, core.BundleFormatVersion), "bundle.bin"},
+	} {
+		for _, mmap := range []string{"-mmap=false", "-mmap"} {
+			err := run(context.Background(), []string{"-bundle", c.dir, mmap, "-addr", "127.0.0.1:0", "-quiet"})
+			if !errors.Is(err, core.ErrVersion) || !strings.Contains(err.Error(), filepath.Join(c.dir, c.names)) ||
+				!strings.HasSuffix(err.Error(), "rebuild the bundle with `leva embed -bundle`") {
+				t.Errorf("%s %s: startup error = %v, want ErrVersion naming %s and ending with the rebuild hint", c.name, mmap, err, c.names)
+			}
+			abs, err := filepath.Abs(filepath.Join(c.dir, "bundle.bin"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := fileMappings(t, abs); n != 0 {
+				t.Errorf("%s %s: %d mappings of bundle.bin left after the refusal", c.name, mmap, n)
+			}
+		}
+	}
+}
+
 // TestRunRefusesVersion1Index: an index directory saved in the
 // version-1 format (committed in internal/ann/testdata) is refused at
 // startup with an error that says how to rebuild it.

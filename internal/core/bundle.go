@@ -40,22 +40,15 @@ import (
 //	    provenance) replacing the three JSON/TSV files (config.json,
 //	    textify.json, embedding.tsv); the load path builds zero-copy
 //	    views over one buffer instead of decoding per-entity records
-//	5 — added an optional int8 quant section (id 7). Nothing reads it
-//	    any more and nothing writes it: `levad -quantize` quantizes the
-//	    index it loads. A version-5 file is a version-4 file with the
-//	    new version number, or, if an older build wrote it, with an id 7
-//	    section that readers ignore. Version-4 files still load
-//	    unchanged
+//	5 — added an optional int8 quant section (id 7), since removed
 //	6 — the arena (section 5) stores float32 instead of float64,
 //	    halving it: every embedding is rounded to float32 once, when
-//	    it is built. Version-4 and version-5 files still load, their
-//	    float64 arena rounded into a heap copy rather than viewed in
-//	    place; `leva bundle convert` rewrites them as version 6
+//	    it is built
 //
-// LoadBundle reads versions 4 through 6 and nothing else: versions 0–3
-// (the JSON/TSV layout) are refused, as is anything newer or any
-// bundle without a MANIFEST.json that lists bundle.bin. The fix for a
-// refused bundle is a rebuild (rebuildHint).
+// LoadBundle reads version 6 and nothing else: versions 0–5 are
+// refused, as is anything newer or any bundle without a MANIFEST.json
+// that lists bundle.bin. The fix for a refused bundle is a rebuild
+// (rebuildHint).
 const BundleFormatVersion = 6
 
 // rebuildHint ends every refusal of a bundle this build does not read:
@@ -67,8 +60,7 @@ const rebuildHint = "rebuild the bundle with `leva embed -bundle`"
 // sibling directory — bundle.bin written atomically, the manifest last
 // — and published with one rename. If dir already holds a bundle,
 // readers observe the old complete bundle until the instant the new
-// one replaces it. Saving a Result loaded from an older bundle rewrites
-// it in the current version.
+// one replaces it.
 func (r *Result) SaveBundle(dir string) error {
 	return r.saveBundle(durable.OS(), dir)
 }
@@ -96,8 +88,7 @@ type LoadOptions struct {
 	Warn func(msg string)
 	// MMap memory-maps bundle.bin instead of reading it, when the
 	// platform supports it (see durable.MapSupported). The arena and
-	// symbol views then point into the mapping (a version-4 or -5
-	// arena is rounded into a heap copy instead). Verifying the bundle
+	// symbol views then point into the mapping. Verifying the bundle
 	// against its manifest hashes every byte through it without keeping
 	// the pages (durable.LoadVerified), so after a load only the pages
 	// decoding and serving touch are resident.
@@ -113,9 +104,9 @@ type LoadOptions struct {
 // bundle.bin is verified against the bundle's MANIFEST.json before
 // anything is built over it, and a publish interrupted between its two
 // renames is repaired on the way in. A directory without a manifest,
-// or whose manifest does not seal a version-4 to version-6 bundle.bin,
-// is refused (see readBundleBin). Use LoadBundleOpts to observe
-// the non-fatal conditions LoadOptions.Warn reports.
+// or whose manifest does not seal a version-6 bundle.bin, is refused
+// (see readBundleBin). Use LoadBundleOpts to observe the non-fatal
+// conditions LoadOptions.Warn reports.
 func LoadBundle(dir string) (*Result, error) {
 	return LoadBundleOpts(dir, LoadOptions{})
 }
@@ -153,7 +144,7 @@ func LoadBundleOpts(dir string, opts LoadOptions) (*Result, error) {
 
 // readBundleBin returns the bytes of dir's bundle.bin, read or (with
 // mmap) mapped through durable.LoadVerified, once its MANIFEST.json
-// shows a bundle this build reads — format version 4 through 6, listing
+// shows a bundle this build reads — format version 6, listing
 // bundle.bin — and the bytes match it. A missing manifest wraps
 // durable.ErrNoManifest, any other version ErrVersion, and a manifest
 // without bundle.bin ErrCorrupt; each of those errors names the
@@ -168,9 +159,9 @@ func readBundleBin(dir string, mmap bool, warn func(string)) (data []byte, mappe
 		return nil, false, err
 	}
 	manPath := filepath.Join(dir, durable.ManifestName)
-	if manifest.FormatVersion < bundleVersionMin || manifest.FormatVersion > BundleFormatVersion {
-		return nil, false, fmt.Errorf("%w: %s records format version %d, this build reads versions %d through %d; %s",
-			ErrVersion, manPath, manifest.FormatVersion, bundleVersionMin, BundleFormatVersion, rebuildHint)
+	if manifest.FormatVersion != BundleFormatVersion {
+		return nil, false, fmt.Errorf("%w: %s records format version %d, this build reads version %d; %s",
+			ErrVersion, manPath, manifest.FormatVersion, BundleFormatVersion, rebuildHint)
 	}
 	if manifest.Entry(bundleBinFile) == nil {
 		return nil, false, fmt.Errorf("%w: %s does not list %s; %s", ErrCorrupt, manPath, bundleBinFile, rebuildHint)

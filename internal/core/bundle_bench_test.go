@@ -8,27 +8,16 @@ import (
 	"repro/internal/synth"
 )
 
-// BenchmarkBundleLoad times loading the 150-student fixture in the
-// current format, read onto the heap and (where supported) mapped: one
-// buffer, a hash, and slice headers either way. The committed fixture
-// is version 5, so it is converted once first; "read-v5" loads it as
-// committed, which rounds its float64 arena into a heap copy. Run with
-// -benchmem; allocs/op does not depend on the entity count
-// (TestBundleLoadAllocs).
+// BenchmarkBundleLoad times loading the 150-student fixture, read onto
+// the heap and (where supported) mapped: one buffer, a hash, and slice
+// headers either way. Run with -benchmem; allocs/op does not depend on
+// the entity count (TestBundleLoadAllocs).
 func BenchmarkBundleLoad(b *testing.B) {
-	fixture, err := LoadBundle(benchBundleFixture)
-	if err != nil {
-		b.Fatal(err)
-	}
-	dir := b.TempDir()
-	if err := fixture.SaveBundle(dir); err != nil {
-		b.Fatal(err)
-	}
-	load := func(dir string, opts LoadOptions) func(*testing.B) {
+	load := func(opts LoadOptions) func(*testing.B) {
 		return func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				res, err := LoadBundleOpts(dir, opts)
+				res, err := LoadBundleOpts(benchBundleFixture, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -38,11 +27,10 @@ func BenchmarkBundleLoad(b *testing.B) {
 			}
 		}
 	}
-	b.Run("read", load(dir, LoadOptions{}))
+	b.Run("read", load(LoadOptions{}))
 	if durable.MapSupported {
-		b.Run("mmap", load(dir, LoadOptions{MMap: true}))
+		b.Run("mmap", load(LoadOptions{MMap: true}))
 	}
-	b.Run("read-v5", load(benchBundleFixture, LoadOptions{}))
 }
 
 // TestBundleLoadAllocs: a bundle load builds views over one buffer

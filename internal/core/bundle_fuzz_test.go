@@ -64,7 +64,7 @@ func fuzzBundleSections(t *testing.T, base []byte, replace map[int][]byte, secti
 // JSON object: format version, dimension, featurization, method).
 func FuzzLoadBundleConfig(f *testing.F) {
 	base := fuzzBundleBin(f)
-	secs, _, err := bundleSections(base)
+	secs, err := bundleSections(base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func FuzzLoadBundleConfig(f *testing.F) {
 // (the fitted textify.Model as JSON).
 func FuzzLoadBundleTextify(f *testing.F) {
 	base := fuzzBundleBin(f)
-	secs, _, err := bundleSections(base)
+	secs, err := bundleSections(base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func FuzzLoadBundleTextify(f *testing.F) {
 // their structure itself).
 func FuzzLoadBundleEmbedding(f *testing.F) {
 	base := fuzzBundleBin(f)
-	secs, _, err := bundleSections(base)
+	secs, err := bundleSections(base)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func FuzzBundleV4(f *testing.F) {
 	valid := fuzzBundleBin(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	// The same bundle at the current version: the float32 arena path.
+	// The fixture re-encoded by this build (a fixed point: equal bytes).
 	fixture, err := decodeBundleV4(valid)
 	if err != nil {
 		f.Fatal(err)
@@ -175,7 +175,7 @@ func FuzzBundleV4(f *testing.F) {
 	hdr := append([]byte(bundleMagic), 99, 0, 0, 0, 0, 0, 0, 0)
 	f.Add(hdr)
 	// Claimed section beyond EOF.
-	lying := append([]byte(bundleMagic), 4, 0, 0, 0, 1, 0, 0, 0)
+	lying := append([]byte(bundleMagic), BundleFormatVersion, 0, 0, 0, 1, 0, 0, 0)
 	lying = append(lying, make([]byte, 24)...)
 	lying[len(bundleMagic)+8+8] = 0xFF // offset 255, unaligned and out of range
 	f.Add(lying)

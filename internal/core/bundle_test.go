@@ -72,11 +72,21 @@ func TestBundleRoundTrip(t *testing.T) {
 }
 
 // TestBundleGoldenFixture is the format golden test: the committed
-// bundle an earlier build wrote and a fresh deterministic build of the
-// same deployment, saved by this build, must agree on every name and
-// every vector bit and featurize byte-identically after loading — a
-// format change may not move a single served feature.
+// bundle an earlier build wrote (pinned by SHA-256 and size, and a
+// fixed point of decode then encode) and a fresh deterministic build
+// of the same deployment, saved by this build, must agree on every
+// name and every vector bit and featurize byte-identically after
+// loading — a format change may not move a single served feature.
 func TestBundleGoldenFixture(t *testing.T) {
+	committed, err := os.ReadFile(filepath.Join(goldenBundleFixture, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(committed)
+	if got := hex.EncodeToString(sum[:]); got != goldenFixtureSHA256 || len(committed) != goldenFixtureBytes {
+		t.Errorf("fixture bundle.bin: sha256 %s, %d bytes; want %s, %d bytes",
+			got, len(committed), goldenFixtureSHA256, goldenFixtureBytes)
+	}
 	spec, res := goldenFixture(t, "")
 	dir := t.TempDir()
 	if err := res.SaveBundle(dir); err != nil {
@@ -90,8 +100,11 @@ func TestBundleGoldenFixture(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if golden.BundleFormat != 5 || fresh.BundleFormat != BundleFormatVersion {
+	if golden.BundleFormat != BundleFormatVersion || fresh.BundleFormat != BundleFormatVersion {
 		t.Errorf("BundleFormat: fixture %d, fresh %d", golden.BundleFormat, fresh.BundleFormat)
+	}
+	if again, err := encodeBundleV4(golden); err != nil || !bytes.Equal(again, committed) {
+		t.Errorf("re-encoding the fixture changed its bytes (err %v)", err)
 	}
 
 	namesGolden, namesFresh := golden.Embedding.Names(), fresh.Embedding.Names()
@@ -150,13 +163,21 @@ func savedBundle(t *testing.T) string {
 	return dir
 }
 
-// Committed bundles (format version 5) that an earlier build wrote with
-// `leva bundle convert` from the last JSON-layout (version 3) fixtures.
-// Each holds the deployment named beside it, so a test can rebuild the
-// same deployment deterministically and compare.
+// Committed version-6 bundles that an earlier build's `leva bundle
+// convert` wrote from the version-5 fixtures (themselves converted from
+// the last JSON-layout, version-3 ones). Each holds the deployment
+// named beside it, so a test can rebuild the same deployment
+// deterministically and compare.
 const (
-	goldenBundleFixture = "testdata/v5-dim6"  // goldenFixture, warm build
-	benchBundleFixture  = "testdata/v5-dim16" // 150 students: load benchmarks
+	goldenBundleFixture = "testdata/v6-dim6"  // goldenFixture, warm build
+	benchBundleFixture  = "testdata/v6-dim16" // 150 students: load benchmarks
+)
+
+// goldenFixtureSHA256 and goldenFixtureBytes pin goldenBundleFixture's
+// bundle.bin: the v5→v6 conversion of its version-5 predecessor.
+const (
+	goldenFixtureSHA256 = "aa5a23f63588636ef1b585b98ff899d8e2778b55bbb5d971677fae868cc34c3a"
+	goldenFixtureBytes  = 13933
 )
 
 // writeSealedBundle writes data as dir's bundle.bin and seals it with a
@@ -264,12 +285,11 @@ func TestBundleV4EncodeDeterministic(t *testing.T) {
 	}
 }
 
-// TestBundleFormatVersion pins the versions LoadBundle reads: a saved
+// TestBundleFormatVersion pins the version LoadBundle reads: a saved
 // bundle records the current version in its manifest, its bundle.bin
-// header and its config section; a sealed version-4 bundle still loads
-// and reports version 4; and a manifest recording any version from 0
-// to 3 (the JSON layout) is refused by ErrVersion, naming the manifest
-// and how to rebuild.
+// header and its config section, and a manifest recording any older
+// version (0 to 3, the JSON layout; 4 and 5, the float64 arena) is
+// refused by ErrVersion, naming the manifest and how to rebuild.
 func TestBundleFormatVersion(t *testing.T) {
 	dir := savedBundle(t)
 	data, err := os.ReadFile(filepath.Join(dir, bundleBinFile))
@@ -283,17 +303,7 @@ func TestBundleFormatVersion(t *testing.T) {
 		t.Errorf("config section does not record formatVersion %d", BundleFormatVersion)
 	}
 
-	v4Dir := filepath.Join(t.TempDir(), "v4")
-	writeSealedBundle(t, v4Dir, toVersion4(t, data), 4)
-	res, err := LoadBundle(v4Dir)
-	if err != nil {
-		t.Fatalf("sealed version-4 bundle refused: %v", err)
-	}
-	if res.BundleFormat != 4 {
-		t.Errorf("BundleFormat = %d, want 4", res.BundleFormat)
-	}
-
-	for v := 0; v < bundleVersionMin; v++ {
+	for v := 0; v < BundleFormatVersion; v++ {
 		old := filepath.Join(t.TempDir(), fmt.Sprintf("v%d", v))
 		writeSealedBundle(t, old, data, v)
 		_, err := LoadBundle(old)
@@ -404,11 +414,14 @@ func jsonLayoutBundle(t *testing.T, sealed bool) string {
 }
 
 // TestUnreadableBundlesRefused: LoadBundle (read and mapped) and
-// ReadBundleInfo refuse every directory that is not a sealed binary
+// ReadBundleInfo refuse every directory that is not a sealed version-6
 // bundle, each with a named error that says how to rebuild and leaves
 // no mapping behind: the JSON layout with or without its manifest, a
-// bundle.bin whose manifest is gone, and a manifest that does not list
-// bundle.bin.
+// bundle.bin whose manifest is gone, a manifest that does not list
+// bundle.bin, and the older binary versions — a version-4 twin of the
+// golden fixture and the committed version-5 bundle, refused by their
+// manifests, and that version-5 bundle.bin sealed by a version-6
+// manifest, refused by its header.
 func TestUnreadableBundlesRefused(t *testing.T) {
 	unsealed := savedBundle(t)
 	if err := os.Remove(filepath.Join(unsealed, durable.ManifestName)); err != nil {
@@ -420,6 +433,19 @@ func TestUnreadableBundlesRefused(t *testing.T) {
 	if err := durable.WriteManifest(durable.OS(), unlisted, m); err != nil {
 		t.Fatal(err)
 	}
+	v4Bin, err := os.ReadFile(filepath.Join(goldenBundleFixture, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v4Bin[len(bundleMagic)] = 4 // version u32 little-endian low byte
+	v4 := t.TempDir()
+	writeSealedBundle(t, v4, v4Bin, 4)
+	v5Bin, err := os.ReadFile(filepath.Join(v5QuantFixture, bundleBinFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v5Resealed := t.TempDir()
+	writeSealedBundle(t, v5Resealed, v5Bin, BundleFormatVersion)
 	for _, c := range []struct {
 		name  string
 		dir   string
@@ -430,6 +456,9 @@ func TestUnreadableBundlesRefused(t *testing.T) {
 		{"json-layout-unsealed", jsonLayoutBundle(t, false), durable.ErrNoManifest, durable.ManifestName},
 		{"bundle.bin-unsealed", unsealed, durable.ErrNoManifest, durable.ManifestName},
 		{"manifest-without-bundle.bin", unlisted, ErrCorrupt, bundleBinFile},
+		{"v4-twin", v4, ErrVersion, durable.ManifestName},
+		{"v5-fixture", v5QuantFixture, ErrVersion, durable.ManifestName},
+		{"v5-bundle.bin-sealed-as-v6", v5Resealed, ErrVersion, bundleBinFile},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			_, loadErr := LoadBundle(c.dir)
@@ -482,19 +511,16 @@ func TestBundleCarriesBuildProvenance(t *testing.T) {
 }
 
 // TestReadBundleInfo covers the inspection path over a bundle this
-// build saved and over the committed version-5 fixture an earlier build
-// saved: each report must match the deployment the bundle holds.
+// build saved and over the committed fixture an earlier build saved:
+// each report must match the deployment the bundle holds.
 func TestReadBundleInfo(t *testing.T) {
 	_, golden := goldenFixture(t, "")
 	for name, c := range map[string]struct {
-		dir     string
-		res     *Result
-		version int
-		elem    string
-		width   int
+		dir string
+		res *Result
 	}{
-		"binary":  {savedBundle(t), bundleFixture(t), BundleFormatVersion, "float32", 4},
-		"fixture": {goldenBundleFixture, golden, 5, "float64", 8},
+		"binary":  {savedBundle(t), bundleFixture(t)},
+		"fixture": {goldenBundleFixture, golden},
 	} {
 		res := c.res
 		t.Run(name, func(t *testing.T) {
@@ -502,8 +528,8 @@ func TestReadBundleInfo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if info.FormatVersion != c.version || info.ArenaElem != c.elem {
-				t.Errorf("format version %d, arena %s; want %d, %s", info.FormatVersion, info.ArenaElem, c.version, c.elem)
+			if info.FormatVersion != BundleFormatVersion {
+				t.Errorf("format version %d, want %d", info.FormatVersion, BundleFormatVersion)
 			}
 			if info.Dim != res.Embedding.Dim || info.Entities != res.Embedding.Len() {
 				t.Errorf("info shape %d/%d, want %d/%d", info.Entities, info.Dim, res.Embedding.Len(), res.Embedding.Dim)
@@ -534,8 +560,8 @@ func TestReadBundleInfo(t *testing.T) {
 				t.Errorf("sizes not populated: %+v", info)
 			}
 			// The arena section is an 8-byte dim/rows header plus the
-			// vectors at the version's element width.
-			if want := int64(8 + c.width*len(res.Embedding.Arena())); info.ArenaBytes != want {
+			// float32 vectors.
+			if want := int64(8 + 4*len(res.Embedding.Arena())); info.ArenaBytes != want {
 				t.Errorf("arena bytes = %d, want %d", info.ArenaBytes, want)
 			}
 		})
@@ -577,114 +603,6 @@ func TestLoadBundleMMap(t *testing.T) {
 		for j := range want {
 			if got[j] != want[j] {
 				t.Fatalf("vector %q[%d] = %v, want %v", name, j, got[j], want[j])
-			}
-		}
-	}
-}
-
-// convertedV5Golden pins the bundle.bin that `leva bundle convert`
-// (LoadBundle then SaveBundle) writes from the committed version-5
-// fixture goldenBundleFixture: its SHA-256 and its size, which is the
-// fixture's less 4 bytes per arena value.
-const (
-	convertedV5GoldenSHA256 = "aa5a23f63588636ef1b585b98ff899d8e2778b55bbb5d971677fae868cc34c3a"
-	convertedV5GoldenBytes  = 13933
-)
-
-// TestBundleConvertV5Golden is the v5→v6 conversion golden: the
-// fixture's float64 arena loads rounded once to float32, read and
-// mapped alike; converting it writes the pinned version-6 bundle.bin,
-// whose arena holds exactly those float32 values and which converts to
-// itself byte for byte; and the fixture and its conversion featurize
-// identically.
-func TestBundleConvertV5Golden(t *testing.T) {
-	fixtureBin, err := os.ReadFile(filepath.Join(goldenBundleFixture, bundleBinFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	secs, version, err := bundleSections(fixtureBin)
-	if err != nil || version != 5 {
-		t.Fatalf("fixture: version %d, %v; want version 5", version, err)
-	}
-	wide := secs[secArena][8:]
-
-	loads := map[string]LoadOptions{"read": {}}
-	if durable.MapSupported {
-		loads["mmap"] = LoadOptions{MMap: true}
-	}
-	for name, opts := range loads {
-		res, err := LoadBundleOpts(goldenBundleFixture, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arena := res.Embedding.Arena()
-		if len(arena)*8 != len(wide) {
-			t.Fatalf("%s: %d arena values for %d float64 bytes", name, len(arena), len(wide))
-		}
-		for i, v := range arena {
-			want := float32(math.Float64frombits(binary.LittleEndian.Uint64(wide[8*i:])))
-			if math.Float32bits(v) != math.Float32bits(want) {
-				t.Fatalf("%s: arena[%d] = %v, want float32 of the fixture's %v", name, i, v, want)
-			}
-		}
-		res.Unmap()
-	}
-
-	fixture, err := LoadBundle(goldenBundleFixture)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := filepath.Join(t.TempDir(), "converted")
-	if err := fixture.SaveBundle(dir); err != nil {
-		t.Fatal(err)
-	}
-	converted, err := os.ReadFile(filepath.Join(dir, bundleBinFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256(converted)
-	if got := hex.EncodeToString(sum[:]); got != convertedV5GoldenSHA256 || len(converted) != convertedV5GoldenBytes {
-		t.Errorf("converted bundle.bin: sha256 %s, %d bytes; want %s, %d bytes",
-			got, len(converted), convertedV5GoldenSHA256, convertedV5GoldenBytes)
-	}
-	if shrink := len(fixtureBin) - len(converted); shrink != len(wide)/2 {
-		t.Errorf("conversion saved %d bytes, want %d (4 per arena value)", shrink, len(wide)/2)
-	}
-	if v := binary.LittleEndian.Uint32(converted[len(bundleMagic):]); v != BundleFormatVersion {
-		t.Errorf("converted header version %d, want %d", v, BundleFormatVersion)
-	}
-
-	upgraded, err := LoadBundleOpts(dir, LoadOptions{MMap: durable.MapSupported})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer upgraded.Unmap()
-	again, err := encodeBundleV4(upgraded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, converted) {
-		t.Error("converting the converted bundle changed its bytes")
-	}
-	spec, _ := goldenFixture(t, "")
-	base := spec.DB.Table("expenses")
-	for _, graphRow := range []func(int) int{
-		func(i int) int { return i },
-		func(int) int { return -1 },
-	} {
-		want, err := fixture.Featurize(base, "expenses", []string{"total_expenses"}, graphRow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := upgraded.Featurize(base, "expenses", []string{"total_expenses"}, graphRow)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			for j := range want[i] {
-				if got[i][j] != want[i][j] {
-					t.Fatalf("feature [%d][%d]: converted %v, fixture %v", i, j, got[i][j], want[i][j])
-				}
 			}
 		}
 	}

@@ -28,11 +28,9 @@ type BundleInfo struct {
 	Entities      int                  `json:"entities"`
 	Columns       []BundleTableColumns `json:"columns"`
 	// SymbolBytes and ArenaBytes are the sizes of bundle.bin's interned
-	// symbol table and vector arena sections; ArenaElem names the
-	// arena's element type ("float32" since version 6, "float64" before).
-	SymbolBytes int64  `json:"symbolBytes"`
-	ArenaBytes  int64  `json:"arenaBytes"`
-	ArenaElem   string `json:"arenaElem"`
+	// symbol table and float32 vector arena sections.
+	SymbolBytes int64 `json:"symbolBytes"`
+	ArenaBytes  int64 `json:"arenaBytes"`
 	// PayloadBytes is the size of bundle.bin (the manifest excluded).
 	PayloadBytes       int64             `json:"payloadBytes"`
 	Featurization      FeaturizationMode `json:"featurization"`
@@ -63,7 +61,7 @@ func ReadBundleInfo(dir string) (*BundleInfo, error) {
 // section headers and the JSON sections — no symbol-table validation,
 // no embedding construction.
 func fillInfoV4(info *BundleInfo, data []byte) error {
-	secs, version, err := bundleSections(data)
+	secs, err := bundleSections(data)
 	if err != nil {
 		return err
 	}
@@ -102,10 +100,6 @@ func fillInfoV4(info *BundleInfo, data []byte) error {
 		return err
 	}
 	info.ArenaBytes = int64(len(arenaData))
-	info.ArenaElem = "float32"
-	if arenaElemBytes(version) == 8 {
-		info.ArenaElem = "float64"
-	}
 	if provData, ok := secs[secProvenance]; ok {
 		var prov v4Provenance
 		if err := json.Unmarshal(provData, &prov); err != nil {

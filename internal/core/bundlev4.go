@@ -12,7 +12,7 @@ import (
 	"repro/internal/textify"
 )
 
-// Binary bundle format, versions 4 through 6.
+// Binary bundle format, version 6.
 //
 // A binary bundle directory holds one payload file, bundle.bin,
 // sealed by the durable MANIFEST.json protocol. The file is designed
@@ -25,7 +25,7 @@ import (
 // bundle.bin layout (all integers little-endian):
 //
 //	magic         8 bytes  "LEVABNDL"
-//	version       u32      4, 5 or 6
+//	version       u32      6
 //	sectionCount  u32
 //	section table sectionCount × { id u32, reserved u32,
 //	                               offset u64, length u64 }
@@ -44,23 +44,17 @@ import (
 //	              offsets (n+1)×u32, sortedIds n×u32 (lexicographic
 //	              permutation), blob bytes (insertion order)
 //	5 arena       u32 dim, u32 n, then n×dim little-endian float32
-//	              bits (version 6; float64 bits in versions 4 and 5),
-//	              row-major, row i = vector of symbol i; the 8-byte
+//	              bits, row-major, row i = vector of symbol i; the 8-byte
 //	              header keeps the data 8-byte aligned
 //	6 provenance  JSON: stageCache, unweightedFallback
 //	7 reserved    an int8 copy of the arena, written by builds before
 //	              the quant section was removed; ignored on read like
 //	              any unknown id
 //
-// Version 6 readers accept version-4 and version-5 files. Versions 4
-// and 5 differ only in the id 7 section version-5 writers used to emit;
-// both store the arena as float64, which the reader rounds once into a
-// heap float32 arena (the values every version-6 build stores), so an
-// old bundle loads and serves but its arena is not viewed in place.
-// Encode is deterministic: equal Results produce byte-identical files,
-// and encode(decode(encode(x))) == encode(x). Re-encoding an older file
-// writes the current version, which is how `leva bundle convert`
-// upgrades it and gives back the zero-copy arena.
+// A reader accepts version 6 alone; a file of any other version is
+// refused with ErrVersion and rebuildHint, as the manifest gate refuses
+// its MANIFEST.json. Encode is deterministic: equal Results produce
+// byte-identical files, and encode(decode(encode(x))) == encode(x).
 
 const (
 	bundleBinFile = "bundle.bin"
@@ -72,13 +66,6 @@ const (
 	secSymbols    = 4
 	secArena      = 5
 	secProvenance = 6
-
-	// bundleVersionMin is the oldest binary header version this build
-	// reads (4 introduced the format; 5 added a quant section that is
-	// no longer written or read).
-	bundleVersionMin = 4
-	// arenaF32Version is the first version whose arena holds float32.
-	arenaF32Version = 6
 
 	// maxSections bounds what a lying header can claim before the
 	// per-entry bounds checks kick in.
@@ -208,28 +195,26 @@ func appendStr(buf []byte, s string) []byte {
 }
 
 // bundleSections parses the header and section table of a bundle.bin
-// buffer, returning section id → payload view plus the header format
-// version (4 through 6). Shared by the full decoder and the cheap
-// ReadBundleInfo path.
-func bundleSections(data []byte) (map[int][]byte, int, error) {
+// buffer of version BundleFormatVersion, returning section id → payload
+// view. Shared by the full decoder and the cheap ReadBundleInfo path.
+func bundleSections(data []byte) (map[int][]byte, error) {
 	if len(data) < len(bundleMagic) || string(data[:len(bundleMagic)]) != bundleMagic {
-		return nil, 0, ErrBadMagic
+		return nil, ErrBadMagic
 	}
 	if len(data) < len(bundleMagic)+8 {
-		return nil, 0, fmt.Errorf("%w: %d-byte file has no header", ErrCorrupt, len(data))
+		return nil, fmt.Errorf("%w: %d-byte file has no header", ErrCorrupt, len(data))
 	}
-	version := int(binary.LittleEndian.Uint32(data[len(bundleMagic):]))
-	if version < bundleVersionMin || version > BundleFormatVersion {
-		return nil, 0, fmt.Errorf("%w: file has version %d, this build reads versions %d through %d",
-			ErrVersion, version, bundleVersionMin, BundleFormatVersion)
+	if v := binary.LittleEndian.Uint32(data[len(bundleMagic):]); v != BundleFormatVersion {
+		return nil, fmt.Errorf("%w: file has version %d, this build reads version %d; %s",
+			ErrVersion, v, BundleFormatVersion, rebuildHint)
 	}
 	count := int(binary.LittleEndian.Uint32(data[len(bundleMagic)+4:]))
 	if count < 0 || count > maxSections {
-		return nil, 0, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, count)
+		return nil, fmt.Errorf("%w: implausible section count %d", ErrCorrupt, count)
 	}
 	tableOff := len(bundleMagic) + 8
 	if len(data)-tableOff < count*24 {
-		return nil, 0, fmt.Errorf("%w: section table truncated", ErrCorrupt)
+		return nil, fmt.Errorf("%w: section table truncated", ErrCorrupt)
 	}
 	secs := make(map[int][]byte, count)
 	for i := 0; i < count; i++ {
@@ -238,18 +223,18 @@ func bundleSections(data []byte) (map[int][]byte, int, error) {
 		off := binary.LittleEndian.Uint64(e[8:])
 		length := binary.LittleEndian.Uint64(e[16:])
 		if off%8 != 0 {
-			return nil, 0, fmt.Errorf("%w: section %d starts at unaligned offset %d", ErrCorrupt, id, off)
+			return nil, fmt.Errorf("%w: section %d starts at unaligned offset %d", ErrCorrupt, id, off)
 		}
 		if off > uint64(len(data)) || length > uint64(len(data))-off {
-			return nil, 0, fmt.Errorf("%w: section %d spans [%d, %d+%d) beyond the %d-byte file",
+			return nil, fmt.Errorf("%w: section %d spans [%d, %d+%d) beyond the %d-byte file",
 				ErrCorrupt, id, off, off, length, len(data))
 		}
 		if _, dup := secs[id]; dup {
-			return nil, 0, fmt.Errorf("%w: duplicate section id %d", ErrCorrupt, id)
+			return nil, fmt.Errorf("%w: duplicate section id %d", ErrCorrupt, id)
 		}
 		secs[id] = data[off : off+length]
 	}
-	return secs, version, nil
+	return secs, nil
 }
 
 func requireSection(secs map[int][]byte, id int, name string) ([]byte, error) {
@@ -267,7 +252,7 @@ func requireSection(secs map[int][]byte, id int, name string) ([]byte, error) {
 // must be impossible to construct. Failures wrap ErrBadMagic,
 // ErrVersion, or ErrCorrupt; the decoder never panics.
 func decodeBundleV4(data []byte) (*Result, error) {
-	secs, version, err := bundleSections(data)
+	secs, err := bundleSections(data)
 	if err != nil {
 		return nil, err
 	}
@@ -280,9 +265,9 @@ func decodeBundleV4(data []byte) (*Result, error) {
 	if err := json.Unmarshal(cfgData, &cfg); err != nil {
 		return nil, fmt.Errorf("%w: config section: %v", ErrCorrupt, err)
 	}
-	if cfg.FormatVersion != version {
+	if cfg.FormatVersion != BundleFormatVersion {
 		return nil, fmt.Errorf("%w: config records format version %d inside a version-%d file",
-			ErrVersion, cfg.FormatVersion, version)
+			ErrVersion, cfg.FormatVersion, BundleFormatVersion)
 	}
 	if cfg.Dim < 1 || cfg.Dim > 1<<20 {
 		return nil, fmt.Errorf("%w: implausible dimension %d", ErrCorrupt, cfg.Dim)
@@ -305,7 +290,7 @@ func decodeBundleV4(data []byte) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	e, err := decodeEmbeddingSections(symsData, arenaData, cfg.Dim, arenaElemBytes(version))
+	e, err := decodeEmbeddingSections(symsData, arenaData, cfg.Dim)
 	if err != nil {
 		return nil, err
 	}
@@ -314,7 +299,7 @@ func decodeBundleV4(data []byte) (*Result, error) {
 		Embedding:    e,
 		Textifier:    model,
 		MethodUsed:   cfg.MethodUsed,
-		BundleFormat: version,
+		BundleFormat: BundleFormatVersion,
 		Config: Config{
 			Dim:                cfg.Dim,
 			Featurization:      cfg.Featurization,
@@ -365,23 +350,12 @@ func encodeEmbeddingSections(e *embed.Embedding) (syms, arena []byte) {
 	return syms, arena
 }
 
-// arenaElemBytes is the width of one arena value in a bundle of the
-// given format version: float64 before version 6, float32 since.
-func arenaElemBytes(version int) int {
-	if version < arenaF32Version {
-		return 8
-	}
-	return 4
-}
-
 // decodeEmbeddingSections builds an embedding of dimension dim over
-// symbols and arena section payloads whose arena values are elem bytes
-// wide (arenaElemBytes). The result views the symbols buffer and a
-// float32 arena, which must not be mutated afterward — which is also
-// why every structural invariant is validated here. A float64 arena
-// (elem 8) is rounded once into a heap copy instead of viewed.
-// Failures wrap ErrCorrupt; the decoder never panics on hostile input.
-func decodeEmbeddingSections(symsData, arenaData []byte, dim, elem int) (*embed.Embedding, error) {
+// symbols and float32 arena section payloads. The result views both
+// buffers, which must not be mutated afterward — which is also why
+// every structural invariant is validated here. Failures wrap
+// ErrCorrupt; the decoder never panics on hostile input.
+func decodeEmbeddingSections(symsData, arenaData []byte, dim int) (*embed.Embedding, error) {
 	if len(symsData) < 8 {
 		return nil, fmt.Errorf("%w: symbols section is %d bytes", ErrCorrupt, len(symsData))
 	}
@@ -414,21 +388,11 @@ func decodeEmbeddingSections(symsData, arenaData []byte, dim, elem int) (*embed.
 	if rows != n {
 		return nil, fmt.Errorf("%w: arena holds %d rows for %d symbols", ErrCorrupt, rows, n)
 	}
-	if int64(len(arenaData)-8) != int64(rows)*int64(cols)*int64(elem) {
+	if int64(len(arenaData)-8) != int64(rows)*int64(cols)*4 {
 		return nil, fmt.Errorf("%w: arena section has %d data bytes, want %d",
-			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(cols)*int64(elem))
+			ErrCorrupt, len(arenaData)-8, int64(rows)*int64(cols)*4)
 	}
-	var arena []float32
-	if elem == 8 {
-		wide := durable.View[float64](arenaData[8:], rows*cols)
-		arena = make([]float32, len(wide))
-		for i, v := range wide {
-			arena[i] = float32(v)
-		}
-	} else {
-		arena = durable.View[float32](arenaData[8:], rows*cols)
-	}
-	e, err := embed.NewEmbeddingTable(st, cols, arena)
+	e, err := embed.NewEmbeddingTable(st, cols, durable.View[float32](arenaData[8:], rows*cols))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

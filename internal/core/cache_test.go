@@ -370,7 +370,7 @@ func TestEmbedCacheEntryIsBundleSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	secs, _, err := bundleSections(data)
+	secs, err := bundleSections(data)
 	if err != nil {
 		t.Fatal(err)
 	}

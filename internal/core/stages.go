@@ -422,5 +422,5 @@ func decodeEmbedArtifact(files map[string][]byte, method embed.Method, dim int) 
 	if meta.Method != method {
 		return nil, fmt.Errorf("core: cached embedding was built by %q, want %q", meta.Method, method)
 	}
-	return decodeEmbeddingSections(files[artifactSymbolsFile], files[artifactArenaFile], dim, arenaElemBytes(BundleFormatVersion))
+	return decodeEmbeddingSections(files[artifactSymbolsFile], files[artifactArenaFile], dim)
 }

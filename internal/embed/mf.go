@@ -2,7 +2,6 @@ package embed
 
 import (
 	"math/rand"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/matrix"
@@ -153,34 +152,22 @@ func mfFactorize(g *graph.Graph, opts MFOptions) ([]string, *matrix.Dense) {
 // transitionCSR assembles the row-normalized transition matrix
 // P = D^{-1} A with the rows partitioned across workers. Each row's
 // entries are sorted by column (and duplicate neighbor entries summed
-// in adjacency order), matching the canonical NewCSR layout.
+// in adjacency order, matrix.CSR.AppendRow), matching the canonical
+// NewCSR layout.
 func transitionCSR(g *graph.Graph, nodeSum []float64, workers int) *matrix.CSR {
 	n := g.NumNodes()
-	type entry struct {
-		col int32
-		val float64
-	}
 	return matrix.ShardedCSR(n, n, workers, func(lo, hi int, frag *matrix.CSR) {
-		row := make([]entry, 0, 16)
+		row := make([]matrix.Entry, 0, 16)
 		for i := lo; i < hi; i++ {
 			if nodeSum[i] != 0 {
 				inv := 1 / nodeSum[i]
 				row = row[:0]
 				for k, j := range g.Neighbors(int32(i)) {
-					w := g.EdgeWeight(int32(i), k)
-					if w > 0 {
-						row = append(row, entry{col: j, val: w * inv})
+					if w := g.EdgeWeight(int32(i), k); w > 0 {
+						row = append(row, matrix.Entry{Col: j, Val: w * inv})
 					}
 				}
-				sort.SliceStable(row, func(x, y int) bool { return row[x].col < row[y].col })
-				for _, e := range row {
-					if m := len(frag.Vals); m > int(frag.RowPtr[i-lo]) && frag.ColIdx[m-1] == e.col {
-						frag.Vals[m-1] += e.val
-						continue
-					}
-					frag.ColIdx = append(frag.ColIdx, e.col)
-					frag.Vals = append(frag.Vals, e.val)
-				}
+				frag.AppendRow(row)
 			}
 			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
 		}

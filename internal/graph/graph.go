@@ -224,16 +224,24 @@ func itoa(i int) string {
 	return fmt.Sprintf("%d", i)
 }
 
-// AdjacencyCSR exports the (symmetric) weighted adjacency matrix.
+// AdjacencyCSR exports the (symmetric) weighted adjacency matrix. Each
+// row is node i's adjacency list sorted by column, repeated neighbors
+// summed in adjacency order (matrix.CSR.AppendRow).
 func (g *Graph) AdjacencyCSR() *matrix.CSR {
 	n := g.NumNodes()
-	entries := make([]matrix.COO, 0, 2*g.NumEdges())
+	nnz := 2 * g.NumEdges()
+	m := &matrix.CSR{NumRows: n, NumCols: n, RowPtr: make([]int32, n+1),
+		ColIdx: make([]int32, 0, nnz), Vals: make([]float64, 0, nnz)}
+	var row []matrix.Entry
 	for i := 0; i < n; i++ {
+		row = row[:0]
 		for k, j := range g.adj[i] {
-			entries = append(entries, matrix.COO{Row: i, Col: int(j), Val: g.EdgeWeight(int32(i), k)})
+			row = append(row, matrix.Entry{Col: j, Val: g.EdgeWeight(int32(i), k)})
 		}
+		m.AppendRow(row)
+		m.RowPtr[i+1] = int32(len(m.Vals))
 	}
-	return matrix.NewCSR(n, n, entries)
+	return m
 }
 
 // EstimateMFMemoryBytes estimates the working-set size of the matrix

@@ -1,9 +1,12 @@
 package graph
 
 import (
+	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/matrix"
 	"repro/internal/textify"
 )
 
@@ -185,6 +188,36 @@ func TestAdjacencyCSRSymmetric(t *testing.T) {
 			if m.At(j, i) != m.Vals[p] {
 				t.Fatalf("asymmetric adjacency at (%d,%d)", i, j)
 			}
+		}
+	}
+}
+
+// TestAdjacencyCSRMatchesNewCSR: AdjacencyCSR, which sorts each
+// adjacency list into its row, builds the same matrix, bit for bit, as
+// matrix.NewCSR over one COO triple per adjacency entry, on weighted
+// and unweighted Build outputs.
+func TestAdjacencyCSRMatchesNewCSR(t *testing.T) {
+	for _, unweighted := range []bool{false, true} {
+		g, _ := Build(parallelFixture(), Options{Unweighted: unweighted, Workers: 1})
+		var entries []matrix.COO
+		for i := 0; i < g.NumNodes(); i++ {
+			for k, j := range g.Neighbors(int32(i)) {
+				entries = append(entries, matrix.COO{Row: i, Col: int(j), Val: g.EdgeWeight(int32(i), k)})
+			}
+		}
+		want := matrix.NewCSR(g.NumNodes(), g.NumNodes(), entries)
+		got := g.AdjacencyCSR()
+		if got.NumRows != want.NumRows || got.NumCols != want.NumCols ||
+			!slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColIdx, want.ColIdx) {
+			t.Fatalf("unweighted=%v: structure differs from NewCSR", unweighted)
+		}
+		for p := range want.Vals {
+			if math.Float64bits(got.Vals[p]) != math.Float64bits(want.Vals[p]) {
+				t.Fatalf("unweighted=%v: value %d = %v, NewCSR has %v", unweighted, p, got.Vals[p], want.Vals[p])
+			}
+		}
+		if !unweighted && !slices.ContainsFunc(want.Vals, func(v float64) bool { return v != 1 }) {
+			t.Fatal("weighted fixture has only unit weights")
 		}
 	}
 }

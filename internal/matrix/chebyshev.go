@@ -30,21 +30,6 @@ func BesselI(n int, x float64) float64 {
 	return sum
 }
 
-// ChebyshevPropagate applies the ProNE-style spectral propagation
-// enhancement (paper reference [41]) to an embedding: a truncated
-// Chebyshev expansion of a Gaussian band-pass graph filter, evaluated
-// with nothing but sparse matrix-vector products.
-//
-// adj is the symmetric n-by-n adjacency matrix, each row sorted by
-// column without repeats (the form NewCSR builds); emb is the n-by-d
-// initial embedding, which is filtered in place and returned. order is
-// the expansion order (ProNE default 10), mu the band-pass center
-// (default 0.2) and s the kernel width (default 0.5). The result rows
-// are L2-normalized.
-func ChebyshevPropagate(adj *CSR, emb *Dense, order int, mu, s float64) *Dense {
-	return ChebyshevPropagateWorkers(adj, emb, order, mu, s, 1)
-}
-
 // chebBlock is the column-block width of the Chebyshev filter. Column
 // j of M·x depends only on column j of x, so the recurrence runs one
 // block of columns at a time in n×chebBlock buffers instead of n×d
@@ -52,10 +37,22 @@ func ChebyshevPropagate(adj *CSR, emb *Dense, order int, mu, s float64) *Dense {
 // without measurably slowing the filter at d = 64.
 const chebBlock = 8
 
-// ChebyshevPropagateWorkers is ChebyshevPropagate with its sparse-dense
-// products row-partitioned across workers (<= 0 means GOMAXPROCS); the
-// filter is bit-identical at every worker count because each output row
-// accumulates in sequential order on exactly one goroutine.
+// ChebyshevPropagateWorkers applies the ProNE-style spectral
+// propagation enhancement (paper reference [41]) to an embedding: a
+// truncated Chebyshev expansion of a Gaussian band-pass graph filter,
+// evaluated with nothing but sparse matrix-vector products.
+//
+// adj is the symmetric n-by-n adjacency matrix, each row sorted by
+// column without repeats (the form NewCSR builds); emb is the n-by-d
+// initial embedding, which is filtered in place and returned. order is
+// the expansion order (ProNE default 10), mu the band-pass center
+// (default 0.2) and s the kernel width (default 0.5). The result rows
+// are L2-normalized.
+//
+// The sparse-dense products are row-partitioned across workers (<= 0
+// means GOMAXPROCS); the filter is bit-identical at every worker count
+// because each output row accumulates in sequential order on exactly
+// one goroutine.
 //
 // The recurrence runs over emb's columns in blocks of chebBlock, in
 // four n×chebBlock buffers (tmp, lx0, lx1, conv) reused by every block.

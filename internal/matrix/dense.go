@@ -75,11 +75,8 @@ func (m *Dense) T() *Dense {
 	return out
 }
 
-// Mul returns m * b.
-func (m *Dense) Mul(b *Dense) *Dense { return m.MulWorkers(b, 1) }
-
-// MulWorkers is Mul with the output rows partitioned across workers
-// (<= 0 means GOMAXPROCS). Each output row is produced by one goroutine
+// MulWorkers returns m * b with the output rows partitioned across
+// workers (<= 0 means GOMAXPROCS). Each output row is produced by one goroutine
 // in the sequential accumulation order, so the product is bit-identical
 // at every worker count.
 func (m *Dense) MulWorkers(b *Dense, workers int) *Dense {

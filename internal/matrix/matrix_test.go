@@ -25,14 +25,14 @@ func TestDenseMulVariants(t *testing.T) {
 	a := FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})  // 3x2
 	b := FromRows([][]float64{{7, 8, 9}, {10, 11, 12}}) // 2x3
 
-	ab := a.Mul(b)
+	ab := a.MulWorkers(b, 1)
 	want := FromRows([][]float64{{27, 30, 33}, {61, 68, 75}, {95, 106, 117}})
 	matricesClose(t, ab, want, 1e-12, "Mul")
 
 	// MulT: a * aᵀ vs explicit transpose.
-	matricesClose(t, a.MulT(a), a.Mul(a.T()), 1e-12, "MulT")
+	matricesClose(t, a.MulT(a), a.MulWorkers(a.T(), 1), 1e-12, "MulT")
 	// TMul: aᵀ * a.
-	matricesClose(t, a.TMul(a), a.T().Mul(a), 1e-12, "TMul")
+	matricesClose(t, a.TMul(a), a.T().MulWorkers(a, 1), 1e-12, "TMul")
 }
 
 func TestDenseAddSubScaleNorm(t *testing.T) {
@@ -90,7 +90,7 @@ func TestQROrthonormal(t *testing.T) {
 		}
 	}
 	// Range preserved: QQᵀa ≈ a.
-	proj := q.Mul(q.TMul(a))
+	proj := q.MulWorkers(q.TMul(a), 1)
 	matricesClose(t, proj, a, 1e-8, "range")
 }
 
@@ -160,16 +160,16 @@ func TestCSRDenseAgreement(t *testing.T) {
 	s := NewCSR(8, 9, coos)
 	d := s.Dense()
 	b := Gaussian(9, 5, rng)
-	matricesClose(t, s.MulDense(b), d.Mul(b), 1e-10, "MulDense")
+	matricesClose(t, s.MulDenseWorkers(b, 1), d.MulWorkers(b, 1), 1e-10, "MulDense")
 	c := Gaussian(8, 5, rng)
-	matricesClose(t, s.TMulDense(c), d.T().Mul(c), 1e-10, "TMulDense")
+	matricesClose(t, s.TMulDenseWorkers(c, 1), d.T().MulWorkers(c, 1), 1e-10, "TMulDense")
 
 	x := make([]float64, 9)
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
 	mv := s.MulVec(x)
-	want := d.Mul(FromRows(columnize(x)))
+	want := d.MulWorkers(FromRows(columnize(x)), 1)
 	for i := range mv {
 		if !approxEqual(mv[i], want.At(i, 0), 1e-10) {
 			t.Fatalf("MulVec[%d]", i)
@@ -194,7 +194,7 @@ func TestMulCSRPruneMatchesDense(t *testing.T) {
 	}
 	a, b := NewCSR(6, 7, ca), NewCSR(7, 5, cb)
 	prod := MulCSRPrune(a, b, 0, 0)
-	matricesClose(t, prod.Dense(), a.Dense().Mul(b.Dense()), 1e-10, "MulCSRPrune unpruned")
+	matricesClose(t, prod.Dense(), a.Dense().MulWorkers(b.Dense(), 1), 1e-10, "MulCSRPrune unpruned")
 
 	// topK bounds row fanout.
 	pruned := MulCSRPrune(a, b, 2, 0)
@@ -226,11 +226,11 @@ func TestRandomizedSVDRecoversLowRank(t *testing.T) {
 		}
 	}
 	m := NewCSR(60, 50, coos)
-	res := RandomizedSVD(m, 3, 8, 2, rng)
+	res := RandomizedSVDWorkers(m, 3, 8, 2, rng, 1)
 
 	// Reconstruction U Σ Vᵀ ≈ M, with V = Mᵀ·U·Σ⁻¹ (the SVD returns
 	// no V).
-	v := dense.T().Mul(res.U)
+	v := dense.T().MulWorkers(res.U, 1)
 	us := res.U.Clone()
 	for j := 0; j < 3; j++ {
 		for i := 0; i < us.Rows; i++ {
@@ -316,7 +316,7 @@ func TestChebyshevPropagateSmoothsNeighbors(t *testing.T) {
 		{Row: 1, Col: 2, Val: 1}, {Row: 2, Col: 1, Val: 1},
 	})
 	emb := FromRows([][]float64{{1, 0}, {0, 0}, {0, 1}})
-	out := ChebyshevPropagate(adj, emb.Clone(), 10, 0.2, 0.5)
+	out := ChebyshevPropagateWorkers(adj, emb.Clone(), 10, 0.2, 0.5, 1)
 	if out.Rows != 3 || out.Cols != 2 {
 		t.Fatalf("shape %dx%d", out.Rows, out.Cols)
 	}

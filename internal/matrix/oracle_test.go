@@ -294,7 +294,7 @@ func TestRandomizedSVDMatchesOracle(t *testing.T) {
 
 	// The rank-deficient case must actually reach QR's zero-column
 	// branch, or it proves nothing about it.
-	y := lowRank.MulDense(Gaussian(60, 10, rand.New(rand.NewSource(7))))
+	y := lowRank.MulDenseWorkers(Gaussian(60, 10, rand.New(rand.NewSource(7))), 1)
 	qrInPlace(y)
 	zero := 0
 	for j := 0; j < y.Cols; j++ {
@@ -332,10 +332,10 @@ func TestSparseProductsIntoOverwriteDirtyBuffers(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		out := Gaussian(83, 9, rand.New(rand.NewSource(54)))
 		m.mulDenseInto(out, b, workers)
-		denseEqual(t, "mulDenseInto", m.MulDense(b), out)
+		denseEqual(t, "mulDenseInto", m.MulDenseWorkers(b, 1), out)
 		tout := Gaussian(61, 9, rand.New(rand.NewSource(55)))
 		m.tMulDenseInto(tout, bt, workers)
-		denseEqual(t, "tMulDenseInto", m.TMulDense(bt), tout)
+		denseEqual(t, "tMulDenseInto", m.TMulDenseWorkers(bt, 1), tout)
 	}
 }
 

@@ -59,7 +59,7 @@ func denseEqual(t *testing.T, name string, a, b *Dense) {
 func TestMulDenseWorkersBitIdentical(t *testing.T) {
 	m := randCSR(83, 61, 0.1, 1)
 	b := Gaussian(61, 17, rand.New(rand.NewSource(2)))
-	want := m.MulDense(b)
+	want := m.MulDenseWorkers(b, 1)
 	for _, w := range []int{2, 3, 8} {
 		denseEqual(t, "MulDenseWorkers", want, m.MulDenseWorkers(b, w))
 	}
@@ -68,7 +68,7 @@ func TestMulDenseWorkersBitIdentical(t *testing.T) {
 func TestTMulDenseWorkersBitIdentical(t *testing.T) {
 	m := randCSR(83, 61, 0.1, 3)
 	b := Gaussian(83, 17, rand.New(rand.NewSource(4)))
-	want := m.TMulDense(b)
+	want := m.TMulDenseWorkers(b, 1)
 	for _, w := range []int{2, 3, 8} {
 		denseEqual(t, "TMulDenseWorkers", want, m.TMulDenseWorkers(b, w))
 	}
@@ -77,7 +77,7 @@ func TestTMulDenseWorkersBitIdentical(t *testing.T) {
 func TestDenseMulWorkersBitIdentical(t *testing.T) {
 	a := Gaussian(70, 31, rand.New(rand.NewSource(5)))
 	b := Gaussian(31, 23, rand.New(rand.NewSource(6)))
-	want := a.Mul(b)
+	want := a.MulWorkers(b, 1)
 	for _, w := range []int{2, 3, 8} {
 		denseEqual(t, "MulWorkers", want, a.MulWorkers(b, w))
 	}
@@ -103,7 +103,7 @@ func TestAddCSRWorkersBitIdentical(t *testing.T) {
 
 func TestRandomizedSVDWorkersBitIdentical(t *testing.T) {
 	m := randCSR(120, 120, 0.1, 11)
-	want := RandomizedSVD(m, 8, 4, 2, rand.New(rand.NewSource(12)))
+	want := RandomizedSVDWorkers(m, 8, 4, 2, rand.New(rand.NewSource(12)), 1)
 	for _, w := range []int{2, 3} {
 		got := RandomizedSVDWorkers(m, 8, 4, 2, rand.New(rand.NewSource(12)), w)
 		denseEqual(t, "U", want.U, got.U)
@@ -133,7 +133,7 @@ func TestChebyshevPropagateWorkersBitIdentical(t *testing.T) {
 	adj := NewCSR(60, 60, entries)
 	emb := Gaussian(60, 12, rand.New(rand.NewSource(14)))
 	// The filter works in place, so every run gets its own copy.
-	want := ChebyshevPropagate(adj, emb.Clone(), 10, 0.2, 0.5)
+	want := ChebyshevPropagateWorkers(adj, emb.Clone(), 10, 0.2, 0.5, 1)
 	for _, w := range []int{2, 3} {
 		denseEqual(t, "ChebyshevPropagateWorkers", want, ChebyshevPropagateWorkers(adj, emb.Clone(), 10, 0.2, 0.5, w))
 	}

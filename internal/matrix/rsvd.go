@@ -13,22 +13,18 @@ type SVDResult struct {
 	Sigma []float64 // d singular values, descending
 }
 
-// RandomizedSVD computes a rank-d truncated SVD of a sparse matrix with
-// the Halko–Martinsson–Tropp randomized range finder the paper cites:
-// sample the range with a Gaussian test matrix, optionally sharpen the
-// spectrum with power iterations, orthonormalize, and solve the small
-// (d+p)x(d+p) eigenproblem of B·Bᵀ exactly with Jacobi.
+// RandomizedSVDWorkers computes a rank-d truncated SVD of a sparse
+// matrix with the Halko–Martinsson–Tropp randomized range finder the
+// paper cites: sample the range with a Gaussian test matrix, optionally
+// sharpen the spectrum with power iterations, orthonormalize, and solve
+// the small (d+p)x(d+p) eigenproblem of B·Bᵀ exactly with Jacobi.
 //
 // oversample (p) adds slack columns to the test matrix; 8-10 is typical.
 // powerIters of 1-2 substantially improves accuracy on matrices with a
 // slowly decaying spectrum at the cost of extra sparse multiplies.
-func RandomizedSVD(m *CSR, d, oversample, powerIters int, rng *rand.Rand) SVDResult {
-	return RandomizedSVDWorkers(m, d, oversample, powerIters, rng, 1)
-}
-
-// RandomizedSVDWorkers is RandomizedSVD with the sparse and tall-dense
-// matrix products row-partitioned across workers (<= 0 means
-// GOMAXPROCS). The Gaussian sampling stays a single sequential rng
+//
+// The sparse and tall-dense matrix products are row-partitioned across
+// workers (<= 0 means GOMAXPROCS). The Gaussian sampling stays a single sequential rng
 // stream and the partitioned products accumulate in sequential order,
 // so the decomposition is bit-identical at every worker count; only the
 // O(rows·k²) QR and the tiny k×k eigensolve remain single-threaded.

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/parallel"
@@ -58,6 +60,29 @@ func NewCSR(rows, cols int, entries []COO) *CSR {
 	return m
 }
 
+// Entry is one value of a CSR row under assembly (AppendRow).
+type Entry struct {
+	Col int32
+	Val float64
+}
+
+// AppendRow appends row's entries, in any column order, to m's index
+// and value arrays as one row: stably sorted by column, with the values
+// of equal columns summed in row's order. It sorts row in place. The
+// caller records the row's end in RowPtr.
+func (m *CSR) AppendRow(row []Entry) {
+	slices.SortStableFunc(row, func(a, b Entry) int { return cmp.Compare(a.Col, b.Col) })
+	start := len(m.Vals)
+	for _, e := range row {
+		if n := len(m.Vals); n > start && m.ColIdx[n-1] == e.Col {
+			m.Vals[n-1] += e.Val
+			continue
+		}
+		m.ColIdx = append(m.ColIdx, e.Col)
+		m.Vals = append(m.Vals, e.Val)
+	}
+}
+
 // NNZ returns the number of stored entries.
 func (m *CSR) NNZ() int { return len(m.Vals) }
 
@@ -75,11 +100,8 @@ func (m *CSR) At(i, j int) float64 {
 	return 0
 }
 
-// MulDense returns m * b as a dense matrix.
-func (m *CSR) MulDense(b *Dense) *Dense { return m.MulDenseWorkers(b, 1) }
-
-// MulDenseWorkers is MulDense with the output rows partitioned across
-// workers (<= 0 means GOMAXPROCS). Each output row is accumulated by
+// MulDenseWorkers returns m * b as a dense matrix, with the output rows
+// partitioned across workers (<= 0 means GOMAXPROCS). Each output row is accumulated by
 // exactly one goroutine in the sequential order, so the product is
 // bit-identical at every worker count.
 func (m *CSR) MulDenseWorkers(b *Dense, workers int) *Dense {
@@ -115,11 +137,8 @@ func (m *CSR) mulRow(oi []float64, i int, b *Dense) {
 	}
 }
 
-// TMulDense returns mᵀ * b as a dense matrix.
-func (m *CSR) TMulDense(b *Dense) *Dense { return m.TMulDenseWorkers(b, 1) }
-
-// TMulDenseWorkers is TMulDense with the *output* rows (m's columns)
-// partitioned across workers (<= 0 means GOMAXPROCS). Every worker
+// TMulDenseWorkers returns mᵀ * b as a dense matrix, with the *output*
+// rows (m's columns) partitioned across workers (<= 0 means GOMAXPROCS). Every worker
 // scans all of m but only accumulates entries whose column falls in its
 // partition, so writes are disjoint and each output row sums its
 // contributions in the sequential input-row order — bit-identical at

@@ -143,8 +143,8 @@ func PrepareRegression(task Task, cfg Config) (*SupervisedData, error) {
 }
 
 // BundleFormatVersion is the on-disk format written by
-// Result.SaveBundle. LoadBundle reads the binary versions 4 to 6 and
-// refuses every other version with an error that says to rebuild.
+// Result.SaveBundle. LoadBundle reads this version alone and refuses
+// every other with an error that says to rebuild.
 const BundleFormatVersion = core.BundleFormatVersion
 
 // LoadBundle restores a deployment saved with Result.SaveBundle: the

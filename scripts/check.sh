@@ -97,7 +97,6 @@ echo "levad smoke test passed"
 "$SMOKE/bin/leva" bundle info -json "$SMOKE/bundle" > "$SMOKE/info.json"
 info_int() { sed -n "s/^  \"$1\": \([0-9]*\),\{0,1\}\$/\1/p" "$SMOKE/info.json"; }
 test "$(info_int formatVersion)" -eq 6
-grep -q '^  "arenaElem": "float32",$' "$SMOKE/info.json"
 test "$(info_int arenaBytes)" -eq $((8 + 4 * $(info_int entities) * $(info_int dim)))
 
 # --- corruption smoke test --------------------------------------------
@@ -567,30 +566,53 @@ done
 
 echo "wire-surface smoke test passed"
 
-# --- bundle migration smoke test --------------------------------------
-# A committed version-5 bundle (an earlier build's output, float64
-# arena) and its `leva bundle convert` rewrite to version 6 (float32
-# arena) must be interchangeable on the wire: serve both, the rewrite
-# with -mmap (the zero-copy fast path), require /healthz to answer 200
-# for each, and require byte-identical /v1/featurize and /v1/embedding
-# responses.
-# The float ann bundle is served with its index under -mmap too, as the
-# baseline the quantization test below compares against.
-FIXTURE=internal/core/testdata/v5-dim6
-"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_ann" > "$SMOKE/info_v4.log"
-grep -q 'version 6' "$SMOKE/info_v4.log"
-grep -q 'bundle.bin' "$SMOKE/info_v4.log"
+# --- old bundle version refusal test ---------------------------------
+# This build reads bundle format version 6 alone. The committed
+# version-5 bundle (an earlier build's output, float64 arena) must stop
+# levad at startup, read or mapped, and `leva bundle info`, with an
+# error that names its MANIFEST.json and says to rebuild with `leva
+# embed -bundle`; so must the same bundle.bin sealed by a version-6
+# manifest, naming bundle.bin. `leva bundle convert`, which upgraded
+# such bundles, is gone and must fail.
+"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_ann" > "$SMOKE/info_ann.log"
+grep -q 'version 6' "$SMOKE/info_ann.log"
+grep -q 'bundle.bin' "$SMOKE/info_ann.log"
 
-"$SMOKE/bin/leva" bundle info "$FIXTURE" > "$SMOKE/info_fixture.log"
-grep -q 'version 5' "$SMOKE/info_fixture.log"
-grep -q 'float64)' "$SMOKE/info_fixture.log"
-grep -q 'verified against MANIFEST.json' "$SMOKE/info_fixture.log"
-"$SMOKE/bin/leva" bundle convert -in "$FIXTURE" \
-    -out "$SMOKE/bundle_converted" > "$SMOKE/convert.log"
-"$SMOKE/bin/leva" bundle info "$SMOKE/bundle_converted" > "$SMOKE/info_converted.log"
-grep -q 'version 6' "$SMOKE/info_converted.log"
-grep -q 'float32)' "$SMOKE/info_converted.log"
-grep -q 'bundle.bin' "$SMOKE/info_converted.log"
+V5_FIXTURE=internal/core/testdata/v5-quant-dim4
+V5_RESEALED="$SMOKE/bundle_v5_resealed"
+mkdir "$V5_RESEALED"
+cp "$V5_FIXTURE/bundle.bin" "$V5_RESEALED/bundle.bin"
+printf '{\n  "formatVersion": 6,\n  "files": [\n    {"name": "bundle.bin", "size": %s, "sha256": "%s"}\n  ]\n}\n' \
+    "$(wc -c < "$V5_RESEALED/bundle.bin" | tr -d ' ')" \
+    "$(sha256sum "$V5_RESEALED/bundle.bin" | cut -d' ' -f1)" > "$V5_RESEALED/MANIFEST.json"
+for case in "$V5_FIXTURE:MANIFEST.json" "$V5_RESEALED:bundle.bin"; do
+    dir=${case%:*}
+    named="$dir/${case##*:}"
+    log="$SMOKE/$(basename "$dir")"
+    for mmap in -mmap=false -mmap; do
+        if "$SMOKE/bin/levad" -bundle "$dir" "$mmap" -addr 127.0.0.1:0 2>"$log.levad.log"; then
+            echo "levad $mmap served $dir" >&2
+            exit 1
+        fi
+        grep -qF "$named" "$log.levad.log"
+        grep -q 'leva embed -bundle' "$log.levad.log"
+    done
+    if "$SMOKE/bin/leva" bundle info "$dir" 2>"$log.info.log"; then
+        echo "leva bundle info accepted $dir" >&2
+        exit 1
+    fi
+    grep -qF "$named" "$log.info.log"
+    grep -q 'leva embed -bundle' "$log.info.log"
+done
+grep -q 'records format version 5' "$SMOKE/v5-quant-dim4.levad.log"
+grep -q 'file has version 5' "$SMOKE/bundle_v5_resealed.levad.log"
+if "$SMOKE/bin/leva" bundle convert -in "$V5_FIXTURE" -out "$SMOKE/bundle_converted" \
+    2>"$SMOKE/convert.log"; then
+    echo "leva bundle convert still runs" >&2
+    exit 1
+fi
+grep -q 'unknown subcommand "convert"' "$SMOKE/convert.log"
+test ! -e "$SMOKE/bundle_converted"
 
 FEAT_BODY='{"table":"expenses","rows":[{"name":"student_00001","gender":"female","school_name":"school_1"}],"exclude":["total_expenses"]}'
 
@@ -631,20 +653,11 @@ serve_capture() {
     wait "$LEVAD_PID"
 }
 
-serve_capture "$SMOKE/levad_v4.log" v4 -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" -mmap
-grep -q '"bundleFormat":6' "$SMOKE/v4_healthz.json"
-grep -q '"annVectors":[1-9]' "$SMOKE/v4_healthz.json"
+serve_capture "$SMOKE/levad_ann.log" ann -bundle "$SMOKE/bundle_ann" -index "$SMOKE/index" -mmap
+grep -q '"bundleFormat":6' "$SMOKE/ann_healthz.json"
+grep -q '"annVectors":[1-9]' "$SMOKE/ann_healthz.json"
 
-serve_capture "$SMOKE/levad_fixture.log" fixture -bundle "$FIXTURE" -mmap=false
-grep -q '"bundleFormat":5' "$SMOKE/fixture_healthz.json"
-
-serve_capture "$SMOKE/levad_converted.log" converted -bundle "$SMOKE/bundle_converted" -mmap
-grep -q '"bundleFormat":6' "$SMOKE/converted_healthz.json"
-
-cmp "$SMOKE/fixture_features.json" "$SMOKE/converted_features.json"
-cmp "$SMOKE/fixture_embedding.json" "$SMOKE/converted_embedding.json"
-
-echo "bundle migration smoke test passed"
+echo "old bundle version refusal test passed"
 
 # --- unsealed bundle refusal test ---------------------------------------
 # Only a sealed binary bundle is served. The JSON/TSV layout of format
@@ -670,7 +683,7 @@ cp -r "$JSON_BUNDLE" "$SMOKE/bundle_json_sealed"
     done
     printf '\n  ]\n}\n'
 } > "$SMOKE/bundle_json_sealed/MANIFEST.json"
-cp -r "$SMOKE/bundle_converted" "$SMOKE/bundle_unsealed"
+cp -r "$SMOKE/bundle_ann" "$SMOKE/bundle_unsealed"
 rm "$SMOKE/bundle_unsealed/MANIFEST.json"
 
 for dir in "$JSON_BUNDLE" "$SMOKE/bundle_json_sealed" "$SMOKE/bundle_unsealed"; do
@@ -746,7 +759,7 @@ curl -fsS "http://$ADDR/metrics" | grep -q '^leva_quant_reranked_total [1-9]'
 # responses must be byte-identical.
 curl -fsS -X POST "http://$ADDR/v1/featurize" \
     -H 'Content-Type: application/json' -d "$FEAT_BODY" > "$SMOKE/quant_features.json"
-cmp "$SMOKE/v4_features.json" "$SMOKE/quant_features.json"
+cmp "$SMOKE/ann_features.json" "$SMOKE/quant_features.json"
 
 # reload_storm <log>: SIGHUP the daemon at $LEVAD_PID 10 times, waiting
 # for each reload to finish (generations 2 through 11).
