@@ -122,6 +122,14 @@ func buildConfig(dim, bins int, method string, seed int64, workers int, cacheDir
 	return cfg
 }
 
+// printStageTimings writes each build stage's wall time and heap
+// high-water mark (core.Timings) as one line of key=value pairs.
+func printStageTimings(t core.Timings) {
+	ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }
+	fmt.Printf("stage timings: textify_ms=%.3f textify_heap_peak_bytes=%d graph_ms=%.3f graph_heap_peak_bytes=%d embed_ms=%.3f embed_heap_peak_bytes=%d\n",
+		ms(t.Textify), t.TextifyHeapPeak, ms(t.GraphBuild), t.GraphHeapPeak, ms(t.Embed), t.EmbedHeapPeak)
+}
+
 // printCacheReport writes the per-stage hit/miss line of a cached build
 // plus any decisions worth surfacing.
 func printCacheReport(res *leva.Result) {
@@ -166,10 +174,7 @@ func runEmbed(args []string) error {
 	fmt.Printf("built %s embedding: %d entities, dim %d, graph %d nodes / %d edges in %v\n",
 		res.MethodUsed, res.Embedding.Len(), res.Embedding.Dim,
 		res.Graph.NumNodes(), res.Graph.NumEdges(), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("stage timings: textify %v, graph %v, embed %v\n",
-		res.Timings.Textify.Round(time.Millisecond),
-		res.Timings.GraphBuild.Round(time.Millisecond),
-		res.Timings.Embed.Round(time.Millisecond))
+	printStageTimings(res.Timings)
 	printCacheReport(res)
 
 	if err := durable.WriteFileFunc(durable.OS(), *out, res.Embedding.WriteTSV); err != nil {

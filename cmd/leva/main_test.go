@@ -66,6 +66,34 @@ func TestRunEmbedWritesTSV(t *testing.T) {
 	}
 }
 
+// TestRunEmbedStageLine: the stage line parses as key=value pairs, a
+// time and a heap peak per stage.
+func TestRunEmbedStageLine(t *testing.T) {
+	dir := writeTestCSVs(t)
+	out := filepath.Join(t.TempDir(), "emb.tsv")
+	text := captureStdout(t, func() {
+		if err := runEmbed([]string{"-data", dir, "-out", out, "-dim", "8", "-method", "mf", "-no-cache"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	var line string
+	for _, l := range strings.Split(text, "\n") {
+		if strings.HasPrefix(l, "stage timings: ") {
+			line = l
+		}
+	}
+	var ms [3]float64
+	var peak [3]uint64
+	n, err := fmt.Sscanf(line, "stage timings: textify_ms=%f textify_heap_peak_bytes=%d graph_ms=%f graph_heap_peak_bytes=%d embed_ms=%f embed_heap_peak_bytes=%d",
+		&ms[0], &peak[0], &ms[1], &peak[1], &ms[2], &peak[2])
+	if n != 6 || err != nil {
+		t.Fatalf("stage line %q parsed %d fields: %v", line, n, err)
+	}
+	if ms[2] <= 0 {
+		t.Errorf("stage line %q: embed took no time", line)
+	}
+}
+
 func TestRunEmbedMissingFlags(t *testing.T) {
 	if err := runEmbed(nil); err == nil {
 		t.Error("missing -data accepted")

@@ -13,6 +13,7 @@ import (
 const (
 	metricBuildsTotal      = "leva_builds_total"
 	metricStageDuration    = "leva_build_stage_duration_seconds"
+	metricStageHeapPeak    = "leva_build_stage_heap_peak_bytes"
 	metricTextifyTables    = "leva_build_textify_tables_total"
 	metricCacheLookups     = "leva_build_cache_lookups_total"
 	metricCacheStoreErrors = "leva_build_cache_store_errors_total"
@@ -30,6 +31,7 @@ const helpStageDuration = "Wall time of each pipeline stage per build."
 type buildObs struct {
 	builds    *obs.Counter
 	stageDur  *obs.HistogramVec
+	stageHeap *obs.GaugeVec
 	tables    *obs.CounterVec
 	lookups   *obs.CounterVec
 	storeErrs *obs.Counter
@@ -44,6 +46,9 @@ func newBuildObs(r *obs.Registry) *buildObs {
 			"Completed BuildEmbedding runs."),
 		stageDur: r.HistogramVec(metricStageDuration, helpStageDuration,
 			obs.StageBuckets, "stage"),
+		stageHeap: r.GaugeVec(metricStageHeapPeak,
+			"Heap high-water mark of each build stage above the heap at its start, in bytes, for the last build.",
+			"stage"),
 		tables: r.CounterVec(metricTextifyTables,
 			"Tables processed by the textify stage, by outcome (reused = tokenization loaded from cache, rebuilt = re-fitted).",
 			"outcome"),
@@ -65,6 +70,17 @@ func (b *buildObs) endStage(start time.Time, stage string) time.Duration {
 		b.stageDur.With(stage).ObserveDuration(d)
 	}
 	return d
+}
+
+// endStageHeap ends the stage's heap sampling and records its
+// high-water mark in the stage's heap-peak gauge. The returned peak is
+// that same reading, so Timings and the gauge agree.
+func (b *buildObs) endStageHeap(h *heapSampler, stage string) uint64 {
+	peak := h.end()
+	if b != nil {
+		b.stageHeap.With(stage).Set(float64(peak))
+	}
+	return peak
 }
 
 // countTables accrues the textify stage's per-table outcomes.

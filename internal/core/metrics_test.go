@@ -53,6 +53,18 @@ func TestBuildMetricsAccrue(t *testing.T) {
 		t.Errorf("embed histogram sum %v != Timings.Embed %v", got, want)
 	}
 
+	// The heap-peak gauge carries the same reading as Timings.
+	stageHeap := r.GaugeVec(metricStageHeapPeak, "", "stage")
+	for stage, want := range map[string]uint64{
+		"textify": res.Timings.TextifyHeapPeak,
+		"graph":   res.Timings.GraphHeapPeak,
+		"embed":   res.Timings.EmbedHeapPeak,
+	} {
+		if got := stageHeap.With(stage).Value(); got != float64(want) {
+			t.Errorf("stage %q heap-peak gauge %v != Timings %d", stage, got, want)
+		}
+	}
+
 	// Cold build with a cache: graph and embed lookups both missed.
 	lookups := r.CounterVec(metricCacheLookups, "", "stage", "outcome")
 	if got := lookups.With(stageGraph, "miss").Value(); got != 1 {

@@ -155,12 +155,20 @@ type CacheStats struct {
 	StoreErrors int `json:"storeErrors,omitempty"`
 }
 
-// Timings records wall-clock per pipeline stage (Fig. 6b/6c) plus how
-// the stage cache behaved.
+// Timings records wall-clock per pipeline stage (Fig. 6b/6c), each
+// build stage's heap high-water mark, and how the stage cache behaved.
+// None of it is written to a bundle.
 type Timings struct {
 	Textify    time.Duration
 	GraphBuild time.Duration
 	Embed      time.Duration
+	// TextifyHeapPeak, GraphHeapPeak and EmbedHeapPeak are each build
+	// stage's heap high-water mark above the heap at its start, in
+	// bytes: the most heap-object memory (live, or dead and not yet
+	// swept) the stage added at any point while it ran.
+	TextifyHeapPeak uint64
+	GraphHeapPeak   uint64
+	EmbedHeapPeak   uint64
 	// Featurize accumulates deployment time across every Featurize /
 	// FeaturizeWithMode call on the Result, completing the end-to-end
 	// profile of Fig. 6 (FeaturizeRow, the online serving path, is
@@ -257,8 +265,11 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	}
 	res := &Result{Config: cfg}
 	res.Timings.Cache.Enabled = cache != nil
+	heap := startHeapSampler()
+	defer heap.stop()
 
 	start := time.Now()
+	heap.begin()
 	ts := &TextifyStage{DB: db, Opts: cfg.Textify, Workers: cfg.Workers, Cache: cache}
 	model, tokenized, reused, rebuilt, err := ts.Run()
 	if err != nil {
@@ -267,11 +278,13 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	res.Textifier = model
 	res.Timings.Cache.Textify = tableOutcome(reused, rebuilt)
 	res.Timings.Textify = bo.endStage(start, "textify")
+	res.Timings.TextifyHeapPeak = bo.endStageHeap(heap, "textify")
 	res.Timings.Cache.TablesReused = reused
 	res.Timings.Cache.TablesRebuilt = rebuilt
 	bo.countTables(reused, rebuilt)
 
 	start = time.Now()
+	heap.begin()
 	gs := &GraphStage{
 		Tokenized:         tokenized,
 		Opts:              cfg.Graph,
@@ -294,11 +307,13 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	res.UnweightedFallback = fellBack
 	res.Timings.Cache.Graph = hitOutcome(graphCached)
 	res.Timings.GraphBuild = bo.endStage(start, "graph")
+	res.Timings.GraphHeapPeak = bo.endStageHeap(heap, "graph")
 	if cache != nil {
 		bo.countLookup(stageGraph, graphCached)
 	}
 
 	start = time.Now()
+	heap.begin()
 	es := &EmbedStage{Graph: g, Cfg: cfg, Cache: cache}
 	if cache != nil {
 		es.InputFP = gs.Fingerprint()
@@ -311,6 +326,7 @@ func buildWithCache(db *dataset.Database, cfg Config, cache *Cache) (*Result, er
 	res.MethodUsed = method
 	res.Timings.Cache.Embed = hitOutcome(embedCached)
 	res.Timings.Embed = bo.endStage(start, "embed")
+	res.Timings.EmbedHeapPeak = bo.endStageHeap(heap, "embed")
 	if cache != nil {
 		bo.countLookup(stageEmbed, embedCached)
 		// The registry counter is the single source for store-error

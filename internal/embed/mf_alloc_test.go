@@ -18,11 +18,14 @@ import (
 // the column-blocked Chebyshev filter and presized CSR assembly, 9.6
 // with no V, U written into the SVD's test-matrix buffer and scaled in
 // place, and the filter running in place on an I + A merged row by row,
-// and 9.1 with the adjacency assembled row by row from the adjacency
-// lists instead of through COO triples and a sort. At one worker the
+// 9.1 with the adjacency assembled row by row from the adjacency
+// lists instead of through COO triples and a sort, and 6.5 with P and
+// M filled into fixed-size chunks and copied once into arrays of their
+// exact size (no append-grown fragments), and the windowed PMI's
+// per-row column sort no longer allocating. At one worker the
 // allocation volume is deterministic, so unlike peak RSS it does not
 // depend on GC timing.
-const mfAllocBudget = 9.5
+const mfAllocBudget = 7.0
 
 func TestMFAllocationBudget(t *testing.T) {
 	spec := synth.Genes(synth.GenesOptions{Scale: 0.2, Seed: 1})

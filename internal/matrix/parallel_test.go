@@ -140,16 +140,15 @@ func TestChebyshevPropagateWorkersBitIdentical(t *testing.T) {
 }
 
 func TestShardedCSRSingleRowAndEmpty(t *testing.T) {
-	empty := ShardedCSR(0, 5, 4, func(lo, hi int, frag *CSR) {
+	empty := ShardedCSR(0, 5, 4, func(lo, hi int, w *RowWriter) {
 		t.Fatal("fill must not run for an empty matrix")
 	})
 	if empty.NumRows != 0 || empty.NNZ() != 0 || len(empty.RowPtr) != 1 {
 		t.Fatalf("empty ShardedCSR malformed: %+v", empty)
 	}
-	one := ShardedCSR(1, 3, 4, func(lo, hi int, frag *CSR) {
-		frag.ColIdx = append(frag.ColIdx, 2)
-		frag.Vals = append(frag.Vals, 1.5)
-		frag.RowPtr[1] = 1
+	one := ShardedCSR(1, 3, 4, func(lo, hi int, w *RowWriter) {
+		w.Append(2, 1.5)
+		w.EndRow()
 	})
 	if one.At(0, 2) != 1.5 || one.NNZ() != 1 {
 		t.Fatalf("single-row ShardedCSR malformed: %+v", one)

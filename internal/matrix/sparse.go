@@ -71,16 +71,26 @@ type Entry struct {
 // of equal columns summed in row's order. It sorts row in place. The
 // caller records the row's end in RowPtr.
 func (m *CSR) AppendRow(row []Entry) {
-	slices.SortStableFunc(row, func(a, b Entry) int { return cmp.Compare(a.Col, b.Col) })
-	start := len(m.Vals)
-	for _, e := range row {
-		if n := len(m.Vals); n > start && m.ColIdx[n-1] == e.Col {
-			m.Vals[n-1] += e.Val
-			continue
-		}
+	for _, e := range compactRow(row) {
 		m.ColIdx = append(m.ColIdx, e.Col)
 		m.Vals = append(m.Vals, e.Val)
 	}
+}
+
+// compactRow stably sorts row by column and folds each run of equal
+// columns into its first entry, summing the values in row's order. It
+// works in place and returns the compacted prefix.
+func compactRow(row []Entry) []Entry {
+	slices.SortStableFunc(row, func(a, b Entry) int { return cmp.Compare(a.Col, b.Col) })
+	out := row[:0]
+	for _, e := range row {
+		if n := len(out); n > 0 && out[n-1].Col == e.Col {
+			out[n-1].Val += e.Val
+			continue
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // NNZ returns the number of stored entries.

@@ -1,7 +1,9 @@
 package matrix
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -30,7 +32,7 @@ func WindowPMI(p *CSR, window, topK int, eps float64, degree []float64, vol, tau
 		panic("matrix: WindowPMI shape mismatch")
 	}
 	scale := 1 / float64(window)
-	return ShardedCSR(p.NumRows, p.NumCols, workers, func(lo, hi int, frag *CSR) {
+	return ShardedCSR(p.NumRows, p.NumCols, workers, func(lo, hi int, out *RowWriter) {
 		w := &windowScratch{acc: make([]float64, p.NumCols)}
 		for i := lo; i < hi; i++ {
 			sumCols := p.ColIdx[p.RowPtr[i]:p.RowPtr[i+1]]
@@ -57,11 +59,10 @@ func WindowPMI(p *CSR, window, topK int, eps float64, degree []float64, vol, tau
 					v = cap
 				}
 				if v > 0 {
-					frag.ColIdx = append(frag.ColIdx, j)
-					frag.Vals = append(frag.Vals, v)
+					out.Append(j, v)
 				}
 			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
+			out.EndRow()
 		}
 	})
 }
@@ -123,7 +124,9 @@ func (w *windowScratch) nextPower(cols []int32, vals []float64, p *CSR, topK int
 		})
 		row = row[:topK]
 	}
-	sort.Slice(row, func(x, y int) bool { return row[x].col < row[y].col })
+	// Columns are unique, so every sort gives this order; SortFunc does
+	// not allocate, unlike sort.Slice on every row.
+	slices.SortFunc(row, func(x, y colVal) int { return cmp.Compare(x.col, y.col) })
 	w.row = row
 	w.powCols, w.powVals = w.powCols[:0], w.powVals[:0]
 	for _, e := range row {

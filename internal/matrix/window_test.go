@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/parallel"
 )
 
 // The windowed-PMI proximity used to be built as four whole-matrix
@@ -31,7 +33,7 @@ func MulCSRPruneWorkers(a, b *CSR, topK int, eps float64, workers int) *CSR {
 	if a.NumCols != b.NumRows {
 		panic("matrix: MulCSRPrune shape mismatch")
 	}
-	return ShardedCSR(a.NumRows, b.NumCols, workers, func(lo, hi int, frag *CSR) {
+	return ShardedCSR(a.NumRows, b.NumCols, workers, func(lo, hi int, w *RowWriter) {
 		// Dense accumulator with a touched-list, reset per row.
 		acc := make([]float64, b.NumCols)
 		touched := make([]int32, 0, 256)
@@ -77,10 +79,9 @@ func MulCSRPruneWorkers(a, b *CSR, topK int, eps float64, workers int) *CSR {
 			}
 			sort.Slice(row, func(x, y int) bool { return row[x].col < row[y].col })
 			for _, e := range row {
-				frag.ColIdx = append(frag.ColIdx, e.col)
-				frag.Vals = append(frag.Vals, e.val)
+				w.Append(e.col, e.val)
 			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
+			w.EndRow()
 		}
 	})
 }
@@ -95,28 +96,25 @@ func AddCSRWorkers(a, b *CSR, workers int) *CSR {
 	if a.NumRows != b.NumRows || a.NumCols != b.NumCols {
 		panic("matrix: AddCSR shape mismatch")
 	}
-	return ShardedCSR(a.NumRows, a.NumCols, workers, func(lo, hi int, frag *CSR) {
+	return ShardedCSR(a.NumRows, a.NumCols, workers, func(lo, hi int, w *RowWriter) {
 		for i := lo; i < hi; i++ {
 			pa, pb := a.RowPtr[i], b.RowPtr[i]
 			ea, eb := a.RowPtr[i+1], b.RowPtr[i+1]
 			for pa < ea || pb < eb {
 				switch {
 				case pb >= eb || (pa < ea && a.ColIdx[pa] < b.ColIdx[pb]):
-					frag.ColIdx = append(frag.ColIdx, a.ColIdx[pa])
-					frag.Vals = append(frag.Vals, a.Vals[pa])
+					w.Append(a.ColIdx[pa], a.Vals[pa])
 					pa++
 				case pa >= ea || b.ColIdx[pb] < a.ColIdx[pa]:
-					frag.ColIdx = append(frag.ColIdx, b.ColIdx[pb])
-					frag.Vals = append(frag.Vals, b.Vals[pb])
+					w.Append(b.ColIdx[pb], b.Vals[pb])
 					pb++
 				default:
-					frag.ColIdx = append(frag.ColIdx, a.ColIdx[pa])
-					frag.Vals = append(frag.Vals, a.Vals[pa]+b.Vals[pb])
+					w.Append(a.ColIdx[pa], a.Vals[pa]+b.Vals[pb])
 					pa++
 					pb++
 				}
 			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
+			w.EndRow()
 		}
 	})
 }
@@ -132,7 +130,7 @@ func ScaleCSR(m *CSR, s float64) *CSR {
 // prunePMI maps windowed-transition probabilities to clipped shifted
 // PMI, with the rows partitioned across workers.
 func prunePMI(s *CSR, degree []float64, vol, tau, cap float64, workers int) *CSR {
-	return ShardedCSR(s.NumRows, s.NumCols, workers, func(lo, hi int, frag *CSR) {
+	return ShardedCSR(s.NumRows, s.NumCols, workers, func(lo, hi int, w *RowWriter) {
 		for i := lo; i < hi; i++ {
 			for p := s.RowPtr[i]; p < s.RowPtr[i+1]; p++ {
 				j := s.ColIdx[p]
@@ -148,11 +146,10 @@ func prunePMI(s *CSR, degree []float64, vol, tau, cap float64, workers int) *CSR
 					v = cap
 				}
 				if v > 0 {
-					frag.ColIdx = append(frag.ColIdx, j)
-					frag.Vals = append(frag.Vals, v)
+					w.Append(j, v)
 				}
 			}
-			frag.RowPtr[i-lo+1] = int32(len(frag.Vals))
+			w.EndRow()
 		}
 	})
 }
@@ -226,5 +223,39 @@ func TestWindowPMIMatchesComposition(t *testing.T) {
 	pruned := composeWindowPMI(p, 2, 6, 1e-6, degree, vol, 1.3, 0, 1)
 	if full.NNZ() <= pruned.NNZ() {
 		t.Fatalf("topK=6 pruned nothing (nnz %d vs %d)", pruned.NNZ(), full.NNZ())
+	}
+}
+
+// TestWindowPMIByteBudget holds ShardedCSR's assembly to one copy: each
+// shard fills fixed-size chunks, and the chunks are copied once into a
+// ColIdx and Vals of exactly M's NNZ, at every worker count. Grown by
+// append, a shard's arrays would allocate about five times their final
+// size, and a second full-size concatenation would come on top.
+func TestWindowPMIByteBudget(t *testing.T) {
+	const n, window, topK = 3000, 2, 128
+	p, degree, vol := transitionFixture(n, 23)
+	for _, workers := range []int{1, 2} {
+		var m *CSR
+		got := allocatedBytes(func() {
+			m = WindowPMI(p, window, topK, 1e-6, degree, vol, 1, 0, workers)
+		})
+		if cap(m.ColIdx) != len(m.ColIdx) || cap(m.Vals) != len(m.Vals) {
+			t.Errorf("workers=%d: M's arrays have cap %d/%d for NNZ %d",
+				workers, cap(m.ColIdx), cap(m.Vals), m.NNZ())
+		}
+		// M itself, then each shard's chunks: its entries rounded up to
+		// whole chunks. Per worker, the dense row accumulator; the row
+		// buffers (under 10 KiB at this fixture's row widths) ride in
+		// smallBudget with the headers.
+		budget := uint64(4*(n+1)+12*m.NNZ()) + smallBudget
+		for _, r := range parallel.Shards(n, workers) {
+			nnz := int(m.RowPtr[r.Hi] - m.RowPtr[r.Lo])
+			chunks := (nnz + chunkEntries - 1) / chunkEntries
+			budget += uint64(12*chunks*chunkEntries + 8*n)
+		}
+		t.Logf("WindowPMI workers=%d: NNZ %d, allocated %d bytes, budget %d", workers, m.NNZ(), got, budget)
+		if got > budget {
+			t.Errorf("WindowPMI workers=%d allocated %d bytes, budget %d", workers, got, budget)
+		}
 	}
 }

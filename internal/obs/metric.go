@@ -226,6 +226,22 @@ func NewGauge(name, help string) *Gauge {
 	return &Gauge{f: f, s: f.with()}
 }
 
+// GaugeVec is a gauge family partitioned by labels.
+type GaugeVec struct{ f *family }
+
+func (v *GaugeVec) metricFamily() *family { return v.f }
+
+// With returns the gauge for one label-value combination, creating it
+// on first use.
+func (v *GaugeVec) With(labelValues ...string) *Gauge {
+	return &Gauge{f: v.f, s: v.f.with(labelValues...)}
+}
+
+// NewGaugeVec returns a standalone labeled gauge family.
+func NewGaugeVec(name, help string, labelNames ...string) *GaugeVec {
+	return &GaugeVec{f: newFamily(name, help, KindGauge, labelNames, nil)}
+}
+
 // funcView is a pull-style single-series family (GaugeFunc or
 // CounterFunc): its value is fn() at render time.
 type funcView struct{ f *family }

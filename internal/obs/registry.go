@@ -89,6 +89,16 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return g
 }
 
+// GaugeVec is Gauge for a labeled family.
+func (r *Registry) GaugeVec(name, help string, labelNames ...string) *GaugeVec {
+	if f := r.lookup(name, KindGauge); f != nil {
+		return &GaugeVec{f: f}
+	}
+	v := NewGaugeVec(name, help, labelNames...)
+	r.Register(v)
+	return v
+}
+
 // Histogram returns the registry's histogram named name, creating and
 // registering it (with the given bounds) on first use.
 func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {

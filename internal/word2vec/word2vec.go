@@ -129,6 +129,7 @@ func Train(corpus [][]int32, vocabSize int, opts Options) *Model {
 
 	totalWork := totalTokens * int64(opts.Epochs)
 	var processed int64
+	sig := sigmoids()
 
 	var wg sync.WaitGroup
 	chunk := (len(corpus) + opts.Workers - 1) / opts.Workers
@@ -159,7 +160,7 @@ func Train(corpus [][]int32, vocabSize int, opts Options) *Model {
 					if lr < opts.LearningRate*1e-4 {
 						lr = opts.LearningRate * 1e-4
 					}
-					m.trainSequence(kept, lr, opts, neg, wrng)
+					m.trainSequence(kept, lr, opts, neg, sig, wrng)
 				}
 			}
 		}(lo, hi, w)
@@ -171,7 +172,7 @@ func Train(corpus [][]int32, vocabSize int, opts Options) *Model {
 // trainSequence runs one SGD pass over one (subsampled) sequence.
 // Updates intentionally race across workers (Hogwild); the sparsity of
 // updates makes the interference negligible.
-func (m *Model) trainSequence(seq []int32, lr float64, opts Options, neg *negativeSampler, rng *rand.Rand) {
+func (m *Model) trainSequence(seq []int32, lr float64, opts Options, neg *negativeSampler, sig *sigmoidTable, rng *rand.Rand) {
 	dim := m.Dim
 	grad := make([]float64, dim)
 	for pos, center := range seq {
@@ -206,7 +207,7 @@ func (m *Model) trainSequence(seq []int32, lr float64, opts Options, neg *negati
 				for i := range vIn {
 					dot += vIn[i] * vOut[i]
 				}
-				g := (label - sigmoid(dot)) * lr
+				g := (label - sig.sigmoid(dot)) * lr
 				for i := range vIn {
 					grad[i] += g * vOut[i]
 					vOut[i] += g * vIn[i]
@@ -223,23 +224,29 @@ func (m *Model) trainSequence(seq []int32, lr float64, opts Options, neg *negati
 // evaluated by lookup over [-8, 8], which removes math.Exp from the
 // inner training loop. The table resolution (1/512) keeps the error
 // below the SGD noise floor.
-var sigmoidTable = func() [8192 + 1]float64 {
-	var t [8192 + 1]float64
+type sigmoidTable [8192 + 1]float64
+
+// sigmoids builds the table on first use, not at package init: every
+// binary that links this package (the daemon included) would otherwise
+// pay its 8,193 math.Exp calls at startup. Train fetches it once per
+// call.
+var sigmoids = sync.OnceValue(func() *sigmoidTable {
+	var t sigmoidTable
 	for i := range t {
 		x := (float64(i)/8192)*16 - 8
 		t[i] = 1 / (1 + math.Exp(-x))
 	}
-	return t
-}()
+	return &t
+})
 
-func sigmoid(x float64) float64 {
+func (t *sigmoidTable) sigmoid(x float64) float64 {
 	switch {
 	case x >= 8:
 		return 1
 	case x <= -8:
 		return 0
 	default:
-		return sigmoidTable[int((x+8)/16*8192)]
+		return t[int((x+8)/16*8192)]
 	}
 }
 

@@ -117,6 +117,7 @@ func TestNegativeSamplerDistribution(t *testing.T) {
 }
 
 func TestSigmoidBounds(t *testing.T) {
+	sigmoid := sigmoids().sigmoid
 	if sigmoid(100) != 1 || sigmoid(-100) != 0 {
 		t.Error("sigmoid saturation wrong")
 	}

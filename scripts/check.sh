@@ -42,7 +42,12 @@ go build -o "$SMOKE/bin/" ./cmd/leva ./cmd/levad ./cmd/levagen
 
 "$SMOKE/bin/levagen" -dataset student -scale 0.05 -seed 7 -out "$SMOKE/csv"
 "$SMOKE/bin/leva" embed -data "$SMOKE/csv" -dim 8 -seed 7 \
-    -out "$SMOKE/embedding.tsv" -bundle "$SMOKE/bundle"
+    -out "$SMOKE/embedding.tsv" -bundle "$SMOKE/bundle" > "$SMOKE/embed.log"
+cat "$SMOKE/embed.log"
+# The stage line is one set of key=value pairs: each stage's wall time
+# in milliseconds and its heap high-water mark above its start, nonzero
+# for every stage of this cold build.
+grep -Eq '^stage timings: textify_ms=[0-9]+\.[0-9]{3} textify_heap_peak_bytes=[1-9][0-9]* graph_ms=[0-9]+\.[0-9]{3} graph_heap_peak_bytes=[1-9][0-9]* embed_ms=[0-9]+\.[0-9]{3} embed_heap_peak_bytes=[1-9][0-9]*$' "$SMOKE/embed.log"
 
 "$SMOKE/bin/levad" -bundle "$SMOKE/bundle" -addr 127.0.0.1:0 \
     -debug-addr 127.0.0.1:0 -ready-file "$SMOKE/addr" 2>"$SMOKE/levad.log" &
